@@ -371,6 +371,6 @@ func (h *brokerHandler) Start(ctx proc.Context) {
 
 func (h *brokerHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	if m.Kind() == xmlcmd.KindPing && h.ready {
-		ctx.Send(xmlcmd.NewPong(ctx.Name(), m, ctx.Incarnation()))
+		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
 	}
 }

@@ -28,7 +28,10 @@ type Clock interface {
 	// Now returns the current instant.
 	Now() time.Time
 	// AfterFunc schedules fn to run after d. fn runs on the runtime's
-	// dispatch context; actors must not block inside it.
+	// dispatch context; actors must not block inside it. The returned
+	// handle is an interface value, so every call allocates at least the
+	// boxed timer (plus fn, if it is a fresh closure): use it for timers
+	// that may need Stop, and Schedule for everything per-event.
 	AfterFunc(d time.Duration, fn func()) Timer
 	// Schedule runs ev.Fire after d on the same dispatch context. It is
 	// the allocation-lean path for high-volume fire-and-forget work (bus
@@ -48,7 +51,8 @@ var _ Clock = Sim{}
 // Now returns the kernel's virtual time.
 func (s Sim) Now() time.Time { return s.K.Now() }
 
-// AfterFunc schedules fn on the kernel's event queue.
+// AfterFunc schedules fn on the kernel's event queue. Boxing the kernel's
+// by-value Timer into the interface is one allocation per call.
 func (s Sim) AfterFunc(d time.Duration, fn func()) Timer {
 	return s.K.AfterFunc(d, fn)
 }
@@ -127,7 +131,11 @@ type Ticker struct {
 func NewTicker(clk Clock, period time.Duration, fn func()) *Ticker {
 	t := &Ticker{clk: clk, period: period, fn: fn}
 	t.tickFn = t.tick
+	// Under a wall clock the first tick can fire, and re-arm, before arm
+	// has stored the timer it was handed.
+	t.mu.Lock()
 	t.arm()
+	t.mu.Unlock()
 	return t
 }
 

@@ -73,12 +73,19 @@ type FD struct {
 	lastSuspectRelay map[string]time.Time
 	lastSubReport    map[string]time.Time
 	recMissed        int
-	recNonce         uint64
-	recWait          bool
+	recNonce         uint64 // nonce of the REC ping awaiting its pong, 0 = none
+
+	// The REC monitoring loop, bound once at Start.
+	recPing, recVerify func()
 }
 
-// targetState is FD's per-component suspicion bookkeeping.
+// targetState is FD's per-component suspicion bookkeeping and, once FD is
+// ready, the target's prebound probe: exactly one probe per target is in
+// flight, so ping and verify are bound once per incarnation and the ping
+// loop schedules the same two funcs forever without allocating.
 type targetState struct {
+	ping, verify func()
+
 	outstanding  uint64 // nonce awaiting pong, 0 = none
 	missed       int    // consecutive missed pongs (reset by any pong)
 	suspected    bool
@@ -153,52 +160,57 @@ func (fd *FD) Start(ctx proc.Context) {
 		ctx.Ready()
 		// Stagger the ping loops so the bus sees a smooth ping stream.
 		for i, target := range fd.targets {
-			target := target
+			target, st := target, fd.targetSt[target]
+			st.ping = func() { fd.sendPing(ctx, target, st) }
+			st.verify = func() { fd.verifyPing(ctx, target, st) }
 			offset := time.Duration(i) * fd.params.PingPeriod / time.Duration(len(fd.targets)+1)
-			ctx.After(offset, func() { fd.pingLoop(ctx, target) })
+			ctx.After(offset, st.ping)
 		}
-		ctx.After(fd.params.PingPeriod/2, func() { fd.recLoop(ctx) })
+		fd.recPing = func() { fd.sendRECPing(ctx) }
+		fd.recVerify = func() { fd.verifyRECPing(ctx) }
+		ctx.After(fd.params.PingPeriod/2, fd.recPing)
 	})
 }
 
-// pingLoop sends one liveness ping and schedules its verification; the
+// sendPing sends one liveness ping and schedules its verification; the
 // verification schedules the next ping, so exactly one probe per target is
 // in flight.
-func (fd *FD) pingLoop(ctx proc.Context, target string) {
-	st := fd.targetSt[target]
+func (fd *FD) sendPing(ctx proc.Context, target string, st *targetState) {
 	fd.nonce++
-	nonce := fd.nonce
-	st.outstanding = nonce
+	st.outstanding = fd.nonce
 	st.sentAt = ctx.Now()
 	fd.seq++
 	M.FDPingsSent.Inc()
-	ctx.Send(xmlcmd.NewPing(xmlcmd.AddrFD, target, fd.seq, nonce))
-	ctx.After(fd.params.PingTimeout, func() {
-		if st.outstanding == nonce {
-			// No pong: the target is fail-silent, unreachable, or the bus
-			// lost a frame.
-			st.outstanding = 0
-			st.missed++
-			M.FDPongsMissed.Inc()
-			if st.missed == 1 {
-				st.firstMissAt = st.sentAt
-			}
-			// The K-miss threshold applies to every suspicion, not just the
-			// first: a sticky suspected flag would turn one unlucky probe
-			// into a hair-trigger detector for the rest of the target's life.
-			if st.missed < fd.suspectAfter() {
-				// Inconclusive under the K-miss threshold: re-probe after
-				// a short retry instead of waiting out the full period, so
-				// a real failure still costs ~K probes, not K periods.
-				ctx.After(fd.params.MissRetry, func() { fd.pingLoop(ctx, target) })
-				return
-			}
-			st.missed = 0
-			fd.suspect(ctx, target)
+	ctx.Send(ctx.Pool().Ping(xmlcmd.AddrFD, target, fd.seq, fd.nonce))
+	ctx.After(fd.params.PingTimeout, st.verify)
+}
+
+// verifyPing runs PingTimeout after sendPing. With one probe in flight,
+// outstanding is either that probe's nonce or 0 (its pong arrived).
+func (fd *FD) verifyPing(ctx proc.Context, target string, st *targetState) {
+	if st.outstanding != 0 {
+		// No pong: the target is fail-silent, unreachable, or the bus
+		// lost a frame.
+		st.outstanding = 0
+		st.missed++
+		M.FDPongsMissed.Inc()
+		if st.missed == 1 {
+			st.firstMissAt = st.sentAt
 		}
-		next := fd.params.PingPeriod - fd.params.PingTimeout
-		ctx.After(next, func() { fd.pingLoop(ctx, target) })
-	})
+		// The K-miss threshold applies to every suspicion, not just the
+		// first: a sticky suspected flag would turn one unlucky probe
+		// into a hair-trigger detector for the rest of the target's life.
+		if st.missed < fd.suspectAfter() {
+			// Inconclusive under the K-miss threshold: re-probe after
+			// a short retry instead of waiting out the full period, so
+			// a real failure still costs ~K probes, not K periods.
+			ctx.After(fd.params.MissRetry, st.ping)
+			return
+		}
+		st.missed = 0
+		fd.suspect(ctx, target)
+	}
+	ctx.After(fd.params.PingPeriod-fd.params.PingTimeout, st.ping)
 }
 
 // suspectAfter returns the effective K-consecutive-miss threshold.
@@ -247,7 +259,7 @@ func (fd *FD) verifyBroker(ctx proc.Context, target string, attempt int) {
 	fd.seq++
 	M.FDPingsSent.Inc()
 	M.FDVerifications.Inc()
-	ctx.Send(xmlcmd.NewPing(xmlcmd.AddrFD, fd.broker, fd.seq, fd.nonce))
+	ctx.Send(ctx.Pool().Ping(xmlcmd.AddrFD, fd.broker, fd.seq, fd.nonce))
 	ctx.After(fd.params.PingTimeout, func() {
 		if !st.suspected {
 			return // target answered a later ping meanwhile
@@ -284,36 +296,36 @@ func (fd *FD) report(ctx proc.Context, target string) {
 	M.FDReports.Inc()
 	ctx.Log().Add(now, trace.FailureDetected, target, "", "reported to rec")
 	fd.seq++
-	ctx.Send(xmlcmd.NewEvent(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "failure", target))
+	ctx.Send(ctx.Pool().Event(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "failure", target))
 }
 
-// recLoop monitors REC over the dedicated link.
-func (fd *FD) recLoop(ctx proc.Context) {
-	if fd.recWait {
-		return
-	}
+// sendRECPing monitors REC over the dedicated link: one ping, verified
+// PingTimeout later, the verification scheduling the next.
+func (fd *FD) sendRECPing(ctx proc.Context) {
 	fd.nonce++
-	nonce := fd.nonce
-	fd.recNonce = nonce
+	fd.recNonce = fd.nonce
 	fd.seq++
 	M.FDPingsSent.Inc()
-	ctx.Send(xmlcmd.NewPing(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, nonce))
-	ctx.After(fd.params.PingTimeout, func() {
-		if fd.recNonce == nonce {
-			fd.recMissed++
-			M.FDPongsMissed.Inc()
-			if fd.recMissed >= fd.params.RECFailAfter {
-				fd.recMissed = 0
-				M.FDRECRecoveries.Inc()
-				ctx.Log().Add(ctx.Now(), trace.FailureDetected, xmlcmd.AddrREC, "",
-					"fd initiating rec recovery")
-				if fd.restartREC != nil {
-					fd.restartREC()
-				}
+	ctx.Send(ctx.Pool().Ping(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, fd.nonce))
+	ctx.After(fd.params.PingTimeout, fd.recVerify)
+}
+
+// verifyRECPing: recNonce is still set only if the pong never arrived.
+func (fd *FD) verifyRECPing(ctx proc.Context) {
+	if fd.recNonce != 0 {
+		fd.recMissed++
+		M.FDPongsMissed.Inc()
+		if fd.recMissed >= fd.params.RECFailAfter {
+			fd.recMissed = 0
+			M.FDRECRecoveries.Inc()
+			ctx.Log().Add(ctx.Now(), trace.FailureDetected, xmlcmd.AddrREC, "",
+				"fd initiating rec recovery")
+			if fd.restartREC != nil {
+				fd.restartREC()
 			}
 		}
-		ctx.After(fd.params.PingPeriod-fd.params.PingTimeout, func() { fd.recLoop(ctx) })
-	})
+	}
+	ctx.After(fd.params.PingPeriod-fd.params.PingTimeout, fd.recPing)
 }
 
 // Receive implements proc.Handler.
@@ -351,9 +363,7 @@ func (fd *FD) Receive(ctx proc.Context, m *xmlcmd.Message) {
 		// REC liveness-pings FD over the dedicated link.
 		if fd.ready {
 			fd.seq++
-			pong := xmlcmd.NewPong(xmlcmd.AddrFD, m, ctx.Incarnation())
-			pong.Seq = m.Seq
-			ctx.Send(pong)
+			ctx.Send(ctx.Pool().Pong(xmlcmd.AddrFD, m, ctx.Incarnation()))
 		}
 	case xmlcmd.KindEvent:
 		// Subcomponent failures are self-reported by the hosting process:
@@ -372,7 +382,7 @@ func (fd *FD) Receive(ctx proc.Context, m *xmlcmd.Message) {
 			M.FDReports.Inc()
 			ctx.Log().Add(now, trace.FailureDetected, sub, "", "subfault reported to rec")
 			fd.seq++
-			ctx.Send(xmlcmd.NewEvent(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "failure", sub))
+			ctx.Send(ctx.Pool().Event(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "failure", sub))
 		}
 	case xmlcmd.KindHealth:
 		// Health-summary beacons (paper §7): warnings of suspect behaviour
@@ -383,7 +393,7 @@ func (fd *FD) Receive(ctx proc.Context, m *xmlcmd.Message) {
 			if last, ok := fd.lastSuspectRelay[m.From]; !ok || now.Sub(last) >= fd.params.ReReportInterval {
 				fd.lastSuspectRelay[m.From] = now
 				fd.seq++
-				ctx.Send(xmlcmd.NewEvent(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "suspect", m.From))
+				ctx.Send(ctx.Pool().Event(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "suspect", m.From))
 			}
 		}
 	}

@@ -92,7 +92,7 @@ func DefaultRECParams() RECParams {
 type episode struct {
 	attempt         int
 	prev            *Node
-	prevAct         Action // last action taken; Node nil before the first
+	prevAct         Action    // last action taken; Node nil before the first
 	awaitingVerdict bool      // restart completed; watching for persistence
 	lastReadyAt     time.Time // when the restart action finished
 	pendingReady    map[string]bool
@@ -125,8 +125,11 @@ type REC struct {
 	abandoned map[string]bool
 	lastRejuv map[string]time.Time
 	readyAt   map[string]time.Time
-	fdNonce   uint64
+	fdNonce   uint64 // nonce of the FD ping awaiting its pong, 0 = none
 	fdMissed  int
+
+	// The FD monitoring loop, bound once at Start.
+	fdPing, fdVerify func()
 }
 
 // recShared carries the long-lived wiring a fresh REC incarnation needs.
@@ -218,7 +221,9 @@ func (r *REC) Start(ctx proc.Context) {
 	ctx.After(r.params.Startup, func() {
 		r.ready = true
 		ctx.Ready()
-		ctx.After(r.params.FDPingPeriod/3, func() { r.fdLoop(ctx) })
+		r.fdPing = func() { r.sendFDPing(ctx) }
+		r.fdVerify = func() { r.verifyFDPing(ctx) }
+		ctx.After(r.params.FDPingPeriod/3, r.fdPing)
 	})
 }
 
@@ -238,8 +243,7 @@ func (r *REC) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	case xmlcmd.KindPing:
 		if r.ready {
 			r.seq++
-			pong := xmlcmd.NewPong(xmlcmd.AddrREC, m, ctx.Incarnation())
-			ctx.Send(pong)
+			ctx.Send(ctx.Pool().Pong(xmlcmd.AddrREC, m, ctx.Incarnation()))
 		}
 	case xmlcmd.KindPong:
 		if m.From == xmlcmd.AddrFD && m.Pong.Nonce == r.fdNonce {
@@ -621,27 +625,30 @@ func (r *REC) onSuspect(ctx proc.Context, component string) {
 	})
 }
 
-// fdLoop monitors FD over the dedicated link; REC performs FD's recovery
-// (the paper's other special case).
-func (r *REC) fdLoop(ctx proc.Context) {
+// sendFDPing monitors FD over the dedicated link; REC performs FD's
+// recovery (the paper's other special case). One ping is in flight at a
+// time: its verification schedules the next.
+func (r *REC) sendFDPing(ctx proc.Context) {
 	r.nonce++
-	nonce := r.nonce
-	r.fdNonce = nonce
+	r.fdNonce = r.nonce
 	r.seq++
-	ctx.Send(xmlcmd.NewPing(xmlcmd.AddrREC, xmlcmd.AddrFD, r.seq, nonce))
-	ctx.After(r.params.FDTimeout, func() {
-		if r.fdNonce == nonce {
-			r.fdMissed++
-			if r.fdMissed >= r.params.FDFailAfter {
-				r.fdMissed = 0
-				M.RECFDRecoveries.Inc()
-				ctx.Log().Add(ctx.Now(), trace.FailureDetected, xmlcmd.AddrFD, "",
-					"rec initiating fd recovery")
-				if r.restartFD != nil {
-					r.restartFD()
-				}
+	ctx.Send(ctx.Pool().Ping(xmlcmd.AddrREC, xmlcmd.AddrFD, r.seq, r.nonce))
+	ctx.After(r.params.FDTimeout, r.fdVerify)
+}
+
+// verifyFDPing: fdNonce is still set only if the pong never arrived.
+func (r *REC) verifyFDPing(ctx proc.Context) {
+	if r.fdNonce != 0 {
+		r.fdMissed++
+		if r.fdMissed >= r.params.FDFailAfter {
+			r.fdMissed = 0
+			M.RECFDRecoveries.Inc()
+			ctx.Log().Add(ctx.Now(), trace.FailureDetected, xmlcmd.AddrFD, "",
+				"rec initiating fd recovery")
+			if r.restartFD != nil {
+				r.restartFD()
 			}
 		}
-		ctx.After(r.params.FDPingPeriod-r.params.FDTimeout, func() { r.fdLoop(ctx) })
-	})
+	}
+	ctx.After(r.params.FDPingPeriod-r.params.FDTimeout, r.fdPing)
 }

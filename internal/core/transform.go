@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 )
 
 // This file implements the paper's §4 restart-tree transformations. Each
@@ -250,10 +252,46 @@ func prune(n *Node) *Node {
 	return n
 }
 
-// MercuryTrees builds the paper's five trees. Trees I and II use the
+// MercuryTrees returns the paper's five trees. Trees I and II use the
 // monolithic component set; II′ (returned as "IIp"), III, IV and V use the
 // split set.
+//
+// The trees are built once per process (per distinct monolithic set — in
+// practice one) and shared: a *Tree is immutable once NewTree returns, every
+// transformation clones before it edits, and REC only reads. Each call
+// returns a fresh map, so callers may add their own variants ("IVm", a
+// custom tree) without anyone else seeing them.
 func MercuryTrees(monolithic, split []string) (map[string]*Tree, error) {
+	_ = split // the split component list is implied by the transformations
+	key := strings.Join(monolithic, "\x00")
+	mercuryTrees.Lock()
+	defer mercuryTrees.Unlock()
+	shared, ok := mercuryTrees.built[key]
+	if !ok {
+		var err error
+		if shared, err = buildMercuryTrees(monolithic); err != nil {
+			return nil, err
+		}
+		if mercuryTrees.built == nil {
+			mercuryTrees.built = make(map[string]map[string]*Tree)
+		}
+		mercuryTrees.built[key] = shared
+	}
+	trees := make(map[string]*Tree, len(shared)+2)
+	for name, t := range shared {
+		trees[name] = t
+	}
+	return trees, nil
+}
+
+// mercuryTrees memoises buildMercuryTrees; the lock covers parallel trial
+// workers constructing systems at once.
+var mercuryTrees struct {
+	sync.Mutex
+	built map[string]map[string]*Tree
+}
+
+func buildMercuryTrees(monolithic []string) (map[string]*Tree, error) {
 	trees := make(map[string]*Tree, 6)
 
 	t1, err := TrivialTree("I", monolithic)
@@ -291,8 +329,6 @@ func MercuryTrees(monolithic, split []string) (map[string]*Tree, error) {
 		return nil, fmt.Errorf("tree V: %w", err)
 	}
 	trees["V"] = t5
-
-	_ = split // the split component list is implied by the transformations
 	return trees, nil
 }
 

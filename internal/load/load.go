@@ -21,10 +21,10 @@
 // # Zero allocation
 //
 // Request records live in a slot-arena with generation counters (the sim
-// kernel's own recycling idiom); request envelopes are pooled through the
-// fabric via xmlcmd.Recycler; deadline events are pooled and
-// generation-checked instead of cancelled. In steady state issuing,
-// serving and retiring a request allocates nothing, pinned by
+// kernel's own recycling idiom); request envelopes come from the process
+// manager's xmlcmd.Pool and return through the fabric; deadline events are
+// pooled and generation-checked instead of cancelled. In steady state
+// issuing, serving and retiring a request allocates nothing, pinned by
 // TestEngineSteadyStateAllocs.
 //
 // # Request classes
@@ -219,8 +219,6 @@ type Engine struct {
 
 	records []record
 	freeRec []int32
-
-	msgPool []*xmlcmd.Message
 
 	hist    metrics.Hist
 	stats   Stats
@@ -479,46 +477,22 @@ func (e *Engine) issue(c *cohortState) {
 // never rebuilds a time.Time.
 func (e *Engine) send(c *cohortState, slot int32, rec *record, now int64) {
 	e.stats.Attempts++
-	m := e.acquireMsg()
-	m.From = e.gate
-	m.To = c.cfg.Class.target()
-	m.Seq = seqFor(slot, rec.gen)
-	cmd := m.Command
-	cmd.Name = c.cfg.Class.command()
 	v := &c.vals[c.vi]
 	c.vi++
 	if c.vi == len(c.vals) {
 		c.vi = 0
 	}
-	cmd.Params = cmd.Params[:0]
-	switch c.cfg.Class {
+	class := c.cfg.Class
+	pool, seq := e.mgr.Pool(), seqFor(slot, rec.gen)
+	var m *xmlcmd.Message
+	switch class {
 	case ClassPass:
-		cmd.Params = append(cmd.Params,
-			xmlcmd.Param{Key: "azRad", Value: v[0]},
-			xmlcmd.Param{Key: "elRad", Value: v[1]})
+		m = pool.Command(e.gate, class.target(), seq, class.command(), "azRad", v[0], "elRad", v[1])
 	default:
-		cmd.Params = append(cmd.Params, xmlcmd.Param{Key: "freqHz", Value: v[0]})
+		m = pool.Command(e.gate, class.target(), seq, class.command(), "freqHz", v[0])
 	}
 	e.bus.Send(m)
 	e.armDeadline(c, slot, rec.gen, now)
-}
-
-// RecycleMessage implements xmlcmd.Recycler: the fabric returns request
-// envelopes here once their last in-flight copy resolves.
-func (e *Engine) RecycleMessage(m *xmlcmd.Message) {
-	e.msgPool = append(e.msgPool, m)
-}
-
-func (e *Engine) acquireMsg() *xmlcmd.Message {
-	if n := len(e.msgPool); n > 0 {
-		m := e.msgPool[n-1]
-		e.msgPool = e.msgPool[:n-1]
-		return m
-	}
-	return &xmlcmd.Message{
-		Command: &xmlcmd.Command{Params: make([]xmlcmd.Param, 0, 2)},
-		Owner:   e,
-	}
 }
 
 // dlEntry is one armed attempt deadline (due in kernel ns). Entries are
@@ -683,6 +657,6 @@ func (g gateHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	case xmlcmd.KindAck:
 		g.e.onAck(m)
 	case xmlcmd.KindPing:
-		ctx.Send(xmlcmd.NewPong(ctx.Name(), m, ctx.Incarnation()))
+		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
 	}
 }

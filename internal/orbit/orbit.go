@@ -163,35 +163,46 @@ func (el Elements) StateECI(t time.Time) (pos, vel Vec3, err error) {
 	vxp := -factor * sinE
 	vyp := factor * math.Sqrt(1-e*e) * cosE
 
-	pos = perifocalToECI(el, Vec3{xp, yp, 0})
-	vel = perifocalToECI(el, Vec3{vxp, vyp, 0})
-	return pos, vel, nil
+	rot := newPerifocal(el)
+	return rot.toECI(xp, yp), rot.toECI(vxp, vyp), nil
 }
 
-// perifocalToECI applies the 3-1-3 rotation (RAAN, inclination, argument of
-// perigee).
-func perifocalToECI(el Elements, p Vec3) Vec3 {
+// perifocal is the 3-1-3 rotation (RAAN, inclination, argument of perigee)
+// taking the orbital plane into the inertial frame. It depends on the
+// element set only, not on time.
+type perifocal struct {
+	r11, r12, r21, r22, r31, r32 float64
+}
+
+func newPerifocal(el Elements) perifocal {
 	cO, sO := math.Cos(el.RAANRad), math.Sin(el.RAANRad)
 	ci, si := math.Cos(el.InclinationRad), math.Sin(el.InclinationRad)
 	cw, sw := math.Cos(el.ArgPerigeeRad), math.Sin(el.ArgPerigeeRad)
-	// Rotation matrix rows.
-	r11 := cO*cw - sO*sw*ci
-	r12 := -cO*sw - sO*cw*ci
-	r21 := sO*cw + cO*sw*ci
-	r22 := -sO*sw + cO*cw*ci
-	r31 := sw * si
-	r32 := cw * si
-	return Vec3{
-		X: r11*p.X + r12*p.Y,
-		Y: r21*p.X + r22*p.Y,
-		Z: r31*p.X + r32*p.Y,
+	return perifocal{
+		r11: cO*cw - sO*sw*ci,
+		r12: -cO*sw - sO*cw*ci,
+		r21: sO*cw + cO*sw*ci,
+		r22: -sO*sw + cO*cw*ci,
+		r31: sw * si,
+		r32: cw * si,
 	}
 }
+
+// toECI rotates the in-plane vector (x, y, 0).
+func (r perifocal) toECI(x, y float64) Vec3 {
+	return Vec3{
+		X: r.r11*x + r.r12*y,
+		Y: r.r21*x + r.r22*y,
+		Z: r.r31*x + r.r32*y,
+	}
+}
+
+// j2000 is the J2000 epoch GMST counts days from.
+var j2000 = time.Date(2000, 1, 1, 12, 0, 0, 0, time.UTC)
 
 // GMST returns the Greenwich mean sidereal time angle (radians) at t,
 // using the standard linear approximation from the J2000 epoch.
 func GMST(t time.Time) float64 {
-	j2000 := time.Date(2000, 1, 1, 12, 0, 0, 0, time.UTC)
 	days := t.Sub(j2000).Seconds() / 86400
 	deg := 280.46061837 + 360.98564736629*days
 	rad := deg * math.Pi / 180
@@ -258,18 +269,60 @@ func (l Look) DopplerHz(freqHz float64) float64 {
 }
 
 // LookAt computes the look angles from the station to the satellite at t.
+// Callers that look repeatedly should build the Observer once.
 func LookAt(el Elements, st Station, t time.Time) (Look, error) {
-	look, err := lookInstant(el, st, t)
+	return NewObserver(el, st).LookAt(t)
+}
+
+// Observer is everything about looking at one satellite from one station
+// that does not depend on the instant: the validated element set, its mean
+// motion and orbital-plane rotation, the station's Earth-fixed position and
+// the sines and cosines of its latitude and longitude. The ses estimator
+// looks three instants a second for the whole life of a station, so it
+// builds this once; every expression keeps the shape the per-call code had,
+// so the angles are bit-identical.
+type Observer struct {
+	el  Elements
+	err error // el.Validate(), returned by every look
+
+	meanMotion float64
+	semiMinor  float64 // a·sqrt(1-e²)
+	rot        perifocal
+
+	sta                    Vec3 // station, Earth-fixed
+	clat, slat, clon, slon float64
+}
+
+// NewObserver precomputes the time-independent geometry.
+func NewObserver(el Elements, st Station) *Observer {
+	e, a := el.Eccentricity, el.SemiMajorKm
+	return &Observer{
+		el:         el,
+		err:        el.Validate(),
+		meanMotion: el.MeanMotion(),
+		semiMinor:  a * math.Sqrt(1-e*e),
+		rot:        newPerifocal(el),
+		sta:        st.ECEF(),
+		clat:       math.Cos(st.LatitudeRad),
+		slat:       math.Sin(st.LatitudeRad),
+		clon:       math.Cos(st.LongitudeRad),
+		slon:       math.Sin(st.LongitudeRad),
+	}
+}
+
+// LookAt computes the look angles at t.
+func (o *Observer) LookAt(t time.Time) (Look, error) {
+	look, err := o.lookInstant(t)
 	if err != nil {
 		return Look{}, err
 	}
 	// Range rate by symmetric numerical differentiation.
 	const h = 500 * time.Millisecond
-	before, err := lookInstant(el, st, t.Add(-h))
+	before, err := o.lookInstant(t.Add(-h))
 	if err != nil {
 		return Look{}, err
 	}
-	after, err := lookInstant(el, st, t.Add(h))
+	after, err := o.lookInstant(t.Add(h))
 	if err != nil {
 		return Look{}, err
 	}
@@ -277,21 +330,27 @@ func LookAt(el Elements, st Station, t time.Time) (Look, error) {
 	return look, nil
 }
 
-func lookInstant(el Elements, st Station, t time.Time) (Look, error) {
-	posECI, _, err := el.StateECI(t)
+// lookInstant is azimuth, elevation and range at t (no range rate).
+func (o *Observer) lookInstant(t time.Time) (Look, error) {
+	if o.err != nil {
+		return Look{}, o.err
+	}
+	// Inertial position: the first half of Elements.StateECI.
+	dt := t.Sub(o.el.Epoch).Seconds()
+	meanAnom := math.Mod(o.el.MeanAnomalyRad+o.meanMotion*dt, 2*math.Pi)
+	eAnom, err := SolveKepler(meanAnom, o.el.Eccentricity)
 	if err != nil {
 		return Look{}, err
 	}
-	satECEF := ECIToECEF(posECI, t)
-	staECEF := st.ECEF()
-	rho := satECEF.Sub(staECEF)
+	cosE, sinE := math.Cos(eAnom), math.Sin(eAnom)
+	xp := o.el.SemiMajorKm * (cosE - o.el.Eccentricity)
+	yp := o.semiMinor * sinE
+	rho := ECIToECEF(o.rot.toECI(xp, yp), t).Sub(o.sta)
 
 	// Rotate the range vector into the local ENU (east-north-up) frame.
-	clat, slat := math.Cos(st.LatitudeRad), math.Sin(st.LatitudeRad)
-	clon, slon := math.Cos(st.LongitudeRad), math.Sin(st.LongitudeRad)
-	east := -slon*rho.X + clon*rho.Y
-	north := -slat*clon*rho.X - slat*slon*rho.Y + clat*rho.Z
-	up := clat*clon*rho.X + clat*slon*rho.Y + slat*rho.Z
+	east := -o.slon*rho.X + o.clon*rho.Y
+	north := -o.slat*o.clon*rho.X - o.slat*o.slon*rho.Y + o.clat*rho.Z
+	up := o.clat*o.clon*rho.X + o.clat*o.slon*rho.Y + o.slat*rho.Z
 
 	rng := rho.Norm()
 	az := math.Atan2(east, north)
@@ -322,8 +381,9 @@ func PredictPasses(el Elements, st Station, from time.Time, window time.Duration
 		return nil, err
 	}
 	const step = 30 * time.Second
+	o := NewObserver(el, st)
 	above := func(t time.Time) (bool, error) {
-		l, err := lookInstant(el, st, t)
+		l, err := o.lookInstant(t)
 		if err != nil {
 			return false, err
 		}
@@ -348,18 +408,18 @@ func PredictPasses(el Elements, st Station, from time.Time, window time.Duration
 		}
 		switch {
 		case cur && !inPass:
-			at, err := bisect(el, st, t.Add(-step), t, minElevationRad, true)
+			at, err := bisect(o, t.Add(-step), t, minElevationRad, true)
 			if err != nil {
 				return nil, err
 			}
 			aos = at
 			inPass = true
 		case !cur && inPass:
-			los, err := bisect(el, st, t.Add(-step), t, minElevationRad, false)
+			los, err := bisect(o, t.Add(-step), t, minElevationRad, false)
 			if err != nil {
 				return nil, err
 			}
-			p, err := finishPass(el, st, aos, los)
+			p, err := finishPass(o, aos, los)
 			if err != nil {
 				return nil, err
 			}
@@ -368,7 +428,7 @@ func PredictPasses(el Elements, st Station, from time.Time, window time.Duration
 		}
 	}
 	if inPass {
-		p, err := finishPass(el, st, aos, end)
+		p, err := finishPass(o, aos, end)
 		if err != nil {
 			return nil, err
 		}
@@ -379,10 +439,10 @@ func PredictPasses(el Elements, st Station, from time.Time, window time.Duration
 
 // bisect finds the elevation threshold crossing inside (lo, hi]. rising
 // selects the upward crossing.
-func bisect(el Elements, st Station, lo, hi time.Time, threshold float64, rising bool) (time.Time, error) {
+func bisect(o *Observer, lo, hi time.Time, threshold float64, rising bool) (time.Time, error) {
 	for hi.Sub(lo) > time.Second {
 		mid := lo.Add(hi.Sub(lo) / 2)
-		l, err := lookInstant(el, st, mid)
+		l, err := o.lookInstant(mid)
 		if err != nil {
 			return time.Time{}, err
 		}
@@ -397,12 +457,12 @@ func bisect(el Elements, st Station, lo, hi time.Time, threshold float64, rising
 }
 
 // finishPass samples the window for the maximum elevation.
-func finishPass(el Elements, st Station, aos, los time.Time) (Pass, error) {
+func finishPass(o *Observer, aos, los time.Time) (Pass, error) {
 	p := Pass{AOS: aos, LOS: los, MaxAt: aos}
 	n := int(los.Sub(aos)/(5*time.Second)) + 1
 	for i := 0; i <= n; i++ {
 		t := aos.Add(time.Duration(i) * los.Sub(aos) / time.Duration(n+1))
-		l, err := lookInstant(el, st, t)
+		l, err := o.lookInstant(t)
 		if err != nil {
 			return Pass{}, err
 		}

@@ -1,7 +1,9 @@
 package orbit
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -310,5 +312,128 @@ func TestPropertyLookAngleRanges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refLookAt is the per-call LookAt the Observer replaced, kept verbatim as
+// the reference: every look recomputed the station's sines and cosines, its
+// ECEF position, the mean motion and the orbital-plane rotation.
+func refLookAt(el Elements, st Station, t time.Time) (Look, error) {
+	instant := func(t time.Time) (Look, error) {
+		posECI, _, err := refStateECI(el, t)
+		if err != nil {
+			return Look{}, err
+		}
+		satECEF := ECIToECEF(posECI, t)
+		staECEF := st.ECEF()
+		rho := satECEF.Sub(staECEF)
+		clat, slat := math.Cos(st.LatitudeRad), math.Sin(st.LatitudeRad)
+		clon, slon := math.Cos(st.LongitudeRad), math.Sin(st.LongitudeRad)
+		east := -slon*rho.X + clon*rho.Y
+		north := -slat*clon*rho.X - slat*slon*rho.Y + clat*rho.Z
+		up := clat*clon*rho.X + clat*slon*rho.Y + slat*rho.Z
+		rng := rho.Norm()
+		az := math.Atan2(east, north)
+		if az < 0 {
+			az += 2 * math.Pi
+		}
+		return Look{AzimuthRad: az, ElevationRad: math.Asin(up / rng), RangeKm: rng}, nil
+	}
+	look, err := instant(t)
+	if err != nil {
+		return Look{}, err
+	}
+	const h = 500 * time.Millisecond
+	before, err := instant(t.Add(-h))
+	if err != nil {
+		return Look{}, err
+	}
+	after, err := instant(t.Add(h))
+	if err != nil {
+		return Look{}, err
+	}
+	look.RangeRateKmS = (after.RangeKm - before.RangeKm) / (2 * h.Seconds())
+	return look, nil
+}
+
+func refStateECI(el Elements, t time.Time) (pos, vel Vec3, err error) {
+	if err := el.Validate(); err != nil {
+		return Vec3{}, Vec3{}, err
+	}
+	n := el.MeanMotion()
+	dt := t.Sub(el.Epoch).Seconds()
+	meanAnom := math.Mod(el.MeanAnomalyRad+n*dt, 2*math.Pi)
+	eAnom, err := SolveKepler(meanAnom, el.Eccentricity)
+	if err != nil {
+		return Vec3{}, Vec3{}, err
+	}
+	e := el.Eccentricity
+	a := el.SemiMajorKm
+	cosE, sinE := math.Cos(eAnom), math.Sin(eAnom)
+	r := a * (1 - e*cosE)
+	xp := a * (cosE - e)
+	yp := a * math.Sqrt(1-e*e) * sinE
+	factor := math.Sqrt(MuEarth*a) / r
+	vxp := -factor * sinE
+	vyp := factor * math.Sqrt(1-e*e) * cosE
+	rot := func(p Vec3) Vec3 {
+		cO, sO := math.Cos(el.RAANRad), math.Sin(el.RAANRad)
+		ci, si := math.Cos(el.InclinationRad), math.Sin(el.InclinationRad)
+		cw, sw := math.Cos(el.ArgPerigeeRad), math.Sin(el.ArgPerigeeRad)
+		r11 := cO*cw - sO*sw*ci
+		r12 := -cO*sw - sO*cw*ci
+		r21 := sO*cw + cO*sw*ci
+		r22 := -sO*sw + cO*cw*ci
+		r31 := sw * si
+		r32 := cw * si
+		return Vec3{X: r11*p.X + r12*p.Y, Y: r21*p.X + r22*p.Y, Z: r31*p.X + r32*p.Y}
+	}
+	return rot(Vec3{xp, yp, 0}), rot(Vec3{vxp, vyp, 0}), nil
+}
+
+// TestObserverBitIdenticalToPerCallLookAt: hoisting the fixed geometry out
+// of the per-look path must not move a single bit — the simulated station's
+// pointing commands, and with them every seeded golden, are formatted from
+// these floats. 10 000 seeded instants over a month, two element sets
+// (near-circular SSO and an eccentric orbit), compared with ==.
+func TestObserverBitIdenticalToPerCallLookAt(t *testing.T) {
+	eccentric := SSOElements(epoch)
+	eccentric.SemiMajorKm, eccentric.Eccentricity, eccentric.MeanAnomalyRad = 12000, 0.35, 2.1
+	st := StanfordStation()
+	rng := rand.New(rand.NewSource(2002))
+	for _, el := range []Elements{SSOElements(epoch), eccentric} {
+		o := NewObserver(el, st)
+		for i := 0; i < 5000; i++ {
+			at := epoch.Add(time.Duration(rng.Int63n(int64(30 * 24 * time.Hour))))
+			want, err := refLookAt(el, st, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := o.LookAt(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("instant %v: Observer %+v, per-call %+v", at, got, want)
+			}
+			if pkg, _ := LookAt(el, st, at); pkg != want {
+				t.Fatalf("instant %v: LookAt %+v, per-call %+v", at, pkg, want)
+			}
+			pos, vel, err := el.StateECI(at)
+			if rp, rv, _ := refStateECI(el, at); err != nil || pos != rp || vel != rv {
+				t.Fatalf("instant %v: StateECI moved: %v %v, reference %v %v (%v)", at, pos, vel, rp, rv, err)
+			}
+		}
+	}
+}
+
+// TestObserverReportsBadElements: the element set is validated once, and
+// every look reports it.
+func TestObserverReportsBadElements(t *testing.T) {
+	bad := SSOElements(time.Now())
+	bad.Eccentricity = 1.5
+	o := NewObserver(bad, StanfordStation())
+	if _, err := o.LookAt(time.Now()); !errors.Is(err, ErrBadEccentricity) {
+		t.Fatalf("err = %v, want ErrBadEccentricity", err)
 	}
 }

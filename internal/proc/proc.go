@@ -85,6 +85,13 @@ type Transport interface {
 // incarnation: after the process is killed or restarted, calls on an old
 // context become no-ops, which models the OS discarding a killed process's
 // pending work.
+//
+// Message lifetime: the *xmlcmd.Message passed to Receive is valid for that
+// one delivery. Nobody may retain it — or its body pointer — past the
+// return of Receive: under the simulated fabric it goes back to its pool
+// the moment the handler returns and is overwritten by the next send.
+// Strings read out of it are immutable and may be kept. The same holds for
+// a message handed to Send: the fabric owns it from that call on.
 type Context interface {
 	// Name is the process's bus address.
 	Name() string
@@ -93,12 +100,19 @@ type Context interface {
 	// Now returns the current time.
 	Now() time.Time
 	// After schedules fn on the dispatch context after d; fn is dropped if
-	// this incarnation has ended by then.
-	After(d time.Duration, fn func()) clock.Timer
+	// this incarnation has ended by then. It is fire-and-forget: there is
+	// no handle, a pending callback dies with the incarnation and with
+	// nothing else. Periodic work passes the same prebound fn every tick
+	// and so schedules without allocating.
+	After(d time.Duration, fn func())
 	// Rand is the deterministic random source.
 	Rand() *rand.Rand
 	// Send emits a message via the bus.
 	Send(m *xmlcmd.Message)
+	// Pool mints the messages this process sends. It is the manager's one
+	// recycled envelope pool, shared by every process on the dispatch
+	// context; see xmlcmd.Pool for the lifetime rule.
+	Pool() *xmlcmd.Pool
 	// Ready declares the component functionally ready and logs the
 	// timestamped ready message recovery time is measured against.
 	Ready()
@@ -155,6 +169,13 @@ type Manager struct {
 	onReady []func(name string)
 	onDown  []func(name, reason string)
 	onBatch []func(names []string)
+
+	// timers is the free list of Context.After nodes, and msgs the message
+	// pool behind Context.Pool. Both are per manager — one per dispatch
+	// context, never process-wide: the trial runner and the fleet run many
+	// kernels in parallel.
+	timers []*timerNode
+	msgs   xmlcmd.Pool
 }
 
 // NewManager returns an empty manager.
@@ -180,6 +201,10 @@ func (m *Manager) Rand() *rand.Rand { return m.rng }
 
 // Log returns the shared trace log.
 func (m *Manager) Log() *trace.Log { return m.log }
+
+// Pool returns the manager's message pool for senders that are not hosted
+// processes (the load engine); handlers reach it through their Context.
+func (m *Manager) Pool() *xmlcmd.Pool { return &m.msgs }
 
 // Register adds a process under the given bus address. The factory is
 // invoked once per incarnation.
@@ -518,19 +543,49 @@ func (c *procCtx) valid() bool {
 	return c.p.gen == c.gen && (c.p.state == Starting || c.p.state == Running)
 }
 
-func (c *procCtx) Name() string     { return c.p.name }
-func (c *procCtx) Incarnation() int { return c.gen }
-func (c *procCtx) Now() time.Time   { return c.p.mgr.clk.Now() }
-func (c *procCtx) Rand() *rand.Rand { return c.p.mgr.rng }
-func (c *procCtx) Stretch() float64 { return c.p.stretch }
-func (c *procCtx) Log() *trace.Log  { return c.p.mgr.log }
+func (c *procCtx) Name() string       { return c.p.name }
+func (c *procCtx) Incarnation() int   { return c.gen }
+func (c *procCtx) Now() time.Time     { return c.p.mgr.clk.Now() }
+func (c *procCtx) Rand() *rand.Rand   { return c.p.mgr.rng }
+func (c *procCtx) Stretch() float64   { return c.p.stretch }
+func (c *procCtx) Log() *trace.Log    { return c.p.mgr.log }
+func (c *procCtx) Pool() *xmlcmd.Pool { return &c.p.mgr.msgs }
 
-func (c *procCtx) After(d time.Duration, fn func()) clock.Timer {
-	return c.p.mgr.clk.AfterFunc(d, func() {
-		if c.valid() {
-			fn()
-		}
-	})
+// timerNode is one pending Context.After callback: a clock.Event carrying
+// the incarnation it was armed by, recycled through the manager's free list
+// so arming costs no allocation. The incarnation check runs when it fires;
+// a node armed by an incarnation that has since ended still fires — and
+// still counts as an executed kernel event — but runs nothing.
+type timerNode struct {
+	mgr *Manager
+	ctx *procCtx
+	fn  func()
+}
+
+var _ clock.Event = (*timerNode)(nil)
+
+// Fire implements clock.Event. The node is back on the free list before fn
+// runs, so fn re-arming itself reuses it.
+func (n *timerNode) Fire() {
+	ctx, fn := n.ctx, n.fn
+	n.ctx, n.fn = nil, nil
+	n.mgr.timers = append(n.mgr.timers, n)
+	if ctx.valid() {
+		fn()
+	}
+}
+
+func (c *procCtx) After(d time.Duration, fn func()) {
+	m := c.p.mgr
+	var n *timerNode
+	if k := len(m.timers); k > 0 {
+		n = m.timers[k-1]
+		m.timers = m.timers[:k-1]
+	} else {
+		n = &timerNode{mgr: m}
+	}
+	n.ctx, n.fn = c, fn
+	m.clk.Schedule(d, n)
 }
 
 func (c *procCtx) Send(m *xmlcmd.Message) {

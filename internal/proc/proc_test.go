@@ -409,3 +409,95 @@ func (h handlerFunc) Receive(ctx Context, m *xmlcmd.Message) {
 		h.receive(ctx, m)
 	}
 }
+
+// TestDeadIncarnationTimerIsANoOpEvent: a timer node armed by an
+// incarnation that has since been killed still fires as a kernel event —
+// the golden digests hash the executed-event total, so a dead timer must
+// count exactly as it always did — but runs nothing, and its node goes back
+// on the free list for the next incarnation to reuse.
+func TestDeadIncarnationTimerIsANoOpEvent(t *testing.T) {
+	mgr, k := newTestManager(t)
+	fired := 0
+	_ = mgr.Register("a", func() Handler {
+		return handlerFunc{
+			start: func(ctx Context) {
+				ctx.After(0, ctx.Ready)
+				ctx.After(5*time.Second, func() { fired++ })
+			},
+		}
+	})
+	_ = mgr.Start("a")
+	_ = k.RunFor(time.Second)
+	if err := mgr.Kill("a", "test"); err != nil {
+		t.Fatal(err)
+	}
+	if k.Pending() != 1 {
+		t.Fatalf("pending = %d, want the dead incarnation's timer still queued", k.Pending())
+	}
+	before := k.Executed()
+	_ = k.RunFor(10 * time.Second)
+	if got := k.Executed() - before; got != 1 {
+		t.Fatalf("executed %d events, want 1: the dead timer must still count", got)
+	}
+	if fired != 0 {
+		t.Fatal("callback of a dead incarnation ran")
+	}
+	if len(mgr.timers) != 2 {
+		t.Fatalf("free list holds %d nodes, want both back", len(mgr.timers))
+	}
+
+	// The restarted process arms its timers from the free list, and a
+	// callback armed by incarnation 2 does run.
+	_ = mgr.Restart([]string{"a"})
+	if len(mgr.timers) != 0 {
+		t.Fatalf("free list holds %d nodes after restart, want 0 (both reused)", len(mgr.timers))
+	}
+	_ = k.RunFor(10 * time.Second)
+	if fired != 1 {
+		t.Fatalf("fired = %d, want 1 from the live incarnation", fired)
+	}
+}
+
+// TestAfterPreboundAllocatesNothing: a periodic loop that re-arms one
+// prebound func rides recycled timer nodes and the kernel's slot arena.
+func TestAfterPreboundAllocatesNothing(t *testing.T) {
+	mgr, k := newTestManager(t)
+	ticks := 0
+	_ = mgr.Register("a", func() Handler {
+		return handlerFunc{
+			start: func(ctx Context) {
+				ctx.After(0, ctx.Ready)
+				var tick func()
+				tick = func() {
+					ticks++
+					ctx.After(time.Second, tick)
+				}
+				ctx.After(time.Second, tick)
+			},
+		}
+	})
+	_ = mgr.Start("a")
+	_ = k.RunFor(10 * time.Second)
+	if allocs := testing.AllocsPerRun(100, func() { k.Step() }); allocs != 0 {
+		t.Fatalf("prebound After loop allocates %.1f per tick, want 0", allocs)
+	}
+	if ticks < 100 {
+		t.Fatalf("ticks = %d", ticks)
+	}
+}
+
+// TestContextPoolIsPerManager: two managers never share envelopes — each
+// is one dispatch context, and the runner and the fleet step many in
+// parallel.
+func TestContextPoolIsPerManager(t *testing.T) {
+	m1, _ := newTestManager(t)
+	m2, _ := newTestManager(t)
+	if m1.Pool() == m2.Pool() {
+		t.Fatal("managers share a message pool")
+	}
+	msg := m1.Pool().Ping("a", "b", 1, 1)
+	m2.Pool().RecycleMessage(msg) // not its message: dropped
+	if got := m2.Pool().Ping("a", "b", 2, 2); got == msg {
+		t.Fatal("pool adopted a message another pool minted")
+	}
+}

@@ -415,7 +415,7 @@ func (h *rtBrokerHandler) Start(ctx proc.Context) {
 
 func (h *rtBrokerHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	if m.Kind() == xmlcmd.KindPing && h.ready {
-		ctx.Send(xmlcmd.NewPong(ctx.Name(), m, ctx.Incarnation()))
+		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
 	}
 }
 

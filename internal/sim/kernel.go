@@ -16,8 +16,13 @@
 // offset from the start instant (time.Time appears only at the Now/AfterFunc
 // API boundary), the priority queue is a hand-rolled 4-ary min-heap of
 // inline entries (no container/heap boxing), and fired or stopped events
-// recycle their slots through a kernel-owned free list, so steady-state
-// stepping performs no heap allocation at all.
+// recycle their slots through a kernel-owned free list, so the kernel's own
+// steady-state stepping performs no heap allocation at all: Schedule with a
+// pooled Event costs nothing, and AfterFunc returns its Timer by value. What
+// a caller adds on top is the caller's: a func literal passed to AfterFunc is
+// a closure allocation, and clock.Sim.AfterFunc boxes the Timer into the
+// clock.Timer interface (one more). Per-event work therefore goes through
+// Schedule; AfterFunc is for the rare timer somebody needs to Stop.
 package sim
 
 import (

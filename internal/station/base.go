@@ -10,18 +10,17 @@ import (
 
 // base carries the behaviour every station component shares: readiness
 // gating of liveness pings, per-incarnation sequence numbers, startup
-// jitter, health-summary beacons, and a pooled-envelope mint for
-// steady-state replies.
+// jitter and health-summary beacons. Everything a component sends is minted
+// from ctx.Pool(), so steady-state traffic allocates nothing under the
+// simulated fabric.
 type base struct {
 	params Params
 	ready  bool
 	seq    uint64
-	pool   msgPool
 
-	healthTicker *clock.Ticker
-	warnings     int
-	ageScore     float64
-	queueDepth   int
+	warnings   int
+	ageScore   float64
+	queueDepth int
 
 	// micro is the microrebootable-container state; nil in classic mode
 	// (see micro.go).
@@ -32,65 +31,6 @@ type base struct {
 func (b *base) nextSeq() uint64 {
 	b.seq++
 	return b.seq
-}
-
-// msgPool recycles a component's outbound reply/forward envelopes through
-// the simulated fabric: each minted message carries the pool as its Owner,
-// and bus.Sim hands it back once the last in-flight copy is delivered or
-// dropped. Steady-state acks and single-param command forwards therefore
-// allocate nothing — the property the request plane's 0 allocs/request
-// budget rests on. Envelopes are typed by body (a pool-minted message
-// carries exactly one body for its whole life), and everything runs on the
-// single kernel dispatch context, so no locking.
-type msgPool struct {
-	acks []*xmlcmd.Message
-	cmds []*xmlcmd.Message
-}
-
-var _ xmlcmd.Recycler = (*msgPool)(nil)
-
-// RecycleMessage implements xmlcmd.Recycler.
-func (p *msgPool) RecycleMessage(m *xmlcmd.Message) {
-	switch {
-	case m.Ack != nil:
-		p.acks = append(p.acks, m)
-	case m.Command != nil:
-		p.cmds = append(p.cmds, m)
-	}
-}
-
-// newAck mints a pooled equivalent of xmlcmd.NewAck.
-func (p *msgPool) newAck(from, to string, seq, ofSeq uint64, ok bool, errStr string) *xmlcmd.Message {
-	var m *xmlcmd.Message
-	if n := len(p.acks); n > 0 {
-		m = p.acks[n-1]
-		p.acks = p.acks[:n-1]
-	} else {
-		m = &xmlcmd.Message{Ack: new(xmlcmd.Ack), Owner: p}
-	}
-	m.From, m.To, m.Seq = from, to, seq
-	*m.Ack = xmlcmd.Ack{OfSeq: ofSeq, OK: ok, Error: errStr}
-	return m
-}
-
-// newCommand1 mints a pooled single-parameter command. Callers forwarding
-// a numeric parameter should pass the incoming wire string through
-// unchanged rather than re-formatting: FormatFloat∘ParseFloat is exact, so
-// the forwarded bytes are identical and the formatting allocation
-// disappears.
-func (p *msgPool) newCommand1(from, to string, seq uint64, name, key, value string) *xmlcmd.Message {
-	var m *xmlcmd.Message
-	if n := len(p.cmds); n > 0 {
-		m = p.cmds[n-1]
-		p.cmds = p.cmds[:n-1]
-		m.Command.Params = m.Command.Params[:0]
-	} else {
-		m = &xmlcmd.Message{Command: &xmlcmd.Command{Params: make([]xmlcmd.Param, 0, 1)}, Owner: p}
-	}
-	m.From, m.To, m.Seq = from, to, seq
-	m.Command.Name = name
-	m.Command.Params = append(m.Command.Params, xmlcmd.Param{Key: key, Value: value})
-	return m
 }
 
 // startupDelay computes this incarnation's startup duration: the base time
@@ -109,7 +49,7 @@ func (b *base) handleCommon(ctx proc.Context, m *xmlcmd.Message) bool {
 		// during startup goes unanswered, so FD keeps treating the
 		// component as down until it really serves (paper §2.2).
 		if b.ready {
-			ctx.Send(xmlcmd.NewPong(ctx.Name(), m, ctx.Incarnation()))
+			ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
 		}
 		return true
 	case xmlcmd.KindPong, xmlcmd.KindAck, xmlcmd.KindHealth:
@@ -127,37 +67,23 @@ func (b *base) becomeReady(ctx proc.Context) {
 		return
 	}
 	b.ready = true
-	if b.params.HealthPeriod > 0 {
+	if period := b.params.HealthPeriod; period > 0 {
+		// The beacon loop is bound once and re-arms itself; like every
+		// ctx.After callback it dies with the incarnation.
 		startedAt := ctx.Now()
-		b.healthTicker = clock.NewTicker(tickClock{ctx}, b.params.HealthPeriod, func() {
-			ctx.Send(&xmlcmd.Message{
-				From: ctx.Name(),
-				To:   xmlcmd.AddrFD,
-				Seq:  b.nextSeq(),
-				Health: &xmlcmd.Health{
-					Incarnation: ctx.Incarnation(),
-					UptimeMs:    ctx.Now().Sub(startedAt).Milliseconds(),
-					QueueDepth:  b.queueDepth,
-					AgeScore:    b.ageScore,
-					Warnings:    b.warnings,
-					Suspect:     b.ageScore >= 0.8,
-				},
-			})
-		})
+		var beacon func()
+		beacon = func() {
+			ctx.After(period, beacon)
+			ctx.Send(ctx.Pool().Health(ctx.Name(), xmlcmd.AddrFD, b.nextSeq(), xmlcmd.Health{
+				Incarnation: ctx.Incarnation(),
+				UptimeMs:    ctx.Now().Sub(startedAt).Milliseconds(),
+				QueueDepth:  b.queueDepth,
+				AgeScore:    b.ageScore,
+				Warnings:    b.warnings,
+				Suspect:     b.ageScore >= 0.8,
+			}))
+		}
+		ctx.After(period, beacon)
 	}
 	ctx.Ready()
-}
-
-// tickClock adapts a proc.Context to clock.Clock so tickers die with the
-// incarnation (ctx.After drops callbacks of ended incarnations).
-type tickClock struct {
-	ctx proc.Context
-}
-
-func (t tickClock) Now() time.Time { return t.ctx.Now() }
-func (t tickClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
-	return t.ctx.After(d, fn)
-}
-func (t tickClock) Schedule(d time.Duration, ev clock.Event) {
-	t.ctx.After(d, ev.Fire)
 }

@@ -21,13 +21,15 @@ const Ops = "ops"
 // commands str and rtu accordingly. It resynchronises with str at startup.
 type sesComponent struct {
 	syncCore
-	front string // rtu's downstream front end, for context only
+	front    string          // rtu's downstream front end, for context only
+	observer *orbit.Observer // fixed satellite/station geometry, shared by all incarnations
 }
 
 // NewSES returns a factory for the ses handler.
 func NewSES(p Params) func() proc.Handler {
+	observer := orbit.NewObserver(p.Elements, p.Ground)
 	return func() proc.Handler {
-		c := &sesComponent{}
+		c := &sesComponent{observer: observer}
 		c.params = p
 		c.peer = STR
 		return c
@@ -45,29 +47,33 @@ func (c *sesComponent) Start(ctx proc.Context) {
 // scheduleEstimation drives the pass workload once ready: every telemetry
 // period, point the antenna and retune the radio for Doppler. In micro
 // mode the workload pauses while the estimator or session-cache
-// subcomponent is crashed — the container shell keeps serving.
+// subcomponent is crashed — the container shell keeps serving. The tick is
+// bound once per incarnation and re-arms itself.
 func (c *sesComponent) scheduleEstimation(ctx proc.Context) {
-	ctx.After(c.params.TelemetryPeriod, func() {
+	var tick func()
+	tick = func() {
 		if c.ready && c.subOK(SubEst) && c.subOK(SubCache) {
 			c.estimate(ctx)
 		}
-		c.scheduleEstimation(ctx)
-	})
+		ctx.After(c.params.TelemetryPeriod, tick)
+	}
+	ctx.After(c.params.TelemetryPeriod, tick)
 }
 
 func (c *sesComponent) estimate(ctx proc.Context) {
-	look, err := orbit.LookAt(c.params.Elements, c.params.Ground, ctx.Now())
+	look, err := c.observer.LookAt(ctx.Now())
 	if err != nil {
 		c.warnings++
 		return
 	}
-	ctx.Send(xmlcmd.NewCommand(SES, STR, c.nextSeq(), "point",
+	pool := ctx.Pool()
+	ctx.Send(pool.Command(SES, STR, c.nextSeq(), "point",
 		"azRad", formatFloat(look.AzimuthRad),
 		"elRad", formatFloat(look.ElevationRad)))
 	freq := c.params.CarrierHz + look.DopplerHz(c.params.CarrierHz)
-	ctx.Send(xmlcmd.NewCommand(SES, RTU, c.nextSeq(), "tune",
+	ctx.Send(pool.Command(SES, RTU, c.nextSeq(), "tune",
 		"freqHz", formatFloat(freq)))
-	ctx.Send(xmlcmd.NewTelemetry(SES, Ops, c.nextSeq(), "elevation_rad",
+	ctx.Send(pool.Telemetry(SES, Ops, c.nextSeq(), "elevation_rad",
 		look.ElevationRad, ctx.Now()))
 }
 
@@ -143,21 +149,24 @@ func (c *strComponent) reloadTrack() {
 }
 
 // scheduleTracking steps the antenna once a second while ready (and, in
-// micro mode, while the tracking subcomponents are whole).
+// micro mode, while the tracking subcomponents are whole). The tick is
+// bound once per incarnation and re-arms itself.
 func (c *strComponent) scheduleTracking(ctx proc.Context) {
-	const tick = time.Second
-	ctx.After(tick, func() {
+	const period = time.Second
+	var tick func()
+	tick = func() {
 		if c.ready && c.haveTgt && c.subOK(SubTrack) && c.subOK(SubCache) {
-			c.ant.Step(c.targetAz, c.targetEl, tick)
+			c.ant.Step(c.targetAz, c.targetEl, period)
 			onTarget := 0.0
 			if c.ant.OnTarget(c.targetAz, c.targetEl) {
 				onTarget = 1
 			}
-			ctx.Send(xmlcmd.NewTelemetry(STR, Ops, c.nextSeq(), "on_target",
+			ctx.Send(ctx.Pool().Telemetry(STR, Ops, c.nextSeq(), "on_target",
 				onTarget, ctx.Now()))
 		}
-		c.scheduleTracking(ctx)
-	})
+		ctx.After(period, tick)
+	}
+	ctx.After(period, tick)
 }
 
 func (c *strComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
@@ -180,7 +189,7 @@ func (c *strComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 		if c.track != nil {
 			_ = c.track.Save(trackTarget{az: az, el: el})
 		}
-		ctx.Send(c.pool.newAck(STR, m.From, c.nextSeq(), m.Seq, true, ""))
+		ctx.Send(ctx.Pool().Ack(STR, m.From, c.nextSeq(), m.Seq, true, ""))
 	default:
 		c.handleCommon(ctx, m)
 	}
@@ -226,9 +235,9 @@ func (c *rtuComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 		// parsed float reproduces the same bytes (round-trip exactness), so
 		// the old formatFloat here was pure allocation.
 		v, _ := m.Command.Param("freqHz")
-		ctx.Send(c.pool.newCommand1(RTU, c.front, c.nextSeq(), "radio-tune",
+		ctx.Send(ctx.Pool().Command(RTU, c.front, c.nextSeq(), "radio-tune",
 			"freqHz", v))
-		ctx.Send(c.pool.newAck(RTU, m.From, c.nextSeq(), m.Seq, true, ""))
+		ctx.Send(ctx.Pool().Ack(RTU, m.From, c.nextSeq(), m.Seq, true, ""))
 	default:
 		c.handleCommon(ctx, m)
 	}
@@ -240,9 +249,48 @@ func (c *rtuComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 // translator is the unstable half (low MTTF) — the bad combination the
 // split fixes.
 type fedrcomComponent struct {
+	tuner
+}
+
+// tuner is the radio-owning core shared by fedrcom and pbcom: the serial
+// port, the transceiver, and the completion of a tune TuneTime after it
+// began. finishTune is bound once per incarnation (several tunes may be in
+// flight; the callback carries no per-tune state).
+type tuner struct {
 	base
-	port *radio.SerialPort
-	xcvr *radio.Transceiver
+	port       *radio.SerialPort
+	xcvr       *radio.Transceiver
+	finishTune func()
+}
+
+// bindTuner binds finishTune for this incarnation.
+func (t *tuner) bindTuner(ctx proc.Context) {
+	t.finishTune = func() {
+		t.xcvr.FinishTune()
+		locked := 0.0
+		if t.xcvr.Locked() {
+			locked = 1
+		}
+		ctx.Send(ctx.Pool().Telemetry(ctx.Name(), Ops, t.nextSeq(), "radio_locked",
+			locked, ctx.Now()))
+	}
+}
+
+// applyTune starts a retune for a radio-tune command and acknowledges it;
+// the lock telemetry follows once the tune completes.
+func (t *tuner) applyTune(ctx proc.Context, m *xmlcmd.Message) {
+	f, err := m.Command.FloatParam("freqHz")
+	if err != nil {
+		t.warnings++
+		return
+	}
+	if err := t.xcvr.BeginTune(f); err != nil {
+		t.warnings++
+		ctx.Send(ctx.Pool().Ack(ctx.Name(), m.From, t.nextSeq(), m.Seq, false, err.Error()))
+		return
+	}
+	ctx.After(t.params.TuneTime, t.finishTune)
+	ctx.Send(ctx.Pool().Ack(ctx.Name(), m.From, t.nextSeq(), m.Seq, true, ""))
 }
 
 // NewFedrcom returns a factory for the monolithic front end. Each
@@ -276,6 +324,7 @@ func NewFedrcomSharedPort(p Params, port *radio.SerialPort) func() proc.Handler 
 }
 
 func (c *fedrcomComponent) Start(ctx proc.Context) {
+	c.bindTuner(ctx)
 	if err := c.port.BeginOpen(); err != nil {
 		ctx.Fail("serial port open: " + err.Error())
 		return
@@ -299,37 +348,12 @@ func (c *fedrcomComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	c.handleCommon(ctx, m)
 }
 
-func (c *fedrcomComponent) applyTune(ctx proc.Context, m *xmlcmd.Message) {
-	f, err := m.Command.FloatParam("freqHz")
-	if err != nil {
-		c.warnings++
-		return
-	}
-	if err := c.xcvr.BeginTune(f); err != nil {
-		c.warnings++
-		ctx.Send(xmlcmd.NewAck(ctx.Name(), m.From, c.nextSeq(), m.Seq, false, err.Error()))
-		return
-	}
-	ctx.After(c.params.TuneTime, func() {
-		c.xcvr.FinishTune()
-		locked := 0.0
-		if c.xcvr.Locked() {
-			locked = 1
-		}
-		ctx.Send(xmlcmd.NewTelemetry(ctx.Name(), Ops, c.nextSeq(), "radio_locked",
-			locked, ctx.Now()))
-	})
-	ctx.Send(xmlcmd.NewAck(ctx.Name(), m.From, c.nextSeq(), m.Seq, true, ""))
-}
-
 // pbcomComponent maps the serial port to the bus: simple and very stable,
 // but slow to recover (hardware negotiation). It ages every time it loses
 // the connection from fedr; enough losses kill it — the residual
 // correlated failure after the split.
 type pbcomComponent struct {
-	base
-	port     *radio.SerialPort
-	xcvr     *radio.Transceiver
+	tuner
 	fedrInc  int // last connected fedr incarnation
 	ageCount int
 	ageLimit int
@@ -347,6 +371,7 @@ func NewPbcom(p Params) func() proc.Handler {
 }
 
 func (c *pbcomComponent) Start(ctx proc.Context) {
+	c.bindTuner(ctx)
 	if err := c.port.BeginOpen(); err != nil {
 		ctx.Fail("serial port open: " + err.Error())
 		return
@@ -395,30 +420,7 @@ func (c *pbcomComponent) handleConnect(ctx proc.Context, m *xmlcmd.Message) {
 		}
 	}
 	c.fedrInc = inc
-	ctx.Send(c.pool.newAck(Pbcom, m.From, c.nextSeq(), m.Seq, true, ""))
-}
-
-func (c *pbcomComponent) applyTune(ctx proc.Context, m *xmlcmd.Message) {
-	f, err := m.Command.FloatParam("freqHz")
-	if err != nil {
-		c.warnings++
-		return
-	}
-	if err := c.xcvr.BeginTune(f); err != nil {
-		c.warnings++
-		ctx.Send(c.pool.newAck(Pbcom, m.From, c.nextSeq(), m.Seq, false, err.Error()))
-		return
-	}
-	ctx.After(c.params.TuneTime, func() {
-		c.xcvr.FinishTune()
-		locked := 0.0
-		if c.xcvr.Locked() {
-			locked = 1
-		}
-		ctx.Send(xmlcmd.NewTelemetry(Pbcom, Ops, c.nextSeq(), "radio_locked",
-			locked, ctx.Now()))
-	})
-	ctx.Send(c.pool.newAck(Pbcom, m.From, c.nextSeq(), m.Seq, true, ""))
+	ctx.Send(ctx.Pool().Ack(Pbcom, m.From, c.nextSeq(), m.Seq, true, ""))
 }
 
 // fedrComponent is the front-end driver-radio after the split: the buggy,
@@ -428,6 +430,7 @@ type fedrComponent struct {
 	base
 	connected  bool
 	connectSeq uint64
+	reconnect  func() // connectLoop bound to this incarnation's context
 
 	// session is the externalized pbcom-connection session in micro mode;
 	// nil classic.
@@ -445,6 +448,7 @@ func NewFedr(p Params) func() proc.Handler {
 
 func (c *fedrComponent) Start(ctx proc.Context) {
 	c.microArm(ctx)
+	c.reconnect = func() { c.connectLoop(ctx) }
 	d := c.startupDelay(ctx, c.params.FedrStartup)
 	ctx.After(d, func() {
 		if mp := c.params.Micro; mp != nil {
@@ -471,9 +475,9 @@ func (c *fedrComponent) connectLoop(ctx proc.Context) {
 		return
 	}
 	c.connectSeq = c.nextSeq()
-	ctx.Send(xmlcmd.NewCommand(Fedr, Pbcom, c.connectSeq, "connect",
+	ctx.Send(ctx.Pool().Command(Fedr, Pbcom, c.connectSeq, "connect",
 		"incarnation", strconv.Itoa(ctx.Incarnation())))
-	ctx.After(c.params.ConnectRetransmit, func() { c.connectLoop(ctx) })
+	ctx.After(c.params.ConnectRetransmit, c.reconnect)
 }
 
 func (c *fedrComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
@@ -498,9 +502,9 @@ func (c *fedrComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 				return
 			}
 			v, _ := m.Command.Param("freqHz")
-			ctx.Send(c.pool.newCommand1(Fedr, Pbcom, c.nextSeq(), "radio-tune",
+			ctx.Send(ctx.Pool().Command(Fedr, Pbcom, c.nextSeq(), "radio-tune",
 				"freqHz", v))
-			ctx.Send(c.pool.newAck(Fedr, m.From, c.nextSeq(), m.Seq, true, ""))
+			ctx.Send(ctx.Pool().Ack(Fedr, m.From, c.nextSeq(), m.Seq, true, ""))
 		}
 	default:
 		c.handleCommon(ctx, m)
@@ -550,7 +554,7 @@ func (h collectorHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
 		h.c.latest[m.Telemetry.Key] = m.Telemetry.Value
 		h.c.counts[m.Telemetry.Key]++
 	case xmlcmd.KindPing:
-		ctx.Send(xmlcmd.NewPong(ctx.Name(), m, ctx.Incarnation()))
+		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
@@ -130,7 +129,7 @@ type microState struct {
 	broken   map[string]bool
 	reattach map[string]func()
 	leases   []*store.Lease
-	renewer  *clock.Ticker
+	renew    func() // the renewal loop, bound on first lease
 }
 
 // microArm initialises the container for this incarnation. Components call
@@ -154,19 +153,21 @@ func (b *base) microHook(sub string, fn func()) {
 }
 
 // microLease tracks a lease for periodic renewal and starts the renewal
-// ticker on first use. Tickers ride the incarnation context, so renewals
+// loop on first use. The loop rides the incarnation context, so renewals
 // stop the instant the process dies — which is exactly what lets the state
 // expire when nobody is left alive to claim it.
 func (b *base) microLease(ctx proc.Context, l *store.Lease) {
 	m := b.micro
 	m.leases = append(m.leases, l)
-	if m.renewer == nil {
+	if m.renew == nil {
 		ttl := b.params.Micro.SessionTTL
-		m.renewer = clock.NewTicker(tickClock{ctx}, ttl/3, func() {
+		m.renew = func() {
+			ctx.After(ttl/3, m.renew)
 			for _, l := range m.leases {
 				_ = l.Renew(ttl) // a lost lease re-arms via the next reattach
 			}
-		})
+		}
+		ctx.After(ttl/3, m.renew)
 	}
 }
 
@@ -194,7 +195,7 @@ func (b *base) scheduleSubReport(sub string, after time.Duration) {
 		if b.micro == nil || !b.micro.broken[sub] {
 			return
 		}
-		ctx.Send(xmlcmd.NewEvent(ctx.Name(), xmlcmd.AddrFD, b.nextSeq(),
+		ctx.Send(ctx.Pool().Event(ctx.Name(), xmlcmd.AddrFD, b.nextSeq(),
 			"subfault", proc.SubName(ctx.Name(), sub)))
 		b.scheduleSubReport(sub, b.params.Micro.SubReReport)
 	})

@@ -63,7 +63,7 @@ func (s *syncCore) enterWaitSync(ctx proc.Context) {
 	if s.peerEpoch != 0 {
 		// The peer proposed while we were initialising; agree now.
 		s.agree(ctx, maxInt64(s.myEpoch, s.peerEpoch))
-		ctx.Send(xmlcmd.NewSyncAck(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
+		ctx.Send(ctx.Pool().SyncAck(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
 		return
 	}
 	s.sendSync(ctx)
@@ -72,19 +72,21 @@ func (s *syncCore) enterWaitSync(ctx proc.Context) {
 
 // sendSync proposes the current epoch to the peer.
 func (s *syncCore) sendSync(ctx proc.Context) {
-	ctx.Send(xmlcmd.NewSync(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
+	ctx.Send(ctx.Pool().Sync(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
 }
 
 // retransmitLoop re-proposes until synced; the timer dies with the
 // incarnation automatically.
 func (s *syncCore) retransmitLoop(ctx proc.Context) {
-	ctx.After(s.params.SyncRetransmit, func() {
+	var again func()
+	again = func() {
 		if s.synced {
 			return
 		}
 		s.sendSync(ctx)
-		s.retransmitLoop(ctx)
-	})
+		ctx.After(s.params.SyncRetransmit, again)
+	}
+	ctx.After(s.params.SyncRetransmit, again)
 }
 
 // agree adopts the winning epoch and schedules readiness after the settle
@@ -123,14 +125,14 @@ func (s *syncCore) handleSync(ctx proc.Context, m *xmlcmd.Message) {
 			return
 		}
 		// Same epoch: duplicate proposal; re-acknowledge.
-		ctx.Send(xmlcmd.NewSyncAck(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
+		ctx.Send(ctx.Pool().SyncAck(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
 	case s.inWaitSync && !s.synced:
 		winner := maxInt64(s.myEpoch, e)
 		s.agree(ctx, winner)
-		ctx.Send(xmlcmd.NewSyncAck(ctx.Name(), s.peer, s.nextSeq(), winner))
+		ctx.Send(ctx.Pool().SyncAck(ctx.Name(), s.peer, s.nextSeq(), winner))
 	case s.inWaitSync && s.synced:
 		// Settling; the peer may have missed the ack.
-		ctx.Send(xmlcmd.NewSyncAck(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
+		ctx.Send(ctx.Pool().SyncAck(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
 	default:
 		// Still initialising: buffer and answer on WAIT_SYNC entry.
 		s.peerEpoch = e

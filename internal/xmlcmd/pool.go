@@ -1,0 +1,216 @@
+package xmlcmd
+
+import (
+	"math"
+	"sync/atomic"
+	"time"
+)
+
+// Pool recycles message envelopes, body included, across the simulated
+// fabric. Every minted message carries the pool as its Owner; bus.Sim hands
+// it back through RecycleMessage once the last in-flight copy has been
+// delivered or dropped, so a station in steady state sends without
+// allocating. An envelope keeps the body kind it was minted with for its
+// whole life, and the free lists are indexed by that kind.
+//
+// A pool belongs to one dispatch context (one proc.Manager): minting and
+// recycling are unsynchronised. Ownership rule for everything it mints: the
+// message is valid for exactly one delivery. A receiver may read it only
+// until its Receive returns and must copy out what it keeps — strings are
+// immutable and may be kept, the *Message and its body pointer may not.
+// Transports that never recycle (TCP copies the frame onto the wire, and a
+// cross-shard hand-off strips the Owner) simply leave the envelope to the
+// garbage collector.
+type Pool struct {
+	free [KindHealth + 1][]*Message
+}
+
+var _ Recycler = (*Pool)(nil)
+
+// poisonRecycled is the test-only poison switch, see PoisonRecycledForTest.
+var poisonRecycled atomic.Bool
+
+// PoisonRecycledForTest makes every pool overwrite each message it takes
+// back with sentinel values, so any holder that kept the pointer past its
+// delivery reads garbage and the seeded goldens diverge. It returns the
+// function that restores the previous setting. Tests only.
+func PoisonRecycledForTest() (restore func()) {
+	prev := poisonRecycled.Swap(true)
+	return func() { poisonRecycled.Store(prev) }
+}
+
+// PoisonString is the sentinel the poison mode writes into every string
+// field; no bus address, key or command name can equal it.
+const PoisonString = "\x00recycled"
+
+const poisonUint = 0xDEADDEADDEADDEAD
+
+// RecycleMessage implements Recycler. A message some other owner minted is
+// dropped; handing the same message back twice is a fabric bug (the second
+// mint would alias a live message) and panics.
+func (p *Pool) RecycleMessage(m *Message) {
+	if m.Owner != p {
+		return
+	}
+	if m.pooled {
+		panic("xmlcmd: message recycled twice: " + m.String())
+	}
+	m.pooled = true
+	if poisonRecycled.Load() {
+		m.poison()
+	}
+	k := m.Kind()
+	p.free[k] = append(p.free[k], m)
+}
+
+// get pops a free envelope of the kind, or reports nil.
+func (p *Pool) get(k Kind) *Message {
+	l := p.free[k]
+	n := len(l)
+	if n == 0 {
+		return nil
+	}
+	m := l[n-1]
+	p.free[k] = l[:n-1]
+	m.pooled = false
+	return m
+}
+
+// Ping mints a pooled NewPing.
+func (p *Pool) Ping(from, to string, seq, nonce uint64) *Message {
+	m := p.get(KindPing)
+	if m == nil {
+		m = &Message{Ping: new(Ping), Owner: p}
+	}
+	m.From, m.To, m.Seq = from, to, seq
+	m.Ping.Nonce = nonce
+	return m
+}
+
+// Pong mints a pooled NewPong. It copies what it needs out of ping, which
+// may itself be a pooled message about to be recycled.
+func (p *Pool) Pong(from string, ping *Message, incarnation int) *Message {
+	m := p.get(KindPong)
+	if m == nil {
+		m = &Message{Pong: new(Pong), Owner: p}
+	}
+	m.From, m.To, m.Seq = from, ping.From, ping.Seq
+	*m.Pong = Pong{Nonce: ping.Ping.Nonce, Incarnation: incarnation}
+	return m
+}
+
+// Command mints a pooled NewCommand; params are alternating key, value
+// pairs. Callers forwarding a numeric parameter should pass the incoming
+// wire string through unchanged rather than re-formatting: FormatFloat ∘
+// ParseFloat is exact, so the forwarded bytes are identical and the
+// formatting allocation disappears.
+func (p *Pool) Command(from, to string, seq uint64, name string, params ...string) *Message {
+	m := p.get(KindCommand)
+	if m == nil {
+		m = &Message{Command: &Command{Params: make([]Param, 0, 2)}, Owner: p}
+	}
+	m.From, m.To, m.Seq = from, to, seq
+	c := m.Command
+	c.Name = name
+	c.Params = c.Params[:0]
+	for i := 0; i+1 < len(params); i += 2 {
+		c.Params = append(c.Params, Param{Key: params[i], Value: params[i+1]})
+	}
+	return m
+}
+
+// Ack mints a pooled NewAck.
+func (p *Pool) Ack(from, to string, seq, ofSeq uint64, ok bool, errStr string) *Message {
+	m := p.get(KindAck)
+	if m == nil {
+		m = &Message{Ack: new(Ack), Owner: p}
+	}
+	m.From, m.To, m.Seq = from, to, seq
+	*m.Ack = Ack{OfSeq: ofSeq, OK: ok, Error: errStr}
+	return m
+}
+
+// Telemetry mints a pooled NewTelemetry.
+func (p *Pool) Telemetry(from, to string, seq uint64, key string, value float64, at time.Time) *Message {
+	m := p.get(KindTelemetry)
+	if m == nil {
+		m = &Message{Telemetry: new(Telemetry), Owner: p}
+	}
+	m.From, m.To, m.Seq = from, to, seq
+	*m.Telemetry = Telemetry{Key: key, Value: value, AtUnixMilli: at.UnixMilli()}
+	return m
+}
+
+// Event mints a pooled NewEvent.
+func (p *Pool) Event(from, to string, seq uint64, name, detail string) *Message {
+	m := p.get(KindEvent)
+	if m == nil {
+		m = &Message{Event: new(Event), Owner: p}
+	}
+	m.From, m.To, m.Seq = from, to, seq
+	*m.Event = Event{Name: name, Detail: detail}
+	return m
+}
+
+// Sync mints a pooled NewSync.
+func (p *Pool) Sync(from, to string, seq uint64, epoch int64) *Message {
+	m := p.get(KindSync)
+	if m == nil {
+		m = &Message{Sync: new(Sync), Owner: p}
+	}
+	m.From, m.To, m.Seq = from, to, seq
+	m.Sync.Epoch = epoch
+	return m
+}
+
+// SyncAck mints a pooled NewSyncAck.
+func (p *Pool) SyncAck(from, to string, seq uint64, epoch int64) *Message {
+	m := p.get(KindSyncAck)
+	if m == nil {
+		m = &Message{SyncAck: new(SyncAck), Owner: p}
+	}
+	m.From, m.To, m.Seq = from, to, seq
+	m.SyncAck.Epoch = epoch
+	return m
+}
+
+// Health mints a pooled health-summary beacon.
+func (p *Pool) Health(from, to string, seq uint64, h Health) *Message {
+	m := p.get(KindHealth)
+	if m == nil {
+		m = &Message{Health: new(Health), Owner: p}
+	}
+	m.From, m.To, m.Seq = from, to, seq
+	*m.Health = h
+	return m
+}
+
+// poison overwrites every field a stale holder could read. The body
+// pointer itself stays: it is what keeps the envelope's kind.
+func (m *Message) poison() {
+	m.From, m.To, m.Seq = PoisonString, PoisonString, poisonUint
+	switch {
+	case m.Ping != nil:
+		m.Ping.Nonce = poisonUint
+	case m.Pong != nil:
+		*m.Pong = Pong{Nonce: poisonUint, Incarnation: -1}
+	case m.Command != nil:
+		m.Command.Name = PoisonString
+		ps := m.Command.Params[:cap(m.Command.Params)]
+		for i := range ps {
+			ps[i] = Param{Key: PoisonString, Value: PoisonString}
+		}
+	case m.Ack != nil:
+		*m.Ack = Ack{OfSeq: poisonUint, Error: PoisonString}
+	case m.Telemetry != nil:
+		*m.Telemetry = Telemetry{Key: PoisonString, Value: math.NaN(), AtUnixMilli: math.MinInt64}
+	case m.Event != nil:
+		*m.Event = Event{Name: PoisonString, Detail: PoisonString}
+	case m.Sync != nil:
+		m.Sync.Epoch = math.MinInt64
+	case m.SyncAck != nil:
+		m.SyncAck.Epoch = math.MinInt64
+	case m.Health != nil:
+		*m.Health = Health{Incarnation: -1, UptimeMs: math.MinInt64, AgeScore: math.NaN(), Suspect: true}
+	}
+}

@@ -1,0 +1,139 @@
+package xmlcmd
+
+import (
+	"math"
+	"testing"
+	"time"
+)
+
+// TestPoolMintsLikeTheConstructors: a pooled message encodes to the same
+// bytes as the allocating constructor's — fresh, and again after the
+// envelope has been through a recycle with different contents.
+func TestPoolMintsLikeTheConstructors(t *testing.T) {
+	var p Pool
+	at := time.UnixMilli(1_024_000_000_123)
+	ping := NewPing(AddrFD, AddrSES, 7, 99)
+	h := Health{Incarnation: 2, UptimeMs: 5000, QueueDepth: 1, AgeScore: 0.25, Warnings: 3}
+	mint := []func() (pooled, plain *Message){
+		func() (*Message, *Message) { return p.Ping(AddrFD, AddrSES, 7, 99), ping },
+		func() (*Message, *Message) { return p.Pong(AddrSES, ping, 3), NewPong(AddrSES, ping, 3) },
+		func() (*Message, *Message) {
+			return p.Command(AddrSES, AddrSTR, 8, "point", "azRad", "1.5", "elRad", "0.25"),
+				NewCommand(AddrSES, AddrSTR, 8, "point", "azRad", "1.5", "elRad", "0.25")
+		},
+		func() (*Message, *Message) {
+			return p.Command(AddrFedr, AddrPbcom, 9, "noop"), NewCommand(AddrFedr, AddrPbcom, 9, "noop")
+		},
+		func() (*Message, *Message) {
+			return p.Ack(AddrSTR, AddrSES, 10, 8, false, "busy"), NewAck(AddrSTR, AddrSES, 10, 8, false, "busy")
+		},
+		func() (*Message, *Message) {
+			return p.Telemetry(AddrSTR, "ops", 11, "on_target", 1, at), NewTelemetry(AddrSTR, "ops", 11, "on_target", 1, at)
+		},
+		func() (*Message, *Message) {
+			return p.Event(AddrFD, AddrREC, 12, "failure", AddrRTU), NewEvent(AddrFD, AddrREC, 12, "failure", AddrRTU)
+		},
+		func() (*Message, *Message) {
+			return p.Sync(AddrSES, AddrSTR, 13, 42), NewSync(AddrSES, AddrSTR, 13, 42)
+		},
+		func() (*Message, *Message) {
+			return p.SyncAck(AddrSTR, AddrSES, 14, 42), NewSyncAck(AddrSTR, AddrSES, 14, 42)
+		},
+		func() (*Message, *Message) {
+			return p.Health(AddrRTU, AddrFD, 15, h), &Message{From: AddrRTU, To: AddrFD, Seq: 15, Health: &h}
+		},
+	}
+	defer PoisonRecycledForTest()()
+	for round := 0; round < 3; round++ {
+		for i, f := range mint {
+			pooled, plain := f()
+			got, err := Encode(pooled)
+			if err != nil {
+				t.Fatalf("mint %d: %v", i, err)
+			}
+			want, err := Encode(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("round %d mint %d:\n got %s\nwant %s", round, i, got, want)
+			}
+			if pooled.Owner != &p {
+				t.Fatalf("mint %d: Owner not the pool", i)
+			}
+			p.RecycleMessage(pooled) // poisoned; the next round must overwrite every field
+		}
+	}
+}
+
+// TestPoolReusesEnvelopes: steady-state minting allocates nothing.
+func TestPoolReusesEnvelopes(t *testing.T) {
+	var p Pool
+	ping := NewPing(AddrFD, AddrSES, 1, 1)
+	at := time.UnixMilli(1)
+	cycle := func() {
+		a := p.Ping(AddrFD, AddrSES, 1, 1)
+		b := p.Pong(AddrSES, ping, 1)
+		c := p.Command(AddrSES, AddrSTR, 1, "point", "azRad", "1", "elRad", "2")
+		d := p.Ack(AddrSTR, AddrSES, 1, 1, true, "")
+		e := p.Telemetry(AddrSTR, "ops", 1, "k", 1, at)
+		f := p.Event(AddrFD, AddrREC, 1, "failure", AddrRTU)
+		g := p.Health(AddrRTU, AddrFD, 1, Health{})
+		for _, m := range []*Message{a, b, c, d, e, f, g} {
+			p.RecycleMessage(m)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("warm pool allocates %.1f per cycle, want 0", allocs)
+	}
+}
+
+// TestPoolDoubleRecyclePanics: the second hand-back of one message would
+// put it in the free list twice and alias two later sends.
+func TestPoolDoubleRecyclePanics(t *testing.T) {
+	var p Pool
+	m := p.Ping("a", "b", 1, 1)
+	p.RecycleMessage(m)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second recycle of the same message did not panic")
+		}
+	}()
+	p.RecycleMessage(m)
+}
+
+// TestPoolDropsForeignMessages: a recycler must tolerate messages it did
+// not mint.
+func TestPoolDropsForeignMessages(t *testing.T) {
+	var p, q Pool
+	p.RecycleMessage(NewPing("a", "b", 1, 1)) // unowned
+	theirs := q.Ping("a", "b", 1, 1)
+	p.RecycleMessage(theirs)
+	if got := p.Ping("a", "b", 2, 2); got == theirs || got.Owner != &p {
+		t.Fatal("pool handed out a message it did not mint")
+	}
+}
+
+// TestPoisonOverwritesEverything: in poison mode a stale holder reads
+// sentinels from every field of a recycled message.
+func TestPoisonOverwritesEverything(t *testing.T) {
+	defer PoisonRecycledForTest()()
+	var p Pool
+	cmd := p.Command("ses", "str", 1, "point", "azRad", "1", "elRad", "2")
+	params := cmd.Command.Params // a stale alias of the backing array
+	tel := p.Telemetry("str", "ops", 2, "on_target", 1, time.UnixMilli(5))
+	p.RecycleMessage(cmd)
+	p.RecycleMessage(tel)
+	if cmd.From != PoisonString || cmd.To != PoisonString || cmd.Seq != poisonUint || cmd.Command.Name != PoisonString {
+		t.Fatalf("command envelope not poisoned: %+v %+v", cmd, cmd.Command)
+	}
+	for _, kv := range params {
+		if kv.Key != PoisonString || kv.Value != PoisonString {
+			t.Fatalf("param not poisoned: %+v", kv)
+		}
+	}
+	if tel.Telemetry.Key != PoisonString || !math.IsNaN(tel.Telemetry.Value) {
+		t.Fatalf("telemetry not poisoned: %+v", tel.Telemetry)
+	}
+}

@@ -113,6 +113,10 @@ type Message struct {
 	// sender may reuse the message as soon as Send returns there).
 	Owner Recycler `xml:"-"`
 
+	// pooled marks an envelope sitting in its Pool's free list, so a second
+	// recycle of the same message is caught instead of aliasing two sends.
+	pooled bool
+
 	// scratch holds reusable body structs for DecodeInto (invisible to
 	// encoding/xml). See codec.go.
 	scratch *decodeScratch
