@@ -63,9 +63,9 @@ func main() {
 		multiproc = flag.Bool("multiproc", false, "run every component as its own OS process (per-JVM fidelity)")
 		busShards = flag.Int("bus-shards", 1, "broker shards for the mbus fabric (in-process runtime only)")
 		micro     = flag.Bool("micro", false, "microrebootable components on the crash-only store (in-process runtime only)")
-		oracle    = flag.String("oracle", "", "recovery policy: escalating (default), v2 (cost-aware), fixed-micro, fixed-process, fixed-ckpt")
+		oracle    = flag.String("oracle", "", "recovery policy (v2 = costaware), one of:\n"+core.PolicyHelp())
 		ckptIv    = flag.Duration("ckpt-interval", 0, "checkpoint snapshot period (micro mode; 0 = default 10s when the checkpoint plane is on)")
-		estWindow = flag.Int("estimator-window", 0, "cost-aware oracle EWMA window in samples (0 = default 8)")
+		estWindow = flag.Int("estimator-window", 0, "EWMA window, in samples, of the learning and costaware policies' estimator (0 = default 8)")
 		obsAddr   = flag.String("obs", "", "HTTP address for the observability endpoints (/metrics, /healthz, /tree); empty = disabled")
 		version   = flag.Bool("version", false, "print version and exit")
 	)

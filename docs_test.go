@@ -7,6 +7,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	mercury "github.com/recursive-restart/mercury"
+	"github.com/recursive-restart/mercury/internal/core"
 )
 
 // mdLink matches inline markdown links and images: [text](target).
@@ -207,5 +210,42 @@ func TestDocsMetricFamilies(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no mercury_* metric mentions found in docs; the check is vacuous")
+	}
+}
+
+// TestDocsPolicies checks that no recovery policy exists undocumented:
+// every row of core's policy table — the table mercury.Config.Policy,
+// rt.NodeConfig.OracleName, mp and mercuryd -oracle all resolve through —
+// is named in OPERATIONS.md, mercuryd's -oracle help is rendered from the
+// same table, and every mercury.Policy constant is one of its rows.
+func TestDocsPolicies(t *testing.T) {
+	ops, err := os.ReadFile("OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]bool{}
+	for _, ctx := range codeContexts(string(ops)) {
+		spans[strings.Trim(ctx, "`")] = true
+	}
+	names := core.PolicyNames()
+	if len(names) == 0 {
+		t.Fatal("core.PolicyNames is empty; the check is vacuous")
+	}
+	for _, name := range names {
+		if !spans[name] {
+			t.Errorf("policy %q is not documented in OPERATIONS.md (want a `%s` code span)", name, name)
+		}
+	}
+	main, err := os.ReadFile(filepath.Join("cmd", "mercuryd", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(main), "core.PolicyHelp()") {
+		t.Error("mercuryd's -oracle help text is not rendered from core.PolicyHelp")
+	}
+	for p := mercury.PolicyEscalating; !strings.HasPrefix(p.String(), "policy("); p++ {
+		if _, err := core.PolicyByName(p.String(), core.PolicyDeps{}); err != nil {
+			t.Errorf("mercury.%v: %v", p, err)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	mercury "github.com/recursive-restart/mercury"
-	"github.com/recursive-restart/mercury/internal/core"
 )
 
 func main() {
@@ -49,10 +48,8 @@ func run() error {
 		}
 	}
 
-	if lo, ok := sys.Oracle.(*core.LearningOracle); ok {
-		fmt.Println("\nlearned cure-probability estimates for failures at pbcom:")
-		fmt.Print(lo.Estimates("pbcom"))
-	}
+	fmt.Println("\nlearned estimates (cure probability and duration per site and action):")
+	fmt.Print(sys.Oracle.Estimator().Render())
 	fmt.Println("\nthe oracle converged on the joint [fedr pbcom] restart: no more")
 	fmt.Println("wasted pbcom-only restarts, matching the minimal restart policy.")
 	fmt.Println("(an occasional slow round is the oracle's 5% deliberate exploration,")

@@ -174,8 +174,13 @@ func (m *Manager) cost(oldest time.Time, bytes int) time.Duration {
 
 // RestoreCost implements core.CheckpointModel: the modeled latency of
 // restoring the component's state right now, ok=false when the component
-// has no complete snapshot.
+// has no complete snapshot. A nil Manager has no snapshots, so a station
+// without a checkpoint plane can hand its nil *Manager straight to the
+// policy.
 func (m *Manager) RestoreCost(component string) (time.Duration, bool) {
+	if m == nil {
+		return 0, false
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	_, oldest, bytes, ok := m.covered(component)
@@ -213,6 +218,24 @@ func (m *Manager) Restore(component string) (time.Duration, error) {
 		fn(keys, oldest)
 	}
 	return lat, nil
+}
+
+// RestoreSet restores every component of a restart set that a snapshot
+// covers and returns the summed restore latency — the recoverer's
+// RECParams.CkptRestore hook. It fails when no member is covered.
+func (m *Manager) RestoreSet(set []string) (time.Duration, error) {
+	var total time.Duration
+	restored := false
+	for _, c := range set {
+		if lat, err := m.Restore(c); err == nil {
+			total += lat
+			restored = true
+		}
+	}
+	if !restored {
+		return 0, fmt.Errorf("ckpt: no checkpoint covering %v", set)
+	}
+	return total, nil
 }
 
 // Close stops the periodic ticker.

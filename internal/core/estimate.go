@@ -7,12 +7,13 @@ import (
 	"time"
 )
 
-// Estimator keeps the live per-site statistics oracle v2 decides on:
-// failure inter-arrival times (MTTF), per-action success probabilities
-// (Laplace-smoothed, the learning-oracle idiom) and per-action durations
-// (MTTR), both EWMA-damped so the estimates track a changing system. It
-// is fed by the recoverer via the FailureObserver / ActionOutcomeObserver
-// interfaces and mirrored onto the obs plane as mercury_oracle_* series.
+// Estimator keeps the live per-site statistics the learning and cost-aware
+// policies decide on — the only cure statistics in the package: failure
+// inter-arrival times (MTTF), per-action success probabilities
+// (Laplace-smoothed) and per-action durations (MTTR), both EWMA-damped so
+// the estimates track a changing system. It is fed by the recoverer
+// through Policy.ObserveFailure / ObserveAction and mirrored onto the obs
+// plane as mercury_oracle_* series.
 //
 // Everything here is a deterministic function of the observation sequence
 // and the simulated clock — no RNG, no wall time — which is the

@@ -47,14 +47,14 @@ type harness struct {
 	comps  []string
 }
 
-func newHarness(t *testing.T, seed int64, tree *Tree, oracle Oracle) *harness {
+func newHarness(t *testing.T, seed int64, tree *Tree, policy *Policy) *harness {
 	t.Helper()
-	return newHarnessParams(t, seed, tree, oracle, DefaultFDParams(), DefaultRECParams())
+	return newHarnessParams(t, seed, tree, policy, DefaultFDParams(), DefaultRECParams())
 }
 
 // newHarnessParams is newHarness with explicit FD/REC parameters, for the
 // hardened-knob tests (SuspectAfter, restart backoff).
-func newHarnessParams(t *testing.T, seed int64, tree *Tree, oracle Oracle, fdp FDParams, recp RECParams) *harness {
+func newHarnessParams(t *testing.T, seed int64, tree *Tree, policy *Policy, fdp FDParams, recp RECParams) *harness {
 	t.Helper()
 	k := sim.New(seed)
 	log := trace.NewLog()
@@ -89,7 +89,7 @@ func newHarnessParams(t *testing.T, seed int64, tree *Tree, oracle Oracle, fdp F
 			_ = mgr.Restart([]string{xmlcmd.AddrREC})
 		}
 	}
-	recFactory, handle := NewREC(recp, tree, oracle, mgr, restartFD)
+	recFactory, handle := NewREC(recp, tree, policy, mgr, restartFD)
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func (h *harness) describe() string {
 }
 
 func TestAutomatedRecoveryFromKill(t *testing.T) {
-	h := newHarness(t, 1, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 1, treeII(t), &Policy{})
 	if err := h.board.Inject(fault.Fault{Manifest: "a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestAutomatedRecoveryFromKill(t *testing.T) {
 }
 
 func TestEscalationCuresJointFault(t *testing.T) {
-	h := newHarness(t, 2, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 2, treeII(t), &Policy{})
 	// The fault manifests at a but needs {a, b} restarted together.
 	if err := h.board.Inject(fault.Fault{Manifest: "a", Cure: []string{"a", "b"}}); err != nil {
 		t.Fatal(err)
@@ -198,8 +198,8 @@ func TestEscalationCuresJointFault(t *testing.T) {
 }
 
 func TestPerfectOracleSkipsEscalation(t *testing.T) {
-	h := newHarness(t, 3, treeII(t), PerfectOracle{Advisor: nil})
-	h.handle.SetPolicy(h.handle.Tree(), PerfectOracle{Advisor: h.board})
+	h := newHarness(t, 3, treeII(t), mustPolicy(t, "perfect", PolicyDeps{}))
+	h.handle.SetPolicy(h.handle.Tree(), mustPolicy(t, "perfect", PolicyDeps{Advisor: h.board}))
 	if err := h.board.Inject(fault.Fault{Manifest: "a", Cure: []string{"a", "b"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +215,8 @@ func TestPerfectOracleSkipsEscalation(t *testing.T) {
 }
 
 func TestFaultyOracleAlwaysWrongEscalates(t *testing.T) {
-	h := newHarness(t, 4, treeII(t), EscalatingOracle{})
-	h.handle.SetPolicy(h.handle.Tree(), &FaultyOracle{P: 1.0, Advisor: h.board, Rng: h.k.Rand()})
+	h := newHarness(t, 4, treeII(t), &Policy{})
+	h.handle.SetPolicy(h.handle.Tree(), mustPolicy(t, "faulty", PolicyDeps{FaultyP: 1.0, Advisor: h.board, Rng: h.k.Rand()}))
 	if err := h.board.Inject(fault.Fault{Manifest: "a", Cure: []string{"a", "b"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFaultyOracleAlwaysWrongEscalates(t *testing.T) {
 }
 
 func TestMbusFailureDiagnosedFirst(t *testing.T) {
-	h := newHarness(t, 5, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 5, treeII(t), &Policy{})
 	if err := h.board.Inject(fault.Fault{Manifest: "mbus"}); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestMbusFailureDiagnosedFirst(t *testing.T) {
 }
 
 func TestGiveUpOnHardFault(t *testing.T) {
-	h := newHarness(t, 6, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 6, treeII(t), &Policy{})
 	if err := h.board.Inject(fault.Fault{Manifest: "a", Hard: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestGiveUpOnHardFault(t *testing.T) {
 }
 
 func TestFDKilledRECRecoversIt(t *testing.T) {
-	h := newHarness(t, 7, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 7, treeII(t), &Policy{})
 	if err := h.mgr.Kill(xmlcmd.AddrFD, "test kill of fd"); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestFDKilledRECRecoversIt(t *testing.T) {
 }
 
 func TestRECKilledFDRecoversIt(t *testing.T) {
-	h := newHarness(t, 8, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 8, treeII(t), &Policy{})
 	if err := h.mgr.Kill(xmlcmd.AddrREC, "test kill of rec"); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestRECKilledFDRecoversIt(t *testing.T) {
 }
 
 func TestNoSpuriousRestartsWhenHealthy(t *testing.T) {
-	h := newHarness(t, 9, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 9, treeII(t), &Policy{})
 	_ = h.k.RunFor(2 * time.Minute)
 	for _, c := range h.comps {
 		if n, _ := h.mgr.Restarts(c); n != 0 {
@@ -309,7 +309,7 @@ func TestNoSpuriousRestartsWhenHealthy(t *testing.T) {
 }
 
 func TestConcurrentIndependentFailures(t *testing.T) {
-	h := newHarness(t, 10, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 10, treeII(t), &Policy{})
 	if err := h.board.Inject(fault.Fault{Manifest: "a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -329,17 +329,43 @@ func TestConcurrentIndependentFailures(t *testing.T) {
 	}
 }
 
+// TestOracleChooseValidation: every policy in the table refuses a nil tree
+// and an unknown component, on fresh and escalated attempts alike, through
+// both the action form REC calls and the node-only form.
 func TestOracleChooseValidation(t *testing.T) {
 	tr := treeII(t)
-	for _, o := range []Oracle{EscalatingOracle{}, PerfectOracle{}, &FaultyOracle{P: 0.5, Rng: sim.New(1).Rand()}} {
-		if _, err := o.Choose(nil, "a", nil, 1); err == nil {
-			t.Fatalf("%s accepted nil tree", o.Name())
+	root := tr.Root()
+	for _, name := range PolicyNames() {
+		o := mustPolicy(t, name, PolicyDeps{FaultyP: 0.5, Rng: sim.New(1).Rand()})
+		if o.Name() == "" {
+			t.Fatalf("%s: empty policy name", name)
+		}
+		for attempt := 1; attempt <= 2; attempt++ {
+			var prev *Action
+			var prevNode *Node
+			if attempt > 1 {
+				prev, prevNode = &Action{Node: root, Kind: ActRestart}, root
+			}
+			if _, err := o.ChooseAction(nil, "a", prev, attempt); err != ErrNilTree {
+				t.Fatalf("%s attempt %d: ChooseAction(nil tree) err = %v", name, attempt, err)
+			}
+			if _, err := o.Choose(nil, "a", prevNode, attempt); err != ErrNilTree {
+				t.Fatalf("%s attempt %d: Choose(nil tree) err = %v", name, attempt, err)
+			}
+			if _, err := o.ChooseAction(tr, "ghost", prev, attempt); err == nil {
+				t.Fatalf("%s attempt %d: accepted unknown component", name, attempt)
+			}
 		}
 		if _, err := o.Choose(tr, "ghost", nil, 1); err == nil {
-			t.Fatalf("%s accepted unknown component", o.Name())
+			t.Fatalf("%s: Choose accepted unknown component", name)
 		}
-		if o.Name() == "" {
-			t.Fatal("empty oracle name")
+	}
+	if _, err := PolicyByName("ghost", PolicyDeps{}); err == nil {
+		t.Fatal("PolicyByName accepted an unknown name")
+	}
+	for alias, want := range map[string]string{"": "escalating", "v2": "costaware"} {
+		if got := mustPolicy(t, alias, PolicyDeps{}).Name(); got != want {
+			t.Fatalf("alias %q resolves to %s, want %s", alias, got, want)
 		}
 	}
 }
@@ -347,9 +373,13 @@ func TestOracleChooseValidation(t *testing.T) {
 func TestEscalationStopsAtRoot(t *testing.T) {
 	tr := treeII(t)
 	root := tr.Root()
-	n, err := EscalatingOracle{}.Choose(tr, "a", root, 3)
-	if err != nil || n != root {
-		t.Fatalf("escalation from root = %v, %v; want root", n, err)
+	var esc Policy // the zero value escalates
+	act, err := esc.ChooseAction(tr, "a", &Action{Node: root, Kind: ActRestart}, 3)
+	if err != nil || act.Node != root {
+		t.Fatalf("escalation from root = %v, %v; want root", act.Node, err)
+	}
+	if n, err := esc.Choose(tr, "a", root, 3); err != nil || n != root {
+		t.Fatalf("node-only escalation from root = %v, %v; want root", n, err)
 	}
 }
 
@@ -358,7 +388,7 @@ func TestEscalationStopsAtRoot(t *testing.T) {
 // restart; the same report outside the window is trusted (the process
 // manager's view can lag reality, e.g. a hung child process).
 func TestReadyGraceIgnoresStaleReports(t *testing.T) {
-	h := newHarness(t, 11, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 11, treeII(t), &Policy{})
 	// Recover once so REC has a readyAt record for a.
 	if err := h.board.Inject(fault.Fault{Manifest: "a"}); err != nil {
 		t.Fatal(err)
@@ -387,7 +417,7 @@ func TestReadyGraceIgnoresStaleReports(t *testing.T) {
 // TestHangDetectedAndRecovered: a hang (silence) is fail-silent like a
 // crash and must be cured by the same restart path.
 func TestHangDetectedAndRecovered(t *testing.T) {
-	h := newHarness(t, 12, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 12, treeII(t), &Policy{})
 	if err := h.board.Inject(fault.Fault{Manifest: "b", Hang: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +496,7 @@ func newHWHarness(t *testing.T, seed int64, withProcedure bool) (*harness, *bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	recFactory, handle := NewREC(params, tree, EscalatingOracle{}, mgr, nil)
+	recFactory, handle := NewREC(params, tree, &Policy{}, mgr, nil)
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		t.Fatal(err)
 	}

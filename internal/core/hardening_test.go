@@ -35,7 +35,7 @@ func TestSuspectAfterRidesOutLossyBus(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		fdp := DefaultFDParams()
 		fdp.SuspectAfter = k
-		h := newHarnessParams(t, 21, treeII(t), EscalatingOracle{}, fdp, DefaultRECParams())
+		h := newHarnessParams(t, 21, treeII(t), &Policy{}, fdp, DefaultRECParams())
 		h.bus.SetChaos(&bus.ChaosProfile{Loss: 0.10})
 		if err := h.k.RunFor(time.Minute); err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func TestSuspectAfterRidesOutLossyBus(t *testing.T) {
 func TestSuspectAfterDetectionStillFast(t *testing.T) {
 	fdp := DefaultFDParams()
 	fdp.SuspectAfter = 3
-	h := newHarnessParams(t, 22, treeII(t), EscalatingOracle{}, fdp, DefaultRECParams())
+	h := newHarnessParams(t, 22, treeII(t), &Policy{}, fdp, DefaultRECParams())
 	injectAt := h.k.Now()
 	if err := h.board.Inject(fault.Fault{Manifest: "a"}); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestSuspectAfterDetectionStillFast(t *testing.T) {
 // reproduce the paper's single-miss detector exactly — same detection
 // schedule, same single restart.
 func TestSuspectAfterDefaultUnchanged(t *testing.T) {
-	h := newHarness(t, 23, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 23, treeII(t), &Policy{})
 	if err := h.board.Inject(fault.Fault{Manifest: "a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRestartBackoffDampsStorm(t *testing.T) {
 			recp.RestartBackoff = 500 * time.Millisecond
 			recp.RestartBackoffMax = 4 * time.Second
 		}
-		h := newHarnessParams(t, 24, treeII(t), EscalatingOracle{}, DefaultFDParams(), recp)
+		h := newHarnessParams(t, 24, treeII(t), &Policy{}, DefaultFDParams(), recp)
 		if err := h.board.Inject(fault.Fault{Manifest: "a", Hard: true}); err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func takeCoreSnapshot() coreSnapshot {
 // sample once the restart set is ready again.
 func TestCoreMetricsAcrossRecovery(t *testing.T) {
 	before := takeCoreSnapshot()
-	h := newHarness(t, 1, treeII(t), EscalatingOracle{})
+	h := newHarness(t, 1, treeII(t), &Policy{})
 	if err := h.board.Inject(fault.Fault{Manifest: "a"}); err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,22 @@ func microTree(t *testing.T) *Tree {
 	return mt
 }
 
+// mustPolicy builds a table policy or fails the test.
+func mustPolicy(t *testing.T, name string, d PolicyDeps) *Policy {
+	t.Helper()
+	p, err := PolicyByName(name, d)
+	if err != nil {
+		t.Fatalf("PolicyByName(%q): %v", name, err)
+	}
+	return p
+}
+
 func TestActionLadder(t *testing.T) {
 	mt := microTree(t)
 	ck := fakeCkpt{cost: time.Second, cover: map[string]bool{"str.track": true}}
+	full := mustPolicy(t, "costaware", PolicyDeps{Ckpt: ck})
 
-	ladder, err := actionLadder(mt, "str.track", nil, ck)
+	ladder, err := full.ladder(mt, "str.track")
 	if err != nil {
 		t.Fatalf("ladder: %v", err)
 	}
@@ -65,7 +76,7 @@ func TestActionLadder(t *testing.T) {
 	}
 
 	// Without a checkpoint: no ckpt rung.
-	ladder, err = actionLadder(mt, "ses.est", nil, ck)
+	ladder, err = full.ladder(mt, "ses.est")
 	if err != nil {
 		t.Fatalf("ladder: %v", err)
 	}
@@ -74,7 +85,7 @@ func TestActionLadder(t *testing.T) {
 	}
 
 	// A plain process: restarts only, starting at its own cell.
-	ladder, err = actionLadder(mt, "rtu", nil, ck)
+	ladder, err = full.ladder(mt, "rtu")
 	if err != nil {
 		t.Fatalf("ladder: %v", err)
 	}
@@ -82,6 +93,15 @@ func TestActionLadder(t *testing.T) {
 		if a.Kind != ActRestart {
 			t.Fatalf("process ladder has %v", a.Kind)
 		}
+	}
+
+	// A classic policy is handed the same checkpoint model and ignores it.
+	ladder, err = mustPolicy(t, "escalating", PolicyDeps{Ckpt: ck}).ladder(mt, "str.track")
+	if err != nil {
+		t.Fatalf("ladder: %v", err)
+	}
+	if ladder[0].Kind != ActMicroreboot || ladder[1].Kind != ActRestart {
+		t.Fatalf("classic ladder starts %v,%v", ladder[0].Kind, ladder[1].Kind)
 	}
 }
 
@@ -130,7 +150,7 @@ func TestFixedOracleLadders(t *testing.T) {
 	mt := microTree(t)
 	ck := fakeCkpt{cost: time.Second, cover: map[string]bool{"str.track": true}}
 
-	proc := &FixedActionOracle{Mode: FixedProcess}
+	proc := mustPolicy(t, "fixed-process", PolicyDeps{})
 	act, err := proc.ChooseAction(mt, "str.track", nil, 1)
 	if err != nil {
 		t.Fatalf("fixed-process: %v", err)
@@ -142,13 +162,13 @@ func TestFixedOracleLadders(t *testing.T) {
 		t.Fatalf("fixed-process starts at %v", got)
 	}
 
-	mi := &FixedActionOracle{Mode: FixedMicro}
+	mi := mustPolicy(t, "fixed-micro", PolicyDeps{})
 	act, err = mi.ChooseAction(mt, "str.track", nil, 1)
 	if err != nil || act.Kind != ActMicroreboot {
 		t.Fatalf("fixed-micro starts with %v err=%v", act.Kind, err)
 	}
 
-	cp := &FixedActionOracle{Mode: FixedCkpt, Ckpt: ck}
+	cp := mustPolicy(t, "fixed-ckpt", PolicyDeps{Ckpt: ck})
 	act, err = cp.ChooseAction(mt, "str.track", nil, 1)
 	if err != nil || act.Kind != ActCkptRestore {
 		t.Fatalf("fixed-ckpt starts with %v err=%v", act.Kind, err)

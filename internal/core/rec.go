@@ -67,7 +67,7 @@ type RECParams struct {
 	// CkptRestore restores the externalized state of the restart set from
 	// the latest checkpoint, returning the modeled restore latency the
 	// action must pay before the reboot fires. Nil disables the
-	// checkpoint-restore rung even if an ActionOracle asks for it.
+	// checkpoint-restore rung even if the policy asks for it.
 	CkptRestore func(set []string) (time.Duration, error)
 }
 
@@ -91,17 +91,17 @@ func DefaultRECParams() RECParams {
 // episode tracks one failure's recovery across escalation attempts.
 type episode struct {
 	attempt         int
-	prev            *Node
 	prevAct         Action    // last action taken; Node nil before the first
+	proactive       bool      // prevAct was a rejuvenation restart, not a cure attempt
 	awaitingVerdict bool      // restart completed; watching for persistence
 	lastReadyAt     time.Time // when the restart action finished
 	pendingReady    map[string]bool
-	observed        bool        // outcome already reported to a learning oracle
+	observed        bool        // cured verdict already reported to the policy
 	startedAt       time.Time   // when the current attempt's report arrived
 	charged         []time.Time // budget charges accrued by this episode, refunded on cure
 }
 
-// REC is the recoverer: it owns the restart tree and the oracle, receives
+// REC is the recoverer: it owns the restart tree and the policy, receives
 // failure reports from FD over the dedicated link, and pushes restart-cell
 // buttons via the process manager. It never decides *which* node to
 // restart — that is the oracle's job; REC executes, escalates persisting
@@ -110,7 +110,7 @@ type episode struct {
 type REC struct {
 	params RECParams
 	tree   *Tree
-	oracle Oracle
+	policy *Policy
 	mgr    *proc.Manager
 
 	// restartFD performs FD's recovery.
@@ -136,26 +136,26 @@ type REC struct {
 type recShared struct {
 	params    RECParams
 	tree      *Tree
-	oracle    Oracle
+	policy    *Policy
 	mgr       *proc.Manager
 	restartFD func()
 	current   *REC
 }
 
-// RECHandle lets the host swap the tree/oracle between experiments and
+// RECHandle lets the host swap the tree/policy between experiments and
 // reach the live handler.
 type RECHandle struct {
 	shared *recShared
 }
 
-// SetPolicy swaps the restart tree and oracle (takes effect for the
+// SetPolicy swaps the restart tree and policy (takes effect for the
 // current and future incarnations).
-func (h *RECHandle) SetPolicy(t *Tree, o Oracle) {
+func (h *RECHandle) SetPolicy(t *Tree, o *Policy) {
 	h.shared.tree = t
-	h.shared.oracle = o
+	h.shared.policy = o
 	if h.shared.current != nil {
 		h.shared.current.tree = t
-		h.shared.current.oracle = o
+		h.shared.current.policy = o
 	}
 }
 
@@ -163,7 +163,7 @@ func (h *RECHandle) SetPolicy(t *Tree, o Oracle) {
 func (h *RECHandle) Tree() *Tree { return h.shared.tree }
 
 // Oracle returns the active policy.
-func (h *RECHandle) Oracle() Oracle { return h.shared.oracle }
+func (h *RECHandle) Oracle() *Policy { return h.shared.policy }
 
 // Abandoned reports whether the policy has given up on a component.
 func (h *RECHandle) Abandoned(component string) bool {
@@ -175,12 +175,13 @@ func (h *RECHandle) Abandoned(component string) bool {
 
 // NewREC returns a factory for REC handlers plus a handle for policy
 // swaps. Procedural state (episodes, budgets) is per-incarnation: a REC
-// restart loses it, exactly as a process restart would.
-func NewREC(p RECParams, tree *Tree, oracle Oracle, mgr *proc.Manager, restartFD func()) (func() proc.Handler, *RECHandle) {
+// restart loses it, exactly as a process restart would. The policy is this
+// REC's own (a Policy is not shareable between recoverers).
+func NewREC(p RECParams, tree *Tree, policy *Policy, mgr *proc.Manager, restartFD func()) (func() proc.Handler, *RECHandle) {
 	shared := &recShared{
 		params:    p,
 		tree:      tree,
-		oracle:    oracle,
+		policy:    policy,
 		mgr:       mgr,
 		restartFD: restartFD,
 	}
@@ -200,7 +201,7 @@ func NewREC(p RECParams, tree *Tree, oracle Oracle, mgr *proc.Manager, restartFD
 		r := &REC{
 			params:    shared.params,
 			tree:      shared.tree,
-			oracle:    shared.oracle,
+			policy:    shared.policy,
 			mgr:       shared.mgr,
 			restartFD: shared.restartFD,
 			episodes:  make(map[string]*episode),
@@ -316,31 +317,27 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 		ep.attempt++
 		ep.awaitingVerdict = false
 		M.RECEscalations.Inc()
-		r.observe(component, ep.prev, false)
+		r.observe(component, ep, false)
 	} else {
 		ep = &episode{attempt: 1}
 		r.episodes[component] = ep
-		if fo, ok := r.oracle.(FailureObserver); ok {
-			fo.ObserveFailure(component, now)
-		}
+		r.policy.ObserveFailure(component, now)
 	}
 	ep.startedAt = now
 
-	act, err := r.chooseAction(component, ep)
+	var prev *Action
+	if ep.attempt > 1 {
+		prev = &ep.prevAct
+	}
+	act, err := r.policy.ChooseAction(r.tree, component, prev, ep.attempt)
 	if err != nil {
 		ctx.Log().Add(now, trace.Note, component, "", "oracle error: "+err.Error())
 		return
 	}
 	node := act.Node
-	ep.prev = node
 	ep.prevAct = act
-	if _, actionAware := r.oracle.(ActionOracle); actionAware {
-		ctx.Log().Add(now, trace.OracleGuess, component, node.Label(),
-			fmt.Sprintf("policy=%s attempt=%d action=%s", r.oracle.Name(), ep.attempt, act.Kind))
-	} else {
-		ctx.Log().Add(now, trace.OracleGuess, component, node.Label(),
-			fmt.Sprintf("policy=%s attempt=%d", r.oracle.Name(), ep.attempt))
-	}
+	ctx.Log().Add(now, trace.OracleGuess, component, node.Label(),
+		fmt.Sprintf("policy=%s attempt=%d action=%s", r.policy.Name(), ep.attempt, act.Kind))
 
 	delay := r.params.DecisionDelay
 	if bo := r.restartBackoff(len(kept)); bo > 0 {
@@ -352,58 +349,69 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 	r.inFlight[component] = true
 	r.history[component] = append(r.history[component], now)
 	ep.charged = append(ep.charged, now)
-	ctx.After(delay, func() {
-		set := node.Subtree()
-		ep.pendingReady = make(map[string]bool, len(set))
-		for _, c := range set {
-			ep.pendingReady[c] = true
-		}
-		M.RECRestarts.Inc()
-		M.RECRestartsByNode.With(node.Label()).Inc()
-		if act.Kind == ActCkptRestore && r.params.CkptRestore != nil {
-			if lat, cerr := r.params.CkptRestore(set); cerr == nil {
-				M.RECCkptRestores.Inc()
-				ctx.Log().Add(ctx.Now(), trace.RestartRequested, component, node.Label(),
-					fmt.Sprintf("ckpt-restore (%v) then reboot [%s]", lat, strings.Join(set, " ")))
-				ctx.After(lat, func() {
-					if err := r.mgr.Restart(set); err != nil {
-						ctx.Log().Add(ctx.Now(), trace.Note, component, node.Label(),
-							"recovery failed: "+err.Error())
-						delete(r.inFlight, component)
-					}
-				})
-				return
-			} else {
-				ctx.Log().Add(ctx.Now(), trace.Note, component, node.Label(),
-					"ckpt-restore unavailable, falling back to restart: "+cerr.Error())
-			}
-		}
-		proc, detail := r.procedureFor(set)
-		ctx.Log().Add(ctx.Now(), trace.RestartRequested, component, node.Label(), detail)
-		if err := proc.Execute(set); err != nil {
-			ctx.Log().Add(ctx.Now(), trace.Note, component, node.Label(),
-				"recovery failed: "+err.Error())
-			delete(r.inFlight, component)
-		}
-	})
+	ctx.After(delay, func() { r.execute(ctx, component, ep, act) })
 }
 
-// chooseAction consults the oracle: an ActionOracle chooses a full action
-// (node + kind); a classic oracle's node choice is wrapped as a plain
-// restart, keeping the v1 semantics byte-identical.
-func (r *REC) chooseAction(component string, ep *episode) (Action, error) {
-	if ao, ok := r.oracle.(ActionOracle); ok {
-		var prev *Action
-		if ep.attempt > 1 && ep.prevAct.Node != nil {
-			prev = &ep.prevAct
+// execute carries out the chosen action: a checkpoint-restore pays the
+// modeled restore latency before the reboot fires (degrading to the plain
+// microreboot when no checkpoint covers the set); everything else goes
+// through the restart set's recovery procedure.
+func (r *REC) execute(ctx proc.Context, component string, ep *episode, act Action) {
+	set := act.Node.Subtree()
+	if act.Kind == ActCkptRestore {
+		// The rung only exists at an all-sub cell, so its fallback is
+		// that cell's microreboot.
+		act.Kind = ActMicroreboot
+		if r.params.CkptRestore != nil {
+			lat, err := r.params.CkptRestore(set)
+			if err == nil {
+				M.RECCkptRestores.Inc()
+				r.push(ctx, component, ep, act.Node, set, lat, nil,
+					fmt.Sprintf("ckpt-restore (%v) then reboot [%s]", lat, strings.Join(set, " ")))
+				return
+			}
+			ctx.Log().Add(ctx.Now(), trace.Note, component, act.Node.Label(),
+				"ckpt-restore unavailable, falling back to restart: "+err.Error())
 		}
-		return ao.ChooseAction(r.tree, component, prev, ep.attempt)
 	}
-	node, err := r.oracle.Choose(r.tree, component, ep.prev, ep.attempt)
+	proc, detail := r.procedureFor(act, set)
+	r.push(ctx, component, ep, act.Node, set, 0, proc, detail)
+}
+
+// push is the one place a restart button gets pressed, for cures and
+// rejuvenations alike: it marks the restart set pending on the episode,
+// counts the action, logs its RestartRequested line and — after wait, the
+// checkpoint-restore latency — runs the procedure.
+func (r *REC) push(ctx proc.Context, component string, ep *episode, node *Node, set []string,
+	wait time.Duration, proc Recovery, detail string) {
+	ep.pendingReady = make(map[string]bool, len(set))
+	for _, c := range set {
+		ep.pendingReady[c] = true
+	}
+	M.RECRestarts.Inc()
+	M.RECRestartsByNode.With(node.Label()).Inc()
+	ctx.Log().Add(ctx.Now(), trace.RestartRequested, component, node.Label(), detail)
+	if wait > 0 {
+		ctx.After(wait, func() { r.press(ctx, component, node, set, proc) })
+		return
+	}
+	r.press(ctx, component, node, set, proc)
+}
+
+// press runs a recovery procedure on the restart set; nil is the default,
+// the process manager's plain kill-and-respawn. A button that fails clears
+// the in-flight mark so the next failure report can act again.
+func (r *REC) press(ctx proc.Context, component string, node *Node, set []string, proc Recovery) {
+	var err error
+	if proc != nil {
+		err = proc.Execute(set)
+	} else {
+		err = r.mgr.Restart(set)
+	}
 	if err != nil {
-		return Action{}, err
+		ctx.Log().Add(ctx.Now(), trace.Note, component, node.Label(), "recovery failed: "+err.Error())
+		delete(r.inFlight, component)
 	}
-	return Action{Node: node, Kind: ActRestart}, nil
 }
 
 // restartBackoff computes the exponential damping delay before a restart
@@ -428,36 +436,22 @@ func (r *REC) restartBackoff(recent int) time.Duration {
 	return bo
 }
 
-// procedureFor picks the recovery procedure for a restart set: a custom
-// per-component procedure when the set is that single component, else the
-// plain restart.
-func (r *REC) procedureFor(set []string) (Recovery, string) {
+// procedureFor picks the recovery procedure for an action: a custom
+// per-component procedure when the restart set is that single component,
+// else nil, the plain restart (a microreboot when the action says so: the
+// whole set is subcomponents, the cheapest rung — no process is torn down).
+func (r *REC) procedureFor(act Action, set []string) (Recovery, string) {
 	if len(set) == 1 && r.params.Procedures != nil {
 		if p, ok := r.params.Procedures[set[0]]; ok {
 			return p, "recovering [" + set[0] + "] via procedure " + p.Name()
 		}
 	}
-	if r.allSubs(set) {
-		// The whole set is subcomponents: the action is microreboots only,
-		// the cheapest rung — no process is torn down.
+	verb := "restarting ["
+	if act.Kind == ActMicroreboot {
 		M.RECMicroreboots.Inc()
-		return RestartRecovery{Exec: r.mgr.Restart}, "microrebooting [" + strings.Join(set, " ") + "]"
+		verb = "microrebooting ["
 	}
-	return RestartRecovery{Exec: r.mgr.Restart}, "restarting [" + strings.Join(set, " ") + "]"
-}
-
-// allSubs reports whether every member of a restart set is a registered
-// subcomponent.
-func (r *REC) allSubs(set []string) bool {
-	if len(set) == 0 {
-		return false
-	}
-	for _, name := range set {
-		if !r.mgr.IsSub(name) {
-			return false
-		}
-	}
-	return true
+	return nil, verb + strings.Join(set, " ") + "]"
 }
 
 // onReady tracks restart-action completion for episode verdicts. It is
@@ -502,8 +496,8 @@ func (r *REC) onDownEvent(name, reason string) {
 }
 
 // scheduleVerdict settles the episode as cured once the persistence window
-// passes without the failure re-manifesting: the learning oracle (if any)
-// gets its verdict and the restart budget is refunded.
+// passes without the failure re-manifesting: the policy gets its verdict
+// and the restart budget is refunded.
 func (r *REC) scheduleVerdict(comp string, ep *episode) {
 	r.mgr.Clock().AfterFunc(r.params.PersistWindow+100*time.Millisecond, func() {
 		if r.episodes[comp] == ep && ep.awaitingVerdict {
@@ -522,7 +516,7 @@ func (r *REC) scheduleVerdict(comp string, ep *episode) {
 // episode twice (verdict timer + quiet-resolution path) is harmless.
 func (r *REC) resolveCured(comp string, ep *episode) {
 	if !ep.observed {
-		r.observe(comp, ep.prev, true)
+		r.observe(comp, ep, true)
 	}
 	if len(ep.charged) == 0 {
 		return
@@ -557,27 +551,21 @@ func (r *REC) serving(name string) bool {
 	return r.mgr.Serving(name)
 }
 
-// observe forwards an outcome to a learning oracle, once per attempt. An
-// ActionOutcomeObserver additionally gets the action taken and its measured
-// report→ready duration — the estimator's MTTR feed.
-func (r *REC) observe(comp string, node *Node, cured bool) {
-	ep := r.episodes[comp]
-	fed := false
-	if ao, ok := r.oracle.(ActionOutcomeObserver); ok && ep != nil && ep.prevAct.Node != nil {
+// observe reports the previous attempt's outcome to the policy, once per
+// attempt, with the action taken and its measured report→ready duration —
+// the estimator's MTTR feed. A rejuvenation restart was not a cure attempt
+// and feeds nothing; if the failure follows it anyway, the episode carries
+// on as an ordinary one.
+func (r *REC) observe(comp string, ep *episode, cured bool) {
+	if !ep.proactive {
 		var elapsed time.Duration
-		if !ep.startedAt.IsZero() && ep.lastReadyAt.After(ep.startedAt) {
+		if ep.lastReadyAt.After(ep.startedAt) {
 			elapsed = ep.lastReadyAt.Sub(ep.startedAt)
 		}
-		ao.ObserveAction(comp, ep.prevAct, elapsed, cured)
-		fed = true
+		r.policy.ObserveAction(comp, ep.prevAct, elapsed, cured)
 	}
-	if obs, ok := r.oracle.(OutcomeObserver); ok {
-		obs.Observe(comp, node, cured)
-		fed = true
-	}
-	if fed && ep != nil {
-		ep.observed = cured // a persisted failure re-opens observation
-	}
+	ep.proactive = false
+	ep.observed = cured // a persisted failure re-opens observation
 }
 
 // onSuspect handles a relayed health-beacon warning: the component is
@@ -608,20 +596,10 @@ func (r *REC) onSuspect(ctx proc.Context, component string) {
 	ctx.Log().Add(now, trace.Note, component, node.Label(), "proactive rejuvenation restart")
 	ctx.After(r.params.DecisionDelay, func() {
 		set := node.Subtree()
-		ep := &episode{attempt: 1, prev: node, pendingReady: make(map[string]bool, len(set)), startedAt: now}
-		for _, c := range set {
-			ep.pendingReady[c] = true
-		}
+		ep := &episode{attempt: 1, prevAct: actionAt(node), proactive: true, startedAt: now}
 		r.episodes[component] = ep
-		M.RECRestarts.Inc()
-		M.RECRestartsByNode.With(node.Label()).Inc()
-		ctx.Log().Add(ctx.Now(), trace.RestartRequested, component, node.Label(),
+		r.push(ctx, component, ep, node, set, 0, nil,
 			"rejuvenation restart of ["+strings.Join(set, " ")+"]")
-		if err := r.mgr.Restart(set); err != nil {
-			ctx.Log().Add(ctx.Now(), trace.Note, component, node.Label(),
-				"rejuvenation restart failed: "+err.Error())
-			delete(r.inFlight, component)
-		}
 	})
 }
 

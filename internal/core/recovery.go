@@ -19,20 +19,6 @@ type Recovery interface {
 	Execute(set []string) error
 }
 
-// RestartRecovery is the default procedure: the process manager's plain
-// kill-and-respawn.
-type RestartRecovery struct {
-	Exec func(set []string) error
-}
-
-var _ Recovery = RestartRecovery{}
-
-// Name implements Recovery.
-func (RestartRecovery) Name() string { return "restart" }
-
-// Execute implements Recovery.
-func (r RestartRecovery) Execute(set []string) error { return r.Exec(set) }
-
 // FuncRecovery adapts a closure to Recovery.
 type FuncRecovery struct {
 	Label string

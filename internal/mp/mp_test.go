@@ -236,14 +236,12 @@ func TestMultiProcessExternalKillMidTraffic(t *testing.T) {
 	}
 }
 
-// cellOracle always recommends the failed component's own cell, keeping a
-// hard-fault storm scoped to one child so the restart *budget* — not the
-// escalation ladder — is what ends it.
-type cellOracle struct{}
-
-func (cellOracle) Name() string { return "cell" }
-func (cellOracle) Choose(t *core.Tree, component string, _ *core.Node, _ int) (*core.Node, error) {
-	return t.CellOf(component)
+// cellOracle always recommends the failed component's own cell (a ladder
+// cut to its first rung never escalates), keeping a hard-fault storm
+// scoped to one child so the restart *budget* — not the escalation ladder
+// — is what ends it.
+func cellOracle() *core.Policy {
+	return core.NewLadderPolicy("cell", func(ladder []core.Action) []core.Action { return ladder[:1] })
 }
 
 // TestMultiProcessHardFaultGivesUp drives the restart budget end-to-end
@@ -261,7 +259,7 @@ func TestMultiProcessHardFaultGivesUp(t *testing.T) {
 		Scale:      mpScale,
 		TreeName:   "IV",
 		Seed:       1,
-		Policy:     cellOracle{},
+		Policy:     cellOracle(),
 		RECParams:  &recp,
 	})
 	if err != nil {

@@ -49,7 +49,7 @@ type SupervisorConfig struct {
 	// Spawn launches children; nil uses DefaultSpawn.
 	Spawn SpawnFunc
 	// Policy is the oracle; nil = escalating.
-	Policy core.Oracle
+	Policy *core.Policy
 	// RECParams overrides the recoverer configuration (already adjusted
 	// for Scale); nil uses rt.RECParamsForScale.
 	RECParams *core.RECParams
@@ -300,7 +300,10 @@ func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 
 	oracle := cfg.Policy
 	if oracle == nil {
-		oracle = core.EscalatingOracle{}
+		var err error
+		if oracle, err = core.PolicyByName("escalating", core.PolicyDeps{}); err != nil {
+			return nil, err
+		}
 	}
 	restartFD := func() {
 		if st, _ := mgr.State(xmlcmd.AddrFD); st != proc.Starting {

@@ -201,10 +201,8 @@ type NodeConfig struct {
 	ListenAddr string
 	// Scale compresses calibrated durations (10 = ten times faster).
 	Scale float64
-	// TreeName and Policy select the restart tree and oracle (same names
-	// as the simulation).
+	// TreeName selects the restart tree (same names as the simulation).
 	TreeName string
-	Policy   core.Oracle // optional; nil = escalating
 	// Seed drives the deterministic parts (jitter, epochs).
 	Seed int64
 	// BusShards is the broker-shard count for the mbus fabric; 0 or 1
@@ -214,10 +212,10 @@ type NodeConfig struct {
 	// store (implied by the m-variant tree names "IIIm"/"IVm"); requires a
 	// split-layout tree.
 	Micro bool
-	// OracleName selects a built-in policy when Policy is nil:
-	// "" or "escalating", "v2" (the cost-aware oracle), "fixed-micro",
-	// "fixed-process", "fixed-ckpt". The checkpoint-backed policies need
-	// micro mode.
+	// OracleName selects the restart policy by its core.PolicyByName
+	// name: "" or "escalating", "costaware" (alias "v2"), "fixed-micro",
+	// "fixed-process", "fixed-ckpt", … The checkpoint-backed policies
+	// need micro mode.
 	OracleName string
 	// CkptInterval is the checkpoint snapshot period; zero = the ckpt
 	// package default. A non-zero value forces the checkpoint plane on
@@ -505,8 +503,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// Checkpoint plane: built when a checkpoint-backed oracle or an
 	// explicit interval asks for it (micro mode only — the store holds the
 	// state the snapshots cover).
-	needCkpt := cfg.OracleName == "v2" || cfg.OracleName == "costaware" ||
-		cfg.OracleName == "fixed-ckpt" || cfg.CkptInterval > 0
+	needCkpt := core.PolicyNeedsCkpt(cfg.OracleName) || cfg.CkptInterval > 0
 	if node.Store != nil && needCkpt {
 		node.Ckpt = ckpt.New(clk, node.Store, ckpt.Options{
 			Interval: cfg.CkptInterval,
@@ -515,12 +512,14 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		node.Ckpt.OnRestore(node.Board.NoteRestore)
 	}
 
-	oracle := cfg.Policy
-	if oracle == nil {
-		var err error
-		if oracle, err = nodeOracle(cfg, node.Ckpt); err != nil {
-			return nil, err
-		}
+	oracle, err := core.PolicyByName(cfg.OracleName, core.PolicyDeps{
+		Advisor: node.Board,
+		Rng:     rng,
+		Ckpt:    node.Ckpt,
+		Window:  cfg.EstimatorWindow,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("rt: %w", err)
 	}
 	restartFD := func() {
 		if st, _ := mgr.State(xmlcmd.AddrFD); st != proc.Starting {
@@ -534,21 +533,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	recParams := RECParamsForScale(cfg.Scale)
 	if node.Ckpt != nil {
-		ck := node.Ckpt
-		recParams.CkptRestore = func(set []string) (time.Duration, error) {
-			var total time.Duration
-			restored := false
-			for _, c := range set {
-				if lat, err := ck.Restore(c); err == nil {
-					total += lat
-					restored = true
-				}
-			}
-			if !restored {
-				return 0, fmt.Errorf("rt: no checkpoint covering %v", set)
-			}
-			return total, nil
-		}
+		recParams.CkptRestore = node.Ckpt.RestoreSet
 	}
 	recFactory, recHandle := core.NewREC(recParams, tree, oracle, mgr, restartFD)
 	node.REC = recHandle
@@ -725,29 +710,4 @@ func (n *Node) Stop() {
 		c.Close()
 	}
 	n.broker.CloseBroker()
-}
-
-// nodeOracle builds the named built-in policy.
-func nodeOracle(cfg NodeConfig, ck *ckpt.Manager) (core.Oracle, error) {
-	var model core.CheckpointModel
-	if ck != nil {
-		model = ck
-	}
-	switch cfg.OracleName {
-	case "", "escalating":
-		return core.EscalatingOracle{}, nil
-	case "v2", "costaware":
-		return core.NewCostAwareOracle(core.CostAwareConfig{
-			Ckpt:   model,
-			Window: cfg.EstimatorWindow,
-		}), nil
-	case "fixed-micro":
-		return &core.FixedActionOracle{Mode: core.FixedMicro}, nil
-	case "fixed-process":
-		return &core.FixedActionOracle{Mode: core.FixedProcess}, nil
-	case "fixed-ckpt":
-		return &core.FixedActionOracle{Mode: core.FixedCkpt, Ckpt: model}, nil
-	default:
-		return nil, fmt.Errorf("rt: unknown oracle %q", cfg.OracleName)
-	}
 }

@@ -72,7 +72,8 @@ const (
 	PolicyFixedCkpt
 )
 
-// String names the policy.
+// String names the policy; the names are the keys of core's policy table
+// (core.PolicyByName).
 func (p Policy) String() string {
 	switch p {
 	case PolicyEscalating:
@@ -182,7 +183,7 @@ type System struct {
 	Log       *trace.Log
 	Trees     map[string]*core.Tree
 	Tree      *core.Tree
-	Oracle    core.Oracle
+	Oracle    *core.Policy
 	REC       *core.RECHandle
 	Collector *station.Collector
 	Params    station.Params
@@ -272,7 +273,7 @@ func NewSystem(cfg Config) (*System, error) {
 	// Checkpoint plane: only built when something will use it, so classic
 	// configurations schedule no extra ticker events and goldens hold.
 	var ckptMgr *ckpt.Manager
-	needCkpt := cfg.Policy == PolicyCostAware || cfg.Policy == PolicyFixedCkpt || cfg.CkptInterval > 0
+	needCkpt := core.PolicyNeedsCkpt(cfg.Policy.String()) || cfg.CkptInterval > 0
 	if micro && st != nil && needCkpt {
 		ckptMgr = ckpt.New(clk, st, ckpt.Options{
 			Interval: cfg.CkptInterval,
@@ -324,9 +325,16 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	if !cfg.DisableRecovery {
-		oracle, err := sys.buildOracle(cfg)
+		oracle, err := core.PolicyByName(cfg.Policy.String(), core.PolicyDeps{
+			Advisor:  board,
+			Rng:      k.Rand(),
+			FaultyP:  cfg.FaultyP,
+			Ckpt:     ckptMgr,
+			HarmRate: harmRateFn(cfg.HarmRates),
+			Window:   cfg.EstimatorWindow,
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("mercury: %w", err)
 		}
 		sys.Oracle = oracle
 
@@ -339,20 +347,7 @@ func NewSystem(cfg Config) (*System, error) {
 			recParams = *cfg.RECParams
 		}
 		if ckptMgr != nil && recParams.CkptRestore == nil {
-			recParams.CkptRestore = func(set []string) (time.Duration, error) {
-				var total time.Duration
-				restored := false
-				for _, c := range set {
-					if lat, err := ckptMgr.Restore(c); err == nil {
-						total += lat
-						restored = true
-					}
-				}
-				if !restored {
-					return 0, fmt.Errorf("mercury: no checkpoint covering %v", set)
-				}
-				return total, nil
-			}
+			recParams.CkptRestore = ckptMgr.RestoreSet
 		}
 		restartFD := func() {
 			if st, _ := mgr.State(FDName); st != proc.Starting {
@@ -389,43 +384,6 @@ func NewSystem(cfg Config) (*System, error) {
 	})
 
 	return sys, nil
-}
-
-// buildOracle constructs the configured policy.
-func (s *System) buildOracle(cfg Config) (core.Oracle, error) {
-	switch cfg.Policy {
-	case PolicyEscalating:
-		return core.EscalatingOracle{}, nil
-	case PolicyPerfect:
-		return core.PerfectOracle{Advisor: s.Board}, nil
-	case PolicyFaulty:
-		return &core.FaultyOracle{P: cfg.FaultyP, Advisor: s.Board, Rng: s.Kernel.Rand()}, nil
-	case PolicyLearning:
-		return core.NewLearningOracle(s.Kernel.Rand()), nil
-	case PolicyCostAware:
-		return core.NewCostAwareOracle(core.CostAwareConfig{
-			Ckpt:     s.ckptModel(),
-			HarmRate: harmRateFn(cfg.HarmRates),
-			Window:   cfg.EstimatorWindow,
-		}), nil
-	case PolicyFixedMicro:
-		return &core.FixedActionOracle{Mode: core.FixedMicro}, nil
-	case PolicyFixedProcess:
-		return &core.FixedActionOracle{Mode: core.FixedProcess}, nil
-	case PolicyFixedCkpt:
-		return &core.FixedActionOracle{Mode: core.FixedCkpt, Ckpt: s.ckptModel()}, nil
-	default:
-		return nil, fmt.Errorf("mercury: unknown policy %v", cfg.Policy)
-	}
-}
-
-// ckptModel adapts the optional checkpoint manager to the oracle's
-// interface without the typed-nil trap.
-func (s *System) ckptModel() core.CheckpointModel {
-	if s.Ckpt == nil {
-		return nil
-	}
-	return s.Ckpt
 }
 
 // harmRateFn builds the oracle's harm-rate lookup: exact component first,

@@ -103,3 +103,27 @@ func TestSuspectBeaconReachesREC(t *testing.T) {
 		t.Fatal("pbcom never proactively restarted")
 	}
 }
+
+// TestRejuvenationFeedsNoOutcome: a proactive restart was not a cure
+// attempt, so no policy may score it as a cured failure. (Before the
+// policies shared one observer path the learning oracle did: pbcom, which
+// never failed here, read "[pbcom]: 0.67 (1 tries)".)
+func TestRejuvenationFeedsNoOutcome(t *testing.T) {
+	for _, pol := range []Policy{PolicyLearning, PolicyCostAware} {
+		rec := core.DefaultRECParams()
+		rec.Rejuvenate = true
+		sys := bootSystem(t, Config{Seed: 25, TreeName: "IV", Policy: pol, RECParams: &rec})
+		ageOutPbcom(t, sys, 6)
+		_ = sys.RunFor(2 * time.Minute)
+		if n, _ := sys.Mgr.Restarts("pbcom"); n == 0 {
+			t.Fatalf("%v: pbcom never proactively restarted", pol)
+		}
+		est := sys.Oracle.Estimator()
+		if est.Failures("fedr") == 0 {
+			t.Fatalf("%v: the injected fedr failures were not observed", pol)
+		}
+		if strings.Contains("\n"+est.Render(), "\npbcom:") {
+			t.Fatalf("%v: rejuvenating pbcom fed the estimator:\n%s", pol, est.Render())
+		}
+	}
+}
