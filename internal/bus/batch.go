@@ -13,8 +13,9 @@ import (
 
 // This file implements adaptive frame batching for the TCP wire path. A
 // BatchWriter owns one connection's outbound side: senders encode frames
-// into a shared pending buffer (concatenated length-prefixed frames — the
-// wire format of a batch is byte-identical to the same frames written one
+// (the broker copies the frames it forwards) into a shared pending buffer
+// (concatenated length-prefixed frames — the wire format of a batch is
+// byte-identical to the same frames written one
 // at a time), and a single writer goroutine drains the buffer with one
 // Write call per batch. Batching is adaptive: while the writer is inside a
 // Write syscall, senders keep appending, so the next flush carries
@@ -138,6 +139,40 @@ func NewBatchWriter(w io.Writer, cfg BatchConfig) *BatchWriter {
 // drain. Safe for concurrent use; frames from one goroutine are written in
 // the order it enqueued them.
 func (bw *BatchWriter) Enqueue(m *xmlcmd.Message) error {
+	if err := bw.admit(); err != nil {
+		return err
+	}
+	n0 := len(bw.pending)
+	buf, err := xmlcmd.AppendEncode(append(bw.pending, 0, 0, 0, 0), m)
+	if err != nil {
+		// The pending array may have been regrown by the failed append;
+		// keep the larger capacity but drop the partial frame.
+		bw.pending = buf[:n0]
+		bw.mu.Unlock()
+		return err
+	}
+	binary.BigEndian.PutUint32(buf[n0:n0+frameHeader], uint32(len(buf)-n0-frameHeader))
+	bw.queued(buf, n0)
+	return nil
+}
+
+// EnqueueFrame queues one already-framed message — length header and
+// payload, as read off another connection — under Enqueue's contract. The
+// bytes are copied, so the caller may reuse frame at once; this is the
+// broker's forwarding path, a memcpy under the queue lock where Enqueue
+// runs the encoder.
+func (bw *BatchWriter) EnqueueFrame(frame []byte) error {
+	if err := bw.admit(); err != nil {
+		return err
+	}
+	n0 := len(bw.pending)
+	bw.queued(append(bw.pending, frame...), n0)
+	return nil
+}
+
+// admit applies the queue policy: it returns nil holding mu, with room for
+// one more frame, or the reason the frame is refused with mu released.
+func (bw *BatchWriter) admit() error {
 	bw.mu.Lock()
 	if bw.cfg.Policy == Block {
 		for len(bw.pending) >= bw.cfg.MaxQueue && bw.err == nil && !bw.closed {
@@ -158,16 +193,12 @@ func (bw *BatchWriter) Enqueue(m *xmlcmd.Message) error {
 		bw.bpDrops.Inc()
 		return ErrBackpressure
 	}
-	n0 := len(bw.pending)
-	buf, err := xmlcmd.AppendEncode(append(bw.pending, 0, 0, 0, 0), m)
-	if err != nil {
-		// The pending array may have been regrown by the failed append;
-		// keep the larger capacity but drop the partial frame.
-		bw.pending = buf[:n0]
-		bw.mu.Unlock()
-		return err
-	}
-	binary.BigEndian.PutUint32(buf[n0:n0+frameHeader], uint32(len(buf)-n0-frameHeader))
+	return nil
+}
+
+// queued installs buf, pending plus one frame appended at n0, wakes the
+// writer and releases mu.
+func (bw *BatchWriter) queued(buf []byte, n0 int) {
 	bw.pending = buf
 	bw.pendingFrames++
 	if bw.pendingFrames == 1 {
@@ -176,7 +207,6 @@ func (bw *BatchWriter) Enqueue(m *xmlcmd.Message) error {
 	M.TCPQueueBytes.Add(int64(len(buf) - n0))
 	bw.cond.Broadcast()
 	bw.mu.Unlock()
-	return nil
 }
 
 // Flush asks the writer to flush the current batch without waiting for

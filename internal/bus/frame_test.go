@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"time"
 
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
@@ -105,43 +106,53 @@ func TestFrameReaderOversized(t *testing.T) {
 }
 
 // TestFrameSteadyStateAllocs pins the whole wire hot path: once the
-// writer's and reader's buffers are warm, framing a ping costs zero
-// allocations on the write side and zero on the ReadFrameInto side (the
-// broker path). ReadFrame allocates exactly the one fresh Message it hands
-// to the caller.
+// writer's buffer and the reader's buffer, token cache and destination
+// message are warm, framing costs zero allocations on the write side and,
+// on the read side, one per parameter value — the only strings of a frame
+// nothing repeats. ReadFrame adds exactly the fresh Message it hands out.
 func TestFrameSteadyStateAllocs(t *testing.T) {
-	m := xmlcmd.NewPing("fd", "ses", 1, 42)
-	var fw FrameWriter
-	if err := fw.WriteFrame(io.Discard, m); err != nil { // warm the buffer
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := fw.WriteFrame(io.Discard, m); err != nil {
+	for _, tc := range []struct {
+		name string
+		msg  *xmlcmd.Message
+		read float64
+	}{
+		{"ping", xmlcmd.NewPing("fd", "ses", 1, 42), 0},
+		{"command", xmlcmd.NewCommand("gate", "rtu", 2, "tune", "freqHz", "437512345.5", "mode", "fm-narrow"), 2},
+		{"ack", xmlcmd.NewAck("rtu", "gate", 3, 2, true, ""), 0},
+		{"telemetry", xmlcmd.NewTelemetry("rtu", "str", 4, "az", 181.5, time.UnixMilli(1020000000000)), 0},
+	} {
+		var fw FrameWriter
+		if err := fw.WriteFrame(io.Discard, tc.msg); err != nil { // warm the buffer
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("FrameWriter.WriteFrame allocates %v/op in steady state, want 0", n)
-	}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := fw.WriteFrame(io.Discard, tc.msg); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: FrameWriter.WriteFrame allocates %v/op in steady state, want 0", tc.name, n)
+		}
 
-	var frame bytes.Buffer
-	if err := fw.WriteFrame(&frame, m); err != nil {
-		t.Fatal(err)
-	}
-	var fr FrameReader
-	var dst xmlcmd.Message
-	r := bytes.NewReader(frame.Bytes())
-	if err := fr.ReadFrameInto(r, &dst); err != nil { // warm buffers + scratch
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		r.Reset(frame.Bytes())
-		if err := fr.ReadFrameInto(r, &dst); err != nil {
+		var frame bytes.Buffer
+		if err := fw.WriteFrame(&frame, tc.msg); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("FrameReader.ReadFrameInto allocates %v/op in steady state, want 0", n)
-	}
-	if dst.Ping == nil || dst.Ping.Nonce != 42 {
-		t.Fatalf("steady-state decode corrupted the message: %v", &dst)
+		var fr FrameReader
+		var dst xmlcmd.Message
+		r := bytes.NewReader(frame.Bytes())
+		if err := fr.ReadFrameInto(r, &dst); err != nil { // warm buffer, cache and scratch
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			r.Reset(frame.Bytes())
+			if err := fr.ReadFrameInto(r, &dst); err != nil {
+				t.Fatal(err)
+			}
+		}); n != tc.read {
+			t.Errorf("%s: FrameReader.ReadFrameInto allocates %v/op in steady state, want %v", tc.name, n, tc.read)
+		}
+		if dst.Kind() != tc.msg.Kind() || dst.Seq != tc.msg.Seq || dst.To != tc.msg.To {
+			t.Errorf("%s: steady-state decode corrupted the message: %v", tc.name, &dst)
+		}
 	}
 }

@@ -124,5 +124,31 @@ func FuzzReadBatchedFrames(f *testing.F) {
 				t.Fatalf("frame %d decoded invalid: %v", i, err)
 			}
 		}
+
+		// The broker's hop: route each frame on its start tag, forward the
+		// bytes as read.
+		var forwarded lockedBuffer
+		fbw := NewBatchWriter(&forwarded, BatchConfig{FlushDelay: time.Hour, MaxQueue: 1 << 24})
+		var fr FrameReader
+		r := bytes.NewReader(got)
+		for _, m := range decoded {
+			frame, err := fr.next(r)
+			if err != nil {
+				t.Fatalf("re-reading the batched stream: %v", err)
+			}
+			hdr, err := fr.dec.DecodeHeader(frame[frameHeader:])
+			if err != nil || hdr.To != m.To {
+				t.Fatalf("frame for %q routes to %q, %v", m.To, hdr.To, err)
+			}
+			if err := fbw.EnqueueFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fbw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(forwarded.Bytes(), got) {
+			t.Fatalf("forwarded stream differs from the one received: %d vs %d bytes", len(forwarded.Bytes()), len(got))
+		}
 	})
 }

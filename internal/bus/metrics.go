@@ -30,6 +30,7 @@ type BusMetrics struct {
 	TCPRouteDrops    obs.Counter // broker frames with no registered destination
 	TCPReconnects    obs.Counter // client reconnects after a broker outage
 	TCPSendDrops     obs.Counter // client sends lost (no live connection or write error)
+	TCPDecodeDrops   obs.Counter // inbound frames a client dropped because the payload did not decode
 	TCPRegistrations obs.Counter // broker register frames accepted
 	TCPConnections   obs.Gauge   // broker connections currently registered
 
@@ -92,6 +93,8 @@ func RegisterMetrics(r *obs.Registry) {
 		"Client reconnections after losing the broker.", &M.TCPReconnects)
 	r.RegisterCounter("mercury_bus_tcp_send_drops_total",
 		"Client sends lost: no live connection or a failed write.", &M.TCPSendDrops)
+	r.RegisterCounter("mercury_bus_tcp_decode_drops_total",
+		"Inbound frames a client dropped because the payload failed to decode or validate.", &M.TCPDecodeDrops)
 	r.RegisterCounter("mercury_bus_tcp_registrations_total",
 		"Register frames accepted by the broker.", &M.TCPRegistrations)
 	r.RegisterGauge("mercury_bus_tcp_connections",

@@ -74,48 +74,65 @@ func (fw *FrameWriter) WriteFrame(w io.Writer, m *xmlcmd.Message) error {
 	return err
 }
 
-// FrameReader reads length-prefixed frames from a stream, reusing one
-// payload buffer across frames. Decoded messages never alias the payload
-// buffer (the codec copies every string), so the buffer can be reused even
-// when messages outlive the read call. A FrameReader is owned by one
-// connection's read loop and is not safe for concurrent use.
+// FrameReader reads length-prefixed frames from a stream, reusing one frame
+// buffer across frames. Decoded messages never alias the buffer (the codec
+// copies or interns every string), so it can be reused even when messages
+// outlive the read call. The reader also owns the connection's
+// xmlcmd.Decoder — the cache of tokens this peer repeats — which is why the
+// cache lives here and not in the envelopes: one per connection, however
+// many envelopes are in flight. A FrameReader is owned by one connection's
+// read loop and is not safe for concurrent use.
 type FrameReader struct {
-	hdr     [frameHeader]byte
-	payload []byte
-	sh      uint64 // metrics shard index; 0 = not yet assigned
+	buf []byte // header + payload of the frame last read
+	dec xmlcmd.Decoder
+	sh  uint64 // metrics shard index; 0 = not yet assigned
 }
 
-// ReadFrameInto reads one frame and decodes it into m, reusing both the
-// reader's payload buffer and m's decode scratch. Suited to synchronous
-// consumers like the broker's route loop, which is done with m before the
-// next read; callers that hand messages off asynchronously must use
-// ReadFrame so each frame gets a fresh message.
-func (fr *FrameReader) ReadFrameInto(r io.Reader, m *xmlcmd.Message) error {
-	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
-		return err
+// next reads one frame and returns it whole, length header included, valid
+// until the next read. Its errors are framing errors — a short read, a
+// length over MaxFrame — after which the stream is out of sync and the
+// connection must go; what the payload holds is the caller's business.
+func (fr *FrameReader) next(r io.Reader) ([]byte, error) {
+	if cap(fr.buf) < frameHeader {
+		fr.buf = make([]byte, frameHeader, 512)
 	}
-	n := binary.BigEndian.Uint32(fr.hdr[:])
+	if _, err := io.ReadFull(r, fr.buf[:frameHeader]); err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(fr.buf[:frameHeader]))
 	if n > xmlcmd.MaxFrame {
-		return xmlcmd.ErrFrameTooLarge
+		return nil, xmlcmd.ErrFrameTooLarge
 	}
-	if cap(fr.payload) < int(n) {
-		fr.payload = make([]byte, n)
+	if cap(fr.buf) < frameHeader+n {
+		fr.buf = append(make([]byte, 0, frameHeader+n), fr.buf[:frameHeader]...)
 	}
-	payload := fr.payload[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
+	frame := fr.buf[:frameHeader+n]
+	if _, err := io.ReadFull(r, frame[frameHeader:]); err != nil {
+		return nil, err
 	}
 	if fr.sh == 0 {
 		fr.sh = nextShard()
 	}
 	M.TCPFramesIn.Shard(fr.sh).Inc()
-	M.TCPBytesIn.Shard(fr.sh).Add(uint64(frameHeader) + uint64(n))
-	return xmlcmd.DecodeInto(payload, m)
+	M.TCPBytesIn.Shard(fr.sh).Add(uint64(len(frame)))
+	return frame, nil
 }
 
-// ReadFrame reads one frame into a fresh message, reusing only the payload
+// ReadFrameInto reads one frame and decodes it into m, reusing both the
+// reader's buffer and m's decode scratch. Suited to synchronous consumers
+// that are done with m before the next read.
+func (fr *FrameReader) ReadFrameInto(r io.Reader, m *xmlcmd.Message) error {
+	frame, err := fr.next(r)
+	if err != nil {
+		return err
+	}
+	return fr.dec.DecodeInto(frame[frameHeader:], m)
+}
+
+// ReadFrame reads one frame into a fresh message, reusing only the frame
 // buffer. The returned message is safe to retain and hand to other
-// goroutines.
+// goroutines. It serves the broker's registration frame and one-shot
+// readers; connection read loops decode into recycled envelopes instead.
 func (fr *FrameReader) ReadFrame(r io.Reader) (*xmlcmd.Message, error) {
 	m := new(xmlcmd.Message)
 	if err := fr.ReadFrameInto(r, m); err != nil {
@@ -156,10 +173,17 @@ type BrokerConfig struct {
 
 // TCPBroker is the mbus broker: it accepts client connections, each
 // opening with a register frame naming its bus address, and routes every
-// subsequent frame to the connection registered under the frame's To
-// address. Unroutable frames are dropped silently (fail-silent fabric);
-// frames to a stalled destination are bounded by that connection's send
-// queue, not by the sender.
+// subsequent frame to the connection registered under the To address of the
+// frame's start tag, forwarding the bytes it received. Unroutable frames
+// are dropped silently (fail-silent fabric); frames to a stalled
+// destination are bounded by that connection's send queue, not by the
+// sender.
+//
+// The broker never materialises a message. It enforces the framing
+// (MaxFrame, whole frames) and the <message …> start-tag grammar, and a
+// sender that breaks either loses its own connection; the body is the
+// destination's to decode and validate, once, and a body that fails there
+// is dropped and counted there without disturbing either connection.
 //
 // The registry is a sync.Map: routing is read-mostly (registrations are
 // rare, routed frames are the hot path), so concurrent senders resolve
@@ -247,9 +271,9 @@ func (b *TCPBroker) acceptLoop() {
 }
 
 // serve handles one client connection. The read side owns one FrameReader
-// and one Message for the connection's lifetime: route() hands the frame
-// to the destination's send queue, which copies it into the batch buffer
-// before returning, so the buffers are safe to reuse for the next frame.
+// for the connection's lifetime: route() copies the frame into the
+// destination's batch buffer before returning, so the reader's buffer is
+// safe to reuse for the next frame.
 func (b *TCPBroker) serve(conn net.Conn) {
 	defer b.wg.Done()
 	var fr FrameReader
@@ -285,12 +309,18 @@ func (b *TCPBroker) serve(conn net.Conn) {
 	b.mu.Unlock()
 
 	routed := b.routed.Shard(nextShard())
-	var m xmlcmd.Message
 	for {
-		if err := fr.ReadFrameInto(br, &m); err != nil {
+		frame, err := fr.next(br)
+		if err != nil {
 			break
 		}
-		b.route(&m, routed)
+		// A start tag that does not parse is this sender's fault and costs
+		// this sender's connection, exactly as a corrupt frame always has.
+		hdr, err := fr.dec.DecodeHeader(frame[frameHeader:])
+		if err != nil {
+			break
+		}
+		b.route(hdr.To, frame, routed)
 	}
 
 	if b.conns.CompareAndDelete(name, bc) {
@@ -300,12 +330,12 @@ func (b *TCPBroker) serve(conn net.Conn) {
 	_ = conn.Close()
 }
 
-// route forwards a frame to its destination's send queue, dropping it if
-// the destination has no live connection. No broker-wide lock is held:
-// concurrent senders to different destinations proceed independently, and
-// senders to one destination contend only on that queue's mutex.
-func (b *TCPBroker) route(m *xmlcmd.Message, routed *obs.CounterShard) {
-	v, ok := b.conns.Load(m.To)
+// route copies a received frame onto its destination's send queue, dropping
+// it if the destination has no live connection. No broker-wide lock is
+// held: concurrent senders to different destinations proceed independently,
+// and senders to one destination contend only on that queue's mutex.
+func (b *TCPBroker) route(to string, frame []byte, routed *obs.CounterShard) {
+	v, ok := b.conns.Load(to)
 	if !ok {
 		M.TCPRouteDrops.Inc()
 		return
@@ -313,7 +343,7 @@ func (b *TCPBroker) route(m *xmlcmd.Message, routed *obs.CounterShard) {
 	routed.Inc()
 	// Back-pressure drops are counted by the queue; write errors are
 	// surfaced by the destination's own read loop. Fail-silent either way.
-	_ = v.(*brokerConn).bw.Enqueue(m)
+	_ = v.(*brokerConn).bw.EnqueueFrame(frame)
 }
 
 // ClientNames lists currently registered clients (for tests/ops).
@@ -377,12 +407,19 @@ type TCPClient struct {
 
 	// fw writes the registration frame during connect (under mu).
 	fw FrameWriter
+
+	// free recycles inbound envelopes for consumers that hand them back.
+	free xmlcmd.FreeList
 }
 
 // DialBus connects and registers a client. onMsg is invoked from the read
-// goroutine for every inbound frame; the caller serialises. Each frame is
-// delivered as a fresh message (only the frame buffers are reused), so
-// handlers may retain it or hand it to another goroutine.
+// goroutine for every inbound frame that decodes and validates; the caller
+// serialises. Each message is the handler's from then on: it may be
+// retained or handed to another goroutine, and whoever finishes with it may
+// hand the envelope back through m.Owner.RecycleMessage(m) — once, and
+// keeping nothing of it afterwards — so the read loop decodes the next
+// frame into it (rt.Dispatcher.PostMessage does). A handler that never
+// hands back leaves its messages to the garbage collector.
 func DialBus(addr, name string, onMsg func(*xmlcmd.Message)) (*TCPClient, error) {
 	return DialBusConfig(addr, name, ClientConfig{}, onMsg)
 }
@@ -504,9 +541,11 @@ func (c *TCPClient) Disconnected() bool {
 }
 
 // readLoop receives frames and reconnects on failure until closed. It owns
-// a FrameReader whose buffers persist across reconnects; messages handed to
-// onMsg are fresh per frame because handlers (e.g. the supervisor's
-// dispatcher) hand them off asynchronously.
+// a FrameReader whose buffer and token cache persist across reconnects.
+// Only a framing or I/O error ends a connection: frames are length-prefixed,
+// so after a payload that fails to decode the stream is still in sync, and
+// dropping this client off the bus for another sender's bad frame would
+// cost a reconnect backoff longer than the failure detector's timeout.
 func (c *TCPClient) readLoop() {
 	defer c.wg.Done()
 	var fr FrameReader
@@ -525,14 +564,20 @@ func (c *TCPClient) readLoop() {
 		if conn != nil {
 			br.Reset(conn)
 			for {
-				m, err := fr.ReadFrame(br)
+				frame, err := fr.next(br)
 				if err != nil {
 					break
 				}
 				backoff = 100 * time.Millisecond
-				if c.onMsg != nil {
-					c.onMsg(m)
+				if c.onMsg == nil {
+					continue
 				}
+				m, err := c.free.Decode(&fr.dec, frame[frameHeader:])
+				if err != nil {
+					M.TCPDecodeDrops.Inc()
+					continue
+				}
+				c.onMsg(m)
 			}
 			_ = conn.Close()
 			c.mu.Lock()

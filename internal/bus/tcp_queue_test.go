@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"strings"
@@ -215,9 +216,13 @@ func BenchmarkBrokerRouteParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		routed := br.routed.Shard(nextShard())
-		m := xmlcmd.NewPing("fd", "sink", 0, 42)
+		var frame bytes.Buffer
+		if err := WriteFrame(&frame, xmlcmd.NewPing("fd", "sink", 0, 42)); err != nil {
+			b.Error(err)
+			return
+		}
 		for pb.Next() {
-			br.route(m, routed)
+			br.route("sink", frame.Bytes(), routed)
 		}
 	})
 	b.StopTimer()

@@ -44,10 +44,10 @@ type CoreMetrics struct {
 	RECCkptRestores obs.Counter
 
 	// Oracle v2 estimator plane.
-	OracleDecisions     *obs.CounterVec    // policy decisions by action kind
-	OracleOutcomes      *obs.CounterVec    // attempt outcomes: cured / persisted
-	OracleMTTFEst       *obs.Histogram     // observed failure inter-arrivals per site
-	OracleActionSeconds *obs.Histogram     // observed recovery-action durations
+	OracleDecisions     *obs.CounterVec     // policy decisions by action kind
+	OracleOutcomes      *obs.CounterVec     // attempt outcomes: cured / persisted
+	OracleMTTFEst       *obs.Histogram      // observed failure inter-arrivals per site
+	OracleActionSeconds *obs.Histogram      // observed recovery-action durations
 	OraclePredictedHarm *obs.ValueHistogram // predicted harm of the chosen action
 }
 

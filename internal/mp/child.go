@@ -164,6 +164,7 @@ func RunChild(cfg ChildConfig) error {
 	log := trace.NewLog()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mgr := proc.NewManager(clk, rng, log)
+	disp.DeliverTo(mgr.Deliver)
 
 	params := station.DefaultParams(time.Now())
 	factory, err := handlerFor(cfg.Component, cfg.Layout, params)
@@ -171,16 +172,13 @@ func RunChild(cfg ChildConfig) error {
 		return err
 	}
 
-	// Connect to the broker, retrying while it is still starting. The
-	// handler hands each message to the dispatcher goroutine, which is safe
-	// because DialBus delivers a fresh message per frame — only the
-	// connection's frame buffers are reused underneath.
+	// Connect to the broker, retrying while it is still starting. Inbound
+	// messages are the dispatcher's from the read loop's hand-off until the
+	// delivery returns, when their envelopes go back to the connection.
 	var client bus.Conn
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		client, err = bus.DialAuto(cfg.BusAddr, cfg.Component, func(m *xmlcmd.Message) {
-			disp.Post(func() { mgr.Deliver(m) })
-		})
+		client, err = bus.DialAuto(cfg.BusAddr, cfg.Component, disp.PostMessage)
 		if err == nil {
 			break
 		}

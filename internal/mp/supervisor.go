@@ -244,6 +244,7 @@ func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	clk := rt.Clock{D: disp, Scale: cfg.Scale}
 	log := trace.NewLog()
 	mgr := proc.NewManager(clk, rand.New(rand.NewSource(cfg.Seed)), log)
+	disp.DeliverTo(mgr.Deliver)
 
 	trees, err := core.MercuryTrees(station.MonolithicComponents(), station.SplitComponents())
 	if err != nil {
@@ -348,21 +349,16 @@ func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		}
 	})
 
-	// Parent-resident bus clients. Handlers post messages onto the
-	// dispatcher goroutine; DialBus guarantees a fresh message per frame
-	// (only the connection's frame buffers are reused), so the handoff
-	// never races with the read loop.
+	// Parent-resident bus clients. Inbound messages are the dispatcher's
+	// from the read loop's hand-off until the delivery returns, when their
+	// envelopes go back to the connection that decoded them.
 	addr := s.broker.Address()
-	s.fdClient, err = bus.DialAuto(addr, xmlcmd.AddrFD, func(m *xmlcmd.Message) {
-		disp.Post(func() { mgr.Deliver(m) })
-	})
+	s.fdClient, err = bus.DialAuto(addr, xmlcmd.AddrFD, disp.PostMessage)
 	if err != nil {
 		s.Stop()
 		return nil, err
 	}
-	s.mbusCli, err = bus.DialAuto(addr, station.MBus, func(m *xmlcmd.Message) {
-		disp.Post(func() { mgr.Deliver(m) })
-	})
+	s.mbusCli, err = bus.DialAuto(addr, station.MBus, disp.PostMessage)
 	if err != nil {
 		s.Stop()
 		return nil, err

@@ -29,45 +29,118 @@ import (
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
-// Dispatcher serialises all actor work onto one goroutine.
+// Dispatcher serialises all actor work onto one goroutine. Work arrives as
+// typed posts — a function, an inbound bus message, a fired clock event —
+// on one bounded queue the loop drains a batch at a time: it swaps the
+// whole queue out under the lock and runs it in arrival order, so a burst
+// of n posts costs the loop one lock round trip, not n, and a message or a
+// timer is posted without a closure.
 type Dispatcher struct {
-	posts chan func()
-	quit  chan struct{}
-	done  chan struct{}
-	once  sync.Once
+	mu       sync.Mutex
+	notEmpty *sync.Cond // the loop waits here for work
+	notFull  *sync.Cond // producers wait here for room
+	queue    []post
+	stopped  bool
+	deliver  func(*xmlcmd.Message) bool
+
+	quit chan struct{} // closed by Stop: releases Call
+	done chan struct{} // closed when the loop has exited
 }
+
+// post is one unit of dispatcher work; exactly one field is set.
+type post struct {
+	fn func()
+	m  *xmlcmd.Message
+	ev clock.Event
+}
+
+// queueCap bounds the posts waiting for the loop. Producers — bus read
+// loops, runtime timers — block when it is full, which is the
+// back-pressure that keeps a flooded node from buffering without bound.
+const queueCap = 1024
 
 // NewDispatcher starts the dispatch loop.
 func NewDispatcher() *Dispatcher {
 	d := &Dispatcher{
-		posts: make(chan func(), 1024),
+		queue: make([]post, 0, queueCap),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	d.notEmpty = sync.NewCond(&d.mu)
+	d.notFull = sync.NewCond(&d.mu)
 	go d.loop()
 	return d
 }
 
+// DeliverTo sets where PostMessage's messages go (a proc.Manager's
+// Deliver). Call it before the first bus client is dialled.
+func (d *Dispatcher) DeliverTo(deliver func(*xmlcmd.Message) bool) {
+	d.mu.Lock()
+	d.deliver = deliver
+	d.mu.Unlock()
+}
+
 func (d *Dispatcher) loop() {
 	defer close(d.done)
+	batch := make([]post, 0, queueCap)
+	d.mu.Lock()
 	for {
-		select {
-		case fn := <-d.posts:
-			fn()
-		case <-d.quit:
+		for len(d.queue) == 0 && !d.stopped {
+			d.notEmpty.Wait()
+		}
+		if d.stopped {
+			d.mu.Unlock()
 			return
 		}
+		batch, d.queue = d.queue, batch[:0]
+		deliver := d.deliver
+		d.notFull.Broadcast()
+		d.mu.Unlock()
+		for i := range batch {
+			p := &batch[i]
+			switch {
+			case p.m != nil:
+				deliver(p.m)
+				// The delivery is over and no handler keeps a message past
+				// its Receive: the envelope goes back to the connection
+				// that decoded it.
+				if p.m.Owner != nil {
+					p.m.Owner.RecycleMessage(p.m)
+				}
+			case p.ev != nil:
+				p.ev.Fire()
+			default:
+				p.fn()
+			}
+			*p = post{}
+		}
+		d.mu.Lock()
 	}
 }
 
-// Post enqueues fn on the dispatch goroutine. Posts after Stop are
-// silently dropped (late timers during shutdown).
-func (d *Dispatcher) Post(fn func()) {
-	select {
-	case d.posts <- fn:
-	case <-d.quit:
+// enqueue appends one post, waiting for room while the queue is full.
+// Posts after Stop are silently dropped (late timers during shutdown).
+func (d *Dispatcher) enqueue(p post) {
+	d.mu.Lock()
+	for len(d.queue) >= queueCap && !d.stopped {
+		d.notFull.Wait()
 	}
+	if !d.stopped {
+		d.queue = append(d.queue, p)
+		if len(d.queue) == 1 {
+			d.notEmpty.Signal()
+		}
+	}
+	d.mu.Unlock()
 }
+
+// Post enqueues fn on the dispatch goroutine.
+func (d *Dispatcher) Post(fn func()) { d.enqueue(post{fn: fn}) }
+
+// PostMessage enqueues the delivery of an inbound bus message, in order
+// with every other post, and hands the envelope back to its Owner once the
+// delivery returns. It is the onMsg of every bus client this runtime dials.
+func (d *Dispatcher) PostMessage(m *xmlcmd.Message) { d.enqueue(post{m: m}) }
 
 // Call runs fn on the dispatch goroutine and waits for it. After Stop it
 // returns immediately without running fn.
@@ -83,9 +156,17 @@ func (d *Dispatcher) Call(fn func()) {
 	}
 }
 
-// Stop terminates the dispatcher; queued posts may be dropped.
+// Stop terminates the dispatcher once the batch it is running is done and
+// releases blocked producers; posts still queued are dropped.
 func (d *Dispatcher) Stop() {
-	d.once.Do(func() { close(d.quit) })
+	d.mu.Lock()
+	if !d.stopped {
+		d.stopped = true
+		close(d.quit)
+		d.notEmpty.Broadcast()
+		d.notFull.Broadcast()
+	}
+	d.mu.Unlock()
 	<-d.done
 }
 
@@ -133,16 +214,16 @@ func (c Clock) AfterFunc(d time.Duration, fn func()) clock.Timer {
 	return rtTimer{t}
 }
 
-// Schedule emulates the kernel's fast path: ev.Fire is posted to the
-// dispatcher after d/Scale. Wall-clock runs don't need the allocation
-// guarantee, so a closure here is fine.
+// Schedule emulates the kernel's fast path: ev itself is posted to the
+// dispatcher after d/Scale, so a handler timer costs the runtime timer and
+// one closure.
 func (c Clock) Schedule(d time.Duration, ev clock.Event) {
 	s := c.Scale
 	if s <= 0 {
 		s = 1
 	}
 	time.AfterFunc(time.Duration(float64(d)/s), func() {
-		c.D.Post(ev.Fire)
+		c.D.enqueue(post{ev: ev})
 	})
 }
 
@@ -418,7 +499,11 @@ func (h *rtBrokerHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
 }
 
 // transport sends each component's traffic through its own TCP client,
-// except the FD↔REC dedicated link which is delivered in-process.
+// except the FD↔REC dedicated link which is delivered in-process. Either
+// way the fabric is done with the message when Send returns — the client
+// has encoded the frame into its send or reconnect queue, the inline
+// delivery has run — so a pooled mint goes straight back to the manager's
+// pool (which ignores messages it did not mint).
 type transport struct {
 	node *Node
 }
@@ -428,14 +513,12 @@ func (t transport) Send(m *xmlcmd.Message) {
 		(m.To == xmlcmd.AddrFD || m.To == xmlcmd.AddrREC) {
 		// Dedicated link: does not transit mbus.
 		t.node.Mgr.Deliver(m)
-		return
-	}
-	t.node.mu.Lock()
-	c := t.node.clients[m.From]
-	t.node.mu.Unlock()
-	if c != nil {
+	} else if c := t.node.clients[m.From]; c != nil {
+		// clients is complete before the first handler runs and never
+		// written again, so the dispatcher reads it without a lock.
 		c.Send(m)
 	}
+	t.node.Mgr.Pool().RecycleMessage(m)
 }
 
 // StartNode builds and boots a live station.
@@ -455,6 +538,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	log := trace.NewLog()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mgr := proc.NewManager(clk, rng, log)
+	disp.DeliverTo(mgr.Deliver)
 
 	node := &Node{
 		Disp:    disp,
@@ -553,10 +637,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	for _, name := range append(append([]string(nil), comps...), xmlcmd.AddrFD) {
-		name := name
-		client, err := bus.DialAuto(node.broker.Address(), name, func(m *xmlcmd.Message) {
-			disp.Post(func() { node.Mgr.Deliver(m) })
-		})
+		client, err := bus.DialAuto(node.broker.Address(), name, disp.PostMessage)
 		if err != nil {
 			return nil, err
 		}
@@ -697,8 +778,6 @@ func (n *Node) Stop() {
 		return
 	}
 	n.stopped = true
-	clients := n.clients
-	n.clients = map[string]bus.Conn{}
 	n.mu.Unlock()
 	// Stop the dispatcher first so no handler can reopen the broker or
 	// touch clients while they are torn down.
@@ -706,7 +785,7 @@ func (n *Node) Stop() {
 	if n.Ckpt != nil {
 		n.Ckpt.Close()
 	}
-	for _, c := range clients {
+	for _, c := range n.clients {
 		c.Close()
 	}
 	n.broker.CloseBroker()

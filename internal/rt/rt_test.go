@@ -2,12 +2,15 @@ package rt
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
 // The real-time tests run the whole station at 100× compression: a
@@ -29,7 +32,11 @@ func startNode(t *testing.T, tree string) *Node {
 	return node
 }
 
-func TestLiveNodeBoots(t *testing.T) {
+func TestLiveNodeBoots(t *testing.T) { liveNodeBoots(t, false) }
+
+// liveNodeBoots boots a tree-IV node; with traffic it also runs a few
+// hundred acknowledged commands through it.
+func liveNodeBoots(t *testing.T, traffic bool) {
 	node := startNode(t, "IV")
 	if !node.AllServing() {
 		t.Fatal("node booted but components not serving")
@@ -37,6 +44,22 @@ func TestLiveNodeBoots(t *testing.T) {
 	if node.BusAddr() == "" {
 		t.Fatal("no bus address")
 	}
+	if traffic {
+		dialGate(t, node).roundTrips(t, 300, 8)
+	}
+}
+
+// TestLiveNodeRecycledEnvelopesPoisoned reruns the boot and the sharded-bus
+// scenarios with every recycled envelope overwritten the moment it is
+// handed back — inbound ones when Deliver returns, pooled mints when Send
+// returns — while commands and acks are in flight. A handler (or a
+// transport) that kept a live-path envelope past its delivery reads
+// sentinels: it acks to nowhere or forwards garbage, and the gate's
+// commands stop being acknowledged.
+func TestLiveNodeRecycledEnvelopesPoisoned(t *testing.T) {
+	defer xmlcmd.PoisonRecycledForTest()()
+	t.Run("boots", func(t *testing.T) { liveNodeBoots(t, true) })
+	t.Run("sharded", func(t *testing.T) { liveNodeShardedBus(t, true) })
 }
 
 func TestLiveRecoveryFromKill(t *testing.T) {
@@ -112,6 +135,80 @@ func TestDispatcherCallAndStop(t *testing.T) {
 	}
 	d.Stop()
 	d.Stop() // idempotent
+	d.Call(func() { n = 7 })
+	d.Post(func() { n = 7 })
+	d.PostMessage(xmlcmd.NewPing("a", "b", 1, 1))
+	if n != 42 {
+		t.Fatal("post ran after Stop")
+	}
+}
+
+type seqEvent struct {
+	seq uint64
+	got *[]uint64
+}
+
+func (e seqEvent) Fire() { *e.got = append(*e.got, e.seq) }
+
+// TestDispatcherOrder: functions, messages and clock events share one
+// queue and run in the order they were posted, across batch boundaries and
+// a full queue.
+func TestDispatcherOrder(t *testing.T) {
+	d := NewDispatcher()
+	defer d.Stop()
+	var got []uint64
+	d.DeliverTo(func(m *xmlcmd.Message) bool { got = append(got, m.Seq); return true })
+	const n = 5 * queueCap
+	for i := uint64(0); i < n; i++ {
+		switch i % 3 {
+		case 0:
+			i := i
+			d.Post(func() { got = append(got, i) })
+		case 1:
+			d.PostMessage(xmlcmd.NewPing("a", "b", i, 0))
+		default:
+			d.enqueue(post{ev: seqEvent{i, &got}})
+		}
+	}
+	d.Call(func() {})
+	if len(got) != n {
+		t.Fatalf("ran %d posts, want %d", len(got), n)
+	}
+	for i, seq := range got {
+		if seq != uint64(i) {
+			t.Fatalf("post %d ran in position %d", seq, i)
+		}
+	}
+}
+
+// TestDispatcherStopReleasesProducers: producers blocked on a full queue
+// return when the dispatcher stops, and their posts are dropped.
+func TestDispatcherStopReleasesProducers(t *testing.T) {
+	d := NewDispatcher()
+	d.DeliverTo(func(*xmlcmd.Message) bool { return true })
+	entered, release := make(chan struct{}), make(chan struct{})
+	d.Post(func() { close(entered); <-release })
+	<-entered // the loop is busy: nothing drains from here on
+	var ran atomic.Int64
+	var producers sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		producers.Add(1)
+		go func() {
+			defer producers.Done()
+			for i := 0; i < queueCap; i++ {
+				d.Post(func() { ran.Add(1) })
+				d.PostMessage(xmlcmd.NewPing("a", "b", 1, 1))
+			}
+		}()
+	}
+	stopped := make(chan struct{})
+	go func() { d.Stop(); close(stopped) }()
+	producers.Wait() // 8×queueCap posts cannot fit: only Stop lets them return
+	close(release)
+	<-stopped
+	if ran.Load() != 0 {
+		t.Fatalf("%d posts ran after Stop", ran.Load())
+	}
 }
 
 func TestClockScaling(t *testing.T) {
@@ -135,7 +232,9 @@ func TestClockScaling(t *testing.T) {
 // kills one broker shard mid-run, and verifies the station rides out the
 // partial-bus outage: the dead shard's traffic parks and recovers once
 // the shard restarts, and component recovery still works end to end.
-func TestLiveNodeShardedBus(t *testing.T) {
+func TestLiveNodeShardedBus(t *testing.T) { liveNodeShardedBus(t, false) }
+
+func liveNodeShardedBus(t *testing.T, traffic bool) {
 	node, err := StartNode(NodeConfig{
 		ListenAddr: "127.0.0.1:0",
 		Scale:      testScale,
@@ -161,8 +260,16 @@ func TestLiveNodeShardedBus(t *testing.T) {
 	if node.broker.NumShards() != 2 {
 		t.Fatal("no two-shard fabric")
 	}
+	var g *testGate
+	if traffic {
+		g = dialGate(t, node)
+		g.roundTrips(t, 300, 8)
+	}
 	if err := node.broker.KillShard(0); err != nil {
 		t.Fatal(err)
+	}
+	if traffic {
+		_ = g.run(100, 8, 20*time.Millisecond) // commands in flight into the dead shard; most are lost
 	}
 	time.Sleep(100 * time.Millisecond)
 	if err := node.broker.RestartShard(0); err != nil {
@@ -170,6 +277,9 @@ func TestLiveNodeShardedBus(t *testing.T) {
 	}
 	if err := node.WaitRecovered(30 * time.Second); err != nil {
 		t.Fatalf("station did not settle after shard kill/restart: %v", err)
+	}
+	if traffic {
+		g.settles(t, 300, 8)
 	}
 
 	// End-to-end recovery still works over the healed fabric.

@@ -12,8 +12,10 @@ package xmlcmd
 //     format is unchanged on the wire.
 //   - DecodeInto parses the known envelope/attribute grammar directly —
 //     no reflection, no xml.Decoder — reusing the destination message's
-//     body structs and interning the well-known bus addresses, so a
-//     ping/pong decode allocates nothing in steady state.
+//     body structs and, through a connection's Decoder, the strings every
+//     frame repeats, so a steady-state decode allocates only parameter
+//     values. DecodeHeader is the same parser stopped after the start
+//     tag: what the broker routes on.
 //
 // The decoder is deliberately *stricter* than encoding/xml: everything it
 // accepts, encoding/xml accepts with an identical result (the property
@@ -215,36 +217,34 @@ type decodeScratch struct {
 	health    Health
 }
 
-// DecodeInto parses and validates a message from its XML wire form into m,
-// reusing m's internal scratch bodies and parameter slices. The decoded
-// message (including its body pointer) is only valid until the next
-// DecodeInto on the same m — callers that hand messages to another
-// goroutine must decode into a fresh Message (Decode does). Steady state
-// performs zero allocations for frames whose strings are all interned
-// well-known tokens (every ping/pong is).
-func DecodeInto(b []byte, m *Message) error {
-	if len(b) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	if m.scratch == nil {
-		m.scratch = new(decodeScratch)
-	}
-	m.XMLName = xml.Name{Local: "message"}
-	m.From, m.To, m.Seq = "", "", 0
-	m.Owner = nil
-	m.Ping, m.Pong, m.Command, m.Ack = nil, nil, nil, nil
-	m.Telemetry, m.Event, m.Sync, m.SyncAck, m.Health = nil, nil, nil, nil, nil
-	d := decoder{b: b, m: m}
-	if err := d.parse(); err != nil {
-		return fmt.Errorf("xmlcmd: unmarshal: %w", err)
-	}
-	return m.Validate()
+// Decoder is one connection's decode state: a small cache of the short
+// tokens a peer repeats in every frame — bus addresses, command and event
+// names, parameter and telemetry keys — so a warm decode copies only
+// parameter values, error strings and details. It belongs to whoever reads
+// the connection (bus.FrameReader holds one) rather than to the message: a
+// cache per envelope would multiply it by every pooled envelope. A nil
+// *Decoder is valid and resolves only the static well-known tokens. Not
+// safe for concurrent use.
+type Decoder struct {
+	// Indexed by token hash, two ways per set, most recent first: a
+	// station's vocabulary is a few dozen tokens, and direct mapping alone
+	// would let two that collide ("gate" and "mode" do) evict each other on
+	// every frame.
+	tokens [tokenSets][2]string
 }
 
+const (
+	// tokenSets is comfortably above a station's vocabulary (nine
+	// addresses, a dozen command names and keys); a collision only costs
+	// the copy the cache would have saved.
+	tokenSets = 64
+	// maxTokenLen keeps long one-off strings from evicting the vocabulary.
+	maxTokenLen = 32
+)
+
 // internedStrings maps the wire bytes of well-known tokens — bus addresses
-// and the control-command vocabulary — to shared string constants, so
-// decoding them allocates nothing. Lookup with a []byte key compiles to a
-// no-copy map access.
+// and the control-command vocabulary — to shared string constants. Lookup
+// with a []byte key compiles to a no-copy map access.
 var internedStrings = map[string]string{
 	AddrMBus:     AddrMBus,
 	AddrFedrcom:  AddrFedrcom,
@@ -262,26 +262,121 @@ var internedStrings = map[string]string{
 	"sys-hang":   "sys-hang",
 }
 
-// intern returns a shared string for well-known wire tokens, copying only
-// unknown ones.
-func intern(b []byte) string {
+// staticToken returns the shared constant for a well-known token, else a
+// fresh copy.
+func staticToken(b []byte) string {
 	if s, ok := internedStrings[string(b)]; ok {
 		return s
 	}
 	return string(b)
 }
 
-// decoder is a pull parser over one frame.
-type decoder struct {
+// token returns the string for a repeated wire token: the cached copy when
+// the connection has seen it, else the static constant or a fresh copy,
+// which then goes to the front of its set.
+func (dc *Decoder) token(b []byte) string {
+	if dc == nil || len(b) > maxTokenLen {
+		return staticToken(b)
+	}
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	set := &dc.tokens[h%tokenSets]
+	if set[0] == string(b) {
+		return set[0]
+	}
+	if set[1] == string(b) {
+		return set[1]
+	}
+	set[0], set[1] = staticToken(b), set[0]
+	return set[0]
+}
+
+// DecodeInto parses and validates a message from its XML wire form into m,
+// reusing m's internal scratch bodies and parameter slices. The decoded
+// message (including its body pointer) is only valid until the next
+// DecodeInto on the same m — callers that hand messages to another
+// goroutine must decode into a fresh Message (Decode does) or a recycled
+// envelope (FreeList.Decode). Steady state allocates only the strings that
+// are not repeated tokens: nothing for ping, pong, ack-without-error and
+// telemetry, one per parameter value for a command.
+func (dc *Decoder) DecodeInto(b []byte, m *Message) error {
+	if len(b) > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	if m.scratch == nil {
+		m.scratch = new(decodeScratch)
+	}
+	m.XMLName = xml.Name{Local: "message"}
+	m.From, m.To, m.Seq = "", "", 0
+	m.Owner = nil
+	m.Ping, m.Pong, m.Command, m.Ack = nil, nil, nil, nil
+	m.Telemetry, m.Event, m.Sync, m.SyncAck, m.Health = nil, nil, nil, nil, nil
+	var d parser
+	d.b, d.m, d.dec = b, m, dc
+	if err := d.parse(); err != nil {
+		return fmt.Errorf("xmlcmd: unmarshal: %w", err)
+	}
+	return m.Validate()
+}
+
+// DecodeInto is Decoder.DecodeInto without a token cache.
+func DecodeInto(b []byte, m *Message) error {
+	return (*Decoder)(nil).DecodeInto(b, m)
+}
+
+// Header is the routing part of an envelope: the attributes of its
+// <message> start tag.
+type Header struct {
+	From, To string
+	Seq      uint64
+}
+
+// DecodeHeader parses a frame's <message …> start tag and stops at its '>':
+// what a broker needs to route the frame without materialising it. It runs
+// the same start-tag code as DecodeInto — same names, quoting, entities and
+// character rules — and rejects what DecodeInto rejects there (malformed
+// syntax, xmlns, an empty from or to, a frame over MaxFrame), so every
+// frame DecodeInto accepts has a header, with the same three values. The
+// body is not looked at; the endpoint's DecodeInto is what validates it.
+func (dc *Decoder) DecodeHeader(b []byte) (Header, error) {
+	if len(b) > MaxFrame {
+		return Header{}, ErrFrameTooLarge
+	}
+	var d parser
+	d.b, d.dec = b, dc
+	if err := d.startTag(); err != nil {
+		return Header{}, fmt.Errorf("xmlcmd: unmarshal: %w", err)
+	}
+	switch {
+	case d.hdr.From == "":
+		return Header{}, ErrMissingFrom
+	case d.hdr.To == "":
+		return Header{}, ErrMissingTo
+	}
+	return d.hdr, nil
+}
+
+// parser is a pull parser over one frame.
+type parser struct {
 	b   []byte
 	i   int
 	m   *Message
+	dec *Decoder
+	hdr Header
 	tmp []byte // entity/CR expansion buffer; allocated only when needed
+
+	// The attribute nextAttr last read, how its start tag ended, and the
+	// first error of the attribute loop (sticky, bufio.Scanner style).
+	name, val []byte
+	selfClose bool
+	err       error
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
-func (d *decoder) skipSpace() {
+func (d *parser) skipSpace() {
 	for d.i < len(d.b) && isSpace(d.b[d.i]) {
 		d.i++
 	}
@@ -292,30 +387,44 @@ func (d *decoder) skipSpace() {
 // everything the encoder emits. Colons are rejected, so namespaced input
 // never parses (keeping decoded messages identical to encoding/xml's,
 // which would otherwise record a namespace).
-func (d *decoder) readName() ([]byte, error) {
+func (d *parser) readName() ([]byte, error) {
 	start := d.i
 	if d.i >= len(d.b) {
 		return nil, errBadSyntax
 	}
-	c := d.b[d.i]
-	if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_') {
+	if nameByte[d.b[d.i]] != nameStart {
 		return nil, errBadName
 	}
 	d.i++
-	for d.i < len(d.b) {
-		c = d.b[d.i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-			c >= '0' && c <= '9' || c == '_' || c == '-' || c == '.' {
-			d.i++
-			continue
-		}
-		break
+	for d.i < len(d.b) && nameByte[d.b[d.i]] != 0 {
+		d.i++
 	}
 	return d.b[start:d.i], nil
 }
 
-// parse reads the whole envelope: <message ...> body </message>.
-func (d *decoder) parse() error {
+// nameByte classifies a byte of an element or attribute name: nameStart
+// for letters and '_', nameRest for what may only follow (digits, '-',
+// '.'), zero for everything else.
+var nameByte = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = nameStart, nameStart
+	}
+	t['_'] = nameStart
+	for c := '0'; c <= '9'; c++ {
+		t[c] = nameRest
+	}
+	t['-'], t['.'] = nameRest, nameRest
+	return t
+}()
+
+const (
+	nameStart = 1
+	nameRest  = 2
+)
+
+// startTag reads `<message …>` up to and including the end of the tag into
+// d.hdr, leaving d.selfClose set.
+func (d *parser) startTag() error {
 	d.skipSpace()
 	if d.i >= len(d.b) || d.b[d.i] != '<' {
 		return errBadSyntax
@@ -328,11 +437,26 @@ func (d *decoder) parse() error {
 	if string(name) != "message" {
 		return errUnknownElem
 	}
-	selfClose, err := d.parseAttrs(d.messageAttr)
-	if err != nil {
+	for d.nextAttr() {
+		switch string(d.name) {
+		case "from":
+			d.hdr.From = d.dec.token(d.val)
+		case "to":
+			d.hdr.To = d.dec.token(d.val)
+		case "seq":
+			d.uint(&d.hdr.Seq)
+		}
+	}
+	return d.err
+}
+
+// parse reads the whole envelope: <message ...> body </message>.
+func (d *parser) parse() error {
+	if err := d.startTag(); err != nil {
 		return err
 	}
-	if !selfClose {
+	d.m.From, d.m.To, d.m.Seq = d.hdr.From, d.hdr.To, d.hdr.Seq
+	if !d.selfClose {
 		if err := d.parseBodies(); err != nil {
 			return err
 		}
@@ -344,24 +468,8 @@ func (d *decoder) parse() error {
 	return nil
 }
 
-func (d *decoder) messageAttr(name, val []byte) error {
-	switch string(name) {
-	case "from":
-		d.m.From = intern(val)
-	case "to":
-		d.m.To = intern(val)
-	case "seq":
-		n, ok := parseUint(val)
-		if !ok {
-			return errBadAttr
-		}
-		d.m.Seq = n
-	}
-	return nil
-}
-
 // parseBodies reads child elements until </message>.
-func (d *decoder) parseBodies() error {
+func (d *parser) parseBodies() error {
 	for {
 		d.skipSpace()
 		if d.i >= len(d.b) || d.b[d.i] != '<' {
@@ -406,7 +514,7 @@ func (d *decoder) parseBodies() error {
 
 // closeTag consumes the remainder of an already-opened end tag: the name
 // (which must match want) and the closing '>'.
-func (d *decoder) closeTag(want string) error {
+func (d *parser) closeTag(want string) error {
 	name, err := d.readName()
 	if err != nil {
 		return err
@@ -423,7 +531,7 @@ func (d *decoder) closeTag(want string) error {
 }
 
 // closeSimple consumes whitespace and the end tag of a childless element.
-func (d *decoder) closeSimple(want string) error {
+func (d *parser) closeSimple(want string) error {
 	d.skipSpace()
 	if d.i+1 >= len(d.b) || d.b[d.i] != '<' || d.b[d.i+1] != '/' {
 		return errBadSyntax
@@ -432,57 +540,129 @@ func (d *decoder) closeSimple(want string) error {
 	return d.closeTag(want)
 }
 
-// parseAttrs reads the attribute list of the element whose name has just
-// been consumed, invoking set for each known attribute (unknown ones are
-// parsed and validated, then dropped, as encoding/xml drops them). It
-// reports whether the element was self-closing.
-func (d *decoder) parseAttrs(set func(name, val []byte) error) (selfClose bool, err error) {
-	for {
-		d.skipSpace()
-		if d.i >= len(d.b) {
-			return false, errBadSyntax
-		}
-		switch d.b[d.i] {
-		case '>':
-			d.i++
-			return false, nil
-		case '/':
-			d.i++
-			if d.i >= len(d.b) || d.b[d.i] != '>' {
-				return false, errBadSyntax
-			}
-			d.i++
-			return true, nil
-		}
-		name, err := d.readName()
-		if err != nil {
-			return false, err
-		}
-		if string(name) == "xmlns" {
-			return false, errNamespaced
-		}
-		d.skipSpace()
-		if d.i >= len(d.b) || d.b[d.i] != '=' {
-			return false, errBadSyntax
+// endSimple finishes a childless element after its attribute loop: the
+// loop's error if it had one, else the end tag unless the start tag was
+// self-closing.
+func (d *parser) endSimple(want string) error {
+	if d.err != nil || d.selfClose {
+		return d.err
+	}
+	return d.closeSimple(want)
+}
+
+// nextAttr reads the next attribute of the element whose name has just
+// been consumed into d.name and d.val, and reports whether there was one.
+// It returns false at the end of the start tag, with d.selfClose saying how
+// it ended, and on the first error, which it leaves in d.err; callers
+// switch on the names they know and skip the rest (parsed and validated,
+// then dropped, as encoding/xml drops them).
+func (d *parser) nextAttr() bool {
+	if d.err != nil {
+		return false
+	}
+	d.skipSpace()
+	if d.i >= len(d.b) {
+		d.err = errBadSyntax
+		return false
+	}
+	switch d.b[d.i] {
+	case '>':
+		d.i++
+		d.selfClose = false
+		return false
+	case '/':
+		d.i++
+		if d.i >= len(d.b) || d.b[d.i] != '>' {
+			d.err = errBadSyntax
+			return false
 		}
 		d.i++
-		d.skipSpace()
-		val, err := d.attrValue()
-		if err != nil {
-			return false, err
-		}
-		if err := set(name, val); err != nil {
-			return false, err
-		}
+		d.selfClose = true
+		return false
+	}
+	if d.name, d.err = d.readName(); d.err != nil {
+		return false
+	}
+	if string(d.name) == "xmlns" {
+		d.err = errNamespaced
+		return false
+	}
+	d.skipSpace()
+	if d.i >= len(d.b) || d.b[d.i] != '=' {
+		d.err = errBadSyntax
+		return false
+	}
+	d.i++
+	d.skipSpace()
+	d.val, d.err = d.attrValue()
+	return d.err == nil
+}
+
+// Typed setters for the attribute nextAttr last read; a value that does
+// not parse ends the attribute loop with errBadAttr.
+
+func (d *parser) uint(dst *uint64) {
+	n, ok := parseUint(d.val)
+	if !ok {
+		d.err = errBadAttr
+		return
+	}
+	*dst = n
+}
+
+func (d *parser) int64(dst *int64) {
+	n, ok := parseInt(d.val)
+	if !ok {
+		d.err = errBadAttr
+		return
+	}
+	*dst = n
+}
+
+func (d *parser) int(dst *int) {
+	var n int64
+	if d.int64(&n); d.err == nil {
+		*dst = int(n)
 	}
 }
+
+func (d *parser) bool(dst *bool) {
+	b, ok := parseBool(d.val)
+	if !ok {
+		d.err = errBadAttr
+		return
+	}
+	*dst = b
+}
+
+func (d *parser) float(dst *float64) {
+	f, err := strconv.ParseFloat(string(d.val), 64)
+	if err != nil {
+		d.err = errBadAttr
+		return
+	}
+	*dst = f
+}
+
+// plainAttrByte marks the bytes that stand for themselves in an attribute
+// value whichever quote delimits it — printable ASCII, tab and newline, less
+// the quotes, '&' and '<' — so the scan spends one table load on nearly
+// every byte of real traffic and the full switch on the rest.
+var plainAttrByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = true
+	}
+	t['\t'], t['\n'] = true, true
+	t['"'], t['\''], t['&'], t['<'] = false, false, false, false
+	return t
+}()
 
 // attrValue reads a quoted attribute value, expanding entity references
 // and normalising \r / \r\n to \n exactly as encoding/xml does, and
 // enforcing the XML character range on the result. The returned slice
 // aliases either the input (fast path) or d.tmp, and is valid until the
 // next attrValue call.
-func (d *decoder) attrValue() ([]byte, error) {
+func (d *parser) attrValue() ([]byte, error) {
 	if d.i >= len(d.b) {
 		return nil, errBadSyntax
 	}
@@ -496,6 +676,10 @@ func (d *decoder) attrValue() ([]byte, error) {
 	// at the first entity reference or carriage return.
 	for d.i < len(d.b) {
 		c := d.b[d.i]
+		if plainAttrByte[c] {
+			d.i++
+			continue
+		}
 		switch {
 		case c == quote:
 			v := d.b[start:d.i]
@@ -527,7 +711,7 @@ func (d *decoder) attrValue() ([]byte, error) {
 
 // attrValueSlow finishes an attribute value that needs rewriting, copying
 // into d.tmp.
-func (d *decoder) attrValueSlow(start int, quote byte) ([]byte, error) {
+func (d *parser) attrValueSlow(start int, quote byte) ([]byte, error) {
 	d.tmp = append(d.tmp[:0], d.b[start:d.i]...)
 	for d.i < len(d.b) {
 		c := d.b[d.i]
@@ -573,7 +757,7 @@ func (d *decoder) attrValueSlow(start int, quote byte) ([]byte, error) {
 // names plus decimal and (lowercase-x) hexadecimal character references.
 // The resulting rune must be in the XML character range — a strict subset
 // of encoding/xml, which launders out-of-range references through U+FFFD.
-func (d *decoder) entity() (rune, error) {
+func (d *parser) entity() (rune, error) {
 	d.i++ // consume '&'
 	if d.i < len(d.b) && d.b[d.i] == '#' {
 		d.i++
@@ -646,122 +830,93 @@ func (d *decoder) entity() (rune, error) {
 // repeated element into the same (already-populated) struct, so later
 // occurrences merge — attributes they omit keep the earlier values, and
 // param lists append (FuzzCodecDiff holds the codec to exactly that).
+// Names and keys come from the connection's token cache; values, error
+// strings and details are one-off and are copied.
 
-func (d *decoder) ping() error {
+func (d *parser) ping() error {
 	p := &d.m.scratch.ping
 	if d.m.Ping == nil {
 		*p = Ping{}
 	}
-	selfClose, err := d.parseAttrs(func(name, val []byte) error {
-		if string(name) == "nonce" {
-			n, ok := parseUint(val)
-			if !ok {
-				return errBadAttr
-			}
-			p.Nonce = n
+	for d.nextAttr() {
+		if string(d.name) == "nonce" {
+			d.uint(&p.Nonce)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !selfClose {
-		if err := d.closeSimple("ping"); err != nil {
-			return err
-		}
+	if err := d.endSimple("ping"); err != nil {
+		return err
 	}
 	d.m.Ping = p
 	return nil
 }
 
-func (d *decoder) pong() error {
+func (d *parser) pong() error {
 	p := &d.m.scratch.pong
 	if d.m.Pong == nil {
 		*p = Pong{}
 	}
-	selfClose, err := d.parseAttrs(func(name, val []byte) error {
-		switch string(name) {
+	for d.nextAttr() {
+		switch string(d.name) {
 		case "nonce":
-			n, ok := parseUint(val)
-			if !ok {
-				return errBadAttr
-			}
-			p.Nonce = n
+			d.uint(&p.Nonce)
 		case "incarnation":
-			n, ok := parseInt(val)
-			if !ok {
-				return errBadAttr
-			}
-			p.Incarnation = int(n)
+			d.int(&p.Incarnation)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !selfClose {
-		if err := d.closeSimple("pong"); err != nil {
-			return err
-		}
+	if err := d.endSimple("pong"); err != nil {
+		return err
 	}
 	d.m.Pong = p
 	return nil
 }
 
-func (d *decoder) command() error {
+func (d *parser) command() error {
 	c := &d.m.scratch.command
 	if d.m.Command == nil {
 		c.Name = ""
 		c.Params = c.Params[:0]
 	}
-	selfClose, err := d.parseAttrs(func(name, val []byte) error {
-		if string(name) == "name" {
-			c.Name = intern(val)
+	for d.nextAttr() {
+		if string(d.name) == "name" {
+			c.Name = d.dec.token(d.val)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !selfClose {
-		if err := d.params(&c.Params, "command"); err != nil {
-			return err
-		}
+	if err := d.params(&c.Params, "command"); err != nil {
+		return err
 	}
 	d.m.Command = c
 	return nil
 }
 
-func (d *decoder) event() error {
+func (d *parser) event() error {
 	e := &d.m.scratch.event
 	if d.m.Event == nil {
 		e.Name = ""
 		e.Detail = ""
 		e.Params = e.Params[:0]
 	}
-	selfClose, err := d.parseAttrs(func(name, val []byte) error {
-		switch string(name) {
+	for d.nextAttr() {
+		switch string(d.name) {
 		case "name":
-			e.Name = intern(val)
+			e.Name = d.dec.token(d.val)
 		case "detail":
-			e.Detail = intern(val)
+			e.Detail = string(d.val)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !selfClose {
-		if err := d.params(&e.Params, "event"); err != nil {
-			return err
-		}
+	if err := d.params(&e.Params, "event"); err != nil {
+		return err
 	}
 	d.m.Event = e
 	return nil
 }
 
-// params reads <param .../> children until the parent's end tag.
-func (d *decoder) params(dst *[]Param, parent string) error {
+// params finishes an element that carries <param .../> children: nothing
+// more if its start tag was self-closing, else children until the parent's
+// end tag. Each child is filled in place at the end of dst.
+func (d *parser) params(dst *[]Param, parent string) error {
+	if d.err != nil || d.selfClose {
+		return d.err
+	}
 	for {
 		d.skipSpace()
 		if d.i >= len(d.b) || d.b[d.i] != '<' {
@@ -779,207 +934,123 @@ func (d *decoder) params(dst *[]Param, parent string) error {
 		if string(name) != "param" {
 			return errUnknownElem
 		}
-		var p Param
-		selfClose, err := d.parseAttrs(func(name, val []byte) error {
-			switch string(name) {
+		*dst = append(*dst, Param{})
+		p := &(*dst)[len(*dst)-1]
+		for d.nextAttr() {
+			switch string(d.name) {
 			case "key":
-				p.Key = intern(val)
+				p.Key = d.dec.token(d.val)
 			case "value":
-				p.Value = intern(val)
+				p.Value = string(d.val)
 			}
-			return nil
-		})
-		if err != nil {
+		}
+		if err := d.endSimple("param"); err != nil {
 			return err
 		}
-		if !selfClose {
-			if err := d.closeSimple("param"); err != nil {
-				return err
-			}
-		}
-		*dst = append(*dst, p)
 	}
 }
 
-func (d *decoder) ack() error {
+func (d *parser) ack() error {
 	a := &d.m.scratch.ack
 	if d.m.Ack == nil {
 		*a = Ack{}
 	}
-	selfClose, err := d.parseAttrs(func(name, val []byte) error {
-		switch string(name) {
+	for d.nextAttr() {
+		switch string(d.name) {
 		case "of":
-			n, ok := parseUint(val)
-			if !ok {
-				return errBadAttr
-			}
-			a.OfSeq = n
+			d.uint(&a.OfSeq)
 		case "ok":
-			b, ok := parseBool(val)
-			if !ok {
-				return errBadAttr
-			}
-			a.OK = b
+			d.bool(&a.OK)
 		case "error":
-			a.Error = intern(val)
+			a.Error = string(d.val)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !selfClose {
-		if err := d.closeSimple("ack"); err != nil {
-			return err
-		}
+	if err := d.endSimple("ack"); err != nil {
+		return err
 	}
 	d.m.Ack = a
 	return nil
 }
 
-func (d *decoder) telemetry() error {
+func (d *parser) telemetry() error {
 	t := &d.m.scratch.telemetry
 	if d.m.Telemetry == nil {
 		*t = Telemetry{}
 	}
-	selfClose, err := d.parseAttrs(func(name, val []byte) error {
-		switch string(name) {
+	for d.nextAttr() {
+		switch string(d.name) {
 		case "key":
-			t.Key = intern(val)
+			t.Key = d.dec.token(d.val)
 		case "value":
-			f, err := strconv.ParseFloat(string(val), 64)
-			if err != nil {
-				return errBadAttr
-			}
-			t.Value = f
+			d.float(&t.Value)
 		case "atUnixMilli":
-			n, ok := parseInt(val)
-			if !ok {
-				return errBadAttr
-			}
-			t.AtUnixMilli = n
+			d.int64(&t.AtUnixMilli)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !selfClose {
-		if err := d.closeSimple("telemetry"); err != nil {
-			return err
-		}
+	if err := d.endSimple("telemetry"); err != nil {
+		return err
 	}
 	d.m.Telemetry = t
 	return nil
 }
 
-func (d *decoder) sync() error {
+func (d *parser) sync() error {
 	s := &d.m.scratch.sync
 	if d.m.Sync == nil {
 		*s = Sync{}
 	}
-	selfClose, err := d.parseAttrs(func(name, val []byte) error {
-		if string(name) == "epoch" {
-			n, ok := parseInt(val)
-			if !ok {
-				return errBadAttr
-			}
-			s.Epoch = n
+	for d.nextAttr() {
+		if string(d.name) == "epoch" {
+			d.int64(&s.Epoch)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !selfClose {
-		if err := d.closeSimple("sync"); err != nil {
-			return err
-		}
+	if err := d.endSimple("sync"); err != nil {
+		return err
 	}
 	d.m.Sync = s
 	return nil
 }
 
-func (d *decoder) syncAck() error {
+func (d *parser) syncAck() error {
 	s := &d.m.scratch.syncAck
 	if d.m.SyncAck == nil {
 		*s = SyncAck{}
 	}
-	selfClose, err := d.parseAttrs(func(name, val []byte) error {
-		if string(name) == "epoch" {
-			n, ok := parseInt(val)
-			if !ok {
-				return errBadAttr
-			}
-			s.Epoch = n
+	for d.nextAttr() {
+		if string(d.name) == "epoch" {
+			d.int64(&s.Epoch)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !selfClose {
-		if err := d.closeSimple("syncack"); err != nil {
-			return err
-		}
+	if err := d.endSimple("syncack"); err != nil {
+		return err
 	}
 	d.m.SyncAck = s
 	return nil
 }
 
-func (d *decoder) health() error {
+func (d *parser) health() error {
 	h := &d.m.scratch.health
 	if d.m.Health == nil {
 		*h = Health{}
 	}
-	selfClose, err := d.parseAttrs(func(name, val []byte) error {
-		switch string(name) {
+	for d.nextAttr() {
+		switch string(d.name) {
 		case "incarnation":
-			n, ok := parseInt(val)
-			if !ok {
-				return errBadAttr
-			}
-			h.Incarnation = int(n)
+			d.int(&h.Incarnation)
 		case "uptimeMs":
-			n, ok := parseInt(val)
-			if !ok {
-				return errBadAttr
-			}
-			h.UptimeMs = n
+			d.int64(&h.UptimeMs)
 		case "queueDepth":
-			n, ok := parseInt(val)
-			if !ok {
-				return errBadAttr
-			}
-			h.QueueDepth = int(n)
+			d.int(&h.QueueDepth)
 		case "ageScore":
-			f, err := strconv.ParseFloat(string(val), 64)
-			if err != nil {
-				return errBadAttr
-			}
-			h.AgeScore = f
+			d.float(&h.AgeScore)
 		case "warnings":
-			n, ok := parseInt(val)
-			if !ok {
-				return errBadAttr
-			}
-			h.Warnings = int(n)
+			d.int(&h.Warnings)
 		case "suspect":
-			b, ok := parseBool(val)
-			if !ok {
-				return errBadAttr
-			}
-			h.Suspect = b
+			d.bool(&h.Suspect)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if !selfClose {
-		if err := d.closeSimple("health"); err != nil {
-			return err
-		}
+	if err := d.endSimple("health"); err != nil {
+		return err
 	}
 	d.m.Health = h
 	return nil

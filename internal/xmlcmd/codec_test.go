@@ -2,7 +2,9 @@ package xmlcmd
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -188,38 +190,123 @@ func TestDecodeIntoReuse(t *testing.T) {
 	}
 }
 
-// TestCodecZeroAlloc pins the wire path's whole point: encoding and
-// decoding the failure detector's ping/pong traffic allocates nothing in
-// steady state.
+// TestCodecZeroAlloc pins the wire path's whole point: encoding allocates
+// nothing, and decoding into a warm message through a warm connection
+// Decoder allocates only the strings nothing repeats — one per parameter
+// value. Addresses, command names and parameter and telemetry keys come
+// from the token cache; no element costs a closure.
 func TestCodecZeroAlloc(t *testing.T) {
 	ping := NewPing(AddrFD, AddrSES, 7, 42)
-	pong := NewPong(AddrSES, ping, 3)
 	buf := make([]byte, 0, 256)
 	var m Message
+	var dec Decoder
 	for _, tc := range []struct {
-		name string
-		msg  *Message
-	}{{"ping", ping}, {"pong", pong}} {
-		// Warm the scratch and buffer outside the measured region.
+		name   string
+		msg    *Message
+		decode float64 // allocations per decode
+	}{
+		{"ping", ping, 0},
+		{"pong", NewPong(AddrSES, ping, 3), 0},
+		{"command", NewCommand("gate", AddrRTU, 8, "tune", "freqHz", "437512345.5", "mode", "fm-narrow"), 2},
+		{"ack", NewAck(AddrRTU, "gate", 9, 8, true, ""), 0},
+		{"telemetry", NewTelemetry(AddrRTU, AddrSTR, 10, "az", 181.5, time.UnixMilli(1020000000000)), 0},
+	} {
+		// Warm the scratch, the token cache and the buffer outside the
+		// measured region.
 		var err error
 		buf, err = AppendEncode(buf[:0], tc.msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := DecodeInto(buf, &m); err != nil {
+		if err := dec.DecodeInto(buf, &m); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(100, func() {
-			b, err := AppendEncode(buf[:0], tc.msg)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := AppendEncode(buf[:0], tc.msg); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s encode: %v allocs/op, want 0", tc.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := dec.DecodeInto(buf, &m); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != tc.decode {
+			t.Errorf("%s decode: %v allocs/op, want %v", tc.name, allocs, tc.decode)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := dec.DecodeHeader(buf); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s header: %v allocs/op, want 0", tc.name, allocs)
+		}
+		sameMessage(t, &m, withXMLName(tc.msg))
+	}
+}
+
+// TestDecodeHeader covers the broker's view of a frame: the start tag's
+// three values under the decoder's own quoting and entity rules, nothing of
+// the body, and the rejections DecodeInto makes at the same place.
+func TestDecodeHeader(t *testing.T) {
+	var dec Decoder
+	for _, tc := range []struct {
+		in   string
+		want Header
+	}{
+		{`<message from="fd" to="ses" seq="7"><ping nonce="1"></ping></message>`, Header{"fd", "ses", 7}},
+		{` <message to = 'b' seq='2' from='a&amp;' extra="x"/>`, Header{"a&", "b", 2}},
+		{`<message from="a" to="b" seq="1"><no such body`, Header{"a", "b", 1}}, // the body is the endpoint's business
+		{`<message from="a" to="x" to="b">`, Header{"a", "b", 0}},               // last duplicate wins, as in DecodeInto
+	} {
+		got, err := dec.DecodeHeader([]byte(tc.in))
+		if err != nil || got != tc.want {
+			t.Errorf("DecodeHeader(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, in := range []string{
+		``,
+		`<msg from="a" to="b">`,
+		`<message from="a" to="b"`,
+		`<message from="a" to="b" seq="x">`,
+		`<message from="a" to="b" xmlns="urn:x">`,
+		`<message from="a<" to="b">`,
+		`<message from="" to="b" seq="1">`,
+		`<message from="a" seq="1">`,
+	} {
+		if h, err := dec.DecodeHeader([]byte(in)); err == nil {
+			t.Errorf("DecodeHeader(%q) accepted: %+v", in, h)
+		}
+		var m Message
+		if err := DecodeInto([]byte(in), &m); err == nil {
+			t.Errorf("DecodeInto(%q) accepted what DecodeHeader rejects", in)
+		}
+	}
+	big := append([]byte(`<message from="a" to="b" seq="1">`), make([]byte, MaxFrame)...)
+	if _, err := dec.DecodeHeader(big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame: %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestDecoderTokenCache: the cache changes which string instance a token
+// decodes to, never its value, also when two tokens share a slot.
+func TestDecoderTokenCache(t *testing.T) {
+	var dec Decoder
+	var m Message
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 4*tokenSets; i++ {
+			name := "cmd-" + strconv.Itoa(i)
+			b, err := Encode(NewCommand("gate", AddrRTU, uint64(i), name, "key-"+name, "v"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := DecodeInto(b, &m); err != nil {
+			if err := dec.DecodeInto(b, &m); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s encode+decode round trip: %v allocs/op, want 0", tc.name, allocs)
+			if m.From != "gate" || m.To != AddrRTU || m.Command.Name != name || m.Command.Params[0].Key != "key-"+name {
+				t.Fatalf("round %d: decoded %v %q %+v, want command %q", round, &m, m.Command.Name, m.Command.Params, name)
+			}
 		}
 	}
 }

@@ -12,6 +12,32 @@ import (
 // delivers, Decode must return a validated message or an error — never
 // panic, and never accept a frame its own Validate would reject.
 func FuzzDecode(f *testing.F) {
+	addDecodeSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if len(data) > MaxFrame {
+			if !errors.Is(err, ErrFrameTooLarge) {
+				t.Fatalf("oversized frame (%d bytes) decoded to %v, %v", len(data), m, err)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		// Anything Decode accepts must satisfy the same invariants the
+		// system relies on: it validates and re-encodes.
+		if verr := m.Validate(); verr != nil {
+			t.Fatalf("Decode accepted an invalid message: %v", verr)
+		}
+		if _, eerr := Encode(m); eerr != nil {
+			t.Fatalf("decoded message does not re-encode: %v", eerr)
+		}
+	})
+}
+
+// addDecodeSeeds adds the decoder corpus: every message kind, truncated
+// and lightly corrupted variants of each, and start-tag garbage.
+func addDecodeSeeds(f *testing.F) {
 	seedMsgs := []*Message{
 		NewPing("fd", "ses", 1, 42),
 		NewPong("ses", NewPing("fd", "ses", 2, 43), 3),
@@ -36,25 +62,34 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("<msg>"))
 	f.Add(bytes.Repeat([]byte("<msg from=\"a\" to=\"b\">"), 100))
+}
+
+// FuzzDecodeHeader holds the broker's start-tag parse to the endpoint's
+// full decode on arbitrary input: it never panics; every frame DecodeInto
+// accepts has a header with the same From/To/Seq (valid traffic can never
+// be unroutable, or routed by other values than the receiver will see); and
+// a frame whose start tag is rejected is a frame DecodeInto rejects too
+// (the broker disconnects nobody the endpoint would have listened to).
+func FuzzDecodeHeader(f *testing.F) {
+	addDecodeSeeds(f)
+	f.Add([]byte(`<message from='a' to = "b&#x41;" seq='1' x="y"/>`))
+	f.Add([]byte(`<message from="a" to="b" seq="1"><ping nonce="oops"`))
+	f.Add([]byte(`<message from="a" to="b" xmlns="urn:x" seq="1"><ping nonce="1"/></message>`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
-		if len(data) > MaxFrame {
-			if !errors.Is(err, ErrFrameTooLarge) {
-				t.Fatalf("oversized frame (%d bytes) decoded to %v, %v", len(data), m, err)
+		var dec Decoder // a fresh cache and a warm one must agree
+		for pass := 0; pass < 2; pass++ {
+			hdr, herr := dec.DecodeHeader(data)
+			var m Message
+			derr := dec.DecodeInto(data, &m)
+			switch {
+			case derr == nil && herr != nil:
+				t.Fatalf("DecodeInto accepts a frame DecodeHeader rejects (%v): %q", herr, data)
+			case derr == nil && (hdr != Header{m.From, m.To, m.Seq}):
+				t.Fatalf("header %+v, message %s->%s #%d: %q", hdr, m.From, m.To, m.Seq, data)
+			case herr == nil && (hdr.From == "" || hdr.To == ""):
+				t.Fatalf("DecodeHeader accepted an unaddressed frame: %+v from %q", hdr, data)
 			}
-			return
-		}
-		if err != nil {
-			return
-		}
-		// Anything Decode accepts must satisfy the same invariants the
-		// system relies on: it validates and re-encodes.
-		if verr := m.Validate(); verr != nil {
-			t.Fatalf("Decode accepted an invalid message: %v", verr)
-		}
-		if _, eerr := Encode(m); eerr != nil {
-			t.Fatalf("decoded message does not re-encode: %v", eerr)
 		}
 	})
 }

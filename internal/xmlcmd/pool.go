@@ -2,6 +2,7 @@ package xmlcmd
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -18,9 +19,10 @@ import (
 // message is valid for exactly one delivery. A receiver may read it only
 // until its Receive returns and must copy out what it keeps — strings are
 // immutable and may be kept, the *Message and its body pointer may not.
-// Transports that never recycle (TCP copies the frame onto the wire, and a
-// cross-shard hand-off strips the Owner) simply leave the envelope to the
-// garbage collector.
+// The live transport hands a mint back as soon as the TCP client's Send
+// returns (the frame is encoded into the send queue by then); a cross-shard
+// hand-off strips the Owner and leaves the envelope to the garbage
+// collector.
 type Pool struct {
 	free [KindHealth + 1][]*Message
 }
@@ -183,6 +185,71 @@ func (p *Pool) Health(from, to string, seq uint64, h Health) *Message {
 	m.From, m.To, m.Seq = from, to, seq
 	*m.Health = h
 	return m
+}
+
+// FreeList is the live path's inbound counterpart of Pool: a bounded free
+// list of decode envelopes — scratch bodies and parameter capacity included —
+// shared by the connection read loop that decodes into them and whoever
+// finishes the delivery on another goroutine, hence synchronised. Decode
+// stamps the list as the envelope's Owner; the consumer hands it back
+// through RecycleMessage when the delivery is over, under Pool's lifetime
+// rule (nobody keeps the *Message or its body past that). A consumer that
+// never hands back simply owns its messages and leaves them to the garbage
+// collector, so the list costs nothing where it is not used. The zero value
+// is ready.
+type FreeList struct {
+	mu   sync.Mutex
+	free []*Message
+}
+
+var _ Recycler = (*FreeList)(nil)
+
+// freeListCap bounds what a burst can park on one connection: 256
+// envelopes cover a full dispatcher batch several times over and stay
+// around 100 KiB.
+const freeListCap = 256
+
+// Decode decodes one frame payload into a recycled envelope (a fresh one
+// when the list is empty) and stamps the list as its Owner. A frame that
+// does not decode takes its envelope with it.
+func (l *FreeList) Decode(dc *Decoder, b []byte) (*Message, error) {
+	var m *Message
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		m = l.free[n-1]
+		l.free = l.free[:n-1]
+		m.pooled = false
+	}
+	l.mu.Unlock()
+	if m == nil {
+		m = new(Message)
+	}
+	if err := dc.DecodeInto(b, m); err != nil {
+		return nil, err
+	}
+	m.Owner = l
+	return m, nil
+}
+
+// RecycleMessage implements Recycler: foreign messages are dropped, a
+// second hand-back of the same envelope panics like Pool's, and a full
+// list leaves the envelope to the garbage collector.
+func (l *FreeList) RecycleMessage(m *Message) {
+	if m.Owner != l {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if m.pooled {
+		panic("xmlcmd: message recycled twice: " + m.String())
+	}
+	m.pooled = true
+	if poisonRecycled.Load() {
+		m.poison()
+	}
+	if len(l.free) < freeListCap {
+		l.free = append(l.free, m)
+	}
 }
 
 // poison overwrites every field a stale holder could read. The body

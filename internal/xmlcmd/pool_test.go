@@ -137,3 +137,82 @@ func TestPoisonOverwritesEverything(t *testing.T) {
 		t.Fatalf("telemetry not poisoned: %+v", tel.Telemetry)
 	}
 }
+
+// TestFreeListRecyclesEnvelopes: a handed-back envelope is what the next
+// frame decodes into, whatever its kind, so a releasing consumer's inbound
+// traffic allocates only its parameter values; foreign messages are
+// dropped and a full list lets envelopes go.
+func TestFreeListRecyclesEnvelopes(t *testing.T) {
+	var l, other FreeList
+	var dec Decoder
+	cmd, _ := Encode(NewCommand("gate", AddrRTU, 1, "tune", "freqHz", "437.5"))
+	ack, _ := Encode(NewAck(AddrRTU, "gate", 2, 1, true, ""))
+	first, err := l.Decode(&dec, cmd)
+	if err != nil || first.Owner != &l {
+		t.Fatalf("Decode: %v, owner %v", err, first.Owner)
+	}
+	other.RecycleMessage(first) // not theirs
+	l.RecycleMessage(NewPing("a", "b", 1, 1))
+	l.RecycleMessage(first)
+	second, err := l.Decode(&dec, ack)
+	if err != nil || second != first || second.Ack == nil || second.Command != nil || second.Ack.OfSeq != 1 {
+		t.Fatalf("second decode: %v, reused=%v, %v", err, second == first, second)
+	}
+	l.RecycleMessage(second)
+	if allocs := testing.AllocsPerRun(100, func() {
+		m, err := l.Decode(&dec, ack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.RecycleMessage(m)
+	}); allocs != 0 {
+		t.Fatalf("warm free list allocates %.1f per ack, want 0", allocs)
+	}
+
+	held := make([]*Message, freeListCap+10)
+	for i := range held {
+		if held[i], err = l.Decode(&dec, ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range held {
+		l.RecycleMessage(m)
+	}
+	if len(l.free) != freeListCap {
+		t.Fatalf("free list holds %d envelopes, cap %d", len(l.free), freeListCap)
+	}
+}
+
+// TestFreeListDoubleHandBackPanics: a second hand-back of one inbound
+// envelope would let two frames decode into it at once.
+func TestFreeListDoubleHandBackPanics(t *testing.T) {
+	var l FreeList
+	b, _ := Encode(NewPing("a", "b", 1, 1))
+	m, err := l.Decode(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.RecycleMessage(m)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second hand-back of the same envelope did not panic")
+		}
+	}()
+	l.RecycleMessage(m)
+}
+
+// TestFreeListPoisons: in poison mode a consumer that kept an inbound
+// envelope past its hand-back reads sentinels.
+func TestFreeListPoisons(t *testing.T) {
+	defer PoisonRecycledForTest()()
+	var l FreeList
+	b, _ := Encode(NewCommand("gate", AddrRTU, 1, "tune", "freqHz", "437.5"))
+	m, err := l.Decode(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.RecycleMessage(m)
+	if m.From != PoisonString || m.Command.Name != PoisonString || m.Command.Params[:1][0].Value != PoisonString {
+		t.Fatalf("inbound envelope not poisoned: %+v %+v", m, m.Command)
+	}
+}
