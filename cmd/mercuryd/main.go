@@ -34,9 +34,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/mp"
-	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/rt"
-	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
@@ -115,25 +113,22 @@ type options struct {
 	obsAddr      string
 }
 
-// stationView is the runtime-independent view of a booted station. The
-// command's common tail — trace stream, control client, observability
-// endpoints, shutdown — works only against this view, so the in-process
-// and multi-process runtimes share one code path.
-type stationView struct {
-	mode     string // "in-process" or "multiproc"
-	disp     *rt.Dispatcher
-	mgr      *proc.Manager
-	tree     *core.Tree
-	treeName string
-	fd       *core.FDHandle
-	rec      *core.RECHandle
-	comps    []string
-	busAddr  string
-	log      *trace.Log
-	store    *store.Store // crash-only state store; nil unless micro mode
-	inject   func(fault.Fault) error
-	pid      func(component string) int // nil when components run in-process
-	stop     func()
+// served is a booted station as the command's common tail — trace stream,
+// control client, observability endpoints, shutdown — sees it: the host the
+// two live runtimes share, plus the one thing only one of them has.
+type served struct {
+	*rt.Host
+	// pid reports a component's child process; nil when components run
+	// in-process.
+	pid func(component string) int
+}
+
+// mode names the runtime in the build-info metric and the /tree body.
+func (s served) mode() string {
+	if s.pid != nil {
+		return "multiproc"
+	}
+	return "in-process"
 }
 
 // run boots the selected runtime and drives the common station lifecycle.
@@ -145,7 +140,6 @@ func run(opts options) error {
 	fmt.Printf("mercuryd: booting %s (tree %s, scale %.0fx, bus %s)...\n",
 		mode, opts.tree, opts.scale, opts.listen)
 
-	var view *stationView
 	if opts.multiproc {
 		if opts.busShards > 1 {
 			return fmt.Errorf("-bus-shards requires the in-process runtime; drop -multiproc")
@@ -165,72 +159,33 @@ func run(opts options) error {
 		if err != nil {
 			return err
 		}
-		view = supervisorView(sup, opts.tree)
-	} else {
-		node, err := rt.StartNode(rt.NodeConfig{
-			ListenAddr:      opts.listen,
-			Scale:           opts.scale,
-			TreeName:        opts.tree,
-			Seed:            opts.seed,
-			BusShards:       opts.busShards,
-			Micro:           opts.micro,
-			OracleName:      opts.oracle,
-			CkptInterval:    opts.ckptIv,
-			EstimatorWindow: opts.estWindow,
-		})
-		if err != nil {
-			return err
-		}
-		view = nodeView(node)
+		defer sup.Stop()
+		return serve(served{Host: sup.Host, pid: sup.ChildPID}, opts)
 	}
-	defer view.stop()
-	return serve(view, opts)
-}
-
-// nodeView adapts the in-process runtime to the common station view.
-func nodeView(node *rt.Node) *stationView {
-	return &stationView{
-		mode:     "in-process",
-		disp:     node.Disp,
-		mgr:      node.Mgr,
-		tree:     node.Tree,
-		treeName: node.TreeName(),
-		fd:       node.FD,
-		rec:      node.REC,
-		comps:    node.Components(),
-		busAddr:  node.BusAddr(),
-		log:      node.Log,
-		store:    node.Store,
-		inject:   node.Inject,
-		stop:     node.Stop,
+	node, err := rt.StartNode(rt.NodeConfig{
+		ListenAddr:      opts.listen,
+		Scale:           opts.scale,
+		TreeName:        opts.tree,
+		Seed:            opts.seed,
+		BusShards:       opts.busShards,
+		Micro:           opts.micro,
+		OracleName:      opts.oracle,
+		CkptInterval:    opts.ckptIv,
+		EstimatorWindow: opts.estWindow,
+	})
+	if err != nil {
+		return err
 	}
-}
-
-// supervisorView adapts the multi-process runtime to the common view.
-func supervisorView(sup *mp.Supervisor, treeName string) *stationView {
-	return &stationView{
-		mode:     "multiproc",
-		disp:     sup.Disp,
-		mgr:      sup.Mgr,
-		tree:     sup.Tree,
-		treeName: treeName,
-		fd:       sup.FD,
-		rec:      sup.REC,
-		comps:    sup.Components(),
-		busAddr:  sup.BusAddr(),
-		log:      sup.Log,
-		inject:   sup.Inject,
-		pid:      sup.ChildPID,
-		stop:     sup.Stop,
-	}
+	defer node.Stop()
+	return serve(served{Host: node.Host}, opts)
 }
 
 // serve is the common post-boot path: trace stream, banner, observability
 // listener, control client, optional demo kill, then wait for the end of
 // the run and print the shutdown summary.
-func serve(view *stationView, opts options) error {
+func serve(view served, opts options) error {
 	if !opts.quiet {
-		view.log.Subscribe(func(e trace.Event) {
+		view.Log.Subscribe(func(e trace.Event) {
 			switch e.Kind {
 			case trace.FaultInjected, trace.FailureDetected, trace.OracleGuess,
 				trace.RestartRequested, trace.ComponentReady, trace.ComponentDown,
@@ -239,9 +194,9 @@ func serve(view *stationView, opts options) error {
 			}
 		})
 	}
-	fmt.Printf("mercuryd: station up; bus at %s\n", view.busAddr)
+	fmt.Printf("mercuryd: station up; bus at %s\n", view.BusAddr())
 	if view.pid != nil {
-		for _, comp := range view.comps {
+		for _, comp := range view.Comps {
 			if pid := view.pid(comp); pid != 0 {
 				fmt.Printf("  %-8s pid %d\n", comp, pid)
 			} else {
@@ -249,7 +204,7 @@ func serve(view *stationView, opts options) error {
 			}
 		}
 	}
-	fmt.Println(view.tree.Render())
+	fmt.Println(view.Tree.Render())
 
 	if opts.obsAddr != "" {
 		srv, err := startObs(opts.obsAddr, view)
@@ -263,7 +218,7 @@ func serve(view *stationView, opts options) error {
 	// Join the bus as the control client so faultgen can reach us. The
 	// address spec may be a comma-separated shard list; DialAuto handles
 	// both shapes.
-	ctl, err := bus.DialAuto(view.busAddr, "ctl", func(m *xmlcmd.Message) {
+	ctl, err := bus.DialAuto(view.BusAddr(), "ctl", func(m *xmlcmd.Message) {
 		if m.Kind() != xmlcmd.KindCommand || m.Command.Name != "inject" {
 			return
 		}
@@ -274,7 +229,7 @@ func serve(view *stationView, opts options) error {
 			cure = strings.Split(cureStr, ",")
 		}
 		fmt.Printf("mercuryd: inject request from %s: kill %s (cure %v)\n", m.From, comp, cure)
-		if err := view.inject(fault.Fault{Manifest: comp, Cure: cure}); err != nil {
+		if err := view.Inject(fault.Fault{Manifest: comp, Cure: cure}); err != nil {
 			fmt.Println("mercuryd: inject failed:", err)
 		}
 	})
@@ -286,7 +241,7 @@ func serve(view *stationView, opts options) error {
 	if opts.kill != "" {
 		time.AfterFunc(opts.killAt, func() {
 			fmt.Printf("mercuryd: demo kill of %s\n", opts.kill)
-			if err := view.inject(fault.Fault{Manifest: opts.kill}); err != nil {
+			if err := view.Inject(fault.Fault{Manifest: opts.kill}); err != nil {
 				fmt.Println("mercuryd: demo kill failed:", err)
 			}
 		})

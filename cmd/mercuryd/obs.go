@@ -56,7 +56,7 @@ func (o *obsServer) Close() { _ = o.srv.Close() }
 
 // startObs builds the process-wide registry, mounts the three endpoints
 // and serves them on addr.
-func startObs(addr string, view *stationView) (*obsServer, error) {
+func startObs(addr string, view served) (*obsServer, error) {
 	reg := obs.NewRegistry()
 	bus.RegisterMetrics(reg)
 	core.RegisterMetrics(reg)
@@ -64,9 +64,9 @@ func startObs(addr string, view *stationView) (*obsServer, error) {
 	proc.RegisterMetrics(reg)
 	mp.RegisterMetrics(reg)
 	sim.RegisterMetrics(reg)
-	if view.store != nil {
+	if view.Store != nil {
 		store.RegisterMetrics(reg)
-		store.RegisterStoreGauges(reg, view.store)
+		store.RegisterStoreGauges(reg, view.Store)
 	}
 	start := time.Now()
 	reg.RegisterGaugeFunc("mercury_uptime_seconds",
@@ -75,7 +75,7 @@ func startObs(addr string, view *stationView) (*obsServer, error) {
 	reg.RegisterGaugeFunc("mercury_build_info",
 		"Constant 1, labeled with build and run metadata.",
 		func() float64 { return 1 },
-		"version", buildVersion(), "mode", view.mode, "tree", view.treeName)
+		"version", buildVersion(), "mode", view.mode(), "tree", view.Tree.Name)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -122,20 +122,20 @@ type healthReport struct {
 }
 
 // health snapshots liveness on the dispatcher.
-func (v *stationView) health() healthReport {
+func (v served) health() healthReport {
 	rep := healthReport{Status: "ok", Components: make(map[string]healthComponent)}
-	names := append(append([]string(nil), v.comps...), xmlcmd.AddrFD, xmlcmd.AddrREC)
-	v.disp.Call(func() {
+	names := append(v.Components(), xmlcmd.AddrFD, xmlcmd.AddrREC)
+	v.Disp.Call(func() {
 		for _, name := range names {
-			st, err := v.mgr.State(name)
+			st, err := v.Mgr.State(name)
 			if err != nil {
 				continue
 			}
-			inc, _ := v.mgr.Incarnation(name)
+			inc, _ := v.Mgr.Incarnation(name)
 			hc := healthComponent{
 				State:       st.String(),
-				Serving:     v.mgr.Serving(name),
-				Suspected:   v.fd.Suspected(name),
+				Serving:     v.Mgr.Serving(name),
+				Suspected:   v.FD.Suspected(name),
 				Incarnation: inc,
 			}
 			if !hc.Serving || hc.Suspected {
@@ -174,31 +174,31 @@ type treeReportBody struct {
 }
 
 // treeReport snapshots the restart tree on the dispatcher.
-func (v *stationView) treeReport() treeReportBody {
-	rep := treeReportBody{Tree: v.treeName, Mode: v.mode}
-	v.disp.Call(func() {
-		rep.Policy = v.rec.Oracle().Name()
-		rep.Root = v.renderNode(v.rec.Tree().Root())
+func (v served) treeReport() treeReportBody {
+	rep := treeReportBody{Tree: v.Tree.Name, Mode: v.mode()}
+	v.Disp.Call(func() {
+		rep.Policy = v.REC.Oracle().Name()
+		rep.Root = v.renderNode(v.REC.Tree().Root())
 	})
 	return rep
 }
 
 // renderNode converts one restart cell; dispatcher context only.
-func (v *stationView) renderNode(n *core.Node) *treeNode {
+func (v served) renderNode(n *core.Node) *treeNode {
 	out := &treeNode{Label: n.Label()}
 	if len(n.Components) > 0 {
 		out.Components = make(map[string]treeComponent, len(n.Components))
 		for _, comp := range n.Components {
 			tc := treeComponent{}
-			if st, err := v.mgr.State(comp); err == nil {
+			if st, err := v.Mgr.State(comp); err == nil {
 				tc.State = st.String()
 			}
-			tc.Incarnation, _ = v.mgr.Incarnation(comp)
-			tc.Restarts, _ = v.mgr.Restarts(comp)
-			if at, err := v.mgr.StartedAt(comp); err == nil && !at.IsZero() {
+			tc.Incarnation, _ = v.Mgr.Incarnation(comp)
+			tc.Restarts, _ = v.Mgr.Restarts(comp)
+			if at, err := v.Mgr.StartedAt(comp); err == nil && !at.IsZero() {
 				tc.LastStart = at.Format(time.RFC3339Nano)
 			}
-			if at, err := v.mgr.ReadyAt(comp); err == nil && !at.IsZero() {
+			if at, err := v.Mgr.ReadyAt(comp); err == nil && !at.IsZero() {
 				tc.LastReady = at.Format(time.RFC3339Nano)
 			}
 			if v.pid != nil {

@@ -16,7 +16,7 @@ import (
 
 // bootObs starts an in-process station with the observability listener on
 // an ephemeral port and returns the view, the base URL, and a teardown.
-func bootObs(t *testing.T, scale float64) (*stationView, string) {
+func bootObs(t *testing.T, scale float64) (served, string) {
 	t.Helper()
 	node, err := rt.StartNode(rt.NodeConfig{
 		ListenAddr: "127.0.0.1:0",
@@ -27,8 +27,8 @@ func bootObs(t *testing.T, scale float64) (*stationView, string) {
 	if err != nil {
 		t.Fatalf("StartNode: %v", err)
 	}
-	view := nodeView(node)
-	t.Cleanup(view.stop)
+	view := served{Host: node.Host}
+	t.Cleanup(view.Stop)
 	srv, err := startObs("127.0.0.1:0", view)
 	if err != nil {
 		t.Fatalf("startObs: %v", err)
@@ -86,18 +86,18 @@ func TestObsScrapeDuringRecovery(t *testing.T) {
 		}()
 	}
 
-	if err := view.inject(fault.Fault{Manifest: station.RTU}); err != nil {
+	if err := view.Inject(fault.Fault{Manifest: station.RTU}); err != nil {
 		t.Fatalf("inject: %v", err)
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		var ok bool
-		view.disp.Call(func() {
-			ok = view.mgr.AllServing(view.comps...)
+		view.Disp.Call(func() {
+			ok = view.Mgr.AllServing(view.Comps...)
 		})
 		if ok {
 			var inc int
-			view.disp.Call(func() { inc, _ = view.mgr.Incarnation(station.RTU) })
+			view.Disp.Call(func() { inc, _ = view.Mgr.Incarnation(station.RTU) })
 			if inc >= 2 {
 				break
 			}

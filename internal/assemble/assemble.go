@@ -1,0 +1,224 @@
+// Package assemble wires a Mercury station: the fault board, the restart
+// tree set, the crash-only store and checkpoint plane, the component
+// handlers, the policy and the FD/REC pair, onto a proc.Manager the caller
+// has already bound to its clock and transport. The simulator (package
+// mercury), the live node (internal/rt) and the multi-process supervisor
+// (internal/mp) are drivers of this one path; they differ in the clock, in
+// the transport and in a handful of component handlers, and in nothing
+// else.
+package assemble
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"time"
+
+	"github.com/recursive-restart/mercury/internal/ckpt"
+	"github.com/recursive-restart/mercury/internal/core"
+	"github.com/recursive-restart/mercury/internal/fault"
+	"github.com/recursive-restart/mercury/internal/proc"
+	"github.com/recursive-restart/mercury/internal/station"
+	"github.com/recursive-restart/mercury/internal/store"
+	"github.com/recursive-restart/mercury/internal/xmlcmd"
+)
+
+// ErrUnknownTree reports a tree name outside the station's tree set.
+var ErrUnknownTree = errors.New("mercury: unknown tree name")
+
+// Config is what one station's wiring depends on. The manager carries the
+// runtime (its clock, rng and trace log are the station's); the rest are
+// the choices mercury.Config, rt.NodeConfig and mp.SupervisorConfig make.
+type Config struct {
+	// Mgr hosts the station. Its transport must already be set.
+	Mgr *proc.Manager
+	// Handler, when non-nil, overrides a component's handler factory; it
+	// answers nil for the components it leaves to station.Factory.
+	Handler func(component string) func() proc.Handler
+	// FDParams and RECParams configure the detector and the recoverer.
+	FDParams  core.FDParams
+	RECParams core.RECParams
+	// Params are the station parameters. In micro mode a nil Params.Micro
+	// (or one without a store) is completed with the station's own store.
+	Params station.Params
+
+	// TreeName picks the restart tree: "I", "II", "IIp", "III", "IV", "V",
+	// and in micro mode "IIIm", "IVm"; "" means "IV". Trees I and II imply
+	// the monolithic layout.
+	TreeName string
+	// CustomTree, when non-nil, overrides TreeName with an arbitrary tree
+	// over the split layout. Micro mode still follows TreeName/Micro.
+	CustomTree *core.Tree
+	// Micro turns the microrebootable decomposition on; an m-variant
+	// TreeName implies it.
+	Micro bool
+	// Policy, when non-nil, is the recoverer's policy as built by the
+	// caller; otherwise PolicyName is resolved through core.PolicyByName
+	// with FaultyP, HarmRates and Window as its knobs.
+	Policy     *core.Policy
+	PolicyName string
+	FaultyP    float64
+	HarmRates  map[string]float64
+	Window     int
+	// CkptInterval is the checkpoint period. The checkpoint plane exists
+	// only in micro mode, and only when a checkpoint-backed policy name or
+	// a positive interval asks for it.
+	CkptInterval time.Duration
+	// DisableRecovery leaves out the policy, FD and REC.
+	DisableRecovery bool
+}
+
+// Station is an assembled station. Everything in it belongs to the
+// manager's execution context (the kernel loop or the dispatcher).
+type Station struct {
+	Board *fault.Board
+	// Trees is the tree set Tree was chosen from (the paper's five, IIp,
+	// the m-variants in micro mode, and CustomTree under its own name).
+	Trees  map[string]*core.Tree
+	Tree   *core.Tree
+	Layout station.Layout
+	// Comps lists the station components (no FD, REC or ops); shared, not
+	// to be modified — Components returns a copy.
+	Comps []string
+	// Params are the station parameters as registered (Micro completed).
+	Params station.Params
+	// Store is the crash-only state store; nil unless micro mode is on.
+	Store *store.Store
+	// Ckpt is the checkpoint manager; nil unless something asked for it.
+	Ckpt *ckpt.Manager
+	// Oracle is the recoverer's policy; FD and REC reach the live detector
+	// and recoverer incarnations. All nil with DisableRecovery.
+	Oracle *core.Policy
+	FD     *core.FDHandle
+	REC    *core.RECHandle
+}
+
+// Components returns the station component names (excluding FD/REC/ops).
+func (s *Station) Components() []string {
+	return append([]string(nil), s.Comps...)
+}
+
+// Assemble builds the station on cfg.Mgr and registers its processes; the
+// caller starts them (components first, then FD and REC). The order is
+// fixed — board, store, checkpoint plane, component handlers, policy, REC,
+// FD — because each step may add manager listeners and clock events, and
+// listeners run in registration order: the board's silencing listener must
+// precede REC's restart bookkeeping, and whatever a driver adds afterwards
+// (a recovery monitor) sees both already done.
+func Assemble(cfg Config) (Station, error) {
+	if cfg.TreeName == "" {
+		cfg.TreeName = "IV"
+	}
+	mgr := cfg.Mgr
+	clk := mgr.Clock()
+	s := Station{Params: cfg.Params}
+	s.Board = fault.NewBoard(clk, mgr, mgr.Log())
+
+	var err error
+	s.Trees, err = core.MercuryTrees(station.MonolithicComponents(), station.SplitComponents())
+	if err != nil {
+		return Station{}, err
+	}
+
+	// Micro mode: session/track state moves into a crash-only store and the
+	// split trees gain the sub-process restart level.
+	micro := cfg.Micro || strings.HasSuffix(cfg.TreeName, "m")
+	if micro {
+		s.Store = store.New(clk, store.Options{SweepPeriod: 5 * time.Second})
+		if s.Params.Micro == nil {
+			s.Params.Micro = station.DefaultMicroParams(s.Store)
+		} else if s.Params.Micro.Store == nil {
+			s.Params.Micro.Store = s.Store
+		}
+		if err := core.AddMicroTrees(s.Trees, station.MicroSubs()); err != nil {
+			return Station{}, err
+		}
+	}
+
+	// Checkpoint plane: only built when something will use it, so a classic
+	// station schedules no extra ticker events.
+	if micro && (core.PolicyNeedsCkpt(cfg.PolicyName) || cfg.CkptInterval > 0) {
+		s.Ckpt = ckpt.New(clk, s.Store, ckpt.Options{
+			Interval: cfg.CkptInterval,
+			Keys:     station.MicroCheckpointKeys(),
+		})
+		s.Ckpt.OnRestore(s.Board.NoteRestore)
+	}
+
+	s.Layout = station.Split
+	if cfg.CustomTree != nil {
+		s.Tree = cfg.CustomTree
+		s.Trees[s.Tree.Name] = s.Tree
+	} else {
+		var ok bool
+		if s.Tree, ok = s.Trees[cfg.TreeName]; !ok {
+			return Station{}, fmt.Errorf("%w: %q", ErrUnknownTree, cfg.TreeName)
+		}
+		if cfg.TreeName == "I" || cfg.TreeName == "II" {
+			s.Layout = station.Monolithic
+		}
+	}
+
+	if s.Comps, err = station.Register(mgr, s.Params, s.Layout, cfg.Handler); err != nil {
+		return Station{}, err
+	}
+	if cfg.DisableRecovery {
+		return s, nil
+	}
+
+	s.Oracle = cfg.Policy
+	if s.Oracle == nil {
+		s.Oracle, err = core.PolicyByName(cfg.PolicyName, core.PolicyDeps{
+			Advisor:  s.Board,
+			Rng:      mgr.Rand(),
+			FaultyP:  cfg.FaultyP,
+			Ckpt:     s.Ckpt,
+			HarmRate: harmRateFn(cfg.HarmRates),
+			Window:   cfg.Window,
+		})
+		if err != nil {
+			return Station{}, fmt.Errorf("mercury: %w", err)
+		}
+	}
+	if s.Ckpt != nil && cfg.RECParams.CkptRestore == nil {
+		cfg.RECParams.CkptRestore = s.Ckpt.RestoreSet
+	}
+	// FD and REC recover each other: each restarts its peer unless a
+	// restart is already under way.
+	restart := func(name string) func() {
+		return func() {
+			if st, _ := mgr.State(name); st != proc.Starting {
+				_ = mgr.Restart([]string{name})
+			}
+		}
+	}
+	recFactory, rec := core.NewREC(cfg.RECParams, s.Tree, s.Oracle, mgr, restart(xmlcmd.AddrFD))
+	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
+		return Station{}, err
+	}
+	fdFactory, fd := core.NewFD(cfg.FDParams, s.Comps, station.MBus, restart(xmlcmd.AddrREC))
+	if err := mgr.Register(xmlcmd.AddrFD, fdFactory); err != nil {
+		return Station{}, err
+	}
+	s.REC, s.FD = rec, fd
+	return s, nil
+}
+
+// harmRateFn builds the oracle's harm-rate lookup: exact component first,
+// then a dotted sub's hosting process, then 1.
+func harmRateFn(rates map[string]float64) func(string) float64 {
+	if rates == nil {
+		return nil
+	}
+	return func(c string) float64 {
+		if v, ok := rates[c]; ok {
+			return v
+		}
+		if i := strings.IndexByte(c, '.'); i >= 0 {
+			if v, ok := rates[c[:i]]; ok {
+				return v
+			}
+		}
+		return 1
+	}
+}

@@ -95,14 +95,6 @@ type targetState struct {
 	firstMissAt  time.Time // send time of the miss streak's first probe
 }
 
-// NewFD returns a factory for FD handlers. targets are the monitored
-// components (including the broker); broker names the message bus;
-// restartREC performs the special-case REC recovery.
-func NewFD(p FDParams, targets []string, broker string, restartREC func()) func() proc.Handler {
-	factory, _ := NewFDWithHandle(p, targets, broker, restartREC)
-	return factory
-}
-
 // fdShared tracks the live FD incarnation so a handle can reach it across
 // restarts (the same current-pointer pattern RECHandle uses).
 type fdShared struct {
@@ -131,8 +123,11 @@ func (h *FDHandle) Suspected(target string) bool {
 	return h.shared.current.Suspected(target)
 }
 
-// NewFDWithHandle is NewFD plus a handle onto the live incarnation.
-func NewFDWithHandle(p FDParams, targets []string, broker string, restartREC func()) (func() proc.Handler, *FDHandle) {
+// NewFD returns a factory for FD handlers plus a handle onto the live
+// incarnation. targets are the monitored components (including the broker);
+// broker names the message bus; restartREC performs the special-case REC
+// recovery.
+func NewFD(p FDParams, targets []string, broker string, restartREC func()) (func() proc.Handler, *FDHandle) {
 	shared := &fdShared{targets: append([]string(nil), targets...)}
 	factory := func() proc.Handler {
 		fd := &FD{

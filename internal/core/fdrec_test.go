@@ -93,7 +93,8 @@ func newHarnessParams(t *testing.T, seed int64, tree *Tree, policy *Policy, fdp 
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Register(xmlcmd.AddrFD, NewFD(fdp, comps, "mbus", restartREC)); err != nil {
+	fdFactory, _ := NewFD(fdp, comps, "mbus", restartREC)
+	if err := mgr.Register(xmlcmd.AddrFD, fdFactory); err != nil {
 		t.Fatal(err)
 	}
 	b.AddDirectLink(xmlcmd.AddrFD, xmlcmd.AddrREC)
@@ -500,7 +501,8 @@ func newHWHarness(t *testing.T, seed int64, withProcedure bool) (*harness, *bool
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Register(xmlcmd.AddrFD, NewFD(DefaultFDParams(), comps, "mbus", nil)); err != nil {
+	fdFactory, _ := NewFD(DefaultFDParams(), comps, "mbus", nil)
+	if err := mgr.Register(xmlcmd.AddrFD, fdFactory); err != nil {
 		t.Fatal(err)
 	}
 	b.AddDirectLink(xmlcmd.AddrFD, xmlcmd.AddrREC)

@@ -284,6 +284,22 @@ func MercuryTrees(monolithic, split []string) (map[string]*Tree, error) {
 	return trees, nil
 }
 
+// AddMicroTrees grows the sub-process restart level onto the split trees
+// that have a microrebootable variant: trees["IIIm"] and trees["IVm"] are
+// III and IV with one child cell per subcomponent in subs (SubAugment).
+// The m-variants exist only in micro mode, so a classic station's tree set
+// stays the paper's.
+func AddMicroTrees(trees map[string]*Tree, subs map[string][]string) error {
+	for _, base := range []string{"III", "IV"} {
+		mt, err := SubAugment(trees[base], base+"m", subs)
+		if err != nil {
+			return fmt.Errorf("tree %sm: %w", base, err)
+		}
+		trees[base+"m"] = mt
+	}
+	return nil
+}
+
 // mercuryTrees memoises buildMercuryTrees; the lock covers parallel trial
 // workers constructing systems at once.
 var mercuryTrees struct {

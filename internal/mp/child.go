@@ -118,30 +118,6 @@ func (h *hangable) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	h.inner.Receive(ctx, m)
 }
 
-// handlerFor maps a component name to its station handler factory.
-func handlerFor(component, layout string, p station.Params) (func() proc.Handler, error) {
-	switch component {
-	case station.SES:
-		return station.NewSES(p), nil
-	case station.STR:
-		return station.NewSTR(p), nil
-	case station.RTU:
-		front := station.Fedr
-		if layout == "monolithic" {
-			front = station.Fedrcom
-		}
-		return station.NewRTU(p, front), nil
-	case station.Fedr:
-		return station.NewFedr(p), nil
-	case station.Pbcom:
-		return station.NewPbcom(p), nil
-	case station.Fedrcom:
-		return station.NewFedrcom(p), nil
-	default:
-		return nil, fmt.Errorf("mp: no child handler for component %q", component)
-	}
-}
-
 // RunChild hosts one station component in this OS process. It connects to
 // the bus (retrying while the broker boots), starts the component with the
 // supervisor-assigned contention stretch, announces readiness on stdout,
@@ -150,6 +126,9 @@ func handlerFor(component, layout string, p station.Params) (func() proc.Handler
 func RunChild(cfg ChildConfig) error {
 	if cfg.Component == "" || cfg.BusAddr == "" {
 		return errors.New("mp: child needs a component and a bus address")
+	}
+	if cfg.Component == station.MBus {
+		return errors.New("mp: the broker lives in the supervisor, not in a child")
 	}
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
@@ -166,9 +145,20 @@ func RunChild(cfg ChildConfig) error {
 	mgr := proc.NewManager(clk, rng, log)
 	disp.DeliverTo(mgr.Deliver)
 
-	params := station.DefaultParams(time.Now())
-	factory, err := handlerFor(cfg.Component, cfg.Layout, params)
+	layout := station.Split
+	if cfg.Layout == station.Monolithic.String() {
+		layout = station.Monolithic
+	}
+	factory, err := station.Factory(cfg.Component, station.DefaultParams(time.Now()), layout)
 	if err != nil {
+		return err
+	}
+
+	// Registered before the first inbound message can reach Deliver: the
+	// dispatcher reads the process table the moment a client is dialled.
+	if err := mgr.Register(cfg.Component, func() proc.Handler {
+		return &hangable{inner: factory()}
+	}); err != nil {
 		return err
 	}
 
@@ -189,12 +179,6 @@ func RunChild(cfg ChildConfig) error {
 	}
 	defer client.Close()
 	mgr.SetTransport(clientTransport{c: client})
-
-	if err := mgr.Register(cfg.Component, func() proc.Handler {
-		return &hangable{inner: factory()}
-	}); err != nil {
-		return err
-	}
 
 	died := make(chan string, 1)
 	mgr.OnReady(func(name string) {

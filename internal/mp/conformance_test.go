@@ -1,0 +1,185 @@
+package mp
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	mercury "github.com/recursive-restart/mercury"
+	"github.com/recursive-restart/mercury/internal/core"
+	"github.com/recursive-restart/mercury/internal/fault"
+	"github.com/recursive-restart/mercury/internal/proc"
+	"github.com/recursive-restart/mercury/internal/rt"
+	"github.com/recursive-restart/mercury/internal/station"
+	"github.com/recursive-restart/mercury/internal/trace"
+)
+
+// outcome is what one runtime did about one scripted fault: the restart
+// tree nodes REC pushed for the injected component, in order, and how often
+// each component of the cure set was restarted.
+type outcome struct {
+	nodes    []string
+	restarts map[string]int
+	// crossed lists the restarts pushed for some other component at a node
+	// covering the injected one. A wall-clock host that misses the FD's
+	// 25 ms pong floor suspects and restarts spuriously; elsewhere in the
+	// tree that is simply not part of the script, but a push that lands on
+	// the scripted cell or above it rewrites the episode under test.
+	crossed []string
+}
+
+// observe reads an outcome off a station's trace and manager. before holds
+// the cure set's restart counts taken ahead of the injection.
+func observe(log *trace.Log, mgr *proc.Manager, tree *core.Tree, manifest string, before map[string]int) outcome {
+	out := outcome{restarts: make(map[string]int, len(before))}
+	covering := map[string]bool{}
+	for n, _ := tree.CellOf(manifest); n != nil; n = n.Parent() {
+		covering[n.Label()] = true
+	}
+	for _, e := range log.Filter(func(e trace.Event) bool { return e.Kind == trace.RestartRequested }) {
+		switch {
+		case e.Component == manifest:
+			out.nodes = append(out.nodes, e.Node)
+		case covering[e.Node]:
+			out.crossed = append(out.crossed, e.Component+"@"+e.Node)
+		}
+	}
+	for c, n := range before {
+		now, _ := mgr.Restarts(c)
+		out.restarts[c] = now - n
+	}
+	return out
+}
+
+func restartCounts(mgr *proc.Manager, comps []string) map[string]int {
+	counts := make(map[string]int, len(comps))
+	for _, c := range comps {
+		counts[c], _ = mgr.Restarts(c)
+	}
+	return counts
+}
+
+// onSim runs the script on the simulator — the reference the live runtimes
+// are held to.
+func onSim(t *testing.T, tree, manifest string, cure []string) outcome {
+	t.Helper()
+	sys, err := mercury.NewSystem(mercury.Config{Seed: 1, TreeName: tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	before := restartCounts(sys.Mgr, cure)
+	if _, err := sys.MeasureRecovery(mercury.Fault{Component: manifest}, 5*time.Minute); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	if !sys.Recovered() {
+		t.Fatal("sim: not recovered")
+	}
+	return observe(sys.Log, sys.Mgr, sys.Tree, manifest, before)
+}
+
+// onHost runs the script on a booted wall-clock host; the in-process node
+// and the supervisor are both one.
+func onHost(t *testing.T, name string, h *rt.Host, manifest string, cure []string) outcome {
+	t.Helper()
+	var before map[string]int
+	h.Disp.Call(func() { before = restartCounts(h.Mgr, cure) })
+	if err := h.Inject(fault.Fault{Manifest: manifest}); err != nil {
+		t.Fatalf("%s: inject: %v", name, err)
+	}
+	if err := h.WaitRecovered(60 * time.Second); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var out outcome
+	h.Disp.Call(func() { out = observe(h.Log, h.Mgr, h.Tree, manifest, before) })
+	return out
+}
+
+// TestConformance is the first cross-runtime conformance check: one
+// scripted fault on tree IV must produce the same recovery — the same tree
+// nodes pushed for the injected component, in the same order, and the same
+// restarts across the cure set — on the simulator, on the in-process node
+// and across real child processes. All three are wired by one
+// assemble.Assemble, so what this pins is that the runtimes differ in
+// clock and transport only.
+func TestConformance(t *testing.T) {
+	const tree, scale = "IV", 50
+	for _, sc := range []struct {
+		manifest string
+		cure     []string // the cell restarted as one
+	}{
+		{station.RTU, []string{station.RTU}},
+		{station.SES, []string{station.SES, station.STR}}, // consolidated cell
+	} {
+		sc := sc
+		t.Run(sc.manifest, func(t *testing.T) {
+			want := onSim(t, tree, sc.manifest, sc.cure)
+			if len(want.nodes) == 0 {
+				t.Fatal("sim pushed no restart for the injected component")
+			}
+
+			node, err := rt.StartNode(rt.NodeConfig{ListenAddr: "127.0.0.1:0", Scale: scale, TreeName: tree, Seed: 1})
+			if err != nil {
+				t.Fatalf("StartNode: %v", err)
+			}
+			defer node.Stop()
+			sup, err := StartSupervisor(SupervisorConfig{ListenAddr: "127.0.0.1:0", Scale: scale, TreeName: tree, Seed: 1})
+			if err != nil {
+				t.Fatalf("StartSupervisor: %v", err)
+			}
+			defer sup.Stop()
+
+			for name, h := range map[string]*rt.Host{"rt": node.Host, "mp": sup.Host} {
+				got := onHost(t, name, h, sc.manifest, sc.cure)
+				if len(got.crossed) > 0 {
+					t.Logf("%s: unscripted %v crossed the episode (pushed %v, restarted %v); not compared",
+						name, got.crossed, got.nodes, got.restarts)
+					continue
+				}
+				if !reflect.DeepEqual(got.nodes, want.nodes) {
+					t.Errorf("%s pushed %v for %s, sim pushed %v", name, got.nodes, sc.manifest, want.nodes)
+				}
+				if !reflect.DeepEqual(got.restarts, want.restarts) {
+					t.Errorf("%s restarted %v, sim restarted %v", name, got.restarts, want.restarts)
+				}
+				if t.Failed() {
+					for _, e := range h.Log.Filter(func(e trace.Event) bool {
+						return e.Kind == trace.FailureDetected || e.Kind == trace.RestartRequested
+					}) {
+						t.Log(name, e)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFailedStartLeavesNoGoroutines pins the start-up tear-down: a
+// supervisor that fails after its dispatcher exists stops it (and closes
+// what it opened) before returning the error.
+func TestFailedStartLeavesNoGoroutines(t *testing.T) {
+	bad := []SupervisorConfig{
+		{TreeName: "bogus"}, // fails in the assembly
+		{TreeName: "IV", ListenAddr: "127.0.0.1:99999999"}, // fails opening the fabric
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		cfg := bad[i%len(bad)]
+		cfg.Scale = mpScale
+		if _, err := StartSupervisor(cfg); err == nil {
+			t.Fatalf("%+v accepted", cfg)
+		}
+	}
+	// Stop waits for the dispatcher; only already-exiting goroutines of
+	// earlier tests may still be counted, and those only go away.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before 20 failed starts, %d after", before, after)
+	}
+}

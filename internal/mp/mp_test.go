@@ -190,18 +190,6 @@ func TestRunChildValidation(t *testing.T) {
 	}
 }
 
-func TestHandlerFor(t *testing.T) {
-	p := station.DefaultParams(time.Now())
-	for _, comp := range []string{"ses", "str", "rtu", "fedr", "pbcom", "fedrcom"} {
-		if _, err := handlerFor(comp, "split", p); err != nil {
-			t.Fatalf("handlerFor(%s): %v", comp, err)
-		}
-	}
-	if _, err := handlerFor("nope", "split", p); err == nil {
-		t.Fatal("unknown component accepted")
-	}
-}
-
 // TestMultiProcessExternalKillMidTraffic kills a child with SIGKILL from
 // outside the supervisor — the process dies at an arbitrary point, quite
 // possibly mid-frame-write. The half-written frame must not wedge the

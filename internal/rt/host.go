@@ -1,0 +1,282 @@
+package rt
+
+import (
+	"errors"
+	"math/rand"
+	"sync"
+	"time"
+
+	"github.com/recursive-restart/mercury/internal/assemble"
+	"github.com/recursive-restart/mercury/internal/bus"
+	"github.com/recursive-restart/mercury/internal/core"
+	"github.com/recursive-restart/mercury/internal/fault"
+	"github.com/recursive-restart/mercury/internal/proc"
+	"github.com/recursive-restart/mercury/internal/station"
+	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/xmlcmd"
+)
+
+// HostConfig is what a wall-clock runtime decides about its host; the
+// station's own choices travel in the assemble.Config beside it.
+type HostConfig struct {
+	// ListenAddr is the broker's TCP address; "" means "127.0.0.1:0".
+	ListenAddr string
+	// Scale compresses calibrated durations; values ≤ 0 mean 1.
+	Scale float64
+	// Seed drives the deterministic parts (jitter, epochs).
+	Seed int64
+	// BusShards is the broker-shard count; 0 or 1 is the single broker.
+	BusShards int
+	// REC overrides the recoverer parameters (already adjusted for Scale);
+	// nil uses RECParamsForScale.
+	REC *core.RECParams
+}
+
+// Host is the wall-clock half the two live runtimes share: a dispatcher, a
+// scaled clock, a process manager on the TCP fabric with the FD↔REC link
+// delivered in-process, the assembled station, and its lifecycle — boot,
+// inject, wait for recovery, tear down. rt.Node and mp.Supervisor embed it.
+type Host struct {
+	Disp *Dispatcher
+	Mgr  *proc.Manager
+	Log  *trace.Log
+	// Scale is the time compression in force.
+	Scale float64
+	// Station is the assembled station. Its board and FD/REC handles touch
+	// dispatcher-owned state: wrap every use in Disp.Call.
+	assemble.Station
+
+	broker   *BrokerControl
+	clients  map[string]bus.Conn // complete before the first handler runs
+	stopOnce sync.Once
+}
+
+// NewHost starts a dispatcher and assembles a station on it. st carries the
+// station's choices; its Mgr, FDParams, RECParams and Params are the host's
+// to fill, and the mbus handler is always the live one that owns the TCP
+// listeners (st.Handler is asked about every other component). Nothing runs
+// until Boot. On error nothing is left behind.
+func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
+	if cfg.ListenAddr == "" {
+		cfg.ListenAddr = "127.0.0.1:0"
+	}
+	if cfg.Scale <= 0 {
+		cfg.Scale = 1
+	}
+	h := &Host{
+		Disp:    NewDispatcher(),
+		Log:     trace.NewLog(),
+		Scale:   cfg.Scale,
+		broker:  NewBrokerControl(cfg.ListenAddr, cfg.BusShards),
+		clients: make(map[string]bus.Conn),
+	}
+	h.Mgr = proc.NewManager(Clock{D: h.Disp, Scale: cfg.Scale}, rand.New(rand.NewSource(cfg.Seed)), h.Log)
+	h.Disp.DeliverTo(h.Mgr.Deliver)
+	h.Mgr.SetTransport(transport{h})
+
+	st.Mgr = h.Mgr
+	st.FDParams = FDParamsForScale(cfg.Scale)
+	st.RECParams = RECParamsForScale(cfg.Scale)
+	if cfg.REC != nil {
+		st.RECParams = *cfg.REC
+	}
+	st.Params = station.DefaultParams(time.Now())
+	startup, others := st.Params.MBusStartup, st.Handler
+	st.Handler = func(name string) func() proc.Handler {
+		if name == station.MBus {
+			return func() proc.Handler { return &rtBrokerHandler{startup: startup, ctl: h.broker} }
+		}
+		if others != nil {
+			return others(name)
+		}
+		return nil
+	}
+	var err error
+	if h.Station, err = assemble.Assemble(st); err != nil {
+		h.Stop()
+		return nil, err
+	}
+	// The broker process's death must close the real listeners.
+	h.Mgr.OnDown(func(name, _ string) {
+		if name == station.MBus {
+			h.broker.CloseBroker()
+		}
+	})
+	return h, nil
+}
+
+// rtBrokerHandler is the mbus component in real-time mode: its startup
+// opens the TCP listeners, its death closes them (the host's OnDown hook).
+type rtBrokerHandler struct {
+	startup time.Duration
+	ctl     *BrokerControl
+	ready   bool
+}
+
+func (h *rtBrokerHandler) Start(ctx proc.Context) {
+	d := time.Duration(float64(h.startup) * ctx.Stretch())
+	ctx.After(d, func() {
+		if err := h.ctl.Open(); err != nil {
+			ctx.Fail("broker listen: " + err.Error())
+			return
+		}
+		h.ready = true
+		ctx.Ready()
+	})
+}
+
+func (h *rtBrokerHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
+	if m.Kind() == xmlcmd.KindPing && h.ready {
+		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
+	}
+}
+
+// transport sends each hosted process's traffic through its own TCP client,
+// except the FD↔REC dedicated link which is delivered in-process. Either
+// way the fabric is done with the message when Send returns — the client
+// has encoded the frame into its send or reconnect queue, the inline
+// delivery has run — so a pooled mint goes straight back to the manager's
+// pool (which ignores messages it did not mint).
+type transport struct {
+	h *Host
+}
+
+func (t transport) Send(m *xmlcmd.Message) {
+	if (m.From == xmlcmd.AddrFD || m.From == xmlcmd.AddrREC) &&
+		(m.To == xmlcmd.AddrFD || m.To == xmlcmd.AddrREC) {
+		// Dedicated link: does not transit mbus.
+		t.h.Mgr.Deliver(m)
+	} else if c := t.h.clients[m.From]; c != nil {
+		// clients is never written once Boot has dialled it, so the
+		// dispatcher reads it without a lock.
+		c.Send(m)
+	}
+	t.h.Mgr.Pool().RecycleMessage(m)
+}
+
+// bootPoll is how often Boot and WaitRecovered look at the station.
+const bootPoll = 20 * time.Millisecond
+
+// Boot opens the fabric, dials one bus client per name in clients (the
+// processes this host sends for), starts the station batch, polls until
+// every component serves — for at most the calibrated 90 s plus slack of
+// wall time — then starts FD and REC. Any failure tears the host down.
+func (h *Host) Boot(clients []string, slack time.Duration) (err error) {
+	defer func() {
+		if err != nil {
+			h.Stop()
+		}
+	}()
+	if err := h.broker.Open(); err != nil {
+		return err
+	}
+	for _, name := range clients {
+		c, err := bus.DialAuto(h.broker.Address(), name, h.Disp.PostMessage)
+		if err != nil {
+			return err
+		}
+		h.clients[name] = c
+	}
+	h.Disp.Call(func() { err = h.Mgr.StartBatch(h.Comps) })
+	if err != nil {
+		return err
+	}
+	deadline := time.Now().Add(time.Duration(float64(90*time.Second)/h.Scale) + slack)
+	for {
+		var ok bool
+		h.Disp.Call(func() { ok = h.Mgr.AllServing(h.Comps...) })
+		if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			return errors.New("rt: station did not boot in time")
+		}
+		time.Sleep(bootPoll)
+	}
+	h.Disp.Call(func() { err = h.Mgr.StartBatch([]string{xmlcmd.AddrFD, xmlcmd.AddrREC}) })
+	return err
+}
+
+// Client returns the bus client Boot dialled for name, nil if none.
+func (h *Host) Client(name string) bus.Conn { return h.clients[name] }
+
+// Inject delivers a fault into the live station.
+func (h *Host) Inject(f fault.Fault) error {
+	var err error
+	h.Disp.Call(func() { err = h.Board.Inject(f) })
+	return err
+}
+
+// AllServing reports whether the station is whole: every component and
+// subcomponent serves and no injected fault is active.
+func (h *Host) AllServing() bool {
+	var ok bool
+	h.Disp.Call(func() {
+		ok = h.Mgr.AllServing(h.Comps...) && h.Mgr.AllSubsServing() && h.Board.ActiveCount() == 0
+	})
+	return ok
+}
+
+// WaitRecovered polls until the station recovers or the wall deadline
+// passes.
+func (h *Host) WaitRecovered(limit time.Duration) error {
+	deadline := time.Now().Add(limit)
+	for time.Now().Before(deadline) {
+		if h.AllServing() {
+			return nil
+		}
+		time.Sleep(bootPoll)
+	}
+	return errors.New("rt: no recovery before deadline")
+}
+
+// BusAddr returns the live broker address spec (for faultgen and external
+// clients).
+func (h *Host) BusAddr() string { return h.broker.Address() }
+
+// Stop tears the host down; safe to call more than once.
+func (h *Host) Stop() {
+	h.stopOnce.Do(func() {
+		// Stop the dispatcher first so no handler can reopen the broker or
+		// touch clients while they are torn down.
+		h.Disp.Stop()
+		if h.Ckpt != nil {
+			h.Ckpt.Close()
+		}
+		for _, c := range h.clients {
+			c.Close()
+		}
+		h.broker.CloseBroker()
+	})
+}
+
+// Node is the in-process live runtime: a Host whose station components all
+// run on its one dispatcher, each behind its own bus client.
+type Node struct {
+	*Host
+}
+
+// StartNode builds and boots a live station.
+func StartNode(cfg NodeConfig) (*Node, error) {
+	h, err := NewHost(HostConfig{
+		ListenAddr: cfg.ListenAddr,
+		Scale:      cfg.Scale,
+		Seed:       cfg.Seed,
+		BusShards:  cfg.BusShards,
+	}, assemble.Config{
+		TreeName:     cfg.TreeName,
+		Micro:        cfg.Micro,
+		PolicyName:   cfg.OracleName,
+		CkptInterval: cfg.CkptInterval,
+		Window:       cfg.EstimatorWindow,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// A bus client for every component and for FD; REC uses only the
+	// dedicated link.
+	if err := h.Boot(append(h.Components(), xmlcmd.AddrFD), 5*time.Second); err != nil {
+		return nil, err
+	}
+	return &Node{h}, nil
+}

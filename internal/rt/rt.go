@@ -10,22 +10,13 @@
 package rt
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/bus"
-	"github.com/recursive-restart/mercury/internal/ckpt"
 	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/core"
-	"github.com/recursive-restart/mercury/internal/fault"
-	"github.com/recursive-restart/mercury/internal/proc"
-	"github.com/recursive-restart/mercury/internal/station"
-	"github.com/recursive-restart/mercury/internal/store"
-	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -307,41 +298,6 @@ type NodeConfig struct {
 	EstimatorWindow int
 }
 
-// Node hosts a live Mercury station: TCP broker, components, FD and REC.
-type Node struct {
-	Disp  *Dispatcher
-	Mgr   *proc.Manager
-	Board *fault.Board
-	Log   *trace.Log
-	Tree  *core.Tree
-	// FD and REC reach the live detector/recoverer incarnations (for the
-	// ops endpoints). Their accessors touch dispatcher-owned state: wrap
-	// every use in Disp.Call.
-	FD  *core.FDHandle
-	REC *core.RECHandle
-	// Store is the crash-only state store; nil unless micro mode is on.
-	Store *store.Store
-	// Ckpt is the checkpoint plane; nil unless a checkpoint-backed oracle
-	// or an explicit CkptInterval asked for it.
-	Ckpt *ckpt.Manager
-
-	cfg     NodeConfig
-	scale   float64
-	comps   []string
-	clients map[string]bus.Conn
-	broker  *BrokerControl
-	mu      sync.Mutex
-	stopped bool
-}
-
-// Components returns the station component list (excluding FD/REC).
-func (n *Node) Components() []string {
-	return append([]string(nil), n.comps...)
-}
-
-// TreeName returns the configured restart-tree name.
-func (n *Node) TreeName() string { return n.cfg.TreeName }
-
 // BrokerControl ties the mbus process lifecycle to the real TCP fabric:
 // while the process is down every shard's listener is closed and frames
 // are lost. It is shared by the in-process runtime (Node) and the
@@ -454,339 +410,8 @@ func (bc *BrokerControl) RestartShard(i int) error {
 	return bc.fabric.RestartShard(i)
 }
 
-// NewBrokerControl returns a controller for a single-shard broker on addr.
-func NewBrokerControl(addr string) *BrokerControl {
-	return &BrokerControl{addr: addr, shards: 1}
-}
-
-// NewShardedBrokerControl returns a controller for an n-shard fabric
-// listening at addr (each shard on its own port).
-func NewShardedBrokerControl(addr string, n int) *BrokerControl {
+// NewBrokerControl returns a controller for an n-shard fabric listening
+// at addr (each shard on its own port); n < 2 is the classic single broker.
+func NewBrokerControl(addr string, n int) *BrokerControl {
 	return &BrokerControl{addr: addr, shards: n}
-}
-
-// NewLiveBrokerHandler returns the mbus component for real-time runtimes:
-// its startup opens the TCP listener, its death closes it (via the
-// manager's OnDown hook calling ctl.CloseBroker).
-func NewLiveBrokerHandler(startup time.Duration, ctl *BrokerControl) func() proc.Handler {
-	return func() proc.Handler { return &rtBrokerHandler{startup: startup, ctl: ctl} }
-}
-
-// rtBrokerHandler is the mbus component in real-time mode: its startup
-// opens the TCP listener, its death closes it.
-type rtBrokerHandler struct {
-	startup time.Duration
-	ctl     *BrokerControl
-	ready   bool
-}
-
-func (h *rtBrokerHandler) Start(ctx proc.Context) {
-	d := time.Duration(float64(h.startup) * ctx.Stretch())
-	ctx.After(d, func() {
-		if err := h.ctl.Open(); err != nil {
-			ctx.Fail("broker listen: " + err.Error())
-			return
-		}
-		h.ready = true
-		ctx.Ready()
-	})
-}
-
-func (h *rtBrokerHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
-	if m.Kind() == xmlcmd.KindPing && h.ready {
-		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
-	}
-}
-
-// transport sends each component's traffic through its own TCP client,
-// except the FD↔REC dedicated link which is delivered in-process. Either
-// way the fabric is done with the message when Send returns — the client
-// has encoded the frame into its send or reconnect queue, the inline
-// delivery has run — so a pooled mint goes straight back to the manager's
-// pool (which ignores messages it did not mint).
-type transport struct {
-	node *Node
-}
-
-func (t transport) Send(m *xmlcmd.Message) {
-	if (m.From == xmlcmd.AddrFD || m.From == xmlcmd.AddrREC) &&
-		(m.To == xmlcmd.AddrFD || m.To == xmlcmd.AddrREC) {
-		// Dedicated link: does not transit mbus.
-		t.node.Mgr.Deliver(m)
-	} else if c := t.node.clients[m.From]; c != nil {
-		// clients is complete before the first handler runs and never
-		// written again, so the dispatcher reads it without a lock.
-		c.Send(m)
-	}
-	t.node.Mgr.Pool().RecycleMessage(m)
-}
-
-// StartNode builds and boots a live station.
-func StartNode(cfg NodeConfig) (*Node, error) {
-	if cfg.ListenAddr == "" {
-		cfg.ListenAddr = "127.0.0.1:0"
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.TreeName == "" {
-		cfg.TreeName = "IV"
-	}
-
-	disp := NewDispatcher()
-	clk := Clock{D: disp, Scale: cfg.Scale}
-	log := trace.NewLog()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	mgr := proc.NewManager(clk, rng, log)
-	disp.DeliverTo(mgr.Deliver)
-
-	node := &Node{
-		Disp:    disp,
-		Mgr:     mgr,
-		Log:     log,
-		cfg:     cfg,
-		scale:   cfg.Scale,
-		clients: make(map[string]bus.Conn),
-		broker:  NewShardedBrokerControl(cfg.ListenAddr, cfg.BusShards),
-	}
-	mgr.SetTransport(transport{node: node})
-	node.Board = fault.NewBoard(clk, mgr, log)
-
-	params := station.DefaultParams(time.Now())
-	trees, err := core.MercuryTrees(station.MonolithicComponents(), station.SplitComponents())
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Micro || strings.HasSuffix(cfg.TreeName, "m") {
-		node.Store = store.New(clk, store.Options{SweepPeriod: 5 * time.Second})
-		params.Micro = station.DefaultMicroParams(node.Store)
-		for _, base := range []string{"III", "IV"} {
-			mt, err := core.SubAugment(trees[base], base+"m", station.MicroSubs())
-			if err != nil {
-				return nil, fmt.Errorf("rt: tree %sm: %w", base, err)
-			}
-			trees[base+"m"] = mt
-		}
-	}
-	tree, ok := trees[cfg.TreeName]
-	if !ok {
-		return nil, fmt.Errorf("rt: unknown tree %q", cfg.TreeName)
-	}
-	node.Tree = tree
-	layout := station.Split
-	if cfg.TreeName == "I" || cfg.TreeName == "II" {
-		layout = station.Monolithic
-	}
-
-	// Register the station, swapping the broker handler for the real one.
-	comps, err := registerStation(mgr, params, layout, node)
-	if err != nil {
-		return nil, err
-	}
-
-	// Checkpoint plane: built when a checkpoint-backed oracle or an
-	// explicit interval asks for it (micro mode only — the store holds the
-	// state the snapshots cover).
-	needCkpt := core.PolicyNeedsCkpt(cfg.OracleName) || cfg.CkptInterval > 0
-	if node.Store != nil && needCkpt {
-		node.Ckpt = ckpt.New(clk, node.Store, ckpt.Options{
-			Interval: cfg.CkptInterval,
-			Keys:     station.MicroCheckpointKeys(),
-		})
-		node.Ckpt.OnRestore(node.Board.NoteRestore)
-	}
-
-	oracle, err := core.PolicyByName(cfg.OracleName, core.PolicyDeps{
-		Advisor: node.Board,
-		Rng:     rng,
-		Ckpt:    node.Ckpt,
-		Window:  cfg.EstimatorWindow,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("rt: %w", err)
-	}
-	restartFD := func() {
-		if st, _ := mgr.State(xmlcmd.AddrFD); st != proc.Starting {
-			_ = mgr.Restart([]string{xmlcmd.AddrFD})
-		}
-	}
-	restartREC := func() {
-		if st, _ := mgr.State(xmlcmd.AddrREC); st != proc.Starting {
-			_ = mgr.Restart([]string{xmlcmd.AddrREC})
-		}
-	}
-	recParams := RECParamsForScale(cfg.Scale)
-	if node.Ckpt != nil {
-		recParams.CkptRestore = node.Ckpt.RestoreSet
-	}
-	recFactory, recHandle := core.NewREC(recParams, tree, oracle, mgr, restartFD)
-	node.REC = recHandle
-	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
-		return nil, err
-	}
-	fdFactory, fdHandle := core.NewFDWithHandle(FDParamsForScale(cfg.Scale), comps, station.MBus, restartREC)
-	node.FD = fdHandle
-	if err := mgr.Register(xmlcmd.AddrFD, fdFactory); err != nil {
-		return nil, err
-	}
-	node.comps = append([]string(nil), comps...)
-
-	// Open bus clients for every component (FD included; REC uses only the
-	// dedicated link).
-	if err := node.broker.Open(); err != nil {
-		return nil, err
-	}
-	for _, name := range append(append([]string(nil), comps...), xmlcmd.AddrFD) {
-		client, err := bus.DialAuto(node.broker.Address(), name, disp.PostMessage)
-		if err != nil {
-			return nil, err
-		}
-		node.clients[name] = client
-	}
-
-	// Boot: station first, then FD/REC.
-	var bootErr error
-	disp.Call(func() { bootErr = mgr.StartBatch(comps) })
-	if bootErr != nil {
-		return nil, bootErr
-	}
-	deadline := time.Now().Add(scaled(90*time.Second, cfg.Scale) + 5*time.Second)
-	for {
-		var ok bool
-		disp.Call(func() { ok = mgr.AllServing(comps...) })
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			node.Stop()
-			return nil, errors.New("rt: station did not boot in time")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	disp.Call(func() { bootErr = mgr.StartBatch([]string{xmlcmd.AddrFD, xmlcmd.AddrREC}) })
-	if bootErr != nil {
-		node.Stop()
-		return nil, bootErr
-	}
-	return node, nil
-}
-
-// registerStation mirrors station.Register but substitutes the live broker
-// handler for mbus (the simulated one has no listener to manage).
-func registerStation(mgr *proc.Manager, p station.Params, layout station.Layout, node *Node) ([]string, error) {
-	names, err := layout.Components()
-	if err != nil {
-		return nil, err
-	}
-	if err := mgr.Register(station.MBus, func() proc.Handler {
-		return &rtBrokerHandler{startup: p.MBusStartup, ctl: node.broker}
-	}); err != nil {
-		return nil, err
-	}
-	switch layout {
-	case station.Monolithic:
-		if err := mgr.Register(station.Fedrcom, station.NewFedrcom(p)); err != nil {
-			return nil, err
-		}
-		if err := mgr.Register(station.RTU, station.NewRTU(p, station.Fedrcom)); err != nil {
-			return nil, err
-		}
-	case station.Split:
-		if err := mgr.Register(station.Fedr, station.NewFedr(p)); err != nil {
-			return nil, err
-		}
-		if err := mgr.Register(station.Pbcom, station.NewPbcom(p)); err != nil {
-			return nil, err
-		}
-		if err := mgr.Register(station.RTU, station.NewRTU(p, station.Fedr)); err != nil {
-			return nil, err
-		}
-	}
-	if err := mgr.Register(station.SES, station.NewSES(p)); err != nil {
-		return nil, err
-	}
-	if err := mgr.Register(station.STR, station.NewSTR(p)); err != nil {
-		return nil, err
-	}
-	if p.Micro != nil {
-		if layout != station.Split {
-			return nil, fmt.Errorf("rt: micro mode requires the split layout, got %s", layout)
-		}
-		if err := station.RegisterSubs(mgr); err != nil {
-			return nil, err
-		}
-	}
-
-	// The broker process's death must close the real listener.
-	mgr.OnDown(func(name, _ string) {
-		if name == station.MBus {
-			node.broker.CloseBroker()
-		}
-	})
-	return names, nil
-}
-
-// scaled converts a calibrated duration to wall time.
-func scaled(d time.Duration, scale float64) time.Duration {
-	return time.Duration(float64(d) / scale)
-}
-
-// Inject delivers a fault into the live station.
-func (n *Node) Inject(f fault.Fault) error {
-	var err error
-	n.Disp.Call(func() { err = n.Board.Inject(f) })
-	return err
-}
-
-// AllServing reports whether the station components all serve.
-func (n *Node) AllServing() bool {
-	var ok bool
-	n.Disp.Call(func() {
-		comps := []string{station.MBus, station.SES, station.STR, station.RTU}
-		if n.cfg.TreeName == "I" || n.cfg.TreeName == "II" {
-			comps = append(comps, station.Fedrcom)
-		} else {
-			comps = append(comps, station.Fedr, station.Pbcom)
-		}
-		ok = n.Mgr.AllServing(comps...) && n.Mgr.AllSubsServing() && n.Board.ActiveCount() == 0
-	})
-	return ok
-}
-
-// WaitRecovered polls until the station recovers or the wall deadline
-// passes.
-func (n *Node) WaitRecovered(limit time.Duration) error {
-	deadline := time.Now().Add(limit)
-	for time.Now().Before(deadline) {
-		if n.AllServing() {
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return errors.New("rt: no recovery before deadline")
-}
-
-// BusAddr returns the live broker address (for faultgen and external
-// clients).
-func (n *Node) BusAddr() string { return n.broker.Address() }
-
-// Stop tears the node down.
-func (n *Node) Stop() {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
-	}
-	n.stopped = true
-	n.mu.Unlock()
-	// Stop the dispatcher first so no handler can reopen the broker or
-	// touch clients while they are torn down.
-	n.Disp.Stop()
-	if n.Ckpt != nil {
-		n.Ckpt.Close()
-	}
-	for _, c := range n.clients {
-		c.Close()
-	}
-	n.broker.CloseBroker()
 }

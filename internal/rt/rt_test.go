@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,6 +124,53 @@ func TestLiveCorrelatedTrackerRecovery(t *testing.T) {
 func TestUnknownTreeRejected(t *testing.T) {
 	if _, err := StartNode(NodeConfig{TreeName: "nope", Scale: testScale}); err == nil {
 		t.Fatal("unknown tree accepted")
+	}
+}
+
+// TestFailedStartLeavesNoGoroutines pins the start-up tear-down: whatever
+// fails after the dispatcher exists — the assembly (unknown tree, micro on
+// the monolithic layout, unknown policy) or opening the fabric — the host
+// stops it, and closes what it opened, before returning the error.
+func TestFailedStartLeavesNoGoroutines(t *testing.T) {
+	bad := []NodeConfig{
+		{TreeName: "nope"},
+		{TreeName: "II", Micro: true},
+		{TreeName: "IV", OracleName: "ghost"},
+		{TreeName: "IV", ListenAddr: "127.0.0.1:99999999"},
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		cfg := bad[i%len(bad)]
+		cfg.Scale = testScale
+		if _, err := StartNode(cfg); err == nil {
+			t.Fatalf("%+v accepted", cfg)
+		}
+	}
+	// Stop waits for the dispatcher; only already-exiting goroutines of
+	// earlier tests may still be counted, and those only go away.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before 50 failed starts, %d after", before, after)
+	}
+}
+
+// TestAllServingCoversTheNodesOwnComponents: the health check reads the
+// assembled component list, so it follows the layout whatever the tree is
+// called, and a dead component of either layout shows.
+func TestAllServingCoversTheNodesOwnComponents(t *testing.T) {
+	for tree, victim := range map[string]string{"II": station.Fedrcom, "IIp": station.Pbcom} {
+		node := startNode(t, tree)
+		if !node.AllServing() {
+			t.Fatalf("tree %s: not serving after boot", tree)
+		}
+		node.Disp.Call(func() { _ = node.Mgr.Kill(victim, "test") })
+		if node.AllServing() {
+			t.Fatalf("tree %s: AllServing with %s dead", tree, victim)
+		}
+		node.Stop()
 	}
 }
 

@@ -44,43 +44,45 @@ func (l Layout) Components() ([]string, error) {
 	}
 }
 
-// Register registers the station's components with the manager and returns
+// Factory is the one name → handler-factory table for station components:
+// the simulator, the live node and a multi-process child all resolve a
+// component through it. The layout decides which front end rtu talks to.
+func Factory(name string, p Params, layout Layout) (func() proc.Handler, error) {
+	switch name {
+	case MBus:
+		return bus.BrokerHandler(p.MBusStartup), nil
+	case SES:
+		return NewSES(p), nil
+	case STR:
+		return NewSTR(p), nil
+	case RTU:
+		if layout == Monolithic {
+			return NewRTU(p, Fedrcom), nil
+		}
+		return NewRTU(p, Fedr), nil
+	case Fedr:
+		return NewFedr(p), nil
+	case Pbcom:
+		return NewPbcom(p), nil
+	case Fedrcom:
+		return NewFedrcom(p), nil
+	default:
+		return nil, fmt.Errorf("station: no handler for component %q", name)
+	}
+}
+
+// Register registers the layout's components with the manager and returns
 // their names. The caller starts them (typically with StartBatch, which is
-// itself the initial whole-system boot).
-func Register(mgr *proc.Manager, p Params, layout Layout) ([]string, error) {
+// itself the initial whole-system boot). override, when non-nil, is asked
+// for each component's factory first and the table serves the ones it
+// answers nil for: a live runtime swaps in the broker handler that owns a
+// real listener, a supervisor its child-process proxies.
+func Register(mgr *proc.Manager, p Params, layout Layout, override func(name string) func() proc.Handler) ([]string, error) {
 	if p.AntennaSlewRateRad <= 0 {
 		return nil, fmt.Errorf("station: antenna slew rate must be positive")
 	}
 	names, err := layout.Components()
 	if err != nil {
-		return nil, err
-	}
-	if err := mgr.Register(MBus, bus.BrokerHandler(p.MBusStartup)); err != nil {
-		return nil, err
-	}
-	switch layout {
-	case Monolithic:
-		if err := mgr.Register(Fedrcom, NewFedrcom(p)); err != nil {
-			return nil, err
-		}
-		if err := mgr.Register(RTU, NewRTU(p, Fedrcom)); err != nil {
-			return nil, err
-		}
-	case Split:
-		if err := mgr.Register(Fedr, NewFedr(p)); err != nil {
-			return nil, err
-		}
-		if err := mgr.Register(Pbcom, NewPbcom(p)); err != nil {
-			return nil, err
-		}
-		if err := mgr.Register(RTU, NewRTU(p, Fedr)); err != nil {
-			return nil, err
-		}
-	}
-	if err := mgr.Register(SES, NewSES(p)); err != nil {
-		return nil, err
-	}
-	if err := mgr.Register(STR, NewSTR(p)); err != nil {
 		return nil, err
 	}
 	if p.Micro != nil {
@@ -90,6 +92,22 @@ func Register(mgr *proc.Manager, p Params, layout Layout) ([]string, error) {
 		if p.Micro.Store == nil {
 			return nil, fmt.Errorf("station: micro mode requires a store")
 		}
+	}
+	for _, name := range names {
+		var factory func() proc.Handler
+		if override != nil {
+			factory = override(name)
+		}
+		if factory == nil {
+			if factory, err = Factory(name, p, layout); err != nil {
+				return nil, err
+			}
+		}
+		if err := mgr.Register(name, factory); err != nil {
+			return nil, err
+		}
+	}
+	if p.Micro != nil {
 		if err := RegisterSubs(mgr); err != nil {
 			return nil, err
 		}

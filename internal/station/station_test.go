@@ -32,7 +32,7 @@ func newRig(t *testing.T, layout Layout, seed int64) *rig {
 	b := bus.NewSim(clock.Sim{K: k}, mgr, MBus)
 	mgr.SetTransport(b)
 	p := DefaultParams(k.Now())
-	comps, err := Register(mgr, p, layout)
+	comps, err := Register(mgr, p, layout, nil)
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -92,18 +92,35 @@ func TestLayoutComponents(t *testing.T) {
 
 func TestRegisterValidation(t *testing.T) {
 	r := newRig(t, Split, 1) // occupies names
-	if _, err := Register(r.mgr, DefaultParams(r.k.Now()), Split); err == nil {
+	if _, err := Register(r.mgr, DefaultParams(r.k.Now()), Split, nil); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 	k := sim.New(1)
 	mgr := proc.NewManager(clock.Sim{K: k}, k.Rand(), trace.NewLog())
 	p := DefaultParams(k.Now())
 	p.AntennaSlewRateRad = 0
-	if _, err := Register(mgr, p, Split); err == nil {
+	if _, err := Register(mgr, p, Split, nil); err == nil {
 		t.Fatal("zero slew rate accepted")
 	}
-	if _, err := Register(mgr, DefaultParams(k.Now()), Layout(42)); err == nil {
+	if _, err := Register(mgr, DefaultParams(k.Now()), Layout(42), nil); err == nil {
 		t.Fatal("bad layout accepted")
+	}
+}
+
+// TestFactory pins the one name → handler table: every component of both
+// layouts resolves, and an unknown name does not.
+func TestFactory(t *testing.T) {
+	p := DefaultParams(time.Now())
+	for _, layout := range []Layout{Monolithic, Split} {
+		comps, _ := layout.Components()
+		for _, comp := range comps {
+			if f, err := Factory(comp, p, layout); err != nil || f == nil {
+				t.Fatalf("Factory(%s, %s): %v", comp, layout, err)
+			}
+		}
+	}
+	if _, err := Factory("nope", p, Split); err == nil {
+		t.Fatal("unknown component accepted")
 	}
 }
 

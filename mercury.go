@@ -26,15 +26,14 @@ import (
 	"strings"
 	"time"
 
+	"github.com/recursive-restart/mercury/internal/assemble"
 	"github.com/recursive-restart/mercury/internal/bus"
-	"github.com/recursive-restart/mercury/internal/ckpt"
 	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/sim"
 	"github.com/recursive-restart/mercury/internal/station"
-	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
@@ -172,35 +171,26 @@ type Fault struct {
 	StateKey string
 }
 
-// System is a fully wired, simulated Mercury ground station.
+// System is a fully wired, simulated Mercury ground station: one
+// assembled station (fault board, trees, store and checkpoint plane,
+// oracle, FD/REC handles — see assemble.Station) on a simulation kernel.
 type System struct {
-	Kernel    *sim.Kernel
-	Clock     clock.Clock
-	Mgr       *proc.Manager
-	Bus       *bus.Sim
-	Board     *fault.Board
+	Kernel *sim.Kernel
+	Clock  clock.Clock
+	Mgr    *proc.Manager
+	Bus    *bus.Sim
+	assemble.Station
 	Injector  *fault.Injector
 	Log       *trace.Log
-	Trees     map[string]*core.Tree
-	Tree      *core.Tree
-	Oracle    *core.Policy
-	REC       *core.RECHandle
 	Collector *station.Collector
-	Params    station.Params
-	// Store is the crash-only state store; nil unless micro mode is on.
-	Store *store.Store
-	// Ckpt is the checkpoint manager; nil unless a checkpoint-aware
-	// policy or Config.CkptInterval asked for one (micro mode only).
-	Ckpt *ckpt.Manager
 
-	components []string
-	booted     bool
-	armed      bool // a failure is outstanding; recovery not yet logged
+	booted bool
+	armed  bool // a failure is outstanding; recovery not yet logged
 }
 
 // Errors.
 var (
-	ErrUnknownTree = errors.New("mercury: unknown tree name")
+	ErrUnknownTree = assemble.ErrUnknownTree
 	ErrNotBooted   = errors.New("mercury: system not booted")
 	ErrNoRecovery  = errors.New("mercury: system did not recover before the deadline")
 )
@@ -213,9 +203,6 @@ const (
 
 // NewSystem builds a simulated station per the config. Call Boot next.
 func NewSystem(cfg Config) (*System, error) {
-	if cfg.TreeName == "" {
-		cfg.TreeName = "IV"
-	}
 	if cfg.Policy == 0 {
 		cfg.Policy = PolicyEscalating
 	}
@@ -235,70 +222,34 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		b.SetChaos(cfg.Chaos)
 	}
-	board := fault.NewBoard(clk, mgr, log)
-	injector := fault.NewInjector(clk, mgr, board)
 
 	params := station.DefaultParams(k.Now())
 	if cfg.Params != nil {
 		params = *cfg.Params
 	}
-
-	trees, err := core.MercuryTrees(station.MonolithicComponents(), station.SplitComponents())
-	if err != nil {
-		return nil, err
+	fdParams := core.DefaultFDParams()
+	if cfg.FDParams != nil {
+		fdParams = *cfg.FDParams
 	}
-
-	// Micro mode: externalize session/track state into a crash-only store
-	// and grow the sub-process restart level onto the split trees. The
-	// m-variant trees exist only in micro mode, so classic systems see the
-	// exact historical tree set.
-	micro := cfg.Micro || strings.HasSuffix(cfg.TreeName, "m")
-	var st *store.Store
-	if micro {
-		st = store.New(clk, store.Options{SweepPeriod: 5 * time.Second})
-		if params.Micro == nil {
-			params.Micro = station.DefaultMicroParams(st)
-		} else if params.Micro.Store == nil {
-			params.Micro.Store = st
-		}
-		for _, base := range []string{"III", "IV"} {
-			mt, err := core.SubAugment(trees[base], base+"m", station.MicroSubs())
-			if err != nil {
-				return nil, fmt.Errorf("tree %sm: %w", base, err)
-			}
-			trees[base+"m"] = mt
-		}
+	recParams := core.DefaultRECParams()
+	if cfg.RECParams != nil {
+		recParams = *cfg.RECParams
 	}
-
-	// Checkpoint plane: only built when something will use it, so classic
-	// configurations schedule no extra ticker events and goldens hold.
-	var ckptMgr *ckpt.Manager
-	needCkpt := core.PolicyNeedsCkpt(cfg.Policy.String()) || cfg.CkptInterval > 0
-	if micro && st != nil && needCkpt {
-		ckptMgr = ckpt.New(clk, st, ckpt.Options{
-			Interval: cfg.CkptInterval,
-			Keys:     station.MicroCheckpointKeys(),
-		})
-		ckptMgr.OnRestore(board.NoteRestore)
-	}
-
-	var tree *core.Tree
-	if cfg.CustomTree != nil {
-		tree = cfg.CustomTree
-		trees[tree.Name] = tree
-	} else {
-		var ok bool
-		tree, ok = trees[cfg.TreeName]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownTree, cfg.TreeName)
-		}
-	}
-	layout := station.Split
-	if cfg.CustomTree == nil && (cfg.TreeName == "I" || cfg.TreeName == "II") {
-		layout = station.Monolithic
-	}
-
-	comps, err := station.Register(mgr, params, layout)
+	st, err := assemble.Assemble(assemble.Config{
+		Mgr:             mgr,
+		FDParams:        fdParams,
+		RECParams:       recParams,
+		Params:          params,
+		TreeName:        cfg.TreeName,
+		CustomTree:      cfg.CustomTree,
+		Micro:           cfg.Micro,
+		PolicyName:      cfg.Policy.String(),
+		FaultyP:         cfg.FaultyP,
+		HarmRates:       cfg.HarmRates,
+		Window:          cfg.EstimatorWindow,
+		CkptInterval:    cfg.CkptInterval,
+		DisableRecovery: cfg.DisableRecovery,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -306,110 +257,35 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := mgr.Register(station.Ops, coll.Handler()); err != nil {
 		return nil, err
 	}
-
-	sys := &System{
-		Kernel:     k,
-		Clock:      clk,
-		Mgr:        mgr,
-		Bus:        b,
-		Board:      board,
-		Injector:   injector,
-		Log:        log,
-		Trees:      trees,
-		Tree:       tree,
-		Collector:  coll,
-		Params:     params,
-		Store:      st,
-		Ckpt:       ckptMgr,
-		components: comps,
-	}
-
 	if !cfg.DisableRecovery {
-		oracle, err := core.PolicyByName(cfg.Policy.String(), core.PolicyDeps{
-			Advisor:  board,
-			Rng:      k.Rand(),
-			FaultyP:  cfg.FaultyP,
-			Ckpt:     ckptMgr,
-			HarmRate: harmRateFn(cfg.HarmRates),
-			Window:   cfg.EstimatorWindow,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("mercury: %w", err)
-		}
-		sys.Oracle = oracle
-
-		fdParams := core.DefaultFDParams()
-		if cfg.FDParams != nil {
-			fdParams = *cfg.FDParams
-		}
-		recParams := core.DefaultRECParams()
-		if cfg.RECParams != nil {
-			recParams = *cfg.RECParams
-		}
-		if ckptMgr != nil && recParams.CkptRestore == nil {
-			recParams.CkptRestore = ckptMgr.RestoreSet
-		}
-		restartFD := func() {
-			if st, _ := mgr.State(FDName); st != proc.Starting {
-				_ = mgr.Restart([]string{FDName})
-			}
-		}
-		restartREC := func() {
-			if st, _ := mgr.State(RECName); st != proc.Starting {
-				_ = mgr.Restart([]string{RECName})
-			}
-		}
-		recFactory, handle := core.NewREC(recParams, tree, oracle, mgr, restartFD)
-		sys.REC = handle
-		if err := mgr.Register(RECName, recFactory); err != nil {
-			return nil, err
-		}
-		if err := mgr.Register(FDName, core.NewFD(fdParams, comps, station.MBus, restartREC)); err != nil {
-			return nil, err
-		}
 		b.AddDirectLink(FDName, RECName)
 	}
+	sys := &System{
+		Kernel:    k,
+		Clock:     clk,
+		Mgr:       mgr,
+		Bus:       b,
+		Station:   st,
+		Injector:  fault.NewInjector(clk, mgr, st.Board),
+		Log:       log,
+		Collector: coll,
+	}
 
-	// Recovery monitor: registered after the fault board (whose silencing
-	// listener must run first) and after REC's bookkeeping. A_entire: any
-	// component failure makes the whole system unavailable; recovery is
-	// complete when every component serves and no fault is active.
+	// Recovery monitor: registered after the assembly, so the fault board's
+	// silencing listener and REC's bookkeeping have already run when it
+	// looks. A_entire: any component failure makes the whole system
+	// unavailable; recovery is complete when every component serves and no
+	// fault is active.
 	mgr.OnDown(func(string, string) { sys.armed = true })
 	mgr.OnReady(func(string) {
-		if sys.armed && mgr.AllServing(sys.components...) && mgr.AllSubsServing() &&
-			board.ActiveCount() == 0 {
+		if sys.armed && mgr.AllServing(sys.Comps...) && mgr.AllSubsServing() &&
+			sys.Board.ActiveCount() == 0 {
 			sys.armed = false
 			log.Add(clk.Now(), trace.SystemRecovered, "", "", "all components serving")
 		}
 	})
 
 	return sys, nil
-}
-
-// harmRateFn builds the oracle's harm-rate lookup: exact component first,
-// then a dotted sub's hosting process, then 1.
-func harmRateFn(rates map[string]float64) func(string) float64 {
-	if rates == nil {
-		return nil
-	}
-	return func(c string) float64 {
-		if v, ok := rates[c]; ok {
-			return v
-		}
-		if i := strings.IndexByte(c, '.'); i >= 0 {
-			if v, ok := rates[c[:i]]; ok {
-				return v
-			}
-		}
-		return 1
-	}
-}
-
-// Components returns the station component names (excluding FD/REC/ops).
-func (s *System) Components() []string {
-	out := make([]string, len(s.components))
-	copy(out, s.components)
-	return out
 }
 
 // Boot starts the station (one whole-system start), waits until every
@@ -442,13 +318,13 @@ func BootAll(k *sim.Kernel, systems []*System) error {
 		if err := s.Mgr.Start(station.Ops); err != nil {
 			return err
 		}
-		if err := s.Mgr.StartBatch(s.components); err != nil {
+		if err := s.Mgr.StartBatch(s.Comps); err != nil {
 			return err
 		}
 	}
 	allServing := func() bool {
 		for _, s := range systems {
-			if !s.Mgr.AllServing(s.components...) {
+			if !s.Mgr.AllServing(s.Comps...) {
 				return false
 			}
 		}
@@ -458,7 +334,7 @@ func BootAll(k *sim.Kernel, systems []*System) error {
 	for !allServing() {
 		if k.Now().After(deadline) {
 			for _, s := range systems {
-				if !s.Mgr.AllServing(s.components...) {
+				if !s.Mgr.AllServing(s.Comps...) {
 					return fmt.Errorf("mercury: boot did not complete: %s", s.describe())
 				}
 			}
@@ -487,8 +363,8 @@ func BootAll(k *sim.Kernel, systems []*System) error {
 // describe renders the component states for error messages, in sorted
 // component order so equal system states always produce equal strings.
 func (s *System) describe() string {
-	names := make([]string, len(s.components))
-	copy(names, s.components)
+	names := make([]string, len(s.Comps))
+	copy(names, s.Comps)
 	sort.Strings(names)
 	var sb strings.Builder
 	for i, c := range names {
