@@ -8,9 +8,11 @@ import (
 // Allocation budgets for the simulated station. The Table-4 campaign is
 // tens of thousands of "build a station, break one thing, time the cure"
 // trials, so what a trial allocates is what the campaign costs; these
-// ceilings keep the timer nodes, the message pool, the prebound loops and
-// the shared trees from quietly regressing. They are pinned ~15 % above the
-// measured value (fmt's sync.Pool is lossy under the race detector).
+// ceilings keep the timer nodes, the message pool, the prebound loops, the
+// shared trees and the typed command parameters from quietly regressing.
+// The per-trial ceilings are pinned ~15 % above the measured value (fmt's
+// sync.Pool is lossy under the race detector); the healthy station's is
+// exact.
 
 // TestTrialAllocBudget pins NewSystem → Boot → MeasureRecovery.
 func TestTrialAllocBudget(t *testing.T) {
@@ -18,8 +20,8 @@ func TestTrialAllocBudget(t *testing.T) {
 		tree, component string
 		ceiling         float64 // allocations per trial
 	}{
-		{"IV", "rtu", 500},     // measured 421, 439 under -race (before the pools: 1 715)
-		{"II", "fedrcom", 550}, // measured 462, 483 under -race (before the pools: 2 915)
+		{"IV", "rtu", 360},     // measured 313, 334 under -race (before the pools: 1 715)
+		{"II", "fedrcom", 340}, // measured 295, 314 under -race (before the pools: 2 915)
 	}
 	for _, c := range cases {
 		seed := int64(0)
@@ -50,8 +52,8 @@ func TestTrialAllocBudget(t *testing.T) {
 // TestHealthyStationAllocsPerEvent: once booted and warm, a healthy tree-IV
 // station — FD and REC pinging, ses estimating, str tracking, the radio
 // retuning, every component beaconing — runs on recycled timer nodes and
-// envelopes. What is left is ses formatting three floats a second into
-// command parameters, which are immutable strings by contract.
+// envelopes, and the numbers in its commands travel as numbers: it
+// allocates nothing at all.
 func TestHealthyStationAllocsPerEvent(t *testing.T) {
 	sys := bootSystem(t, Config{Seed: 7, TreeName: "IV"})
 	if err := sys.RunFor(time.Minute); err != nil { // fill the pools and free lists
@@ -67,7 +69,7 @@ func TestHealthyStationAllocsPerEvent(t *testing.T) {
 	events := float64(sys.Kernel.Executed()-before) / (runs + 1) // AllocsPerRun adds a warm-up call
 	perEvent := avg / events
 	t.Logf("%.0f allocs and %.0f events per simulated minute: %.3f allocs/event", avg, events, perEvent)
-	if perEvent > 0.07 { // measured 0.057: 180 allocations a minute (before the pools: 1.911)
-		t.Errorf("healthy station allocates %.3f per event, budget 0.07", perEvent)
+	if avg != 0 { // before the typed parameters: 180 a minute; before the pools: 1.911 per event
+		t.Errorf("healthy station allocates %.0f times per simulated minute, want 0", avg)
 	}
 }

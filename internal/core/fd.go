@@ -82,9 +82,19 @@ type FD struct {
 // targetState is FD's per-component suspicion bookkeeping and, once FD is
 // ready, the target's prebound probe: exactly one probe per target is in
 // flight, so ping and verify are bound once per incarnation and the ping
-// loop schedules the same two funcs forever without allocating.
+// loop schedules the same two funcs forever without allocating. The same
+// holds for the broker verification a suspicion starts: its K attempts
+// (K = SuspectAfter) end K·PingTimeout + (K-1)·MissRetry after the
+// suspicion, and the target cannot be suspected again before a ping period
+// plus K-1 timeouts and retries have passed — later by PingPeriod -
+// PingTimeout. So brokerCheck and brokerRetry are bound the same way, with
+// the one verification's state in brokerProbeAt and brokerAttempt.
 type targetState struct {
-	ping, verify func()
+	ping, verify             func()
+	brokerCheck, brokerRetry func()
+
+	brokerProbeAt time.Time // when the verification's current broker probe was sent
+	brokerAttempt int       // which attempt that probe is, from 1
 
 	outstanding  uint64 // nonce awaiting pong, 0 = none
 	missed       int    // consecutive missed pongs (reset by any pong)
@@ -158,6 +168,16 @@ func (fd *FD) Start(ctx proc.Context) {
 			target, st := target, fd.targetSt[target]
 			st.ping = func() { fd.sendPing(ctx, target, st) }
 			st.verify = func() { fd.verifyPing(ctx, target, st) }
+			if target != fd.broker {
+				st.brokerCheck = func() { fd.checkBroker(ctx, target, st) }
+				if fd.suspectAfter() > 1 { // the only way to a retry
+					st.brokerRetry = func() {
+						if st.suspected {
+							fd.verifyBroker(ctx, st, st.brokerAttempt+1)
+						}
+					}
+				}
+			}
 			offset := time.Duration(i) * fd.params.PingPeriod / time.Duration(len(fd.targets)+1)
 			ctx.After(offset, st.ping)
 		}
@@ -239,7 +259,7 @@ func (fd *FD) suspect(ctx proc.Context, target string) {
 		// casualties once it recovers.
 		return
 	}
-	fd.verifyBroker(ctx, target, 1)
+	fd.verifyBroker(ctx, st, 1)
 }
 
 // verifyBroker probes the broker out of band before blaming target. Under
@@ -247,35 +267,35 @@ func (fd *FD) suspect(ctx proc.Context, target string) {
 // threshold — otherwise a lossy (but live) bus would get the broker
 // blamed on a single dropped frame, and a false mbus restart is the most
 // expensive mistake the detector can make.
-func (fd *FD) verifyBroker(ctx proc.Context, target string, attempt int) {
-	st := fd.targetSt[target]
-	probeAt := ctx.Now()
+func (fd *FD) verifyBroker(ctx proc.Context, st *targetState, attempt int) {
+	st.brokerProbeAt, st.brokerAttempt = ctx.Now(), attempt
 	fd.nonce++
 	fd.seq++
 	M.FDPingsSent.Inc()
 	M.FDVerifications.Inc()
 	ctx.Send(ctx.Pool().Ping(xmlcmd.AddrFD, fd.broker, fd.seq, fd.nonce))
-	ctx.After(fd.params.PingTimeout, func() {
-		if !st.suspected {
-			return // target answered a later ping meanwhile
-		}
-		if fd.lastBrokerPong.After(probeAt) {
-			fd.report(ctx, target)
-			return
-		}
-		if attempt < fd.suspectAfter() {
-			ctx.After(fd.params.MissRetry, func() {
-				if st.suspected {
-					fd.verifyBroker(ctx, target, attempt+1)
-				}
-			})
-			return
-		}
-		if b, ok := fd.targetSt[fd.broker]; ok {
-			b.suspected = true
-			fd.report(ctx, fd.broker)
-		}
-	})
+	ctx.After(fd.params.PingTimeout, st.brokerCheck)
+}
+
+// checkBroker runs PingTimeout after verifyBroker's probe and settles the
+// blame: the target's if the broker answered the probe, the broker's once
+// the attempts are used up.
+func (fd *FD) checkBroker(ctx proc.Context, target string, st *targetState) {
+	if !st.suspected {
+		return // target answered a later ping meanwhile
+	}
+	if fd.lastBrokerPong.After(st.brokerProbeAt) {
+		fd.report(ctx, target)
+		return
+	}
+	if st.brokerAttempt < fd.suspectAfter() {
+		ctx.After(fd.params.MissRetry, st.brokerRetry)
+		return
+	}
+	if b, ok := fd.targetSt[fd.broker]; ok {
+		b.suspected = true
+		fd.report(ctx, fd.broker)
+	}
 }
 
 // report delivers a failure report over the dedicated link, throttled per

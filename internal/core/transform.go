@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -288,23 +290,53 @@ func MercuryTrees(monolithic, split []string) (map[string]*Tree, error) {
 // that have a microrebootable variant: trees["IIIm"] and trees["IVm"] are
 // III and IV with one child cell per subcomponent in subs (SubAugment).
 // The m-variants exist only in micro mode, so a classic station's tree set
-// stays the paper's.
+// stays the paper's. Like the trees they grow from they are built once and
+// shared: a variant depends only on its base tree and on subs.
 func AddMicroTrees(trees map[string]*Tree, subs map[string][]string) error {
+	mercuryTrees.Lock()
+	defer mercuryTrees.Unlock()
 	for _, base := range []string{"III", "IV"} {
-		mt, err := SubAugment(trees[base], base+"m", subs)
-		if err != nil {
-			return fmt.Errorf("tree %sm: %w", base, err)
+		name := base + "m"
+		mt := mercuryTrees.micro[name]
+		if mt.base != trees[base] || !maps.EqualFunc(mt.subs, subs, slices.Equal[[]string]) {
+			t, err := SubAugment(trees[base], name, subs)
+			if err != nil {
+				return fmt.Errorf("tree %s: %w", name, err)
+			}
+			mt = microVariant{base: trees[base], subs: cloneSubs(subs), tree: t}
+			if mercuryTrees.micro == nil {
+				mercuryTrees.micro = make(map[string]microVariant, 2)
+			}
+			mercuryTrees.micro[name] = mt
 		}
-		trees[base+"m"] = mt
+		trees[name] = mt.tree
 	}
 	return nil
 }
 
-// mercuryTrees memoises buildMercuryTrees; the lock covers parallel trial
-// workers constructing systems at once.
+// mercuryTrees memoises buildMercuryTrees and, per m-variant name, the
+// latest SubAugment of a base tree; the lock covers parallel trial workers
+// constructing systems at once.
 var mercuryTrees struct {
 	sync.Mutex
 	built map[string]map[string]*Tree
+	micro map[string]microVariant
+}
+
+// microVariant is a memoised m-variant and what it was built from.
+type microVariant struct {
+	base *Tree
+	subs map[string][]string
+	tree *Tree
+}
+
+// cloneSubs copies subs deeply: the memo must not see its caller edit them.
+func cloneSubs(subs map[string][]string) map[string][]string {
+	c := make(map[string][]string, len(subs))
+	for comp, s := range subs {
+		c[comp] = slices.Clone(s)
+	}
+	return c
 }
 
 func buildMercuryTrees(monolithic []string) (map[string]*Tree, error) {

@@ -36,6 +36,42 @@ func TestPoisonedRecyclingKeepsGoldens(t *testing.T) {
 		RenderRows(rows, "Table 4 — overall MTTRs (s); rows are tree/oracle, columns failed components"))
 }
 
+// sharedTrees returns the process-wide tree set, m-variants included, and
+// how each tree renders now.
+func sharedTrees(t *testing.T) (map[string]*core.Tree, map[string]string) {
+	t.Helper()
+	trees, err := core.MercuryTrees(station.MonolithicComponents(), station.SplitComponents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.AddMicroTrees(trees, station.MicroSubs()); err != nil {
+		t.Fatal(err)
+	}
+	rendered := make(map[string]string, len(trees))
+	for name, tree := range trees {
+		rendered[name] = tree.Render()
+	}
+	return trees, rendered
+}
+
+// checkSharedTrees fails if a campaign rebuilt or edited a shared tree.
+func checkSharedTrees(t *testing.T, campaign string, before map[string]*core.Tree, rendered map[string]string) map[string]*core.Tree {
+	t.Helper()
+	after, now := sharedTrees(t)
+	if len(after) != len(before) {
+		t.Errorf("tree set went from %d to %d trees under the %s campaign", len(before), len(after), campaign)
+	}
+	for name, tree := range after {
+		if tree != before[name] {
+			t.Errorf("tree %s was rebuilt", name)
+		}
+		if now[name] != rendered[name] {
+			t.Errorf("shared tree %s changed under the %s campaign:\n--- before\n%s--- after\n%s", name, campaign, rendered[name], now[name])
+		}
+	}
+	return after
+}
+
 // TestSharedTreesSurviveOnlineCampaign: the paper's trees are one shared
 // immutable instance per process. The online optimizer campaign deploys
 // II′, mines its episodes and hill-climbs transformations from it; all of
@@ -45,18 +81,7 @@ func TestSharedTreesSurviveOnlineCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	shared := func() map[string]*core.Tree {
-		trees, err := core.MercuryTrees(station.MonolithicComponents(), station.SplitComponents())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return trees
-	}
-	before := shared()
-	rendered := make(map[string]string, len(before))
-	for name, tree := range before {
-		rendered[name] = tree.Render()
-	}
+	before, rendered := sharedTrees(t)
 
 	cfg := DefaultOnlineConfig()
 	cfg.Horizon = 2 * time.Hour
@@ -68,18 +93,34 @@ func TestSharedTreesSurviveOnlineCampaign(t *testing.T) {
 		t.Fatal("optimizer proposed nothing: the campaign did not exercise the transformations")
 	}
 
-	after := shared()
-	for name, tree := range after {
-		if tree != before[name] {
-			t.Errorf("tree %s was rebuilt", name)
-		}
-		if got := tree.Render(); got != rendered[name] {
-			t.Errorf("shared tree %s changed under the online campaign:\n--- before\n%s--- after\n%s", name, rendered[name], got)
-		}
-	}
-	for _, tree := range after {
+	for _, tree := range checkSharedTrees(t, "online", before, rendered) {
 		if tree == p.Result.Tree {
 			t.Error("the proposal is one of the shared trees, not a clone")
 		}
 	}
+}
+
+// TestSharedMicroTreesSurviveMicroCampaign: IIIm and IVm are shared like
+// the trees they grow from. Stations recovering by microreboot on IIIm —
+// two kernels at once — only read it, and a caller's own additions to its
+// tree map stay its own.
+func TestSharedMicroTreesSurviveMicroCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	before, rendered := sharedTrees(t)
+	before["mine"] = before["IVm"]
+
+	cfg := DefaultMicroConfig()
+	cfg.Trials, cfg.Workers = 4, 2
+	cell, err := RunMicroCell(context.Background(), cfg, MicroModes()[0], MicroClasses()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell.Tree != "IIIm" || cell.Recovered == 0 {
+		t.Fatalf("campaign did not recover on IIIm: %+v", cell)
+	}
+
+	delete(before, "mine")
+	checkSharedTrees(t, "microreboot", before, rendered)
 }

@@ -259,9 +259,9 @@ type cohortState struct {
 	// a million users is 125 KB).
 	sessionDown []uint64
 
-	// vals cycles precomputed parameter strings so steady-state requests
+	// vals cycles precomputed request parameters so steady-state requests
 	// never format floats.
-	vals [][2]string
+	vals [][]xmlcmd.Param
 	vi   int
 }
 
@@ -334,31 +334,38 @@ func NewEngine(clk clock.Clock, b *bus.Sim, mgr *proc.Manager, cfg Config) (*Eng
 	return e, nil
 }
 
-// buildVals precomputes a cycle of formatted parameter values spanning
-// each class's realistic range, so issuing allocates no strings.
+// buildVals precomputes a cycle of request parameters spanning each
+// class's realistic range, so issuing neither formats nor allocates.
 func (c *cohortState) buildVals() {
 	const n = 64
-	c.vals = make([][2]string, n)
+	c.vals = make([][]xmlcmd.Param, n)
 	for i := range c.vals {
 		switch c.cfg.Class {
 		case ClassPass:
 			az := c.rng.Float64() * 6.283185307179586
 			el := c.rng.Float64() * 1.5707963267948966
-			c.vals[i] = [2]string{formatFloat(az), formatFloat(el)}
+			c.vals[i] = []xmlcmd.Param{clientNum("azRad", az), clientNum("elRad", el)}
 		default:
 			// Telemetry and federation both carry a frequency around the
 			// UHF amateur band.
 			f := 435e6 + c.rng.Float64()*3e6
-			c.vals[i] = [2]string{formatFloat(f), ""}
+			c.vals[i] = []xmlcmd.Param{clientNum("freqHz", f)}
 		}
 	}
 }
 
-// formatFloat renders parameter values the way a real client would — six
-// decimals, not a shortest-round-trip float64 — which also keeps the
-// server-side ParseFloat cheap (digit count drives its cost).
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'f', 6, 64)
+// clientNum is the number a real client would send for f — six decimals,
+// not a shortest-round-trip float64 — as the server reads it.
+func clientNum(key string, f float64) xmlcmd.Param {
+	six, err := strconv.ParseFloat(strconv.FormatFloat(f, 'f', 6, 64), 64)
+	if err != nil {
+		panic(err) // a formatted finite float parses
+	}
+	p, err := xmlcmd.Num(key, six)
+	if err != nil {
+		panic(err) // f is drawn from a finite range
+	}
+	return p
 }
 
 // Start brings up the gate component and begins every cohort's arrival
@@ -477,21 +484,13 @@ func (e *Engine) issue(c *cohortState) {
 // never rebuilds a time.Time.
 func (e *Engine) send(c *cohortState, slot int32, rec *record, now int64) {
 	e.stats.Attempts++
-	v := &c.vals[c.vi]
+	v := c.vals[c.vi]
 	c.vi++
 	if c.vi == len(c.vals) {
 		c.vi = 0
 	}
 	class := c.cfg.Class
-	pool, seq := e.mgr.Pool(), seqFor(slot, rec.gen)
-	var m *xmlcmd.Message
-	switch class {
-	case ClassPass:
-		m = pool.Command(e.gate, class.target(), seq, class.command(), "azRad", v[0], "elRad", v[1])
-	default:
-		m = pool.Command(e.gate, class.target(), seq, class.command(), "freqHz", v[0])
-	}
-	e.bus.Send(m)
+	e.bus.Send(e.mgr.Pool().Command(e.gate, class.target(), seqFor(slot, rec.gen), class.command(), v...))
 	e.armDeadline(c, slot, rec.gen, now)
 }
 

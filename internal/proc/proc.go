@@ -575,15 +575,26 @@ func (n *timerNode) Fire() {
 	}
 }
 
+// timerChunk is how many timer nodes are minted at once: a station keeps
+// 15 to 25 pending, so it pays for one or two chunks instead of a node each.
+const timerChunk = 16
+
 func (c *procCtx) After(d time.Duration, fn func()) {
 	m := c.p.mgr
-	var n *timerNode
-	if k := len(m.timers); k > 0 {
-		n = m.timers[k-1]
-		m.timers = m.timers[:k-1]
-	} else {
-		n = &timerNode{mgr: m}
+	if len(m.timers) == 0 {
+		chunk := make([]timerNode, timerChunk)
+		if m.timers == nil {
+			// Room for both chunks, so a node coming back never grows it.
+			m.timers = make([]*timerNode, 0, 2*timerChunk)
+		}
+		for i := range chunk {
+			chunk[i].mgr = m
+			m.timers = append(m.timers, &chunk[i])
+		}
 	}
+	k := len(m.timers) - 1
+	n := m.timers[k]
+	m.timers = m.timers[:k]
 	n.ctx, n.fn = c, fn
 	m.clk.Schedule(d, n)
 }

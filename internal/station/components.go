@@ -66,13 +66,16 @@ func (c *sesComponent) estimate(ctx proc.Context) {
 		c.warnings++
 		return
 	}
+	az, errA := xmlcmd.Num("azRad", look.AzimuthRad)
+	el, errE := xmlcmd.Num("elRad", look.ElevationRad)
+	freq, errF := xmlcmd.Num("freqHz", c.params.CarrierHz+look.DopplerHz(c.params.CarrierHz))
+	if errA != nil || errE != nil || errF != nil {
+		c.warnings++
+		return
+	}
 	pool := ctx.Pool()
-	ctx.Send(pool.Command(SES, STR, c.nextSeq(), "point",
-		"azRad", formatFloat(look.AzimuthRad),
-		"elRad", formatFloat(look.ElevationRad)))
-	freq := c.params.CarrierHz + look.DopplerHz(c.params.CarrierHz)
-	ctx.Send(pool.Command(SES, RTU, c.nextSeq(), "tune",
-		"freqHz", formatFloat(freq)))
+	ctx.Send(pool.Command(SES, STR, c.nextSeq(), "point", az, el))
+	ctx.Send(pool.Command(SES, RTU, c.nextSeq(), "tune", freq))
 	ctx.Send(pool.Telemetry(SES, Ops, c.nextSeq(), "elevation_rad",
 		look.ElevationRad, ctx.Now()))
 }
@@ -231,12 +234,8 @@ func (c *rtuComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 			return
 		}
 		c.lastFreqHz = f
-		// Forward the wire string as-is: it parsed, and re-formatting the
-		// parsed float reproduces the same bytes (round-trip exactness), so
-		// the old formatFloat here was pure allocation.
-		v, _ := m.Command.Param("freqHz")
-		ctx.Send(ctx.Pool().Command(RTU, c.front, c.nextSeq(), "radio-tune",
-			"freqHz", v))
+		freq, _ := m.Command.Lookup("freqHz")
+		ctx.Send(ctx.Pool().Command(RTU, c.front, c.nextSeq(), "radio-tune", freq))
 		ctx.Send(ctx.Pool().Ack(RTU, m.From, c.nextSeq(), m.Seq, true, ""))
 	default:
 		c.handleCommon(ctx, m)
@@ -476,7 +475,7 @@ func (c *fedrComponent) connectLoop(ctx proc.Context) {
 	}
 	c.connectSeq = c.nextSeq()
 	ctx.Send(ctx.Pool().Command(Fedr, Pbcom, c.connectSeq, "connect",
-		"incarnation", strconv.Itoa(ctx.Incarnation())))
+		xmlcmd.Param{Key: "incarnation", Value: strconv.Itoa(ctx.Incarnation())}))
 	ctx.After(c.params.ConnectRetransmit, c.reconnect)
 }
 
@@ -494,16 +493,13 @@ func (c *fedrComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 		}
 	case xmlcmd.KindCommand:
 		if m.Command.Name == "radio-tune" && c.ready && c.subOK(SubSession) {
-			// Translate and forward to the port proxy, reusing the incoming
-			// wire string (see rtu: round-trip exactness makes this
-			// byte-identical to re-formatting).
+			// Translate and forward to the port proxy.
 			if _, err := m.Command.FloatParam("freqHz"); err != nil {
 				c.warnings++
 				return
 			}
-			v, _ := m.Command.Param("freqHz")
-			ctx.Send(ctx.Pool().Command(Fedr, Pbcom, c.nextSeq(), "radio-tune",
-				"freqHz", v))
+			freq, _ := m.Command.Lookup("freqHz")
+			ctx.Send(ctx.Pool().Command(Fedr, Pbcom, c.nextSeq(), "radio-tune", freq))
 			ctx.Send(ctx.Pool().Ack(Fedr, m.From, c.nextSeq(), m.Seq, true, ""))
 		}
 	default:
@@ -556,8 +552,4 @@ func (h collectorHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	case xmlcmd.KindPing:
 		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
 	}
-}
-
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }

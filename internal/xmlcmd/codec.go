@@ -131,7 +131,11 @@ func appendParams(dst []byte, params []Param) []byte {
 		dst = append(dst, `<param key="`...)
 		dst = appendEscaped(dst, params[i].Key)
 		dst = append(dst, `" value="`...)
-		dst = appendEscaped(dst, params[i].Value)
+		if params[i].numeric {
+			dst = strconv.AppendFloat(dst, params[i].num, 'g', -1, 64)
+		} else {
+			dst = appendEscaped(dst, params[i].Value)
+		}
 		dst = append(dst, `"></param>`...)
 	}
 	return dst

@@ -43,6 +43,7 @@ func addDecodeSeeds(f *testing.F) {
 		NewPong("ses", NewPing("fd", "ses", 2, 43), 3),
 		NewCommand("rec", "mbus", 4, "register"),
 		NewCommand("fedr", "pbcom", 5, "tune", "freq", "437.5"),
+		numCommand("ses", "rtu", 5, "tune", "freqHz", 4.371029653146064e+08),
 		NewAck("pbcom", "fedr", 6, 5, true, ""),
 		NewTelemetry("rtu", "str", 7, "az", 181.5, time.Unix(1020000000, 0).UTC()),
 		NewEvent("fd", "rec", 8, "failure", "ses"),
@@ -107,6 +108,7 @@ func FuzzCodecDiff(f *testing.F) {
 		NewPong("ses", NewPing("fd", "ses", 2, 43), 3),
 		NewCommand("rec", "mbus", 4, "register"),
 		NewCommand("fedr", "pbcom", 5, "tune", "freq", "437.5"),
+		numCommand("ses", "str", 5, "point", "azRad", 4.9807672363561, "elRad", -0.5433825307141718),
 		NewAck("pbcom", "fedr", 6, 5, false, "radio said \"no\" & <hung>"),
 		NewTelemetry("rtu", "str", 7, "az", 181.5, time.Unix(1020000000, 0).UTC()),
 		NewEvent("fd", "rec", 8, "failure", "ses"),

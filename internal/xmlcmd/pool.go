@@ -25,6 +25,10 @@ import (
 // collector.
 type Pool struct {
 	free [KindHealth + 1][]*Message
+	// first is where each free list starts, so a station — whose lists
+	// hold an envelope or two per kind — never grows one on the heap. (A
+	// pool is its messages' Owner by address, so it is never copied.)
+	first [KindHealth + 1][4]*Message
 }
 
 var _ Recycler = (*Pool)(nil)
@@ -62,6 +66,9 @@ func (p *Pool) RecycleMessage(m *Message) {
 		m.poison()
 	}
 	k := m.Kind()
+	if p.free[k] == nil {
+		p.free[k] = p.first[k][:0]
+	}
 	p.free[k] = append(p.free[k], m)
 }
 
@@ -101,12 +108,10 @@ func (p *Pool) Pong(from string, ping *Message, incarnation int) *Message {
 	return m
 }
 
-// Command mints a pooled NewCommand; params are alternating key, value
-// pairs. Callers forwarding a numeric parameter should pass the incoming
-// wire string through unchanged rather than re-formatting: FormatFloat ∘
-// ParseFloat is exact, so the forwarded bytes are identical and the
-// formatting allocation disappears.
-func (p *Pool) Command(from, to string, seq uint64, name string, params ...string) *Message {
+// Command mints a pooled command carrying params, which it copies: text
+// (Param{Key, Value}), numbers (Num) or parameters taken whole from a
+// received command (Command.Lookup).
+func (p *Pool) Command(from, to string, seq uint64, name string, params ...Param) *Message {
 	m := p.get(KindCommand)
 	if m == nil {
 		m = &Message{Command: &Command{Params: make([]Param, 0, 2)}, Owner: p}
@@ -114,10 +119,7 @@ func (p *Pool) Command(from, to string, seq uint64, name string, params ...strin
 	m.From, m.To, m.Seq = from, to, seq
 	c := m.Command
 	c.Name = name
-	c.Params = c.Params[:0]
-	for i := 0; i+1 < len(params); i += 2 {
-		c.Params = append(c.Params, Param{Key: params[i], Value: params[i+1]})
-	}
+	c.Params = append(c.Params[:0], params...)
 	return m
 }
 
@@ -265,7 +267,7 @@ func (m *Message) poison() {
 		m.Command.Name = PoisonString
 		ps := m.Command.Params[:cap(m.Command.Params)]
 		for i := range ps {
-			ps[i] = Param{Key: PoisonString, Value: PoisonString}
+			ps[i] = Param{Key: PoisonString, Value: PoisonString, num: math.NaN(), numeric: true}
 		}
 	case m.Ack != nil:
 		*m.Ack = Ack{OfSeq: poisonUint, Error: PoisonString}

@@ -18,8 +18,12 @@ func TestPoolMintsLikeTheConstructors(t *testing.T) {
 		func() (*Message, *Message) { return p.Ping(AddrFD, AddrSES, 7, 99), ping },
 		func() (*Message, *Message) { return p.Pong(AddrSES, ping, 3), NewPong(AddrSES, ping, 3) },
 		func() (*Message, *Message) {
-			return p.Command(AddrSES, AddrSTR, 8, "point", "azRad", "1.5", "elRad", "0.25"),
+			return p.Command(AddrSES, AddrSTR, 8, "point", Param{Key: "azRad", Value: "1.5"}, Param{Key: "elRad", Value: "0.25"}),
 				NewCommand(AddrSES, AddrSTR, 8, "point", "azRad", "1.5", "elRad", "0.25")
+		},
+		func() (*Message, *Message) {
+			return p.Command(AddrSES, AddrRTU, 8, "tune", num("freqHz", 437.1e6), Param{Key: "mode", Value: "fm"}),
+				NewCommand(AddrSES, AddrRTU, 8, "tune", "freqHz", "4.371e+08", "mode", "fm")
 		},
 		func() (*Message, *Message) {
 			return p.Command(AddrFedr, AddrPbcom, 9, "noop"), NewCommand(AddrFedr, AddrPbcom, 9, "noop")
@@ -71,10 +75,11 @@ func TestPoolReusesEnvelopes(t *testing.T) {
 	var p Pool
 	ping := NewPing(AddrFD, AddrSES, 1, 1)
 	at := time.UnixMilli(1)
+	az := num("azRad", 1)
 	cycle := func() {
 		a := p.Ping(AddrFD, AddrSES, 1, 1)
 		b := p.Pong(AddrSES, ping, 1)
-		c := p.Command(AddrSES, AddrSTR, 1, "point", "azRad", "1", "elRad", "2")
+		c := p.Command(AddrSES, AddrSTR, 1, "point", az, Param{Key: "elRad", Value: "2"})
 		d := p.Ack(AddrSTR, AddrSES, 1, 1, true, "")
 		e := p.Telemetry(AddrSTR, "ops", 1, "k", 1, at)
 		f := p.Event(AddrFD, AddrREC, 1, "failure", AddrRTU)
@@ -116,11 +121,12 @@ func TestPoolDropsForeignMessages(t *testing.T) {
 }
 
 // TestPoisonOverwritesEverything: in poison mode a stale holder reads
-// sentinels from every field of a recycled message.
+// sentinels from every field of a recycled message — a retained parameter
+// reads the poison text and the poison number, whichever form it had.
 func TestPoisonOverwritesEverything(t *testing.T) {
 	defer PoisonRecycledForTest()()
 	var p Pool
-	cmd := p.Command("ses", "str", 1, "point", "azRad", "1", "elRad", "2")
+	cmd := p.Command("ses", "str", 1, "point", num("azRad", 1), Param{Key: "elRad", Value: "2"})
 	params := cmd.Command.Params // a stale alias of the backing array
 	tel := p.Telemetry("str", "ops", 2, "on_target", 1, time.UnixMilli(5))
 	p.RecycleMessage(cmd)
@@ -129,9 +135,14 @@ func TestPoisonOverwritesEverything(t *testing.T) {
 		t.Fatalf("command envelope not poisoned: %+v %+v", cmd, cmd.Command)
 	}
 	for _, kv := range params {
-		if kv.Key != PoisonString || kv.Value != PoisonString {
+		if kv.Key != PoisonString || kv.Value != PoisonString || !kv.numeric || !math.IsNaN(kv.num) {
 			t.Fatalf("param not poisoned: %+v", kv)
 		}
+	}
+	stale := Command{Name: "point", Params: params}
+	stale.Params[0].Key = "azRad" // even a holder that remembers the key gets no number
+	if f, err := stale.FloatParam("azRad"); err == nil {
+		t.Fatalf("FloatParam on a recycled numeric param returned %v", f)
 	}
 	if tel.Telemetry.Key != PoisonString || !math.IsNaN(tel.Telemetry.Value) {
 		t.Fatalf("telemetry not poisoned: %+v", tel.Telemetry)

@@ -13,6 +13,7 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -154,10 +155,49 @@ type Command struct {
 	Params []Param `xml:"param"`
 }
 
-// Param is a named command argument.
+// Param is a named command argument: text, or a number. Only the wire is
+// text, so a producer that holds a float64 hands it over with Num, a reader
+// gets it back from Command.FloatParam without either side touching strconv,
+// and a forwarder copies the Param whole (Command.Lookup). The codec renders
+// a number when it encodes a frame; a decoded parameter keeps the text it
+// arrived as and is parsed when asked.
 type Param struct {
-	Key   string `xml:"key,attr"`
+	Key string `xml:"key,attr"`
+	// Value is the text form; empty on a numeric parameter, whose text is
+	// Text().
 	Value string `xml:"value,attr"`
+
+	num     float64
+	numeric bool
+}
+
+// Num builds a numeric parameter. A number that is not finite has no place
+// in a command and is rejected here, as FloatParam rejects it on receipt.
+func Num(key string, f float64) (Param, error) {
+	if !finite(f) {
+		return Param{}, fmt.Errorf("xmlcmd: param %q: %v is not finite", key, f)
+	}
+	return Param{Key: key, num: f, numeric: true}, nil
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// Text returns the parameter's wire text: Value, or a number in the
+// shortest form that parses back to the same bits.
+func (p Param) Text() string {
+	if p.numeric {
+		return strconv.FormatFloat(p.num, 'g', -1, 64)
+	}
+	return p.Value
+}
+
+// MarshalXML renders a numeric parameter as its text, so encoding/xml (the
+// StdEncode reference) produces the bytes AppendEncode does.
+func (p Param) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
+	return e.EncodeElement(struct {
+		Key   string `xml:"key,attr"`
+		Value string `xml:"value,attr"`
+	}{p.Key, p.Text()}, start)
 }
 
 // Ack acknowledges a Command, reporting success or an error string.
@@ -423,25 +463,40 @@ func NewSyncAck(from, to string, seq uint64, epoch int64) *Message {
 	return &Message{From: from, To: to, Seq: seq, SyncAck: &SyncAck{Epoch: epoch}}
 }
 
-// Param looks up a command parameter by key.
-func (c *Command) Param(key string) (string, bool) {
-	for _, p := range c.Params {
-		if p.Key == key {
-			return p.Value, true
+// Lookup returns a command parameter whole, text or number — what a
+// forwarder puts into the command it sends on.
+func (c *Command) Lookup(key string) (Param, bool) {
+	for i := range c.Params {
+		if c.Params[i].Key == key {
+			return c.Params[i], true
 		}
 	}
-	return "", false
+	return Param{}, false
 }
 
-// FloatParam looks up a command parameter and parses it as float64.
+// Param looks up a command parameter's text by key.
+func (c *Command) Param(key string) (string, bool) {
+	p, ok := c.Lookup(key)
+	return p.Text(), ok
+}
+
+// FloatParam looks up a command parameter as a finite float64: the number
+// it carries, or its text parsed. NaN and ±Inf parse but are refused — no
+// handler has a use for them, and one that stored them would restore them.
 func (c *Command) FloatParam(key string) (float64, error) {
-	v, ok := c.Param(key)
+	p, ok := c.Lookup(key)
 	if !ok {
 		return 0, fmt.Errorf("xmlcmd: command %q missing param %q", c.Name, key)
 	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("xmlcmd: command %q param %q: %w", c.Name, key, err)
+	f := p.num
+	if !p.numeric {
+		var err error
+		if f, err = strconv.ParseFloat(p.Value, 64); err != nil {
+			return 0, fmt.Errorf("xmlcmd: command %q param %q: %w", c.Name, key, err)
+		}
+	}
+	if !finite(f) {
+		return 0, fmt.Errorf("xmlcmd: command %q param %q: %v is not finite", c.Name, key, f)
 	}
 	return f, nil
 }
