@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -21,70 +19,6 @@ import (
 // Output is deterministic for a given seed; -parallel changes only wall
 // time, never a byte of output.
 
-// chaosCellJSON is one sweep cell in machine-readable form. Slices and
-// scalar fields only — map-free, so encoding order is deterministic.
-type chaosCellJSON struct {
-	Tree          string  `json:"tree"`
-	Loss          float64 `json:"loss"`
-	PingLoss      float64 `json:"ping_loss"`
-	SuspectAfter  int     `json:"suspect_after"`
-	Trials        int     `json:"trials"`
-	Availability  float64 `json:"availability"`
-	FalseRestarts float64 `json:"false_restarts_per_trial"`
-	FalseActions  float64 `json:"false_actions_per_trial"`
-	GiveUps       int     `json:"give_ups"`
-	Detected      int     `json:"detected"`
-	DetectMeanS   float64 `json:"detect_mean_s,omitempty"`
-	DetectP95S    float64 `json:"detect_p95_s,omitempty"`
-	Recovered     int     `json:"recovered"`
-	RecoveryMeanS float64 `json:"recovery_mean_s,omitempty"`
-}
-
-type chaosReport struct {
-	Trials       int             `json:"trials"`
-	Seed         int64           `json:"seed"`
-	HorizonS     float64         `json:"horizon_s"`
-	Dup          float64         `json:"dup"`
-	JitterS      float64         `json:"jitter_s"`
-	BackoffS     float64         `json:"backoff_s"`
-	SuspectAfter []int           `json:"suspect_after"`
-	Cells        []chaosCellJSON `json:"cells"`
-}
-
-// csvFloats parses "0,0.05,0.1".
-func csvFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad loss rate %q: %w", f, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// csvInts parses "1,3".
-func csvInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad threshold %q: %w", f, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // csvStrings parses "I,IV".
 func csvStrings(s string) []string {
 	var out []string
@@ -96,93 +30,64 @@ func csvStrings(s string) []string {
 	return out
 }
 
-func runChaos(argv []string) error {
+// csvOf parses "0,0.05,0.1" with the given element parser.
+func csvOf[T any](s, what string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, f := range csvStrings(s) {
+		v, err := parse(f)
+		if err != nil {
+			return nil, fmt.Errorf("bad %s %q: %w", what, f, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+func bindChaos(fs *flag.FlagSet, sh *shared) runFunc {
 	def := experiment.DefaultChaosConfig()
-	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	sh.trialFlags(fs, def.Trials)
 	var (
-		trials   = fs.Int("trials", def.Trials, "trials per cell")
-		seed     = fs.Int64("seed", def.BaseSeed, "base random seed")
-		parallel = fs.Int("parallel", 0, "trial workers (0 = one per CPU, 1 = sequential)")
-		jsonOut  = fs.Bool("json", false, "emit one JSON document instead of the rendered table")
-		trees    = fs.String("trees", strings.Join(def.Trees, ","), "restart trees to sweep (csv)")
-		loss     = fs.String("loss", "0,0.02,0.05,0.10,0.20", "per-hop loss rates to sweep (csv)")
-		suspect  = fs.String("suspect", "1,3", "FD SuspectAfter thresholds to sweep (csv)")
-		horizon  = fs.Duration("horizon", def.Horizon, "fault-free observation window per trial")
-		jitter   = fs.Duration("jitter", def.Jitter, "max extra per-hop latency (uniform)")
-		dup      = fs.Float64("dup", def.Dup, "per-hop duplication probability")
-		backoff  = fs.Duration("backoff", def.Backoff, "REC restart backoff base (0 disables)")
+		trees   = fs.String("trees", strings.Join(def.Trees, ","), "restart trees to sweep (csv)")
+		loss    = fs.String("loss", "0,0.02,0.05,0.10,0.20", "per-hop loss rates to sweep (csv)")
+		suspect = fs.String("suspect", "1,3", "FD SuspectAfter thresholds to sweep (csv)")
+		horizon = fs.Duration("horizon", def.Horizon, "fault-free observation window per trial")
+		jitter  = fs.Duration("jitter", def.Jitter, "max extra per-hop latency (uniform)")
+		dup     = fs.Float64("dup", def.Dup, "per-hop duplication probability")
+		backoff = fs.Duration("backoff", def.Backoff, "REC restart backoff base (0 disables)")
 	)
-	if err := fs.Parse(argv); err != nil {
-		return err
-	}
-	lossRates, err := csvFloats(*loss)
-	if err != nil {
-		return err
-	}
-	thresholds, err := csvInts(*suspect)
-	if err != nil {
-		return err
-	}
-	cfg := experiment.ChaosConfig{
-		Trees:        csvStrings(*trees),
-		LossRates:    lossRates,
-		SuspectAfter: thresholds,
-		Trials:       *trials,
-		Horizon:      *horizon,
-		Jitter:       *jitter,
-		Dup:          *dup,
-		Backoff:      *backoff,
-		BackoffMax:   def.BackoffMax,
-		BaseSeed:     *seed,
-		Workers:      *parallel,
-	}
-	if cfg.Backoff <= 0 {
-		cfg.BackoffMax = 0
-	}
-	cells, err := experiment.ChaosSweep(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-	if !*jsonOut {
-		fmt.Print(experiment.RenderChaos(cfg, cells))
-		return nil
-	}
-	rep := chaosReport{
-		Trials:       cfg.Trials,
-		Seed:         cfg.BaseSeed,
-		HorizonS:     cfg.Horizon.Seconds(),
-		Dup:          cfg.Dup,
-		JitterS:      cfg.Jitter.Seconds(),
-		BackoffS:     cfg.Backoff.Seconds(),
-		SuspectAfter: cfg.SuspectAfter,
-		Cells:        make([]chaosCellJSON, 0, len(cells)),
-	}
-	for _, c := range cells {
-		jc := chaosCellJSON{
-			Tree:          c.Tree,
-			Loss:          c.Loss,
-			PingLoss:      experiment.PingLoss(c.Loss, cfg.Dup),
-			SuspectAfter:  c.SuspectAfter,
-			Trials:        c.Trials,
-			Availability:  c.Availability,
-			FalseRestarts: c.FalseRestarts,
-			FalseActions:  c.FalseActions,
-			GiveUps:       c.GiveUps,
-			Detected:      c.Detected,
-			Recovered:     c.Recovered,
+	return func(ctx context.Context) (any, string, error) {
+		lossRates, err := csvOf(*loss, "loss rate", func(f string) (float64, error) { return strconv.ParseFloat(f, 64) })
+		if err != nil {
+			return nil, "", err
 		}
-		if c.Detect.N() > 0 {
-			jc.DetectMeanS = c.Detect.MeanSeconds()
-			if p95, err := c.Detect.Percentile(95); err == nil {
-				jc.DetectP95S = p95.Seconds()
-			}
+		thresholds, err := csvOf(*suspect, "threshold", strconv.Atoi)
+		if err != nil {
+			return nil, "", err
 		}
-		if c.Recovery.N() > 0 {
-			jc.RecoveryMeanS = c.Recovery.MeanSeconds()
+		cfg := experiment.ChaosConfig{
+			Trees:        csvStrings(*trees),
+			LossRates:    lossRates,
+			SuspectAfter: thresholds,
+			Trials:       sh.trials,
+			Horizon:      *horizon,
+			Jitter:       *jitter,
+			Dup:          *dup,
+			Backoff:      *backoff,
+			BackoffMax:   def.BackoffMax,
+			BaseSeed:     sh.seed,
+			Workers:      sh.parallel,
 		}
-		rep.Cells = append(rep.Cells, jc)
+		if cfg.Backoff <= 0 {
+			cfg.BackoffMax = 0
+		}
+		cells, err := experiment.ChaosSweep(ctx, cfg)
+		if err != nil {
+			return nil, "", err
+		}
+		return map[string]any{
+			"trials": cfg.Trials, "seed": cfg.BaseSeed, "horizon_s": cfg.Horizon, "dup": cfg.Dup,
+			"jitter_s": cfg.Jitter, "backoff_s": cfg.Backoff, "suspect_after": cfg.SuspectAfter,
+			"cells": cells,
+		}, experiment.RenderChaos(cfg, cells), nil
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

@@ -6,24 +6,21 @@ package main
 //	rrbench fleet -stations 1000                      # one campaign, text
 //	rrbench fleet -stations 1000 -group 50 -json      # machine-readable
 //	rrbench fleet -verify -stations 12 -cores 4       # byte-identity gate
-//	rrbench fleet -bench -stations 1000 -benchlabel x # cores-scaling sweep
 //	rrbench fleet -obs 127.0.0.1:9090 ...             # /metrics during run
 //
 // The folded output of a campaign depends only on the configuration and
 // seed — never on -cores — which is what -verify asserts (2 seeds × 2
-// runs × {1, N} cores, all folds byte-identical). -bench sweeps the core
-// counts and appends events/sec plus speedup/scaling-efficiency records
-// to the BENCH_RESULTS.json trajectory.
+// runs × {1, N} cores, all folds byte-identical).
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/bus"
@@ -33,123 +30,71 @@ import (
 	"github.com/recursive-restart/mercury/internal/sim"
 )
 
-// fleetReport is the -json document.
-type fleetReport struct {
-	Stations     int     `json:"stations"`
-	Shards       int     `json:"shards"`
-	Group        int     `json:"group"`
-	Cores        int     `json:"cores"`
-	Seed         int64   `json:"seed"`
-	HorizonS     float64 `json:"horizon_s"`
-	EpochS       float64 `json:"epoch_s"`
-	LatencyS     float64 `json:"latency_s"`
-	Epochs       uint64  `json:"epochs"`
-	Parcels      uint64  `json:"parcels"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	WallS        float64 `json:"wall_s"`
-	Failures     int     `json:"failures"`
-	Recoveries   uint64  `json:"recoveries"`
-	GiveUps      uint64  `json:"give_ups"`
-	BeaconsSent  uint64  `json:"beacons_sent"`
-	BeaconsRecv  uint64  `json:"beacons_recv"`
-	DowntimeS    float64 `json:"downtime_s"`
-	Availability float64 `json:"availability"`
-	Digest       string  `json:"digest"`
-}
-
-func toFleetReport(r *experiment.FleetResult) fleetReport {
-	return fleetReport{
-		Stations: r.Stations, Shards: r.Shards, Group: r.Group, Cores: r.Workers,
-		Seed: r.BaseSeed, HorizonS: r.Horizon.Seconds(), EpochS: r.Epoch.Seconds(),
-		LatencyS: r.LinkLatency.Seconds(), Epochs: r.Epochs, Parcels: r.Parcels,
-		Events: r.Events, EventsPerSec: float64(r.Events) / r.Wall.Seconds(),
-		WallS: r.Wall.Seconds(), Failures: r.Failures, Recoveries: r.Recoveries,
-		GiveUps: r.GiveUps, BeaconsSent: r.BeaconsSent, BeaconsRecv: r.BeaconsRecv,
-		DowntimeS: r.Downtime.Seconds(), Availability: r.Availability,
-		Digest: fmt.Sprintf("%016x", r.Digest),
-	}
-}
-
-func runFleet(args []string) error {
-	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
+func bindFleet(fs *flag.FlagSet, sh *shared) runFunc {
+	sh.seedFlag(fs)
 	var (
-		stations   = fs.Int("stations", 1000, "constellation size")
-		group      = fs.Int("group", 0, "stations per shard kernel (0 = auto: ~4 shards per core, min 1/station)")
-		trees      = fs.String("trees", "IV", "restart trees assigned round-robin (csv)")
-		horizon    = fs.Duration("horizon", time.Minute, "simulated campaign duration")
-		seed       = fs.Int64("seed", 2002, "base random seed")
-		cores      = fs.Int("cores", 0, "fleet shard workers (0 = one per CPU); output-neutral")
-		epoch      = fs.Duration("epoch", 0, "synchronization quantum (0 = link latency)")
-		latency    = fs.Duration("latency", 0, "inter-station link latency (0 = GEO relay default)")
-		beacon     = fs.Duration("beacon", 5*time.Second, "inter-station beacon period")
-		mttf       = fs.Duration("mttf", 10*time.Minute, "per-component organic MTTF (lognormal, CV 0.25)")
-		noFail     = fs.Bool("nofail", false, "disable organic failures (pure messaging load)")
-		loss       = fs.Float64("loss", 0, "per-hop local-fabric chaos loss probability")
-		jsonOut    = fs.Bool("json", false, "emit one JSON document instead of text")
-		verify     = fs.Bool("verify", false, "byte-identity gate: 2 seeds x 2 runs x {1, N} cores")
-		bench      = fs.Bool("bench", false, "cores-scaling sweep; append records to -benchout")
-		benchOut   = fs.String("benchout", "BENCH_RESULTS.json", "perf-record file for -bench")
-		benchLabel = fs.String("benchlabel", "", "free-form label stored with the -bench record")
-		obsAddr    = fs.String("obs", "", "serve /metrics on this address for the run's duration")
+		stations = fs.Int("stations", 1000, "constellation size")
+		group    = fs.Int("group", 0, "stations per shard kernel (0 = auto: ~4 shards per core, min 1/station)")
+		trees    = fs.String("trees", "IV", "restart trees assigned round-robin (csv)")
+		horizon  = fs.Duration("horizon", time.Minute, "simulated campaign duration")
+		cores    = fs.Int("cores", 0, "fleet shard workers (0 = one per CPU); output-neutral")
+		epoch    = fs.Duration("epoch", 0, "synchronization quantum (0 = link latency)")
+		latency  = fs.Duration("latency", 0, "inter-station link latency (0 = GEO relay default)")
+		beacon   = fs.Duration("beacon", 5*time.Second, "inter-station beacon period")
+		mttf     = fs.Duration("mttf", 10*time.Minute, "per-component organic MTTF (lognormal, CV 0.25)")
+		noFail   = fs.Bool("nofail", false, "disable organic failures (pure messaging load)")
+		loss     = fs.Float64("loss", 0, "per-hop local-fabric chaos loss probability")
+		verify   = fs.Bool("verify", false, "byte-identity gate: 2 seeds x 2 runs x {1, N} cores")
+		obsAddr  = fs.String("obs", "", "serve /metrics on this address for the run's duration")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	cfg := experiment.FleetConfig{
-		Stations:     *stations,
-		Group:        *group,
-		Trees:        csvStrings(*trees),
-		Horizon:      *horizon,
-		BaseSeed:     *seed,
-		Workers:      *cores,
-		Epoch:        *epoch,
-		LinkLatency:  *latency,
-		BeaconPeriod: *beacon,
-		FailMTTF:     *mttf,
-		NoFailures:   *noFail,
-	}
-	if *loss > 0 {
-		cfg.Chaos = &bus.ChaosProfile{Loss: *loss}
-	}
-	if cfg.Group == 0 {
-		cfg.Group = autoGroup(*stations, *cores)
-	}
-
-	if *obsAddr != "" {
-		stop, err := serveFleetObs(*obsAddr)
-		if err != nil {
-			return err
+	return func(ctx context.Context) (any, string, error) {
+		cfg := experiment.FleetConfig{
+			Stations:     *stations,
+			Group:        *group,
+			Trees:        csvStrings(*trees),
+			Horizon:      *horizon,
+			BaseSeed:     sh.seed,
+			Workers:      *cores,
+			Epoch:        *epoch,
+			LinkLatency:  *latency,
+			BeaconPeriod: *beacon,
+			FailMTTF:     *mttf,
+			NoFailures:   *noFail,
 		}
-		defer stop()
-	}
-
-	ctx := context.Background()
-	switch {
-	case *verify:
-		return verifyFleet(ctx, cfg)
-	case *bench:
-		return benchFleet(ctx, cfg, *benchOut, *benchLabel)
-	default:
+		if *loss > 0 {
+			cfg.Chaos = &bus.ChaosProfile{Loss: *loss}
+		}
+		if cfg.Group == 0 {
+			cfg.Group = autoGroup(*stations, *cores)
+		}
+		if *obsAddr != "" {
+			stop, err := serveFleetObs(*obsAddr)
+			if err != nil {
+				return nil, "", err
+			}
+			defer stop()
+		}
+		if *verify {
+			text, err := verifyFleet(ctx, cfg)
+			return nil, text, err
+		}
 		r, err := experiment.RunFleet(ctx, cfg)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(toFleetReport(r))
-		}
-		fmt.Print(experiment.RenderFleet(r))
-		return nil
+		// The digest travels as the 16 hex digits the text prints: a 64-bit
+		// number does not survive a JSON reader that parses into float64.
+		return struct {
+			*experiment.FleetResult
+			Digest string `json:"digest"`
+		}{r, fmt.Sprintf("%016x", r.Digest)}, experiment.RenderFleet(r), nil
 	}
 }
 
 // autoGroup picks a shard granularity: enough shards to keep every core
 // busy with work-stealing slack (~4 shards per core), but never fewer than
 // one station per shard. Group is part of the reproducibility key, so
-// -verify and -bench pin it explicitly before sweeping cores.
+// -verify pins it explicitly before sweeping cores.
 func autoGroup(stations, cores int) int {
 	if cores <= 0 {
 		cores = runtime.GOMAXPROCS(0)
@@ -164,7 +109,7 @@ func autoGroup(stations, cores int) int {
 // verifyFleet is the CI byte-identity gate: for each of two seeds, run the
 // same constellation twice sequentially and twice on N cores; all four
 // folds must be byte-identical.
-func verifyFleet(ctx context.Context, cfg experiment.FleetConfig) error {
+func verifyFleet(ctx context.Context, cfg experiment.FleetConfig) (string, error) {
 	multi := cfg.Workers
 	if multi <= 0 {
 		multi = runtime.GOMAXPROCS(0)
@@ -172,6 +117,7 @@ func verifyFleet(ctx context.Context, cfg experiment.FleetConfig) error {
 	if multi < 2 {
 		multi = 2 // even on one CPU, exercise the parallel barrier path
 	}
+	var text strings.Builder
 	for _, seed := range []int64{cfg.BaseSeed, cfg.BaseSeed + 1} {
 		var ref string
 		for run := 0; run < 2; run++ {
@@ -181,7 +127,7 @@ func verifyFleet(ctx context.Context, cfg experiment.FleetConfig) error {
 				c.Workers = workers
 				r, err := experiment.RunFleet(ctx, c)
 				if err != nil {
-					return err
+					return text.String(), err
 				}
 				fold := r.Fold()
 				if ref == "" {
@@ -189,71 +135,15 @@ func verifyFleet(ctx context.Context, cfg experiment.FleetConfig) error {
 					continue
 				}
 				if fold != ref {
-					return fmt.Errorf("fold diverged (seed %d, run %d, %d cores):\n--- reference ---\n%s--- got ---\n%s",
+					return text.String(), fmt.Errorf("fold diverged (seed %d, run %d, %d cores):\n--- reference ---\n%s--- got ---\n%s",
 						seed, run, workers, ref, fold)
 				}
 			}
 		}
-		fmt.Printf("seed %d: 4 folds byte-identical across {1, %d} cores\n", seed, multi)
+		fmt.Fprintf(&text, "seed %d: 4 folds byte-identical across {1, %d} cores\n", seed, multi)
 	}
-	fmt.Println("fleet verify: OK")
-	return nil
-}
-
-// benchFleet sweeps core counts over the same constellation and appends
-// scaling records. The fold is asserted identical across the sweep — a
-// scaling number from a diverged run would be meaningless.
-func benchFleet(ctx context.Context, cfg experiment.FleetConfig, outPath, label string) error {
-	max := runtime.GOMAXPROCS(0)
-	sweep := []int{1}
-	for c := 2; c < max; c *= 2 {
-		sweep = append(sweep, c)
-	}
-	if max > 1 {
-		sweep = append(sweep, max)
-	}
-
-	run := perfRun{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Label:     label,
-		Go:        runtime.Version(),
-		Seed:      cfg.BaseSeed,
-	}
-	var refFold string
-	var baseWall float64
-	for _, c := range sweep {
-		ccfg := cfg
-		ccfg.Workers = c
-		r, err := experiment.RunFleet(ctx, ccfg)
-		if err != nil {
-			return err
-		}
-		if refFold == "" {
-			refFold = r.Fold()
-			baseWall = r.Wall.Seconds()
-		} else if r.Fold() != refFold {
-			return fmt.Errorf("fold diverged at %d cores:\n--- 1 core ---\n%s--- %d cores ---\n%s",
-				c, refFold, c, r.Fold())
-		}
-		rec := perfRecord{
-			Name:         fmt.Sprintf("fleet-%dc", c),
-			Events:       r.Events,
-			WallSeconds:  r.Wall.Seconds(),
-			EventsPerSec: float64(r.Events) / r.Wall.Seconds(),
-			NsPerEvent:   float64(r.Wall.Nanoseconds()) / float64(r.Events),
-			Stations:     r.Stations,
-			Shards:       r.Shards,
-			Cores:        c,
-		}
-		rec.Speedup = baseWall / rec.WallSeconds
-		rec.ScalingEfficiency = rec.Speedup / float64(c)
-		run.Records = append(run.Records, rec)
-		fmt.Printf("%-10s %9d stations %12d events  %8.3fs  %12.0f events/s  speedup %.2fx  efficiency %.2f\n",
-			rec.Name, rec.Stations, rec.Events, rec.WallSeconds, rec.EventsPerSec,
-			rec.Speedup, rec.ScalingEfficiency)
-	}
-	fmt.Println("folds byte-identical across the cores sweep")
-	return appendPerfRun(outPath, run)
+	text.WriteString("fleet verify: OK\n")
+	return text.String(), nil
 }
 
 // serveFleetObs mounts /metrics with the fleet-relevant families (fleet

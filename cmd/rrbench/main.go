@@ -1,460 +1,246 @@
-// Command rrbench regenerates the paper's tables and figures.
+// Command rrbench regenerates the paper's tables and figures and runs the
+// campaigns built on the same simulator.
 //
 // Usage:
 //
-//	rrbench -all                 # everything, 100 trials per cell
+//	rrbench -all                 # every paper section, 100 trials per cell
 //	rrbench -table 4 -trials 20  # just Table 4, faster
 //	rrbench -table 4 -parallel 8 # fan trials across 8 workers
 //	rrbench -table 4 -json       # machine-readable output
-//	rrbench -fig 5               # render the tree of figure 5
+//	rrbench -fig 5               # render the restart trees of figures 2-6
 //	rrbench -headline            # the §8 "factor of four" computation
-//	rrbench -bench               # substrate perf record → BENCH_RESULTS.json
-//	rrbench -all -cpuprofile cpu.pb.gz   # profile a full regeneration
-//	rrbench chaos                # degraded-network sweep (loss × tree × SuspectAfter)
-//	rrbench chaos -loss 0.1 -trees IV -json   # one lossy cell, machine-readable
-//	rrbench microreboot          # microreboot vs process vs group restart (MTTR/availability)
-//	rrbench microreboot -bench   # append the MTTR records to BENCH_RESULTS.json
-//	rrbench wire                 # wire-path codec + TCP framing benchmarks
-//	rrbench wire -bench -benchlabel after     # append the records to BENCH_RESULTS.json
-//	rrbench wire -shards 4 -bench             # shard-scaling sweep of the batched wire path
+//	rrbench -all -cpuprofile cpu.pb.gz        # profile a full regeneration
+//	rrbench chaos                             # degraded-network sweep (loss × tree × SuspectAfter)
+//	rrbench microreboot                       # microreboot vs process vs group restart
 //	rrbench shardchaos -shards 2              # kill/recover broker shards of a live fabric
 //	rrbench fleet -stations 1000              # sharded constellation campaign
 //	rrbench fleet -verify -stations 12 -cores 4   # byte-identity across core counts
-//	rrbench fleet -bench -stations 1000       # cores-scaling sweep → BENCH_RESULTS.json
 //	rrbench requests                          # user-harm re-scoring (microreboot vs restart)
-//	rrbench requests -bench                   # request-plane throughput + harm records
 //	rrbench requests -verify                  # parallel byte-identity of the campaign
-//	rrbench requests -tcp -shards 2           # open-loop pump over the real TCP fabric
 //	rrbench oracle                            # recovery-policy choice: cost-aware v2 vs fixed
 //	rrbench oracle -validate -trees 1000      # analytic-vs-simulated random-tree ranking
 //	rrbench oracle -online                    # soak + online tree-transformation proposal
 //
-// Trials fan out across a worker pool (-parallel, default one worker per
-// CPU); results are folded in seed order, so every measured number is
-// identical to a sequential run. -json replaces the rendered tables with
-// one JSON document on stdout for machine consumption (benchmark
-// trajectories, regression tracking); the ASCII figures are omitted.
+// Every campaign is one row of the table in campaigns(); this file is the
+// driver that reads it. The driver owns what the campaigns share: the
+// -trials/-seed/-parallel flags (trials fan out across a worker pool and are
+// folded in seed order, so every measured number is identical to a
+// sequential run), -json (one JSON document on stdout instead of the
+// rendered text; a mode with no document refuses it), -cpuprofile and
+// -memprofile (pprof profiles around whatever campaign runs), the usage
+// line and the exit code: 0, 1 for a failed run or a failed verdict, 2 for
+// a mistake in the command line.
 //
-// -cpuprofile and -memprofile write pprof profiles covering whatever work
-// the other flags select. -bench measures the simulation substrate itself
-// (kernel stepping, Table 2/4 recovery campaigns) and appends one
-// machine-readable record — events/sec, ns/event, allocs/event — to
-// -benchout (default BENCH_RESULTS.json), growing the repo's perf
-// trajectory.
+// What a run costs in wall-clock time is not measured here: that is
+// benchmark/ (see benchmark/README.md and BENCH_HISTORY.json).
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"github.com/recursive-restart/mercury/internal/experiment"
-	"github.com/recursive-restart/mercury/internal/metrics"
 )
 
-// subcommands maps each named mode to its runner; each owns its own flag
-// set. The classic flag CLI (rrbench -all, -table N, …) handles everything
-// else.
-var subcommands = map[string]func([]string) error{
-	"chaos":       runChaos,
-	"fleet":       runFleet,
-	"microreboot": runMicroreboot,
-	"oracle":      runOracle,
-	"requests":    runRequests,
-	"shardchaos":  runShardChaos,
-	"wire":        runWire,
+// campaign is one row of the table: a name, the flags it adds to the
+// driver's, and a run.
+type campaign struct {
+	// name is the subcommand word; a paper section is spelled as the flag
+	// that selects it ("-table") and arg names that flag's value ("N").
+	name, arg string
+	// bind declares the campaign's own flags on fs and returns its run.
+	bind func(fs *flag.FlagSet, sh *shared) runFunc
 }
 
-// usageLine is the one-line map of the whole CLI, printed when rrbench is
-// invoked with no arguments or an unknown subcommand.
-func usageLine() string {
-	return "usage: rrbench {chaos|fleet|microreboot|oracle|requests|shardchaos|wire} [flags] | " +
-		"rrbench -all|-table N|-fig N|-headline|-soak|-rejuv|-sweep|-manual|-bench [flags]"
+// runFunc returns the measured document (nil when the mode is text only),
+// its text rendering, and an error. Output returned next to an error is
+// still printed: that is a verdict — the campaign ran and what it checked
+// did not hold — and it reaches the exit code whatever the output format.
+type runFunc func(ctx context.Context) (doc any, text string, err error)
+
+// shared is the trial-campaign flags the driver defines once. A campaign
+// opts in from its bind.
+type shared struct {
+	trials, parallel int
+	seed             int64
 }
 
-func main() {
-	// Subcommand dispatch ahead of the classic flag CLI.
-	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
-		cmd, ok := subcommands[os.Args[1]]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "rrbench: unknown subcommand %q\n%s\n", os.Args[1], usageLine())
-			os.Exit(2)
+func (sh *shared) seedFlag(fs *flag.FlagSet) {
+	fs.Int64Var(&sh.seed, "seed", 2002, "base random seed")
+}
+
+func (sh *shared) trialFlags(fs *flag.FlagSet, trials int) {
+	sh.seedFlag(fs)
+	fs.IntVar(&sh.trials, "trials", trials, "trials per measured cell")
+	fs.IntVar(&sh.parallel, "parallel", 0, "trial workers (0 = one per CPU, 1 = sequential)")
+}
+
+func (sh *shared) runConfig() experiment.RunConfig {
+	return experiment.RunConfig{Trials: sh.trials, BaseSeed: sh.seed, Workers: sh.parallel}
+}
+
+// usageError is a mistake in the command line, as opposed to a failed run:
+// exit 2 with the usage line.
+type usageError struct{ msg string }
+
+func (e usageError) Error() string { return e.msg }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Sprintf(format, a...)} }
+
+func isUsage(err error) bool { return errors.As(err, new(usageError)) }
+
+func campaigns() []campaign {
+	return append([]campaign{
+		{name: "chaos", bind: bindChaos},             // degraded-network sweep (loss × tree × SuspectAfter)
+		{name: "fleet", bind: bindFleet},             // sharded multi-kernel constellation
+		{name: "microreboot", bind: bindMicroreboot}, // microreboot vs process vs group restart
+		{name: "oracle", bind: bindOracle},           // recovery-policy choice, random-tree validation, online proposal
+		{name: "requests", bind: bindRequests},       // user-harm re-scoring under an open-loop request plane
+		{name: "shardchaos", bind: bindShardChaos},   // kill and recover broker shards of a live TCP fabric
+	}, paperSections()...)
+}
+
+// usageLine is the one-line map of the whole CLI, rendered from the table.
+func usageLine(table []campaign) string {
+	var words, sections []string
+	for _, c := range table {
+		if !strings.HasPrefix(c.name, "-") {
+			words = append(words, c.name)
+		} else if c.arg != "" {
+			sections = append(sections, c.name+" "+c.arg)
+		} else {
+			sections = append(sections, c.name)
 		}
-		if err := cmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "rrbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
-	if len(os.Args) == 1 {
-		fmt.Fprintln(os.Stderr, usageLine())
-		os.Exit(2)
+	return "usage: rrbench {" + strings.Join(words, "|") + "} [flags] | rrbench " +
+		strings.Join(sections, "|") + " [flags]"
+}
+
+func main() { os.Exit(drive(campaigns(), os.Args[1:], os.Stdout, os.Stderr)) }
+
+// drive runs one invocation against the table and returns the exit code;
+// it never calls os.Exit, so its defers (the profiles) always run.
+func drive(table []campaign, args []string, stdout, stderr io.Writer) (code int) {
+	usage := usageLine(table)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "rrbench:", err)
+		if isUsage(err) {
+			fmt.Fprintln(stderr, usage)
+			return 2
+		}
+		return 1
+	}
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+
+	// A word selects one campaign; a flag selects among the paper sections,
+	// which share one flag set and may be combined.
+	var c campaign
+	if word := args[0]; strings.HasPrefix(word, "-") {
+		c = sectionsOf(table)
+	} else {
+		for _, e := range table {
+			if e.name == word {
+				c = e
+			}
+		}
+		if c.bind == nil {
+			return fail(usagef("unknown subcommand %q", word))
+		}
+		args = args[1:]
+	}
+
+	fs := flag.NewFlagSet(strings.TrimSpace("rrbench "+c.name), flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, usage)
+		fs.PrintDefaults()
 	}
 	var (
-		table      = flag.Int("table", 0, "regenerate table N (1-4)")
-		fig        = flag.Int("fig", 0, "render figure N (1-6)")
-		headline   = flag.Bool("headline", false, "compute the §8 improvement factor")
-		soak       = flag.Bool("soak", false, "organic-failure availability soak (trees I vs IV)")
-		rejuv      = flag.Bool("rejuv", false, "§4.4 free-restart rejuvenation MTTF comparison")
-		sweep      = flag.Bool("sweep", false, "oracle-quality sweep: tree IV vs V across error rates")
-		manual     = flag.Bool("manual", false, "pre-RR manual-operator baseline vs automated recovery")
-		all        = flag.Bool("all", false, "regenerate everything")
-		trials     = flag.Int("trials", experiment.DefaultTrials, "trials per measured cell")
-		seed       = flag.Int64("seed", 2002, "base random seed")
-		parallel   = flag.Int("parallel", 0, "trial workers (0 = one per CPU, 1 = sequential)")
-		jsonOut    = flag.Bool("json", false, "emit one JSON document instead of rendered tables")
-		bench      = flag.Bool("bench", false, "measure substrate throughput and append a perf record")
-		benchOut   = flag.String("benchout", "BENCH_RESULTS.json", "perf-record file for -bench")
-		benchLabel = flag.String("benchlabel", "", "free-form label stored with the -bench record")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file")
+		jsonOut = fs.Bool("json", false, "emit one JSON document instead of the rendered text")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file")
 	)
-	flag.Parse()
-	opts := options{
-		table: *table, fig: *fig, headline: *headline, soak: *soak,
-		rejuv: *rejuv, sweep: *sweep, manual: *manual, all: *all,
-		trials: *trials, seed: *seed, parallel: *parallel, json: *jsonOut,
-		bench: *bench, benchOut: *benchOut, benchLabel: *benchLabel,
-	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rrbench:", err)
-			os.Exit(1)
+	run := c.bind(fs, &shared{})
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "rrbench:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			_ = f.Close()
-		}()
+		return 2 // fs has already printed the error and the usage
 	}
-	err := run(opts)
-	if *memProf != "" {
-		if f, ferr := os.Create(*memProf); ferr != nil {
-			fmt.Fprintln(os.Stderr, "rrbench:", ferr)
-		} else {
-			runtime.GC()
-			if werr := pprof.WriteHeapProfile(f); werr != nil {
-				fmt.Fprintln(os.Stderr, "rrbench:", werr)
-			}
-			_ = f.Close()
+	if fs.NArg() > 0 {
+		return fail(usagef("unexpected argument %q", fs.Arg(0)))
+	}
+
+	stop, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			code = fail(err)
+		}
+	}()
+
+	doc, text, err := run(context.Background())
+	if err == nil && *jsonOut && doc == nil {
+		err = usagef("-json: this mode of %s has no document, only text", fs.Name())
+	}
+	if isUsage(err) {
+		return fail(err)
+	}
+	if !*jsonOut {
+		_, _ = io.WriteString(stdout, text)
+	} else if doc != nil {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if eerr := enc.Encode(jsonValue(doc)); eerr != nil {
+			return fail(eerr)
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rrbench:", err)
-		os.Exit(1)
+		return fail(err)
 	}
+	return 0
 }
 
-type options struct {
-	table, fig                                int
-	headline, soak, rejuv, sweep, manual, all bool
-	trials                                    int
-	seed                                      int64
-	parallel                                  int
-	json                                      bool
-	bench                                     bool
-	benchOut                                  string
-	benchLabel                                string
-}
-
-// sampleJSON is one measured cell in machine-readable form.
-type sampleJSON struct {
-	N       int     `json:"n"`
-	MeanS   float64 `json:"mean_s"`
-	StdDevS float64 `json:"stddev_s"`
-	MinS    float64 `json:"min_s"`
-	MaxS    float64 `json:"max_s"`
-	P95S    float64 `json:"p95_s"`
-}
-
-func toSampleJSON(s *metrics.Sample) sampleJSON {
-	p95, _ := s.Percentile(95)
-	return sampleJSON{
-		N:       s.N(),
-		MeanS:   s.MeanSeconds(),
-		StdDevS: s.StdDev().Seconds(),
-		MinS:    s.Min().Seconds(),
-		MaxS:    s.Max().Seconds(),
-		P95S:    p95.Seconds(),
-	}
-}
-
-type rowJSON struct {
-	Label string                `json:"label"`
-	Cells map[string]sampleJSON `json:"cells"`
-	Paper map[string]float64    `json:"paper,omitempty"`
-}
-
-func toRowsJSON(rows []experiment.Row) []rowJSON {
-	out := make([]rowJSON, 0, len(rows))
-	for _, r := range rows {
-		jr := rowJSON{Label: r.Label, Cells: make(map[string]sampleJSON, len(r.Cells))}
-		for comp, s := range r.Cells {
-			jr.Cells[comp] = toSampleJSON(s)
+// startProfiles starts the CPU profile and returns the function that stops
+// it, closes its file and writes the heap profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
 		}
-		jr.Paper = experiment.PaperTable4[r.Label]
-		out = append(out, jr)
-	}
-	return out
-}
-
-type table1JSON struct {
-	Component      string  `json:"component"`
-	ConfiguredMTTF string  `json:"configured_mttf"`
-	AchievedMeanS  float64 `json:"achieved_mean_s"`
-	CV             float64 `json:"cv"`
-}
-
-type headlineJSON struct {
-	TreeIMTTRS float64 `json:"tree_i_mttr_s"`
-	TreeVMTTRS float64 `json:"tree_v_mttr_s"`
-	Factor     float64 `json:"factor"`
-}
-
-type sweepJSON struct {
-	P       float64 `json:"p"`
-	TreeIVS float64 `json:"tree_iv_s"`
-	TreeVS  float64 `json:"tree_v_s"`
-}
-
-type soakJSON struct {
-	Tree         string  `json:"tree"`
-	HorizonS     float64 `json:"horizon_s"`
-	Failures     int     `json:"failures"`
-	Recoveries   int     `json:"recoveries"`
-	GiveUps      int     `json:"give_ups"`
-	DowntimeS    float64 `json:"downtime_s"`
-	Availability float64 `json:"availability"`
-	MeanRecS     float64 `json:"mean_recovery_s"`
-}
-
-type rejuvJSON struct {
-	HorizonS      float64        `json:"horizon_s"`
-	FedrFailures  map[string]int `json:"fedr_failures"`
-	PbcomFailures map[string]int `json:"pbcom_failures"`
-}
-
-type manualJSON struct {
-	Trials      int     `json:"trials"`
-	ManualMeanS float64 `json:"manual_mean_s"`
-	AutoMeanS   float64 `json:"auto_mean_s"`
-	ManualAvail float64 `json:"manual_availability"`
-	AutoAvail   float64 `json:"auto_availability"`
-}
-
-// report is the -json document: only the sections that ran are present.
-type report struct {
-	Trials   int           `json:"trials"`
-	Seed     int64         `json:"seed"`
-	Parallel int           `json:"parallel"`
-	Table1   []table1JSON  `json:"table1,omitempty"`
-	Table2   []rowJSON     `json:"table2,omitempty"`
-	Table4   []rowJSON     `json:"table4,omitempty"`
-	Headline *headlineJSON `json:"headline,omitempty"`
-	Sweep    []sweepJSON   `json:"sweep,omitempty"`
-	Soak     []soakJSON    `json:"soak,omitempty"`
-	Rejuv    *rejuvJSON    `json:"rejuv,omitempty"`
-	Manual   *manualJSON   `json:"manual,omitempty"`
-}
-
-func run(o options) error {
-	if o.bench {
-		return runBench(o, o.benchOut)
-	}
-	if !o.all && o.table == 0 && o.fig == 0 && !o.headline && !o.soak && !o.rejuv && !o.sweep && !o.manual {
-		flag.Usage()
-		return fmt.Errorf("nothing to do: pass -all, -table, -fig, -headline, -soak, -rejuv, -sweep, -manual or -bench")
-	}
-	ctx := context.Background()
-	rc := experiment.RunConfig{Trials: o.trials, BaseSeed: o.seed, Workers: o.parallel}
-	rep := report{Trials: o.trials, Seed: o.seed, Parallel: o.parallel}
-
-	if o.all || o.manual {
-		mc := rc
-		if mc.Trials > 20 {
-			mc.Trials = 20
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			_ = cpu.Close()
+			return nil, err
 		}
-		r, err := experiment.ManualVsAutoCfg(ctx, mc)
+	}
+	return func() error {
+		var cpuErr error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			cpuErr = cpu.Close()
+		}
+		if memPath == "" {
+			return cpuErr
+		}
+		f, err := os.Create(memPath)
 		if err != nil {
-			return err
+			return errors.Join(cpuErr, err)
 		}
-		if o.json {
-			rep.Manual = &manualJSON{
-				Trials:      r.Trials,
-				ManualMeanS: r.ManualRecovery.MeanSeconds(),
-				AutoMeanS:   r.AutoRecovery.MeanSeconds(),
-				ManualAvail: r.ManualAvail,
-				AutoAvail:   r.AutoAvail,
-			}
-		} else {
-			fmt.Println(experiment.RenderManual(r))
-		}
-	}
-	if o.all || o.sweep {
-		sc := rc
-		if sc.Trials > 25 {
-			sc.Trials = 25 // the sweep has 12 cells; keep it snappy
-		}
-		points, err := experiment.DefaultSweepCfg(ctx, sc)
-		if err != nil {
-			return err
-		}
-		if o.json {
-			for _, pt := range points {
-				rep.Sweep = append(rep.Sweep, sweepJSON{P: pt.P, TreeIVS: pt.TreeIV, TreeVS: pt.TreeV})
-			}
-		} else {
-			fmt.Println(experiment.RenderSweep(points))
-		}
-	}
-	if o.all || o.soak {
-		const horizon = 12 * time.Hour
-		if !o.json {
-			fmt.Println("organic-failure soak (Table 1 rates, escalating oracle, 12 simulated hours)")
-		}
-		results, err := experiment.Soaks(ctx, []string{"I", "IV"}, horizon, o.seed, o.parallel)
-		if err != nil {
-			return err
-		}
-		for _, r := range results {
-			if o.json {
-				mean := 0.0
-				if r.Recovery.N() > 0 {
-					mean = r.Recovery.MeanSeconds()
-				}
-				rep.Soak = append(rep.Soak, soakJSON{
-					Tree: r.Tree, HorizonS: r.Horizon.Seconds(),
-					Failures: r.Failures, Recoveries: r.Recoveries, GiveUps: r.GiveUps,
-					DowntimeS: r.SystemDowntime.Seconds(), Availability: r.Availability,
-					MeanRecS: mean,
-				})
-			} else {
-				fmt.Print(experiment.RenderSoak(r))
-			}
-		}
-		if !o.json {
-			fmt.Println()
-		}
-	}
-	if o.all || o.rejuv {
-		r, err := experiment.FreeRestartMTTF(12*time.Hour, o.seed)
-		if err != nil {
-			return err
-		}
-		if o.json {
-			rep.Rejuv = &rejuvJSON{
-				HorizonS:      r.Horizon.Seconds(),
-				FedrFailures:  r.FedrFailures,
-				PbcomFailures: r.PbcomFailures,
-			}
-		} else {
-			fmt.Println(experiment.RenderFreeRestart(r))
-		}
-	}
-	if !o.json && (o.all || o.fig != 0) {
-		if o.all || o.fig == 1 {
-			fmt.Println(experiment.Figure1())
-		}
-		if o.all || o.fig >= 2 {
-			figs, err := experiment.Figures()
-			if err != nil {
-				return err
-			}
-			fmt.Println(figs)
-		}
-	}
-	if o.all || o.table == 1 {
-		res, err := experiment.Table1Cfg(ctx, 10000, experiment.RunConfig{BaseSeed: o.seed, Workers: o.parallel})
-		if err != nil {
-			return err
-		}
-		if o.json {
-			for _, r := range res {
-				rep.Table1 = append(rep.Table1, table1JSON{
-					Component:      r.Component,
-					ConfiguredMTTF: r.Configured.String(),
-					AchievedMeanS:  r.Measured.MeanSeconds(),
-					CV:             r.Measured.CV(),
-				})
-			}
-		} else {
-			fmt.Println(experiment.RenderTable1(res))
-		}
-	}
-	if !o.json && (o.all || o.table == 3) {
-		fmt.Println(experiment.Table3())
-	}
-	var rows []experiment.Row
-	if o.all || o.table == 4 || o.headline {
-		var err error
-		if !o.json {
-			fmt.Printf("measuring %d trials per cell...\n", o.trials)
-		}
-		rows, err = experiment.Table4Cfg(ctx, rc)
-		if err != nil {
-			return err
-		}
-	}
-	if o.all || o.table == 2 {
-		// Table 2 is trees I and II only; reuse the Table 4 rows when the
-		// full grid was already measured, measure just the two otherwise.
-		t2 := rows
-		if t2 == nil {
-			var err error
-			if !o.json {
-				fmt.Printf("measuring %d trials per cell...\n", o.trials)
-			}
-			t2, err = experiment.Table2Cfg(ctx, rc)
-			if err != nil {
-				return err
-			}
-		} else {
-			t2 = t2[:2]
-		}
-		if o.json {
-			rep.Table2 = toRowsJSON(t2)
-		} else {
-			fmt.Println(experiment.RenderRows(t2,
-				"Table 2 — tree II recovery: detection + recovery time (s)"))
-		}
-	}
-	if o.all || o.table == 4 {
-		if o.json {
-			rep.Table4 = toRowsJSON(rows)
-		} else {
-			fmt.Println(experiment.RenderRows(rows,
-				"Table 4 — overall MTTRs (s); rows are tree/oracle, columns failed components"))
-		}
-	}
-	if o.all || o.headline {
-		h, err := experiment.Headline(rows)
-		if err != nil {
-			return err
-		}
-		if o.json {
-			rep.Headline = &headlineJSON{
-				TreeIMTTRS: h.TreeIMTTR.Seconds(),
-				TreeVMTTRS: h.TreeVMTTR.Seconds(),
-				Factor:     h.Factor,
-			}
-		} else {
-			fmt.Println(experiment.RenderHeadline(h))
-		}
-	}
-	if o.json {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-	return nil
+		runtime.GC() // the profile records live objects as of the last collection
+		return errors.Join(cpuErr, pprof.WriteHeapProfile(f), f.Close())
+	}, nil
 }

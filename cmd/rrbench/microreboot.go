@@ -2,12 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"github.com/recursive-restart/mercury/internal/experiment"
 )
@@ -16,129 +11,26 @@ import (
 //
 //	rrbench microreboot                      # default campaign, text table
 //	rrbench microreboot -trials 5 -json      # faster, machine-readable
-//	rrbench microreboot -bench               # append MTTR/availability records
-//	                                         # to BENCH_RESULTS.json
 //
 // Output is deterministic for a given seed; -parallel changes only wall
 // time, never a byte of output.
 
-// microCellJSON is one campaign cell in machine-readable form.
-type microCellJSON struct {
-	Class        string  `json:"class"`
-	Mode         string  `json:"mode"`
-	Tree         string  `json:"tree"`
-	Trials       int     `json:"trials"`
-	Recovered    int     `json:"recovered"`
-	MTTRMeanS    float64 `json:"mttr_mean_s,omitempty"`
-	MTTRP95S     float64 `json:"mttr_p95_s,omitempty"`
-	PeerRestarts int     `json:"peer_restarts"`
-	Availability float64 `json:"availability"`
-	GiveUps      int     `json:"give_ups"`
-}
-
-type microReport struct {
-	Trials  int             `json:"trials"`
-	Seed    int64           `json:"seed"`
-	Loss    float64         `json:"loss"`
-	Faults  int             `json:"faults"`
-	GapS    float64         `json:"gap_s"`
-	Suspect int             `json:"suspect_after"`
-	Cells   []microCellJSON `json:"cells"`
-}
-
-func runMicroreboot(argv []string) error {
-	def := experiment.DefaultMicroConfig()
-	fs := flag.NewFlagSet("microreboot", flag.ContinueOnError)
-	var (
-		trials     = fs.Int("trials", def.Trials, "trials per (mode, class) cell")
-		seed       = fs.Int64("seed", def.BaseSeed, "base random seed")
-		parallel   = fs.Int("parallel", 0, "trial workers (0 = one per CPU, 1 = sequential)")
-		jsonOut    = fs.Bool("json", false, "emit one JSON document instead of the rendered table")
-		loss       = fs.Float64("loss", def.Loss, "per-hop frame-loss probability")
-		suspect    = fs.Int("suspect", def.SuspectAfter, "FD SuspectAfter threshold")
-		faults     = fs.Int("faults", def.Faults, "repeated faults in the availability phase")
-		gap        = fs.Duration("gap", def.Gap, "healthy gap between repeated faults")
-		bench      = fs.Bool("bench", false, "append MTTR/availability records to -benchout")
-		benchOut   = fs.String("benchout", "BENCH_RESULTS.json", "perf-record file for -bench")
-		benchLabel = fs.String("benchlabel", "", "free-form label stored with -bench records")
-	)
-	if err := fs.Parse(argv); err != nil {
-		return err
+func bindMicroreboot(fs *flag.FlagSet, sh *shared) runFunc {
+	cfg := experiment.DefaultMicroConfig()
+	sh.trialFlags(fs, cfg.Trials)
+	fs.Float64Var(&cfg.Loss, "loss", cfg.Loss, "per-hop frame-loss probability")
+	fs.IntVar(&cfg.SuspectAfter, "suspect", cfg.SuspectAfter, "FD SuspectAfter threshold")
+	fs.IntVar(&cfg.Faults, "faults", cfg.Faults, "repeated faults in the availability phase")
+	fs.DurationVar(&cfg.Gap, "gap", cfg.Gap, "healthy gap between repeated faults")
+	return func(ctx context.Context) (any, string, error) {
+		cfg.Trials, cfg.BaseSeed, cfg.Workers = sh.trials, sh.seed, sh.parallel
+		cells, err := experiment.MicroSweep(ctx, cfg)
+		if err != nil {
+			return nil, "", err
+		}
+		return map[string]any{
+			"trials": cfg.Trials, "seed": cfg.BaseSeed, "loss": cfg.Loss, "faults": cfg.Faults,
+			"gap_s": cfg.Gap, "suspect_after": cfg.SuspectAfter, "cells": cells,
+		}, experiment.RenderMicro(cfg, cells), nil
 	}
-	cfg := def
-	cfg.Trials = *trials
-	cfg.BaseSeed = *seed
-	cfg.Workers = *parallel
-	cfg.Loss = *loss
-	cfg.SuspectAfter = *suspect
-	cfg.Faults = *faults
-	cfg.Gap = *gap
-
-	cells, err := experiment.MicroSweep(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-
-	switch {
-	case *jsonOut:
-		rep := microReport{
-			Trials:  cfg.Trials,
-			Seed:    cfg.BaseSeed,
-			Loss:    cfg.Loss,
-			Faults:  cfg.Faults,
-			GapS:    cfg.Gap.Seconds(),
-			Suspect: cfg.SuspectAfter,
-			Cells:   make([]microCellJSON, 0, len(cells)),
-		}
-		for _, c := range cells {
-			jc := microCellJSON{
-				Class:        c.Class,
-				Mode:         c.Mode,
-				Tree:         c.Tree,
-				Trials:       c.Trials,
-				Recovered:    c.Recovered,
-				PeerRestarts: c.PeerRestarts,
-				Availability: c.Availability,
-				GiveUps:      c.GiveUps,
-			}
-			if c.MTTR.N() > 0 {
-				jc.MTTRMeanS = c.MTTR.MeanSeconds()
-				if p95, err := c.MTTR.Percentile(95); err == nil {
-					jc.MTTRP95S = p95.Seconds()
-				}
-			}
-			rep.Cells = append(rep.Cells, jc)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-	default:
-		fmt.Print(experiment.RenderMicro(cfg, cells))
-	}
-
-	if *bench {
-		run := perfRun{
-			Timestamp: time.Now().UTC().Format(time.RFC3339),
-			Label:     *benchLabel,
-			Go:        runtime.Version(),
-			Seed:      cfg.BaseSeed,
-		}
-		for _, c := range cells {
-			rec := perfRecord{
-				Name:         "microreboot",
-				Trials:       c.Trials,
-				Mode:         c.Mode,
-				Class:        c.Class,
-				Availability: c.Availability,
-			}
-			if c.MTTR.N() > 0 {
-				rec.MTTRSeconds = c.MTTR.MeanSeconds()
-			}
-			run.Records = append(run.Records, rec)
-		}
-		return appendPerfRun(*benchOut, run)
-	}
-	return nil
 }

@@ -2,10 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"os"
 
 	"github.com/recursive-restart/mercury/internal/experiment"
 )
@@ -18,108 +15,49 @@ import (
 //	                                     # 1000 random restart trees
 //	rrbench oracle -validate -trees 200  # smaller population, faster
 //	rrbench oracle -online               # soak tree II', mine episodes,
-//	                                     # propose transformations
+//	                                     # propose transformations (text only)
 //
 // All three modes are deterministic for a given seed; -parallel changes
 // only wall time.
 
-// oracleCellJSON is one policy cell in machine-readable form.
-type oracleCellJSON struct {
-	Policy             string  `json:"policy"`
-	Trials             int     `json:"trials"`
-	Episodes           int     `json:"episodes"`
-	Issued             uint64  `json:"issued"`
-	OK                 uint64  `json:"ok"`
-	Failed             uint64  `json:"failed"`
-	Shed               uint64  `json:"shed"`
-	Retries            uint64  `json:"retries"`
-	FailedPerEpisode   float64 `json:"failed_per_episode"`
-	DowntimePerEpisode float64 `json:"user_downtime_per_episode_s"`
-	HarmScore          float64 `json:"harm_score"`
-}
-
-func runOracle(argv []string) error {
-	def := experiment.DefaultOracleConfig()
-	vdef := experiment.DefaultTreeValidationConfig()
-	fs := flag.NewFlagSet("oracle", flag.ContinueOnError)
-	var (
-		trials   = fs.Int("trials", def.Trials, "trials per policy cell")
-		seed     = fs.Int64("seed", def.BaseSeed, "base random seed")
-		parallel = fs.Int("parallel", 0, "trial workers (0 = one per CPU, 1 = sequential)")
-		jsonOut  = fs.Bool("json", false, "emit one JSON document instead of the rendered table")
-		episodes = fs.Int("episodes", def.Episodes, "measured fault episodes per trial")
-		train    = fs.Int("train", def.TrainEpisodes, "training episodes before the measured window")
-		gap      = fs.Duration("gap", def.Gap, "operation window after each fault injection")
-		ckptIv   = fs.Duration("ckpt-interval", def.CkptInterval, "checkpoint snapshot period")
-		validate = fs.Bool("validate", false, "run the random-tree analytic-vs-simulated ranking instead")
-		trees    = fs.Int("trees", vdef.Trees, "-validate: random restart trees to score")
-		online   = fs.Bool("online", false, "run the online tree-optimization soak instead")
-	)
-	if err := fs.Parse(argv); err != nil {
-		return err
-	}
-	ctx := context.Background()
-
-	switch {
-	case *validate:
-		cfg := vdef
-		cfg.Trees = *trees
-		cfg.BaseSeed = *seed
-		cfg.Workers = *parallel
-		res, err := experiment.RunTreeValidation(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(struct {
-				Trees    int     `json:"trees"`
-				Seed     int64   `json:"seed"`
-				Spearman float64 `json:"spearman"`
-			}{len(res.Scores), cfg.BaseSeed, res.Spearman})
-		}
-		fmt.Print(experiment.RenderTreeValidation(res))
-		return nil
-
-	case *online:
-		cfg := experiment.DefaultOnlineConfig()
-		cfg.Seed = *seed
-		p, err := experiment.RunOnlineProposal(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiment.RenderOnlineProposal(cfg, p))
-		return nil
-
-	default:
-		cfg := def
-		cfg.Trials = *trials
-		cfg.BaseSeed = *seed
-		cfg.Workers = *parallel
-		cfg.Episodes = *episodes
-		cfg.TrainEpisodes = *train
-		cfg.Gap = *gap
-		cfg.CkptInterval = *ckptIv
-		cells, err := experiment.OracleSweep(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			out := make([]oracleCellJSON, 0, len(cells))
-			for _, c := range cells {
-				out = append(out, oracleCellJSON{
-					Policy: c.Policy, Trials: c.Trials, Episodes: c.Episodes,
-					Issued: c.Issued, OK: c.OK, Failed: c.Failed, Shed: c.Shed,
-					Retries: c.Retries, FailedPerEpisode: c.FailedPerEpisode,
-					DowntimePerEpisode: c.DowntimePerEpisode, HarmScore: c.HarmScore,
-				})
+func bindOracle(fs *flag.FlagSet, sh *shared) runFunc {
+	cfg := experiment.DefaultOracleConfig()
+	vcfg := experiment.DefaultTreeValidationConfig()
+	sh.trialFlags(fs, cfg.Trials)
+	fs.IntVar(&cfg.Episodes, "episodes", cfg.Episodes, "measured fault episodes per trial")
+	fs.IntVar(&cfg.TrainEpisodes, "train", cfg.TrainEpisodes, "training episodes before the measured window")
+	fs.DurationVar(&cfg.Gap, "gap", cfg.Gap, "operation window after each fault injection")
+	fs.DurationVar(&cfg.CkptInterval, "ckpt-interval", cfg.CkptInterval, "checkpoint snapshot period")
+	validate := fs.Bool("validate", false, "run the random-tree analytic-vs-simulated ranking instead")
+	fs.IntVar(&vcfg.Trees, "trees", vcfg.Trees, "-validate: random restart trees to score")
+	online := fs.Bool("online", false, "run the online tree-optimization soak instead")
+	return func(ctx context.Context) (any, string, error) {
+		switch {
+		case *validate:
+			vcfg.BaseSeed, vcfg.Workers = sh.seed, sh.parallel
+			res, err := experiment.RunTreeValidation(ctx, vcfg)
+			if err != nil {
+				return nil, "", err
 			}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(out)
+			return map[string]any{"trees": len(res.Scores), "seed": vcfg.BaseSeed, "spearman": res.Spearman},
+				experiment.RenderTreeValidation(res), nil
+
+		case *online:
+			ocfg := experiment.DefaultOnlineConfig()
+			ocfg.Seed = sh.seed
+			p, err := experiment.RunOnlineProposal(ctx, ocfg)
+			if err != nil {
+				return nil, "", err
+			}
+			return nil, experiment.RenderOnlineProposal(ocfg, p), nil
+
+		default:
+			cfg.Trials, cfg.BaseSeed, cfg.Workers = sh.trials, sh.seed, sh.parallel
+			cells, err := experiment.OracleSweep(ctx, cfg)
+			if err != nil {
+				return nil, "", err
+			}
+			return cells, experiment.RenderOracle(cfg, cells), nil
 		}
-		fmt.Print(experiment.RenderOracle(cfg, cells))
-		return nil
 	}
 }

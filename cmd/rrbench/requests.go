@@ -2,21 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"os"
-	"runtime"
-	"sync"
-	"time"
 
-	mercury "github.com/recursive-restart/mercury"
-	"github.com/recursive-restart/mercury/internal/bus"
-	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/experiment"
 	"github.com/recursive-restart/mercury/internal/load"
-	"github.com/recursive-restart/mercury/internal/metrics"
-	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
 // The requests subcommand runs the user-harm campaign: an open-loop
@@ -27,450 +16,42 @@ import (
 //	rrbench requests                     # default campaign, text table
 //	rrbench requests -trials 3 -json     # faster, machine-readable
 //	rrbench requests -verify             # parallel-vs-sequential byte identity
-//	rrbench requests -bench              # campaign + substrate throughput
-//	                                     # records → BENCH_RESULTS.json
-//	rrbench requests -tcp -shards 2      # drive the real sharded TCP fabric
-//	                                     # open-loop (wall clock, CO-corrected)
 //
-// Output is deterministic for a given seed in simulation modes; -parallel
-// changes only wall time, never a byte of output. -tcp measures the real
-// network stack and is inherently nondeterministic.
+// Output is deterministic for a given seed; -parallel changes only wall
+// time, never a byte of output.
 
-// requestCellJSON is one campaign cell in machine-readable form.
-type requestCellJSON struct {
-	Mode               string  `json:"mode"`
-	Tree               string  `json:"tree"`
-	Trials             int     `json:"trials"`
-	Episodes           int     `json:"episodes"`
-	Issued             uint64  `json:"issued"`
-	OK                 uint64  `json:"ok"`
-	Slow               uint64  `json:"slow"`
-	Failed             uint64  `json:"failed"`
-	Shed               uint64  `json:"shed"`
-	Retries            uint64  `json:"retries"`
-	GoodputPerSec      float64 `json:"goodput_per_sec"`
-	FailedPerEpisode   float64 `json:"failed_per_episode"`
-	SlowPerEpisode     float64 `json:"slow_per_episode"`
-	DowntimePerEpisode float64 `json:"user_downtime_per_episode_s"`
-	P50S               float64 `json:"p50_s"`
-	P99S               float64 `json:"p99_s"`
-	P999S              float64 `json:"p999_s"`
-}
-
-type requestsReport struct {
-	Trials   int               `json:"trials"`
-	Seed     int64             `json:"seed"`
-	Class    string            `json:"class"`
-	Users    int               `json:"users"`
-	Rate     float64           `json:"rate"`
-	Episodes int               `json:"episodes"`
-	GapS     float64           `json:"gap_s"`
-	WarmupS  float64           `json:"warmup_s"`
-	Cells    []requestCellJSON `json:"cells"`
-}
-
-func toRequestCellJSON(c *experiment.RequestCellResult) requestCellJSON {
-	return requestCellJSON{
-		Mode:               c.Mode,
-		Tree:               c.Tree,
-		Trials:             c.Trials,
-		Episodes:           c.Episodes,
-		Issued:             c.Issued,
-		OK:                 c.OK,
-		Slow:               c.Slow,
-		Failed:             c.Failed,
-		Shed:               c.Shed,
-		Retries:            c.Retries,
-		GoodputPerSec:      c.GoodputPerSec,
-		FailedPerEpisode:   c.FailedPerEpisode,
-		SlowPerEpisode:     c.SlowPerEpisode,
-		DowntimePerEpisode: c.DowntimePerEpisode,
-		P50S:               c.P50.Seconds(),
-		P99S:               c.P99.Seconds(),
-		P999S:              c.P999.Seconds(),
-	}
-}
-
-func runRequests(argv []string) error {
-	def := experiment.DefaultRequestConfig()
-	fs := flag.NewFlagSet("requests", flag.ContinueOnError)
-	var (
-		trials     = fs.Int("trials", def.Trials, "trials per recovery-mode cell")
-		seed       = fs.Int64("seed", def.BaseSeed, "base random seed")
-		parallel   = fs.Int("parallel", 0, "trial workers (0 = one per CPU, 1 = sequential)")
-		jsonOut    = fs.Bool("json", false, "emit one JSON document instead of the rendered table")
-		className  = fs.String("class", def.Class.String(), "request class: pass, telemetry or federation")
-		users      = fs.Int("users", def.Users, "cohort population (distinct users)")
-		rate       = fs.Float64("rate", def.Rate, "aggregate arrival rate, requests/s")
-		deadline   = fs.Duration("deadline", def.Deadline, "per-attempt deadline (0 = engine default)")
-		retries    = fs.Int("retries", def.Retries, "re-sends before a request is declared failed")
-		episodes   = fs.Int("episodes", def.Episodes, "fault injections per trial")
-		gap        = fs.Duration("gap", def.Gap, "operation window after each fault injection")
-		warmup     = fs.Duration("warmup", def.Warmup, "healthy warm-up before measurement")
-		verify     = fs.Bool("verify", false, "check parallel-vs-sequential byte identity and exit")
-		bench      = fs.Bool("bench", false, "append request-plane records to -benchout")
-		benchOut   = fs.String("benchout", "BENCH_RESULTS.json", "perf-record file for -bench")
-		benchLabel = fs.String("benchlabel", "", "free-form label stored with -bench records")
-		benchReqs  = fs.Int("benchreqs", 2_000_000, "requests in the -bench throughput measurement")
-		tcp        = fs.Bool("tcp", false, "drive the real sharded TCP fabric instead of the simulation")
-		shards     = fs.Int("shards", 2, "TCP mode: broker shard count")
-		count      = fs.Int("count", 20_000, "TCP mode: requests to issue")
-		tcpRate    = fs.Float64("tcprate", 10_000, "TCP mode: open-loop arrival rate, requests/s")
-		tcpWait    = fs.Duration("tcpwait", 2*time.Second, "TCP mode: drain window before unacked requests count as failed")
-	)
-	if err := fs.Parse(argv); err != nil {
-		return err
-	}
-
-	if *tcp {
-		return runRequestsTCP(tcpPumpConfig{
-			Shards: *shards, Count: *count, Rate: *tcpRate, Wait: *tcpWait,
-			JSON: *jsonOut, Bench: *bench, BenchOut: *benchOut, BenchLabel: *benchLabel, Seed: *seed,
-		})
-	}
-
-	class, err := load.ParseClass(*className)
-	if err != nil {
-		return err
-	}
-	cfg := def
-	cfg.Trials = *trials
-	cfg.BaseSeed = *seed
-	cfg.Workers = *parallel
-	cfg.Class = class
-	cfg.Users = *users
-	cfg.Rate = *rate
-	cfg.Deadline = *deadline
-	cfg.Retries = *retries
-	cfg.Episodes = *episodes
-	cfg.Gap = *gap
-	cfg.Warmup = *warmup
-
-	ctx := context.Background()
-	if *verify {
-		if err := experiment.VerifyRequests(ctx, cfg, *parallel); err != nil {
-			return err
+func bindRequests(fs *flag.FlagSet, sh *shared) runFunc {
+	cfg := experiment.DefaultRequestConfig()
+	sh.trialFlags(fs, cfg.Trials)
+	className := fs.String("class", cfg.Class.String(), "request class: pass, telemetry or federation")
+	fs.IntVar(&cfg.Users, "users", cfg.Users, "cohort population (distinct users)")
+	fs.Float64Var(&cfg.Rate, "rate", cfg.Rate, "aggregate arrival rate, requests/s")
+	fs.DurationVar(&cfg.Deadline, "deadline", cfg.Deadline, "per-attempt deadline (0 = engine default)")
+	fs.IntVar(&cfg.Retries, "retries", cfg.Retries, "re-sends before a request is declared failed")
+	fs.IntVar(&cfg.Episodes, "episodes", cfg.Episodes, "fault injections per trial")
+	fs.DurationVar(&cfg.Gap, "gap", cfg.Gap, "operation window after each fault injection")
+	fs.DurationVar(&cfg.Warmup, "warmup", cfg.Warmup, "healthy warm-up before measurement")
+	verify := fs.Bool("verify", false, "check parallel-vs-sequential byte identity and exit")
+	return func(ctx context.Context) (any, string, error) {
+		class, err := load.ParseClass(*className)
+		if err != nil {
+			return nil, "", err
 		}
-		fmt.Println("requests: parallel and sequential campaigns are byte-identical")
-		return nil
-	}
-
-	// The throughput measurement runs before the campaign so it sees a
-	// quiet heap: the sweep allocates per-trial arenas that would otherwise
-	// raise the GC watermark under the measured loop.
-	var tp perfRecord
-	if *bench {
-		var err error
-		if tp, err = benchRequestPlane(cfg.BaseSeed, *benchReqs); err != nil {
-			return err
+		cfg.Class, cfg.Trials, cfg.BaseSeed, cfg.Workers = class, sh.trials, sh.seed, sh.parallel
+		if *verify {
+			if err := experiment.VerifyRequests(ctx, cfg, sh.parallel); err != nil {
+				return nil, "", err
+			}
+			return nil, "requests: parallel and sequential campaigns are byte-identical\n", nil
 		}
-	}
-
-	cells, err := experiment.RequestSweep(ctx, cfg)
-	if err != nil {
-		return err
-	}
-
-	switch {
-	case *jsonOut:
-		rep := requestsReport{
-			Trials:   cfg.Trials,
-			Seed:     cfg.BaseSeed,
-			Class:    cfg.Class.String(),
-			Users:    cfg.Users,
-			Rate:     cfg.Rate,
-			Episodes: cfg.Episodes,
-			GapS:     cfg.Gap.Seconds(),
-			WarmupS:  cfg.Warmup.Seconds(),
-			Cells:    make([]requestCellJSON, 0, len(cells)),
+		cells, err := experiment.RequestSweep(ctx, cfg)
+		if err != nil {
+			return nil, "", err
 		}
-		for _, c := range cells {
-			rep.Cells = append(rep.Cells, toRequestCellJSON(c))
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-	default:
-		fmt.Print(experiment.RenderRequests(cfg, cells))
+		return map[string]any{
+			"trials": cfg.Trials, "seed": cfg.BaseSeed, "class": cfg.Class.String(), "users": cfg.Users,
+			"rate": cfg.Rate, "episodes": cfg.Episodes, "gap_s": cfg.Gap, "warmup_s": cfg.Warmup,
+			"cells": cells,
+		}, experiment.RenderRequests(cfg, cells), nil
 	}
-
-	if *bench {
-		run := perfRun{
-			Timestamp: time.Now().UTC().Format(time.RFC3339),
-			Label:     *benchLabel,
-			Go:        runtime.Version(),
-			Seed:      cfg.BaseSeed,
-		}
-		run.Records = append(run.Records, tp)
-		for _, c := range cells {
-			run.Records = append(run.Records, perfRecord{
-				Name:                "requests",
-				Trials:              c.Trials,
-				Mode:                c.Mode,
-				Class:               cfg.Class.String(),
-				GoodputPerSec:       c.GoodputPerSec,
-				FailedRequests:      c.Failed,
-				FailedPerEpisode:    c.FailedPerEpisode,
-				DowntimePerEpisodeS: c.DowntimePerEpisode,
-				P50S:                c.P50.Seconds(),
-				P99S:                c.P99.Seconds(),
-				P999S:               c.P999.Seconds(),
-			})
-		}
-		fmt.Printf("%-14s %12d requests  %8.3fs  %12.0f req/s  %7.1f ns/req  %6.3f allocs/req\n",
-			tp.Name, tp.Events, tp.WallSeconds, tp.RequestsPerSec, tp.NsPerEvent, tp.AllocsPerRequest)
-		return appendPerfRun(*benchOut, run)
-	}
-	return nil
-}
-
-// benchRequestPlane measures sustained simulated request throughput on a
-// healthy tree-IV station: the engine issues an open-loop megahertz pass
-// stream and we count wall time and allocations until `reqs` requests have
-// been issued. This is the headline "≥1M simulated requests/s/core at
-// 0 allocs/request" record (the same workload as BenchmarkRequestPlane).
-func benchRequestPlane(seed int64, reqs int) (perfRecord, error) {
-	sys, err := mercury.NewSystem(mercury.Config{Seed: seed, TreeName: "IV"})
-	if err != nil {
-		return perfRecord{}, err
-	}
-	if err := sys.Boot(); err != nil {
-		return perfRecord{}, err
-	}
-	eng, err := load.NewEngine(clock.Sim{K: sys.Kernel}, sys.Bus, sys.Mgr, load.Config{
-		Seed:    seed,
-		Cohorts: []load.Cohort{{Class: load.ClassPass, Users: 1 << 20, Rate: 1e6, Poisson: true}},
-	})
-	if err != nil {
-		return perfRecord{}, err
-	}
-	if err := eng.Start(); err != nil {
-		return perfRecord{}, err
-	}
-	// Warm the arenas and pools, then discard the warm-up samples.
-	if err := sys.RunFor(200 * time.Millisecond); err != nil {
-		return perfRecord{}, err
-	}
-	base := eng.Stats().Issued
-	eng.Hist().Reset()
-
-	m := startMeter()
-	for eng.Stats().Issued-base < uint64(reqs) {
-		if err := sys.RunFor(50 * time.Millisecond); err != nil {
-			return perfRecord{}, err
-		}
-	}
-	issued := eng.Stats().Issued - base
-	rec := m.record("request-plane", 0, issued)
-	rec.RequestsPerSec = rec.EventsPerSec
-	rec.AllocsPerRequest = rec.AllocsPerEvent
-	h := eng.Hist()
-	if h.Count() > 0 {
-		p50, _ := h.Quantile(0.50)
-		p99, _ := h.Quantile(0.99)
-		p999, _ := h.Quantile(0.999)
-		rec.P50S = p50.Seconds()
-		rec.P99S = p99.Seconds()
-		rec.P999S = p999.Seconds()
-	}
-	rec.FailedRequests = eng.Stats().Failed
-	return rec, nil
-}
-
-// tcpPumpConfig parameterises the -tcp mode.
-type tcpPumpConfig struct {
-	Shards int
-	Count  int
-	Rate   float64
-	Wait   time.Duration
-
-	JSON       bool
-	Bench      bool
-	BenchOut   string
-	BenchLabel string
-	Seed       int64
-}
-
-// tcpPumpResult is the -tcp measurement summary.
-type tcpPumpResult struct {
-	Shards         int     `json:"shards"`
-	Requests       int     `json:"requests"`
-	RatePerSec     float64 `json:"rate_per_sec"`
-	AchievedPerSec float64 `json:"achieved_per_sec"`
-	OK             uint64  `json:"ok"`
-	Failed         uint64  `json:"failed"`
-	Samples        uint64  `json:"samples"`
-	P50S           float64 `json:"p50_s"`
-	P99S           float64 `json:"p99_s"`
-	P999S          float64 `json:"p999_s"`
-	MaxS           float64 `json:"max_s"`
-}
-
-// runRequestsTCP drives the real sharded TCP fabric open-loop: an
-// in-process ShardedBroker, a responder client acking every command, and a
-// gate client issuing requests on a fixed wall-clock schedule. Latency is
-// measured from each request's *intended* arrival instant (open-loop
-// accounting), and every sample additionally passes through
-// Hist.RecordCorrected with the schedule interval, so a broker or
-// responder stall back-fills the observations it suppressed instead of
-// collapsing into one slow sample — the standard coordinated-omission
-// correction for wall-clock drivers.
-func runRequestsTCP(cfg tcpPumpConfig) error {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Count <= 0 || cfg.Rate <= 0 {
-		return fmt.Errorf("requests -tcp: need positive -count and -tcprate")
-	}
-	sb, err := bus.ListenSharded("127.0.0.1:0", cfg.Shards, bus.BrokerConfig{})
-	if err != nil {
-		return err
-	}
-	defer sb.Close()
-	addrs := sb.Addrs()
-
-	// Responder: plays the tracker, acking every command it receives.
-	// The client pointer is published under respMu before any command can
-	// reach the callback (the gate has not dialed yet, let alone sent).
-	var (
-		respMu  sync.Mutex
-		resp    *bus.ShardedClient
-		respSeq uint64
-	)
-	r, err := bus.DialSharded(addrs, "str", bus.ClientConfig{}, func(m *xmlcmd.Message) {
-		if m.Command == nil {
-			return
-		}
-		respMu.Lock()
-		c := resp
-		respSeq++
-		seq := respSeq
-		respMu.Unlock()
-		if c != nil {
-			c.Send(xmlcmd.NewAck("str", m.From, seq, m.Seq, true, ""))
-		}
-	})
-	if err != nil {
-		return err
-	}
-	respMu.Lock()
-	resp = r
-	respMu.Unlock()
-	defer r.Close()
-
-	// Gate: open-loop sender; acks resolve pending intended-start times.
-	interval := time.Duration(float64(time.Second) / cfg.Rate)
-	var (
-		mu   sync.Mutex
-		pend = make(map[uint64]int64, cfg.Count)
-		hist metrics.Hist
-		ok   uint64
-	)
-	gate, err := bus.DialSharded(addrs, "gate", bus.ClientConfig{}, func(m *xmlcmd.Message) {
-		if m.Ack == nil {
-			return
-		}
-		now := time.Now().UnixNano()
-		mu.Lock()
-		if intended, have := pend[m.Ack.OfSeq]; have {
-			delete(pend, m.Ack.OfSeq)
-			hist.RecordCorrected(time.Duration(now-intended), interval)
-			ok++
-		}
-		mu.Unlock()
-	})
-	if err != nil {
-		return err
-	}
-	defer gate.Close()
-
-	// The open-loop pump: request i is *intended* at start + i·interval and
-	// is sent then (or as soon after as the scheduler allows — latency is
-	// measured from the intended instant either way, so pump lag is charged
-	// to the measurement, never hidden).
-	start := time.Now()
-	for i := 1; i <= cfg.Count; i++ {
-		intended := start.Add(time.Duration(i) * interval)
-		if d := time.Until(intended); d > 0 {
-			time.Sleep(d)
-		}
-		mu.Lock()
-		pend[uint64(i)] = intended.UnixNano()
-		mu.Unlock()
-		gate.Send(xmlcmd.NewCommand("gate", "str", uint64(i), "point", "az", "42.0", "el", "10.0"))
-	}
-	sendWall := time.Since(start)
-
-	// Drain: wait for the tail of acks, then count survivors as failed.
-	drainUntil := time.Now().Add(cfg.Wait)
-	for time.Now().Before(drainUntil) {
-		mu.Lock()
-		n := len(pend)
-		mu.Unlock()
-		if n == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	mu.Lock()
-	failed := uint64(len(pend))
-	okDone := ok
-	res := tcpPumpResult{
-		Shards:         cfg.Shards,
-		Requests:       cfg.Count,
-		RatePerSec:     cfg.Rate,
-		AchievedPerSec: float64(cfg.Count) / sendWall.Seconds(),
-		OK:             okDone,
-		Failed:         failed,
-		Samples:        hist.Count(),
-		MaxS:           hist.Max().Seconds(),
-	}
-	if hist.Count() > 0 {
-		p50, _ := hist.Quantile(0.50)
-		p99, _ := hist.Quantile(0.99)
-		p999, _ := hist.Quantile(0.999)
-		res.P50S = p50.Seconds()
-		res.P99S = p99.Seconds()
-		res.P999S = p999.Seconds()
-	}
-	mu.Unlock()
-
-	if cfg.JSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	} else {
-		fmt.Printf("TCP pump — %d shards, %d requests open-loop at %.0f req/s (achieved %.0f req/s)\n",
-			res.Shards, res.Requests, res.RatePerSec, res.AchievedPerSec)
-		fmt.Printf("ok %d  failed %d  samples %d (CO-corrected)  p50 %.3fms  p99 %.3fms  p99.9 %.3fms  max %.3fms\n",
-			res.OK, res.Failed, res.Samples,
-			res.P50S*1e3, res.P99S*1e3, res.P999S*1e3, res.MaxS*1e3)
-	}
-
-	if cfg.Bench {
-		run := perfRun{
-			Timestamp: time.Now().UTC().Format(time.RFC3339),
-			Label:     cfg.BenchLabel,
-			Go:        runtime.Version(),
-			Seed:      cfg.Seed,
-		}
-		run.Records = append(run.Records, perfRecord{
-			Name:           "request-plane-tcp",
-			Events:         uint64(cfg.Count),
-			WallSeconds:    sendWall.Seconds(),
-			Shards:         cfg.Shards,
-			RequestsPerSec: res.AchievedPerSec,
-			FailedRequests: res.Failed,
-			P50S:           res.P50S,
-			P99S:           res.P99S,
-			P999S:          res.P999S,
-		})
-		return appendPerfRun(cfg.BenchOut, run)
-	}
-	return nil
 }

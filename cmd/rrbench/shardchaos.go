@@ -1,10 +1,9 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
+	"errors"
 	"flag"
-	"fmt"
-	"os"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/experiment"
@@ -12,72 +11,34 @@ import (
 
 // rrbench shardchaos — kill and recover broker shards of a live sharded
 // TCP fabric, verifying blast-radius isolation and comparing per-shard
-// recovery with a whole-bus restart.
+// recovery with a whole-bus restart. The one campaign on wall-clock time:
+// it takes no seed and its durations are measurements, not goldens.
 
-type shardRoundJSON struct {
-	Killed             int     `json:"killed"`
-	SurvivingSent      int     `json:"surviving_sent"`
-	SurvivingDelivered int     `json:"surviving_delivered"`
-	DeadDelivered      int     `json:"dead_delivered"`
-	RecoveryS          float64 `json:"recovery_s"`
-}
-
-type shardChaosJSON struct {
-	Shards             int              `json:"shards"`
-	DestsPerShard      int              `json:"dests_per_shard"`
-	FramesPerPhase     int              `json:"frames_per_phase"`
-	Rounds             []shardRoundJSON `json:"rounds"`
-	Isolated           bool             `json:"isolated"`
-	ShardRecoveryMeanS float64          `json:"shard_recovery_mean_s"`
-	WholeBusRecoveryS  float64          `json:"whole_bus_recovery_s"`
-}
-
-func runShardChaos(args []string) error {
-	fs := flag.NewFlagSet("shardchaos", flag.ExitOnError)
+func bindShardChaos(fs *flag.FlagSet, _ *shared) runFunc {
 	var (
 		shards  = fs.Int("shards", 2, "broker shards in the fabric")
 		dests   = fs.Int("dests", 2, "receiver addresses pinned per shard")
 		frames  = fs.Int("frames", 5, "frames per destination per outage phase")
 		timeout = fs.Duration("timeout", 30*time.Second, "per-phase settle/recovery bound")
-		jsonOut = fs.Bool("json", false, "emit one JSON document instead of the table")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	res, err := experiment.RunShardChaos(experiment.ShardChaosConfig{
-		Shards:         *shards,
-		DestsPerShard:  *dests,
-		FramesPerPhase: *frames,
-		PhaseTimeout:   *timeout,
-	})
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		doc := shardChaosJSON{
-			Shards:             res.Config.Shards,
-			DestsPerShard:      res.Config.DestsPerShard,
-			FramesPerPhase:     res.Config.FramesPerPhase,
-			Isolated:           res.Isolated(),
-			ShardRecoveryMeanS: res.ShardRecoveryMean.Seconds(),
-			WholeBusRecoveryS:  res.WholeBusRecovery.Seconds(),
+	return func(context.Context) (any, string, error) {
+		res, err := experiment.RunShardChaos(experiment.ShardChaosConfig{
+			Shards:         *shards,
+			DestsPerShard:  *dests,
+			FramesPerPhase: *frames,
+			PhaseTimeout:   *timeout,
+		})
+		if err != nil {
+			return nil, "", err
 		}
-		for _, rd := range res.Rounds {
-			doc.Rounds = append(doc.Rounds, shardRoundJSON{
-				Killed:             rd.Killed,
-				SurvivingSent:      rd.SurvivingSent,
-				SurvivingDelivered: rd.SurvivingDelivered,
-				DeadDelivered:      rd.DeadDelivered,
-				RecoveryS:          rd.Recovery.Seconds(),
-			})
+		var verdict error
+		if !res.Isolated() {
+			verdict = errors.New("shard isolation violated")
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
+		return map[string]any{
+			"shards": res.Config.Shards, "dests_per_shard": res.Config.DestsPerShard,
+			"frames_per_phase": res.Config.FramesPerPhase, "rounds": res.Rounds, "isolated": res.Isolated(),
+			"shard_recovery_mean_s": res.ShardRecoveryMean, "whole_bus_recovery_s": res.WholeBusRecovery,
+		}, experiment.RenderShardChaos(res), verdict
 	}
-	fmt.Print(experiment.RenderShardChaos(res))
-	if !res.Isolated() {
-		return fmt.Errorf("shard isolation violated")
-	}
-	return nil
 }

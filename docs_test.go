@@ -1,6 +1,8 @@
 package mercury_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -78,7 +80,7 @@ func rootDocs(t *testing.T) []string {
 
 // fencedBlock matches ``` fenced code blocks; inlineSpan matches `inline
 // code` spans. Together they delimit the "code contexts" of a doc — the
-// places where a `rrbench <sub>` mention is a command line, not prose.
+// places where a name is code, not prose.
 var (
 	fencedBlock = regexp.MustCompile("(?s)```.*?```")
 	inlineSpan  = regexp.MustCompile("`[^`\n]+`")
@@ -93,52 +95,67 @@ func codeContexts(body string) []string {
 	return append(ctxs, inlineSpan.FindAllString(rest, -1)...)
 }
 
-// rrbenchMention matches the word after "rrbench" in a code context.
-// Flags (-all, -trials …) start with '-' and do not match.
-var rrbenchMention = regexp.MustCompile(`rrbench\s+([a-z][a-z0-9]*)\b`)
-
-// subcmdDecl matches the entries of the subcommands map in
-// cmd/rrbench/main.go ("oracle": runOracle, …).
-var subcmdDecl = regexp.MustCompile(`"([a-z]+)":\s+run[A-Z]`)
-
-// TestDocsRRBenchSubcommands checks both directions of the subcommand
-// contract between the docs and cmd/rrbench: every `rrbench <sub>`
-// command the docs show must exist in the subcommands map, and every
-// subcommand in the map must be demonstrated in at least one doc.
-func TestDocsRRBenchSubcommands(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("cmd", "rrbench", "main.go"))
-	if err != nil {
-		t.Fatal(err)
+// TestBenchHistory checks BENCH_HISTORY.json, the repository's committed
+// performance trajectory: one record per PR, and every record names exactly
+// the workloads and end-to-end metrics BENCHMARK.json declares — a record
+// written against another benchmark definition cannot be compared with its
+// neighbours.
+func TestBenchHistory(t *testing.T) {
+	var decl struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
 	}
-	known := map[string]bool{}
-	for _, m := range subcmdDecl.FindAllStringSubmatch(string(src), -1) {
-		known[m[1]] = true
+	var history []struct {
+		PR      int                           `json:"pr"`
+		Commit  string                        `json:"commit"`
+		Seed    int64                         `json:"seed"`
+		Runs    int                           `json:"runs"`
+		Medians map[string]map[string]float64 `json:"medians"`
 	}
-	if len(known) == 0 {
-		t.Fatal("no subcommands parsed from cmd/rrbench/main.go; the check is vacuous")
-	}
-
-	mentioned := map[string]string{} // subcommand -> first doc mentioning it
-	for _, doc := range rootDocs(t) {
-		body, err := os.ReadFile(doc)
+	readJSON := func(path string, into any, strict bool) {
+		t.Helper()
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ctx := range codeContexts(string(body)) {
-			for _, m := range rrbenchMention.FindAllStringSubmatch(ctx, -1) {
-				sub := m[1]
-				if !known[sub] {
-					t.Errorf("%s shows `rrbench %s`, which is not a subcommand of cmd/rrbench", doc, sub)
-				}
-				if _, ok := mentioned[sub]; !ok {
-					mentioned[sub] = doc
-				}
-			}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		if strict {
+			dec.DisallowUnknownFields()
+		}
+		if err := dec.Decode(into); err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 	}
-	for sub := range known {
-		if _, ok := mentioned[sub]; !ok {
-			t.Errorf("cmd/rrbench subcommand %q is not demonstrated in any top-level doc", sub)
+	readJSON("BENCHMARK.json", &decl, false) // declares more than this test reads
+	readJSON("BENCH_HISTORY.json", &history, true)
+	if len(decl.Workloads) == 0 || len(decl.EndToEnd) == 0 || len(history) == 0 {
+		t.Fatalf("%d workloads, %d end-to-end metrics, %d records: the check is vacuous",
+			len(decl.Workloads), len(decl.EndToEnd), len(history))
+	}
+	for i, rec := range history {
+		if rec.PR <= 0 || rec.Commit == "" || rec.Runs < 3 {
+			t.Errorf("record %d: pr %d, commit %q, %d runs; want a PR number, a commit and at least 3 runs", i, rec.PR, rec.Commit, rec.Runs)
+		}
+		if i > 0 && rec.PR <= history[i-1].PR {
+			t.Errorf("record %d: pr %d does not follow pr %d", i, rec.PR, history[i-1].PR)
+		}
+		if len(rec.Medians) != len(decl.Workloads) {
+			t.Errorf("pr %d: %d workloads, BENCHMARK.json declares %d", rec.PR, len(rec.Medians), len(decl.Workloads))
+		}
+		for _, w := range decl.Workloads {
+			metrics, ok := rec.Medians[w.Name]
+			if !ok {
+				t.Errorf("pr %d: no workload %q", rec.PR, w.Name)
+				continue
+			}
+			if len(metrics) != len(decl.EndToEnd) {
+				t.Errorf("pr %d %s: %d metrics, BENCHMARK.json declares %d", rec.PR, w.Name, len(metrics), len(decl.EndToEnd))
+			}
+			for _, m := range decl.EndToEnd {
+				if _, ok := metrics[m.Name]; !ok {
+					t.Errorf("pr %d %s: no metric %q", rec.PR, w.Name, m.Name)
+				}
+			}
 		}
 	}
 }

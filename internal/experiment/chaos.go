@@ -73,9 +73,9 @@ func DefaultChaosConfig() ChaosConfig {
 
 // ChaosSpec identifies one cell of the sweep.
 type ChaosSpec struct {
-	Tree         string
-	Loss         float64
-	SuspectAfter int
+	Tree         string  `json:"tree"`
+	Loss         float64 `json:"loss"`
+	SuspectAfter int     `json:"suspect_after"`
 }
 
 // PingLoss converts a per-hop loss rate into the probability that one FD
@@ -91,26 +91,26 @@ func PingLoss(loss, dup float64) float64 {
 // ChaosCellResult aggregates one cell's trials.
 type ChaosCellResult struct {
 	ChaosSpec
-	Trials int
+	Trials int `json:"trials"`
 	// Availability is the mean fraction of the fault-free horizon with
 	// every component serving (A_entire; all downtime is self-inflicted).
-	Availability float64
+	Availability float64 `json:"availability"`
 	// FalseRestarts is the mean number of component restarts during the
 	// fault-free horizon — every one a false positive. Counted per
 	// component incarnation, so an escalated whole-station restart weighs
 	// its full cost; FalseActions counts REC's restart decisions.
-	FalseRestarts float64
-	FalseActions  float64
+	FalseRestarts float64 `json:"false_restarts_per_trial"`
+	FalseActions  float64 `json:"false_actions_per_trial"`
 	// GiveUps counts components abandoned across all trials.
-	GiveUps int
+	GiveUps int `json:"give_ups"`
 	// Detected counts trials whose injected fault was detected; Detect
 	// samples the fault → FailureDetected latency over those.
-	Detected int
-	Detect   metrics.Sample
+	Detected int            `json:"detected"`
+	Detect   metrics.Sample `json:"detect"`
 	// Recovered counts trials whose injected fault fully recovered;
 	// Recovery samples the recovery time over those.
-	Recovered int
-	Recovery  metrics.Sample
+	Recovered int            `json:"recovered"`
+	Recovery  metrics.Sample `json:"recovery"`
 }
 
 // chaosTrial is one trial's raw measurements.

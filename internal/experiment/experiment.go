@@ -9,6 +9,11 @@
 // station per trial, exactly as the paper ran 100 experiments per failed
 // component — and reports the sample statistics next to the paper's
 // published value.
+//
+// The result types carry json tags: they are the documents `rrbench -json`
+// prints. A time.Duration field is tagged *_s because rrbench's encoder
+// writes durations in seconds (cmd/rrbench/json.go); encoding/json on its
+// own would write nanoseconds under that name.
 package experiment
 
 import (
@@ -158,8 +163,8 @@ func runCellWith(ctx context.Context, c Cell, rc RunConfig, measure measureFunc)
 
 // Row is one Table 2/4 row: a tree+policy across failed components.
 type Row struct {
-	Label string
-	Cells map[string]*metrics.Sample
+	Label string                     `json:"label"`
+	Cells map[string]*metrics.Sample `json:"cells"`
 }
 
 // Table4Rows defines the paper's six Table 4 rows. The pbcom column under
@@ -302,9 +307,9 @@ func RenderRows(rows []Row, title string) string {
 
 // Table1Result compares achieved failure-law MTTFs against Table 1.
 type Table1Result struct {
-	Component  string
-	Configured time.Duration
-	Measured   *metrics.Sample
+	Component  string          `json:"component"`
+	Configured time.Duration   `json:"configured_mttf_s"`
+	Measured   *metrics.Sample `json:"measured"`
 }
 
 // Table1 validates the failure-law calibration: for each component it
@@ -358,9 +363,9 @@ func RenderTable1(res []Table1Result) string {
 // factor. The weighting uses Table 1 failure rates so the components that
 // fail most often (fedrcom/fedr) dominate, exactly as in operation.
 type HeadlineResult struct {
-	TreeIMTTR time.Duration
-	TreeVMTTR time.Duration
-	Factor    float64
+	TreeIMTTR time.Duration `json:"tree_i_mttr_s"`
+	TreeVMTTR time.Duration `json:"tree_v_mttr_s"`
+	Factor    float64       `json:"factor"`
 }
 
 // Headline derives the improvement factor from measured Table 4 rows.

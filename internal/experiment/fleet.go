@@ -372,36 +372,36 @@ func scheduleBeacons(cfg FleetConfig, shards []*fleetShard, start, end time.Time
 // Wall is a deterministic function of (FleetConfig minus Workers) — Fold
 // renders exactly that deterministic subset.
 type FleetResult struct {
-	Stations int
-	Shards   int
-	Group    int
-	Workers  int
-	BaseSeed int64
+	Stations int   `json:"stations"`
+	Shards   int   `json:"shards"`
+	Group    int   `json:"group"`
+	Workers  int   `json:"cores"`
+	BaseSeed int64 `json:"seed"`
 
-	Horizon     time.Duration
-	Epoch       time.Duration
-	LinkLatency time.Duration
+	Horizon     time.Duration `json:"horizon_s"`
+	Epoch       time.Duration `json:"epoch_s"`
+	LinkLatency time.Duration `json:"latency_s"`
 
-	Epochs  uint64
-	Parcels uint64
-	Events  uint64
+	Epochs  uint64 `json:"epochs"`
+	Parcels uint64 `json:"parcels"`
+	Events  uint64 `json:"events"`
 
-	Failures    int
-	Recoveries  uint64
-	GiveUps     uint64
-	BeaconsSent uint64
-	BeaconsRecv uint64
-	Downtime    time.Duration
+	Failures    int           `json:"failures"`
+	Recoveries  uint64        `json:"recoveries"`
+	GiveUps     uint64        `json:"give_ups"`
+	BeaconsSent uint64        `json:"beacons_sent"`
+	BeaconsRecv uint64        `json:"beacons_recv"`
+	Downtime    time.Duration `json:"downtime_s"`
 	// Availability is the station-mean A_entire over the horizon.
-	Availability float64
+	Availability float64 `json:"availability"`
 	// Digest fingerprints the full per-station outcome vector (FNV-1a
 	// over each station's counters in station order), so two runs that
 	// agree on aggregates but differ anywhere per-station still fold
 	// differently.
-	Digest uint64
+	Digest uint64 `json:"digest"`
 
 	// Wall is the real elapsed execution time (excluded from Fold).
-	Wall time.Duration
+	Wall time.Duration `json:"wall_s"`
 }
 
 // Fold renders the deterministic byte string the reproducibility gates

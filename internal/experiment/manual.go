@@ -27,11 +27,11 @@ var OperatorNotice = fault.Uniform{Lo: 2 * time.Minute, Hi: 45 * time.Minute}
 
 // ManualResult compares operator-driven recovery with automated RR.
 type ManualResult struct {
-	Trials         int
-	ManualRecovery metrics.Sample
-	AutoRecovery   metrics.Sample
-	ManualAvail    float64 // availability at the Table 1 fedrcom rate
-	AutoAvail      float64
+	Trials         int            `json:"trials"`
+	ManualRecovery metrics.Sample `json:"manual_recovery"`
+	AutoRecovery   metrics.Sample `json:"auto_recovery"`
+	ManualAvail    float64        `json:"manual_availability"` // availability at the Table 1 fedrcom rate
+	AutoAvail      float64        `json:"auto_availability"`
 }
 
 // manualTrial is one paired observation: the operator-driven recovery and

@@ -118,23 +118,23 @@ func (c MicroClass) victim(m MicroMode) string {
 
 // MicroCellResult aggregates one (mode, class) cell.
 type MicroCellResult struct {
-	Mode  string
-	Tree  string
-	Class string
+	Mode  string `json:"mode"`
+	Tree  string `json:"tree"`
+	Class string `json:"class"`
 
-	Trials int
+	Trials int `json:"trials"`
 	// Recovered counts trials whose single measured fault recovered;
 	// MTTR samples the recovery time over those.
-	Recovered int
-	MTTR      metrics.Sample
+	Recovered int            `json:"recovered"`
+	MTTR      metrics.Sample `json:"mttr"`
 	// PeerRestarts is the total number of extra peer incarnations across
 	// all single-fault measurements — collateral damage of the recovery.
-	PeerRestarts int
+	PeerRestarts int `json:"peer_restarts"`
 	// Availability is the mean fraction of the repeated-fault horizon the
 	// station was whole.
-	Availability float64
+	Availability float64 `json:"availability"`
 	// GiveUps counts components abandoned across all trials.
-	GiveUps int
+	GiveUps int `json:"give_ups"`
 }
 
 // microTrial is one trial's raw measurements.

@@ -199,26 +199,26 @@ func runOracleTrial(cfg OracleConfig, pol OraclePolicy, seed int64) (oracleTrial
 // OracleCellResult aggregates one policy's harm accounting. Comparable, so
 // parallel-vs-sequential agreement is plain ==.
 type OracleCellResult struct {
-	Policy string
+	Policy string `json:"policy"`
 
-	Trials   int
-	Episodes int
+	Trials   int `json:"trials"`
+	Episodes int `json:"episodes"`
 
-	Issued  uint64
-	OK      uint64
-	Failed  uint64
-	Shed    uint64
-	Retries uint64
+	Issued  uint64 `json:"issued"`
+	OK      uint64 `json:"ok"`
+	Failed  uint64 `json:"failed"`
+	Shed    uint64 `json:"shed"`
+	Retries uint64 `json:"retries"`
 
 	// FailedPerEpisode and DowntimePerEpisode are the two harm currencies
 	// (requests lost, broken-session user-seconds), per fault episode.
-	FailedPerEpisode   float64
-	DowntimePerEpisode float64
+	FailedPerEpisode   float64 `json:"failed_per_episode"`
+	DowntimePerEpisode float64 `json:"user_downtime_per_episode_s"`
 	// HarmScore is the campaign's single ranking number: failed requests
 	// plus broken-user-seconds per episode. The units differ, but both
 	// are "user pain per fault" and the policies are compared on an
 	// identical schedule, so the sum is a fair rank.
-	HarmScore float64
+	HarmScore float64 `json:"harm_score"`
 }
 
 // RunOracleCell measures one policy over cfg.Trials paired-seed trials.

@@ -182,38 +182,38 @@ func subStats(end, base load.Stats) load.Stats {
 // comparable value: two campaigns agree iff their cells are ==, which is
 // how the parallel-vs-sequential byte-identity check works.
 type RequestCellResult struct {
-	Mode string
-	Tree string
+	Mode string `json:"mode"`
+	Tree string `json:"tree"`
 
-	Trials   int
-	Episodes int
+	Trials   int `json:"trials"`
+	Episodes int `json:"episodes"`
 
 	// Summed over trials (measured window only; warm-up excluded).
-	Issued  uint64
-	OK      uint64
-	Slow    uint64
-	Failed  uint64
-	Shed    uint64
-	Retries uint64
+	Issued  uint64 `json:"issued"`
+	OK      uint64 `json:"ok"`
+	Slow    uint64 `json:"slow"`
+	Failed  uint64 `json:"failed"`
+	Shed    uint64 `json:"shed"`
+	Retries uint64 `json:"retries"`
 
 	// GoodputPerSec is OK requests per second of measured horizon.
-	GoodputPerSec float64
+	GoodputPerSec float64 `json:"goodput_per_sec"`
 	// FailedPerEpisode is the user-harm headline: how many requests one
 	// fault episode costs users under this recovery granularity.
-	FailedPerEpisode float64
+	FailedPerEpisode float64 `json:"failed_per_episode"`
 	// SlowPerEpisode counts degraded-but-successful requests per episode.
-	SlowPerEpisode float64
+	SlowPerEpisode float64 `json:"slow_per_episode"`
 	// DowntimePerEpisode is broken-session user-seconds per episode.
-	DowntimePerEpisode float64
+	DowntimePerEpisode float64 `json:"user_downtime_per_episode_s"`
 
 	// Latency quantiles over the merged (lossless) trial histograms,
 	// intended-start accounting: blown deadlines sit in the tail.
-	P50  time.Duration
-	P99  time.Duration
-	P999 time.Duration
+	P50  time.Duration `json:"p50_s"`
+	P99  time.Duration `json:"p99_s"`
+	P999 time.Duration `json:"p999_s"`
 
 	// Hist is the merged latency histogram itself.
-	Hist metrics.Hist
+	Hist metrics.Hist `json:"-"`
 }
 
 // RunRequestCell measures one mode over cfg.Trials trials.

@@ -80,19 +80,19 @@ func (c ShardChaosConfig) withDefaults() ShardChaosConfig {
 // ShardChaosRound is one kill→observe→restart cycle.
 type ShardChaosRound struct {
 	// Killed is the shard taken down this round.
-	Killed int
+	Killed int `json:"killed"`
 	// SurvivingSent/SurvivingDelivered count frames sent to destinations
 	// on live shards during the outage and how many arrived. Isolation
 	// holds iff they are equal.
-	SurvivingSent      int
-	SurvivingDelivered int
+	SurvivingSent      int `json:"surviving_sent"`
+	SurvivingDelivered int `json:"surviving_delivered"`
 	// DeadDelivered counts frames that reached the killed shard's
 	// destinations while it was down. Must be zero: a dead shard's
 	// address slice is dark, not rerouted.
-	DeadDelivered int
+	DeadDelivered int `json:"dead_delivered"`
 	// Recovery is restart → every killed-shard destination reachable
 	// again (clients reconnected, re-registered, delivering).
-	Recovery time.Duration
+	Recovery time.Duration `json:"recovery_s"`
 }
 
 // ShardChaosResult aggregates the campaign.

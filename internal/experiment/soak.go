@@ -24,14 +24,14 @@ import (
 
 // SoakResult summarises a long organic-failure run.
 type SoakResult struct {
-	Tree           string
-	Horizon        time.Duration
-	Failures       int
-	Recoveries     int
-	GiveUps        int
-	SystemDowntime time.Duration
-	Availability   float64
-	Recovery       metrics.Sample
+	Tree           string         `json:"tree"`
+	Horizon        time.Duration  `json:"horizon_s"`
+	Failures       int            `json:"failures"`
+	Recoveries     int            `json:"recoveries"`
+	GiveUps        int            `json:"give_ups"`
+	SystemDowntime time.Duration  `json:"downtime_s"`
+	Availability   float64        `json:"availability"`
+	Recovery       metrics.Sample `json:"recovery"`
 }
 
 // Soak runs the station for the given simulated horizon with organic
@@ -134,9 +134,9 @@ func RenderSoak(r *SoakResult) string {
 
 // FreeRestartResult compares fedr's achieved MTTF under trees IV and V.
 type FreeRestartResult struct {
-	Horizon       time.Duration
-	FedrFailures  map[string]int // per tree
-	PbcomFailures map[string]int
+	Horizon       time.Duration  `json:"horizon_s"`
+	FedrFailures  map[string]int `json:"fedr_failures"` // per tree
+	PbcomFailures map[string]int `json:"pbcom_failures"`
 }
 
 // FreeRestartMTTF reproduces the §4.4 rejuvenation observation: fedr ages

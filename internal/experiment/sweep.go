@@ -19,9 +19,9 @@ const sweepPointStride = 131
 
 // SweepPoint is one error-rate measurement.
 type SweepPoint struct {
-	P      float64
-	TreeIV float64 // mean recovery seconds
-	TreeV  float64
+	P      float64 `json:"p"`
+	TreeIV float64 `json:"tree_iv_s"` // mean recovery seconds
+	TreeV  float64 `json:"tree_v_s"`
 }
 
 // OracleQualitySweep measures joint-cure pbcom recoveries under trees IV

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkRequestPlane measures sustained simulated requests/s on the
-// pass class: the headline number `rrbench requests -bench` records.
+// pass class (the benchmark's load.ns_per_request probe is the same loop).
 // b.N is interpreted as requests; virtual time advances as far as needed.
 func BenchmarkRequestPlane(b *testing.B) {
 	sys, err := mercury.NewSystem(mercury.Config{Seed: 1, TreeName: "IV"})

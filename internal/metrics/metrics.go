@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -151,6 +152,23 @@ func (s *Sample) Percentile(p float64) (time.Duration, error) {
 	frac := rank - float64(lo)
 	v := sorted[lo]*(1-frac) + sorted[hi]*frac
 	return time.Duration(v * float64(time.Second)), nil
+}
+
+// MarshalJSON renders the sample as its summary in seconds, never the raw
+// observations: this is the one form a Sample takes in a machine-readable
+// report. An empty sample is all zeros. The receiver is a value so that
+// Sample fields encode the same whether or not they are addressable; the
+// keys are in sorted order, the order a decode-and-re-encode produces.
+func (s Sample) MarshalJSON() ([]byte, error) {
+	p95, _ := s.Percentile(95) // only fails on an empty sample: zero, like the rest
+	return json.Marshal(struct {
+		MaxS    float64 `json:"max_s"`
+		MeanS   float64 `json:"mean_s"`
+		MinS    float64 `json:"min_s"`
+		N       int     `json:"n"`
+		P95S    float64 `json:"p95_s"`
+		StdDevS float64 `json:"stddev_s"`
+	}{s.Max().Seconds(), s.MeanSeconds(), s.Min().Seconds(), s.n, p95.Seconds(), s.StdDev().Seconds()})
 }
 
 // Availability computes MTTF/(MTTF+MTTR), the standard ratio the paper

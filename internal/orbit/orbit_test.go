@@ -437,3 +437,25 @@ func TestObserverReportsBadElements(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBadEccentricity", err)
 	}
 }
+
+// BenchmarkOrbitLookAt measures the ses workload's inner loop.
+func BenchmarkOrbitLookAt(b *testing.B) {
+	el := SSOElements(epoch)
+	st := StanfordStation()
+	for i := 0; i < b.N; i++ {
+		if _, err := LookAt(el, st, epoch.Add(time.Duration(i)*time.Second)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPassPrediction measures AOS/LOS scanning over a day.
+func BenchmarkPassPrediction(b *testing.B) {
+	el := SSOElements(epoch)
+	st := StanfordStation()
+	for i := 0; i < b.N; i++ {
+		if _, err := PredictPasses(el, st, epoch, 24*time.Hour, 0.087); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package station
 
 import (
+	"encoding/xml"
 	"flag"
 	"os"
 	"path/filepath"
@@ -32,9 +33,9 @@ func (f *frameTap) Send(m *xmlcmd.Message) {
 		if err != nil {
 			f.t.Fatalf("encode %v: %v", m, err)
 		}
-		std, err := xmlcmd.StdEncode(m)
+		std, err := xml.Marshal(m)
 		if err != nil || string(std) != string(b) {
-			f.t.Fatalf("StdEncode disagrees with AppendEncode on %v:\n std %s (%v)\nfast %s", m, std, err, b)
+			f.t.Fatalf("encoding/xml disagrees with AppendEncode on %v:\n std %s (%v)\nfast %s", m, std, err, b)
 		}
 		f.frames = append(f.frames, string(b))
 	}

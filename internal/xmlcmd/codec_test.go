@@ -554,8 +554,8 @@ func TestDecoderStrictness(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendEncode / BenchmarkDecodeInto / their Std counterparts
-// give the per-op view of the wire records in BENCH_RESULTS.json.
+// BenchmarkAppendEncode / BenchmarkDecodeInto and their Std counterparts:
+// the codec per operation, next to the encoding/xml reference.
 func BenchmarkAppendEncode(b *testing.B) {
 	m := NewPing(AddrFD, AddrSES, 7, 42)
 	buf := make([]byte, 0, 256)

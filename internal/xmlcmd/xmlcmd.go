@@ -192,7 +192,8 @@ func (p Param) Text() string {
 }
 
 // MarshalXML renders a numeric parameter as its text, so encoding/xml (the
-// StdEncode reference) produces the bytes AppendEncode does.
+// reference the tests hold the codec to) produces the bytes AppendEncode
+// does.
 func (p Param) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
 	return e.EncodeElement(struct {
 		Key   string `xml:"key,attr"`
@@ -375,39 +376,6 @@ func Decode(b []byte) (*Message, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// StdEncode is the retained encoding/xml implementation Encode wrapped
-// before the hand-rolled codec existed. It survives as the reference the
-// corpus-equivalence test and FuzzCodecDiff compare against, and as the
-// baseline `rrbench wire` measures.
-func StdEncode(m *Message) ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	b, err := xml.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("xmlcmd: marshal: %w", err)
-	}
-	if len(b) > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	return b, nil
-}
-
-// StdDecode is the retained encoding/xml counterpart of StdEncode.
-func StdDecode(b []byte) (*Message, error) {
-	if len(b) > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	var m Message
-	if err := xml.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("xmlcmd: unmarshal: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }
 
 // NewPing builds a liveness probe.
