@@ -189,7 +189,7 @@ func serve(view served, opts options) error {
 			switch e.Kind {
 			case trace.FaultInjected, trace.FailureDetected, trace.OracleGuess,
 				trace.RestartRequested, trace.ComponentReady, trace.ComponentDown,
-				trace.GiveUp:
+				trace.GiveUp, trace.SystemRecovered:
 				fmt.Println("  ", e)
 			}
 		})

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/bus"
+	"github.com/recursive-restart/mercury/internal/ckpt"
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/load"
 	"github.com/recursive-restart/mercury/internal/mp"
@@ -54,9 +55,10 @@ func (o *obsServer) Addr() string { return o.ln.Addr().String() }
 // Close shuts the listener down.
 func (o *obsServer) Close() { _ = o.srv.Close() }
 
-// startObs builds the process-wide registry, mounts the three endpoints
-// and serves them on addr.
-func startObs(addr string, view served) (*obsServer, error) {
+// buildRegistry gathers every instrumented layer's mercury_* families into
+// the process-wide registry /metrics serves. The store and checkpoint
+// families exist only for a micro-mode station.
+func buildRegistry(view served) *obs.Registry {
 	reg := obs.NewRegistry()
 	bus.RegisterMetrics(reg)
 	core.RegisterMetrics(reg)
@@ -67,6 +69,7 @@ func startObs(addr string, view served) (*obsServer, error) {
 	if view.Store != nil {
 		store.RegisterMetrics(reg)
 		store.RegisterStoreGauges(reg, view.Store)
+		ckpt.RegisterMetrics(reg)
 	}
 	start := time.Now()
 	reg.RegisterGaugeFunc("mercury_uptime_seconds",
@@ -76,7 +79,12 @@ func startObs(addr string, view served) (*obsServer, error) {
 		"Constant 1, labeled with build and run metadata.",
 		func() float64 { return 1 },
 		"version", buildVersion(), "mode", view.mode(), "tree", view.Tree.Name)
+	return reg
+}
 
+// startObs mounts the three endpoints and serves them on addr.
+func startObs(addr string, view served) (*obsServer, error) {
+	reg := buildRegistry(view)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

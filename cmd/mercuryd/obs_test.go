@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/recursive-restart/mercury/internal/assemble"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/rt"
 	"github.com/recursive-restart/mercury/internal/station"
@@ -210,5 +213,68 @@ func TestObsMetricsContentType(t *testing.T) {
 func TestBuildVersion(t *testing.T) {
 	if v := buildVersion(); v == "" {
 		t.Fatal("buildVersion is empty")
+	}
+}
+
+// docFamily matches a metric family in the first cell of an OPERATIONS.md
+// metric-table row: a full mercury_* name, or the `_suffix` shorthand a row
+// uses for a sibling of its first name.
+var docFamily = regexp.MustCompile("`(mercury_[a-z0-9_]+|_[a-z0-9_]+)")
+
+// TestDocsMetricFamiliesServed holds OPERATIONS.md's metric tables against
+// a scrape: every family they list must be in what /metrics serves for a
+// micro-mode station, built exactly as startObs builds it. (The root
+// TestDocsMetricFamilies only greps the source for the name, so a family
+// that is defined but never registered gets past it.)
+func TestDocsMetricFamiliesServed(t *testing.T) {
+	h, err := rt.NewHost(rt.HostConfig{ListenAddr: "127.0.0.1:0"}, assemble.Config{TreeName: "IVm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Stop()
+	var sb strings.Builder
+	if _, err := buildRegistry(served{Host: h}).WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]bool{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" && f[1] == "TYPE" {
+			families[f[2]] = true
+		}
+	}
+
+	doc, err := os.ReadFile("../../OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, row := range strings.Split(string(doc), "\n") {
+		if !strings.HasPrefix(row, "| `mercury_") {
+			continue
+		}
+		cell := strings.SplitN(row, "|", 3)[1]
+		lead := ""
+		for _, m := range docFamily.FindAllStringSubmatch(cell, -1) {
+			name := m[1]
+			if lead == "" {
+				lead = name
+			}
+			ok := families[name]
+			if strings.HasPrefix(name, "_") {
+				// Shorthand: some served family of the lead's layer
+				// (mercury_<layer>_…) ends in it.
+				layer := strings.Join(strings.SplitN(lead, "_", 3)[:2], "_") + "_"
+				for f := range families {
+					ok = ok || strings.HasPrefix(f, layer) && strings.HasSuffix(f, name)
+				}
+			}
+			if !ok {
+				t.Errorf("OPERATIONS.md lists %s (row of %s), which a micro-mode /metrics does not serve", name, lead)
+			}
+			checked++
+		}
+	}
+	if checked < 60 {
+		t.Errorf("only %d families found in OPERATIONS.md's metric tables; the row pattern no longer matches", checked)
 	}
 }

@@ -1,11 +1,11 @@
 // Package assemble wires a Mercury station: the fault board, the restart
 // tree set, the crash-only store and checkpoint plane, the component
-// handlers, the policy and the FD/REC pair, onto a proc.Manager the caller
-// has already bound to its clock and transport. The simulator (package
-// mercury), the live node (internal/rt) and the multi-process supervisor
-// (internal/mp) are drivers of this one path; they differ in the clock, in
-// the transport and in a handful of component handlers, and in nothing
-// else.
+// handlers, the policy, the FD/REC pair and the recovery monitor, onto a
+// proc.Manager the caller has already bound to its clock and transport.
+// The simulator (package mercury), the live node (internal/rt) and the
+// multi-process supervisor (internal/mp) are drivers of this one path; they
+// differ in the clock, in the transport and in a handful of component
+// handlers, and in nothing else.
 package assemble
 
 import (
@@ -20,6 +20,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/store"
+	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -91,7 +92,47 @@ type Station struct {
 	Oracle *core.Policy
 	FD     *core.FDHandle
 	REC    *core.RECHandle
+
+	mon *monitor
 }
+
+// monitor is the one definition of "recovered", under every runtime.
+// A_entire: any component failure makes the whole station unavailable, and
+// the outage ends — trace.SystemRecovered, once per outage — at the first
+// ready mark that leaves every component and subcomponent serving with no
+// fault active.
+type monitor struct {
+	mgr   *proc.Manager
+	board *fault.Board
+	comps []string
+	armed bool // something went down and SystemRecovered is not yet logged
+}
+
+// watch hooks a monitor into the manager. It goes in last, so the board's
+// silencing listener and REC's bookkeeping have run when it looks.
+func watch(mgr *proc.Manager, board *fault.Board, comps []string) *monitor {
+	m := &monitor{mgr: mgr, board: board, comps: comps}
+	mgr.OnDown(func(string, string) { m.armed = true })
+	mgr.OnReady(func(string) {
+		if m.armed && m.whole() {
+			m.armed = false
+			mgr.Log().Add(mgr.Clock().Now(), trace.SystemRecovered, "", "", "all components serving")
+		}
+	})
+	return m
+}
+
+func (m *monitor) whole() bool {
+	return m.board.ActiveCount() == 0 && m.mgr.AllServing(m.comps...) && m.mgr.AllSubsServing()
+}
+
+// Whole reports whether the station is whole: no outage awaits its
+// SystemRecovered, no fault is active, every component and sub serves.
+func (s *Station) Whole() bool { return !s.mon.armed && s.mon.whole() }
+
+// Disarm forgets an outage still outstanding, so the boot the driver has
+// just finished is not logged as a recovery.
+func (s *Station) Disarm() { s.mon.armed = false }
 
 // Components returns the station component names (excluding FD/REC/ops).
 func (s *Station) Components() []string {
@@ -103,8 +144,8 @@ func (s *Station) Components() []string {
 // fixed — board, store, checkpoint plane, component handlers, policy, REC,
 // FD — because each step may add manager listeners and clock events, and
 // listeners run in registration order: the board's silencing listener must
-// precede REC's restart bookkeeping, and whatever a driver adds afterwards
-// (a recovery monitor) sees both already done.
+// precede REC's restart bookkeeping, and the recovery monitor, last, sees
+// both already done.
 func Assemble(cfg Config) (Station, error) {
 	if cfg.TreeName == "" {
 		cfg.TreeName = "IV"
@@ -163,6 +204,7 @@ func Assemble(cfg Config) (Station, error) {
 		return Station{}, err
 	}
 	if cfg.DisableRecovery {
+		s.mon = watch(mgr, s.Board, s.Comps)
 		return s, nil
 	}
 
@@ -201,6 +243,7 @@ func Assemble(cfg Config) (Station, error) {
 		return Station{}, err
 	}
 	s.REC, s.FD = rec, fd
+	s.mon = watch(mgr, s.Board, s.Comps)
 	return s, nil
 }
 

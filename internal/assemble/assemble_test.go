@@ -106,8 +106,13 @@ func TestAssemble(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.ok(t, cfg, s)
-			// Whatever the choices, the layout's components are registered,
-			// and FD/REC exactly when recovery is on.
+			// Whatever the choices, the recovery monitor is wired (nothing
+			// serves yet, so the station is not whole), the layout's
+			// components are registered, and FD/REC exactly when recovery
+			// is on.
+			if s.Whole() {
+				t.Error("an unstarted station reports itself whole")
+			}
 			for _, c := range s.Comps {
 				if _, err := cfg.Mgr.State(c); err != nil {
 					t.Errorf("%s not registered: %v", c, err)

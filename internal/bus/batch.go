@@ -281,7 +281,7 @@ func (bw *BatchWriter) loop() {
 		bw.mu.Unlock()
 
 		_, werr := bw.w.Write(buf)
-		M.TCPBatchFrames.Observe(uint64(frames))
+		M.TCPBatchFrames.ObserveValue(uint64(frames))
 		bw.framesOut.Add(uint64(frames))
 		bw.bytesOut.Add(uint64(len(buf)))
 

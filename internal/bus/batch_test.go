@@ -99,7 +99,7 @@ func TestBatchByteIdentity(t *testing.T) {
 
 	var plain bytes.Buffer
 	for _, m := range msgs {
-		if err := WriteFrame(&plain, m); err != nil {
+		if err := (&FrameWriter{}).WriteFrame(&plain, m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,7 +21,7 @@ func (e *echoComp) Start(ctx proc.Context) { ctx.After(0, ctx.Ready) }
 func (e *echoComp) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	e.received = append(e.received, m)
 	if m.Kind() == xmlcmd.KindPing {
-		ctx.Send(xmlcmd.NewPong(ctx.Name(), m, ctx.Incarnation()))
+		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
 	}
 }
 
@@ -67,7 +67,7 @@ func TestTwoHopRouting(t *testing.T) {
 	a := r.addEcho(t, "a")
 	r.addEcho(t, "b")
 	r.startAll(t)
-	r.bus.Send(xmlcmd.NewEvent("b", "a", 1, "hello", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("b", "a", 1, "hello", ""))
 	_ = r.k.RunFor(time.Second)
 	if len(a.received) != 1 || a.received[0].Event.Name != "hello" {
 		t.Fatalf("a received %v", a.received)
@@ -84,7 +84,7 @@ func TestRoutingLatencyIsTwoHops(t *testing.T) {
 	r.startAll(t)
 	r.bus.Latency = 50 * time.Millisecond
 	start := r.k.Now()
-	r.bus.Send(xmlcmd.NewEvent("b", "a", 1, "x", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("b", "a", 1, "x", ""))
 	_ = r.k.RunWhile(func() bool { return len(a.received) == 0 })
 	if got := r.k.Now().Sub(start); got != 100*time.Millisecond {
 		t.Fatalf("delivery took %v, want 100ms (two hops)", got)
@@ -99,7 +99,7 @@ func TestBrokerDownDropsTraffic(t *testing.T) {
 	if err := r.mgr.Kill("mbus", "test kill"); err != nil {
 		t.Fatal(err)
 	}
-	r.bus.Send(xmlcmd.NewEvent("b", "a", 1, "lost", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("b", "a", 1, "lost", ""))
 	_ = r.k.RunFor(time.Second)
 	if len(a.received) != 0 {
 		t.Fatal("message delivered through dead broker")
@@ -115,7 +115,7 @@ func TestBrokerStartingDropsTraffic(t *testing.T) {
 	r.addEcho(t, "b")
 	r.startAll(t)
 	_ = r.mgr.Restart([]string{"mbus"}) // broker back to Starting
-	r.bus.Send(xmlcmd.NewEvent("b", "a", 1, "lost", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("b", "a", 1, "lost", ""))
 	_ = r.k.RunFor(10 * time.Millisecond)
 	if len(a.received) != 0 {
 		t.Fatal("message delivered through starting broker")
@@ -156,7 +156,7 @@ func TestDirectLinkBypassesBroker(t *testing.T) {
 	r.bus.AddDirectLink("fd", "rec")
 	r.startAll(t)
 	_ = r.mgr.Kill("mbus", "broker down")
-	r.bus.Send(xmlcmd.NewEvent("rec", "fd", 1, "report", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("rec", "fd", 1, "report", ""))
 	_ = r.k.RunFor(time.Second)
 	if len(fd.received) != 1 {
 		t.Fatal("direct link message lost while broker down")
@@ -172,7 +172,7 @@ func TestDeadDestinationDrops(t *testing.T) {
 	r.addEcho(t, "b")
 	r.startAll(t)
 	_ = r.mgr.Kill("a", "dead dest")
-	r.bus.Send(xmlcmd.NewEvent("b", "a", 1, "x", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("b", "a", 1, "x", ""))
 	_ = r.k.RunFor(time.Second)
 	if r.bus.Stats().DroppedDest != 1 {
 		t.Fatalf("stats = %+v", r.bus.Stats())
@@ -218,7 +218,7 @@ func TestSendAllocsRouted(t *testing.T) {
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	m := xmlcmd.NewEvent("b", "a", 1, "x", "")
+	m := &xmlcmd.Message{From: "b", To: "a", Seq: 1, Event: &xmlcmd.Event{Name: "x"}} // unowned: sent again and again
 	warm := func() {
 		b.Send(m)
 		if err := k.RunFor(time.Second); err != nil {
@@ -255,7 +255,7 @@ func TestSendAllocsDirect(t *testing.T) {
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	m := xmlcmd.NewEvent("rec", "fd", 1, "report", "")
+	m := &xmlcmd.Message{From: "rec", To: "fd", Seq: 1, Event: &xmlcmd.Event{Name: "report"}} // unowned: sent again and again
 	warm := func() {
 		b.Send(m)
 		if err := k.RunFor(time.Second); err != nil {
@@ -281,7 +281,7 @@ func TestBrokerDropReleasesEvent(t *testing.T) {
 	if err := r.mgr.Kill("mbus", "test kill"); err != nil {
 		t.Fatal(err)
 	}
-	m := xmlcmd.NewEvent("b", "a", 1, "lost", "")
+	m := &xmlcmd.Message{From: "b", To: "a", Seq: 1, Event: &xmlcmd.Event{Name: "lost"}} // unowned: sent again and again
 	warm := func() {
 		r.bus.Send(m)
 		if err := r.k.RunFor(time.Second); err != nil {
@@ -317,7 +317,7 @@ func BenchmarkSendRouted(b *testing.B) {
 	if err := k.RunFor(time.Second); err != nil {
 		b.Fatal(err)
 	}
-	m := xmlcmd.NewEvent("b", "a", 1, "x", "")
+	m := &xmlcmd.Message{From: "b", To: "a", Seq: 1, Event: &xmlcmd.Event{Name: "x"}} // unowned: sent again and again
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -347,7 +347,7 @@ func BenchmarkSendDirect(b *testing.B) {
 	if err := k.RunFor(time.Second); err != nil {
 		b.Fatal(err)
 	}
-	m := xmlcmd.NewEvent("rec", "fd", 1, "report", "")
+	m := &xmlcmd.Message{From: "rec", To: "fd", Seq: 1, Event: &xmlcmd.Event{Name: "report"}} // unowned: sent again and again
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,7 +21,7 @@ func TestChaosLossDropsEveryFrame(t *testing.T) {
 	r.startAll(t)
 	r.bus.SetChaos(&ChaosProfile{Loss: 0.999999999})
 	for i := 0; i < 20; i++ {
-		r.bus.Send(xmlcmd.NewEvent("b", "a", uint64(i), "doomed", ""))
+		r.bus.Send(new(xmlcmd.Pool).Event("b", "a", uint64(i), "doomed", ""))
 	}
 	_ = r.k.RunFor(time.Second)
 	if len(a.received) != 0 {
@@ -41,7 +41,7 @@ func TestChaosDuplicationDeliversTwice(t *testing.T) {
 	r.startAll(t)
 	// Dup ~1 on a single-hop dedicated link: exactly two copies arrive.
 	r.bus.SetChaos(&ChaosProfile{Dup: 0.999999999})
-	r.bus.Send(xmlcmd.NewEvent("fd", "rec", 1, "twice", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("fd", "rec", 1, "twice", ""))
 	_ = r.k.RunFor(time.Second)
 	if len(rec.received) != 2 {
 		t.Fatalf("rec received %d copies, want 2", len(rec.received))
@@ -60,7 +60,7 @@ func TestChaosJitterReordersFrames(t *testing.T) {
 	r.startAll(t)
 	r.bus.SetChaos(&ChaosProfile{Jitter: fault.Uniform{Lo: 0, Hi: 200 * time.Millisecond}})
 	for i := 0; i < 32; i++ {
-		r.bus.Send(xmlcmd.NewEvent("fd", "rec", uint64(i), fmt.Sprintf("m%d", i), ""))
+		r.bus.Send(new(xmlcmd.Pool).Event("fd", "rec", uint64(i), fmt.Sprintf("m%d", i), ""))
 	}
 	_ = r.k.RunFor(time.Second)
 	if len(rec.received) != 32 {
@@ -88,8 +88,8 @@ func TestChaosPerLinkOverride(t *testing.T) {
 	// Fabric-wide total loss, but the dedicated fd→rec hop pinned clean.
 	r.bus.SetChaos(&ChaosProfile{Loss: 0.999999999})
 	r.bus.SetLinkChaos("fd", "rec", nil)
-	r.bus.Send(xmlcmd.NewEvent("fd", "rec", 1, "protected", ""))
-	r.bus.Send(xmlcmd.NewEvent("rec", "fd", 2, "doomed", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("fd", "rec", 1, "protected", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("rec", "fd", 2, "doomed", ""))
 	_ = r.k.RunFor(time.Second)
 	if len(rec.received) != 1 {
 		t.Fatalf("rec received %d frames over the pinned-clean link, want 1", len(rec.received))
@@ -124,7 +124,7 @@ func chaosRun(t *testing.T, seed int64) (string, Stats) {
 	}
 	b.SetChaos(&ChaosProfile{Loss: 0.3, Dup: 0.2, Jitter: fault.Uniform{Lo: 0, Hi: 50 * time.Millisecond}})
 	for i := 0; i < 64; i++ {
-		b.Send(xmlcmd.NewEvent("b", "a", uint64(i), fmt.Sprintf("m%d", i), ""))
+		b.Send(new(xmlcmd.Pool).Event("b", "a", uint64(i), fmt.Sprintf("m%d", i), ""))
 	}
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestChaosEnabledStillPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.SetChaos(&ChaosProfile{Loss: 0.2, Dup: 0.2, Jitter: fault.Uniform{Lo: 0, Hi: time.Millisecond}})
-	m := xmlcmd.NewEvent("b", "a", 1, "x", "")
+	m := &xmlcmd.Message{From: "b", To: "a", Seq: 1, Event: &xmlcmd.Event{Name: "x"}} // unowned: sent again and again
 	warm := func() {
 		b.Send(m)
 		if err := k.RunFor(time.Second); err != nil {

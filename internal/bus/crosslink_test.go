@@ -45,7 +45,7 @@ func TestCrossLinkInterceptsRemoteOnly(t *testing.T) {
 	r.bus.SetCrossLink(x)
 
 	// Local traffic still routes through the broker untouched.
-	r.bus.Send(xmlcmd.NewEvent("b", "a", 1, "local", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("b", "a", 1, "local", ""))
 	_ = r.k.RunFor(time.Second)
 	if len(a.received) != 1 {
 		t.Fatalf("local message not delivered: %v", a.received)
@@ -57,8 +57,8 @@ func TestCrossLinkInterceptsRemoteOnly(t *testing.T) {
 	// Remote traffic is intercepted, never delivered locally, and stamped
 	// in send order.
 	sentAt := r.k.Now()
-	r.bus.Send(xmlcmd.NewEvent("a", "s3:rtu", 2, "remote-1", ""))
-	r.bus.Send(xmlcmd.NewEvent("a", "s7:ops", 3, "remote-2", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("a", "s3:rtu", 2, "remote-1", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("a", "s7:ops", 3, "remote-2", ""))
 	_ = r.k.RunFor(time.Second)
 	if len(a.received) != 1 {
 		t.Fatalf("remote message leaked to local delivery: %v", a.received)
@@ -93,7 +93,7 @@ func TestDeliverLocalBypassesBroker(t *testing.T) {
 	r.startAll(t)
 
 	before := r.bus.Stats()
-	r.bus.DeliverLocal(xmlcmd.NewEvent("s9:rtu", "a", 1, "inbound", ""))
+	r.bus.DeliverLocal(new(xmlcmd.Pool).Event("s9:rtu", "a", 1, "inbound", ""))
 	if len(a.received) != 1 || a.received[0].Event.Name != "inbound" {
 		t.Fatalf("a received %v", a.received)
 	}
@@ -107,7 +107,7 @@ func TestDeliverLocalBypassesBroker(t *testing.T) {
 	}
 
 	// A dead destination is a DroppedDest, same as the broker path.
-	r.bus.DeliverLocal(xmlcmd.NewEvent("s9:rtu", "nobody", 2, "lost", ""))
+	r.bus.DeliverLocal(new(xmlcmd.Pool).Event("s9:rtu", "nobody", 2, "lost", ""))
 	if got := r.bus.Stats().DroppedDest; got != before.DroppedDest+1 {
 		t.Fatalf("DroppedDest = %d, want %d", got, before.DroppedDest+1)
 	}

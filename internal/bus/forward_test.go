@@ -33,7 +33,7 @@ func clientNames(b *TCPBroker) string {
 // start tag costs the sender its connection at the broker and nobody else
 // anything. Either way no handler sees a message that did not decode.
 func TestTCPDecodeDropIsolation(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTCPDecodeDropIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := WriteFrame(a, xmlcmd.NewCommand("fd", "ses", 2, "point", "azRad", "1")); err != nil {
+	if err := (&FrameWriter{}).WriteFrame(a, xmlcmd.NewCommand("fd", "ses", 2, "point", "azRad", "1")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the valid command", func() bool { return got.count() >= 1 })
@@ -93,7 +93,7 @@ func TestTCPDecodeDropIsolation(t *testing.T) {
 // not re-encode them — whether the frames came in one write or many, and
 // also for frames our own encoder would have spelled differently.
 func TestBrokerForwardsBytes(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestBrokerForwardsBytes(t *testing.T) {
 	var sent bytes.Buffer
 	for _, m := range batchCorpus(40) {
 		m.To = "ses"
-		if err := WriteFrame(&sent, m); err != nil {
+		if err := (&FrameWriter{}).WriteFrame(&sent, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +142,7 @@ func TestBrokerForwardsBytes(t *testing.T) {
 // back gets the next frame in the same envelope; handing it back twice is
 // caught.
 func TestTCPInboundEnvelopeHandBack(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestFrameWriterSingleWrite(t *testing.T) {
 	// i.e. header+payload composition did not change the wire format.
 	r := bytes.NewReader(w.buf.Bytes())
 	for _, want := range msgs {
-		got, err := ReadFrame(r)
+		got, err := (&FrameReader{}).ReadFrame(r)
 		if err != nil {
 			t.Fatalf("ReadFrame: %v", err)
 		}
@@ -70,7 +70,7 @@ func TestFrameReaderInto(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []*xmlcmd.Message{
 		xmlcmd.NewPing("fd", "ses", 1, 7),
-		xmlcmd.NewEvent("fd", "rec", 2, "failure", "ses"),
+		new(xmlcmd.Pool).Event("fd", "rec", 2, "failure", "ses"),
 		xmlcmd.NewPing("fd", "rtu", 3, 9),
 	}
 	for _, m := range msgs {

@@ -18,7 +18,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	frame := func(m *xmlcmd.Message) []byte {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, m); err != nil {
+		if err := (&FrameWriter{}).WriteFrame(&buf, m); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -40,7 +40,7 @@ func FuzzReadFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		m, err := ReadFrame(r)
+		m, err := (&FrameReader{}).ReadFrame(r)
 		if err != nil {
 			if len(data) >= frameHeader {
 				if n := binary.BigEndian.Uint32(data[:frameHeader]); n > xmlcmd.MaxFrame && !errors.Is(err, xmlcmd.ErrFrameTooLarge) {
@@ -54,7 +54,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// A successfully read frame must round-trip through the writer.
 		var buf bytes.Buffer
-		if werr := WriteFrame(&buf, m); werr != nil {
+		if werr := (&FrameWriter{}).WriteFrame(&buf, m); werr != nil {
 			t.Fatalf("read frame does not re-write: %v", werr)
 		}
 	})
@@ -79,11 +79,11 @@ func FuzzReadBatchedFrames(f *testing.F) {
 			case 0:
 				msgs = append(msgs, xmlcmd.NewPing(from, to, seq+uint64(i), nonce+uint64(i)))
 			case 1:
-				msgs = append(msgs, xmlcmd.NewPong(from, ping, i))
+				msgs = append(msgs, new(xmlcmd.Pool).Pong(from, ping, i))
 			case 2:
 				msgs = append(msgs, xmlcmd.NewCommand(from, to, seq+uint64(i), name, "k", detail))
 			case 3:
-				msgs = append(msgs, xmlcmd.NewEvent(from, to, seq+uint64(i), name, detail))
+				msgs = append(msgs, new(xmlcmd.Pool).Event(from, to, seq+uint64(i), name, detail))
 			}
 		}
 

@@ -35,12 +35,12 @@ type BusMetrics struct {
 	TCPConnections   obs.Gauge   // broker connections currently registered
 
 	// Sharded fabric + batching (mercury_bus_shard_* family).
-	TCPShardFrames       *obs.CounterVec     // frames routed, by broker shard index
-	TCPBatchFrames       *obs.ValueHistogram // frames coalesced per batched write
-	TCPQueueBytes        obs.Gauge           // bytes pending across bounded send queues
-	TCPBackpressureDrops obs.Counter         // frames rejected by a full send queue (DropNewest)
-	TCPReconnectQueued   obs.Counter         // client frames parked while disconnected
-	TCPReconnectDrops    obs.Counter         // client frames lost to a full reconnect queue
+	TCPShardFrames       *obs.CounterVec // frames routed, by broker shard index
+	TCPBatchFrames       *obs.Histogram  // frames coalesced per batched write
+	TCPQueueBytes        obs.Gauge       // bytes pending across bounded send queues
+	TCPBackpressureDrops obs.Counter     // frames rejected by a full send queue (DropNewest)
+	TCPReconnectQueued   obs.Counter     // client frames parked while disconnected
+	TCPReconnectDrops    obs.Counter     // client frames lost to a full reconnect queue
 }
 
 // M is the process-wide bus metrics instance. Hot call sites hold a
@@ -102,7 +102,7 @@ func RegisterMetrics(r *obs.Registry) {
 
 	r.RegisterCounterVec("mercury_bus_shard_frames_total",
 		"Frames routed, by broker shard index.", "shard", M.TCPShardFrames)
-	r.RegisterValueHistogram("mercury_bus_shard_batch_frames",
+	r.RegisterHistogram("mercury_bus_shard_batch_frames",
 		"Frames coalesced into one batched write.", M.TCPBatchFrames)
 	r.RegisterGauge("mercury_bus_shard_queue_bytes",
 		"Bytes pending across bounded per-connection send queues.", &M.TCPQueueBytes)

@@ -36,7 +36,7 @@ func TestSimMetricsMirrorStats(t *testing.T) {
 	r.addEcho(t, "b")
 	r.startAll(t)
 
-	r.bus.Send(xmlcmd.NewEvent("b", "a", 1, "hello", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("b", "a", 1, "hello", ""))
 	_ = r.k.RunFor(time.Second)
 	if len(a.received) != 1 {
 		t.Fatalf("a received %d", len(a.received))
@@ -46,13 +46,13 @@ func TestSimMetricsMirrorStats(t *testing.T) {
 	if err := r.mgr.Kill("mbus", "test"); err != nil {
 		t.Fatal(err)
 	}
-	r.bus.Send(xmlcmd.NewEvent("b", "a", 2, "lost", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("b", "a", 2, "lost", ""))
 	_ = r.k.RunFor(time.Second)
 
 	// Chaos loss on a direct link.
 	r.bus.AddDirectLink("fd", "rec")
 	r.bus.SetLinkChaos("fd", "rec", &ChaosProfile{Loss: 0.999999999})
-	r.bus.Send(xmlcmd.NewEvent("fd", "rec", 3, "doomed", ""))
+	r.bus.Send(new(xmlcmd.Pool).Event("fd", "rec", 3, "doomed", ""))
 	_ = r.k.RunFor(time.Second)
 
 	after := takeSimSnapshot()
@@ -83,7 +83,7 @@ func TestLinkDiscards(t *testing.T) {
 	r.startAll(t)
 	r.bus.SetLinkChaos("fd", "rec", &ChaosProfile{Loss: 0.999999999})
 	for i := 0; i < 5; i++ {
-		r.bus.Send(xmlcmd.NewEvent("fd", "rec", uint64(i), "doomed", ""))
+		r.bus.Send(new(xmlcmd.Pool).Event("fd", "rec", uint64(i), "doomed", ""))
 	}
 	_ = r.k.RunFor(time.Second)
 	d := r.bus.LinkDiscards()

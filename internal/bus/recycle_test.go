@@ -18,7 +18,7 @@ func (c *countingRecycler) RecycleMessage(m *xmlcmd.Message) {
 }
 
 func (c *countingRecycler) msg(from, to string, seq uint64) *xmlcmd.Message {
-	m := xmlcmd.NewEvent(from, to, seq, "probe", "")
+	m := new(xmlcmd.Pool).Event(from, to, seq, "probe", "")
 	m.Owner = c
 	return m
 }
@@ -120,7 +120,7 @@ func TestUnownedMessagesUnaffected(t *testing.T) {
 	r.startAll(t)
 	r.bus.SetChaos(&ChaosProfile{Dup: 0.5})
 	for i := 0; i < 100; i++ {
-		r.bus.Send(xmlcmd.NewEvent("b", "a", uint64(i), "x", ""))
+		r.bus.Send(new(xmlcmd.Pool).Event("b", "a", uint64(i), "x", ""))
 	}
 	_ = r.k.RunFor(time.Second)
 	if len(a.received) < 100 {

@@ -141,29 +141,13 @@ func (fr *FrameReader) ReadFrame(r io.Reader) (*xmlcmd.Message, error) {
 	return m, nil
 }
 
-// WriteFrame writes one length-prefixed message. Convenience wrapper over
-// a throwaway FrameWriter for one-shot callers; connection loops hold a
-// FrameWriter to amortise the buffer.
-func WriteFrame(w io.Writer, m *xmlcmd.Message) error {
-	var fw FrameWriter
-	return fw.WriteFrame(w, m)
-}
-
-// ReadFrame reads one length-prefixed message. Convenience wrapper over a
-// throwaway FrameReader; connection loops hold a FrameReader to amortise
-// the buffers.
-func ReadFrame(r io.Reader) (*xmlcmd.Message, error) {
-	var fr FrameReader
-	return fr.ReadFrame(r)
-}
-
 // registerCommand is the client's first frame.
 const registerCommand = "register"
 
 // BrokerConfig tunes one broker (or broker shard).
 type BrokerConfig struct {
 	// Batch configures every connection's outbound send queue. The
-	// broker's policy should stay DropNewest (the ListenBroker default):
+	// broker's policy should stay DropNewest:
 	// one stalled reader must never wedge routing for other destinations.
 	Batch BatchConfig
 	// Shard is this broker's shard index, used as the metrics label on
@@ -212,14 +196,8 @@ type brokerConn struct {
 	bw   *BatchWriter
 }
 
-// ListenBroker starts a broker on addr (use "127.0.0.1:0" for an ephemeral
-// port) with the default drop-on-backpressure batching config.
-func ListenBroker(addr string) (*TCPBroker, error) {
-	return ListenBrokerConfig(addr, BrokerConfig{Batch: BatchConfig{Policy: DropNewest}})
-}
-
-// ListenBrokerConfig starts a broker with explicit batching/back-pressure
-// tuning.
+// ListenBrokerConfig starts a broker on addr (use "127.0.0.1:0" for an
+// ephemeral port) with explicit batching/back-pressure tuning.
 func ListenBrokerConfig(addr string, cfg BrokerConfig) (*TCPBroker, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -468,7 +446,7 @@ func (c *TCPClient) connect() error {
 		if err == nil {
 			M.TCPFramesOut.Add(uint64(c.queueFrames))
 			M.TCPBytesOut.Add(uint64(len(c.queue)))
-			M.TCPBatchFrames.Observe(uint64(c.queueFrames))
+			M.TCPBatchFrames.ObserveValue(uint64(c.queueFrames))
 			c.queue = c.queue[:0]
 			c.queueFrames = 0
 		}

@@ -25,7 +25,7 @@ import (
 // precedes the flushed queue on the same connection, so the destination
 // is guaranteed to be routable by the time the parked frames arrive.
 func TestTCPReconnectQueueFlush(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTCPReconnectQueueFlush(t *testing.T) {
 		t.Fatalf("reconnect-queued counter moved by %d, want %d", d, parked)
 	}
 
-	b2, err := ListenBroker(addr)
+	b2, err := listenBroker(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTCPReconnectQueueFlush(t *testing.T) {
 // dropped against the dropped-outcome counter rather than growing the
 // queue without limit.
 func TestTCPReconnectQueueBound(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func stalledClient(t *testing.T, addr, name string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(conn, xmlcmd.NewCommand(name, "mbus", 0, registerCommand)); err != nil {
+	if err := (&FrameWriter{}).WriteFrame(conn, xmlcmd.NewCommand(name, "mbus", 0, registerCommand)); err != nil {
 		t.Fatal(err)
 	}
 	return conn
@@ -164,7 +164,7 @@ func TestTCPBrokerStalledReaderIsolation(t *testing.T) {
 	drops0 := M.TCPBackpressureDrops.Value()
 	payload := strings.Repeat("x", 4<<10)
 	for i := uint64(0); i < 4096 && M.TCPBackpressureDrops.Value() == drops0; i++ {
-		send.Send(xmlcmd.NewEvent("fd", "stuck", i, "flood", payload))
+		send.Send(new(xmlcmd.Pool).Event("fd", "stuck", i, "flood", payload))
 	}
 	if M.TCPBackpressureDrops.Value() == drops0 {
 		t.Fatal("16 MiB at a stalled reader never tripped its 1 KiB bounded queue")
@@ -183,7 +183,7 @@ func TestTCPBrokerStalledReaderIsolation(t *testing.T) {
 // the sharded registry this serialised every sender on one broker mutex;
 // now senders to one destination contend only on its queue.
 func BenchmarkBrokerRouteParallel(b *testing.B) {
-	br, err := ListenBroker("127.0.0.1:0")
+	br, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func BenchmarkBrokerRouteParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, xmlcmd.NewCommand("sink", "mbus", 0, registerCommand)); err != nil {
+	if err := (&FrameWriter{}).WriteFrame(conn, xmlcmd.NewCommand("sink", "mbus", 0, registerCommand)); err != nil {
 		b.Fatal(err)
 	}
 	var drain sync.WaitGroup
@@ -217,7 +217,7 @@ func BenchmarkBrokerRouteParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		routed := br.routed.Shard(nextShard())
 		var frame bytes.Buffer
-		if err := WriteFrame(&frame, xmlcmd.NewPing("fd", "sink", 0, 42)); err != nil {
+		if err := (&FrameWriter{}).WriteFrame(&frame, xmlcmd.NewPing("fd", "sink", 0, 42)); err != nil {
 			b.Error(err)
 			return
 		}

@@ -48,8 +48,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timeout waiting for %s", what)
 }
 
+// listenBroker starts a broker the way the runtimes do (rt's broker
+// config): drop-on-backpressure batching.
+func listenBroker(addr string) (*TCPBroker, error) {
+	return ListenBrokerConfig(addr, BrokerConfig{Batch: BatchConfig{Policy: DropNewest}})
+}
+
 func TestTCPRouting(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +82,7 @@ func TestTCPRouting(t *testing.T) {
 }
 
 func TestTCPUnknownDestinationDropped(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +97,7 @@ func TestTCPUnknownDestinationDropped(t *testing.T) {
 }
 
 func TestTCPPingPong(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +106,7 @@ func TestTCPPingPong(t *testing.T) {
 	var echo *TCPClient
 	echo, err = DialBus(b.Addr(), "rtu", func(m *xmlcmd.Message) {
 		if m.Kind() == xmlcmd.KindPing {
-			echo.Send(xmlcmd.NewPong("rtu", m, 1))
+			echo.Send(new(xmlcmd.Pool).Pong("rtu", m, 1))
 		}
 	})
 	if err != nil {
@@ -124,7 +130,7 @@ func TestTCPPingPong(t *testing.T) {
 }
 
 func TestTCPClientReconnectsAfterBrokerRestart(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +157,7 @@ func TestTCPClientReconnectsAfterBrokerRestart(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	// Broker returns on the same address.
-	b2, err := ListenBroker(addr)
+	b2, err := listenBroker(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +172,7 @@ func TestTCPClientReconnectsAfterBrokerRestart(t *testing.T) {
 }
 
 func TestTCPRequiresRegistration(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestTCPRequiresRegistration(t *testing.T) {
 	}
 	defer conn.Close()
 	// Send a non-register frame first: the broker must drop the session.
-	if err := WriteFrame(conn, xmlcmd.NewPing("x", "y", 1, 1)); err != nil {
+	if err := (&FrameWriter{}).WriteFrame(conn, xmlcmd.NewPing("x", "y", 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 1)
@@ -188,7 +194,7 @@ func TestTCPRequiresRegistration(t *testing.T) {
 }
 
 func TestTCPReplacedSession(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +228,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 	go func() {
-		_ = WriteFrame(client, xmlcmd.NewEvent("a", "b", 3, "boom", "detail"))
+		_ = (&FrameWriter{}).WriteFrame(client, new(xmlcmd.Pool).Event("a", "b", 3, "boom", "detail"))
 	}()
-	m, err := ReadFrame(server)
+	m, err := (&FrameReader{}).ReadFrame(server)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +242,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // TestTCPCloseDuringReconnectBackoff: Close must interrupt the reconnect
 // wait, not ride out a multi-second backoff sleep.
 func TestTCPCloseDuringReconnectBackoff(t *testing.T) {
-	b, err := ListenBroker("127.0.0.1:0")
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

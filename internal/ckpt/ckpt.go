@@ -133,7 +133,7 @@ func (m *Manager) Take() int {
 			}
 			m.snaps[key] = snapshot{val: append([]byte(nil), val...), takenAt: now}
 			M.Snapshots.Inc()
-			M.SnapshotBytes.Observe(uint64(len(val)))
+			M.SnapshotBytes.ObserveValue(uint64(len(val)))
 			n++
 		}
 	}

@@ -12,7 +12,7 @@ type CkptMetrics struct {
 	// RestoreSeconds is the modeled restore latency distribution;
 	// SnapshotBytes the per-key snapshot size distribution.
 	RestoreSeconds *obs.Histogram
-	SnapshotBytes  *obs.ValueHistogram
+	SnapshotBytes  *obs.Histogram
 }
 
 // M is the process-wide checkpoint metrics instance.
@@ -30,6 +30,6 @@ func RegisterMetrics(r *obs.Registry) {
 		"Component state restores executed.", &M.Restores)
 	r.RegisterHistogram("mercury_ckpt_restore_seconds",
 		"Modeled checkpoint-restore latency.", M.RestoreSeconds)
-	r.RegisterValueHistogram("mercury_ckpt_snapshot_bytes",
+	r.RegisterHistogram("mercury_ckpt_snapshot_bytes",
 		"Per-key snapshot sizes.", M.SnapshotBytes)
 }

@@ -31,7 +31,7 @@ func (c *simpleComp) Start(ctx proc.Context) {
 
 func (c *simpleComp) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	if m.Kind() == xmlcmd.KindPing && c.ready {
-		ctx.Send(xmlcmd.NewPong(ctx.Name(), m, ctx.Incarnation()))
+		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
 	}
 }
 
@@ -399,7 +399,7 @@ func TestReadyGraceIgnoresStaleReports(t *testing.T) {
 
 	// Forge a stale report immediately after recovery: a is serving and
 	// just became ready, so REC must ignore it.
-	h.bus.Send(xmlcmd.NewEvent(xmlcmd.AddrFD, xmlcmd.AddrREC, 999, "failure", "a"))
+	h.bus.Send(new(xmlcmd.Pool).Event(xmlcmd.AddrFD, xmlcmd.AddrREC, 999, "failure", "a"))
 	_ = h.k.RunFor(5 * time.Second)
 	if n, _ := h.mgr.Restarts("a"); n != restartsAfterFirst {
 		t.Fatalf("stale report triggered a restart: %d -> %d", restartsAfterFirst, n)
@@ -408,7 +408,7 @@ func TestReadyGraceIgnoresStaleReports(t *testing.T) {
 	// Long after ready, the same report is trusted even though the manager
 	// still believes a is serving.
 	_ = h.k.RunFor(time.Minute)
-	h.bus.Send(xmlcmd.NewEvent(xmlcmd.AddrFD, xmlcmd.AddrREC, 1000, "failure", "a"))
+	h.bus.Send(new(xmlcmd.Pool).Event(xmlcmd.AddrFD, xmlcmd.AddrREC, 1000, "failure", "a"))
 	_ = h.k.RunFor(10 * time.Second)
 	if n, _ := h.mgr.Restarts("a"); n != restartsAfterFirst+1 {
 		t.Fatalf("trusted report did not restart: %d", n)
@@ -451,7 +451,7 @@ func (c *hwComp) Start(ctx proc.Context) {
 
 func (c *hwComp) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	if m.Kind() == xmlcmd.KindPing && c.ready {
-		ctx.Send(xmlcmd.NewPong(ctx.Name(), m, ctx.Incarnation()))
+		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
 	}
 }
 

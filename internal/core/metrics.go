@@ -44,11 +44,11 @@ type CoreMetrics struct {
 	RECCkptRestores obs.Counter
 
 	// Oracle v2 estimator plane.
-	OracleDecisions     *obs.CounterVec     // policy decisions by action kind
-	OracleOutcomes      *obs.CounterVec     // attempt outcomes: cured / persisted
-	OracleMTTFEst       *obs.Histogram      // observed failure inter-arrivals per site
-	OracleActionSeconds *obs.Histogram      // observed recovery-action durations
-	OraclePredictedHarm *obs.ValueHistogram // predicted harm of the chosen action
+	OracleDecisions     *obs.CounterVec // policy decisions by action kind
+	OracleOutcomes      *obs.CounterVec // attempt outcomes: cured / persisted
+	OracleMTTFEst       *obs.Histogram  // observed failure inter-arrivals per site
+	OracleActionSeconds *obs.Histogram  // observed recovery-action durations
+	OraclePredictedHarm *obs.Histogram  // predicted harm of the chosen action
 }
 
 // M is the process-wide core metrics instance. FD/REC run on a single
@@ -116,6 +116,6 @@ func RegisterMetrics(r *obs.Registry) {
 		"Observed failure inter-arrival times per manifest site.", M.OracleMTTFEst)
 	r.RegisterHistogram("mercury_oracle_action_seconds",
 		"Observed recovery-action durations.", M.OracleActionSeconds)
-	r.RegisterValueHistogram("mercury_oracle_predicted_harm",
+	r.RegisterHistogram("mercury_oracle_predicted_harm",
 		"Predicted user harm of the chosen action (harm-rate-weighted seconds).", M.OraclePredictedHarm)
 }

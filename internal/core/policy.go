@@ -526,7 +526,7 @@ func pickCheapest(p *Policy, _ *Tree, site string, rungs []Action) Action {
 	if p.deps.HarmRate != nil {
 		rate = p.deps.HarmRate(site)
 	}
-	M.OraclePredictedHarm.Observe(uint64(H[best] * rate))
+	M.OraclePredictedHarm.ObserveValue(uint64(H[best] * rate))
 	return rungs[best]
 }
 

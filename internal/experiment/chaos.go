@@ -161,32 +161,18 @@ func runChaosTrial(cfg ChaosConfig, spec ChaosSpec, seed int64) (chaosTrial, err
 	var (
 		res        chaosTrial
 		faultFree  = true
-		down       bool
-		downAt     time.Time
+		out        trace.Outages
 		injected   bool
 		injectedAt time.Time
 		target     = chaosTarget(spec.Tree)
 	)
 	sys.Log.Subscribe(func(e trace.Event) {
+		out.Observe(e)
 		switch e.Kind {
-		case trace.ComponentDown, trace.ComponentKilled:
-			if !down {
-				down = true
-				downAt = e.At
-			}
-		case trace.SystemRecovered:
-			if down {
-				down = false
-				if faultFree {
-					res.downtime += e.At.Sub(downAt)
-				}
-			}
 		case trace.RestartRequested:
 			if faultFree {
 				res.falseActions++
 			}
-		case trace.GiveUp:
-			res.giveUps++
 		case trace.FailureDetected:
 			if injected && !res.detected && e.Component == target {
 				res.detected = true
@@ -206,12 +192,10 @@ func runChaosTrial(cfg ChaosConfig, spec ChaosSpec, seed int64) (chaosTrial, err
 	if err := sys.RunFor(cfg.Horizon); err != nil {
 		return chaosTrial{}, err
 	}
-	if down {
-		// Close the open downtime span at the horizon boundary; anything
-		// after it belongs to the injected-fault phase.
-		res.downtime += sys.Now().Sub(downAt)
-		downAt = sys.Now()
-	}
+	// An outage open at the horizon is charged up to it; anything after
+	// belongs to the injected-fault phase.
+	out.CloseAt(sys.Now())
+	res.downtime = out.Downtime
 	for _, c := range sys.Components() {
 		n, err := sys.Mgr.Restarts(c)
 		if err != nil {
@@ -235,6 +219,7 @@ func runChaosTrial(cfg ChaosConfig, spec ChaosSpec, seed int64) (chaosTrial, err
 	default:
 		return chaosTrial{}, err
 	}
+	res.giveUps = out.GiveUps
 	return res, nil
 }
 

@@ -250,26 +250,16 @@ func measureRowsWith(ctx context.Context, specs []struct {
 	return rows, nil
 }
 
-// Table4 measures the full Table 4 grid.
-func Table4(trials int, baseSeed int64) ([]Row, error) {
-	return Table4Cfg(context.Background(), RunConfig{Trials: trials, BaseSeed: baseSeed})
-}
-
 // Table4Cfg measures the full Table 4 grid under an explicit run
 // configuration.
 func Table4Cfg(ctx context.Context, rc RunConfig) ([]Row, error) {
 	return measureRows(ctx, Table4Rows(), rc)
 }
 
-// Table2 measures the paper's Table 2: trees I and II only.
-func Table2(trials int, baseSeed int64) ([]Row, error) {
-	return Table2Cfg(context.Background(), RunConfig{Trials: trials, BaseSeed: baseSeed})
-}
-
-// Table2Cfg measures only the two Table 2 rows (trees I and II) rather
-// than running the full six-row Table 4 grid and slicing it — about a
-// third of the work — while still producing rows identical to Table 4's
-// first two for the same seed.
+// Table2Cfg measures the paper's Table 2: only its two rows (trees I and
+// II) rather than the full six-row Table 4 grid sliced — about a third of
+// the work — while still producing rows identical to Table 4's first two
+// for the same seed.
 func Table2Cfg(ctx context.Context, rc RunConfig) ([]Row, error) {
 	return measureRows(ctx, Table4Rows()[:2], rc)
 }
@@ -312,17 +302,12 @@ type Table1Result struct {
 	Measured   *metrics.Sample `json:"measured"`
 }
 
-// Table1 validates the failure-law calibration: for each component it
+// Table1Cfg validates the failure-law calibration: for each component it
 // draws samples from the lognormal law (small CV, as the paper asserts for
 // its distributions) configured at the published MTTF and reports the
-// achieved mean and CV.
-func Table1(samples int, seed int64) ([]Table1Result, error) {
-	return Table1Cfg(context.Background(), samples, RunConfig{BaseSeed: seed})
-}
-
-// Table1Cfg runs the calibration with each component as one trial on the
-// runner: every component draws from its own seeded RNG stream, so rows
-// are independent of each other and of the worker count.
+// achieved mean and CV. Each component is one trial on the runner: every
+// component draws from its own seeded RNG stream, so rows are independent
+// of each other and of the worker count.
 func Table1Cfg(ctx context.Context, samples int, rc RunConfig) ([]Table1Result, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("experiment: non-positive sample count")

@@ -35,7 +35,7 @@ func TestRunCellTreeII(t *testing.T) {
 }
 
 func TestTable2ShapeHolds(t *testing.T) {
-	rows, err := Table2(trials, 2000)
+	rows, err := Table2Cfg(context.Background(), RunConfig{Trials: trials, BaseSeed: 2000})
 	if err != nil {
 		t.Fatalf("Table2: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestNodePromotionShape(t *testing.T) {
 }
 
 func TestTable1Calibration(t *testing.T) {
-	res, err := Table1(4000, 5)
+	res, err := Table1Cfg(context.Background(), 4000, RunConfig{BaseSeed: 5})
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestTable1Calibration(t *testing.T) {
 	if !strings.Contains(out, "fedrcom") {
 		t.Fatalf("render missing component:\n%s", out)
 	}
-	if _, err := Table1(0, 1); err == nil {
+	if _, err := Table1Cfg(context.Background(), 0, RunConfig{BaseSeed: 1}); err == nil {
 		t.Fatal("zero samples accepted")
 	}
 }
@@ -151,7 +151,7 @@ func TestTable1Calibration(t *testing.T) {
 func TestHeadlineFactor(t *testing.T) {
 	// Small-trial version of the §8 computation; the shape requirement is
 	// an improvement factor around 4.
-	rows, err := Table4(3, 6000)
+	rows, err := Table4Cfg(context.Background(), RunConfig{Trials: 3, BaseSeed: 6000})
 	if err != nil {
 		t.Fatalf("Table4: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestHeadlineFactor(t *testing.T) {
 }
 
 func TestRenderRows(t *testing.T) {
-	rows, err := Table2(2, 7000)
+	rows, err := Table2Cfg(context.Background(), RunConfig{Trials: 2, BaseSeed: 7000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +237,11 @@ func TestCureForCell(t *testing.T) {
 func TestTable2MatchesTable4Rows(t *testing.T) {
 	// Table 2 now measures only trees I and II; its rows must still be
 	// identical to the corresponding Table 4 rows for the same seed.
-	t2, err := Table2(2, 9000)
+	t2, err := Table2Cfg(context.Background(), RunConfig{Trials: 2, BaseSeed: 9000})
 	if err != nil {
 		t.Fatalf("Table2: %v", err)
 	}
-	t4, err := Table4(2, 9000)
+	t4, err := Table4Cfg(context.Background(), RunConfig{Trials: 2, BaseSeed: 9000})
 	if err != nil {
 		t.Fatalf("Table4: %v", err)
 	}

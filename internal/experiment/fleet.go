@@ -18,7 +18,6 @@ import (
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/runner"
 	"github.com/recursive-restart/mercury/internal/sim"
-	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -170,12 +169,6 @@ type fleetStation struct {
 	beaconSeq   uint64
 	beaconsSent uint64
 	beaconsRecv uint64
-
-	down       bool
-	downAt     time.Time
-	downtimeNs int64
-	recoveries uint64
-	giveUps    uint64
 }
 
 // xlinkHandler is the beacon terminal: instantly ready, counts inbound
@@ -283,23 +276,6 @@ func buildShard(cfg FleetConfig, idx int) (*fleetShard, error) {
 		if err := sys.Mgr.Register(xlinkName, func() proc.Handler { return &xlinkHandler{st: st} }); err != nil {
 			return nil, fmt.Errorf("station %d: %w", g, err)
 		}
-		sys.Log.Subscribe(func(e trace.Event) {
-			switch e.Kind {
-			case trace.ComponentDown, trace.ComponentKilled:
-				if !st.down {
-					st.down = true
-					st.downAt = e.At
-				}
-			case trace.SystemRecovered:
-				if st.down {
-					st.down = false
-					st.downtimeNs += e.At.Sub(st.downAt).Nanoseconds()
-					st.recoveries++
-				}
-			case trace.GiveUp:
-				st.giveUps++
-			}
-		})
 		sh.stations = append(sh.stations, st)
 		systems = append(systems, sys)
 	}
@@ -479,23 +455,21 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	for _, sh := range shards {
 		for _, st := range sh.stations {
 			st.sys.Injector.Disable()
-			if st.down {
-				st.down = false
-				st.downtimeNs += end.Sub(st.downAt).Nanoseconds()
-			}
+			out := &st.sys.Outages
+			out.CloseAt(end)
 			failures := st.sys.Board.Injected()
 			res.Failures += failures
-			res.Recoveries += st.recoveries
-			res.GiveUps += st.giveUps
+			res.Recoveries += uint64(out.Recoveries)
+			res.GiveUps += uint64(out.GiveUps)
 			res.BeaconsSent += st.beaconsSent
 			res.BeaconsRecv += st.beaconsRecv
-			res.Downtime += time.Duration(st.downtimeNs)
-			availSum += 1 - float64(st.downtimeNs)/float64(cfg.Horizon.Nanoseconds())
+			res.Downtime += out.Downtime
+			availSum += 1 - float64(out.Downtime)/float64(cfg.Horizon.Nanoseconds())
 			put(uint64(st.idx))
 			put(uint64(failures))
-			put(st.recoveries)
-			put(st.giveUps)
-			put(uint64(st.downtimeNs))
+			put(uint64(out.Recoveries))
+			put(uint64(out.GiveUps))
+			put(uint64(out.Downtime))
 			put(st.beaconsSent)
 			put(st.beaconsRecv)
 		}
@@ -504,27 +478,6 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	res.Digest = digest.Sum64()
 	res.Wall = time.Since(wallStart)
 	return res, nil
-}
-
-// RunFleetTrials runs independent fleet campaigns (seed varies per trial)
-// on the runner pool. To avoid nested oversubscription — each campaign
-// already fans its shards across cfg.Workers — the trial pool width is
-// GOMAXPROCS divided by the per-campaign worker count, floored at 1.
-func RunFleetTrials(ctx context.Context, cfg FleetConfig, trials int) ([]*FleetResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	trialWorkers := runtime.GOMAXPROCS(0) / cfg.Workers
-	if trialWorkers < 1 {
-		trialWorkers = 1
-	}
-	return runner.Run(ctx, runner.Config{Workers: trialWorkers, BaseSeed: cfg.BaseSeed},
-		trials, func(ctx context.Context, i int, seed int64) (*FleetResult, error) {
-			tcfg := cfg
-			tcfg.BaseSeed = seed
-			return RunFleet(ctx, tcfg)
-		})
 }
 
 // RenderFleet formats a campaign result for the console.

@@ -177,29 +177,3 @@ func TestParseStationAddr(t *testing.T) {
 		}
 	}
 }
-
-// TestRunFleetTrials: trial fan-out derives distinct seeds and keeps every
-// result reproducible.
-func TestRunFleetTrials(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := FleetConfig{
-		Stations:     4,
-		Horizon:      10 * time.Second,
-		BaseSeed:     2002,
-		Workers:      2,
-		BeaconPeriod: 2 * time.Second,
-		NoFailures:   true,
-	}
-	rs, err := RunFleetTrials(context.Background(), cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("got %d results", len(rs))
-	}
-	if rs[0].Fold() == rs[1].Fold() {
-		t.Fatal("distinct trials folded identically")
-	}
-}

@@ -63,7 +63,7 @@ func measureViaFleet(c Cell, seed int64) (time.Duration, error) {
 			return 0, err
 		}
 	}
-	d, ok := sys.Log.LastRecovery()
+	d, ok := sys.Outages.Recovery()
 	if !ok {
 		return 0, errors.New("experiment: recovery not recorded in trace")
 	}

@@ -78,17 +78,13 @@ func measureManual(seed int64) (time.Duration, error) {
 	return sys.Now().Sub(start), nil
 }
 
-// ManualVsAuto measures recovery of the most frequent failure (the front
+// ManualVsAutoCfg measures recovery of the most frequent failure (the front
 // end) under the pre-RR manual procedure versus the automated tree-IV
 // station, and derives the availability each implies at fedrcom's
 // 10-minute... (Table 1) failure rate — using the post-split fedr rate for
-// the automated system.
-func ManualVsAuto(trials int, baseSeed int64) (*ManualResult, error) {
-	return ManualVsAutoCfg(context.Background(), RunConfig{Trials: trials, BaseSeed: baseSeed})
-}
-
-// ManualVsAutoCfg runs the paired trials across the runner pool; samples
-// are folded in seed order, so results match the sequential path exactly.
+// the automated system. The paired trials run across the runner pool;
+// samples are folded in seed order, so results match a sequential run
+// exactly.
 func ManualVsAutoCfg(ctx context.Context, rc RunConfig) (*ManualResult, error) {
 	pairs, err := runner.Run(ctx, rc.runnerConfig(manualSeedStride), rc.Trials,
 		func(_ context.Context, i int, seed int64) (manualTrial, error) {

@@ -1,12 +1,13 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestManualVsAuto(t *testing.T) {
-	r, err := ManualVsAuto(4, 11_000)
+	r, err := ManualVsAutoCfg(context.Background(), RunConfig{Trials: 4, BaseSeed: 11_000})
 	if err != nil {
 		t.Fatalf("ManualVsAuto: %v", err)
 	}

@@ -166,27 +166,10 @@ func runMicroTrial(cfg MicroConfig, mode MicroMode, class MicroClass, seed int64
 	}
 
 	var (
-		res    microTrial
-		down   bool
-		downAt time.Time
-		spans  time.Duration
+		res microTrial
+		out trace.Outages
 	)
-	sys.Log.Subscribe(func(e trace.Event) {
-		switch e.Kind {
-		case trace.GiveUp:
-			res.giveUps++
-		case trace.ComponentDown, trace.ComponentKilled:
-			if !down {
-				down = true
-				downAt = e.At
-			}
-		case trace.SystemRecovered:
-			if down {
-				down = false
-				spans += e.At.Sub(downAt)
-			}
-		}
-	})
+	sys.Log.Subscribe(func(e trace.Event) { out.Observe(e) })
 
 	profile := &bus.ChaosProfile{Loss: cfg.Loss, Dup: cfg.Dup}
 	if cfg.Jitter > 0 {
@@ -209,6 +192,7 @@ func runMicroTrial(cfg MicroConfig, mode MicroMode, class MicroClass, seed int64
 		res.recovered = true
 		res.mttr = d
 	case errors.Is(err, mercury.ErrNoRecovery):
+		res.giveUps = out.GiveUps
 		return res, nil // abandoned under chaos: that is the measurement
 	default:
 		return microTrial{}, err
@@ -220,11 +204,11 @@ func runMicroTrial(cfg MicroConfig, mode MicroMode, class MicroClass, seed int64
 	res.peerRestarts = after - peerInc
 
 	// Phase 2 — availability over repeated faults with healthy gaps.
-	// Downtime is measured as ComponentDown → SystemRecovered spans, so
-	// any false-positive restarts the chaos still causes count against
+	// Downtime is the outage fold's ComponentDown → SystemRecovered spans,
+	// so any false-positive restarts the chaos still causes count against
 	// availability too (A_entire: the station is whole or it is not).
 	start := sys.Now()
-	spans = 0
+	out.Downtime = 0
 	for i := 0; i < cfg.Faults; i++ {
 		if _, err := sys.MeasureRecovery(mercury.Fault{Component: victim}, 2*time.Minute); err != nil {
 			if errors.Is(err, mercury.ErrNoRecovery) {
@@ -236,12 +220,11 @@ func runMicroTrial(cfg MicroConfig, mode MicroMode, class MicroClass, seed int64
 			return microTrial{}, err
 		}
 	}
-	if down {
-		spans += sys.Now().Sub(downAt)
-	}
+	out.CloseAt(sys.Now())
 	if total := sys.Now().Sub(start); total > 0 {
-		res.availability = 1 - spans.Seconds()/total.Seconds()
+		res.availability = 1 - out.Downtime.Seconds()/total.Seconds()
 	}
+	res.giveUps = out.GiveUps
 	return res, nil
 }
 

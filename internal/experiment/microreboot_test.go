@@ -7,7 +7,6 @@ import (
 
 	mercury "github.com/recursive-restart/mercury"
 	"github.com/recursive-restart/mercury/internal/core"
-	"github.com/recursive-restart/mercury/internal/trace"
 )
 
 // microTestConfig is a reduced sweep that keeps the test fast while
@@ -111,13 +110,6 @@ func TestMicrorebootBudgetRefund(t *testing.T) {
 	if err := sys.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	gaveUp := 0
-	sys.Log.Subscribe(func(e trace.Event) {
-		if e.Kind == trace.GiveUp {
-			gaveUp++
-			t.Errorf("give-up on %s: %s", e.Component, e.Detail)
-		}
-	})
 
 	// 2×MaxRestarts successful microreboots of the same subcomponent.
 	for i := 0; i < 2*recp.MaxRestarts; i++ {
@@ -135,7 +127,7 @@ func TestMicrorebootBudgetRefund(t *testing.T) {
 	if _, err := sys.MeasureRecovery(mercury.Fault{Component: "ses"}, 2*time.Minute); err != nil {
 		t.Fatalf("process-level fault after microreboots: %v", err)
 	}
-	if gaveUp > 0 {
-		t.Fatalf("%d give-ups; cured microreboots must refund their budget charges", gaveUp)
+	if n := sys.Outages.GiveUps; n > 0 {
+		t.Fatalf("%d give-ups; cured microreboots must refund their budget charges", n)
 	}
 }

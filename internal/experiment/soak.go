@@ -47,27 +47,10 @@ func Soak(tree string, horizon time.Duration, seed int64) (*SoakResult, error) {
 	}
 
 	res := &SoakResult{Tree: tree, Horizon: horizon}
-	var (
-		down   bool
-		downAt time.Time
-	)
+	var out trace.Outages
 	sys.Log.Subscribe(func(e trace.Event) {
-		switch e.Kind {
-		case trace.ComponentDown, trace.ComponentKilled:
-			if !down {
-				down = true
-				downAt = e.At
-			}
-		case trace.SystemRecovered:
-			if down {
-				down = false
-				d := e.At.Sub(downAt)
-				res.SystemDowntime += d
-				res.Recovery.Add(d)
-				res.Recoveries++
-			}
-		case trace.GiveUp:
-			res.GiveUps++
+		if d, ok := out.Observe(e); ok {
+			res.Recovery.Add(d)
 		}
 	})
 
@@ -102,9 +85,8 @@ func Soak(tree string, horizon time.Duration, seed int64) (*SoakResult, error) {
 	}
 	sys.Injector.Disable()
 	res.Failures = sys.Board.Injected()
-	if down {
-		res.SystemDowntime += sys.Now().Sub(downAt)
-	}
+	out.CloseAt(sys.Now())
+	res.Recoveries, res.GiveUps, res.SystemDowntime = out.Recoveries, out.GiveUps, out.Downtime
 	res.Availability = 1 - res.SystemDowntime.Seconds()/horizon.Seconds()
 	return res, nil
 }

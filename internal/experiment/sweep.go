@@ -24,14 +24,9 @@ type SweepPoint struct {
 	TreeV  float64 `json:"tree_v_s"`
 }
 
-// OracleQualitySweep measures joint-cure pbcom recoveries under trees IV
-// and V across oracle error rates.
-func OracleQualitySweep(ps []float64, trials int, baseSeed int64) ([]SweepPoint, error) {
-	return OracleQualitySweepCfg(context.Background(), ps, RunConfig{Trials: trials, BaseSeed: baseSeed})
-}
-
-// OracleQualitySweepCfg runs the sweep with each (point, tree) cell's
-// trials fanned across the runner pool. Each point keeps its own base
+// OracleQualitySweepCfg measures joint-cure pbcom recoveries under trees
+// IV and V across oracle error rates, each (point, tree) cell's trials
+// fanned across the runner pool. Each point keeps its own base
 // seed, so the sweep trajectory is independent of the worker count.
 func OracleQualitySweepCfg(ctx context.Context, ps []float64, rc RunConfig) ([]SweepPoint, error) {
 	cure := []string{"fedr", "pbcom"}
@@ -88,11 +83,6 @@ func bar(seconds float64) string {
 
 // sweepDefaults are the rates rrbench sweeps.
 var sweepDefaults = []float64{0, 0.15, 0.30, 0.50, 0.75, 1.0}
-
-// DefaultSweep runs the standard sweep.
-func DefaultSweep(trials int, seed int64) ([]SweepPoint, error) {
-	return OracleQualitySweep(sweepDefaults, trials, seed)
-}
 
 // DefaultSweepCfg runs the standard sweep under an explicit run
 // configuration.

@@ -1,12 +1,13 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestOracleQualitySweepShape(t *testing.T) {
-	points, err := OracleQualitySweep([]float64{0, 0.5, 1.0}, 8, 5000)
+	points, err := OracleQualitySweepCfg(context.Background(), []float64{0, 0.5, 1.0}, RunConfig{Trials: 8, BaseSeed: 5000})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -31,7 +32,7 @@ func TestOracleQualitySweepShape(t *testing.T) {
 }
 
 func TestOracleQualitySweepValidation(t *testing.T) {
-	if _, err := OracleQualitySweep([]float64{1.5}, 1, 1); err == nil {
+	if _, err := OracleQualitySweepCfg(context.Background(), []float64{1.5}, RunConfig{Trials: 1, BaseSeed: 1}); err == nil {
 		t.Fatal("rate > 1 accepted")
 	}
 }

@@ -107,27 +107,6 @@ func (h *Hist) Record(d time.Duration) {
 	h.buckets[i]++
 }
 
-// RecordCorrected records d and then applies coordinated-omission
-// correction for a closed-loop measurement: when the observed latency
-// exceeds the intended sampling interval, the stalled service also delayed
-// the requests that *would* have been issued during the stall, so synthetic
-// observations d-interval, d-2·interval, … are recorded down to the
-// interval. An open-loop engine with intended-start-time accounting does
-// not need this (every scheduled arrival is measured against its intended
-// instant); closed-loop drivers — the TCP pump, any send-after-reply loop —
-// do, or a 12 s stall collapses into one slow sample instead of thousands
-// of blown deadlines.
-func (h *Hist) RecordCorrected(d, interval time.Duration) {
-	h.Record(d)
-	if interval <= 0 {
-		return
-	}
-	for d > interval {
-		d -= interval
-		h.Record(d)
-	}
-}
-
 // Merge folds o into h by adding bucket counts cell-wise. The merge is
 // exact (no re-quantization), associative and commutative, so the runner's
 // seed-ordered fold of worker-local histograms is bit-identical to a

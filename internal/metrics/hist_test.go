@@ -153,50 +153,6 @@ func TestHistMergeExact(t *testing.T) {
 	}
 }
 
-// TestHistCoordinatedOmission is the regression test for the classic load-
-// generator lie: a closed-loop driver that blocks on a stalled service
-// records ONE slow sample where an open-loop arrival process would have
-// recorded thousands. RecordCorrected must backfill those, inflating p99.
-func TestHistCoordinatedOmission(t *testing.T) {
-	const (
-		interval = 1 * time.Millisecond
-		stall    = 2 * time.Second // a process-restart-sized outage
-	)
-	// 10s of healthy traffic at 1ms intervals, 100µs latency...
-	var naive, corrected Hist
-	for i := 0; i < 10000; i++ {
-		naive.Record(100 * time.Microsecond)
-		corrected.RecordCorrected(100*time.Microsecond, interval)
-	}
-	// ...then the service stalls for 2s and the closed-loop driver sees a
-	// single 2s response.
-	naive.Record(stall)
-	corrected.RecordCorrected(stall, interval)
-
-	np99, err := naive.Quantile(0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp99, err := corrected.Quantile(0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Naive measurement hides the stall entirely at p99.
-	if np99 > 200*time.Microsecond {
-		t.Fatalf("naive p99 = %v, expected the stall to be hidden", np99)
-	}
-	// Corrected measurement must surface it: ~2000 synthetic samples out of
-	// ~12000 total put the stall well inside the top 1%.
-	if cp99 < 100*time.Millisecond {
-		t.Fatalf("corrected p99 = %v, stall not surfaced (naive %v)", cp99, np99)
-	}
-	// The backfill count itself: stall/interval extra observations.
-	wantExtra := uint64(stall/interval) - 1
-	if got := corrected.Count() - naive.Count(); got != wantExtra {
-		t.Fatalf("corrected backfilled %d samples, want %d", got, wantExtra)
-	}
-}
-
 func TestHistEmptyAndBasicStats(t *testing.T) {
 	var h Hist
 	if _, err := h.Quantile(0.5); err != ErrNoSamples {

@@ -183,19 +183,6 @@ func Availability(mttf, mttr time.Duration) float64 {
 	return mttf.Seconds() / (mttf.Seconds() + mttr.Seconds())
 }
 
-// Downtime returns the expected downtime per year implied by an
-// availability ratio.
-func Downtime(availability float64) time.Duration {
-	if availability >= 1 {
-		return 0
-	}
-	if availability < 0 {
-		availability = 0
-	}
-	const year = 365 * 24 * time.Hour
-	return time.Duration((1 - availability) * float64(year))
-}
-
 // WeightedMTTR computes a system-level mean time to recover where each
 // component's recovery time is weighted by its failure rate (1/MTTF): the
 // components that fail most often dominate, exactly the arithmetic behind

@@ -251,20 +251,6 @@ func TestAvailability(t *testing.T) {
 	}
 }
 
-func TestDowntime(t *testing.T) {
-	if d := Downtime(1); d != 0 {
-		t.Fatalf("Downtime(1) = %v", d)
-	}
-	// "three nines" is famously ~8.76 hours/year.
-	d := Downtime(0.999)
-	if math.Abs(d.Hours()-8.76) > 0.01 {
-		t.Fatalf("Downtime(0.999) = %v hours", d.Hours())
-	}
-	if d := Downtime(-0.5); d != 365*24*time.Hour {
-		t.Fatalf("Downtime(-0.5) = %v", d)
-	}
-}
-
 func TestWeightedMTTR(t *testing.T) {
 	mttf := map[string]time.Duration{
 		"fast-failer": 10 * time.Minute,

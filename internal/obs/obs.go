@@ -1,7 +1,9 @@
-// Package obs is Mercury's live observability core: zero-allocation
-// runtime counters, gauges and fixed-bucket latency histograms, plus a
-// registry that renders the Prometheus text exposition format without
-// reflection.
+// Package obs is Mercury's aggregate instruments: zero-allocation runtime
+// counters, gauges and one fixed-bucket histogram type (durations, or plain
+// numbers), plus a registry that renders the Prometheus text exposition
+// format without reflection. Instruments count and time; what happened, in
+// what order, is internal/trace's record, and an outage is read from that
+// record by trace.Outages, not from here.
 //
 // The package is dependency-free (standard library only, no other mercury
 // packages), so any layer — the bus fabric, the failure detector, the

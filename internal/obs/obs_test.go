@@ -80,7 +80,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	wantSum := 10*time.Millisecond + (10*time.Millisecond + time.Nanosecond) +
 		100*time.Millisecond + time.Second + time.Hour
-	if got := h.Sum(); got != wantSum {
+	if got := time.Duration(h.Sum()); got != wantSum {
 		t.Fatalf("Sum = %v, want %v", got, wantSum)
 	}
 }
@@ -290,7 +290,7 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 func TestValueHistogram(t *testing.T) {
 	h := NewValueHistogram(1, 4, 16)
 	for _, v := range []uint64{0, 1, 2, 4, 5, 16, 17, 1000} {
-		h.Observe(v)
+		h.ObserveValue(v)
 	}
 	if got := h.Count(); got != 8 {
 		t.Fatalf("Count = %d, want 8", got)
@@ -305,13 +305,10 @@ func TestValueHistogram(t *testing.T) {
 			t.Fatalf("Cumulative(%d) = %d, want %d", i, got, want)
 		}
 	}
-	if got, want := h.Mean(), 1045.0/8; got != want {
-		t.Fatalf("Mean = %g, want %g", got, want)
-	}
 }
 
 func TestValueHistogramValidation(t *testing.T) {
-	for _, bounds := range [][]float64{nil, {}, {5, 5}, {5, 2}} {
+	for _, bounds := range [][]uint64{nil, {}, {5, 5}, {5, 2}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -326,10 +323,10 @@ func TestValueHistogramValidation(t *testing.T) {
 func TestRegistryValueHistogram(t *testing.T) {
 	r := NewRegistry()
 	h := NewValueHistogram(1, 8, 64)
-	r.RegisterValueHistogram("mercury_bus_shard_batch_frames", "Frames per batched write.", h)
-	h.Observe(1)
-	h.Observe(8)
-	h.Observe(100)
+	r.RegisterHistogram("mercury_bus_shard_batch_frames", "Frames per batched write.", h)
+	h.ObserveValue(1)
+	h.ObserveValue(8)
+	h.ObserveValue(100)
 	var sb strings.Builder
 	if _, err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -346,6 +343,44 @@ func TestRegistryValueHistogram(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRegistryValueHistogramLargeNumbers pins what the one renderer must
+// keep from the former value renderer: a bound renders as the shortest
+// float (exponent form from 1e6 up, so the series keeps its le label) while
+// the sum of plain values stays an integer at any size.
+func TestRegistryValueHistogramLargeNumbers(t *testing.T) {
+	r := NewRegistry()
+	h := NewValueHistogram(16384, 1e6)
+	r.RegisterHistogram("m_bytes", "sizes", h)
+	h.ObserveValue(1e6)
+	h.ObserveValue(2345678)
+	var sb strings.Builder
+	if _, err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`m_bytes_bucket{le="16384"} 0` + "\n",
+		`m_bytes_bucket{le="1e+06"} 1` + "\n",
+		"m_bytes_sum 3345678\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// TestDurationExposedAsSeconds pins the duration rendering to
+// time.Duration.Seconds bit for bit: the /metrics bytes of the latency
+// families depend on it, including sums no bound ever takes.
+func TestDurationExposedAsSeconds(t *testing.T) {
+	h := NewHistogram(time.Second)
+	for _, d := range []time.Duration{0, 1, 2500 * time.Microsecond, 3300 * time.Millisecond,
+		7230500 * time.Millisecond, 123456789123456789, 1<<63 - 1} {
+		if got, want := h.exposed(uint64(d)), d.Seconds(); got != want {
+			t.Errorf("exposed(%d) = %v, Seconds = %v", d, got, want)
 		}
 	}
 }

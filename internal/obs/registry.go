@@ -61,7 +61,6 @@ type series struct {
 	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
-	vhist   *ValueHistogram
 	vec     *CounterVec
 	vecKey  string // label key for vec series
 }
@@ -112,12 +111,6 @@ func (r *Registry) RegisterGaugeFunc(name, help string, fn func() float64, label
 // _bucket/_sum/_count form.
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...string) {
 	r.register(name, help, "histogram", series{labels: renderLabels(labels), hist: h})
-}
-
-// RegisterValueHistogram exposes h under name in the standard cumulative
-// _bucket/_sum/_count form, with unitless numeric bucket bounds.
-func (r *Registry) RegisterValueHistogram(name, help string, h *ValueHistogram, labels ...string) {
-	r.register(name, help, "histogram", series{labels: renderLabels(labels), vhist: h})
 }
 
 // RegisterCounterVec exposes every label value of v under name, with the
@@ -191,8 +184,6 @@ func appendSeries(b []byte, name string, s series) []byte {
 		b = append(b, '\n')
 	case s.hist != nil:
 		b = appendHistogram(b, name, s.labels, s.hist)
-	case s.vhist != nil:
-		b = appendValueHistogram(b, name, s.labels, s.vhist)
 	case s.vec != nil:
 		for _, label := range s.vec.Labels() {
 			kv := s.vecKey + `="` + escapeLabel(label) + `"`
@@ -204,12 +195,14 @@ func appendSeries(b []byte, name string, s series) []byte {
 	return b
 }
 
-// appendHistogram renders the cumulative bucket ladder plus _sum/_count.
+// appendHistogram renders the cumulative bucket ladder plus _sum/_count in
+// the histogram's exposed unit. A sum of plain values stays an integer at
+// any size; everything else is the shortest float.
 func appendHistogram(b []byte, name, labels string, h *Histogram) []byte {
 	var cum uint64
 	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		le := strconv.FormatFloat(bound.Seconds(), 'g', -1, 64)
+		le := strconv.FormatFloat(h.exposed(bound), 'g', -1, 64)
 		b = appendSample(b, name+"_bucket", labels, `le="`+le+`"`)
 		b = strconv.AppendUint(b, cum, 10)
 		b = append(b, '\n')
@@ -219,31 +212,11 @@ func appendHistogram(b []byte, name, labels string, h *Histogram) []byte {
 	b = strconv.AppendUint(b, cum, 10)
 	b = append(b, '\n')
 	b = appendSample(b, name+"_sum", labels, "")
-	b = strconv.AppendFloat(b, h.Sum().Seconds(), 'g', -1, 64)
-	b = append(b, '\n')
-	b = appendSample(b, name+"_count", labels, "")
-	b = strconv.AppendUint(b, cum, 10)
-	b = append(b, '\n')
-	return b
-}
-
-// appendValueHistogram renders a unitless histogram's cumulative bucket
-// ladder plus _sum/_count.
-func appendValueHistogram(b []byte, name, labels string, h *ValueHistogram) []byte {
-	var cum uint64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		le := strconv.FormatFloat(bound, 'g', -1, 64)
-		b = appendSample(b, name+"_bucket", labels, `le="`+le+`"`)
-		b = strconv.AppendUint(b, cum, 10)
-		b = append(b, '\n')
+	if h.unit == 1 {
+		b = strconv.AppendUint(b, h.Sum(), 10)
+	} else {
+		b = strconv.AppendFloat(b, h.exposed(h.Sum()), 'g', -1, 64)
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	b = appendSample(b, name+"_bucket", labels, `le="+Inf"`)
-	b = strconv.AppendUint(b, cum, 10)
-	b = append(b, '\n')
-	b = appendSample(b, name+"_sum", labels, "")
-	b = strconv.AppendUint(b, h.Sum(), 10)
 	b = append(b, '\n')
 	b = appendSample(b, name+"_count", labels, "")
 	b = strconv.AppendUint(b, cum, 10)

@@ -138,10 +138,7 @@ type Process struct {
 	stretch     float64
 	startedAt   time.Time
 	readyAt     time.Time
-	downAt      time.Time
 	restarts    int
-	downtime    time.Duration // accumulated while not serving
-	lastDownAt  time.Time
 	everStarted bool
 }
 
@@ -375,7 +372,6 @@ func (m *Manager) Silence(name string) error {
 	}
 	if !p.silenced && (p.state == Running || p.state == Starting) {
 		p.silenced = true
-		p.markDown()
 		m.log.Add(m.clk.Now(), trace.ComponentDown, name, "", "silenced (failure persists)")
 		for _, fn := range m.onDown {
 			fn(name, "silenced")
@@ -474,20 +470,6 @@ func (m *Manager) ReadyAt(name string) (time.Time, error) {
 	return p.readyAt, nil
 }
 
-// Downtime reports the cumulative time the process has spent not serving
-// since its first launch (including time spent silenced or restarting).
-func (m *Manager) Downtime(name string) (time.Duration, error) {
-	p, err := m.proc(name)
-	if err != nil {
-		return 0, err
-	}
-	d := p.downtime
-	if p.everStarted && !m.Serving(name) {
-		d += m.clk.Now().Sub(p.lastDownAt)
-	}
-	return d, nil
-}
-
 // start launches a fresh incarnation.
 func (p *Process) start(stretch float64) {
 	p.gen++
@@ -512,23 +494,14 @@ func (p *Process) start(stretch float64) {
 // external resources (a real TCP listener, a child OS process) always get
 // to release them; the reason string distinguishes the cases.
 func (p *Process) die(kind trace.Kind, reason string) {
-	p.markDown()
 	p.state = Dead
 	M.Deaths.Inc()
 	p.handler = nil
-	p.downAt = p.mgr.clk.Now()
-	p.mgr.log.Add(p.downAt, kind, p.name, "", reason)
+	p.mgr.log.Add(p.mgr.clk.Now(), kind, p.name, "", reason)
 	for _, fn := range p.mgr.onDown {
 		fn(p.name, reason)
 	}
 	p.mgr.subsOnParentDown(p.name, reason)
-}
-
-// markDown starts the downtime clock if the process was serving.
-func (p *Process) markDown() {
-	if p.everStarted && p.state == Running && !p.silenced {
-		p.lastDownAt = p.mgr.clk.Now()
-	}
 }
 
 // procCtx is the incarnation-scoped Context implementation.
@@ -617,9 +590,6 @@ func (c *procCtx) Ready() {
 	p.state = Running
 	now := p.mgr.clk.Now()
 	p.readyAt = now
-	if p.everStarted && !p.lastDownAt.IsZero() {
-		p.downtime += now.Sub(p.lastDownAt)
-	}
 	p.everStarted = true
 	M.Startup.Observe(now.Sub(p.startedAt))
 	p.mgr.log.Add(now, trace.ComponentReady, p.name, "",

@@ -33,7 +33,7 @@ func (tc *testComp) Start(ctx Context) {
 func (tc *testComp) Receive(ctx Context, m *xmlcmd.Message) {
 	tc.received = append(tc.received, m)
 	if m.Kind() == xmlcmd.KindPing && tc.ready {
-		ctx.Send(xmlcmd.NewPong(ctx.Name(), m, ctx.Incarnation()))
+		ctx.Send(ctx.Pool().Pong(ctx.Name(), m, ctx.Incarnation()))
 	}
 }
 
@@ -356,24 +356,6 @@ func TestFailCrashesProcess(t *testing.T) {
 	}
 	if down != "a:bug" {
 		t.Fatalf("down = %q", down)
-	}
-}
-
-func TestDowntimeAccounting(t *testing.T) {
-	mgr, k := newTestManager(t)
-	_ = mgr.Register("a", func() Handler { return &testComp{startup: 2 * time.Second} })
-	_ = mgr.Start("a")
-	_ = k.RunFor(3 * time.Second) // ready at t=2
-	_ = mgr.Kill("a", "kill")     // down at t=3
-	_ = k.RunFor(5 * time.Second) // still down until t=8
-	_ = mgr.Restart([]string{"a"})
-	_ = k.RunFor(3 * time.Second) // ready again at t=10
-	d, err := mgr.Downtime("a")
-	if err != nil {
-		t.Fatalf("Downtime: %v", err)
-	}
-	if d != 7*time.Second {
-		t.Fatalf("downtime = %v, want 7s (killed t=3, ready t=10)", d)
 	}
 }
 

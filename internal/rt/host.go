@@ -207,13 +207,10 @@ func (h *Host) Inject(f fault.Fault) error {
 	return err
 }
 
-// AllServing reports whether the station is whole: every component and
-// subcomponent serves and no injected fault is active.
+// AllServing reports whether the station is whole (assemble.Station.Whole).
 func (h *Host) AllServing() bool {
 	var ok bool
-	h.Disp.Call(func() {
-		ok = h.Mgr.AllServing(h.Comps...) && h.Mgr.AllSubsServing() && h.Board.ActiveCount() == 0
-	})
+	h.Disp.Call(func() { ok = h.Whole() })
 	return ok
 }
 

@@ -20,7 +20,7 @@ type StoreMetrics struct {
 	Reverts          obs.Counter // checkpoint-restore value reverts
 
 	// ValueBytes is the size distribution of written values.
-	ValueBytes *obs.ValueHistogram
+	ValueBytes *obs.Histogram
 }
 
 // M is the process-wide store metrics instance.
@@ -52,7 +52,7 @@ func RegisterMetrics(r *obs.Registry) {
 		"Snapshot restores.", &M.Restores)
 	r.RegisterCounter("mercury_store_reverts_total",
 		"Checkpoint-restore value reverts.", &M.Reverts)
-	r.RegisterValueHistogram("mercury_store_value_bytes",
+	r.RegisterHistogram("mercury_store_value_bytes",
 		"Size distribution of written values.", M.ValueBytes)
 }
 

@@ -216,7 +216,7 @@ func (l *Lease) Put(val []byte) (uint64, error) {
 	e.val = append(e.val[:0], val...)
 	e.version++
 	M.Puts.Inc()
-	M.ValueBytes.Observe(uint64(len(val)))
+	M.ValueBytes.ObserveValue(uint64(len(val)))
 	return e.version, nil
 }
 

@@ -4,10 +4,14 @@
 // component logs a timestamped "functionally ready" message; this package
 // is that log.
 //
-// Trace is one of two event planes: it captures the full causal sequence
-// of a run (per-event, subscribable, what experiments and the mercuryd
-// live stream consume), while internal/obs keeps aggregate runtime
-// counters and histograms for scraping. The two never feed each other.
+// The trace is the record of what happened: every runtime (simulator, live
+// node, multi-process supervisor) appends the same lifecycle events to a
+// Log and subscribers (experiments, the mercuryd live stream) see each one
+// as it is appended. Outages is how an outage is read from that record: the
+// one fold every availability, downtime and time-to-recover figure comes
+// from. internal/obs is the other half of observation — aggregate
+// instruments for scraping, which count and time but do not say what
+// happened.
 package trace
 
 import (
@@ -97,11 +101,17 @@ func (e Event) String() string {
 	return s
 }
 
-// Log is an append-only event log, safe for concurrent use so it serves
-// both the single-threaded simulator and the real-time runtime.
+// Retain is how many events a Log keeps for Events, Filter and Len. Nothing
+// measures from them (subscribers see every event as it is appended), so a
+// long-running daemon or a 2000-station fleet holds a bounded tail.
+const Retain = 4096
+
+// Log is an event log, safe for concurrent use so it serves both the
+// single-threaded simulator and the real-time runtime.
 type Log struct {
 	mu     sync.Mutex
-	events []Event
+	events []Event // grows by append to Retain, then a ring: head is the oldest
+	head   int
 	subs   []func(Event)
 }
 
@@ -111,7 +121,12 @@ func NewLog() *Log { return &Log{} }
 // Append records an event and fans it out to subscribers.
 func (l *Log) Append(e Event) {
 	l.mu.Lock()
-	l.events = append(l.events, e)
+	if len(l.events) < Retain {
+		l.events = append(l.events, e)
+	} else {
+		l.events[l.head] = e
+		l.head = (l.head + 1) % Retain
+	}
 	subs := l.subs
 	l.mu.Unlock()
 	for _, fn := range subs {
@@ -132,61 +147,101 @@ func (l *Log) Subscribe(fn func(Event)) {
 	l.subs = append(l.subs, fn)
 }
 
-// Events returns a copy of all recorded events.
+// Events returns a copy of the retained events, oldest first.
 func (l *Log) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
+	out := make([]Event, 0, len(l.events))
+	out = append(out, l.events[l.head:]...)
+	return append(out, l.events[:l.head]...)
 }
 
-// Len reports the number of recorded events.
+// Len reports the number of retained events.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.events)
 }
 
-// Reset discards all recorded events but keeps subscribers.
+// Reset discards the retained events but keeps subscribers.
 func (l *Log) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = l.events[:0]
+	l.events, l.head = l.events[:0], 0
 }
 
-// Filter returns the events matching pred, in order.
+// Filter returns the retained events matching pred, oldest first.
 func (l *Log) Filter(pred func(Event) bool) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []Event
-	for _, e := range l.events {
-		if pred(e) {
+	for i := range l.events {
+		if e := l.events[(l.head+i)%len(l.events)]; pred(e) {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// LastRecovery returns the duration between the most recent FaultInjected
-// event and the first SystemRecovered event after it, which is the paper's
-// definition of time-to-recover. ok is false if no such pair exists.
-func (l *Log) LastRecovery() (d time.Duration, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var injectedAt time.Time
-	haveInjected := false
-	for _, e := range l.events {
-		switch e.Kind {
-		case FaultInjected:
-			injectedAt = e.At
-			haveInjected = true
-		case SystemRecovered:
-			if haveInjected {
-				d, ok = e.At.Sub(injectedAt), true
-				haveInjected = false
-			}
+// Outages folds a trace into the station's outage history under A_entire:
+// the station is down from the first ComponentDown or ComponentKilled until
+// the next SystemRecovered, however many components go down in between.
+// Feed it every event in order, from a log subscriber; the zero value is an
+// empty history, and a fold attached mid-run ignores an outage it did not
+// see open.
+type Outages struct {
+	Down       bool          // an outage is open
+	Since      time.Time     // when it opened, or was last charged by CloseAt
+	Downtime   time.Duration // closed outages, plus what CloseAt charged
+	Recoveries int           // closed outages
+	GiveUps    int           // restart-policy abandonments
+
+	injected   bool
+	injectedAt time.Time
+	recovered  bool
+	recovery   time.Duration
+}
+
+// Observe folds one event in. When the event closes an outage it reports
+// that outage's length.
+func (o *Outages) Observe(e Event) (closed time.Duration, ok bool) {
+	switch e.Kind {
+	case FaultInjected:
+		o.injected, o.injectedAt = true, e.At
+	case ComponentDown, ComponentKilled:
+		if !o.Down {
+			o.Down, o.Since = true, e.At
 		}
+	case SystemRecovered:
+		if o.injected {
+			o.injected = false
+			o.recovered, o.recovery = true, e.At.Sub(o.injectedAt)
+		}
+		if o.Down {
+			o.Down = false
+			closed = e.At.Sub(o.Since)
+			o.Downtime += closed
+			o.Recoveries++
+			return closed, true
+		}
+	case GiveUp:
+		o.GiveUps++
 	}
-	return d, ok
+	return 0, false
+}
+
+// CloseAt charges an open outage's time up to t — a campaign's horizon or a
+// phase boundary — to Downtime. It stays open and is no recovery.
+func (o *Outages) CloseAt(t time.Time) {
+	if o.Down {
+		o.Downtime += t.Sub(o.Since)
+		o.Since = t
+	}
+}
+
+// Recovery returns the paper's time-to-recover of the most recent fault
+// that has recovered: from its FaultInjected (the failure instant, not its
+// detection) to the first SystemRecovered after it, if there is one yet.
+func (o *Outages) Recovery() (d time.Duration, ok bool) {
+	return o.recovery, o.recovered
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -47,26 +48,118 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestLastRecovery(t *testing.T) {
+// TestOutages drives the one outage fold through the shapes its callers
+// depend on. at is seconds after t0.
+func TestOutages(t *testing.T) {
+	type ev struct {
+		at   int
+		kind Kind
+	}
+	type want struct {
+		down       bool
+		downtime   time.Duration
+		recoveries int
+		giveUps    int
+		closed     []time.Duration // what Observe reported, in order
+		recovery   time.Duration
+		recovered  bool
+	}
+	for _, tc := range []struct {
+		name    string
+		events  []ev
+		horizon int // CloseAt this instant when > 0
+		want    want
+	}{
+		{name: "empty fold"},
+		{
+			name:   "recovery without an outage is ignored",
+			events: []ev{{1, SystemRecovered}, {2, ComponentReady}},
+		},
+		{
+			name: "nested downs are one outage from the first",
+			events: []ev{
+				{1, FaultInjected}, {1, ComponentDown}, {3, ComponentKilled}, {4, ComponentKilled},
+				{6, ComponentReady}, {9, ComponentReady}, {9, SystemRecovered},
+			},
+			want: want{downtime: 8 * time.Second, recoveries: 1, closed: []time.Duration{8 * time.Second},
+				recovery: 8 * time.Second, recovered: true},
+		},
+		{
+			name:   "give-up is counted and leaves the outage open",
+			events: []ev{{2, ComponentDown}, {5, GiveUp}},
+			want:   want{down: true, giveUps: 1},
+		},
+		{
+			name:    "open outage is charged up to the horizon, not counted as recovered",
+			events:  []ev{{1, ComponentDown}, {4, SystemRecovered}, {10, ComponentKilled}},
+			horizon: 15,
+			want:    want{down: true, downtime: 8 * time.Second, recoveries: 1, closed: []time.Duration{3 * time.Second}},
+		},
+		{
+			name: "the second inject-recover span supersedes the first",
+			events: []ev{
+				{0, FaultInjected}, {0, ComponentDown}, {5, SystemRecovered},
+				{60, FaultInjected}, {60, ComponentDown}, {69, SystemRecovered},
+			},
+			want: want{downtime: 14 * time.Second, recoveries: 2, closed: []time.Duration{5 * time.Second, 9 * time.Second},
+				recovery: 9 * time.Second, recovered: true},
+		},
+		{
+			name:   "an injected fault with no recovery yet reports none",
+			events: []ev{{0, FaultInjected}, {0, ComponentDown}},
+			want:   want{down: true},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var o Outages
+			var closed []time.Duration
+			for _, e := range tc.events {
+				if d, ok := o.Observe(Event{At: t0.Add(time.Duration(e.at) * time.Second), Kind: e.kind}); ok {
+					closed = append(closed, d)
+				}
+			}
+			if tc.horizon > 0 {
+				o.CloseAt(t0.Add(time.Duration(tc.horizon) * time.Second))
+			}
+			d, ok := o.Recovery()
+			got := want{o.Down, o.Downtime, o.Recoveries, o.GiveUps, closed, d, ok}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("fold = %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRetention pins the ring: past Retain events the log keeps the newest
+// in order, while a subscriber (and so a fold) still sees every one.
+func TestRetention(t *testing.T) {
 	l := NewLog()
-	if _, ok := l.LastRecovery(); ok {
-		t.Fatal("empty log reported a recovery")
+	seen := 0
+	l.Subscribe(func(Event) { seen++ })
+	const total = Retain + Retain/2 + 7
+	for i := 0; i < total; i++ {
+		l.Add(t0.Add(time.Duration(i)*time.Millisecond), Note, "", "", "")
 	}
-	l.Add(t0, FaultInjected, "rtu", "", "")
-	if _, ok := l.LastRecovery(); ok {
-		t.Fatal("unrecovered fault reported recovery")
+	if l.Len() != Retain {
+		t.Fatalf("Len = %d after %d appends, want %d", l.Len(), total, Retain)
 	}
-	l.Add(t0.Add(5*time.Second), SystemRecovered, "", "", "")
-	d, ok := l.LastRecovery()
-	if !ok || d != 5*time.Second {
-		t.Fatalf("recovery = %v, %v", d, ok)
+	if seen != total {
+		t.Fatalf("subscriber saw %d of %d events", seen, total)
 	}
-	// A later fault supersedes; its recovery is the one measured.
-	l.Add(t0.Add(time.Minute), FaultInjected, "ses", "", "")
-	l.Add(t0.Add(time.Minute+9*time.Second), SystemRecovered, "", "", "")
-	d, ok = l.LastRecovery()
-	if !ok || d != 9*time.Second {
-		t.Fatalf("second recovery = %v, %v", d, ok)
+	evs := l.Events()
+	kept := l.Filter(func(Event) bool { return true })
+	if len(evs) != Retain || len(kept) != Retain {
+		t.Fatalf("Events returned %d, Filter %d, want %d", len(evs), len(kept), Retain)
+	}
+	for i, e := range evs {
+		if want := t0.Add(time.Duration(total-Retain+i) * time.Millisecond); !e.At.Equal(want) || !kept[i].At.Equal(want) {
+			t.Fatalf("event %d at %v (Filter %v), want %v", i, e.At, kept[i].At, want)
+		}
+	}
+	l.Reset()
+	l.Add(t0, Note, "", "", "after reset")
+	if evs := l.Events(); len(evs) != 1 || evs[0].Detail != "after reset" {
+		t.Fatalf("after Reset: %+v", evs)
 	}
 }
 

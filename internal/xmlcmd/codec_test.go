@@ -18,8 +18,8 @@ func codecCorpus() []*Message {
 		NewPing(AddrFD, AddrSES, 1, 42),
 		NewPing(AddrFD, AddrMBus, 0, 0),
 		NewPing("a", "b", math.MaxUint64, math.MaxUint64),
-		NewPong(AddrSES, NewPing(AddrFD, AddrSES, 2, 43), 3),
-		NewPong(AddrSES, NewPing(AddrFD, AddrSES, 2, 43), 0),
+		new(Pool).Pong(AddrSES, NewPing(AddrFD, AddrSES, 2, 43), 3),
+		new(Pool).Pong(AddrSES, NewPing(AddrFD, AddrSES, 2, 43), 0),
 		NewCommand(AddrREC, AddrMBus, 4, "register"),
 		NewCommand(AddrFedr, AddrPbcom, 5, "tune", "freq", "437.5", "mode", "fm"),
 		NewCommand("x", "y", 6, "escape&<>\"'", "key&", "<value>", "'quoted'", "\"double\""),
@@ -32,16 +32,16 @@ func codecCorpus() []*Message {
 		NewTelemetry(AddrRTU, AddrSTR, 12, "inf", math.Inf(1), time.UnixMilli(0)),
 		NewTelemetry(AddrRTU, AddrSTR, 13, "nan", math.NaN(), time.UnixMilli(0)),
 		NewTelemetry(AddrRTU, AddrSTR, 14, "tiny", 5e-324, time.UnixMilli(1)),
-		NewEvent(AddrFD, AddrREC, 15, "failure", "ses"),
-		NewEvent(AddrFD, AddrREC, 16, "pass-start", ""), // detail omitted
+		new(Pool).Event(AddrFD, AddrREC, 15, "failure", "ses"),
+		new(Pool).Event(AddrFD, AddrREC, 16, "pass-start", ""), // detail omitted
 		func() *Message {
-			m := NewEvent(AddrFD, AddrREC, 17, "link", "lost")
+			m := new(Pool).Event(AddrFD, AddrREC, 17, "link", "lost")
 			m.Event.Params = []Param{{Key: "hops", Value: "4"}, {Key: "why", Value: "a&b"}}
 			return m
 		}(),
-		NewSync(AddrSES, AddrSTR, 18, 1020000000),
-		NewSync(AddrSES, AddrSTR, 19, math.MinInt64),
-		NewSyncAck(AddrSTR, AddrSES, 20, math.MaxInt64),
+		new(Pool).Sync(AddrSES, AddrSTR, 18, 1020000000),
+		new(Pool).Sync(AddrSES, AddrSTR, 19, math.MinInt64),
+		new(Pool).SyncAck(AddrSTR, AddrSES, 20, math.MaxInt64),
 		{
 			From: AddrSES, To: AddrFD, Seq: 21,
 			Health: &Health{Incarnation: 2, UptimeMs: 123456, QueueDepth: 7, AgeScore: 0.125, Warnings: 3, Suspect: true},
@@ -206,7 +206,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 		decode float64 // allocations per decode
 	}{
 		{"ping", ping, 0},
-		{"pong", NewPong(AddrSES, ping, 3), 0},
+		{"pong", new(Pool).Pong(AddrSES, ping, 3), 0},
 		{"command", NewCommand("gate", AddrRTU, 8, "tune", "freqHz", "437512345.5", "mode", "fm-narrow"), 2},
 		{"ack", NewAck(AddrRTU, "gate", 9, 8, true, ""), 0},
 		{"telemetry", NewTelemetry(AddrRTU, AddrSTR, 10, "az", 181.5, time.UnixMilli(1020000000000)), 0},
@@ -364,7 +364,7 @@ func TestOptionalAttrsOmitted(t *testing.T) {
 	if bytes.Contains(ack, []byte("error=")) {
 		t.Fatalf("empty Ack.Error still on the wire: %s", ack)
 	}
-	ev, err := Encode(NewEvent("a", "b", 1, "pass", ""))
+	ev, err := Encode(new(Pool).Event("a", "b", 1, "pass", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestEscapingRoundTrip(t *testing.T) {
 	for _, m := range []*Message{
 		NewCommand("a", "b", 1, "go", hostile, hostile),
 		NewAck("a", "b", 2, 1, false, hostile),
-		NewEvent("a", "b", 3, hostile, hostile),
+		new(Pool).Event("a", "b", 3, hostile, hostile),
 	} {
 		b, err := Encode(m)
 		if err != nil {
@@ -418,12 +418,12 @@ func TestEscapingRoundTrip(t *testing.T) {
 func TestMaxFrameBoundary(t *testing.T) {
 	// Find the fixed overhead of an event frame, then size the detail so
 	// the encoding lands exactly on MaxFrame.
-	probe, err := Encode(NewEvent("a", "b", 1, "e", "x"))
+	probe, err := Encode(new(Pool).Event("a", "b", 1, "e", "x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	overhead := len(probe) - 1
-	exact := NewEvent("a", "b", 1, "e", strings.Repeat("x", MaxFrame-overhead))
+	exact := new(Pool).Event("a", "b", 1, "e", strings.Repeat("x", MaxFrame-overhead))
 	b, err := Encode(exact)
 	if err != nil {
 		t.Fatalf("Encode at MaxFrame: %v", err)
@@ -438,7 +438,7 @@ func TestMaxFrameBoundary(t *testing.T) {
 	if err := DecodeInto(b, &m); err != nil {
 		t.Fatalf("DecodeInto at MaxFrame: %v", err)
 	}
-	over := NewEvent("a", "b", 1, "e", strings.Repeat("x", MaxFrame-overhead+1))
+	over := new(Pool).Event("a", "b", 1, "e", strings.Repeat("x", MaxFrame-overhead+1))
 	if _, err := Encode(over); err != ErrFrameTooLarge {
 		t.Fatalf("Encode over MaxFrame = %v, want ErrFrameTooLarge", err)
 	}

@@ -40,15 +40,15 @@ func FuzzDecode(f *testing.F) {
 func addDecodeSeeds(f *testing.F) {
 	seedMsgs := []*Message{
 		NewPing("fd", "ses", 1, 42),
-		NewPong("ses", NewPing("fd", "ses", 2, 43), 3),
+		new(Pool).Pong("ses", NewPing("fd", "ses", 2, 43), 3),
 		NewCommand("rec", "mbus", 4, "register"),
 		NewCommand("fedr", "pbcom", 5, "tune", "freq", "437.5"),
 		numCommand("ses", "rtu", 5, "tune", "freqHz", 4.371029653146064e+08),
 		NewAck("pbcom", "fedr", 6, 5, true, ""),
 		NewTelemetry("rtu", "str", 7, "az", 181.5, time.Unix(1020000000, 0).UTC()),
-		NewEvent("fd", "rec", 8, "failure", "ses"),
-		NewSync("ses", "str", 9, 1020000000),
-		NewSyncAck("str", "ses", 10, 1020000000),
+		new(Pool).Event("fd", "rec", 8, "failure", "ses"),
+		new(Pool).Sync("ses", "str", 9, 1020000000),
+		new(Pool).SyncAck("str", "ses", 10, 1020000000),
 	}
 	for _, m := range seedMsgs {
 		b, err := Encode(m)
@@ -105,15 +105,15 @@ func FuzzDecodeHeader(f *testing.F) {
 func FuzzCodecDiff(f *testing.F) {
 	seedMsgs := []*Message{
 		NewPing("fd", "ses", 1, 42),
-		NewPong("ses", NewPing("fd", "ses", 2, 43), 3),
+		new(Pool).Pong("ses", NewPing("fd", "ses", 2, 43), 3),
 		NewCommand("rec", "mbus", 4, "register"),
 		NewCommand("fedr", "pbcom", 5, "tune", "freq", "437.5"),
 		numCommand("ses", "str", 5, "point", "azRad", 4.9807672363561, "elRad", -0.5433825307141718),
 		NewAck("pbcom", "fedr", 6, 5, false, "radio said \"no\" & <hung>"),
 		NewTelemetry("rtu", "str", 7, "az", 181.5, time.Unix(1020000000, 0).UTC()),
-		NewEvent("fd", "rec", 8, "failure", "ses"),
-		NewSync("ses", "str", 9, 1020000000),
-		NewSyncAck("str", "ses", 10, 1020000000),
+		new(Pool).Event("fd", "rec", 8, "failure", "ses"),
+		new(Pool).Sync("ses", "str", 9, 1020000000),
+		new(Pool).SyncAck("str", "ses", 10, 1020000000),
 		{From: "ses", To: "fd", Seq: 11, Health: &Health{Incarnation: 2, UptimeMs: 5, AgeScore: 0.5, Suspect: true}},
 	}
 	for _, m := range seedMsgs {

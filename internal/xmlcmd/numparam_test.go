@@ -32,9 +32,9 @@ func numCommand(from, to string, seq uint64, name string, kv ...any) *Message {
 // the float itself puts on the wire, and the fast one allocates nothing
 // doing it.
 func TestNumericParamEncodesAsItsText(t *testing.T) {
-	event := NewEvent(AddrFD, AddrREC, 3, "link", "lost")
+	event := new(Pool).Event(AddrFD, AddrREC, 3, "link", "lost")
 	event.Event.Params = []Param{num("snrDb", -3.25), {Key: "why", Value: "a&b"}}
-	asText := NewEvent(AddrFD, AddrREC, 3, "link", "lost")
+	asText := new(Pool).Event(AddrFD, AddrREC, 3, "link", "lost")
 	asText.Event.Params = []Param{{Key: "snrDb", Value: "-3.25"}, {Key: "why", Value: "a&b"}}
 	mixed := numCommand(AddrSES, AddrRTU, 2, "tune", "freqHz", 4.371029653146064e+08)
 	mixed.Command.Params = append(mixed.Command.Params, Param{Key: "mode", Value: "fm<narrow>"})

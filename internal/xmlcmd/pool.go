@@ -96,7 +96,7 @@ func (p *Pool) Ping(from, to string, seq, nonce uint64) *Message {
 	return m
 }
 
-// Pong mints a pooled NewPong. It copies what it needs out of ping, which
+// Pong mints the reply to ping. It copies what it needs out of ping, which
 // may itself be a pooled message about to be recycled.
 func (p *Pool) Pong(from string, ping *Message, incarnation int) *Message {
 	m := p.get(KindPong)
@@ -145,7 +145,7 @@ func (p *Pool) Telemetry(from, to string, seq uint64, key string, value float64,
 	return m
 }
 
-// Event mints a pooled NewEvent.
+// Event mints an event notification.
 func (p *Pool) Event(from, to string, seq uint64, name, detail string) *Message {
 	m := p.get(KindEvent)
 	if m == nil {
@@ -156,7 +156,7 @@ func (p *Pool) Event(from, to string, seq uint64, name, detail string) *Message 
 	return m
 }
 
-// Sync mints a pooled NewSync.
+// Sync mints a startup resynchronisation proposal.
 func (p *Pool) Sync(from, to string, seq uint64, epoch int64) *Message {
 	m := p.get(KindSync)
 	if m == nil {
@@ -167,7 +167,7 @@ func (p *Pool) Sync(from, to string, seq uint64, epoch int64) *Message {
 	return m
 }
 
-// SyncAck mints a pooled NewSyncAck.
+// SyncAck mints the acceptance of a resynchronisation proposal.
 func (p *Pool) SyncAck(from, to string, seq uint64, epoch int64) *Message {
 	m := p.get(KindSyncAck)
 	if m == nil {

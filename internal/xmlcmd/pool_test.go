@@ -7,8 +7,9 @@ import (
 )
 
 // TestPoolMintsLikeTheConstructors: a pooled message encodes to the same
-// bytes as the allocating constructor's — fresh, and again after the
-// envelope has been through a recycle with different contents.
+// bytes as an unpooled one — the allocating constructor's where the kind
+// has one, a literal otherwise — fresh, and again after the envelope has
+// been through a recycle with different contents.
 func TestPoolMintsLikeTheConstructors(t *testing.T) {
 	var p Pool
 	at := time.UnixMilli(1_024_000_000_123)
@@ -16,7 +17,9 @@ func TestPoolMintsLikeTheConstructors(t *testing.T) {
 	h := Health{Incarnation: 2, UptimeMs: 5000, QueueDepth: 1, AgeScore: 0.25, Warnings: 3}
 	mint := []func() (pooled, plain *Message){
 		func() (*Message, *Message) { return p.Ping(AddrFD, AddrSES, 7, 99), ping },
-		func() (*Message, *Message) { return p.Pong(AddrSES, ping, 3), NewPong(AddrSES, ping, 3) },
+		func() (*Message, *Message) {
+			return p.Pong(AddrSES, ping, 3), &Message{From: AddrSES, To: AddrFD, Seq: 7, Pong: &Pong{Nonce: 99, Incarnation: 3}}
+		},
 		func() (*Message, *Message) {
 			return p.Command(AddrSES, AddrSTR, 8, "point", Param{Key: "azRad", Value: "1.5"}, Param{Key: "elRad", Value: "0.25"}),
 				NewCommand(AddrSES, AddrSTR, 8, "point", "azRad", "1.5", "elRad", "0.25")
@@ -35,13 +38,13 @@ func TestPoolMintsLikeTheConstructors(t *testing.T) {
 			return p.Telemetry(AddrSTR, "ops", 11, "on_target", 1, at), NewTelemetry(AddrSTR, "ops", 11, "on_target", 1, at)
 		},
 		func() (*Message, *Message) {
-			return p.Event(AddrFD, AddrREC, 12, "failure", AddrRTU), NewEvent(AddrFD, AddrREC, 12, "failure", AddrRTU)
+			return p.Event(AddrFD, AddrREC, 12, "failure", AddrRTU), &Message{From: AddrFD, To: AddrREC, Seq: 12, Event: &Event{Name: "failure", Detail: AddrRTU}}
 		},
 		func() (*Message, *Message) {
-			return p.Sync(AddrSES, AddrSTR, 13, 42), NewSync(AddrSES, AddrSTR, 13, 42)
+			return p.Sync(AddrSES, AddrSTR, 13, 42), &Message{From: AddrSES, To: AddrSTR, Seq: 13, Sync: &Sync{Epoch: 42}}
 		},
 		func() (*Message, *Message) {
-			return p.SyncAck(AddrSTR, AddrSES, 14, 42), NewSyncAck(AddrSTR, AddrSES, 14, 42)
+			return p.SyncAck(AddrSTR, AddrSES, 14, 42), &Message{From: AddrSTR, To: AddrSES, Seq: 14, SyncAck: &SyncAck{Epoch: 42}}
 		},
 		func() (*Message, *Message) {
 			return p.Health(AddrRTU, AddrFD, 15, h), &Message{From: AddrRTU, To: AddrFD, Seq: 15, Health: &h}

@@ -383,16 +383,6 @@ func NewPing(from, to string, seq, nonce uint64) *Message {
 	return &Message{From: from, To: to, Seq: seq, Ping: &Ping{Nonce: nonce}}
 }
 
-// NewPong builds the reply to ping.
-func NewPong(from string, ping *Message, incarnation int) *Message {
-	return &Message{
-		From: from,
-		To:   ping.From,
-		Seq:  ping.Seq,
-		Pong: &Pong{Nonce: ping.Ping.Nonce, Incarnation: incarnation},
-	}
-}
-
 // NewCommand builds a command message; params are alternating key, value
 // pairs.
 func NewCommand(from, to string, seq uint64, name string, params ...string) *Message {
@@ -414,21 +404,6 @@ func NewTelemetry(from, to string, seq uint64, key string, value float64, at tim
 		From: from, To: to, Seq: seq,
 		Telemetry: &Telemetry{Key: key, Value: value, AtUnixMilli: at.UnixMilli()},
 	}
-}
-
-// NewEvent builds an event notification.
-func NewEvent(from, to string, seq uint64, name, detail string) *Message {
-	return &Message{From: from, To: to, Seq: seq, Event: &Event{Name: name, Detail: detail}}
-}
-
-// NewSync builds a startup resynchronisation proposal.
-func NewSync(from, to string, seq uint64, epoch int64) *Message {
-	return &Message{From: from, To: to, Seq: seq, Sync: &Sync{Epoch: epoch}}
-}
-
-// NewSyncAck accepts a resynchronisation proposal.
-func NewSyncAck(from, to string, seq uint64, epoch int64) *Message {
-	return &Message{From: from, To: to, Seq: seq, SyncAck: &SyncAck{Epoch: epoch}}
 }
 
 // Lookup returns a command parameter whole, text or number — what a

@@ -25,7 +25,7 @@ func TestPingRoundTrip(t *testing.T) {
 
 func TestPongPairsWithPing(t *testing.T) {
 	ping := NewPing(AddrFD, AddrRTU, 3, 99)
-	pong := NewPong(AddrRTU, ping, 2)
+	pong := new(Pool).Pong(AddrRTU, ping, 2)
 	if pong.To != AddrFD || pong.Seq != 3 || pong.Pong.Nonce != 99 || pong.Pong.Incarnation != 2 {
 		t.Fatalf("pong mismatch: %+v", pong)
 	}
@@ -85,7 +85,7 @@ func TestTelemetryTimestamp(t *testing.T) {
 }
 
 func TestSyncRoundTrip(t *testing.T) {
-	m := NewSync(AddrSES, AddrSTR, 9, 12345)
+	m := new(Pool).Sync(AddrSES, AddrSTR, 9, 12345)
 	b, err := Encode(m)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -97,7 +97,7 @@ func TestSyncRoundTrip(t *testing.T) {
 	if got.Kind() != KindSync || got.Sync.Epoch != 12345 {
 		t.Fatalf("sync mismatch: %+v", got)
 	}
-	ack := NewSyncAck(AddrSTR, AddrSES, 10, got.Sync.Epoch)
+	ack := new(Pool).SyncAck(AddrSTR, AddrSES, 10, got.Sync.Epoch)
 	if err := ack.Validate(); err != nil {
 		t.Fatalf("Validate ack: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestDecodeGarbage(t *testing.T) {
 
 func TestFrameSizeLimit(t *testing.T) {
 	big := strings.Repeat("x", MaxFrame)
-	m := NewEvent("a", "b", 1, "e", big)
+	m := new(Pool).Event("a", "b", 1, "e", big)
 	if _, err := Encode(m); err != ErrFrameTooLarge {
 		t.Fatalf("Encode oversized = %v, want ErrFrameTooLarge", err)
 	}
@@ -193,7 +193,7 @@ func TestPropertyEventRoundTrip(t *testing.T) {
 		if !validXMLText(from) || !validXMLText(to) || !validXMLText(name) || !validXMLText(detail) {
 			return true
 		}
-		m := NewEvent(from, to, seq, name, detail)
+		m := new(Pool).Event(from, to, seq, name, detail)
 		b, err := Encode(m)
 		if err != nil {
 			return len(b) == 0 // oversized frames may be rejected

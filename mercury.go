@@ -183,9 +183,11 @@ type System struct {
 	Injector  *fault.Injector
 	Log       *trace.Log
 	Collector *station.Collector
+	// Outages is the trace's outage fold since construction (experiments
+	// attach their own for a narrower window).
+	Outages trace.Outages
 
 	booted bool
-	armed  bool // a failure is outstanding; recovery not yet logged
 }
 
 // Errors.
@@ -270,21 +272,7 @@ func NewSystem(cfg Config) (*System, error) {
 		Log:       log,
 		Collector: coll,
 	}
-
-	// Recovery monitor: registered after the assembly, so the fault board's
-	// silencing listener and REC's bookkeeping have already run when it
-	// looks. A_entire: any component failure makes the whole system
-	// unavailable; recovery is complete when every component serves and no
-	// fault is active.
-	mgr.OnDown(func(string, string) { sys.armed = true })
-	mgr.OnReady(func(string) {
-		if sys.armed && mgr.AllServing(sys.Comps...) && mgr.AllSubsServing() &&
-			sys.Board.ActiveCount() == 0 {
-			sys.armed = false
-			log.Add(clk.Now(), trace.SystemRecovered, "", "", "all components serving")
-		}
-	})
-
+	log.Subscribe(func(e trace.Event) { sys.Outages.Observe(e) })
 	return sys, nil
 }
 
@@ -354,7 +342,7 @@ func BootAll(k *sim.Kernel, systems []*System) error {
 		return err
 	}
 	for _, s := range systems {
-		s.armed = false
+		s.Disarm()
 		s.booted = true
 	}
 	return nil
@@ -397,7 +385,7 @@ func (s *System) MeasureRecovery(f Fault, limit time.Duration) (time.Duration, e
 		return 0, err
 	}
 	deadline := start.Add(limit)
-	for s.armed || s.Board.ActiveCount() > 0 {
+	for !s.Whole() {
 		if s.Kernel.Now().After(deadline) {
 			return 0, fmt.Errorf("%w: %s", ErrNoRecovery, s.describe())
 		}
@@ -405,20 +393,16 @@ func (s *System) MeasureRecovery(f Fault, limit time.Duration) (time.Duration, e
 			return 0, errors.New("mercury: simulation idle before recovery")
 		}
 	}
-	d, ok := s.Log.LastRecovery()
+	d, ok := s.Outages.Recovery()
 	if !ok {
 		return 0, errors.New("mercury: recovery not recorded in trace")
 	}
 	return d, nil
 }
 
-// Recovered reports whether the station is currently whole: no failure is
-// outstanding and no injected fault is active. Fleet campaigns poll this
-// between epochs instead of stepping the kernel directly (the epoch
-// scheduler owns the clock there).
-func (s *System) Recovered() bool {
-	return !s.armed && s.Board.ActiveCount() == 0
-}
+// Recovered reports whether the station is whole (assemble.Station.Whole).
+// Fleet campaigns poll it between epochs: the epoch scheduler owns the clock.
+func (s *System) Recovered() bool { return s.Whole() }
 
 // SetChaos installs (or clears, with nil) the fabric-wide bus chaos
 // profile. Installing it after Boot degrades the network only once the
