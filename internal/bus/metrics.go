@@ -23,16 +23,17 @@ type BusMetrics struct {
 	SimCrossSent       obs.Counter // messages handed to the cross-shard link
 
 	// TCP wire path (FrameReader/FrameWriter, broker, client).
-	TCPFramesIn      obs.Counter // frames read off connections
-	TCPFramesOut     obs.Counter // frames written to connections
-	TCPBytesIn       obs.Counter // wire bytes read (header + payload)
-	TCPBytesOut      obs.Counter // wire bytes written
-	TCPRouteDrops    obs.Counter // broker frames with no registered destination
-	TCPReconnects    obs.Counter // client reconnects after a broker outage
-	TCPSendDrops     obs.Counter // client sends lost (no live connection or write error)
-	TCPDecodeDrops   obs.Counter // inbound frames a client dropped because the payload did not decode
-	TCPRegistrations obs.Counter // broker register frames accepted
-	TCPConnections   obs.Gauge   // broker connections currently registered
+	TCPFramesIn      obs.Counter    // frames read off connections
+	TCPFramesOut     obs.Counter    // frames written to connections
+	TCPBytesIn       obs.Counter    // wire bytes read (header + payload)
+	TCPBytesOut      obs.Counter    // wire bytes written
+	TCPRouteDrops    obs.Counter    // broker frames with no registered destination
+	TCPReconnects    obs.Counter    // client reconnects after a broker outage
+	TCPReconnectTime *obs.Histogram // connection lost → registered again
+	TCPSendDrops     obs.Counter    // client sends lost (no live connection or write error)
+	TCPDecodeDrops   obs.Counter    // inbound frames a client dropped because the payload did not decode
+	TCPRegistrations obs.Counter    // broker register frames accepted
+	TCPConnections   obs.Gauge      // broker connections currently registered
 
 	// Sharded fabric + batching (mercury_bus_shard_* family).
 	TCPShardFrames       *obs.CounterVec // frames routed, by broker shard index
@@ -47,7 +48,8 @@ type BusMetrics struct {
 // per-instance obs.CounterShard into these counters (one shard per Sim
 // fabric, per frame reader/writer) so concurrent writers do not contend.
 var M = BusMetrics{
-	TCPShardFrames: obs.NewCounterVec(),
+	TCPReconnectTime: obs.NewHistogram(obs.DefBuckets()...),
+	TCPShardFrames:   obs.NewCounterVec(),
 	// Batch sizes of interest span "no batching" (1) to full 16 KiB
 	// batches of ~80-byte frames (~200); powers of two up to 512.
 	TCPBatchFrames: obs.NewValueHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
@@ -91,6 +93,8 @@ func RegisterMetrics(r *obs.Registry) {
 		"Broker frames dropped for lack of a registered destination.", &M.TCPRouteDrops)
 	r.RegisterCounter("mercury_bus_tcp_reconnects_total",
 		"Client reconnections after losing the broker.", &M.TCPReconnects)
+	r.RegisterHistogram("mercury_bus_tcp_reconnect_seconds",
+		"Connection lost to registered again, per client reconnect.", M.TCPReconnectTime)
 	r.RegisterCounter("mercury_bus_tcp_send_drops_total",
 		"Client sends lost: no live connection or a failed write.", &M.TCPSendDrops)
 	r.RegisterCounter("mercury_bus_tcp_decode_drops_total",

@@ -107,6 +107,7 @@ func TestRegisterMetricsRenders(t *testing.T) {
 		`mercury_bus_sim_dropped_total{cause="chaos-loss"}`,
 		`mercury_bus_tcp_frames_total{dir="out"}`,
 		"mercury_bus_tcp_connections",
+		`mercury_bus_tcp_reconnect_seconds_bucket{le="+Inf"}`,
 		`mercury_bus_shard_frames_total{shard="0"}`,
 		`mercury_bus_shard_batch_frames_bucket{le="+Inf"}`,
 		"mercury_bus_shard_queue_bytes",

@@ -282,6 +282,17 @@ func (sc *ShardedClient) Send(m *xmlcmd.Message) {
 	sc.clients[ShardFor(m.To, len(sc.clients))].Send(m)
 }
 
+// Disconnected reports whether any shard's connection is down, like
+// TCPClient.Disconnected: sends routed over it are parking.
+func (sc *ShardedClient) Disconnected() bool {
+	for _, c := range sc.clients {
+		if c.Disconnected() {
+			return true
+		}
+	}
+	return false
+}
+
 // Client returns the underlying per-shard client (for tests/ops).
 func (sc *ShardedClient) Client(i int) *TCPClient { return sc.clients[i] }
 

@@ -22,7 +22,7 @@ import (
 // This file implements the real message bus used by the real-time runtime
 // (cmd/mercuryd): a TCP broker carrying length-prefixed XML command frames
 // between named clients, exactly the role mbus plays in the paper. The
-// broker can be stopped and restarted — clients reconnect with backoff, so
+// broker can be stopped and restarted — clients redial (reconnectDelay), so
 // the fabric exhibits the same outage/recovery behaviour the simulated bus
 // models. Multiple brokers compose into a sharded fabric (see shard.go);
 // outbound sides batch frames through BatchWriter (see batch.go).
@@ -341,7 +341,39 @@ const (
 	// to ride out a broker restart, small enough that a dead shard cannot
 	// balloon every sender.
 	DefaultReconnectQueue = 64 << 10
+
+	// The reconnect schedule (reconnectDelay): redial at once, then after 4,
+	// 8 and from there every 16 ms, so that with ±20 % jitter a client is
+	// back within 20 ms of the listeners' return — inside the 25 ms of wall
+	// time (the failure detector's shortest pong timeout) a restarted mbus
+	// cell waits for its clients before it calls itself ready. The fast
+	// phase outlasts that cell's restart at Scale 1 (≤ 1.2 s detection +
+	// 5.5 s startup); past it the poll doubles from 100 ms to 2 s.
+	reconnectFastFirst = 4 * time.Millisecond
+	reconnectFastCap   = 16 * time.Millisecond
+	reconnectFastFor   = 10 * time.Second
+	reconnectSlowFirst = 100 * time.Millisecond
+	reconnectSlowCap   = 2 * time.Second
+
+	// connectWriteTimeout bounds the registration and backlog writes of one
+	// connect, which hold the mutex Send takes: a peer that accepts and never
+	// reads must not hold a station's dispatcher. The default backlog fits a
+	// socket buffer whole, so a healthy write is nowhere near it.
+	connectWriteTimeout = 250 * time.Millisecond
 )
+
+// reconnectDelay is how long to wait before dial n (from 0) of an outage
+// that has lasted outage so far. In the slow phase each wait is as long as
+// the phase has lasted, which is a doubling backoff without a counter.
+func reconnectDelay(n int, outage time.Duration) time.Duration {
+	switch {
+	case n == 0:
+		return 0
+	case outage < reconnectFastFor:
+		return min(reconnectFastFirst<<min(n-1, 8), reconnectFastCap) // 8: the shift stays small whatever n is
+	}
+	return min(max(outage-reconnectFastFor, reconnectSlowFirst), reconnectSlowCap)
+}
 
 // ClientConfig tunes one client connection.
 type ClientConfig struct {
@@ -363,8 +395,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	return c
 }
 
-// TCPClient is one component's connection to the broker. It reconnects
-// with backoff when the broker goes away; frames sent meanwhile are parked
+// TCPClient is one component's connection to the broker. It redials when
+// the broker goes away (reconnectDelay); frames sent meanwhile are parked
 // in a bounded queue and flushed, in order, ahead of new traffic once the
 // broker returns — only queue overflow is lost (counted, not silent).
 type TCPClient struct {
@@ -416,7 +448,7 @@ func DialBusConfig(addr, name string, cfg ClientConfig, onMsg func(*xmlcmd.Messa
 		cfg:   cfg.withDefaults(),
 		done:  make(chan struct{}),
 	}
-	if err := c.connect(); err != nil {
+	if err := c.connect(false); err != nil {
 		return nil, err
 	}
 	c.wg.Add(1)
@@ -426,12 +458,24 @@ func DialBusConfig(addr, name string, cfg ClientConfig, onMsg func(*xmlcmd.Messa
 
 // connect dials, registers, and flushes any frames parked while
 // disconnected — in order, ahead of anything sent after the reconnect.
-func (c *TCPClient) connect() error {
+// atOnce marks the redial made the moment a connection was lost: finding
+// the listener there means the broker hung up on this client on purpose (a
+// newer session under its name), and the registration waits out
+// reconnectSlowFirst rather than take the name straight back — which also
+// keeps a peer that accepts and hangs up to ten connections a second.
+func (c *TCPClient) connect(atOnce bool) error {
 	conn, err := net.DialTimeout("tcp", c.addr, 2*time.Second)
 	if err != nil {
 		return err
 	}
+	if atOnce {
+		select {
+		case <-c.done: // closed is set: the check below ends it
+		case <-time.After(reconnectSlowFirst):
+		}
+	}
 	reg := xmlcmd.NewCommand(c.name, "mbus", 0, registerCommand)
+	_ = conn.SetWriteDeadline(time.Now().Add(connectWriteTimeout))
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -456,6 +500,7 @@ func (c *TCPClient) connect() error {
 		_ = conn.Close()
 		return err
 	}
+	_ = conn.SetWriteDeadline(time.Time{})
 	c.conn = conn
 	c.bw = NewBatchWriter(conn, c.cfg.Batch)
 	c.mu.Unlock()
@@ -522,15 +567,19 @@ func (c *TCPClient) Disconnected() bool {
 // a FrameReader whose buffer and token cache persist across reconnects.
 // Only a framing or I/O error ends a connection: frames are length-prefixed,
 // so after a payload that fails to decode the stream is still in sync, and
-// dropping this client off the bus for another sender's bad frame would
-// cost a reconnect backoff longer than the failure detector's timeout.
+// dropping this client off the bus for another sender's bad frame would put
+// it out of the failure detector's reach for no fault of its own.
 func (c *TCPClient) readLoop() {
 	defer c.wg.Done()
 	var fr FrameReader
 	// One buffered reader reused across reconnects: the broker writes whole
 	// batches, so one kernel read typically yields many frames.
 	br := bufio.NewReaderSize(nil, readBufSize)
-	backoff := 100 * time.Millisecond
+	// An outage runs from the loss of a connection to the next connect that
+	// succeeds; dials counts the attempts made in it.
+	outageAt, dials := time.Now(), 0
+	wait := time.NewTimer(time.Hour) // stopped or drained before every Reset
+	wait.Stop()
 	for {
 		c.mu.Lock()
 		conn := c.conn
@@ -546,7 +595,6 @@ func (c *TCPClient) readLoop() {
 				if err != nil {
 					break
 				}
-				backoff = 100 * time.Millisecond
 				if c.onMsg == nil {
 					continue
 				}
@@ -568,29 +616,30 @@ func (c *TCPClient) readLoop() {
 			if bw != nil {
 				_ = bw.Close() // queued-but-unwritten frames die with the conn
 			}
+			outageAt, dials = time.Now(), 0
 		}
-		// Reconnect with capped, jittered backoff. Waiting on a timer
-		// instead of sleeping keeps Close responsive mid-backoff, and the
-		// ±20% jitter spreads a station's clients out after a broker
-		// restart instead of having them reconnect in lockstep.
-		t := time.NewTimer(clock.Jitter(c.rng, backoff, 0.2))
-		select {
-		case <-c.done:
-			t.Stop()
-			return
-		case <-t.C:
+		// Waiting on a timer instead of sleeping keeps Close responsive
+		// mid-wait, and the ±20% jitter spreads a station's clients out
+		// instead of having them redial in lockstep.
+		if d := clock.Jitter(c.rng, reconnectDelay(dials, time.Since(outageAt)), 0.2); d > 0 {
+			wait.Reset(d)
+			select {
+			case <-c.done:
+				wait.Stop()
+				return
+			case <-wait.C:
+			}
 		}
-		if backoff < 2*time.Second {
-			backoff *= 2
-		}
+		dials++
 		c.mu.Lock()
 		closed = c.closed
 		c.mu.Unlock()
 		if closed {
 			return
 		}
-		if c.connect() == nil { // failure leaves conn nil; loop retries
+		if c.connect(dials == 1) == nil { // failure leaves conn nil; loop retries
 			M.TCPReconnects.Inc()
+			M.TCPReconnectTime.Observe(time.Since(outageAt))
 		}
 	}
 }

@@ -51,7 +51,8 @@ func DefaultFDParams() FDParams {
 // over mbus (and the mbus broker itself), and reports failures to REC over
 // their dedicated link. Because an mbus outage makes every target look
 // dead at once, FD diagnoses the broker first: while the broker is
-// suspected, only the broker is reported.
+// suspected, only the broker is reported; and a missed pong counts only
+// if FD was running to see it and the bus was up to carry it (see voided).
 //
 // FD also monitors REC over the dedicated link and, as the paper's special
 // case requires, initiates REC's recovery itself when REC dies (the
@@ -70,6 +71,7 @@ type FD struct {
 	nonce            uint64
 	targetSt         map[string]*targetState
 	lastBrokerPong   time.Time
+	busProvenAt      time.Time // FDHandle.BusProven: when the host last saw the bus route again
 	lastSuspectRelay map[string]time.Time
 	lastSubReport    map[string]time.Time
 	recMissed        int
@@ -131,6 +133,17 @@ func (h *FDHandle) Suspected(target string) bool {
 		return false
 	}
 	return h.shared.current.Suspected(target)
+}
+
+// BusProven tells the live incarnation that at at, after a broker outage,
+// the host saw the bus route again (every client it runs registered with
+// the restarted broker): an unanswered probe sent before that proves
+// nothing (see voided). Only a fabric with connections has this to say;
+// nothing calls it on bus.Sim, which routes the instant mbus is ready.
+func (h *FDHandle) BusProven(at time.Time) {
+	if fd := h.shared.current; fd != nil {
+		fd.busProvenAt = at
+	}
 }
 
 // NewFD returns a factory for FD handlers plus a handle onto the live
@@ -203,7 +216,7 @@ func (fd *FD) sendPing(ctx proc.Context, target string, st *targetState) {
 // verifyPing runs PingTimeout after sendPing. With one probe in flight,
 // outstanding is either that probe's nonce or 0 (its pong arrived).
 func (fd *FD) verifyPing(ctx proc.Context, target string, st *targetState) {
-	if st.outstanding != 0 {
+	if st.outstanding != 0 && !fd.voided(ctx, st.sentAt) {
 		// No pong: the target is fail-silent, unreachable, or the bus
 		// lost a frame.
 		st.outstanding = 0
@@ -226,6 +239,26 @@ func (fd *FD) verifyPing(ctx proc.Context, target string, st *targetState) {
 		fd.suspect(ctx, target)
 	}
 	ctx.After(fd.params.PingPeriod-fd.params.PingTimeout, st.ping)
+}
+
+// voided reports (and counts) that an unanswered probe sent at sentAt proves
+// nothing about its target: its verification fired more than a PingTimeout
+// late (FD's host was not running, and the pong may be queued behind the
+// timer), or it was sent before the bus was last proven up (BusProven). The
+// next round decides instead, so a target that died during a broker outage
+// is suspected within PingPeriod + PingTimeout of the bus's return, up to a
+// PingPeriod later than before. Neither happens on the deterministic
+// kernel: timers fire on time and nothing calls BusProven.
+func (fd *FD) voided(ctx proc.Context, sentAt time.Time) bool {
+	switch {
+	case ctx.Now().Sub(sentAt) > 2*fd.params.PingTimeout:
+		M.FDVoidedLate.Inc()
+	case sentAt.Before(fd.busProvenAt):
+		M.FDVoidedBus.Inc()
+	default:
+		return false
+	}
+	return true
 }
 
 // suspectAfter returns the effective K-consecutive-miss threshold.
@@ -287,6 +320,9 @@ func (fd *FD) checkBroker(ctx proc.Context, target string, st *targetState) {
 	if fd.lastBrokerPong.After(st.brokerProbeAt) {
 		fd.report(ctx, target)
 		return
+	}
+	if fd.voided(ctx, st.brokerProbeAt) {
+		return // nor is the broker blamed on such a round; the target's next miss asks again
 	}
 	if st.brokerAttempt < fd.suspectAfter() {
 		ctx.After(fd.params.MissRetry, st.brokerRetry)

@@ -44,6 +44,7 @@ type harness struct {
 	board  *fault.Board
 	log    *trace.Log
 	handle *RECHandle
+	fd     *FDHandle
 	comps  []string
 }
 
@@ -56,9 +57,21 @@ func newHarness(t *testing.T, seed int64, tree *Tree, policy *Policy) *harness {
 // hardened-knob tests (SuspectAfter, restart backoff).
 func newHarnessParams(t *testing.T, seed int64, tree *Tree, policy *Policy, fdp FDParams, recp RECParams) *harness {
 	t.Helper()
+	return newHarnessClock(t, seed, tree, policy, fdp, recp, []string{"mbus", "a", "b"}, nil)
+}
+
+// newHarnessClock is newHarnessParams with FD probing its targets in the
+// given order, on a clock of the test's making (wrap, if any, gets the
+// kernel's) — for the tests that put a probe across a broker outage or make
+// the detector run late.
+func newHarnessClock(t *testing.T, seed int64, tree *Tree, policy *Policy, fdp FDParams, recp RECParams, targets []string, wrap func(clock.Sim) clock.Clock) *harness {
+	t.Helper()
 	k := sim.New(seed)
 	log := trace.NewLog()
-	clk := clock.Sim{K: k}
+	var clk clock.Clock = clock.Sim{K: k}
+	if wrap != nil {
+		clk = wrap(clock.Sim{K: k})
+	}
 	mgr := proc.NewManager(clk, k.Rand(), log)
 	b := bus.NewSim(clk, mgr, "mbus")
 	mgr.SetTransport(b)
@@ -93,13 +106,13 @@ func newHarnessParams(t *testing.T, seed int64, tree *Tree, policy *Policy, fdp 
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		t.Fatal(err)
 	}
-	fdFactory, _ := NewFD(fdp, comps, "mbus", restartREC)
+	fdFactory, fd := NewFD(fdp, targets, "mbus", restartREC)
 	if err := mgr.Register(xmlcmd.AddrFD, fdFactory); err != nil {
 		t.Fatal(err)
 	}
 	b.AddDirectLink(xmlcmd.AddrFD, xmlcmd.AddrREC)
 
-	h := &harness{k: k, mgr: mgr, bus: b, board: board, log: log, handle: handle, comps: comps}
+	h := &harness{k: k, mgr: mgr, bus: b, board: board, log: log, handle: handle, fd: fd, comps: comps}
 	if err := mgr.StartBatch(comps); err != nil {
 		t.Fatal(err)
 	}

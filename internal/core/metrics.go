@@ -19,6 +19,8 @@ type CoreMetrics struct {
 	FDVerifications obs.Counter // out-of-band broker probes before blaming a target
 	FDReports       obs.Counter // failure reports delivered to REC
 	FDRECRecoveries obs.Counter // special-case REC recoveries initiated by FD
+	FDVoidedLate    obs.Counter // rounds voided: the verification fired late, FD was not running
+	FDVoidedBus     obs.Counter // rounds voided: probe sent before the bus was last proven up
 
 	// FDRTT is the ping→pong round trip for matched probes; FDDetect is
 	// first missed probe → suspicion, the detector's contribution to MTTR.
@@ -82,6 +84,10 @@ func RegisterMetrics(r *obs.Registry) {
 		"Failure reports delivered to the recoverer.", &M.FDReports)
 	r.RegisterCounter("mercury_fd_rec_recoveries_total",
 		"Special-case REC recoveries initiated by the failure detector.", &M.FDRECRecoveries)
+	r.RegisterCounter("mercury_fd_voided_rounds_total",
+		"Unanswered probes the failure detector did not act on, by reason.", &M.FDVoidedLate, "reason", "late-timer")
+	r.RegisterCounter("mercury_fd_voided_rounds_total",
+		"Unanswered probes the failure detector did not act on, by reason.", &M.FDVoidedBus, "reason", "bus-unproven")
 	r.RegisterHistogram("mercury_fd_rtt_seconds",
 		"Ping-to-pong round trip for matched probes.", M.FDRTT)
 	r.RegisterHistogram("mercury_fd_detect_seconds",

@@ -102,6 +102,8 @@ func TestCoreRegisterMetricsRenders(t *testing.T) {
 	for _, want := range []string{
 		"mercury_fd_pings_sent_total",
 		"mercury_fd_suspicions_total",
+		`mercury_fd_voided_rounds_total{reason="late-timer"}`,
+		`mercury_fd_voided_rounds_total{reason="bus-unproven"}`,
 		"mercury_fd_detect_seconds_bucket",
 		"mercury_rec_restarts_total",
 		`mercury_rec_restarts_by_node_total{node="render-probe"}`,

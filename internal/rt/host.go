@@ -81,10 +81,10 @@ func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
 		st.RECParams = *cfg.REC
 	}
 	st.Params = station.DefaultParams(time.Now())
-	startup, others := st.Params.MBusStartup, st.Handler
+	startup, patience, others := st.Params.MBusStartup, st.FDParams.PingTimeout, st.Handler
 	st.Handler = func(name string) func() proc.Handler {
 		if name == station.MBus {
-			return func() proc.Handler { return &rtBrokerHandler{startup: startup, ctl: h.broker} }
+			return func() proc.Handler { return &rtBrokerHandler{host: h, startup: startup, patience: patience} }
 		}
 		if others != nil {
 			return others(name)
@@ -107,22 +107,46 @@ func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
 
 // rtBrokerHandler is the mbus component in real-time mode: its startup
 // opens the TCP listeners, its death closes them (the host's OnDown hook).
+// Ready means the bus routes: the listeners are open and every client this
+// host runs has registered with them again. A client that stays away does
+// not hold the cell down for more than patience, one FD pong timeout.
 type rtBrokerHandler struct {
-	startup time.Duration
-	ctl     *BrokerControl
-	ready   bool
+	host     *Host
+	startup  time.Duration
+	patience time.Duration
+	ready    bool
 }
+
+// readyPolls is how many looks at the clients one patience is cut into.
+const readyPolls = 8
 
 func (h *rtBrokerHandler) Start(ctx proc.Context) {
 	d := time.Duration(float64(h.startup) * ctx.Stretch())
 	ctx.After(d, func() {
-		if err := h.ctl.Open(); err != nil {
+		if err := h.host.broker.Open(); err != nil {
 			ctx.Fail("broker listen: " + err.Error())
 			return
 		}
-		h.ready = true
-		ctx.Ready()
+		h.awaitClients(ctx, readyPolls)
 	})
+}
+
+// awaitClients signals ready once no client is disconnected or the polls
+// are used up, and tells the failure detector since when the bus is proven:
+// what it sent earlier may have met a broker its target had not rejoined.
+func (h *rtBrokerHandler) awaitClients(ctx proc.Context, polls int) {
+	for _, c := range h.host.clients {
+		// Both of bus.DialAuto's clients say; bus.Conn itself does not ask it.
+		if c, ok := c.(interface{ Disconnected() bool }); ok && polls > 0 && c.Disconnected() {
+			ctx.After(h.patience/readyPolls, func() { h.awaitClients(ctx, polls-1) })
+			return
+		}
+	}
+	h.ready = true
+	ctx.Ready()
+	if fd := h.host.FD; fd != nil {
+		fd.BusProven(ctx.Now())
+	}
 }
 
 func (h *rtBrokerHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {

@@ -84,21 +84,59 @@ func TestLiveRecoveryFromKill(t *testing.T) {
 	}
 }
 
+// TestLiveBrokerOutageRecovery: a broker fault costs the mbus cell and
+// nothing else. The station reads whole the instant mbus is ready, which is
+// before any client that missed the listeners' return would be probed, so
+// the test keeps watching the trace for five ping periods after every
+// component-ready mbus: no restart may be requested and no process killed
+// outside the mbus cell, and 50 ms of wall time after ready every client
+// the host dialled is connected again.
 func TestLiveBrokerOutageRecovery(t *testing.T) {
-	node := startNode(t, "IV")
-	if err := node.Inject(fault.Fault{Manifest: station.MBus}); err != nil {
-		t.Fatal(err)
+	const scale = 10
+	node, err := StartNode(NodeConfig{ListenAddr: "127.0.0.1:0", Scale: scale, TreeName: "IVm", Seed: 1, BusShards: 2})
+	if err != nil {
+		t.Fatalf("StartNode: %v", err)
 	}
-	if err := node.WaitRecovered(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Only mbus should have been restarted despite everything looking dead
-	// during the outage.
-	for _, c := range []string{station.SES, station.STR, station.RTU} {
-		var n int
-		node.Disp.Call(func() { n, _ = node.Mgr.Restarts(c) })
-		if n != 0 {
-			t.Fatalf("%s restarted %d times during broker outage", c, n)
+	t.Cleanup(node.Stop)
+	events := make(chan trace.Event, 256) // a round logs a dozen events; the test drains as they come
+	node.Log.Subscribe(func(e trace.Event) {
+		switch e.Kind {
+		case trace.ComponentReady, trace.RestartRequested, trace.ComponentKilled:
+			events <- e
+		}
+	})
+	watch := 5 * FDParamsForScale(scale).PingPeriod / scale
+	clients := append(node.Components(), xmlcmd.AddrFD)
+	for round := 1; round <= 5; round++ {
+		if err := node.Inject(fault.Fault{Manifest: station.MBus}); err != nil {
+			t.Fatal(err)
+		}
+		limit := time.After(30 * time.Second)
+		var connected, done <-chan time.Time // armed by component-ready mbus
+	watching:
+		for {
+			select {
+			case e := <-events:
+				switch {
+				case e.Component != station.MBus && e.Kind != trace.ComponentReady:
+					t.Fatalf("round %d: %v during a broker outage", round, e)
+				case e.Component == station.MBus && e.Kind == trace.ComponentReady:
+					connected, done = time.After(50*time.Millisecond), time.After(watch)
+				}
+			case <-connected:
+				for _, name := range clients {
+					if node.Client(name).(interface{ Disconnected() bool }).Disconnected() {
+						t.Errorf("round %d: %s still disconnected 50 ms after mbus was ready", round, name)
+					}
+				}
+			case <-done:
+				break watching
+			case <-limit:
+				t.Fatalf("round %d: mbus not ready again in 30 s", round)
+			}
+		}
+		if err := node.WaitRecovered(time.Second); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 }
