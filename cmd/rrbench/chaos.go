@@ -51,9 +51,6 @@ func bindChaos(fs *flag.FlagSet, sh *shared) runFunc {
 		loss    = fs.String("loss", "0,0.02,0.05,0.10,0.20", "per-hop loss rates to sweep (csv)")
 		suspect = fs.String("suspect", "1,3", "FD SuspectAfter thresholds to sweep (csv)")
 		horizon = fs.Duration("horizon", def.Horizon, "fault-free observation window per trial")
-		jitter  = fs.Duration("jitter", def.Jitter, "max extra per-hop latency (uniform)")
-		dup     = fs.Float64("dup", def.Dup, "per-hop duplication probability")
-		backoff = fs.Duration("backoff", def.Backoff, "REC restart backoff base (0 disables)")
 	)
 	return func(ctx context.Context) (any, string, error) {
 		lossRates, err := csvOf(*loss, "loss rate", func(f string) (float64, error) { return strconv.ParseFloat(f, 64) })
@@ -65,28 +62,19 @@ func bindChaos(fs *flag.FlagSet, sh *shared) runFunc {
 			return nil, "", err
 		}
 		cfg := experiment.ChaosConfig{
+			RunConfig:    sh.runConfig(),
 			Trees:        csvStrings(*trees),
 			LossRates:    lossRates,
 			SuspectAfter: thresholds,
-			Trials:       sh.trials,
 			Horizon:      *horizon,
-			Jitter:       *jitter,
-			Dup:          *dup,
-			Backoff:      *backoff,
-			BackoffMax:   def.BackoffMax,
-			BaseSeed:     sh.seed,
-			Workers:      sh.parallel,
-		}
-		if cfg.Backoff <= 0 {
-			cfg.BackoffMax = 0
 		}
 		cells, err := experiment.ChaosSweep(ctx, cfg)
 		if err != nil {
 			return nil, "", err
 		}
 		return map[string]any{
-			"trials": cfg.Trials, "seed": cfg.BaseSeed, "horizon_s": cfg.Horizon, "dup": cfg.Dup,
-			"jitter_s": cfg.Jitter, "backoff_s": cfg.Backoff, "suspect_after": cfg.SuspectAfter,
+			"trials": cfg.Trials, "seed": cfg.BaseSeed, "horizon_s": cfg.Horizon, "dup": experiment.ChaosDup,
+			"jitter_s": experiment.ChaosJitter, "backoff_s": experiment.ChaosBackoff, "suspect_after": cfg.SuspectAfter,
 			"cells": cells,
 		}, experiment.RenderChaos(cfg, cells), nil
 	}

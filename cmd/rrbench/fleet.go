@@ -38,12 +38,8 @@ func bindFleet(fs *flag.FlagSet, sh *shared) runFunc {
 		trees    = fs.String("trees", "IV", "restart trees assigned round-robin (csv)")
 		horizon  = fs.Duration("horizon", time.Minute, "simulated campaign duration")
 		cores    = fs.Int("cores", 0, "fleet shard workers (0 = one per CPU); output-neutral")
-		epoch    = fs.Duration("epoch", 0, "synchronization quantum (0 = link latency)")
-		latency  = fs.Duration("latency", 0, "inter-station link latency (0 = GEO relay default)")
 		beacon   = fs.Duration("beacon", 5*time.Second, "inter-station beacon period")
 		mttf     = fs.Duration("mttf", 10*time.Minute, "per-component organic MTTF (lognormal, CV 0.25)")
-		noFail   = fs.Bool("nofail", false, "disable organic failures (pure messaging load)")
-		loss     = fs.Float64("loss", 0, "per-hop local-fabric chaos loss probability")
 		verify   = fs.Bool("verify", false, "byte-identity gate: 2 seeds x 2 runs x {1, N} cores")
 		obsAddr  = fs.String("obs", "", "serve /metrics on this address for the run's duration")
 	)
@@ -55,14 +51,8 @@ func bindFleet(fs *flag.FlagSet, sh *shared) runFunc {
 			Horizon:      *horizon,
 			BaseSeed:     sh.seed,
 			Workers:      *cores,
-			Epoch:        *epoch,
-			LinkLatency:  *latency,
 			BeaconPeriod: *beacon,
 			FailMTTF:     *mttf,
-			NoFailures:   *noFail,
-		}
-		if *loss > 0 {
-			cfg.Chaos = &bus.ChaosProfile{Loss: *loss}
 		}
 		if cfg.Group == 0 {
 			cfg.Group = autoGroup(*stations, *cores)

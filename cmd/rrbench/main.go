@@ -88,14 +88,17 @@ func (sh *shared) runConfig() experiment.RunConfig {
 }
 
 // usageError is a mistake in the command line, as opposed to a failed run:
-// exit 2 with the usage line.
+// exit 2 with the usage line. A non-positive trial count is one too,
+// whichever campaign it reaches.
 type usageError struct{ msg string }
 
 func (e usageError) Error() string { return e.msg }
 
 func usagef(format string, a ...any) error { return usageError{fmt.Sprintf(format, a...)} }
 
-func isUsage(err error) bool { return errors.As(err, new(usageError)) }
+func isUsage(err error) bool {
+	return errors.As(err, new(usageError)) || errors.Is(err, experiment.ErrTrials)
+}
 
 func campaigns() []campaign {
 	return append([]campaign{

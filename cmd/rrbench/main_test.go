@@ -152,6 +152,55 @@ func TestCampaignTable(t *testing.T) {
 	}
 }
 
+// TestOracleModesGolden pins the two oracle modes TestCampaignTable does not
+// reach: the online proposal and a small random-tree validation. Their
+// goldens were written by the binary of the commit before the campaigns
+// shared one trial helper, and must not be regenerated from this tree.
+func TestOracleModesGolden(t *testing.T) {
+	for golden, args := range map[string]string{
+		"oracle-online.golden":   "oracle -online",
+		"oracle-validate.golden": "oracle -validate -trees 20",
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []string{"1", "2"} {
+			code, out, errOut := invoke(t, campaigns(), append(strings.Fields(args), "-parallel", workers)...)
+			if code != 0 || out != string(want) {
+				t.Errorf("rrbench %s -parallel %s: exit %d, stderr %q\n--- got\n%s--- want\n%s", args, workers, code, errOut, out, want)
+			}
+		}
+	}
+}
+
+// TestNonPositiveTrials: every campaign that measures trials takes a
+// non-positive -trials as a mistake in the command line — exit 2, the
+// usage line, nothing on stdout — instead of a table of zeros, a NaN or a
+// failed run. (-soak, -rejuv and -fig measure no trial count.)
+func TestNonPositiveTrials(t *testing.T) {
+	checked := 0
+	for _, c := range campaigns() {
+		args := strings.Fields(smallest[c.name].args)
+		i := slices.Index(args, "-trials")
+		if i < 0 {
+			continue
+		}
+		checked++
+		for _, n := range []string{"0", "-1"} {
+			args[i+1] = n
+			code, out, errOut := invoke(t, campaigns(), args...)
+			if code != 2 || out != "" || !strings.Contains(errOut, usageLine(campaigns())) {
+				t.Errorf("rrbench %s: exit %d, stdout %q, stderr %q; want exit 2, the usage line and no output",
+					strings.Join(args, " "), code, out, errOut)
+			}
+		}
+	}
+	if checked < 9 {
+		t.Errorf("only %d campaigns take -trials at their smallest size", checked)
+	}
+}
+
 // TestJSONHonouredOrRefused: a mode with no document refuses -json with
 // exit 2 and prints nothing, instead of printing text as if -json were not
 // there.

@@ -18,19 +18,16 @@ import (
 func bindMicroreboot(fs *flag.FlagSet, sh *shared) runFunc {
 	cfg := experiment.DefaultMicroConfig()
 	sh.trialFlags(fs, cfg.Trials)
-	fs.Float64Var(&cfg.Loss, "loss", cfg.Loss, "per-hop frame-loss probability")
-	fs.IntVar(&cfg.SuspectAfter, "suspect", cfg.SuspectAfter, "FD SuspectAfter threshold")
 	fs.IntVar(&cfg.Faults, "faults", cfg.Faults, "repeated faults in the availability phase")
-	fs.DurationVar(&cfg.Gap, "gap", cfg.Gap, "healthy gap between repeated faults")
 	return func(ctx context.Context) (any, string, error) {
-		cfg.Trials, cfg.BaseSeed, cfg.Workers = sh.trials, sh.seed, sh.parallel
+		cfg.RunConfig = sh.runConfig()
 		cells, err := experiment.MicroSweep(ctx, cfg)
 		if err != nil {
 			return nil, "", err
 		}
 		return map[string]any{
-			"trials": cfg.Trials, "seed": cfg.BaseSeed, "loss": cfg.Loss, "faults": cfg.Faults,
-			"gap_s": cfg.Gap, "suspect_after": cfg.SuspectAfter, "cells": cells,
+			"trials": cfg.Trials, "seed": cfg.BaseSeed, "loss": experiment.MicroLoss, "faults": cfg.Faults,
+			"gap_s": cfg.Gap, "suspect_after": experiment.MicroSuspectAfter, "cells": cells,
 		}, experiment.RenderMicro(cfg, cells), nil
 	}
 }

@@ -22,24 +22,20 @@ import (
 
 func bindOracle(fs *flag.FlagSet, sh *shared) runFunc {
 	cfg := experiment.DefaultOracleConfig()
-	vcfg := experiment.DefaultTreeValidationConfig()
 	sh.trialFlags(fs, cfg.Trials)
-	fs.IntVar(&cfg.Episodes, "episodes", cfg.Episodes, "measured fault episodes per trial")
-	fs.IntVar(&cfg.TrainEpisodes, "train", cfg.TrainEpisodes, "training episodes before the measured window")
-	fs.DurationVar(&cfg.Gap, "gap", cfg.Gap, "operation window after each fault injection")
-	fs.DurationVar(&cfg.CkptInterval, "ckpt-interval", cfg.CkptInterval, "checkpoint snapshot period")
 	validate := fs.Bool("validate", false, "run the random-tree analytic-vs-simulated ranking instead")
-	fs.IntVar(&vcfg.Trees, "trees", vcfg.Trees, "-validate: random restart trees to score")
+	trees := fs.Int("trees", 1000, "-validate: random restart trees to score")
 	online := fs.Bool("online", false, "run the online tree-optimization soak instead")
 	return func(ctx context.Context) (any, string, error) {
+		rc := sh.runConfig()
 		switch {
 		case *validate:
-			vcfg.BaseSeed, vcfg.Workers = sh.seed, sh.parallel
-			res, err := experiment.RunTreeValidation(ctx, vcfg)
+			rc.Trials = *trees
+			res, err := experiment.RunTreeValidation(ctx, rc)
 			if err != nil {
 				return nil, "", err
 			}
-			return map[string]any{"trees": len(res.Scores), "seed": vcfg.BaseSeed, "spearman": res.Spearman},
+			return map[string]any{"trees": len(res.Scores), "seed": rc.BaseSeed, "spearman": res.Spearman},
 				experiment.RenderTreeValidation(res), nil
 
 		case *online:
@@ -52,7 +48,7 @@ func bindOracle(fs *flag.FlagSet, sh *shared) runFunc {
 			return nil, experiment.RenderOnlineProposal(ocfg, p), nil
 
 		default:
-			cfg.Trials, cfg.BaseSeed, cfg.Workers = sh.trials, sh.seed, sh.parallel
+			cfg.RunConfig = rc
 			cells, err := experiment.OracleSweep(ctx, cfg)
 			if err != nil {
 				return nil, "", err

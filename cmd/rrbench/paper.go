@@ -136,7 +136,7 @@ func (p *paperRun) sweep(ctx context.Context) (any, string, error) {
 	if rc.Trials > 25 {
 		rc.Trials = 25 // the sweep has 12 cells; keep it snappy
 	}
-	points, err := experiment.DefaultSweepCfg(ctx, rc)
+	points, err := experiment.OracleQualitySweep(ctx, rc)
 	if err != nil {
 		return nil, "", err
 	}
@@ -144,7 +144,7 @@ func (p *paperRun) sweep(ctx context.Context) (any, string, error) {
 }
 
 func (p *paperRun) soak(ctx context.Context) (any, string, error) {
-	results, err := experiment.Soaks(ctx, []string{"I", "IV"}, soakHorizon, p.sh.seed, p.sh.parallel)
+	results, err := experiment.Soak(ctx, []string{"I", "IV"}, soakHorizon, p.sh.seed, p.sh.parallel)
 	if err != nil {
 		return nil, "", err
 	}

@@ -5,7 +5,6 @@ import (
 	"flag"
 
 	"github.com/recursive-restart/mercury/internal/experiment"
-	"github.com/recursive-restart/mercury/internal/load"
 )
 
 // The requests subcommand runs the user-harm campaign: an open-loop
@@ -23,21 +22,14 @@ import (
 func bindRequests(fs *flag.FlagSet, sh *shared) runFunc {
 	cfg := experiment.DefaultRequestConfig()
 	sh.trialFlags(fs, cfg.Trials)
-	className := fs.String("class", cfg.Class.String(), "request class: pass, telemetry or federation")
 	fs.IntVar(&cfg.Users, "users", cfg.Users, "cohort population (distinct users)")
 	fs.Float64Var(&cfg.Rate, "rate", cfg.Rate, "aggregate arrival rate, requests/s")
-	fs.DurationVar(&cfg.Deadline, "deadline", cfg.Deadline, "per-attempt deadline (0 = engine default)")
-	fs.IntVar(&cfg.Retries, "retries", cfg.Retries, "re-sends before a request is declared failed")
 	fs.IntVar(&cfg.Episodes, "episodes", cfg.Episodes, "fault injections per trial")
 	fs.DurationVar(&cfg.Gap, "gap", cfg.Gap, "operation window after each fault injection")
 	fs.DurationVar(&cfg.Warmup, "warmup", cfg.Warmup, "healthy warm-up before measurement")
 	verify := fs.Bool("verify", false, "check parallel-vs-sequential byte identity and exit")
 	return func(ctx context.Context) (any, string, error) {
-		class, err := load.ParseClass(*className)
-		if err != nil {
-			return nil, "", err
-		}
-		cfg.Class, cfg.Trials, cfg.BaseSeed, cfg.Workers = class, sh.trials, sh.seed, sh.parallel
+		cfg.RunConfig = sh.runConfig()
 		if *verify {
 			if err := experiment.VerifyRequests(ctx, cfg, sh.parallel); err != nil {
 				return nil, "", err
@@ -49,7 +41,7 @@ func bindRequests(fs *flag.FlagSet, sh *shared) runFunc {
 			return nil, "", err
 		}
 		return map[string]any{
-			"trials": cfg.Trials, "seed": cfg.BaseSeed, "class": cfg.Class.String(), "users": cfg.Users,
+			"trials": cfg.Trials, "seed": cfg.BaseSeed, "class": experiment.RequestClass.String(), "users": cfg.Users,
 			"rate": cfg.Rate, "episodes": cfg.Episodes, "gap_s": cfg.Gap, "warmup_s": cfg.Warmup,
 			"cells": cells,
 		}, experiment.RenderRequests(cfg, cells), nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"time"
 
 	"github.com/recursive-restart/mercury/internal/experiment"
 )
@@ -16,17 +15,15 @@ import (
 
 func bindShardChaos(fs *flag.FlagSet, _ *shared) runFunc {
 	var (
-		shards  = fs.Int("shards", 2, "broker shards in the fabric")
-		dests   = fs.Int("dests", 2, "receiver addresses pinned per shard")
-		frames  = fs.Int("frames", 5, "frames per destination per outage phase")
-		timeout = fs.Duration("timeout", 30*time.Second, "per-phase settle/recovery bound")
+		shards = fs.Int("shards", 2, "broker shards in the fabric")
+		dests  = fs.Int("dests", 2, "receiver addresses pinned per shard")
+		frames = fs.Int("frames", 5, "frames per destination per outage phase")
 	)
 	return func(context.Context) (any, string, error) {
 		res, err := experiment.RunShardChaos(experiment.ShardChaosConfig{
 			Shards:         *shards,
 			DestsPerShard:  *dests,
 			FramesPerPhase: *frames,
-			PhaseTimeout:   *timeout,
 		})
 		if err != nil {
 			return nil, "", err

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,11 +25,11 @@ func run() error {
 	fmt.Printf("downlink %.1f kbps; link tolerates %v of outage mid-pass\n\n",
 		experiment.DataRateKbps, experiment.LinkBreakThreshold)
 
-	for _, tree := range []string{"I", "IV"} {
-		o, err := experiment.SatPass(tree, 42)
-		if err != nil {
-			return err
-		}
+	outcomes, err := experiment.SatPass(context.Background(), []string{"I", "IV"}, 42, 0)
+	if err != nil {
+		return err
+	}
+	for _, o := range outcomes {
 		fmt.Println(experiment.RenderPassOutcome(o))
 	}
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -21,9 +22,9 @@ func main() {
 
 // measure runs a few trials of one cell and returns the mean in seconds.
 func measure(tree string, policy mercury.Policy, p float64, comp string, cure []string, seed int64) (float64, error) {
-	s, err := experiment.RunCell(experiment.Cell{
+	s, err := experiment.RunCell(context.Background(), experiment.Cell{
 		Tree: tree, Policy: policy, FaultyP: p, Component: comp, Cure: cure,
-	}, 5, seed)
+	}, experiment.RunConfig{Trials: 5, BaseSeed: seed})
 	if err != nil {
 		return 0, err
 	}

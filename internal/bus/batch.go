@@ -225,13 +225,6 @@ func (bw *BatchWriter) Err() error {
 	return bw.err
 }
 
-// QueuedBytes reports the current pending-buffer size (for tests/ops).
-func (bw *BatchWriter) QueuedBytes() int {
-	bw.mu.Lock()
-	defer bw.mu.Unlock()
-	return len(bw.pending)
-}
-
 // Close flushes every queued frame in order, stops the writer goroutine
 // and returns the terminal write error, if any. It does not close the
 // underlying connection.

@@ -12,7 +12,6 @@ import (
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/metrics"
-	"github.com/recursive-restart/mercury/internal/runner"
 	"github.com/recursive-restart/mercury/internal/trace"
 )
 
@@ -32,43 +31,51 @@ import (
 
 // ChaosConfig parameterises the degraded-network sweep.
 type ChaosConfig struct {
+	RunConfig
 	// Trees are the restart trees to measure (e.g. "I", "IV").
 	Trees []string
 	// LossRates are per-hop frame-loss probabilities to sweep.
 	LossRates []float64
 	// SuspectAfter are the FD K-consecutive-miss thresholds to sweep.
 	SuspectAfter []int
-	// Trials per cell; Horizon is the fault-free observation window.
-	Trials  int
+	// Horizon is the fault-free observation window.
 	Horizon time.Duration
-	// Jitter is the max extra per-hop latency (uniform 0..Jitter) and
-	// Dup the per-hop duplication probability, both fixed across cells.
-	Jitter time.Duration
-	Dup    float64
-	// Backoff/BackoffMax configure REC's restart-storm damping for every
-	// cell (zero disables).
-	Backoff    time.Duration
-	BackoffMax time.Duration
-
-	BaseSeed int64
-	// Workers bounds the trial pool; <= 0 means one per CPU.
-	Workers int
 }
+
+// Every degraded fabric — each chaos and microreboot cell — duplicates a
+// frame with probability ChaosDup and delays it by up to ChaosJitter on
+// top of its loss rate; in every chaos cell REC damps restart storms with
+// a backoff from ChaosBackoff up to chaosBackoffMax.
+const (
+	ChaosDup        = 0.01
+	ChaosJitter     = 2 * time.Millisecond
+	ChaosBackoff    = 250 * time.Millisecond
+	chaosBackoffMax = 2 * time.Second
+)
 
 // DefaultChaosConfig is the EXPERIMENTS.md "Degraded network" setup.
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
+		RunConfig:    RunConfig{Trials: 20, BaseSeed: 2002},
 		Trees:        []string{"I", "IV"},
 		LossRates:    []float64{0, 0.02, 0.05, 0.10, 0.20},
 		SuspectAfter: []int{1, 3},
-		Trials:       20,
 		Horizon:      2 * time.Minute,
-		Jitter:       2 * time.Millisecond,
-		Dup:          0.01,
-		Backoff:      250 * time.Millisecond,
-		BackoffMax:   2 * time.Second,
-		BaseSeed:     2002,
 	}
+}
+
+// bootDegraded boots a station and only then degrades its fabric, so a
+// lossy fabric cannot wedge the initial whole-system start: per-hop loss
+// plus the shared duplication and jitter.
+func bootDegraded(cfg mercury.Config, loss float64) (*mercury.System, error) {
+	sys, err := boot(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.SetChaos(&bus.ChaosProfile{Loss: loss, Dup: ChaosDup, Jitter: fault.Uniform{Lo: 0, Hi: ChaosJitter}}); err != nil {
+		return nil, err
+	}
+	return sys, nil
 }
 
 // ChaosSpec identifies one cell of the sweep.
@@ -137,25 +144,20 @@ func chaosTarget(tree string) string {
 // runChaosTrial is the pure (spec, seed) → result trial: build a fresh
 // station, boot it clean, degrade the fabric, observe a fault-free
 // horizon, then inject one real fault and time its detection/recovery.
-func runChaosTrial(cfg ChaosConfig, spec ChaosSpec, seed int64) (chaosTrial, error) {
+func runChaosTrial(spec ChaosSpec, horizon time.Duration, seed int64) (chaosTrial, error) {
 	fdp := core.DefaultFDParams()
 	fdp.SuspectAfter = spec.SuspectAfter
 	recp := core.DefaultRECParams()
-	recp.RestartBackoff = cfg.Backoff
-	recp.RestartBackoffMax = cfg.BackoffMax
-
-	sys, err := mercury.NewSystem(mercury.Config{
+	recp.RestartBackoff, recp.RestartBackoffMax = ChaosBackoff, chaosBackoffMax
+	sys, err := bootDegraded(mercury.Config{
 		Seed:      seed,
 		TreeName:  spec.Tree,
 		Policy:    mercury.PolicyEscalating,
 		FDParams:  &fdp,
 		RECParams: &recp,
-	})
+	}, spec.Loss)
 	if err != nil {
 		return chaosTrial{}, err
-	}
-	if err := sys.Boot(); err != nil {
-		return chaosTrial{}, fmt.Errorf("boot: %w", err)
 	}
 
 	var (
@@ -182,14 +184,7 @@ func runChaosTrial(cfg ChaosConfig, spec ChaosSpec, seed int64) (chaosTrial, err
 	})
 
 	// Phase 1 — degraded but fault-free: every restart is a false positive.
-	profile := &bus.ChaosProfile{Loss: spec.Loss, Dup: cfg.Dup}
-	if cfg.Jitter > 0 {
-		profile.Jitter = fault.Uniform{Lo: 0, Hi: cfg.Jitter}
-	}
-	if err := sys.SetChaos(profile); err != nil {
-		return chaosTrial{}, err
-	}
-	if err := sys.RunFor(cfg.Horizon); err != nil {
+	if err := sys.RunFor(horizon); err != nil {
 		return chaosTrial{}, err
 	}
 	// An outage open at the horizon is charged up to it; anything after
@@ -223,19 +218,12 @@ func runChaosTrial(cfg ChaosConfig, spec ChaosSpec, seed int64) (chaosTrial, err
 	return res, nil
 }
 
-// RunChaosCell measures one cell of the sweep over cfg.Trials trials.
-func RunChaosCell(ctx context.Context, cfg ChaosConfig, spec ChaosSpec) (*ChaosCellResult, error) {
-	trials, err := runner.Run(ctx,
-		runner.Config{Workers: cfg.Workers, BaseSeed: cfg.BaseSeed, Stride: runner.DefaultStride},
-		cfg.Trials,
-		func(_ context.Context, i int, seed int64) (chaosTrial, error) {
-			tr, err := runChaosTrial(cfg, spec, seed)
-			if err != nil {
-				return chaosTrial{}, fmt.Errorf("chaos %s/loss=%.2f/k=%d trial %d: %w",
-					spec.Tree, spec.Loss, spec.SuspectAfter, i, err)
-			}
-			return tr, nil
-		})
+// runChaosCell measures one cell of the sweep over cfg.Trials trials.
+func runChaosCell(ctx context.Context, cfg ChaosConfig, spec ChaosSpec) (*ChaosCellResult, error) {
+	label := fmt.Sprintf("chaos %s/loss=%.2f/k=%d", spec.Tree, spec.Loss, spec.SuspectAfter)
+	trials, err := runTrials(ctx, cfg.RunConfig, label, func(_ int, seed int64) (chaosTrial, error) {
+		return runChaosTrial(spec, cfg.Horizon, seed)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -255,11 +243,10 @@ func RunChaosCell(ctx context.Context, cfg ChaosConfig, spec ChaosSpec) (*ChaosC
 			res.Recovery.Add(tr.recovery)
 		}
 	}
-	if n := float64(len(trials)); n > 0 {
-		res.Availability = availSum / n
-		res.FalseRestarts /= n
-		res.FalseActions /= n
-	}
+	n := float64(len(trials))
+	res.Availability = availSum / n
+	res.FalseRestarts /= n
+	res.FalseActions /= n
 	return res, nil
 }
 
@@ -267,9 +254,6 @@ func RunChaosCell(ctx context.Context, cfg ChaosConfig, spec ChaosSpec) (*ChaosC
 // (tree, then loss rate, then SuspectAfter). Every cell reuses the same
 // per-trial seeds, so cells are paired comparisons.
 func ChaosSweep(ctx context.Context, cfg ChaosConfig) ([]*ChaosCellResult, error) {
-	if cfg.Trials <= 0 {
-		return nil, fmt.Errorf("experiment: non-positive chaos trial count")
-	}
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("experiment: non-positive chaos horizon")
 	}
@@ -277,7 +261,7 @@ func ChaosSweep(ctx context.Context, cfg ChaosConfig) ([]*ChaosCellResult, error
 	for _, tree := range cfg.Trees {
 		for _, loss := range cfg.LossRates {
 			for _, k := range cfg.SuspectAfter {
-				cell, err := RunChaosCell(ctx, cfg, ChaosSpec{Tree: tree, Loss: loss, SuspectAfter: k})
+				cell, err := runChaosCell(ctx, cfg, ChaosSpec{Tree: tree, Loss: loss, SuspectAfter: k})
 				if err != nil {
 					return nil, err
 				}
@@ -292,7 +276,7 @@ func ChaosSweep(ctx context.Context, cfg ChaosConfig) ([]*ChaosCellResult, error
 func RenderChaos(cfg ChaosConfig, cells []*ChaosCellResult) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Degraded network — availability vs per-hop loss (%d trials/cell, %v fault-free horizon, dup %.0f%%, jitter ≤%v)\n",
-		cfg.Trials, cfg.Horizon, cfg.Dup*100, cfg.Jitter)
+		cfg.Trials, cfg.Horizon, ChaosDup*100, ChaosJitter)
 	fmt.Fprintf(&sb, "%-5s %6s %10s %8s %14s %16s %9s %12s %10s %11s %10s\n",
 		"tree", "loss", "ping-loss", "suspect", "availability", "false-restarts", "give-ups", "detect-mean", "detected", "recovered", "recovery")
 	for _, c := range cells {
@@ -305,7 +289,7 @@ func RenderChaos(cfg ChaosConfig, cells []*ChaosCellResult) string {
 			recovery = fmt.Sprintf("%.2fs", c.Recovery.MeanSeconds())
 		}
 		fmt.Fprintf(&sb, "%-5s %5.0f%% %9.1f%% %8d %14.4f %16.2f %9d %12s %7d/%d %8d/%d %10s\n",
-			c.Tree, c.Loss*100, PingLoss(c.Loss, cfg.Dup)*100, c.SuspectAfter, c.Availability,
+			c.Tree, c.Loss*100, PingLoss(c.Loss, ChaosDup)*100, c.SuspectAfter, c.Availability,
 			c.FalseRestarts, c.GiveUps, detect, c.Detected, c.Trials, c.Recovered, c.Trials, recovery)
 	}
 	sb.WriteString("ping-loss = probability one FD probe round trip (4 lossy hops) fails; " +

@@ -10,17 +10,11 @@ import (
 // testChaosConfig is a small, fast grid for determinism checks.
 func testChaosConfig(workers int) ChaosConfig {
 	return ChaosConfig{
+		RunConfig:    RunConfig{Trials: 4, BaseSeed: 2002, Workers: workers},
 		Trees:        []string{"IV"},
 		LossRates:    []float64{0.10},
 		SuspectAfter: []int{1, 3},
-		Trials:       4,
 		Horizon:      30 * time.Second,
-		Jitter:       2 * time.Millisecond,
-		Dup:          0.01,
-		Backoff:      250 * time.Millisecond,
-		BackoffMax:   2 * time.Second,
-		BaseSeed:     2002,
-		Workers:      workers,
 	}
 }
 
@@ -53,7 +47,7 @@ func TestChaosHardeningCriterion(t *testing.T) {
 	cfg.LossRates = []float64{0.05}
 	cfg.Trials = 8
 	cfg.Horizon = 2 * time.Minute
-	if pl := PingLoss(0.05, cfg.Dup); pl < 0.10 {
+	if pl := PingLoss(0.05, ChaosDup); pl < 0.10 {
 		t.Fatalf("per-probe ping loss %.3f below the 10%% regime the criterion targets", pl)
 	}
 	cells, err := ChaosSweep(context.Background(), cfg)

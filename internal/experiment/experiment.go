@@ -18,6 +18,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -34,9 +35,10 @@ import (
 const DefaultTrials = 100
 
 // RunConfig parameterises a measured campaign: how many trials per cell,
-// the base seed, and how wide the trial-level worker pool fans out.
-// Results are independent of Workers — the runner folds trial results in
-// seed order, so parallel campaigns are bit-identical to sequential ones.
+// the base seed, and how wide the trial-level worker pool fans out. Every
+// campaign config embeds it. Results are independent of Workers — the
+// runner folds trial results in seed order, so parallel campaigns are
+// bit-identical to sequential ones.
 type RunConfig struct {
 	Trials   int
 	BaseSeed int64
@@ -44,8 +46,37 @@ type RunConfig struct {
 	Workers int
 }
 
-func (rc RunConfig) runnerConfig(stride int64) runner.Config {
-	return runner.Config{Workers: rc.Workers, BaseSeed: rc.BaseSeed, Stride: stride}
+// ErrTrials is what every campaign returns, wrapped, when asked for a
+// non-positive number of trials: a mistake in the request, not a failed run.
+var ErrTrials = errors.New("experiment: trial count must be positive")
+
+// runTrials is the one shape of every campaign: rc.Trials independent
+// trials on the runner pool, trial i seeded rc.BaseSeed + i*DefaultStride
+// and returned in trial order, a failure labelled with its cell and index.
+func runTrials[T any](ctx context.Context, rc RunConfig, label string, trial func(i int, seed int64) (T, error)) ([]T, error) {
+	if rc.Trials <= 0 {
+		return nil, fmt.Errorf("%w: %s asked for %d", ErrTrials, label, rc.Trials)
+	}
+	return runner.Run(ctx, runner.Config{Workers: rc.Workers, BaseSeed: rc.BaseSeed, Stride: runner.DefaultStride}, rc.Trials,
+		func(_ context.Context, i int, seed int64) (T, error) {
+			v, err := trial(i, seed)
+			if err != nil {
+				err = fmt.Errorf("%s trial %d: %w", label, i, err)
+			}
+			return v, err
+		})
+}
+
+// boot builds a fresh station from cfg and boots it.
+func boot(cfg mercury.Config) (*mercury.System, error) {
+	sys, err := mercury.NewSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Boot(); err != nil {
+		return nil, fmt.Errorf("boot: %w", err)
+	}
+	return sys, nil
 }
 
 // PaperMTTF is Table 1 as published (operator estimates).
@@ -111,36 +142,25 @@ func (c Cell) Label() string {
 	}
 }
 
+// fault is the cell's injected failure.
+func (c Cell) fault() mercury.Fault { return mercury.Fault{Component: c.Component, Cure: c.Cure} }
+
 // Measure runs one independent recovery trial for the cell: a fresh
 // deterministic system built from the seed, booted, injected with the
 // cell's fault, and timed to full recovery. It is the pure (spec, seed) →
 // result trial function the runner fans out.
 func (c Cell) Measure(seed int64) (time.Duration, error) {
-	sys, err := mercury.NewSystem(mercury.Config{
-		Seed:     seed,
-		TreeName: c.Tree,
-		Policy:   c.Policy,
-		FaultyP:  c.FaultyP,
-	})
+	sys, err := boot(mercury.Config{Seed: seed, TreeName: c.Tree, Policy: c.Policy, FaultyP: c.FaultyP})
 	if err != nil {
 		return 0, err
 	}
-	if err := sys.Boot(); err != nil {
-		return 0, fmt.Errorf("boot: %w", err)
-	}
-	return sys.MeasureRecovery(mercury.Fault{Component: c.Component, Cure: c.Cure}, 5*time.Minute)
+	return sys.MeasureRecovery(c.fault(), 5*time.Minute)
 }
 
-// RunCell measures one cell over the given number of trials, each in a
-// fresh deterministic system (seed varies per trial).
-func RunCell(c Cell, trials int, baseSeed int64) (*metrics.Sample, error) {
-	return RunCellCfg(context.Background(), c, RunConfig{Trials: trials, BaseSeed: baseSeed})
-}
-
-// RunCellCfg measures one cell under an explicit run configuration,
-// fanning trials across the runner's worker pool.
-func RunCellCfg(ctx context.Context, c Cell, rc RunConfig) (*metrics.Sample, error) {
-	return runCellWith(ctx, c, rc, Cell.Measure)
+// RunCell measures one cell over rc.Trials trials, each in a fresh
+// deterministic system.
+func RunCell(ctx context.Context, c Cell, rc RunConfig) (*metrics.Sample, error) {
+	return runCell(ctx, c, rc, Cell.Measure)
 }
 
 // measureFunc is one trial of a cell under some execution engine: the
@@ -149,16 +169,20 @@ func RunCellCfg(ctx context.Context, c Cell, rc RunConfig) (*metrics.Sample, err
 // drive the same campaign grids through both.
 type measureFunc func(c Cell, seed int64) (time.Duration, error)
 
-// runCellWith measures one cell with an explicit trial engine.
-func runCellWith(ctx context.Context, c Cell, rc RunConfig, measure measureFunc) (*metrics.Sample, error) {
-	return runner.RunSample(ctx, rc.runnerConfig(runner.DefaultStride), rc.Trials,
-		func(_ context.Context, i int, seed int64) (time.Duration, error) {
-			d, err := measure(c, seed)
-			if err != nil {
-				return 0, fmt.Errorf("cell %s/%s trial %d: %w", c.Label(), c.Component, i, err)
-			}
-			return d, nil
-		})
+// runCell measures one cell with an explicit trial engine, folding the
+// durations in trial order.
+func runCell(ctx context.Context, c Cell, rc RunConfig, measure measureFunc) (*metrics.Sample, error) {
+	ds, err := runTrials(ctx, rc, "cell "+c.Label()+"/"+c.Component, func(_ int, seed int64) (time.Duration, error) {
+		return measure(c, seed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	var s metrics.Sample
+	for _, d := range ds {
+		s.Add(d)
+	}
+	return &s, nil
 }
 
 // Row is one Table 2/4 row: a tree+policy across failed components.
@@ -167,20 +191,18 @@ type Row struct {
 	Cells map[string]*metrics.Sample `json:"cells"`
 }
 
-// Table4Rows defines the paper's six Table 4 rows. The pbcom column under
-// the faulty-oracle rows injects the §4.4 joint-cure fault.
-func Table4Rows() []struct {
+// RowSpec names one Table 2/4 row: its label, tree and oracle.
+type RowSpec struct {
 	Label   string
 	Tree    string
 	Policy  mercury.Policy
 	FaultyP float64
-} {
-	return []struct {
-		Label   string
-		Tree    string
-		Policy  mercury.Policy
-		FaultyP float64
-	}{
+}
+
+// Table4Rows defines the paper's six Table 4 rows. The pbcom column under
+// the faulty-oracle rows injects the §4.4 joint-cure fault.
+func Table4Rows() []RowSpec {
+	return []RowSpec{
 		{"I/perfect", "I", mercury.PolicyPerfect, 0},
 		{"II/perfect", "II", mercury.PolicyPerfect, 0},
 		{"III/perfect", "III", mercury.PolicyPerfect, 0},
@@ -209,25 +231,10 @@ func cureForCell(rowLabel, component string) []string {
 	return nil
 }
 
-// measureRows measures a sequence of table rows cell by cell; every cell
-// seeds its trials from the same base, so any row subset reproduces the
-// corresponding full-table rows exactly.
-func measureRows(ctx context.Context, specs []struct {
-	Label   string
-	Tree    string
-	Policy  mercury.Policy
-	FaultyP float64
-}, rc RunConfig) ([]Row, error) {
-	return measureRowsWith(ctx, specs, rc, Cell.Measure)
-}
-
-// measureRowsWith measures table rows under an explicit trial engine.
-func measureRowsWith(ctx context.Context, specs []struct {
-	Label   string
-	Tree    string
-	Policy  mercury.Policy
-	FaultyP float64
-}, rc RunConfig, measure measureFunc) ([]Row, error) {
+// measureRows measures a sequence of table rows cell by cell under a trial
+// engine; every cell seeds its trials from the same base, so any row
+// subset reproduces the corresponding full-table rows exactly.
+func measureRows(ctx context.Context, specs []RowSpec, rc RunConfig, measure measureFunc) ([]Row, error) {
 	var rows []Row
 	for _, spec := range specs {
 		row := Row{Label: spec.Label, Cells: make(map[string]*metrics.Sample)}
@@ -239,7 +246,7 @@ func measureRowsWith(ctx context.Context, specs []struct {
 				Component: comp,
 				Cure:      cureForCell(spec.Label, comp),
 			}
-			s, err := runCellWith(ctx, cell, rc, measure)
+			s, err := runCell(ctx, cell, rc, measure)
 			if err != nil {
 				return nil, err
 			}
@@ -253,7 +260,7 @@ func measureRowsWith(ctx context.Context, specs []struct {
 // Table4Cfg measures the full Table 4 grid under an explicit run
 // configuration.
 func Table4Cfg(ctx context.Context, rc RunConfig) ([]Row, error) {
-	return measureRows(ctx, Table4Rows(), rc)
+	return measureRows(ctx, Table4Rows(), rc, Cell.Measure)
 }
 
 // Table2Cfg measures the paper's Table 2: only its two rows (trees I and
@@ -261,7 +268,7 @@ func Table4Cfg(ctx context.Context, rc RunConfig) ([]Row, error) {
 // the work — while still producing rows identical to Table 4's first two
 // for the same seed.
 func Table2Cfg(ctx context.Context, rc RunConfig) ([]Row, error) {
-	return measureRows(ctx, Table4Rows()[:2], rc)
+	return measureRows(ctx, Table4Rows()[:2], rc, Cell.Measure)
 }
 
 // RenderRows renders measured rows against the paper's values.
@@ -317,17 +324,17 @@ func Table1Cfg(ctx context.Context, samples int, rc RunConfig) ([]Table1Result, 
 		comps = append(comps, c)
 	}
 	sort.Strings(comps)
-	return runner.Run(ctx, rc.runnerConfig(runner.DefaultStride), len(comps),
-		func(_ context.Context, i int, seed int64) (Table1Result, error) {
-			c := comps[i]
-			law := fault.LogNormal{M: PaperMTTF[c], CV: 0.25}
-			rng := sim.New(seed).Rand()
-			var s metrics.Sample
-			for j := 0; j < samples; j++ {
-				s.Add(law.Sample(rng))
-			}
-			return Table1Result{Component: c, Configured: PaperMTTF[c], Measured: &s}, nil
-		})
+	rc.Trials = len(comps)
+	return runTrials(ctx, rc, "table1", func(i int, seed int64) (Table1Result, error) {
+		c := comps[i]
+		law := fault.LogNormal{M: PaperMTTF[c], CV: 0.25}
+		rng := sim.New(seed).Rand()
+		var s metrics.Sample
+		for j := 0; j < samples; j++ {
+			s.Add(law.Sample(rng))
+		}
+		return Table1Result{Component: c, Configured: PaperMTTF[c], Measured: &s}, nil
+	})
 }
 
 // RenderTable1 renders the Table 1 comparison.

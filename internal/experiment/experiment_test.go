@@ -15,9 +15,9 @@ import (
 const trials = 5
 
 func TestRunCellTreeII(t *testing.T) {
-	s, err := RunCell(Cell{
+	s, err := RunCell(context.Background(), Cell{
 		Tree: "II", Policy: mercury.PolicyPerfect, Component: "rtu",
-	}, trials, 1000)
+	}, RunConfig{Trials: trials, BaseSeed: 1000})
 	if err != nil {
 		t.Fatalf("RunCell: %v", err)
 	}
@@ -77,11 +77,11 @@ func TestTable2ShapeHolds(t *testing.T) {
 
 func TestConsolidationShape(t *testing.T) {
 	// Tree III ses ≈ 9.5s (sequential); tree IV ses ≈ 6.25s (max-based).
-	s3, err := RunCell(Cell{Tree: "III", Policy: mercury.PolicyPerfect, Component: "ses"}, trials, 3000)
+	s3, err := RunCell(context.Background(), Cell{Tree: "III", Policy: mercury.PolicyPerfect, Component: "ses"}, RunConfig{Trials: trials, BaseSeed: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s4, err := RunCell(Cell{Tree: "IV", Policy: mercury.PolicyPerfect, Component: "ses"}, trials, 3100)
+	s4, err := RunCell(context.Background(), Cell{Tree: "IV", Policy: mercury.PolicyPerfect, Component: "ses"}, RunConfig{Trials: trials, BaseSeed: 3100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestNodePromotionShape(t *testing.T) {
 	// §4.4: joint-cure pbcom faults under the 30% faulty oracle. Tree V
 	// beats tree IV; with a perfect oracle tree V is no better.
 	cure := []string{"fedr", "pbcom"}
-	iv, err := RunCell(Cell{Tree: "IV", Policy: mercury.PolicyFaulty, FaultyP: FaultyP,
-		Component: "pbcom", Cure: cure}, 10, 4000)
+	iv, err := RunCell(context.Background(), Cell{Tree: "IV", Policy: mercury.PolicyFaulty, FaultyP: FaultyP,
+		Component: "pbcom", Cure: cure}, RunConfig{Trials: 10, BaseSeed: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := RunCell(Cell{Tree: "V", Policy: mercury.PolicyFaulty, FaultyP: FaultyP,
-		Component: "pbcom", Cure: cure}, 10, 4100)
+	v, err := RunCell(context.Background(), Cell{Tree: "V", Policy: mercury.PolicyFaulty, FaultyP: FaultyP,
+		Component: "pbcom", Cure: cure}, RunConfig{Trials: 10, BaseSeed: 4100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestNodePromotionShape(t *testing.T) {
 	}
 	// Tree V with faulty oracle ≈ tree IV/V with perfect oracle (joint
 	// restart either way).
-	vPerfect, err := RunCell(Cell{Tree: "V", Policy: mercury.PolicyPerfect,
-		Component: "pbcom", Cure: cure}, trials, 4200)
+	vPerfect, err := RunCell(context.Background(), Cell{Tree: "V", Policy: mercury.PolicyPerfect,
+		Component: "pbcom", Cure: cure}, RunConfig{Trials: trials, BaseSeed: 4200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,44 +271,50 @@ func TestTable2MatchesTable4Rows(t *testing.T) {
 
 func TestParallelCellBitIdenticalToSequential(t *testing.T) {
 	cell := Cell{Tree: "IV", Policy: mercury.PolicyPerfect, Component: "ses"}
-	seq, err := RunCellCfg(context.Background(), cell, RunConfig{Trials: 6, BaseSeed: 12_000, Workers: 1})
+	seq, err := RunCell(context.Background(), cell, RunConfig{Trials: 6, BaseSeed: 12_000, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCellCfg(context.Background(), cell, RunConfig{Trials: 6, BaseSeed: 12_000, Workers: 4})
+	par, err := RunCell(context.Background(), cell, RunConfig{Trials: 6, BaseSeed: 12_000, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p95s, _ := seq.Percentile(95)
+	p95p, _ := par.Percentile(95)
 	if seq.MeanSeconds() != par.MeanSeconds() || seq.StdDev() != par.StdDev() ||
-		seq.Min() != par.Min() || seq.Max() != par.Max() {
-		t.Fatalf("parallel cell diverged: %v/%v vs %v/%v",
-			seq.MeanSeconds(), seq.StdDev(), par.MeanSeconds(), par.StdDev())
+		seq.Min() != par.Min() || seq.Max() != par.Max() || p95s != p95p {
+		t.Fatalf("parallel cell diverged: %v/%v/%v vs %v/%v/%v",
+			seq.MeanSeconds(), seq.StdDev(), p95s, par.MeanSeconds(), par.StdDev(), p95p)
 	}
 }
 
+// TestSoaksMatchesSoak: two trees soaked side by side on two workers match
+// each tree soaked on its own.
 func TestSoaksMatchesSoak(t *testing.T) {
-	many, err := Soaks(context.Background(), []string{"I", "IV"}, time.Hour, 1002, 2)
+	many, err := Soak(context.Background(), []string{"I", "IV"}, time.Hour, 1002, 2)
 	if err != nil {
-		t.Fatalf("Soaks: %v", err)
+		t.Fatalf("Soak: %v", err)
 	}
 	for i, tree := range []string{"I", "IV"} {
-		one, err := Soak(tree, time.Hour, 1002)
+		one, err := Soak(context.Background(), []string{tree}, time.Hour, 1002, 1)
 		if err != nil {
 			t.Fatalf("Soak %s: %v", tree, err)
 		}
-		if many[i].Availability != one.Availability || many[i].Failures != one.Failures {
-			t.Fatalf("tree %s: parallel soak diverged: %+v vs %+v", tree, many[i], one)
+		if many[i].Availability != one[0].Availability || many[i].Failures != one[0].Failures {
+			t.Fatalf("tree %s: parallel soak diverged: %+v vs %+v", tree, many[i], one[0])
 		}
 	}
 }
 
+// TestSatPassesMatchesSatPass: two trees' passes side by side on two
+// workers match each tree's pass on its own.
 func TestSatPassesMatchesSatPass(t *testing.T) {
-	many, err := SatPasses(context.Background(), []string{"I", "IV"}, 901, 2)
+	many, err := SatPass(context.Background(), []string{"I", "IV"}, 901, 2)
 	if err != nil {
-		t.Fatalf("SatPasses: %v", err)
+		t.Fatalf("SatPass: %v", err)
 	}
 	for i, tree := range []string{"I", "IV"} {
-		one, err := SatPass(tree, 901)
+		one, err := satPass(tree, 901)
 		if err != nil {
 			t.Fatalf("SatPass %s: %v", tree, err)
 		}
@@ -320,7 +326,7 @@ func TestSatPassesMatchesSatPass(t *testing.T) {
 
 func TestDeterministicCells(t *testing.T) {
 	run := func() float64 {
-		s, err := RunCell(Cell{Tree: "IV", Policy: mercury.PolicyPerfect, Component: "str"}, 3, 8000)
+		s, err := RunCell(context.Background(), Cell{Tree: "IV", Policy: mercury.PolicyPerfect, Component: "str"}, RunConfig{Trials: 3, BaseSeed: 8000})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/recursive-restart/mercury/internal/core"
@@ -101,24 +100,4 @@ func Table3() string {
 		fmt.Fprintf(&sb, "          useful when: %s\n", r.useful)
 	}
 	return sb.String()
-}
-
-// TreeNames lists the reproducible tree variants in paper order.
-func TreeNames() []string { return []string{"I", "II", "IIp", "III", "IV", "V"} }
-
-// SortedComponents lists the union of all component columns.
-func SortedComponents() []string {
-	set := map[string]bool{}
-	for _, c := range station.MonolithicComponents() {
-		set[c] = true
-	}
-	for _, c := range station.SplitComponents() {
-		set[c] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

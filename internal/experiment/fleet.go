@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -45,8 +44,9 @@ var defaultLinkSeconds = 2 * geoAltitudeKm / orbit.SpeedOfLight
 // the default epoch length — the largest epoch the lookahead bound allows.
 var DefaultLinkLatency = time.Duration(defaultLinkSeconds * float64(time.Second))
 
-// FleetConfig parameterises a fleet campaign. The zero value of every
-// field has a usable default; only Stations is required.
+// FleetConfig parameterises a fleet campaign. Every station runs the
+// escalating oracle. The zero value of every field has a usable default;
+// only Stations is required.
 type FleetConfig struct {
 	// Stations is the constellation size. Required, >= 1.
 	Stations int
@@ -59,8 +59,6 @@ type FleetConfig struct {
 	// Trees assigns restart trees round-robin across stations; default
 	// {"IV"}.
 	Trees []string
-	// Policy is each station's restart policy; default escalating.
-	Policy mercury.Policy
 	// Horizon is the simulated campaign duration after all stations are
 	// up; default 60s.
 	Horizon time.Duration
@@ -79,13 +77,10 @@ type FleetConfig struct {
 	// BeaconPeriod is each station's beacon interval; default 5s.
 	BeaconPeriod time.Duration
 	// FailMTTF is the per-component organic MTTF (lognormal, CV 0.25);
-	// default 10m. Zero disables organic failures... no: zero means the
-	// default; use NoFailures to disable.
+	// zero means the default, 10m. NoFailures is what disables them.
 	FailMTTF time.Duration
 	// NoFailures disables organic fault injection (pure messaging load).
 	NoFailures bool
-	// Chaos, when non-nil, degrades every station's local fabric.
-	Chaos *bus.ChaosProfile
 }
 
 // withDefaults returns cfg with defaults applied, or an error.
@@ -120,9 +115,6 @@ func (cfg FleetConfig) withDefaults() (FleetConfig, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if err := cfg.Chaos.Validate(); err != nil {
-		return cfg, err
 	}
 	return cfg, nil
 }
@@ -237,7 +229,7 @@ func (s *fleetShard) Inject(p sim.Parcel) {
 
 // buildShard constructs and boots shard idx: its kernel (seed sub-derived
 // from the campaign seed), its stations, their cross-links and beacon
-// terminals, the organic-failure laws, and the optional chaos profile.
+// terminals, and the organic-failure laws.
 func buildShard(cfg FleetConfig, idx int) (*fleetShard, error) {
 	k := sim.New(runner.SubSeed(cfg.BaseSeed, uint64(idx)))
 	first := idx * cfg.Group
@@ -255,12 +247,7 @@ func buildShard(cfg FleetConfig, idx int) (*fleetShard, error) {
 	systems := make([]*mercury.System, 0, count)
 	for j := 0; j < count; j++ {
 		g := first + j
-		sys, err := mercury.NewSystem(mercury.Config{
-			Kernel:   k,
-			TreeName: cfg.Trees[g%len(cfg.Trees)],
-			Policy:   cfg.Policy,
-			FaultyP:  FaultyP,
-		})
+		sys, err := mercury.NewSystem(mercury.Config{Kernel: k, TreeName: cfg.Trees[g%len(cfg.Trees)]})
 		if err != nil {
 			return nil, fmt.Errorf("station %d: %w", g, err)
 		}
@@ -288,25 +275,14 @@ func buildShard(cfg FleetConfig, idx int) (*fleetShard, error) {
 		}
 	}
 	if !cfg.NoFailures {
-		// Sorted component order, station by station: priming draws from
-		// the shard RNG, so iteration order is part of the schedule.
+		// Station by station: priming draws from the shard RNG, so station
+		// order is part of the schedule.
 		for _, st := range sh.stations {
-			comps := st.sys.Components()
-			sort.Strings(comps)
-			for _, comp := range comps {
-				st.sys.Injector.SetLaw(comp, fault.LogNormal{M: cfg.FailMTTF, CV: 0.25})
+			laws := make(map[string]fault.Law)
+			for _, comp := range st.sys.Components() {
+				laws[comp] = fault.LogNormal{M: cfg.FailMTTF, CV: 0.25}
 			}
-			st.sys.Injector.Enable()
-			for _, comp := range comps {
-				st.sys.Injector.Prime(comp)
-			}
-		}
-	}
-	if cfg.Chaos != nil {
-		for _, st := range sh.stations {
-			if err := st.sys.SetChaos(cfg.Chaos); err != nil {
-				return nil, err
-			}
+			st.sys.Injector.Arm(laws)
 		}
 	}
 	return sh, nil

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	mercury "github.com/recursive-restart/mercury"
@@ -37,25 +36,17 @@ const bridgeEpoch = 50 * time.Millisecond
 // measureViaFleet runs one Cell trial through a 1-shard fleet: same
 // system, same seed, same fault — only the driving loop differs.
 func measureViaFleet(c Cell, seed int64) (time.Duration, error) {
-	sys, err := mercury.NewSystem(mercury.Config{
-		Seed:     seed,
-		TreeName: c.Tree,
-		Policy:   c.Policy,
-		FaultyP:  c.FaultyP,
-	})
+	sys, err := boot(mercury.Config{Seed: seed, TreeName: c.Tree, Policy: c.Policy, FaultyP: c.FaultyP})
 	if err != nil {
 		return 0, err
 	}
-	if err := sys.Boot(); err != nil {
-		return 0, fmt.Errorf("boot: %w", err)
-	}
 	fl := sim.NewFleet(sim.FleetConfig{Epoch: bridgeEpoch, Workers: 1},
 		[]sim.FleetShard{soloShard{sys.Kernel}})
-	if err := sys.Inject(mercury.Fault{Component: c.Component, Cure: c.Cure}); err != nil {
+	if err := sys.Inject(c.fault()); err != nil {
 		return 0, err
 	}
 	deadline := sys.Now().Add(5 * time.Minute)
-	for !sys.Recovered() {
+	for !sys.Whole() {
 		if sys.Now().After(deadline) {
 			return 0, mercury.ErrNoRecovery
 		}
@@ -73,10 +64,10 @@ func measureViaFleet(c Cell, seed int64) (time.Duration, error) {
 // Table2ViaFleet measures the Table 2 grid with every trial driven through
 // the 1-shard fleet bridge.
 func Table2ViaFleet(ctx context.Context, rc RunConfig) ([]Row, error) {
-	return measureRowsWith(ctx, Table4Rows()[:2], rc, measureViaFleet)
+	return measureRows(ctx, Table4Rows()[:2], rc, measureViaFleet)
 }
 
 // Table4ViaFleet measures the full Table 4 grid through the fleet bridge.
 func Table4ViaFleet(ctx context.Context, rc RunConfig) ([]Row, error) {
-	return measureRowsWith(ctx, Table4Rows(), rc, measureViaFleet)
+	return measureRows(ctx, Table4Rows(), rc, measureViaFleet)
 }

@@ -8,7 +8,6 @@ import (
 	mercury "github.com/recursive-restart/mercury"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/metrics"
-	"github.com/recursive-restart/mercury/internal/runner"
 )
 
 // manualSeedStride spaces the per-trial seeds of the manual baseline.
@@ -44,13 +43,8 @@ type manualTrial struct {
 // notices after OperatorNotice and performs the only procedure tree I
 // admits — a whole-system restart.
 func measureManual(seed int64) (time.Duration, error) {
-	sys, err := mercury.NewSystem(mercury.Config{
-		Seed: seed, TreeName: "I", DisableRecovery: true,
-	})
+	sys, err := boot(mercury.Config{Seed: seed, TreeName: "I", DisableRecovery: true})
 	if err != nil {
-		return 0, err
-	}
-	if err := sys.Boot(); err != nil {
 		return 0, err
 	}
 	start := sys.Now()
@@ -86,21 +80,20 @@ func measureManual(seed int64) (time.Duration, error) {
 // samples are folded in seed order, so results match a sequential run
 // exactly.
 func ManualVsAutoCfg(ctx context.Context, rc RunConfig) (*ManualResult, error) {
-	pairs, err := runner.Run(ctx, rc.runnerConfig(manualSeedStride), rc.Trials,
-		func(_ context.Context, i int, seed int64) (manualTrial, error) {
-			manual, err := measureManual(seed)
-			if err != nil {
-				return manualTrial{}, fmt.Errorf("manual trial %d: %w", i, err)
-			}
-			// Automated: tree IV, escalating oracle, fedr failure.
-			auto, err := Cell{
-				Tree: "IV", Policy: mercury.PolicyEscalating, Component: "fedr",
-			}.Measure(seed)
-			if err != nil {
-				return manualTrial{}, fmt.Errorf("auto trial %d: %w", i, err)
-			}
-			return manualTrial{manual: manual, auto: auto}, nil
-		})
+	pairs, err := runTrials(ctx, rc, "manual", func(i int, _ int64) (manualTrial, error) {
+		// The pairs keep their own seed spacing, not the runner's stride.
+		seed := rc.BaseSeed + int64(i)*manualSeedStride
+		manual, err := measureManual(seed)
+		if err != nil {
+			return manualTrial{}, err
+		}
+		// Automated: tree IV, escalating oracle, fedr failure.
+		auto, err := Cell{Tree: "IV", Policy: mercury.PolicyEscalating, Component: "fedr"}.Measure(seed)
+		if err != nil {
+			return manualTrial{}, fmt.Errorf("auto: %w", err)
+		}
+		return manualTrial{manual: manual, auto: auto}, nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -8,11 +8,8 @@ import (
 	"time"
 
 	mercury "github.com/recursive-restart/mercury"
-	"github.com/recursive-restart/mercury/internal/bus"
 	"github.com/recursive-restart/mercury/internal/core"
-	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/metrics"
-	"github.com/recursive-restart/mercury/internal/runner"
 	"github.com/recursive-restart/mercury/internal/trace"
 )
 
@@ -37,39 +34,26 @@ import (
 
 // MicroConfig parameterises the microreboot-vs-restart comparison.
 type MicroConfig struct {
-	// Trials per (mode, class) cell.
-	Trials int
-	// Loss/Dup/Jitter degrade the fabric for every phase (chaos is
-	// installed after boot).
-	Loss   float64
-	Dup    float64
-	Jitter time.Duration
-	// SuspectAfter is the FD K-consecutive-miss threshold. The default (3)
-	// suppresses false-positive storms so the comparison isolates the
-	// *injected* fault's recovery cost (the chaos sweep covers storms).
-	SuspectAfter int
+	RunConfig
 	// Faults and Gap shape the availability phase: Faults repeated
 	// injections separated by Gap of healthy operation.
 	Faults int
 	Gap    time.Duration
-
-	BaseSeed int64
-	// Workers bounds the trial pool; <= 0 means one per CPU.
-	Workers int
 }
+
+const (
+	// MicroLoss is the per-hop loss of the fabric every phase runs on
+	// (installed after boot, with the chaos sweep's duplication and jitter).
+	MicroLoss = 0.02
+	// MicroSuspectAfter is the FD K-consecutive-miss threshold. 3
+	// suppresses false-positive storms so the comparison isolates the
+	// *injected* fault's recovery cost (the chaos sweep covers storms).
+	MicroSuspectAfter = 3
+)
 
 // DefaultMicroConfig is the EXPERIMENTS.md "Microreboot" setup.
 func DefaultMicroConfig() MicroConfig {
-	return MicroConfig{
-		Trials:       20,
-		Loss:         0.02,
-		Dup:          0.01,
-		Jitter:       2 * time.Millisecond,
-		SuspectAfter: 3,
-		Faults:       4,
-		Gap:          10 * time.Second,
-		BaseSeed:     2002,
-	}
+	return MicroConfig{RunConfig: RunConfig{Trials: 20, BaseSeed: 2002}, Faults: 4, Gap: 10 * time.Second}
 }
 
 // MicroModes returns the three recovery granularities in report order.
@@ -149,20 +133,15 @@ type microTrial struct {
 // runMicroTrial is the pure (mode, class, seed) → result trial.
 func runMicroTrial(cfg MicroConfig, mode MicroMode, class MicroClass, seed int64) (microTrial, error) {
 	fdp := core.DefaultFDParams()
-	if cfg.SuspectAfter > 0 {
-		fdp.SuspectAfter = cfg.SuspectAfter
-	}
-	sys, err := mercury.NewSystem(mercury.Config{
+	fdp.SuspectAfter = MicroSuspectAfter
+	sys, err := bootDegraded(mercury.Config{
 		Seed:     seed,
 		TreeName: mode.Tree,
 		Policy:   mercury.PolicyEscalating,
 		FDParams: &fdp,
-	})
+	}, MicroLoss)
 	if err != nil {
 		return microTrial{}, err
-	}
-	if err := sys.Boot(); err != nil {
-		return microTrial{}, fmt.Errorf("boot: %w", err)
 	}
 
 	var (
@@ -170,14 +149,6 @@ func runMicroTrial(cfg MicroConfig, mode MicroMode, class MicroClass, seed int64
 		out trace.Outages
 	)
 	sys.Log.Subscribe(func(e trace.Event) { out.Observe(e) })
-
-	profile := &bus.ChaosProfile{Loss: cfg.Loss, Dup: cfg.Dup}
-	if cfg.Jitter > 0 {
-		profile.Jitter = fault.Uniform{Lo: 0, Hi: cfg.Jitter}
-	}
-	if err := sys.SetChaos(profile); err != nil {
-		return microTrial{}, err
-	}
 
 	victim := class.victim(mode)
 
@@ -230,16 +201,9 @@ func runMicroTrial(cfg MicroConfig, mode MicroMode, class MicroClass, seed int64
 
 // RunMicroCell measures one (mode, class) cell over cfg.Trials trials.
 func RunMicroCell(ctx context.Context, cfg MicroConfig, mode MicroMode, class MicroClass) (*MicroCellResult, error) {
-	trials, err := runner.Run(ctx,
-		runner.Config{Workers: cfg.Workers, BaseSeed: cfg.BaseSeed, Stride: runner.DefaultStride},
-		cfg.Trials,
-		func(_ context.Context, i int, seed int64) (microTrial, error) {
-			tr, err := runMicroTrial(cfg, mode, class, seed)
-			if err != nil {
-				return microTrial{}, fmt.Errorf("micro %s/%s trial %d: %w", mode.Name, class.Name, i, err)
-			}
-			return tr, nil
-		})
+	trials, err := runTrials(ctx, cfg.RunConfig, "micro "+mode.Name+"/"+class.Name, func(_ int, seed int64) (microTrial, error) {
+		return runMicroTrial(cfg, mode, class, seed)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -264,9 +228,6 @@ func RunMicroCell(ctx context.Context, cfg MicroConfig, mode MicroMode, class Mi
 // MicroSweep measures every (mode, class) cell in deterministic order.
 // Cells reuse the same per-trial seeds, so rows are paired comparisons.
 func MicroSweep(ctx context.Context, cfg MicroConfig) ([]*MicroCellResult, error) {
-	if cfg.Trials <= 0 {
-		return nil, fmt.Errorf("experiment: non-positive micro trial count")
-	}
 	if cfg.Faults < 0 || cfg.Gap < 0 {
 		return nil, fmt.Errorf("experiment: negative micro availability phase")
 	}
@@ -287,7 +248,7 @@ func MicroSweep(ctx context.Context, cfg MicroConfig) ([]*MicroCellResult, error
 func RenderMicro(cfg MicroConfig, cells []*MicroCellResult) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Microreboot vs restart — ses/str-class faults under %.0f%% loss (%d trials/cell, %d repeated faults + %v gaps)\n",
-		cfg.Loss*100, cfg.Trials, cfg.Faults, cfg.Gap)
+		MicroLoss*100, cfg.Trials, cfg.Faults, cfg.Gap)
 	fmt.Fprintf(&sb, "%-12s %-12s %-5s %10s %10s %14s %14s %9s\n",
 		"class", "mode", "tree", "recovered", "mttr", "peer-restarts", "availability", "give-ups")
 	for _, c := range cells {

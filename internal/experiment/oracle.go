@@ -10,11 +10,9 @@ import (
 	"time"
 
 	mercury "github.com/recursive-restart/mercury"
-	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/load"
-	"github.com/recursive-restart/mercury/internal/runner"
 	"github.com/recursive-restart/mercury/internal/station"
 )
 
@@ -34,10 +32,10 @@ import (
 // transformations — the §7 "algorithms for transforming restart trees"
 // item made data-driven.
 
-// OracleConfig parameterises the policy-comparison campaign.
+// OracleConfig parameterises the policy-comparison campaign. Trials are
+// per policy, with paired seeds across policies.
 type OracleConfig struct {
-	// Trials per policy, with paired seeds across policies.
-	Trials int
+	RunConfig
 	// PassRate / FedRate are the two cohorts' aggregate arrivals/s: the
 	// pass class exercises the tracker (str), the federation class the
 	// translator (fedr) — the two fault sites of the schedule.
@@ -56,17 +54,15 @@ type OracleConfig struct {
 	Episodes int
 	// Gap of operation after each injection (recovery happens inside it).
 	Gap time.Duration
-	// CkptInterval is the checkpoint period.
-	CkptInterval time.Duration
-
-	BaseSeed int64
-	Workers  int
 }
+
+// oracleCkptInterval is every policy cell's checkpoint period.
+const oracleCkptInterval = 10 * time.Second
 
 // DefaultOracleConfig is the EXPERIMENTS.md "Policy choice" setup.
 func DefaultOracleConfig() OracleConfig {
 	return OracleConfig{
-		Trials:        4,
+		RunConfig:     RunConfig{Trials: 4, BaseSeed: 2002},
 		PassRate:      600,
 		FedRate:       300,
 		Users:         1 << 16,
@@ -74,22 +70,7 @@ func DefaultOracleConfig() OracleConfig {
 		TrainEpisodes: 4,
 		Episodes:      6,
 		Gap:           20 * time.Second,
-		CkptInterval:  10 * time.Second,
-		BaseSeed:      2002,
 	}
-}
-
-func (cfg *OracleConfig) validate() error {
-	if cfg.Trials <= 0 {
-		return fmt.Errorf("experiment: non-positive oracle trial count")
-	}
-	if cfg.Episodes <= 0 || cfg.Gap <= 0 {
-		return fmt.Errorf("experiment: oracle campaign needs fault episodes with positive gaps")
-	}
-	if cfg.PassRate <= 0 || cfg.FedRate <= 0 {
-		return fmt.Errorf("experiment: oracle campaign needs positive request rates")
-	}
-	return nil
 }
 
 // OraclePolicy is one policy cell of the campaign.
@@ -126,76 +107,6 @@ func oracleFault(i int) mercury.Fault {
 	return mercury.Fault{Component: "fedr.session"}
 }
 
-// oracleTrial is one trial's raw measurement (flat and comparable).
-type oracleTrial struct {
-	Stats   load.Stats
-	Horizon time.Duration
-}
-
-// runOracleTrial is the pure (policy, seed) → measurement trial.
-func runOracleTrial(cfg OracleConfig, pol OraclePolicy, seed int64) (oracleTrial, error) {
-	sys, err := mercury.NewSystem(mercury.Config{
-		Seed:         seed,
-		TreeName:     "IIIm",
-		Policy:       pol.Policy,
-		CkptInterval: cfg.CkptInterval,
-		HarmRates: map[string]float64{
-			"str":  cfg.PassRate,
-			"fedr": cfg.FedRate,
-		},
-	})
-	if err != nil {
-		return oracleTrial{}, err
-	}
-	if err := sys.Boot(); err != nil {
-		return oracleTrial{}, fmt.Errorf("boot: %w", err)
-	}
-	eng, err := load.NewEngine(clock.Sim{K: sys.Kernel}, sys.Bus, sys.Mgr, load.Config{
-		Seed: seed,
-		Cohorts: []load.Cohort{
-			{Class: load.ClassPass, Users: cfg.Users, Rate: cfg.PassRate, Poisson: true},
-			{Class: load.ClassFederation, Users: cfg.Users, Rate: cfg.FedRate, Poisson: true},
-		},
-	})
-	if err != nil {
-		return oracleTrial{}, err
-	}
-	if err := eng.Start(); err != nil {
-		return oracleTrial{}, err
-	}
-	if err := sys.RunFor(cfg.Warmup); err != nil {
-		return oracleTrial{}, err
-	}
-	inject := func(i int) error {
-		if err := sys.Inject(oracleFault(i)); err != nil {
-			return fmt.Errorf("inject episode %d: %w", i, err)
-		}
-		return sys.RunFor(cfg.Gap)
-	}
-	// Training window: the estimator learns each site's action outcomes;
-	// fixed policies just pay the same schedule.
-	for i := 0; i < cfg.TrainEpisodes; i++ {
-		if err := inject(i); err != nil {
-			return oracleTrial{}, err
-		}
-	}
-	base := eng.Stats()
-	eng.Hist().Reset()
-	for i := 0; i < cfg.Episodes; i++ {
-		if err := inject(cfg.TrainEpisodes + i); err != nil {
-			return oracleTrial{}, err
-		}
-	}
-	eng.Stop()
-	if err := sys.RunFor(time.Second); err != nil {
-		return oracleTrial{}, err
-	}
-	return oracleTrial{
-		Stats:   subStats(eng.Stats(), base),
-		Horizon: time.Duration(cfg.Episodes) * cfg.Gap,
-	}, nil
-}
-
 // OracleCellResult aggregates one policy's harm accounting. Comparable, so
 // parallel-vs-sequential agreement is plain ==.
 type OracleCellResult struct {
@@ -223,19 +134,30 @@ type OracleCellResult struct {
 
 // RunOracleCell measures one policy over cfg.Trials paired-seed trials.
 func RunOracleCell(ctx context.Context, cfg OracleConfig, pol OraclePolicy) (*OracleCellResult, error) {
-	if err := cfg.validate(); err != nil {
+	trial := harmTrial{
+		sys: mercury.Config{
+			TreeName:     "IIIm",
+			Policy:       pol.Policy,
+			CkptInterval: oracleCkptInterval,
+			HarmRates:    map[string]float64{"str": cfg.PassRate, "fedr": cfg.FedRate},
+		},
+		cohorts: []load.Cohort{
+			{Class: load.ClassPass, Users: cfg.Users, Rate: cfg.PassRate, Poisson: true},
+			{Class: load.ClassFederation, Users: cfg.Users, Rate: cfg.FedRate, Poisson: true},
+		},
+		warmup:   cfg.Warmup,
+		gap:      cfg.Gap,
+		train:    cfg.TrainEpisodes,
+		episodes: cfg.Episodes,
+		fault:    oracleFault,
+		drain:    time.Second,
+	}
+	if err := trial.check(); err != nil {
 		return nil, err
 	}
-	trials, err := runner.Run(ctx,
-		runner.Config{Workers: cfg.Workers, BaseSeed: cfg.BaseSeed, Stride: runner.DefaultStride},
-		cfg.Trials,
-		func(_ context.Context, i int, seed int64) (oracleTrial, error) {
-			tr, err := runOracleTrial(cfg, pol, seed)
-			if err != nil {
-				return oracleTrial{}, fmt.Errorf("oracle %s trial %d: %w", pol.Name, i, err)
-			}
-			return tr, nil
-		})
+	trials, err := runTrials(ctx, cfg.RunConfig, "oracle "+pol.Name, func(_ int, seed int64) (harm, error) {
+		return trial.run(seed)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -251,11 +173,9 @@ func RunOracleCell(ctx context.Context, cfg OracleConfig, pol OraclePolicy) (*Or
 		downtime += tr.Stats.BrokenUserSeconds
 	}
 	episodes := float64(len(trials) * cfg.Episodes)
-	if episodes > 0 {
-		res.FailedPerEpisode = float64(res.Failed) / episodes
-		res.DowntimePerEpisode = downtime / episodes
-		res.HarmScore = res.FailedPerEpisode + res.DowntimePerEpisode
-	}
+	res.FailedPerEpisode = float64(res.Failed) / episodes
+	res.DowntimePerEpisode = downtime / episodes
+	res.HarmScore = res.FailedPerEpisode + res.DowntimePerEpisode
 	return res, nil
 }
 
@@ -277,7 +197,7 @@ func RenderOracle(cfg OracleConfig, cells []*OracleCellResult) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Policy choice — mixed faults (state-corruption @ str.track / sub-crash @ fedr.session), "+
 		"%d trials/policy, %d train + %d measured episodes, %v gaps, checkpoints every %v\n",
-		cfg.Trials, cfg.TrainEpisodes, cfg.Episodes, cfg.Gap, cfg.CkptInterval)
+		cfg.Trials, cfg.TrainEpisodes, cfg.Episodes, cfg.Gap, oracleCkptInterval)
 	fmt.Fprintf(&sb, "%-14s %12s %14s %16s %12s\n",
 		"policy", "issued", "failed/episode", "user-dt/episode", "harm score")
 	for _, c := range cells {
@@ -290,23 +210,6 @@ func RenderOracle(cfg OracleConfig, cells []*OracleCellResult) string {
 }
 
 // --- Randomized-tree validation -------------------------------------------
-
-// TreeValidationConfig parameterises the analytic-vs-simulated ranking
-// check.
-type TreeValidationConfig struct {
-	// Trees is how many seeded random restart trees to score.
-	Trees int
-	// Limit bounds one simulated recovery.
-	Limit time.Duration
-
-	BaseSeed int64
-	Workers  int
-}
-
-// DefaultTreeValidationConfig scores the acceptance-criterion population.
-func DefaultTreeValidationConfig() TreeValidationConfig {
-	return TreeValidationConfig{Trees: 1000, Limit: 2 * time.Minute, BaseSeed: 2002}
-}
 
 // TreeScore is one random tree's pair of numbers: the analytic prediction
 // and the simulated ground truth (both weight-averaged expected MTTR over
@@ -326,7 +229,7 @@ type TreeValidationResult struct {
 // runTreeScore generates tree i from its seed, predicts analytically, then
 // boots the tree and measures every fault class of the Mercury mix in the
 // fleet simulator.
-func runTreeScore(cfg TreeValidationConfig, i int, seed int64) (TreeScore, error) {
+func runTreeScore(i int, seed int64) (TreeScore, error) {
 	rng := rand.New(rand.NewSource(seed))
 	name := fmt.Sprintf("rand-%d", i)
 	tree, err := core.RandomTree(rng, name, station.SplitComponents())
@@ -340,19 +243,16 @@ func runTreeScore(cfg TreeValidationConfig, i int, seed int64) (TreeScore, error
 		return TreeScore{}, fmt.Errorf("predict %s: %w", name, err)
 	}
 
-	sys, err := mercury.NewSystem(mercury.Config{Seed: seed, CustomTree: tree})
+	sys, err := boot(mercury.Config{Seed: seed, CustomTree: tree})
 	if err != nil {
 		return TreeScore{}, err
-	}
-	if err := sys.Boot(); err != nil {
-		return TreeScore{}, fmt.Errorf("boot %s: %w", name, err)
 	}
 	var sumW, sumC float64
 	for _, fc := range mix {
 		if fc.Weight <= 0 {
 			continue
 		}
-		d, err := sys.MeasureRecovery(mercury.Fault{Component: fc.Manifest, Cure: fc.Cure}, cfg.Limit)
+		d, err := sys.MeasureRecovery(mercury.Fault{Component: fc.Manifest, Cure: fc.Cure}, 2*time.Minute)
 		if err != nil {
 			return TreeScore{}, fmt.Errorf("measure %s/%s: %w", name, fc.Manifest, err)
 		}
@@ -365,21 +265,11 @@ func runTreeScore(cfg TreeValidationConfig, i int, seed int64) (TreeScore, error
 	return TreeScore{Name: name, Predicted: predicted, Measured: sumC / sumW}, nil
 }
 
-// RunTreeValidation scores cfg.Trees random trees and reports the Spearman
-// rank correlation between analytic prediction and simulated measurement.
-func RunTreeValidation(ctx context.Context, cfg TreeValidationConfig) (*TreeValidationResult, error) {
-	if cfg.Trees <= 0 {
-		return nil, fmt.Errorf("experiment: non-positive tree count")
-	}
-	if cfg.Limit <= 0 {
-		cfg.Limit = 2 * time.Minute
-	}
-	scores, err := runner.Run(ctx,
-		runner.Config{Workers: cfg.Workers, BaseSeed: cfg.BaseSeed, Stride: runner.DefaultStride},
-		cfg.Trees,
-		func(_ context.Context, i int, seed int64) (TreeScore, error) {
-			return runTreeScore(cfg, i, seed)
-		})
+// RunTreeValidation scores rc.Trials random trees, tree i generated from
+// trial i's seed, and reports the Spearman rank correlation between
+// analytic prediction and simulated measurement.
+func RunTreeValidation(ctx context.Context, rc RunConfig) (*TreeValidationResult, error) {
+	scores, err := runTrials(ctx, rc, "random tree", runTreeScore)
 	if err != nil {
 		return nil, err
 	}
@@ -515,12 +405,9 @@ func RunOnlineProposal(_ context.Context, cfg OnlineConfig) (*OnlineProposal, er
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("experiment: online soak needs a positive horizon")
 	}
-	sys, err := mercury.NewSystem(mercury.Config{Seed: cfg.Seed, TreeName: cfg.Tree})
+	sys, err := boot(mercury.Config{Seed: cfg.Seed, TreeName: cfg.Tree})
 	if err != nil {
 		return nil, err
-	}
-	if err := sys.Boot(); err != nil {
-		return nil, fmt.Errorf("boot: %w", err)
 	}
 	miner := core.NewOnlineOptimizer()
 	sys.Board.OnCure(func(ev fault.CureEvent) {
@@ -530,21 +417,14 @@ func RunOnlineProposal(_ context.Context, cfg OnlineConfig) (*OnlineProposal, er
 			Recovery: ev.CuredAt.Sub(ev.InjectedAt),
 		})
 	})
-	comps := make([]string, 0, len(cfg.MTTFs))
-	for c := range cfg.MTTFs {
-		comps = append(comps, c)
-	}
-	sort.Strings(comps)
-	for _, c := range comps {
-		sys.Injector.SetLaw(c, fault.Exponential{M: cfg.MTTFs[c]})
-	}
 	if cfg.Correlated != nil {
 		sys.Injector.CureFor = func(c string) []string { return cfg.Correlated[c] }
 	}
-	sys.Injector.Enable()
-	for _, c := range comps {
-		sys.Injector.Prime(c)
+	laws := make(map[string]fault.Law, len(cfg.MTTFs))
+	for c, m := range cfg.MTTFs {
+		laws[c] = fault.Exponential{M: m}
 	}
+	sys.Injector.Arm(laws)
 	if err := sys.RunFor(cfg.Horizon); err != nil {
 		return nil, err
 	}

@@ -77,14 +77,13 @@ func TestTreeValidationRankCorrelation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cfg := DefaultTreeValidationConfig()
-	cfg.Trees = 60
-	res, err := RunTreeValidation(context.Background(), cfg)
+	rc := RunConfig{Trials: 60, BaseSeed: 2002}
+	res, err := RunTreeValidation(context.Background(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Scores) != cfg.Trees {
-		t.Fatalf("scored %d trees, want %d", len(res.Scores), cfg.Trees)
+	if len(res.Scores) != rc.Trials {
+		t.Fatalf("scored %d trees, want %d", len(res.Scores), rc.Trials)
 	}
 	for _, s := range res.Scores {
 		if s.Predicted <= 0 || s.Measured <= 0 || math.IsNaN(s.Measured) {

@@ -10,7 +10,6 @@ import (
 	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/load"
 	"github.com/recursive-restart/mercury/internal/metrics"
-	"github.com/recursive-restart/mercury/internal/runner"
 )
 
 // This file re-scores the microreboot-vs-restart comparison in the
@@ -24,19 +23,13 @@ import (
 // requests into the outage, which is precisely the re-scoring the
 // end-user-effects literature argues for (PAPERS.md).
 
-// RequestConfig parameterises the user-harm campaign.
+// RequestConfig parameterises the user-harm campaign. Cells share
+// per-trial seeds (paired comparison).
 type RequestConfig struct {
-	// Trials per mode. Cells share per-trial seeds (paired comparison).
-	Trials int
-	// Class is the request class under test; the default (ClassPass)
-	// targets the tracker, the component the fault episodes hit.
-	Class load.Class
+	RunConfig
 	// Users is the cohort population; Rate its aggregate arrivals/s.
 	Users int
 	Rate  float64
-	// Deadline/Retries forward to the cohort (zero = engine defaults).
-	Deadline time.Duration
-	Retries  int
 	// Warmup runs the healthy station before measurement starts; its
 	// samples are discarded.
 	Warmup time.Duration
@@ -44,37 +37,23 @@ type RequestConfig struct {
 	// operation (recovery happens inside the gap; arrivals never pause).
 	Episodes int
 	Gap      time.Duration
-
-	BaseSeed int64
-	// Workers bounds the trial pool; <= 0 means one per CPU.
-	Workers int
 }
+
+// RequestClass is the request class under test: pass-class requests
+// target the tracker, the component the fault episodes hit. They run at
+// the engine's default deadline (100 ms) with no retries.
+const RequestClass = load.ClassPass
 
 // DefaultRequestConfig is the EXPERIMENTS.md "User-harm" setup.
 func DefaultRequestConfig() RequestConfig {
 	return RequestConfig{
-		Trials:   8,
-		Class:    load.ClassPass,
-		Users:    1 << 20,
-		Rate:     5000,
-		Episodes: 3,
-		Gap:      20 * time.Second,
-		Warmup:   3 * time.Second,
-		BaseSeed: 2002,
+		RunConfig: RunConfig{Trials: 8, BaseSeed: 2002},
+		Users:     1 << 20,
+		Rate:      5000,
+		Episodes:  3,
+		Gap:       20 * time.Second,
+		Warmup:    3 * time.Second,
 	}
-}
-
-func (cfg *RequestConfig) validate() error {
-	if cfg.Trials <= 0 {
-		return fmt.Errorf("experiment: non-positive request trial count")
-	}
-	if cfg.Rate <= 0 {
-		return fmt.Errorf("experiment: non-positive request rate")
-	}
-	if cfg.Episodes <= 0 || cfg.Gap <= 0 {
-		return fmt.Errorf("experiment: request campaign needs fault episodes with positive gaps")
-	}
-	return nil
 }
 
 // requestVictim maps the campaign's fault class onto each mode: the
@@ -87,77 +66,76 @@ func requestVictim(mode MicroMode) string {
 	return "str"
 }
 
-// requestTrial is one trial's raw measurement. It is a flat comparable
-// value (the histogram is an inline array), so parallel-vs-sequential
-// byte-identity is a plain == on aggregated results.
-type requestTrial struct {
+// harmTrial is the user-harm trial of both the request and the policy
+// campaign: boot the station, start the open-loop load, warm up, run the
+// training episodes (their harm is discarded), then the measured ones —
+// each injects fault(i) and runs gap — and finally stop arrivals and run
+// drain, so every issued request resolves (ack or deadline) before the
+// books close.
+type harmTrial struct {
+	sys             mercury.Config
+	cohorts         []load.Cohort
+	warmup, gap     time.Duration
+	train, episodes int
+	fault           func(episode int) mercury.Fault
+	drain           time.Duration
+}
+
+// harm is one trial's raw measurement. It is a flat comparable value (the
+// histogram is an inline array), so parallel-vs-sequential byte-identity
+// is a plain == on aggregated results.
+type harm struct {
 	Stats   load.Stats
 	Hist    metrics.Hist
 	Horizon time.Duration
 }
 
-// runRequestTrial is the pure (mode, seed) → measurement trial.
-func runRequestTrial(cfg RequestConfig, mode MicroMode, seed int64) (requestTrial, error) {
-	sys, err := mercury.NewSystem(mercury.Config{
-		Seed:     seed,
-		TreeName: mode.Tree,
-		Policy:   mercury.PolicyEscalating,
-	})
-	if err != nil {
-		return requestTrial{}, err
+func (h harmTrial) check() error {
+	if h.episodes <= 0 || h.gap <= 0 {
+		return fmt.Errorf("experiment: a user-harm campaign needs fault episodes with positive gaps")
 	}
-	if err := sys.Boot(); err != nil {
-		return requestTrial{}, fmt.Errorf("boot: %w", err)
-	}
-	eng, err := load.NewEngine(clock.Sim{K: sys.Kernel}, sys.Bus, sys.Mgr, load.Config{
-		Seed: seed,
-		Cohorts: []load.Cohort{{
-			Class:    cfg.Class,
-			Users:    cfg.Users,
-			Rate:     cfg.Rate,
-			Poisson:  true,
-			Deadline: cfg.Deadline,
-			Retries:  cfg.Retries,
-		}},
-	})
+	return nil
+}
+
+// run is the pure seed → measurement trial.
+func (h harmTrial) run(seed int64) (harm, error) {
+	cfg := h.sys
+	cfg.Seed = seed
+	sys, err := boot(cfg)
 	if err != nil {
-		return requestTrial{}, err
+		return harm{}, err
+	}
+	eng, err := load.NewEngine(clock.Sim{K: sys.Kernel}, sys.Bus, sys.Mgr, load.Config{Seed: seed, Cohorts: h.cohorts})
+	if err != nil {
+		return harm{}, err
 	}
 	if err := eng.Start(); err != nil {
-		return requestTrial{}, err
+		return harm{}, err
 	}
-	if err := sys.RunFor(cfg.Warmup); err != nil {
-		return requestTrial{}, err
+	if err := sys.RunFor(h.warmup); err != nil {
+		return harm{}, err
 	}
-	base := eng.Stats()
-	eng.Hist().Reset()
-
-	victim := requestVictim(mode)
-	for i := 0; i < cfg.Episodes; i++ {
-		if err := sys.Inject(mercury.Fault{Component: victim}); err != nil {
-			return requestTrial{}, fmt.Errorf("inject %s: %w", victim, err)
+	var base load.Stats
+	for i := 0; i < h.train+h.episodes; i++ {
+		if i == h.train {
+			base = eng.Stats()
+			eng.Hist().Reset()
 		}
-		if err := sys.RunFor(cfg.Gap); err != nil {
-			return requestTrial{}, err
+		if err := sys.Inject(h.fault(i)); err != nil {
+			return harm{}, fmt.Errorf("inject episode %d: %w", i, err)
+		}
+		if err := sys.RunFor(h.gap); err != nil {
+			return harm{}, err
 		}
 	}
-	// Stop arrivals and drain so every issued request resolves (ack or
-	// deadline) before the books close.
 	eng.Stop()
-	drain := cfg.Deadline
-	if drain <= 0 {
-		drain = 100 * time.Millisecond
+	if err := sys.RunFor(h.drain); err != nil {
+		return harm{}, err
 	}
-	drain *= time.Duration(cfg.Retries + 1)
-	if err := sys.RunFor(2 * drain); err != nil {
-		return requestTrial{}, err
-	}
-
-	end := eng.Stats()
-	return requestTrial{
-		Stats:   subStats(end, base),
+	return harm{
+		Stats:   subStats(eng.Stats(), base),
 		Hist:    *eng.Hist(),
-		Horizon: time.Duration(cfg.Episodes) * cfg.Gap,
+		Horizon: time.Duration(h.episodes) * h.gap,
 	}, nil
 }
 
@@ -218,19 +196,22 @@ type RequestCellResult struct {
 
 // RunRequestCell measures one mode over cfg.Trials trials.
 func RunRequestCell(ctx context.Context, cfg RequestConfig, mode MicroMode) (*RequestCellResult, error) {
-	if err := cfg.validate(); err != nil {
+	victim := mercury.Fault{Component: requestVictim(mode)}
+	trial := harmTrial{
+		sys:      mercury.Config{TreeName: mode.Tree, Policy: mercury.PolicyEscalating},
+		cohorts:  []load.Cohort{{Class: RequestClass, Users: cfg.Users, Rate: cfg.Rate, Poisson: true}},
+		warmup:   cfg.Warmup,
+		gap:      cfg.Gap,
+		episodes: cfg.Episodes,
+		fault:    func(int) mercury.Fault { return victim },
+		drain:    200 * time.Millisecond, // twice the engine's default deadline
+	}
+	if err := trial.check(); err != nil {
 		return nil, err
 	}
-	trials, err := runner.Run(ctx,
-		runner.Config{Workers: cfg.Workers, BaseSeed: cfg.BaseSeed, Stride: runner.DefaultStride},
-		cfg.Trials,
-		func(_ context.Context, i int, seed int64) (requestTrial, error) {
-			tr, err := runRequestTrial(cfg, mode, seed)
-			if err != nil {
-				return requestTrial{}, fmt.Errorf("requests %s trial %d: %w", mode.Name, i, err)
-			}
-			return tr, nil
-		})
+	trials, err := runTrials(ctx, cfg.RunConfig, "requests "+mode.Name, func(_ int, seed int64) (harm, error) {
+		return trial.run(seed)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -250,14 +231,10 @@ func RunRequestCell(ctx context.Context, cfg RequestConfig, mode MicroMode) (*Re
 		res.Hist.Merge(&tr.Hist)
 	}
 	episodes := float64(len(trials) * cfg.Episodes)
-	if episodes > 0 {
-		res.FailedPerEpisode = float64(res.Failed) / episodes
-		res.SlowPerEpisode = float64(res.Slow) / episodes
-		res.DowntimePerEpisode = downtime / episodes
-	}
-	if horizon > 0 {
-		res.GoodputPerSec = float64(res.OK) / horizon.Seconds()
-	}
+	res.FailedPerEpisode = float64(res.Failed) / episodes
+	res.SlowPerEpisode = float64(res.Slow) / episodes
+	res.DowntimePerEpisode = downtime / episodes
+	res.GoodputPerSec = float64(res.OK) / horizon.Seconds()
 	if res.Hist.Count() > 0 {
 		res.P50, _ = res.Hist.Quantile(0.50)
 		res.P99, _ = res.Hist.Quantile(0.99)
@@ -331,7 +308,7 @@ func VerifyRequests(ctx context.Context, cfg RequestConfig, workers int) error {
 func RenderRequests(cfg RequestConfig, cells []*RequestCellResult) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "User-harm re-scoring — %s-class load at %.0f req/s over %d users (%d trials/mode, %d fault episodes + %v gaps)\n",
-		cfg.Class, cfg.Rate, cfg.Users, cfg.Trials, cfg.Episodes, cfg.Gap)
+		RequestClass, cfg.Rate, cfg.Users, cfg.Trials, cfg.Episodes, cfg.Gap)
 	fmt.Fprintf(&sb, "%-12s %-5s %12s %14s %14s %16s %9s %9s %9s\n",
 		"mode", "tree", "goodput/s", "failed/episode", "slow/episode", "user-dt/episode", "p50", "p99", "p99.9")
 	for _, c := range cells {

@@ -7,7 +7,6 @@ import (
 
 	mercury "github.com/recursive-restart/mercury"
 	"github.com/recursive-restart/mercury/internal/orbit"
-	"github.com/recursive-restart/mercury/internal/runner"
 )
 
 // This file reproduces the paper's §5.2 argument — "not all downtime is
@@ -36,80 +35,70 @@ type PassOutcome struct {
 	AvailableKb float64
 }
 
-// SatPass boots a station with the given restart tree, waits for the next
-// pass of the workload satellite, injects a front-end failure mid-pass
-// (the most frequent failure class: fedrcom before the split, fedr after)
-// and accounts for the science data.
-func SatPass(tree string, seed int64) (*PassOutcome, error) {
-	sys, err := mercury.NewSystem(mercury.Config{
-		Seed: seed, TreeName: tree, Policy: mercury.PolicyPerfect,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Boot(); err != nil {
-		return nil, err
-	}
-
-	passes, err := orbit.PredictPasses(sys.Params.Elements, sys.Params.Ground,
-		sys.Now(), 24*time.Hour, 10*3.14159/180)
-	if err != nil {
-		return nil, err
-	}
-	// Pick the first pass long enough to fail in the middle of.
-	var pass *orbit.Pass
-	for i := range passes {
-		if passes[i].Duration() >= 4*time.Minute {
-			pass = &passes[i]
-			break
+// SatPass simulates one pass per tree as independent trials on the runner
+// pool, all from the same seed so trees see the same pass and the same
+// mid-pass failure instant. Each boots a station with its restart tree,
+// waits for the next pass of the workload satellite, injects a front-end
+// failure mid-pass (the most frequent failure class: fedrcom before the
+// split, fedr after) and accounts for the science data.
+func SatPass(ctx context.Context, trees []string, seed int64, workers int) ([]*PassOutcome, error) {
+	return runTrials(ctx, RunConfig{Trials: len(trees), Workers: workers}, "pass", func(i int, _ int64) (*PassOutcome, error) {
+		tree := trees[i]
+		sys, err := boot(mercury.Config{Seed: seed, TreeName: tree, Policy: mercury.PolicyPerfect})
+		if err != nil {
+			return nil, err
 		}
-	}
-	if pass == nil {
-		return nil, fmt.Errorf("experiment: no usable pass within 24h")
-	}
 
-	// Run quietly until two minutes into the pass, then fail the front end.
-	failAt := pass.AOS.Add(2 * time.Minute)
-	if err := sys.Kernel.RunUntil(failAt); err != nil {
-		return nil, err
-	}
-	comp := "fedr"
-	if tree == "I" || tree == "II" {
-		comp = "fedrcom"
-	}
-	recovery, err := sys.MeasureRecovery(mercury.Fault{Component: comp}, 5*time.Minute)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Kernel.RunUntil(pass.LOS); err != nil {
-		return nil, err
-	}
+		passes, err := orbit.PredictPasses(sys.Params.Elements, sys.Params.Ground,
+			sys.Now(), 24*time.Hour, 10*3.14159/180)
+		if err != nil {
+			return nil, err
+		}
+		// Pick the first pass long enough to fail in the middle of.
+		var pass *orbit.Pass
+		for k := range passes {
+			if passes[k].Duration() >= 4*time.Minute {
+				pass = &passes[k]
+				break
+			}
+		}
+		if pass == nil {
+			return nil, fmt.Errorf("experiment: no usable pass within 24h")
+		}
 
-	out := &PassOutcome{
-		Tree:        tree,
-		Pass:        *pass,
-		FailureAt:   failAt,
-		Recovery:    recovery,
-		LinkBroken:  recovery > LinkBreakThreshold,
-		AvailableKb: DataRateKbps * pass.Duration().Seconds(),
-	}
-	if out.LinkBroken {
-		// Session lost: only the data before the failure was captured.
-		out.CollectedKb = DataRateKbps * failAt.Sub(pass.AOS).Seconds()
-	} else {
-		out.CollectedKb = DataRateKbps * (pass.Duration() - recovery).Seconds()
-	}
-	return out, nil
-}
+		// Run quietly until two minutes into the pass, then fail the front end.
+		failAt := pass.AOS.Add(2 * time.Minute)
+		if err := sys.Kernel.RunUntil(failAt); err != nil {
+			return nil, err
+		}
+		comp := "fedr"
+		if tree == "I" || tree == "II" {
+			comp = "fedrcom"
+		}
+		recovery, err := sys.MeasureRecovery(mercury.Fault{Component: comp}, 5*time.Minute)
+		if err != nil {
+			return nil, err
+		}
+		if err := sys.Kernel.RunUntil(pass.LOS); err != nil {
+			return nil, err
+		}
 
-// SatPasses simulates one pass per tree as independent trials on the
-// runner pool, all from the same seed so trees see the same pass and the
-// same mid-pass failure instant.
-func SatPasses(ctx context.Context, trees []string, seed int64, workers int) ([]*PassOutcome, error) {
-	return runner.Run(ctx, runner.Config{Workers: workers, BaseSeed: seed}, len(trees),
-		func(_ context.Context, i int, _ int64) (*PassOutcome, error) {
-			return SatPass(trees[i], seed)
-		})
+		out := &PassOutcome{
+			Tree:        tree,
+			Pass:        *pass,
+			FailureAt:   failAt,
+			Recovery:    recovery,
+			LinkBroken:  recovery > LinkBreakThreshold,
+			AvailableKb: DataRateKbps * pass.Duration().Seconds(),
+		}
+		if out.LinkBroken {
+			// Session lost: only the data before the failure was captured.
+			out.CollectedKb = DataRateKbps * failAt.Sub(pass.AOS).Seconds()
+		} else {
+			out.CollectedKb = DataRateKbps * (pass.Duration() - recovery).Seconds()
+		}
+		return out, nil
+	})
 }
 
 // RenderPassOutcome formats one pass account.

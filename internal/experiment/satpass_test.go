@@ -1,12 +1,22 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
+// satPass runs one tree's pass on its own.
+func satPass(tree string, seed int64) (*PassOutcome, error) {
+	out, err := SatPass(context.Background(), []string{tree}, seed, 1)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 func TestSatPassTreeIVHoldsLink(t *testing.T) {
-	o, err := SatPass("IV", 901)
+	o, err := satPass("IV", 901)
 	if err != nil {
 		t.Fatalf("SatPass: %v", err)
 	}
@@ -23,7 +33,7 @@ func TestSatPassTreeIVHoldsLink(t *testing.T) {
 }
 
 func TestSatPassTreeILosesSession(t *testing.T) {
-	o, err := SatPass("I", 902)
+	o, err := satPass("I", 902)
 	if err != nil {
 		t.Fatalf("SatPass: %v", err)
 	}
@@ -37,7 +47,7 @@ func TestSatPassTreeILosesSession(t *testing.T) {
 }
 
 func TestSatPassDataAccounting(t *testing.T) {
-	o, err := SatPass("IV", 903)
+	o, err := satPass("IV", 903)
 	if err != nil {
 		t.Fatal(err)
 	}

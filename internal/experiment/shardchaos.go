@@ -30,6 +30,9 @@ import (
 // the durations carry scheduler noise and are reported as measurements,
 // not goldens.
 
+// shardProbeInterval paces the reachability probes that time recovery.
+const shardProbeInterval = 5 * time.Millisecond
+
 // ShardChaosConfig parameterises the broker-shard kill/recover campaign.
 type ShardChaosConfig struct {
 	// Shards is the fabric width; every shard is killed once, in order.
@@ -40,8 +43,6 @@ type ShardChaosConfig struct {
 	// FramesPerPhase is how many frames each destination is sent during
 	// every outage phase.
 	FramesPerPhase int
-	// ProbeInterval paces the reachability probes that time recovery.
-	ProbeInterval time.Duration
 	// PhaseTimeout bounds every wait (delivery settle, recovery probe).
 	PhaseTimeout time.Duration
 }
@@ -52,7 +53,6 @@ func DefaultShardChaosConfig() ShardChaosConfig {
 		Shards:         2,
 		DestsPerShard:  2,
 		FramesPerPhase: 5,
-		ProbeInterval:  5 * time.Millisecond,
 		PhaseTimeout:   30 * time.Second,
 	}
 }
@@ -67,9 +67,6 @@ func (c ShardChaosConfig) withDefaults() ShardChaosConfig {
 	}
 	if c.FramesPerPhase <= 0 {
 		c.FramesPerPhase = d.FramesPerPhase
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = d.ProbeInterval
 	}
 	if c.PhaseTimeout <= 0 {
 		c.PhaseTimeout = d.PhaseTimeout
@@ -219,7 +216,7 @@ func RunShardChaos(cfg ShardChaosConfig) (*ShardChaosResult, error) {
 					delete(marks, d)
 				}
 			}
-			time.Sleep(cfg.ProbeInterval)
+			time.Sleep(shardProbeInterval)
 		}
 		return nil
 	}
@@ -235,7 +232,7 @@ func RunShardChaos(cfg ShardChaosConfig) (*ShardChaosResult, error) {
 	for k := 0; k < cfg.Shards; k++ {
 		// Drain stragglers from the previous probe phase so in-flight
 		// frames cannot be misattributed to this round's outage window.
-		time.Sleep(4 * cfg.ProbeInterval)
+		time.Sleep(4 * shardProbeInterval)
 		if err := sb.KillShard(k); err != nil {
 			return nil, err
 		}
@@ -272,7 +269,7 @@ func RunShardChaos(cfg ShardChaosConfig) (*ShardChaosResult, error) {
 				round.SurvivingDelivered = delivered
 				break
 			}
-			time.Sleep(cfg.ProbeInterval)
+			time.Sleep(shardProbeInterval)
 		}
 		for i, d := range dests {
 			if d.shard == k {

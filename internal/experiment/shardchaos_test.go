@@ -16,7 +16,6 @@ func TestShardChaosCampaign(t *testing.T) {
 		Shards:         2,
 		DestsPerShard:  1,
 		FramesPerPhase: 3,
-		ProbeInterval:  2 * time.Millisecond,
 		PhaseTimeout:   20 * time.Second,
 	})
 	if err != nil {

@@ -3,13 +3,11 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	mercury "github.com/recursive-restart/mercury"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/metrics"
-	"github.com/recursive-restart/mercury/internal/runner"
 	"github.com/recursive-restart/mercury/internal/trace"
 )
 
@@ -34,71 +32,57 @@ type SoakResult struct {
 	Recovery       metrics.Sample `json:"recovery"`
 }
 
-// Soak runs the station for the given simulated horizon with organic
-// failures at the Table 1 rates (extended across the split layout) and
-// measures system availability under A_entire: the system is down from
-// each failure until every component serves again.
-func Soak(tree string, horizon time.Duration, seed int64) (*SoakResult, error) {
-	sys, err := mercury.NewSystem(mercury.Config{
-		Seed: seed, TreeName: tree, Policy: mercury.PolicyEscalating,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &SoakResult{Tree: tree, Horizon: horizon}
-	var out trace.Outages
-	sys.Log.Subscribe(func(e trace.Event) {
-		if d, ok := out.Observe(e); ok {
-			res.Recovery.Add(d)
-		}
-	})
-
-	if err := sys.Boot(); err != nil {
-		return nil, err
-	}
-
-	mttf := SplitMTTF
-	if tree == "I" || tree == "II" {
-		mttf = PaperMTTF
-	}
-	// Iterate in sorted order: priming draws from the system's RNG, so map
-	// iteration order would make the failure schedule non-deterministic.
-	comps := make([]string, 0, len(mttf))
-	for comp := range mttf {
-		comps = append(comps, comp)
-	}
-	sort.Strings(comps)
-	for _, comp := range comps {
-		sys.Injector.SetLaw(comp, fault.LogNormal{M: mttf[comp], CV: 0.25})
-	}
-	sys.Injector.Enable()
-	// Components are already serving, so their first organic failures must
-	// be primed explicitly (the ready hook only catches future restarts).
-	for _, comp := range comps {
-		sys.Injector.Prime(comp)
-	}
-
-	start := sys.Now()
-	if err := sys.Kernel.RunUntil(start.Add(horizon)); err != nil {
-		return nil, err
-	}
-	sys.Injector.Disable()
-	res.Failures = sys.Board.Injected()
-	out.CloseAt(sys.Now())
-	res.Recoveries, res.GiveUps, res.SystemDowntime = out.Recoveries, out.GiveUps, out.Downtime
-	res.Availability = 1 - res.SystemDowntime.Seconds()/horizon.Seconds()
-	return res, nil
-}
-
-// Soaks runs one soak per tree as independent trials on the runner pool.
-// Every tree soaks under the same seed (as the sequential comparisons
-// always have), so results are identical to calling Soak per tree.
-func Soaks(ctx context.Context, trees []string, horizon time.Duration, seed int64, workers int) ([]*SoakResult, error) {
-	return runner.Run(ctx, runner.Config{Workers: workers, BaseSeed: seed}, len(trees),
-		func(_ context.Context, i int, _ int64) (*SoakResult, error) {
-			return Soak(trees[i], horizon, seed)
+// Soak runs one soak per tree as independent trials on the runner pool,
+// every tree under the same seed: the station runs for the given
+// simulated horizon with organic failures at the Table 1 rates (extended
+// across the split layout), and system availability is measured under
+// A_entire — the system is down from each failure until every component
+// serves again.
+func Soak(ctx context.Context, trees []string, horizon time.Duration, seed int64, workers int) ([]*SoakResult, error) {
+	return runTrials(ctx, RunConfig{Trials: len(trees), Workers: workers}, "soak", func(i int, _ int64) (*SoakResult, error) {
+		tree := trees[i]
+		sys, err := mercury.NewSystem(mercury.Config{
+			Seed: seed, TreeName: tree, Policy: mercury.PolicyEscalating,
 		})
+		if err != nil {
+			return nil, err
+		}
+
+		res := &SoakResult{Tree: tree, Horizon: horizon}
+		var out trace.Outages
+		sys.Log.Subscribe(func(e trace.Event) {
+			if d, ok := out.Observe(e); ok {
+				res.Recovery.Add(d)
+			}
+		})
+
+		if err := sys.Boot(); err != nil {
+			return nil, err
+		}
+
+		mttf := SplitMTTF
+		if tree == "I" || tree == "II" {
+			mttf = PaperMTTF
+		}
+		laws := make(map[string]fault.Law, len(mttf))
+		for comp, m := range mttf {
+			laws[comp] = fault.LogNormal{M: m, CV: 0.25}
+		}
+		// Components are already serving, so their first organic failures
+		// are primed as the injector is armed.
+		sys.Injector.Arm(laws)
+
+		start := sys.Now()
+		if err := sys.Kernel.RunUntil(start.Add(horizon)); err != nil {
+			return nil, err
+		}
+		sys.Injector.Disable()
+		res.Failures = sys.Board.Injected()
+		out.CloseAt(sys.Now())
+		res.Recoveries, res.GiveUps, res.SystemDowntime = out.Recoveries, out.GiveUps, out.Downtime
+		res.Availability = 1 - res.SystemDowntime.Seconds()/horizon.Seconds()
+		return res, nil
+	})
 }
 
 // RenderSoak formats a soak result.
@@ -133,20 +117,14 @@ func FreeRestartMTTF(horizon time.Duration, seed int64) (*FreeRestartResult, err
 		PbcomFailures: make(map[string]int, 2),
 	}
 	for _, tree := range []string{"IV", "V"} {
-		sys, err := mercury.NewSystem(mercury.Config{
-			Seed: seed, TreeName: tree, Policy: mercury.PolicyPerfect,
-		})
+		sys, err := boot(mercury.Config{Seed: seed, TreeName: tree, Policy: mercury.PolicyPerfect})
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.Boot(); err != nil {
-			return nil, err
-		}
-		sys.Injector.SetLaw("fedr", fault.Weibull{Shape: 3, M: 10 * time.Minute})
-		sys.Injector.SetLaw("pbcom", fault.Deterministic{D: 8 * time.Minute})
-		sys.Injector.Enable()
-		sys.Injector.Prime("fedr")
-		sys.Injector.Prime("pbcom")
+		sys.Injector.Arm(map[string]fault.Law{
+			"fedr":  fault.Weibull{Shape: 3, M: 10 * time.Minute},
+			"pbcom": fault.Deterministic{D: 8 * time.Minute},
+		})
 		if err := sys.Kernel.RunUntil(sys.Now().Add(horizon)); err != nil {
 			return nil, err
 		}

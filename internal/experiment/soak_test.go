@@ -1,16 +1,18 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestSoakTreeIVAvailability(t *testing.T) {
-	r, err := Soak("IV", 4*time.Hour, 1001)
+	rs, err := Soak(context.Background(), []string{"IV"}, 4*time.Hour, 1001, 1)
 	if err != nil {
 		t.Fatalf("Soak: %v", err)
 	}
+	r := rs[0]
 	// fedr alone fails ~24 times in 4h; recoveries must keep up.
 	if r.Failures < 10 {
 		t.Fatalf("only %d organic failures in 4h", r.Failures)
@@ -31,14 +33,11 @@ func TestSoakTreeIVAvailability(t *testing.T) {
 }
 
 func TestSoakTreeIWorseThanTreeIV(t *testing.T) {
-	rI, err := Soak("I", 3*time.Hour, 1002)
+	rs, err := Soak(context.Background(), []string{"I", "IV"}, 3*time.Hour, 1002, 0)
 	if err != nil {
-		t.Fatalf("Soak I: %v", err)
+		t.Fatalf("Soak: %v", err)
 	}
-	rIV, err := Soak("IV", 3*time.Hour, 1002)
-	if err != nil {
-		t.Fatalf("Soak IV: %v", err)
-	}
+	rI, rIV := rs[0], rs[1]
 	if rIV.Availability <= rI.Availability {
 		t.Fatalf("availability: IV=%.4f should beat I=%.4f",
 			rIV.Availability, rI.Availability)

@@ -24,11 +24,15 @@ type SweepPoint struct {
 	TreeV  float64 `json:"tree_v_s"`
 }
 
-// OracleQualitySweepCfg measures joint-cure pbcom recoveries under trees
-// IV and V across oracle error rates, each (point, tree) cell's trials
-// fanned across the runner pool. Each point keeps its own base
-// seed, so the sweep trajectory is independent of the worker count.
-func OracleQualitySweepCfg(ctx context.Context, ps []float64, rc RunConfig) ([]SweepPoint, error) {
+// OracleQualitySweep measures joint-cure pbcom recoveries under trees IV
+// and V across oracle error rates ps (with none, the standard six from 0
+// to 1), each (point, tree) cell's trials fanned across the runner pool.
+// Each point keeps its own base seed, so the sweep trajectory is
+// independent of the worker count.
+func OracleQualitySweep(ctx context.Context, rc RunConfig, ps ...float64) ([]SweepPoint, error) {
+	if len(ps) == 0 {
+		ps = []float64{0, 0.15, 0.30, 0.50, 0.75, 1.0}
+	}
 	cure := []string{"fedr", "pbcom"}
 	var out []SweepPoint
 	for i, p := range ps {
@@ -39,7 +43,7 @@ func OracleQualitySweepCfg(ctx context.Context, ps []float64, rc RunConfig) ([]S
 		pointCfg.BaseSeed = rc.BaseSeed + int64(i)*sweepPointStride
 		point := SweepPoint{P: p}
 		for _, tree := range []string{"IV", "V"} {
-			s, err := RunCellCfg(ctx, Cell{
+			s, err := RunCell(ctx, Cell{
 				Tree: tree, Policy: mercury.PolicyFaulty, FaultyP: p,
 				Component: "pbcom", Cure: cure,
 			}, pointCfg)
@@ -79,13 +83,4 @@ func bar(seconds float64) string {
 		n = 40
 	}
 	return strings.Repeat("▇", n)
-}
-
-// sweepDefaults are the rates rrbench sweeps.
-var sweepDefaults = []float64{0, 0.15, 0.30, 0.50, 0.75, 1.0}
-
-// DefaultSweepCfg runs the standard sweep under an explicit run
-// configuration.
-func DefaultSweepCfg(ctx context.Context, rc RunConfig) ([]SweepPoint, error) {
-	return OracleQualitySweepCfg(ctx, sweepDefaults, rc)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestOracleQualitySweepShape(t *testing.T) {
-	points, err := OracleQualitySweepCfg(context.Background(), []float64{0, 0.5, 1.0}, RunConfig{Trials: 8, BaseSeed: 5000})
+	points, err := OracleQualitySweep(context.Background(), RunConfig{Trials: 8, BaseSeed: 5000}, 0, 0.5, 1.0)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestOracleQualitySweepShape(t *testing.T) {
 }
 
 func TestOracleQualitySweepValidation(t *testing.T) {
-	if _, err := OracleQualitySweepCfg(context.Background(), []float64{1.5}, RunConfig{Trials: 1, BaseSeed: 1}); err == nil {
+	if _, err := OracleQualitySweep(context.Background(), RunConfig{Trials: 1, BaseSeed: 1}, 1.5); err == nil {
 		t.Fatal("rate > 1 accepted")
 	}
 }

@@ -238,16 +238,6 @@ func (b *Board) MinimalCure(component string) ([]string, bool) {
 	return nil, false
 }
 
-// ActiveFaults returns the IDs of active faults, sorted.
-func (b *Board) ActiveFaults() []string {
-	out := make([]string, 0, len(b.active))
-	for id := range b.active {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Clear drops all active faults without curing them (between experiment
 // trials).
 func (b *Board) Clear() {
@@ -330,11 +320,25 @@ func (inj *Injector) onReady(name string) {
 	})
 }
 
-// Prime schedules the first organic failure for a component that is
-// already serving — the OnReady hook only catches future ready
-// transitions, so callers enabling the injector mid-run prime each
-// component once.
-func (inj *Injector) Prime(component string) { inj.onReady(component) }
+// Arm sets each component's law, enables the injector, and schedules the
+// first organic failure of every component already serving — the OnReady
+// hook only catches future ready transitions. Laws are set and primed in
+// sorted component order: priming draws from the manager's RNG, so map
+// order would make the failure schedule nondeterministic.
+func (inj *Injector) Arm(laws map[string]Law) {
+	comps := make([]string, 0, len(laws))
+	for c := range laws {
+		comps = append(comps, c)
+	}
+	sort.Strings(comps)
+	for _, c := range comps {
+		inj.SetLaw(c, laws[c])
+	}
+	inj.Enable()
+	for _, c := range comps {
+		inj.onReady(c)
+	}
+}
 
 // TTFSamples returns the achieved time-to-failure samples for a component.
 func (inj *Injector) TTFSamples(component string) []time.Duration {

@@ -3,6 +3,7 @@ package fault
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -224,6 +225,39 @@ func TestInjectorCureFor(t *testing.T) {
 	cure, ok := r.board.MinimalCure("a")
 	if !ok || len(cure) != 2 {
 		t.Fatalf("cure = %v, %v", cure, ok)
+	}
+}
+
+// TestInjectorArmOrderFree: Arm primes in sorted component order, so two
+// law maps with the same entries, built in different insertion orders,
+// draw the same failure schedule from the shared RNG.
+func TestInjectorArmOrderFree(t *testing.T) {
+	comps := []string{"a", "b", "c"}
+	schedule := func(order []string) [][]time.Duration {
+		r := newRig(t, comps...)
+		inj := NewInjector(clock.Sim{K: r.k}, r.mgr, r.board)
+		laws := map[string]Law{}
+		for _, c := range order {
+			laws[c] = Exponential{M: 10 * time.Second}
+		}
+		inj.Arm(laws)
+		_ = r.k.RunFor(10 * time.Minute)
+		var out [][]time.Duration
+		for _, c := range comps {
+			out = append(out, inj.TTFSamples(c))
+		}
+		return out
+	}
+	want := schedule(comps)
+	for _, got := range want {
+		if len(got) != 1 {
+			t.Fatalf("TTF samples %v: want one failure per component", want)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if got := schedule([]string{"c", "b", "a"}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("schedule depends on law-map order: %v vs %v", got, want)
+		}
 	}
 }
 

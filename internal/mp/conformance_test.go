@@ -98,7 +98,7 @@ func onSim(t *testing.T, tree, manifest string, cure []string) outcome {
 	if _, err := sys.MeasureRecovery(mercury.Fault{Component: manifest}, 5*time.Minute); err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	if !sys.Recovered() {
+	if !sys.Whole() {
 		t.Fatal("sim: not recovered")
 	}
 	return observe(sys.Log, sys.Mgr, sys.Tree, manifest, before)

@@ -2,7 +2,6 @@ package proc
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/trace"
@@ -290,13 +289,4 @@ func (m *Manager) splitRestartSet(names []string) (procs, micro []string, err er
 		}
 	}
 	return procs, micro, nil
-}
-
-// DescribeSub renders "parent.short" state for operator surfaces.
-func (m *Manager) DescribeSub(name string) string {
-	st, err := m.SubState(name)
-	if err != nil {
-		return "unknown"
-	}
-	return strings.ToLower(st.String())
 }

@@ -9,9 +9,9 @@
 //     BaseSeed + i*Stride, no matter which worker picks it up or in what
 //     order trials finish. The stride (default 7919) is the seed-spacing
 //     idiom previously duplicated across the harnesses.
-//  2. Seed-ordered results: Run returns results indexed by trial, and
-//     RunSample folds durations into the statistics accumulator in trial
-//     order, so a parallel run is bit-identical to a sequential one.
+//  2. Seed-ordered results: Run returns results indexed by trial, so a
+//     caller folding them in that order makes a parallel run
+//     bit-identical to a sequential one.
 //  3. Fail-fast: the first trial error cancels the shared context; of
 //     the errors observed before the pool drains, the one with the
 //     lowest trial index is returned.
@@ -23,9 +23,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"github.com/recursive-restart/mercury/internal/metrics"
 )
 
 // DefaultStride spaces consecutive trial seeds far enough apart that the
@@ -159,21 +156,4 @@ func Run[T any](ctx context.Context, cfg Config, n int, fn TrialFunc[T]) ([]T, e
 		return nil, err
 	}
 	return results, nil
-}
-
-// RunSample executes duration-valued trials and folds the results into a
-// metrics.Sample in trial order. Folding in seed order (rather than
-// merging worker-local accumulators in completion order) makes the
-// returned statistics bit-identical to a sequential run for every
-// Workers setting.
-func RunSample(ctx context.Context, cfg Config, n int, fn TrialFunc[time.Duration]) (*metrics.Sample, error) {
-	ds, err := Run(ctx, cfg, n, fn)
-	if err != nil {
-		return nil, err
-	}
-	var s metrics.Sample
-	for _, d := range ds {
-		s.Add(d)
-	}
-	return &s, nil
 }

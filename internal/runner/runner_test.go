@@ -49,33 +49,6 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestRunSampleBitIdenticalToSequential(t *testing.T) {
-	fn := func(_ context.Context, trial int, seed int64) (time.Duration, error) {
-		// An uneven duration mix so fold order matters to the last ulp.
-		return time.Duration(seed%997)*time.Millisecond + time.Duration(trial)*time.Microsecond, nil
-	}
-	seq, err := RunSample(context.Background(), Config{Workers: 1, BaseSeed: 7}, 53, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunSample(context.Background(), Config{Workers: 8, BaseSeed: 7}, 53, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.MeanSeconds() != par.MeanSeconds() {
-		t.Fatalf("means differ: %v vs %v", seq.MeanSeconds(), par.MeanSeconds())
-	}
-	if seq.StdDev() != par.StdDev() || seq.Min() != par.Min() || seq.Max() != par.Max() {
-		t.Fatalf("stats differ: %v/%v/%v vs %v/%v/%v",
-			seq.StdDev(), seq.Min(), seq.Max(), par.StdDev(), par.Min(), par.Max())
-	}
-	p95s, _ := seq.Percentile(95)
-	p95p, _ := par.Percentile(95)
-	if p95s != p95p {
-		t.Fatalf("P95 differs: %v vs %v", p95s, p95p)
-	}
-}
-
 func TestRunFailFastCancelsOutstandingTrials(t *testing.T) {
 	errBoom := errors.New("boom")
 	fn := func(ctx context.Context, trial int, _ int64) (int, error) {

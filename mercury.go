@@ -400,10 +400,6 @@ func (s *System) MeasureRecovery(f Fault, limit time.Duration) (time.Duration, e
 	return d, nil
 }
 
-// Recovered reports whether the station is whole (assemble.Station.Whole).
-// Fleet campaigns poll it between epochs: the epoch scheduler owns the clock.
-func (s *System) Recovered() bool { return s.Whole() }
-
 // SetChaos installs (or clears, with nil) the fabric-wide bus chaos
 // profile. Installing it after Boot degrades the network only once the
 // station is up — the usual shape for availability-vs-loss experiments.

@@ -93,7 +93,7 @@ func TestKillWithFramesInFlight(t *testing.T) {
 	if err := sys.RunFor(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !sys.Recovered() || !sys.Mgr.AllServing(sys.Components()...) {
+	if !sys.Whole() || !sys.Mgr.AllServing(sys.Components()...) {
 		t.Fatal("station not whole after the kill sequence")
 	}
 	assertNoPoisonSeen(t, sys)
