@@ -63,7 +63,6 @@ func main() {
 		micro     = flag.Bool("micro", false, "microrebootable components on the crash-only store (in-process runtime only)")
 		oracle    = flag.String("oracle", "", "recovery policy (v2 = costaware), one of:\n"+core.PolicyHelp())
 		ckptIv    = flag.Duration("ckpt-interval", 0, "checkpoint snapshot period (micro mode; 0 = default 10s when the checkpoint plane is on)")
-		estWindow = flag.Int("estimator-window", 0, "EWMA window, in samples, of the learning and costaware policies' estimator (0 = default 8)")
 		obsAddr   = flag.String("obs", "", "HTTP address for the observability endpoints (/metrics, /healthz, /tree); empty = disabled")
 		version   = flag.Bool("version", false, "print version and exit")
 	)
@@ -86,7 +85,6 @@ func main() {
 		micro:     *micro,
 		oracle:    *oracle,
 		ckptIv:    *ckptIv,
-		estWindow: *estWindow,
 		obsAddr:   *obsAddr,
 	}
 	if err := run(opts); err != nil {
@@ -109,7 +107,6 @@ type options struct {
 	micro        bool
 	oracle       string
 	ckptIv       time.Duration
-	estWindow    int
 	obsAddr      string
 }
 
@@ -163,15 +160,14 @@ func run(opts options) error {
 		return serve(served{Host: sup.Host, pid: sup.ChildPID}, opts)
 	}
 	node, err := rt.StartNode(rt.NodeConfig{
-		ListenAddr:      opts.listen,
-		Scale:           opts.scale,
-		TreeName:        opts.tree,
-		Seed:            opts.seed,
-		BusShards:       opts.busShards,
-		Micro:           opts.micro,
-		OracleName:      opts.oracle,
-		CkptInterval:    opts.ckptIv,
-		EstimatorWindow: opts.estWindow,
+		ListenAddr:   opts.listen,
+		Scale:        opts.scale,
+		TreeName:     opts.tree,
+		Seed:         opts.seed,
+		BusShards:    opts.busShards,
+		Micro:        opts.micro,
+		OracleName:   opts.oracle,
+		CkptInterval: opts.ckptIv,
 	})
 	if err != nil {
 		return err

@@ -170,8 +170,12 @@ var metricTok = regexp.MustCompile(`mercury_[a-z0-9_]*[a-z0-9]`)
 // code registers only the family.
 var promSuffixes = []string{"_bucket", "_count", "_sum"}
 
-// TestDocsMetricFamilies checks that every mercury_* metric the docs
-// mention exists in the code: each token (after stripping histogram
+// currentDocs are the root docs that describe the tree as it is. The
+// change ledger is left out: it records what was deleted, by name.
+var currentDocs = []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md", "ROADMAP.md"}
+
+// TestDocsMetricFamilies checks that every mercury_* metric the current
+// docs mention exists in the code: each token (after stripping histogram
 // series suffixes) must appear in some .go file, either as an exact
 // literal or as the prefix of one (docs legitimately show grep patterns
 // like `mercury_rec`). A renamed or deleted metric must not leave the
@@ -204,7 +208,7 @@ func TestDocsMetricFamilies(t *testing.T) {
 	code := corpus.String()
 
 	checked := 0
-	for _, doc := range rootDocs(t) {
+	for _, doc := range currentDocs {
 		body, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -260,9 +264,9 @@ func TestDocsPolicies(t *testing.T) {
 	if !strings.Contains(string(main), "core.PolicyHelp()") {
 		t.Error("mercuryd's -oracle help text is not rendered from core.PolicyHelp")
 	}
-	for p := mercury.PolicyEscalating; !strings.HasPrefix(p.String(), "policy("); p++ {
-		if _, err := core.PolicyByName(p.String(), core.PolicyDeps{}); err != nil {
-			t.Errorf("mercury.%v: %v", p, err)
+	for _, p := range mercury.AllPolicies {
+		if _, err := core.PolicyByName(string(p), core.PolicyDeps{}); err != nil {
+			t.Errorf("mercury.Policy %q: %v", p, err)
 		}
 	}
 }

@@ -55,12 +55,11 @@ type Config struct {
 	Micro bool
 	// Policy, when non-nil, is the recoverer's policy as built by the
 	// caller; otherwise PolicyName is resolved through core.PolicyByName
-	// with FaultyP, HarmRates and Window as its knobs.
+	// with FaultyP and HarmRates as its knobs.
 	Policy     *core.Policy
 	PolicyName string
 	FaultyP    float64
 	HarmRates  map[string]float64
-	Window     int
 	// CkptInterval is the checkpoint period. The checkpoint plane exists
 	// only in micro mode, and only when a checkpoint-backed policy name or
 	// a positive interval asks for it.
@@ -216,7 +215,6 @@ func Assemble(cfg Config) (Station, error) {
 			FaultyP:  cfg.FaultyP,
 			Ckpt:     s.Ckpt,
 			HarmRate: harmRateFn(cfg.HarmRates),
-			Window:   cfg.Window,
 		})
 		if err != nil {
 			return Station{}, fmt.Errorf("mercury: %w", err)

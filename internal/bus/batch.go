@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"sync"
-	"time"
 
 	"github.com/recursive-restart/mercury/internal/obs"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
@@ -21,7 +20,7 @@ import (
 // Write syscall, senders keep appending, so the next flush carries
 // everything that accumulated — under load batches grow and the syscall
 // rate collapses, while an idle connection still flushes every frame
-// immediately (FlushDelay 0). The pending buffer is bounded: a full queue
+// immediately. The pending buffer is bounded: a full queue
 // either blocks the sender (back-pressure propagates) or drops the frame
 // against a counter, never grows silently.
 
@@ -34,78 +33,39 @@ var (
 	ErrWriterClosed = errors.New("bus: batch writer closed")
 )
 
-// QueuePolicy selects what a full send queue does with the next frame.
+// QueuePolicy selects what a full send queue does with the next frame. It
+// follows the connection's role: brokers drop, clients block.
 type QueuePolicy int
 
 const (
 	// Block makes Enqueue wait for queue space: back-pressure propagates
 	// to the sender, so a slow connection throttles its producers instead
-	// of losing traffic. The client default.
+	// of losing traffic. Every client connection.
 	Block QueuePolicy = iota
 	// DropNewest makes Enqueue discard the offered frame (counted in
-	// mercury_bus_shard_backpressure_drops_total). The broker default: one
-	// stalled reader must not wedge routing for every other destination,
-	// and the fabric is fail-silent by contract.
+	// mercury_bus_shard_backpressure_drops_total). Every broker
+	// connection: one stalled reader must not wedge routing for every
+	// other destination, and the fabric is fail-silent by contract.
 	DropNewest
 )
 
-// Batching defaults.
-const (
-	// DefaultFlushBytes is the batch size threshold: once the pending
-	// buffer reaches it, the writer flushes even if FlushDelay has not
-	// elapsed. 16 KiB ≈ 200 typical frames, far past the point where the
-	// per-syscall cost is amortised.
-	DefaultFlushBytes = 16 << 10
-	// DefaultMaxQueue bounds the pending buffer. 256 KiB per connection
-	// caps broker memory at a few MiB even with every client stalled.
-	DefaultMaxQueue = 256 << 10
-)
-
-// BatchConfig tunes one connection's batching and back-pressure.
-type BatchConfig struct {
-	// FlushBytes flushes a batch early once the pending buffer reaches
-	// this size. <= 0 selects DefaultFlushBytes.
-	FlushBytes int
-	// FlushDelay is the longest a queued frame may wait for its batch to
-	// fill. 0 (the default) flushes as soon as the writer is free: no
-	// added latency, batching arises only from writer occupancy. > 0
-	// trades latency for larger batches.
-	FlushDelay time.Duration
-	// MaxQueue bounds the pending buffer in bytes. <= 0 selects
-	// DefaultMaxQueue.
-	MaxQueue int
-	// Policy selects Block or DropNewest when the queue is full.
-	Policy QueuePolicy
-}
-
-// withDefaults fills zero fields.
-func (c BatchConfig) withDefaults() BatchConfig {
-	if c.FlushBytes <= 0 {
-		c.FlushBytes = DefaultFlushBytes
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = DefaultMaxQueue
-	}
-	if c.MaxQueue < c.FlushBytes {
-		c.MaxQueue = c.FlushBytes
-	}
-	return c
-}
+// maxQueue bounds a connection's pending buffer in bytes, the back-pressure
+// trip point. 256 KiB per connection caps broker memory at a few MiB even
+// with every client stalled.
+const maxQueue = 256 << 10
 
 // BatchWriter coalesces frames queued by any number of goroutines into
 // single Write calls on one connection, in enqueue order. Created with
 // NewBatchWriter; must be Closed to stop its writer goroutine.
 type BatchWriter struct {
-	w   io.Writer
-	cfg BatchConfig
+	w      io.Writer
+	policy QueuePolicy
 
 	mu            sync.Mutex
 	cond          *sync.Cond
 	pending       []byte // encoded frames waiting for the next flush
 	spare         []byte // previous flush's buffer, reused
 	pendingFrames int
-	firstAt       time.Time // when pending went non-empty (deadline base)
-	kicked        bool      // explicit Flush requested
 	closed        bool
 	err           error
 
@@ -115,12 +75,13 @@ type BatchWriter struct {
 	framesOut, bytesOut, bpDrops *obs.CounterShard
 }
 
-// NewBatchWriter starts a batch writer over w.
-func NewBatchWriter(w io.Writer, cfg BatchConfig) *BatchWriter {
+// NewBatchWriter starts a batch writer over w whose full queue applies
+// policy.
+func NewBatchWriter(w io.Writer, policy QueuePolicy) *BatchWriter {
 	bw := &BatchWriter{
-		w:    w,
-		cfg:  cfg.withDefaults(),
-		done: make(chan struct{}),
+		w:      w,
+		policy: policy,
+		done:   make(chan struct{}),
 	}
 	bw.cond = sync.NewCond(&bw.mu)
 	sh := nextShard()
@@ -174,8 +135,8 @@ func (bw *BatchWriter) EnqueueFrame(frame []byte) error {
 // one more frame, or the reason the frame is refused with mu released.
 func (bw *BatchWriter) admit() error {
 	bw.mu.Lock()
-	if bw.cfg.Policy == Block {
-		for len(bw.pending) >= bw.cfg.MaxQueue && bw.err == nil && !bw.closed {
+	if bw.policy == Block {
+		for len(bw.pending) >= maxQueue && bw.err == nil && !bw.closed {
 			bw.cond.Wait()
 		}
 	}
@@ -188,7 +149,7 @@ func (bw *BatchWriter) admit() error {
 		bw.mu.Unlock()
 		return err
 	}
-	if len(bw.pending) >= bw.cfg.MaxQueue { // DropNewest
+	if len(bw.pending) >= maxQueue { // DropNewest
 		bw.mu.Unlock()
 		bw.bpDrops.Inc()
 		return ErrBackpressure
@@ -201,19 +162,7 @@ func (bw *BatchWriter) admit() error {
 func (bw *BatchWriter) queued(buf []byte, n0 int) {
 	bw.pending = buf
 	bw.pendingFrames++
-	if bw.pendingFrames == 1 {
-		bw.firstAt = time.Now()
-	}
 	M.TCPQueueBytes.Add(int64(len(buf) - n0))
-	bw.cond.Broadcast()
-	bw.mu.Unlock()
-}
-
-// Flush asks the writer to flush the current batch without waiting for
-// FlushDelay or FlushBytes. It does not wait for the write to complete.
-func (bw *BatchWriter) Flush() {
-	bw.mu.Lock()
-	bw.kicked = true
 	bw.cond.Broadcast()
 	bw.mu.Unlock()
 }
@@ -251,24 +200,9 @@ func (bw *BatchWriter) loop() {
 		if bw.err != nil || (bw.closed && bw.pendingFrames == 0) {
 			break
 		}
-		// Deadline batching: hold the batch open until FlushDelay elapses
-		// from the first queued frame, the size threshold is reached, an
-		// explicit Flush arrives, or the writer is closing.
-		for bw.cfg.FlushDelay > 0 && !bw.kicked && !bw.closed && bw.err == nil &&
-			len(bw.pending) < bw.cfg.FlushBytes {
-			wait := bw.cfg.FlushDelay - time.Since(bw.firstAt)
-			if wait <= 0 {
-				break
-			}
-			bw.timedWait(wait)
-		}
-		if bw.err != nil {
-			break
-		}
 		buf, frames := bw.pending, bw.pendingFrames
 		bw.pending, bw.spare = bw.spare[:0], buf
 		bw.pendingFrames = 0
-		bw.kicked = false
 		M.TCPQueueBytes.Add(-int64(len(buf)))
 		bw.cond.Broadcast() // admit senders blocked on a full queue
 		bw.mu.Unlock()
@@ -290,21 +224,4 @@ func (bw *BatchWriter) loop() {
 	bw.pendingFrames = 0
 	bw.cond.Broadcast()
 	bw.mu.Unlock()
-}
-
-// timedWait waits on the condition for at most d, returning early when any
-// flush condition changes. Called with mu held; returns with mu held.
-func (bw *BatchWriter) timedWait(d time.Duration) {
-	fired := false
-	t := time.AfterFunc(d, func() {
-		bw.mu.Lock()
-		fired = true
-		bw.cond.Broadcast()
-		bw.mu.Unlock()
-	})
-	for !fired && !bw.kicked && !bw.closed && bw.err == nil &&
-		len(bw.pending) < bw.cfg.FlushBytes {
-		bw.cond.Wait()
-	}
-	t.Stop()
 }

@@ -49,12 +49,6 @@ func (r *chunkRecorder) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (r *chunkRecorder) chunkCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.chunks)
-}
-
 func (r *chunkRecorder) all() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -105,7 +99,7 @@ func TestBatchByteIdentity(t *testing.T) {
 	}
 
 	var batched lockedBuffer
-	bw := NewBatchWriter(&batched, BatchConfig{})
+	bw := NewBatchWriter(&batched, Block)
 	for _, m := range msgs {
 		if err := bw.Enqueue(m); err != nil {
 			t.Fatal(err)
@@ -120,93 +114,44 @@ func TestBatchByteIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchSizeFlush: with an effectively infinite deadline, reaching
-// FlushBytes alone must trigger the flush.
-func TestBatchSizeFlush(t *testing.T) {
-	rec := &chunkRecorder{}
-	bw := NewBatchWriter(rec, BatchConfig{FlushDelay: time.Hour, FlushBytes: 256})
-	defer bw.Close()
-	msgs := batchCorpus(64) // ~80 wire bytes each: crosses 256 well before 64 frames
-	for _, m := range msgs {
-		if err := bw.Enqueue(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rec.chunkCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("size threshold did not trigger a flush")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	rec.mu.Lock()
-	first := len(rec.chunks[0])
-	rec.mu.Unlock()
-	if first < 256 {
-		t.Fatalf("size-triggered batch is %d bytes, want >= FlushBytes (256)", first)
-	}
+// heldWriter passes writes to w once release is closed. It holds a batch
+// open: frames queued behind the held write stay pending until the test
+// lets go.
+type heldWriter struct {
+	w       io.Writer
+	release chan struct{}
 }
 
-// TestBatchDeadlineFlush: a lone frame below the size threshold must be
-// written once FlushDelay elapses — and not sooner.
-func TestBatchDeadlineFlush(t *testing.T) {
-	const delay = 80 * time.Millisecond
-	rec := &chunkRecorder{}
-	bw := NewBatchWriter(rec, BatchConfig{FlushDelay: delay, FlushBytes: 1 << 20})
-	defer bw.Close()
-
-	start := time.Now()
-	if err := bw.Enqueue(xmlcmd.NewPing("fd", "ses", 1, 42)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rec.chunkCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("deadline did not trigger a flush")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if elapsed := time.Since(start); elapsed < delay-10*time.Millisecond {
-		t.Fatalf("flushed after %v, want the frame held for ~%v", elapsed, delay)
-	}
-	if got := decodeStream(t, rec.all()); len(got) != 1 || got[0].Ping.Nonce != 42 {
-		t.Fatalf("decoded %d frames, want the queued ping", len(got))
-	}
-}
-
-// TestBatchFlushKick: an explicit Flush overrides the deadline.
-func TestBatchFlushKick(t *testing.T) {
-	rec := &chunkRecorder{}
-	bw := NewBatchWriter(rec, BatchConfig{FlushDelay: time.Hour, FlushBytes: 1 << 20})
-	defer bw.Close()
-	if err := bw.Enqueue(xmlcmd.NewPing("fd", "ses", 1, 7)); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
-	deadline := time.Now().Add(5 * time.Second)
-	for rec.chunkCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("explicit Flush did not trigger a write")
-		}
-		time.Sleep(time.Millisecond)
-	}
+func (h heldWriter) Write(p []byte) (int, error) {
+	<-h.release
+	return h.w.Write(p)
 }
 
 // TestBatchCloseFlushOrdering: Close drains everything still queued, in
-// enqueue order, before returning — even under an hour-long deadline.
+// enqueue order, before returning. The writer is held until Close has
+// begun, so the frames are still pending when it does.
 func TestBatchCloseFlushOrdering(t *testing.T) {
-	rec := &chunkRecorder{}
-	bw := NewBatchWriter(rec, BatchConfig{FlushDelay: time.Hour, FlushBytes: 1 << 20})
+	var buf lockedBuffer
+	release := make(chan struct{})
+	bw := NewBatchWriter(heldWriter{&buf, release}, Block)
 	msgs := batchCorpus(23)
 	for _, m := range msgs {
 		if err := bw.Enqueue(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bw.Close(); err != nil {
+	closed := make(chan error, 1)
+	go func() { closed <- bw.Close() }()
+	waitFor(t, "Close to begin", func() bool {
+		bw.mu.Lock()
+		defer bw.mu.Unlock()
+		return bw.closed
+	})
+	close(release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	got := decodeStream(t, rec.all())
+	got := decodeStream(t, buf.Bytes())
 	if len(got) != len(msgs) {
 		t.Fatalf("decoded %d frames after Close, want %d", len(got), len(msgs))
 	}
@@ -220,17 +165,28 @@ func TestBatchCloseFlushOrdering(t *testing.T) {
 	}
 }
 
+// overflowFrames is a frame count whose pings overflow a stalled queue
+// twice over.
+func overflowFrames(t *testing.T) int {
+	var frame bytes.Buffer
+	if err := (&FrameWriter{}).WriteFrame(&frame, xmlcmd.NewPing("fd", "ses", 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	return 2 * maxQueue / frame.Len()
+}
+
 // TestBatchBackpressureDrop: a stalled connection with the DropNewest
 // policy rejects overflow frames with ErrBackpressure and counts them,
 // then delivers every accepted frame in order once the stall clears.
 func TestBatchBackpressureDrop(t *testing.T) {
 	rec := &chunkRecorder{gate: make(chan struct{})}
-	bw := NewBatchWriter(rec, BatchConfig{MaxQueue: 512, FlushBytes: 128, Policy: DropNewest})
+	bw := NewBatchWriter(rec, DropNewest)
 
 	drops0 := M.TCPBackpressureDrops.Value()
 	accepted := 0
 	sawDrop := false
-	for i := 0; i < 1000; i++ {
+	n := overflowFrames(t)
+	for i := 0; i < n; i++ {
 		err := bw.Enqueue(xmlcmd.NewPing("fd", "ses", uint64(i), uint64(i)))
 		switch {
 		case err == nil:
@@ -242,7 +198,7 @@ func TestBatchBackpressureDrop(t *testing.T) {
 		}
 	}
 	if !sawDrop {
-		t.Fatal("a stalled 512-byte queue accepted 1000 frames without back-pressure")
+		t.Fatalf("a stalled %d-byte queue accepted %d frames without back-pressure", maxQueue, n)
 	}
 	if got := M.TCPBackpressureDrops.Value(); got == drops0 {
 		t.Fatal("back-pressure drops not counted")
@@ -269,13 +225,14 @@ func TestBatchBackpressureDrop(t *testing.T) {
 // Enqueue wait until the writer drains instead of dropping.
 func TestBatchBackpressureBlock(t *testing.T) {
 	rec := &chunkRecorder{gate: make(chan struct{}, 1)}
-	bw := NewBatchWriter(rec, BatchConfig{MaxQueue: 512, FlushBytes: 128, Policy: Block})
+	bw := NewBatchWriter(rec, Block)
 	defer bw.Close()
 
+	want := overflowFrames(t)
 	done := make(chan int, 1)
 	go func() {
 		n := 0
-		for i := 0; i < 50; i++ {
+		for i := 0; i < want; i++ {
 			if err := bw.Enqueue(xmlcmd.NewPing("fd", "ses", uint64(i), uint64(i))); err != nil {
 				break
 			}
@@ -285,11 +242,11 @@ func TestBatchBackpressureBlock(t *testing.T) {
 	}()
 	select {
 	case n := <-done:
-		t.Fatalf("50 frames fit a stalled 512-byte queue (%d accepted): Block did not block", n)
+		t.Fatalf("%d frames fit a stalled %d-byte queue (%d accepted): Block did not block", want, maxQueue, n)
 	case <-time.After(200 * time.Millisecond):
 		// Blocked, as it should be.
 	}
-	// Admit writes: the blocked sender must finish all 50 frames.
+	// Admit writes: the blocked sender must finish all its frames.
 	go func() {
 		for {
 			select {
@@ -301,8 +258,8 @@ func TestBatchBackpressureBlock(t *testing.T) {
 	}()
 	select {
 	case n := <-done:
-		if n != 50 {
-			t.Fatalf("sender finished only %d/50 frames", n)
+		if n != want {
+			t.Fatalf("sender finished only %d/%d frames", n, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("sender still blocked after the writer drained")
@@ -313,7 +270,7 @@ func TestBatchBackpressureBlock(t *testing.T) {
 // Close report the terminal error instead of buffering into the void.
 func TestBatchWriteErrorPropagates(t *testing.T) {
 	boom := fmt.Errorf("wire torn")
-	bw := NewBatchWriter(writerFunc(func(p []byte) (int, error) { return 0, boom }), BatchConfig{})
+	bw := NewBatchWriter(writerFunc(func(p []byte) (int, error) { return 0, boom }), Block)
 	_ = bw.Enqueue(xmlcmd.NewPing("fd", "ses", 1, 1))
 	deadline := time.Now().Add(5 * time.Second)
 	for bw.Err() == nil {
@@ -339,7 +296,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 func TestBatchConcurrentSenders(t *testing.T) {
 	const senders, per = 8, 200
 	var buf lockedBuffer
-	bw := NewBatchWriter(&buf, BatchConfig{FlushBytes: 1024})
+	bw := NewBatchWriter(&buf, Block)
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)

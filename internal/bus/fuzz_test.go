@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
-	"time"
 
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
@@ -89,24 +88,31 @@ func FuzzReadBatchedFrames(f *testing.F) {
 
 		// Reference stream: every encodable message written frame-at-a-
 		// time. Messages the codec rejects are skipped on both paths.
+		// The stream stops short of the send-queue bound, so the held
+		// writers below never block or drop a sender.
 		var plain bytes.Buffer
 		var kept []*xmlcmd.Message
 		var fw FrameWriter
 		for _, m := range msgs {
+			if plain.Len() >= maxQueue {
+				break
+			}
 			if err := fw.WriteFrame(&plain, m); err == nil {
 				kept = append(kept, m)
 			}
 		}
 
-		// Batched stream: same messages through the batch writer, with a
-		// deadline long enough that only size/close flushes happen.
+		// Batched stream: same messages through the batch writer, held
+		// until every frame is queued so they batch behind the first write.
 		var batched lockedBuffer
-		bw := NewBatchWriter(&batched, BatchConfig{FlushDelay: time.Hour, MaxQueue: 1 << 24})
+		release := make(chan struct{})
+		bw := NewBatchWriter(heldWriter{&batched, release}, Block)
 		for _, m := range kept {
 			if err := bw.Enqueue(m); err != nil {
 				t.Fatalf("Enqueue rejected a message WriteFrame accepted: %v", err)
 			}
 		}
+		close(release)
 		if err := bw.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +134,8 @@ func FuzzReadBatchedFrames(f *testing.F) {
 		// The broker's hop: route each frame on its start tag, forward the
 		// bytes as read.
 		var forwarded lockedBuffer
-		fbw := NewBatchWriter(&forwarded, BatchConfig{FlushDelay: time.Hour, MaxQueue: 1 << 24})
+		release = make(chan struct{})
+		fbw := NewBatchWriter(heldWriter{&forwarded, release}, DropNewest)
 		var fr FrameReader
 		r := bytes.NewReader(got)
 		for _, m := range decoded {
@@ -144,6 +151,7 @@ func FuzzReadBatchedFrames(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		close(release)
 		if err := fbw.Close(); err != nil {
 			t.Fatal(err)
 		}

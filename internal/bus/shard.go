@@ -67,7 +67,6 @@ var (
 // pinned at listen time and survive KillShard/RestartShard, so clients
 // reconnect to a restarted shard at the address they already know.
 type ShardedBroker struct {
-	cfg   BrokerConfig
 	addrs []string
 
 	mu     sync.Mutex
@@ -77,9 +76,10 @@ type ShardedBroker struct {
 // ListenSharded starts n broker shards at addr. Port 0 gives every shard
 // its own ephemeral port; a fixed port P assigns consecutive ports
 // P, P+1, …, P+n-1, so `-listen 127.0.0.1:7707 -bus-shards 2` yields the
-// predictable pair 7707,7708. The per-connection batch config applies to
-// every shard; each shard labels its metrics with its own index.
-func ListenSharded(addr string, n int, cfg BrokerConfig) (*ShardedBroker, error) {
+// predictable pair 7707,7708. Each shard labels its metrics with its own
+// index; that index is a shard's only setting, so the BrokerConfig argument
+// carries nothing a sharded fabric uses.
+func ListenSharded(addr string, n int, _ BrokerConfig) (*ShardedBroker, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("bus: sharded fabric needs >= 1 shard, got %d", n)
 	}
@@ -92,18 +92,15 @@ func ListenSharded(addr string, n int, cfg BrokerConfig) (*ShardedBroker, error)
 		return nil, fmt.Errorf("bus: sharded listen address %q: %w", addr, err)
 	}
 	sb := &ShardedBroker{
-		cfg:    cfg,
 		addrs:  make([]string, n),
 		shards: make([]*TCPBroker, n),
 	}
 	for i := 0; i < n; i++ {
-		c := cfg
-		c.Shard = i
 		shardAddr := addr
 		if port != 0 {
 			shardAddr = net.JoinHostPort(host, strconv.Itoa(port+i))
 		}
-		b, err := ListenBrokerConfig(shardAddr, c)
+		b, err := ListenBrokerConfig(shardAddr, BrokerConfig{Shard: i})
 		if err != nil {
 			_ = sb.Close()
 			return nil, err
@@ -116,19 +113,16 @@ func ListenSharded(addr string, n int, cfg BrokerConfig) (*ShardedBroker, error)
 
 // ListenShardedAddrs starts one shard per explicit address (a fabric
 // reopening on known ports, e.g. after a supervisor restart).
-func ListenShardedAddrs(addrs []string, cfg BrokerConfig) (*ShardedBroker, error) {
+func ListenShardedAddrs(addrs []string) (*ShardedBroker, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("bus: sharded fabric needs >= 1 address")
 	}
 	sb := &ShardedBroker{
-		cfg:    cfg,
 		addrs:  append([]string(nil), addrs...),
 		shards: make([]*TCPBroker, len(addrs)),
 	}
 	for i, addr := range sb.addrs {
-		c := cfg
-		c.Shard = i
-		b, err := ListenBrokerConfig(addr, c)
+		b, err := ListenBrokerConfig(addr, BrokerConfig{Shard: i})
 		if err != nil {
 			_ = sb.Close()
 			return nil, err
@@ -138,9 +132,6 @@ func ListenShardedAddrs(addrs []string, cfg BrokerConfig) (*ShardedBroker, error
 	return sb, nil
 }
 
-// NumShards returns the fabric width.
-func (sb *ShardedBroker) NumShards() int { return len(sb.addrs) }
-
 // Addrs returns every shard's pinned address, in shard order.
 func (sb *ShardedBroker) Addrs() []string {
 	return append([]string(nil), sb.addrs...)
@@ -149,13 +140,6 @@ func (sb *ShardedBroker) Addrs() []string {
 // AddrList returns the fabric's addresses as one comma-separated string,
 // the form DialAuto and the -bus flags accept.
 func (sb *ShardedBroker) AddrList() string { return strings.Join(sb.addrs, ",") }
-
-// ShardAlive reports whether shard i is currently serving.
-func (sb *ShardedBroker) ShardAlive(i int) bool {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return i >= 0 && i < len(sb.shards) && sb.shards[i] != nil
-}
 
 // KillShard stops shard i, disconnecting its clients. The shard's address
 // stays reserved for RestartShard. Idempotent: killing a dead shard is a
@@ -181,8 +165,6 @@ func (sb *ShardedBroker) RestartShard(i int) error {
 	if i < 0 || i >= len(sb.addrs) {
 		return fmt.Errorf("bus: no shard %d in a %d-shard fabric", i, len(sb.addrs))
 	}
-	c := sb.cfg
-	c.Shard = i
 	sb.mu.Lock()
 	if sb.shards[i] != nil {
 		sb.mu.Unlock()
@@ -191,7 +173,7 @@ func (sb *ShardedBroker) RestartShard(i int) error {
 	sb.mu.Unlock()
 	// Listen outside the lock; binding a pinned port can take time when
 	// the dead shard's socket lingers in TIME_WAIT.
-	b, err := ListenBrokerConfig(sb.addrs[i], c)
+	b, err := ListenBrokerConfig(sb.addrs[i], BrokerConfig{Shard: i})
 	if err != nil {
 		return err
 	}
@@ -239,13 +221,13 @@ type ShardedClient struct {
 // inbound frames from all shards; frames for one destination arrive on
 // exactly one shard (the hash), so per-peer ordering matches the
 // single-broker client.
-func DialSharded(addrs []string, name string, cfg ClientConfig, onMsg func(*xmlcmd.Message)) (*ShardedClient, error) {
+func DialSharded(addrs []string, name string, _ ClientConfig, onMsg func(*xmlcmd.Message)) (*ShardedClient, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("bus: sharded client needs >= 1 address")
 	}
 	sc := &ShardedClient{clients: make([]*TCPClient, len(addrs))}
 	for i, addr := range addrs {
-		c, err := DialBusConfig(addr, name, cfg, onMsg)
+		c, err := DialBus(addr, name, onMsg)
 		if err != nil {
 			sc.Close()
 			return nil, err
@@ -259,13 +241,8 @@ func DialSharded(addrs []string, name string, cfg ClientConfig, onMsg func(*xmlc
 // TCPClient, a comma-separated list yields a ShardedClient over those
 // shards. Tools (mercuryd -bus, faultgen) accept either transparently.
 func DialAuto(spec, name string, onMsg func(*xmlcmd.Message)) (Conn, error) {
-	return DialAutoConfig(spec, name, ClientConfig{}, onMsg)
-}
-
-// DialAutoConfig is DialAuto with explicit client tuning.
-func DialAutoConfig(spec, name string, cfg ClientConfig, onMsg func(*xmlcmd.Message)) (Conn, error) {
 	if !strings.Contains(spec, ",") {
-		return DialBusConfig(spec, name, cfg, onMsg)
+		return DialBus(spec, name, onMsg)
 	}
 	parts := strings.Split(spec, ",")
 	addrs := parts[:0]
@@ -274,7 +251,7 @@ func DialAutoConfig(spec, name string, cfg ClientConfig, onMsg func(*xmlcmd.Mess
 			addrs = append(addrs, p)
 		}
 	}
-	return DialSharded(addrs, name, cfg, onMsg)
+	return DialSharded(addrs, name, ClientConfig{}, onMsg)
 }
 
 // Send queues m on the shard its destination hashes to.

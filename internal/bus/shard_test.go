@@ -3,7 +3,6 @@ package bus
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
@@ -68,7 +67,7 @@ func shardName(t *testing.T, prefix string, want, n int) string {
 // through one ShardedClient, and each frame travels its own shard's
 // broker (asserted via the per-shard routed counters).
 func TestShardedRoundTrip(t *testing.T) {
-	sb, err := ListenSharded("127.0.0.1:0", 2, BrokerConfig{Batch: BatchConfig{Policy: DropNewest}})
+	sb, err := ListenSharded("127.0.0.1:0", 2, BrokerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +123,7 @@ func TestShardedRoundTrip(t *testing.T) {
 // once the dead shard restarts, parked frames for its addresses drain in
 // order — bus recovery by parts, with no whole-fabric restart.
 func TestShardKillIsolation(t *testing.T) {
-	sb, err := ListenSharded("127.0.0.1:0", 2, BrokerConfig{Batch: BatchConfig{Policy: DropNewest}})
+	sb, err := ListenSharded("127.0.0.1:0", 2, BrokerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +179,7 @@ func TestShardKillIsolation(t *testing.T) {
 	if err := sb.RestartShard(0); err != nil {
 		t.Fatal(err)
 	}
-	if !sb.ShardAlive(0) {
+	if sb.Shard(0) == nil {
 		t.Fatal("restarted shard not alive")
 	}
 	waitFor(t, "re-registration on restarted shard", func() bool {
@@ -210,7 +209,7 @@ func TestShardKillIsolation(t *testing.T) {
 // connection reach the wire when the multiplexed client closes — the
 // one-shot-tool pattern (faultgen) over a sharded fabric.
 func TestShardedClientFlushOnClose(t *testing.T) {
-	sb, err := ListenSharded("127.0.0.1:0", 2, BrokerConfig{Batch: BatchConfig{Policy: DropNewest}})
+	sb, err := ListenSharded("127.0.0.1:0", 2, BrokerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,20 +228,40 @@ func TestShardedClientFlushOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r1.Close()
-	send, err := DialSharded(sb.Addrs(), "tool", ClientConfig{
-		// A long flush delay proves Close itself drains the queues rather
-		// than the deadline happening to fire.
-		Batch: BatchConfig{FlushDelay: time.Hour},
-	}, nil)
+	send, err := DialSharded(sb.Addrs(), "tool", ClientConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "registration on both shards", func() bool {
 		return len(sb.Shard(0).ClientNames()) == 3 && len(sb.Shard(1).ClientNames()) == 3
 	})
+	// Hold every shard connection's writes until Close has begun, which
+	// proves Close itself drains the queues rather than the writer
+	// happening to flush first.
+	release := make(chan struct{})
+	for i := range 2 {
+		c := send.Client(i)
+		c.mu.Lock()
+		live := c.bw
+		c.bw = NewBatchWriter(heldWriter{c.conn, release}, Block)
+		c.mu.Unlock()
+		_ = live.Close()
+	}
 
 	send.Send(xmlcmd.NewPing("tool", n0, 1, 31))
 	send.Send(xmlcmd.NewPing("tool", n1, 2, 32))
-	send.Close()
+	closed := make(chan struct{})
+	go func() {
+		send.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to begin", func() bool {
+		c := send.Client(0)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.closed
+	})
+	close(release)
+	<-closed
 	waitFor(t, "flush-on-close delivery", func() bool { return got0.count() == 1 && got1.count() == 1 })
 }

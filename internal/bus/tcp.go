@@ -31,7 +31,7 @@ import (
 const frameHeader = 4
 
 // readBufSize sizes the buffered readers on broker and client read loops:
-// comfortably above DefaultFlushBytes, so a full batch lands in one read.
+// hundreds of typical frames, so a busy connection's batch lands in one read.
 const readBufSize = 32 << 10
 
 // TCP errors.
@@ -144,12 +144,9 @@ func (fr *FrameReader) ReadFrame(r io.Reader) (*xmlcmd.Message, error) {
 // registerCommand is the client's first frame.
 const registerCommand = "register"
 
-// BrokerConfig tunes one broker (or broker shard).
+// BrokerConfig configures one broker (or broker shard). Every connection's
+// send queue drops the newest frame when full (DropNewest).
 type BrokerConfig struct {
-	// Batch configures every connection's outbound send queue. The
-	// broker's policy should stay DropNewest:
-	// one stalled reader must never wedge routing for other destinations.
-	Batch BatchConfig
 	// Shard is this broker's shard index, used as the metrics label on
 	// the mercury_bus_shard_* family. 0 for an unsharded broker.
 	Shard int
@@ -197,7 +194,7 @@ type brokerConn struct {
 }
 
 // ListenBrokerConfig starts a broker on addr (use "127.0.0.1:0" for an
-// ephemeral port) with explicit batching/back-pressure tuning.
+// ephemeral port).
 func ListenBrokerConfig(addr string, cfg BrokerConfig) (*TCPBroker, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -268,7 +265,7 @@ func (b *TCPBroker) serve(conn net.Conn) {
 	name := first.From
 	_ = conn.SetReadDeadline(time.Time{})
 
-	bc := &brokerConn{conn: conn, bw: NewBatchWriter(conn, b.cfg.Batch)}
+	bc := &brokerConn{conn: conn, bw: NewBatchWriter(conn, DropNewest)}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -336,11 +333,12 @@ func (b *TCPBroker) ClientNames() []string {
 
 // Client defaults.
 const (
-	// DefaultReconnectQueue bounds the bytes of encoded frames a client
-	// parks while its broker is away. 64 KiB ≈ 800 typical frames: enough
-	// to ride out a broker restart, small enough that a dead shard cannot
-	// balloon every sender.
-	DefaultReconnectQueue = 64 << 10
+	// reconnectQueue bounds the bytes of encoded frames a client parks
+	// while its broker is away, flushed in order on reconnect. 64 KiB ≈ 800
+	// typical frames: enough to ride out a broker restart, small enough
+	// that a dead shard cannot balloon every sender. Overflow is dropped
+	// against mercury_bus_tcp_reconnect_queue_total{outcome="dropped"}.
+	reconnectQueue = 64 << 10
 
 	// The reconnect schedule (reconnectDelay): redial at once, then after 4,
 	// 8 and from there every 16 ms, so that with ±20 % jitter a client is
@@ -357,8 +355,8 @@ const (
 
 	// connectWriteTimeout bounds the registration and backlog writes of one
 	// connect, which hold the mutex Send takes: a peer that accepts and never
-	// reads must not hold a station's dispatcher. The default backlog fits a
-	// socket buffer whole, so a healthy write is nowhere near it.
+	// reads must not hold a station's dispatcher. A reconnectQueue backlog
+	// fits a socket buffer whole, so a healthy write is nowhere near it.
 	connectWriteTimeout = 250 * time.Millisecond
 )
 
@@ -375,25 +373,10 @@ func reconnectDelay(n int, outage time.Duration) time.Duration {
 	return min(max(outage-reconnectFastFor, reconnectSlowFirst), reconnectSlowCap)
 }
 
-// ClientConfig tunes one client connection.
-type ClientConfig struct {
-	// Batch configures the outbound send queue. The client default policy
-	// is Block: a slow broker throttles the sender, matching the old
-	// synchronous-write semantics.
-	Batch BatchConfig
-	// ReconnectQueue bounds (in bytes) the frames parked while the broker
-	// is unreachable, flushed in order on reconnect. <= 0 selects
-	// DefaultReconnectQueue. Overflow is dropped against
-	// mercury_bus_tcp_reconnect_queue_total{outcome="dropped"}.
-	ReconnectQueue int
-}
-
-func (c ClientConfig) withDefaults() ClientConfig {
-	if c.ReconnectQueue <= 0 {
-		c.ReconnectQueue = DefaultReconnectQueue
-	}
-	return c
-}
+// ClientConfig is DialSharded's per-client configuration. It has no
+// fields: every client's send queue blocks when full (Block) and parks at
+// most reconnectQueue bytes while its broker is away.
+type ClientConfig struct{}
 
 // TCPClient is one component's connection to the broker. It redials when
 // the broker goes away (reconnectDelay); frames sent meanwhile are parked
@@ -404,13 +387,13 @@ type TCPClient struct {
 	addr  string
 	onMsg func(*xmlcmd.Message)
 	rng   *rand.Rand // backoff jitter; owned by readLoop
-	cfg   ClientConfig
 
 	mu          sync.Mutex
 	conn        net.Conn
 	bw          *BatchWriter // live connection's send queue; nil while disconnected
 	queue       []byte       // encoded frames parked for the next reconnect
 	queueFrames int
+	queueCap    int // bound on len(queue): reconnectQueue, raised only by tests
 	closed      bool
 	done        chan struct{} // closed by Close; unblocks the backoff wait
 	wg          sync.WaitGroup
@@ -431,22 +414,17 @@ type TCPClient struct {
 // frame into it (rt.Dispatcher.PostMessage does). A handler that never
 // hands back leaves its messages to the garbage collector.
 func DialBus(addr, name string, onMsg func(*xmlcmd.Message)) (*TCPClient, error) {
-	return DialBusConfig(addr, name, ClientConfig{}, onMsg)
-}
-
-// DialBusConfig connects with explicit batching/queue tuning.
-func DialBusConfig(addr, name string, cfg ClientConfig, onMsg func(*xmlcmd.Message)) (*TCPClient, error) {
 	// Seed the backoff jitter from the client name so a station's clients
 	// desynchronise deterministically rather than herding the broker.
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
 	c := &TCPClient{
-		name:  name,
-		addr:  addr,
-		onMsg: onMsg,
-		rng:   rand.New(rand.NewSource(int64(h.Sum64()))),
-		cfg:   cfg.withDefaults(),
-		done:  make(chan struct{}),
+		name:     name,
+		addr:     addr,
+		onMsg:    onMsg,
+		rng:      rand.New(rand.NewSource(int64(h.Sum64()))),
+		queueCap: reconnectQueue,
+		done:     make(chan struct{}),
 	}
 	if err := c.connect(false); err != nil {
 		return nil, err
@@ -502,7 +480,7 @@ func (c *TCPClient) connect(atOnce bool) error {
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
 	c.conn = conn
-	c.bw = NewBatchWriter(conn, c.cfg.Batch)
+	c.bw = NewBatchWriter(conn, Block)
 	c.mu.Unlock()
 	return nil
 }
@@ -522,7 +500,7 @@ func (c *TCPClient) Send(m *xmlcmd.Message) {
 			M.TCPSendDrops.Inc()
 			return
 		}
-		if len(c.queue) >= c.cfg.ReconnectQueue {
+		if len(c.queue) >= c.queueCap {
 			M.TCPReconnectDrops.Inc()
 			M.TCPSendDrops.Inc()
 			return

@@ -85,8 +85,7 @@ func TestTCPReconnectQueueBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue bound of ~1 KiB: a dozen pings fit, a few hundred do not.
-	send, err := DialBusConfig(b.Addr(), "fd", ClientConfig{ReconnectQueue: 1 << 10}, nil)
+	send, err := DialBus(b.Addr(), "fd", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,18 +99,21 @@ func TestTCPReconnectQueueBound(t *testing.T) {
 		return send.bw == nil
 	})
 
+	// Every frame is at least its length header, so this many pings
+	// overflow the bound whatever a ping encodes to.
+	const pings = reconnectQueue/frameHeader + 1
 	drops0 := M.TCPReconnectDrops.Value()
-	for i := uint64(0); i < 200; i++ {
+	for i := uint64(0); i < pings; i++ {
 		send.Send(xmlcmd.NewPing("fd", "ses", i, i))
 	}
 	if M.TCPReconnectDrops.Value() == drops0 {
-		t.Fatal("200 parked pings never overflowed a 1 KiB reconnect queue")
+		t.Fatalf("%d parked pings never overflowed a %d-byte reconnect queue", pings, reconnectQueue)
 	}
 	send.mu.Lock()
 	qlen := len(send.queue)
 	send.mu.Unlock()
-	if qlen > (1<<10)+xmlcmd.MaxFrame {
-		t.Fatalf("parked queue grew to %d bytes past its 1 KiB bound", qlen)
+	if qlen > reconnectQueue+xmlcmd.MaxFrame {
+		t.Fatalf("parked queue grew to %d bytes past its %d-byte bound", qlen, reconnectQueue)
 	}
 }
 
@@ -136,9 +138,7 @@ func stalledClient(t *testing.T, addr, name string) net.Conn {
 // fabric's DropNewest policy sheds that destination's frames against the
 // back-pressure counter while a healthy destination keeps receiving.
 func TestTCPBrokerStalledReaderIsolation(t *testing.T) {
-	b, err := ListenBrokerConfig("127.0.0.1:0", BrokerConfig{
-		Batch: BatchConfig{FlushBytes: 1 << 10, MaxQueue: 1 << 10, Policy: DropNewest},
-	})
+	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTCPBrokerStalledReaderIsolation(t *testing.T) {
 		send.Send(new(xmlcmd.Pool).Event("fd", "stuck", i, "flood", payload))
 	}
 	if M.TCPBackpressureDrops.Value() == drops0 {
-		t.Fatal("16 MiB at a stalled reader never tripped its 1 KiB bounded queue")
+		t.Fatal("16 MiB at a stalled reader never tripped its bounded queue")
 	}
 
 	// The healthy destination must still receive traffic promptly.

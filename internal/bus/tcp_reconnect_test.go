@@ -154,11 +154,16 @@ func TestTCPConnectDeafPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := b.Addr()
-	const backlog = 24 << 20 // past loopback's send + receive buffers
-	c, err := DialBusConfig(addr, "fd", ClientConfig{ReconnectQueue: backlog}, nil)
+	// A backlog past loopback's send and receive buffers: far larger than
+	// reconnectQueue, so the test raises this client's bound.
+	const backlog = 24 << 20
+	c, err := DialBus(addr, "fd", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.mu.Lock()
+	c.queueCap = backlog
+	c.mu.Unlock()
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}

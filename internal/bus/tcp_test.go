@@ -51,7 +51,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // listenBroker starts a broker the way the runtimes do (rt's broker
 // config): drop-on-backpressure batching.
 func listenBroker(addr string) (*TCPBroker, error) {
-	return ListenBrokerConfig(addr, BrokerConfig{Batch: BatchConfig{Policy: DropNewest}})
+	return ListenBrokerConfig(addr, BrokerConfig{})
 }
 
 func TestTCPRouting(t *testing.T) {

@@ -31,42 +31,25 @@ type Options struct {
 	// Interval between periodic snapshots. Default 10s.
 	Interval time.Duration
 
-	// RestoreFloor is the fixed latency of any restore (locating the
-	// snapshot, quiescing the component). Default 1.2s.
-	RestoreFloor time.Duration
-
-	// RestoreBytesPerSec is the modeled snapshot read-back throughput.
-	// Default 64 KiB/s — deliberately slow, matching the station's
-	// late-90s embedded profile.
-	RestoreBytesPerSec float64
-
-	// RedoFactor is seconds of redo work per second of snapshot
-	// staleness: state written since the checkpoint must be re-derived
-	// after the revert. Default 0.02.
-	RedoFactor float64
-
 	// Keys maps a component (or dotted subcomponent) to the store keys
 	// holding its externalized state. Only mapped components are
 	// checkpointable.
 	Keys map[string][]string
 }
 
-func (o *Options) defaults() {
-	if o.Interval <= 0 {
-		o.Interval = 10 * time.Second
-	}
-	if o.RestoreFloor <= 0 {
-		o.RestoreFloor = 1200 * time.Millisecond
-	}
-	if o.RestoreBytesPerSec <= 0 {
-		o.RestoreBytesPerSec = 64 * 1024
-	}
-	if o.RedoFactor < 0 {
-		o.RedoFactor = 0
-	} else if o.RedoFactor == 0 {
-		o.RedoFactor = 0.02
-	}
-}
+// The restore cost model's calibration.
+const (
+	// restoreFloor is the fixed latency of any restore (locating the
+	// snapshot, quiescing the component).
+	restoreFloor = 1200 * time.Millisecond
+	// restoreBytesPerSec is the modeled snapshot read-back throughput —
+	// deliberately slow, matching the station's late-90s embedded profile.
+	restoreBytesPerSec = 64 * 1024
+	// redoFactor is seconds of redo work per second of snapshot staleness:
+	// state written since the checkpoint must be re-derived after the
+	// revert.
+	redoFactor = 0.02
+)
 
 // snapshot is one checkpointed key value.
 type snapshot struct {
@@ -91,7 +74,9 @@ type Manager struct {
 // New builds a manager, takes an immediate first snapshot, and starts the
 // periodic ticker on the injected clock.
 func New(clk clock.Clock, st *store.Store, opt Options) *Manager {
-	opt.defaults()
+	if opt.Interval <= 0 {
+		opt.Interval = 10 * time.Second
+	}
 	m := &Manager{
 		clk:   clk,
 		st:    st,
@@ -167,9 +152,9 @@ func (m *Manager) cost(oldest time.Time, bytes int) time.Duration {
 	if age < 0 {
 		age = 0
 	}
-	read := time.Duration(float64(bytes) / m.opt.RestoreBytesPerSec * float64(time.Second))
-	redo := time.Duration(m.opt.RedoFactor * float64(age))
-	return m.opt.RestoreFloor + read + redo
+	read := time.Duration(float64(bytes) / restoreBytesPerSec * float64(time.Second))
+	redo := time.Duration(redoFactor * float64(age))
+	return restoreFloor + read + redo
 }
 
 // RestoreCost implements core.CheckpointModel: the modeled latency of

@@ -40,14 +40,14 @@ type actEstimate struct {
 	hasDur bool
 }
 
-// NewEstimator builds an estimator with EWMA window N (alpha = 2/(N+1));
-// window <= 0 means 8.
-func NewEstimator(window int) *Estimator {
-	if window <= 0 {
-		window = 8
-	}
+// estimatorWindow is the estimator's EWMA window N, in samples (alpha =
+// 2/(N+1)).
+const estimatorWindow = 8
+
+// NewEstimator builds an empty estimator.
+func NewEstimator() *Estimator {
 	return &Estimator{
-		alpha: 2.0 / (float64(window) + 1),
+		alpha: 2.0 / (float64(estimatorWindow) + 1),
 		sites: make(map[string]*siteEstimate),
 	}
 }

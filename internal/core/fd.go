@@ -28,11 +28,6 @@ type FDParams struct {
 	// a merely lossy (rather than dead) bus; raising the threshold trades
 	// a little detection latency for loss tolerance.
 	SuspectAfter int
-	// MissRetry is the delay before the follow-up probe after an
-	// inconclusive miss (only used when SuspectAfter > 1). Keeping it
-	// short keeps worst-case detection near SuspectAfter × PingTimeout
-	// instead of SuspectAfter × PingPeriod.
-	MissRetry time.Duration
 }
 
 // DefaultFDParams returns the paper's detector configuration.
@@ -86,9 +81,9 @@ type FD struct {
 // flight, so ping and verify are bound once per incarnation and the ping
 // loop schedules the same two funcs forever without allocating. The same
 // holds for the broker verification a suspicion starts: its K attempts
-// (K = SuspectAfter) end K·PingTimeout + (K-1)·MissRetry after the
-// suspicion, and the target cannot be suspected again before a ping period
-// plus K-1 timeouts and retries have passed — later by PingPeriod -
+// (K = SuspectAfter) end K·PingTimeout after the suspicion, and the target
+// cannot be suspected again before a ping period plus K-1 timeouts have
+// passed — later by PingPeriod -
 // PingTimeout. So brokerCheck and brokerRetry are bound the same way, with
 // the one verification's state in brokerProbeAt and brokerAttempt.
 type targetState struct {
@@ -229,10 +224,10 @@ func (fd *FD) verifyPing(ctx proc.Context, target string, st *targetState) {
 		// first: a sticky suspected flag would turn one unlucky probe
 		// into a hair-trigger detector for the rest of the target's life.
 		if st.missed < fd.suspectAfter() {
-			// Inconclusive under the K-miss threshold: re-probe after
-			// a short retry instead of waiting out the full period, so
-			// a real failure still costs ~K probes, not K periods.
-			ctx.After(fd.params.MissRetry, st.ping)
+			// Inconclusive under the K-miss threshold: re-probe at once
+			// instead of waiting out the full period, so a real failure
+			// costs ~K·PingTimeout, not K periods.
+			ctx.After(0, st.ping)
 			return
 		}
 		st.missed = 0
@@ -325,7 +320,7 @@ func (fd *FD) checkBroker(ctx proc.Context, target string, st *targetState) {
 		return // nor is the broker blamed on such a round; the target's next miss asks again
 	}
 	if st.brokerAttempt < fd.suspectAfter() {
-		ctx.After(fd.params.MissRetry, st.brokerRetry)
+		ctx.After(0, st.brokerRetry)
 		return
 	}
 	if b, ok := fd.targetSt[fd.broker]; ok {

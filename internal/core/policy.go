@@ -159,9 +159,6 @@ type PolicyDeps struct {
 	// but it is what the cost-aware policy reports as predicted harm and
 	// what cross-site comparisons use. Nil means 1 for every component.
 	HarmRate func(component string) float64
-	// Window is the estimator's effective EWMA window N (alpha =
-	// 2/(N+1)); <= 0 means 8.
-	Window int
 }
 
 // Policy is the oracle: the one type in this package that chooses recovery
@@ -246,7 +243,7 @@ func lookupPolicy(name string) *policyRow {
 }
 
 // PolicyByName builds the named policy over the station's dependencies.
-// Names are mercury.Policy.String() / the -oracle flag values; "" means
+// Names are the mercury.Policy constants / the -oracle flag values; "" means
 // escalating and "v2" is an alias for costaware.
 func PolicyByName(name string, d PolicyDeps) (*Policy, error) {
 	row := lookupPolicy(name)
@@ -262,7 +259,7 @@ func PolicyByName(name string, d PolicyDeps) (*Policy, error) {
 		p.name = fmt.Sprintf("faulty(%.0f%%)", d.FaultyP*100)
 	}
 	if row.learns {
-		p.est = NewEstimator(d.Window)
+		p.est = NewEstimator()
 	}
 	return &p, nil
 }

@@ -181,7 +181,7 @@ func TestFixedOracleLadders(t *testing.T) {
 }
 
 func TestEstimator(t *testing.T) {
-	e := NewEstimator(0)
+	e := NewEstimator()
 	base := time.Unix(0, 0)
 	if _, ok := e.MTTF("str"); ok {
 		t.Fatal("MTTF before any failure")

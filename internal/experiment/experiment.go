@@ -131,16 +131,7 @@ type Cell struct {
 }
 
 // Label renders the row key ("IV/faulty").
-func (c Cell) Label() string {
-	switch c.Policy {
-	case mercury.PolicyPerfect:
-		return c.Tree + "/perfect"
-	case mercury.PolicyFaulty:
-		return c.Tree + "/faulty"
-	default:
-		return c.Tree + "/" + strings.ToLower(c.Policy.String())
-	}
-}
+func (c Cell) Label() string { return c.Tree + "/" + string(c.Policy) }
 
 // fault is the cell's injected failure.
 func (c Cell) fault() mercury.Fault { return mercury.Fault{Component: c.Component, Cure: c.Cure} }

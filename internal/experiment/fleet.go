@@ -41,7 +41,8 @@ var defaultLinkSeconds = 2 * geoAltitudeKm / orbit.SpeedOfLight
 
 // DefaultLinkLatency is the one-way inter-station message latency via the
 // GEO relay: 2 x 35,786 km at the speed of light, ~238.7 ms. It is also
-// the default epoch length — the largest epoch the lookahead bound allows.
+// every fleet's epoch length — the largest epoch the lookahead bound
+// allows.
 var DefaultLinkLatency = time.Duration(defaultLinkSeconds * float64(time.Second))
 
 // FleetConfig parameterises a fleet campaign. Every station runs the
@@ -68,12 +69,6 @@ type FleetConfig struct {
 	// Workers bounds the fleet's shard-execution pool; <= 0 means
 	// runtime.GOMAXPROCS(0). Output-neutral.
 	Workers int
-	// Epoch overrides the synchronization quantum; default LinkLatency
-	// (the loosest correct setting). Must be <= LinkLatency.
-	Epoch time.Duration
-	// LinkLatency is the one-way inter-station beacon latency; default
-	// DefaultLinkLatency (GEO relay bounce).
-	LinkLatency time.Duration
 	// BeaconPeriod is each station's beacon interval; default 5s.
 	BeaconPeriod time.Duration
 	// FailMTTF is the per-component organic MTTF (lognormal, CV 0.25);
@@ -96,16 +91,6 @@ func (cfg FleetConfig) withDefaults() (FleetConfig, error) {
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = time.Minute
-	}
-	if cfg.LinkLatency <= 0 {
-		cfg.LinkLatency = DefaultLinkLatency
-	}
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = cfg.LinkLatency
-	}
-	if cfg.Epoch > cfg.LinkLatency {
-		return cfg, fmt.Errorf("experiment: epoch %v exceeds link latency %v (lookahead bound)",
-			cfg.Epoch, cfg.LinkLatency)
 	}
 	if cfg.BeaconPeriod <= 0 {
 		cfg.BeaconPeriod = 5 * time.Second
@@ -191,7 +176,6 @@ type fleetShard struct {
 	idx      int
 	first    int // global index of stations[0]
 	group    int // cfg.Group, for destination shard mapping
-	latency  time.Duration
 	stations []*fleetStation
 	seq      uint64
 	hand     []bus.Handoff // drain scratch
@@ -209,7 +193,7 @@ func (s *fleetShard) CollectOutbound(dst []sim.Parcel) []sim.Parcel {
 			s.seq++
 			dst = append(dst, sim.Parcel{
 				To:      h.Station / s.group,
-				At:      h.SentAt.Add(s.latency),
+				At:      h.SentAt.Add(DefaultLinkLatency),
 				Seq:     s.seq,
 				Payload: inbound{station: h.Station, msg: h.Msg},
 			})
@@ -238,11 +222,10 @@ func buildShard(cfg FleetConfig, idx int) (*fleetShard, error) {
 		count = cfg.Stations - first
 	}
 	sh := &fleetShard{
-		Kernel:  k,
-		idx:     idx,
-		first:   first,
-		group:   cfg.Group,
-		latency: cfg.LinkLatency,
+		Kernel: k,
+		idx:    idx,
+		first:  first,
+		group:  cfg.Group,
 	}
 	systems := make([]*mercury.System, 0, count)
 	for j := 0; j < count; j++ {
@@ -393,7 +376,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	for i, sh := range shards {
 		fleetShards[i] = sh
 	}
-	fl := sim.NewFleet(sim.FleetConfig{Epoch: cfg.Epoch, Workers: cfg.Workers}, fleetShards)
+	fl := sim.NewFleet(sim.FleetConfig{Epoch: DefaultLinkLatency, Workers: cfg.Workers}, fleetShards)
 
 	// Align the campaign to the most advanced shard clock: beacons (the
 	// only cross-shard traffic) start strictly after every shard has
@@ -413,8 +396,8 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 		Workers:     cfg.Workers,
 		BaseSeed:    cfg.BaseSeed,
 		Horizon:     cfg.Horizon,
-		Epoch:       cfg.Epoch,
-		LinkLatency: cfg.LinkLatency,
+		Epoch:       DefaultLinkLatency,
+		LinkLatency: DefaultLinkLatency,
 		Epochs:      fl.Epochs(),
 		Parcels:     fl.Parcels(),
 		Events:      fl.Executed(),

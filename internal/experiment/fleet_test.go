@@ -125,11 +125,6 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := RunFleet(context.Background(), FleetConfig{}); err == nil {
 		t.Fatal("zero stations accepted")
 	}
-	if _, err := RunFleet(context.Background(), FleetConfig{
-		Stations: 2, Epoch: time.Second, LinkLatency: 100 * time.Millisecond,
-	}); err == nil {
-		t.Fatal("epoch > link latency accepted")
-	}
 }
 
 // TestFleetGroupChangesPlacement: Group is part of the reproducibility

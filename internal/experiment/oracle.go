@@ -115,6 +115,7 @@ type OracleCellResult struct {
 	Trials   int `json:"trials"`
 	Episodes int `json:"episodes"`
 
+	// Retries is always 0: the load engine never re-sends a request.
 	Issued  uint64 `json:"issued"`
 	OK      uint64 `json:"ok"`
 	Failed  uint64 `json:"failed"`
@@ -169,7 +170,6 @@ func RunOracleCell(ctx context.Context, cfg OracleConfig, pol OraclePolicy) (*Or
 		res.OK += tr.Stats.OK
 		res.Failed += tr.Stats.Failed
 		res.Shed += tr.Stats.Shed
-		res.Retries += tr.Stats.Retries
 		downtime += tr.Stats.BrokenUserSeconds
 	}
 	episodes := float64(len(trials) * cfg.Episodes)

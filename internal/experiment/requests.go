@@ -41,7 +41,7 @@ type RequestConfig struct {
 
 // RequestClass is the request class under test: pass-class requests
 // target the tracker, the component the fault episodes hit. They run at
-// the engine's default deadline (100 ms) with no retries.
+// the engine's deadline (load.Deadline, 100 ms); the engine never retries.
 const RequestClass = load.ClassPass
 
 // DefaultRequestConfig is the EXPERIMENTS.md "User-harm" setup.
@@ -149,7 +149,6 @@ func subStats(end, base load.Stats) load.Stats {
 		Slow:              end.Slow - base.Slow,
 		Failed:            end.Failed - base.Failed,
 		Shed:              end.Shed - base.Shed,
-		Retries:           end.Retries - base.Retries,
 		StaleAcks:         end.StaleAcks - base.StaleAcks,
 		BrokenUsers:       end.BrokenUsers,
 		BrokenUserSeconds: end.BrokenUserSeconds - base.BrokenUserSeconds,
@@ -167,6 +166,7 @@ type RequestCellResult struct {
 	Episodes int `json:"episodes"`
 
 	// Summed over trials (measured window only; warm-up excluded).
+	// Retries is always 0: the load engine never re-sends a request.
 	Issued  uint64 `json:"issued"`
 	OK      uint64 `json:"ok"`
 	Slow    uint64 `json:"slow"`
@@ -204,7 +204,7 @@ func RunRequestCell(ctx context.Context, cfg RequestConfig, mode MicroMode) (*Re
 		gap:      cfg.Gap,
 		episodes: cfg.Episodes,
 		fault:    func(int) mercury.Fault { return victim },
-		drain:    200 * time.Millisecond, // twice the engine's default deadline
+		drain:    2 * load.Deadline,
 	}
 	if err := trial.check(); err != nil {
 		return nil, err
@@ -225,7 +225,6 @@ func RunRequestCell(ctx context.Context, cfg RequestConfig, mode MicroMode) (*Re
 		res.Slow += tr.Stats.Slow
 		res.Failed += tr.Stats.Failed
 		res.Shed += tr.Stats.Shed
-		res.Retries += tr.Stats.Retries
 		downtime += tr.Stats.BrokenUserSeconds
 		horizon += tr.Horizon
 		res.Hist.Merge(&tr.Hist)

@@ -156,9 +156,7 @@ func shardDestName(want, n, i int) (string, error) {
 // each shard in turn, and finally the whole fabric at once.
 func RunShardChaos(cfg ShardChaosConfig) (*ShardChaosResult, error) {
 	cfg = cfg.withDefaults()
-	sb, err := bus.ListenSharded("127.0.0.1:0", cfg.Shards, bus.BrokerConfig{
-		Batch: bus.BatchConfig{Policy: bus.DropNewest},
-	})
+	sb, err := bus.ListenSharded("127.0.0.1:0", cfg.Shards, bus.BrokerConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -55,9 +55,16 @@ import (
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
-// Gate is the default bus address of the request gateway — the component
-// that terminates the client side of every simulated request.
+// Gate is the bus address of the request gateway — the component that
+// terminates the client side of every simulated request.
 const Gate = "gate"
+
+// Deadline is how long a user waits for the ack before the request fails:
+// 5× the two-hop round trip. A timed-out request is never re-sent.
+const Deadline = 100 * time.Millisecond
+
+// SlowAfter classifies a success as "slow" when its latency exceeds it.
+const SlowAfter = Deadline / 2
 
 // Class selects which station traffic a cohort issues.
 type Class uint8
@@ -83,16 +90,6 @@ func (c Class) String() string {
 		return classNames[c]
 	}
 	return "class(" + strconv.Itoa(int(c)) + ")"
-}
-
-// ParseClass resolves a class name.
-func ParseClass(s string) (Class, error) {
-	for i, n := range classNames {
-		if n == s {
-			return Class(i), nil
-		}
-	}
-	return 0, fmt.Errorf("load: unknown request class %q", s)
 }
 
 // target returns the bus address serving this class.
@@ -131,30 +128,12 @@ type Cohort struct {
 	// Poisson selects exponential inter-arrival times; false means a
 	// constant-rate (isochronous) schedule.
 	Poisson bool
-	// Deadline is how long a user waits before giving up on an attempt.
-	// Zero defaults to 100ms (5× the two-hop round trip).
-	Deadline time.Duration
-	// SlowAfter classifies a success as "slow" when its latency exceeds
-	// it. Zero defaults to Deadline/2.
-	SlowAfter time.Duration
-	// Retries is how many times a timed-out request is re-sent before it
-	// is declared failed.
-	Retries int
 }
 
 func (c *Cohort) withDefaults() Cohort {
 	out := *c
 	if out.Users <= 0 {
 		out.Users = 1
-	}
-	if out.Deadline <= 0 {
-		out.Deadline = 100 * time.Millisecond
-	}
-	if out.SlowAfter <= 0 {
-		out.SlowAfter = out.Deadline / 2
-	}
-	if out.Retries < 0 {
-		out.Retries = 0
 	}
 	return out
 }
@@ -164,15 +143,13 @@ type Config struct {
 	// Seed derives every cohort's arrival and user-pick RNG stream (via
 	// runner.SubSeed), making the whole load a pure function of the seed.
 	Seed int64
-	// Gate overrides the gateway bus address; default Gate.
-	Gate string
 	// Cohorts is the traffic mix. At least one is required.
 	Cohorts []Cohort
 	// MaxInFlight caps the request-record arena. Zero sizes it from the
-	// traffic mix: rate × deadline × (retries+1) × 1.5 summed over
-	// cohorts. Arrivals that find the arena full are shed — counted as
-	// failed without ever reaching the bus, exactly like a client-side
-	// connection-queue overflow.
+	// traffic mix: rate × Deadline × 1.5 summed over cohorts. Arrivals
+	// that find the arena full are shed — counted as failed without ever
+	// reaching the bus, exactly like a client-side connection-queue
+	// overflow.
 	MaxInFlight int
 }
 
@@ -180,12 +157,12 @@ type Config struct {
 // partition completed requests; Slow counts are also OK (a slow success).
 type Stats struct {
 	Issued    uint64 // requests entered (one per arrival, shed included)
-	Attempts  uint64 // messages actually sent (issues + retries)
-	OK        uint64 // completed within their deadline budget
+	Attempts  uint64 // messages actually sent (one per request not shed)
+	OK        uint64 // completed within their deadline
 	Slow      uint64 // subset of OK slower than SlowAfter
-	Failed    uint64 // all attempts timed out, or the service NAKed
+	Failed    uint64 // timed out, or the service NAKed
 	Shed      uint64 // subset of Failed: arena full, never sent
-	Retries   uint64 // re-sent attempts after a timeout
+	Retries   uint64 // always 0: a timed-out request is never re-sent
 	StaleAcks uint64 // acks that arrived after their request was retired
 
 	// BrokenUsers is the instantaneous count of users whose last request
@@ -200,7 +177,6 @@ type Stats struct {
 type record struct {
 	gen      uint32
 	active   bool
-	attempt  uint8
 	cohort   int16
 	user     int32
 	intended int64 // arrival instant (kernel ns) latency is measured from
@@ -213,7 +189,6 @@ type Engine struct {
 	kern *sim.Kernel
 	bus  *bus.Sim
 	mgr  *proc.Manager
-	gate string
 
 	cohorts []*cohortState
 
@@ -243,7 +218,7 @@ type cohortState struct {
 	arrival   arrivalEvent
 	stopped   bool
 
-	// dlQ is the cohort's deadline queue. Every attempt times out exactly
+	// dlQ is the cohort's deadline queue. Every request times out exactly
 	// Deadline after it is sent, so due times are non-decreasing and one
 	// self-rescheduling pump event sweeps them in FIFO order. Completed
 	// requests are not removed — their entries go stale (generation
@@ -272,10 +247,6 @@ func NewEngine(clk clock.Clock, b *bus.Sim, mgr *proc.Manager, cfg Config) (*Eng
 	if len(cfg.Cohorts) == 0 {
 		return nil, fmt.Errorf("load: no cohorts configured")
 	}
-	gate := cfg.Gate
-	if gate == "" {
-		gate = Gate
-	}
 	ks, ok := clk.(clock.Sim)
 	if !ok {
 		// The engine's zero-alloc bookkeeping (slot arena, FIFO deadline
@@ -288,7 +259,6 @@ func NewEngine(clk clock.Clock, b *bus.Sim, mgr *proc.Manager, cfg Config) (*Eng
 		kern: ks.K,
 		bus:  b,
 		mgr:  mgr,
-		gate: gate,
 		m:    newReqCounters(),
 	}
 	var inflight float64
@@ -309,7 +279,7 @@ func NewEngine(clk clock.Clock, b *bus.Sim, mgr *proc.Manager, cfg Config) (*Eng
 		cs.dl.c = cs
 		cs.buildVals()
 		e.cohorts = append(e.cohorts, cs)
-		inflight += cc.Rate * cc.Deadline.Seconds() * float64(cc.Retries+1) * 1.5
+		inflight += cc.Rate * Deadline.Seconds() * 1.5
 	}
 	max := cfg.MaxInFlight
 	if max <= 0 {
@@ -328,7 +298,7 @@ func NewEngine(clk clock.Clock, b *bus.Sim, mgr *proc.Manager, cfg Config) (*Eng
 		// warm working set dense.
 		e.freeRec[i] = int32(max - 1 - i)
 	}
-	if err := mgr.Register(gate, func() proc.Handler { return gateHandler{e} }); err != nil {
+	if err := mgr.Register(Gate, func() proc.Handler { return gateHandler{e} }); err != nil {
 		return nil, fmt.Errorf("load: register gate: %w", err)
 	}
 	return e, nil
@@ -373,7 +343,7 @@ func clientNum(key string, f float64) xmlcmd.Param {
 // the target component is ready simply fail their deadlines, which is the
 // correct user experience of a cold service.
 func (e *Engine) Start() error {
-	if err := e.mgr.Start(e.gate); err != nil {
+	if err := e.mgr.Start(Gate); err != nil {
 		return fmt.Errorf("load: start gate: %w", err)
 	}
 	e.lastIntegrate = e.kern.NowNs()
@@ -384,8 +354,8 @@ func (e *Engine) Start() error {
 }
 
 // Stop halts new arrivals. In-flight requests keep resolving through
-// their deadlines; run the kernel for the longest deadline × (retries+1)
-// to drain before reading final stats.
+// their deadlines; run the kernel for Deadline to drain before reading
+// final stats.
 func (e *Engine) Stop() {
 	e.stopped = true
 	for _, c := range e.cohorts {
@@ -450,7 +420,8 @@ func seqFor(slot int32, gen uint32) uint64 {
 
 // issue admits one arrival: acquire a record, mint a pooled request and
 // send it with a pooled deadline. The entire path is allocation-free once
-// the pools are warm.
+// the pools are warm, and the kernel instant is read once, so the hot path
+// never builds a time.Time.
 func (e *Engine) issue(c *cohortState) {
 	e.stats.Issued++
 	e.m.issued.Inc()
@@ -470,19 +441,11 @@ func (e *Engine) issue(c *cohortState) {
 	rec := &e.records[slot]
 	rec.gen++
 	rec.active = true
-	rec.attempt = 0
 	rec.cohort = c.idx
 	rec.user = int32(c.rng.Intn(c.cfg.Users))
 	now := e.kern.NowNs()
 	rec.intended = now
 	e.m.inflight.Inc()
-	e.send(c, slot, rec, now)
-}
-
-// send transmits one attempt for an active record and arms its deadline.
-// now is the current kernel instant, threaded through so the hot path
-// never rebuilds a time.Time.
-func (e *Engine) send(c *cohortState, slot int32, rec *record, now int64) {
 	e.stats.Attempts++
 	v := c.vals[c.vi]
 	c.vi++
@@ -490,11 +453,11 @@ func (e *Engine) send(c *cohortState, slot int32, rec *record, now int64) {
 		c.vi = 0
 	}
 	class := c.cfg.Class
-	e.bus.Send(e.mgr.Pool().Command(e.gate, class.target(), seqFor(slot, rec.gen), class.command(), v...))
+	e.bus.Send(e.mgr.Pool().Command(Gate, class.target(), seqFor(slot, rec.gen), class.command(), v...))
 	e.armDeadline(c, slot, rec.gen, now)
 }
 
-// dlEntry is one armed attempt deadline (due in kernel ns). Entries are
+// dlEntry is one armed request deadline (due in kernel ns). Entries are
 // never cancelled: completion leaves them stale (generation mismatch) and
 // the sweep drops them — the kernel's own slot/gen idiom, applied to a
 // FIFO queue.
@@ -504,9 +467,9 @@ type dlEntry struct {
 	gen  uint32
 }
 
-// armDeadline appends the attempt's timeout to the cohort's queue and arms
+// armDeadline appends the request's timeout to the cohort's queue and arms
 // the pump if it is asleep. Due times are monotone because the deadline is
-// a cohort constant and virtual time never goes backwards.
+// a constant and virtual time never goes backwards.
 func (e *Engine) armDeadline(c *cohortState, slot int32, gen uint32, now int64) {
 	if c.dlHead > 1024 && c.dlHead*2 >= len(c.dlQ) {
 		n := copy(c.dlQ, c.dlQ[c.dlHead:])
@@ -514,13 +477,13 @@ func (e *Engine) armDeadline(c *cohortState, slot int32, gen uint32, now int64) 
 		c.dlHead = 0
 	}
 	c.dlQ = append(c.dlQ, dlEntry{
-		due:  now + int64(c.cfg.Deadline),
+		due:  now + int64(Deadline),
 		slot: slot,
 		gen:  gen,
 	})
 	if !c.dlOn {
 		c.dlOn = true
-		e.kern.Schedule(c.cfg.Deadline, &c.dl)
+		e.kern.Schedule(Deadline, &c.dl)
 	}
 }
 
@@ -555,18 +518,11 @@ func (p *dlPump) Fire() {
 	c.dlOn = false
 }
 
-// expire resolves one due, still-live deadline: retry or fail.
+// expire resolves one due, still-live deadline: the user saw a failure.
 func (e *Engine) expire(c *cohortState, slot int32, rec *record, now int64) {
-	if int(rec.attempt) < c.cfg.Retries {
-		rec.attempt++
-		e.stats.Retries++
-		e.m.retries.Inc()
-		e.send(c, slot, rec, now)
-		return
-	}
-	// Out of patience: the user saw a failure. The full wait — intended
-	// start to final timeout — goes into the latency record, so blown
-	// deadlines dominate the tail exactly as users experienced them.
+	// The full wait — intended start to timeout — goes into the latency
+	// record, so blown deadlines dominate the tail exactly as users
+	// experienced them.
 	e.hist.Record(time.Duration(now - rec.intended))
 	e.stats.Failed++
 	e.m.failed.Inc()
@@ -599,7 +555,7 @@ func (e *Engine) onAck(m *xmlcmd.Message) {
 	if m.Ack.OK {
 		e.stats.OK++
 		e.m.ok.Inc()
-		if lat > c.cfg.SlowAfter {
+		if lat > SlowAfter {
 			e.stats.Slow++
 			e.m.slow.Inc()
 		}

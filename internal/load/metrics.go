@@ -16,7 +16,6 @@ type ReqMetrics struct {
 	Slow      obs.Counter // successes slower than their SlowAfter
 	Failed    obs.Counter // requests failed (timeout, NAK or shed)
 	Shed      obs.Counter // subset of failed: arena full at the client edge
-	Retries   obs.Counter // attempts re-sent after a timeout
 	StaleAcks obs.Counter // acks arriving after their request retired
 	InFlight  obs.Gauge   // active request records
 	Broken    obs.Gauge   // users with a currently-broken session
@@ -31,8 +30,8 @@ var reqShardSeq atomic.Uint64
 // reqCounters is one engine's pre-resolved shard set, so parallel trials
 // (one engine per worker) never share a counter cache line.
 type reqCounters struct {
-	issued, ok, slow, failed, shed, retries, stale *obs.CounterShard
-	inflight, broken                               *obs.Gauge
+	issued, ok, slow, failed, shed, stale *obs.CounterShard
+	inflight, broken                      *obs.Gauge
 }
 
 func newReqCounters() reqCounters {
@@ -43,7 +42,6 @@ func newReqCounters() reqCounters {
 		slow:     M.Slow.Shard(i),
 		failed:   M.Failed.Shard(i),
 		shed:     M.Shed.Shard(i),
-		retries:  M.Retries.Shard(i),
 		stale:    M.StaleAcks.Shard(i),
 		inflight: &M.InFlight,
 		broken:   &M.Broken,
@@ -63,8 +61,6 @@ func RegisterMetrics(r *obs.Registry) {
 		"Requests completed, by user-visible outcome.", &M.Failed, "outcome", "failed")
 	r.RegisterCounter("mercury_req_shed_total",
 		"Requests shed at the client edge (record arena full).", &M.Shed)
-	r.RegisterCounter("mercury_req_retries_total",
-		"Request attempts re-sent after a timeout.", &M.Retries)
 	r.RegisterCounter("mercury_req_stale_acks_total",
 		"Acks that arrived after their request was retired.", &M.StaleAcks)
 	r.RegisterGauge("mercury_req_inflight",

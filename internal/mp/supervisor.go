@@ -17,12 +17,9 @@ import (
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
-// SpawnFunc launches one component child process. The default re-executes
-// the current binary with the spec in the environment (see SpecFromEnv).
-type SpawnFunc func(spec ChildConfig) (*exec.Cmd, error)
-
-// DefaultSpawn re-executes the running binary as a component child.
-func DefaultSpawn(spec ChildConfig) (*exec.Cmd, error) {
+// spawn prepares one component child process: the running binary,
+// re-executed with the spec in its environment (see SpecFromEnv).
+func spawn(spec ChildConfig) (*exec.Cmd, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("mp: locate executable: %w", err)
@@ -42,8 +39,6 @@ type SupervisorConfig struct {
 	TreeName string
 	// Seed drives the deterministic pieces.
 	Seed int64
-	// Spawn launches children; nil uses DefaultSpawn.
-	Spawn SpawnFunc
 	// Policy is the oracle; nil = escalating.
 	Policy *core.Policy
 	// RECParams overrides the recoverer configuration (already adjusted
@@ -65,9 +60,8 @@ type managedChild struct {
 type Supervisor struct {
 	*rt.Host
 
-	seed  int64
-	spawn SpawnFunc
-	seq   uint64
+	seed int64
+	seq  uint64
 
 	mu       sync.Mutex
 	children map[string]*managedChild
@@ -106,7 +100,7 @@ func (h *proxyHandler) Receive(proc.Context, *xmlcmd.Message) {
 
 // spawnChild launches a component process and watches it.
 func (s *Supervisor) spawnChild(spec ChildConfig, ctx proc.Context) {
-	cmd, err := s.spawn(spec)
+	cmd, err := spawn(spec)
 	if err != nil {
 		M.SpawnFailures.Inc()
 		s.Disp.Post(func() { ctx.Fail("spawn: " + err.Error()) })
@@ -207,11 +201,7 @@ func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	}
 	s := &Supervisor{
 		seed:     cfg.Seed,
-		spawn:    cfg.Spawn,
 		children: make(map[string]*managedChild),
-	}
-	if s.spawn == nil {
-		s.spawn = DefaultSpawn
 	}
 	host, err := rt.NewHost(rt.HostConfig{
 		ListenAddr: cfg.ListenAddr,

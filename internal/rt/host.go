@@ -289,7 +289,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Micro:        cfg.Micro,
 		PolicyName:   cfg.OracleName,
 		CkptInterval: cfg.CkptInterval,
-		Window:       cfg.EstimatorWindow,
 	})
 	if err != nil {
 		return nil, err

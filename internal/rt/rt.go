@@ -293,9 +293,6 @@ type NodeConfig struct {
 	// package default. A non-zero value forces the checkpoint plane on
 	// (micro mode only).
 	CkptInterval time.Duration
-	// EstimatorWindow is the cost-aware oracle's EWMA window in samples;
-	// zero = the estimator default.
-	EstimatorWindow int
 }
 
 // BrokerControl ties the mbus process lifecycle to the real TCP fabric:
@@ -303,9 +300,9 @@ type NodeConfig struct {
 // are lost. It is shared by the in-process runtime (Node) and the
 // multi-process supervisor (internal/mp). With shards > 1 the mbus cell
 // owns a sharded fabric; its death still takes the whole fabric down
-// (mbus is one cell in the restart tree), while individual shard
-// kill/recover is driven externally (rrbench shardchaos, tests) against
-// the fabric handle.
+// (mbus is one cell in the restart tree). Killing one shard is the
+// bus.ShardedBroker API's business, which rrbench shardchaos drives on a
+// fabric of its own.
 type BrokerControl struct {
 	addr   string
 	shards int
@@ -329,9 +326,9 @@ func (bc *BrokerControl) Open() error {
 		err error
 	)
 	if bc.addrs != nil {
-		sb, err = bus.ListenShardedAddrs(bc.addrs, brokerDefaults())
+		sb, err = bus.ListenShardedAddrs(bc.addrs)
 	} else {
-		sb, err = bus.ListenSharded(bc.addr, n, brokerDefaults())
+		sb, err = bus.ListenSharded(bc.addr, n, bus.BrokerConfig{})
 	}
 	if err != nil {
 		return err
@@ -339,12 +336,6 @@ func (bc *BrokerControl) Open() error {
 	bc.addrs = sb.Addrs() // pin ephemeral ports for restarts
 	bc.fabric = sb
 	return nil
-}
-
-// brokerDefaults is the live fabric's per-connection tuning: drop on
-// back-pressure (a stalled component must not wedge the bus cell).
-func brokerDefaults() bus.BrokerConfig {
-	return bus.BrokerConfig{Batch: bus.BatchConfig{Policy: bus.DropNewest}}
 }
 
 func (bc *BrokerControl) CloseBroker() {
@@ -366,14 +357,6 @@ func (bc *BrokerControl) Address() string {
 		return strings.Join(bc.addrs, ",")
 	}
 	return bc.addr
-}
-
-// Fabric returns the live sharded fabric, or nil while mbus is down (for
-// shard-level chaos drivers).
-func (bc *BrokerControl) Fabric() *bus.ShardedBroker {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	return bc.fabric
 }
 
 // NumShards returns the fabric width the controller manages.

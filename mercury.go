@@ -38,63 +38,39 @@ import (
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
-// Policy selects the restart policy (the oracle).
-type Policy int
+// Policy selects the restart policy (the oracle) by its name in core's
+// policy table (core.PolicyByName); "" means PolicyEscalating.
+type Policy string
 
 // Policies.
 const (
 	// PolicyEscalating is the realistic default: restart the failed
 	// component's cell, then walk up the tree while the failure persists.
-	PolicyEscalating Policy = iota + 1
+	PolicyEscalating Policy = "escalating"
 	// PolicyPerfect embodies the paper's A_oracle: the minimal restart is
 	// always recommended (consults the fault board, an experimental
 	// device).
-	PolicyPerfect
+	PolicyPerfect Policy = "perfect"
 	// PolicyFaulty guesses too low with probability Config.FaultyP
 	// (paper §4.4 uses 0.30).
-	PolicyFaulty
+	PolicyFaulty Policy = "faulty"
 	// PolicyLearning estimates cure probabilities from restart outcomes
 	// and converges toward the minimal policy (paper §7 future work).
-	PolicyLearning
+	PolicyLearning Policy = "learning"
 	// PolicyCostAware is oracle v2: it chooses restart depth, microreboot
 	// or checkpoint-restore by minimizing expected user-facing harm under
 	// live MTTF/MTTR estimates (DESIGN.md §12).
-	PolicyCostAware
+	PolicyCostAware Policy = "costaware"
 	// PolicyFixedMicro always microreboots first, then escalates restarts
 	// — the policy-campaign baseline for "cheapest rung first, always".
-	PolicyFixedMicro
+	PolicyFixedMicro Policy = "fixed-micro"
 	// PolicyFixedProcess always starts at the hosting process's cell,
 	// skipping the sub-level rungs entirely.
-	PolicyFixedProcess
+	PolicyFixedProcess Policy = "fixed-process"
 	// PolicyFixedCkpt always starts with checkpoint-restore when a
 	// checkpoint exists.
-	PolicyFixedCkpt
+	PolicyFixedCkpt Policy = "fixed-ckpt"
 )
-
-// String names the policy; the names are the keys of core's policy table
-// (core.PolicyByName).
-func (p Policy) String() string {
-	switch p {
-	case PolicyEscalating:
-		return "escalating"
-	case PolicyPerfect:
-		return "perfect"
-	case PolicyFaulty:
-		return "faulty"
-	case PolicyLearning:
-		return "learning"
-	case PolicyCostAware:
-		return "costaware"
-	case PolicyFixedMicro:
-		return "fixed-micro"
-	case PolicyFixedProcess:
-		return "fixed-process"
-	case PolicyFixedCkpt:
-		return "fixed-ckpt"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
 
 // Config parameterises a System.
 type Config struct {
@@ -113,9 +89,6 @@ type Config struct {
 	Policy Policy
 	// FaultyP is the guess-too-low probability for PolicyFaulty.
 	FaultyP float64
-	// Params overrides the station parameters; nil means calibrated
-	// defaults.
-	Params *station.Params
 	// FDParams / RECParams override detector and recoverer settings.
 	FDParams  *core.FDParams
 	RECParams *core.RECParams
@@ -125,11 +98,6 @@ type Config struct {
 	// Implied by the m-variant tree names ("IIIm", "IVm"); requires the
 	// split layout.
 	Micro bool
-	// Chaos, when non-nil, degrades every simulated bus link with the
-	// profile's loss/duplication/jitter from construction onward. Most
-	// experiments instead call System.SetChaos after Boot so a lossy
-	// fabric cannot wedge the initial whole-system start.
-	Chaos *bus.ChaosProfile
 	// DisableRecovery builds the station without FD/REC (for baselines
 	// that model the pre-RR, operator-driven Mercury).
 	DisableRecovery bool
@@ -142,9 +110,6 @@ type Config struct {
 	// The checkpoint manager only exists in micro mode and only when a
 	// checkpoint-aware policy or a positive interval asks for it.
 	CkptInterval time.Duration
-	// EstimatorWindow is oracle v2's EWMA window N (alpha = 2/(N+1));
-	// 0 means 8.
-	EstimatorWindow int
 	// HarmRates maps a component (or dotted sub, falling back to its
 	// hosting process) to the user-harm rate an outage of it causes —
 	// typically the offered request rate against it. Oracle v2 reports
@@ -205,10 +170,6 @@ const (
 
 // NewSystem builds a simulated station per the config. Call Boot next.
 func NewSystem(cfg Config) (*System, error) {
-	if cfg.Policy == 0 {
-		cfg.Policy = PolicyEscalating
-	}
-
 	k := cfg.Kernel
 	if k == nil {
 		k = sim.New(cfg.Seed)
@@ -218,17 +179,7 @@ func NewSystem(cfg Config) (*System, error) {
 	mgr := proc.NewManager(clk, k.Rand(), log)
 	b := bus.NewSim(clk, mgr, station.MBus)
 	mgr.SetTransport(b)
-	if cfg.Chaos != nil {
-		if err := cfg.Chaos.Validate(); err != nil {
-			return nil, err
-		}
-		b.SetChaos(cfg.Chaos)
-	}
 
-	params := station.DefaultParams(k.Now())
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
 	fdParams := core.DefaultFDParams()
 	if cfg.FDParams != nil {
 		fdParams = *cfg.FDParams
@@ -241,14 +192,13 @@ func NewSystem(cfg Config) (*System, error) {
 		Mgr:             mgr,
 		FDParams:        fdParams,
 		RECParams:       recParams,
-		Params:          params,
+		Params:          station.DefaultParams(k.Now()),
 		TreeName:        cfg.TreeName,
 		CustomTree:      cfg.CustomTree,
 		Micro:           cfg.Micro,
-		PolicyName:      cfg.Policy.String(),
+		PolicyName:      string(cfg.Policy),
 		FaultyP:         cfg.FaultyP,
 		HarmRates:       cfg.HarmRates,
-		Window:          cfg.EstimatorWindow,
 		CkptInterval:    cfg.CkptInterval,
 		DisableRecovery: cfg.DisableRecovery,
 	})
@@ -402,7 +352,8 @@ func (s *System) MeasureRecovery(f Fault, limit time.Duration) (time.Duration, e
 
 // SetChaos installs (or clears, with nil) the fabric-wide bus chaos
 // profile. Installing it after Boot degrades the network only once the
-// station is up — the usual shape for availability-vs-loss experiments.
+// station is up, so a lossy fabric cannot wedge the initial whole-system
+// start — the shape of every availability-vs-loss experiment.
 func (s *System) SetChaos(p *bus.ChaosProfile) error {
 	if err := p.Validate(); err != nil {
 		return err

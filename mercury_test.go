@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/trace"
 )
 
@@ -222,14 +223,32 @@ func TestLearningOracleConverges(t *testing.T) {
 	}
 }
 
+// AllPolicies lists every Policy constant, for the table checks here and in
+// docs_test.go.
+var AllPolicies = []Policy{PolicyEscalating, PolicyPerfect, PolicyFaulty, PolicyLearning,
+	PolicyCostAware, PolicyFixedMicro, PolicyFixedProcess, PolicyFixedCkpt}
+
+// TestPolicyString checks that each Policy string is a key of core's one
+// policy table: every constant builds through core.PolicyByName under its
+// own name, and the zero Config runs the escalating policy.
 func TestPolicyString(t *testing.T) {
-	for _, p := range []Policy{PolicyEscalating, PolicyPerfect, PolicyFaulty, PolicyLearning} {
-		if strings.Contains(p.String(), "policy(") {
-			t.Fatalf("missing name for %d", p)
+	for _, p := range AllPolicies {
+		o, err := core.PolicyByName(string(p), core.PolicyDeps{})
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		// The faulty policy's name carries its rate: "faulty(0%)".
+		if !strings.HasPrefix(o.Name(), string(p)) {
+			t.Errorf("Policy %q builds %q", p, o.Name())
 		}
 	}
-	if !strings.Contains(Policy(99).String(), "99") {
-		t.Fatal("unknown policy string")
+	sys, err := NewSystem(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Oracle.Name(); got != "escalating" {
+		t.Fatalf("zero Config runs %q, want escalating", got)
 	}
 }
 
