@@ -92,14 +92,9 @@ type Sim struct {
 	// crosslink.go). Nil for a standalone station.
 	xlink *CrossLink
 
-	// chaosDefault/chaosLinks model a degraded fabric (see chaos.go);
-	// both nil means the historical perfect fabric.
-	chaosDefault *ChaosProfile
-	chaosLinks   map[linkKey]*ChaosProfile
-
-	// chaosDrops counts chaos-layer discards per directed hop (see
-	// LinkDiscards). Plain map: mutated only on the dispatch context.
-	chaosDrops map[linkKey]uint64
+	// chaos models a degraded fabric (see chaos.go); nil means the
+	// historical perfect fabric.
+	chaos *ChaosProfile
 
 	stats Stats
 
@@ -113,12 +108,11 @@ var _ proc.Transport = (*Sim)(nil)
 // NewSim builds a simulated bus routed through the named broker component.
 func NewSim(clk clock.Clock, mgr *proc.Manager, broker string) *Sim {
 	b := &Sim{
-		clk:        clk,
-		mgr:        mgr,
-		broker:     broker,
-		Latency:    5 * time.Millisecond,
-		chaosDrops: make(map[linkKey]uint64),
-		m:          newSimCounters(),
+		clk:     clk,
+		mgr:     mgr,
+		broker:  broker,
+		Latency: 5 * time.Millisecond,
+		m:       newSimCounters(),
 	}
 	if ks, ok := clk.(clock.Sim); ok {
 		b.kern = ks.K
@@ -181,16 +175,16 @@ func (b *Sim) Send(m *xmlcmd.Message) {
 	}
 	if b.isDirect(m.From) && b.isDirect(m.To) {
 		b.stats.DirectSent++
-		b.sendHop(m, hopDeliver, m.From, m.To)
+		b.sendHop(m, hopDeliver)
 		return
 	}
 	// Hop 1: reach the broker. Messages to or from the broker itself are
 	// single-hop (the broker terminates them locally).
 	if m.To == b.broker || m.From == b.broker {
-		b.sendHop(m, hopDeliver, m.From, m.To)
+		b.sendHop(m, hopDeliver)
 		return
 	}
-	b.sendHop(m, hopBroker, m.From, b.broker)
+	b.sendHop(m, hopBroker)
 }
 
 // Delivery hops.
@@ -232,8 +226,8 @@ func (b *Sim) hop(m *xmlcmd.Message, hop int) {
 			b.finish(m)
 			return
 		}
-		// Second hop, broker → destination, under that link's chaos.
-		b.sendHop(m, hopDeliver, b.broker, m.To)
+		// Second hop, broker → destination.
+		b.sendHop(m, hopDeliver)
 		return
 	}
 	if b.mgr.Deliver(m) {

@@ -11,8 +11,8 @@ import (
 // *degraded* (rather than dead) network. The paper's failure model is
 // clean fail-silent over a perfect mbus; real fabrics lose, delay and
 // duplicate frames without any component being at fault. The chaos layer
-// wraps every physical hop of the simulated fabric with a per-link
-// ChaosProfile so experiments can measure how the detection/recovery
+// applies one fabric-wide ChaosProfile to every physical hop of the
+// simulated fabric so experiments can measure how the detection/recovery
 // stack behaves as channel quality degrades.
 //
 // Determinism: all chaos draws come from the process manager's RNG — the
@@ -23,8 +23,8 @@ import (
 // RNG draws and zero allocations, which is what keeps the Table 2/4
 // golden traces byte-identical.
 
-// ChaosProfile describes one link's degradation. The zero value is a
-// perfect link.
+// ChaosProfile describes the degradation of every hop. The zero value is
+// a perfect fabric.
 type ChaosProfile struct {
 	// Loss is the per-hop probability a frame is silently dropped.
 	// A routed message crosses two hops (sender→mbus, mbus→dest) and is
@@ -45,62 +45,34 @@ func (p *ChaosProfile) active() bool {
 	return p != nil && (p.Loss > 0 || p.Dup > 0 || p.Jitter != nil)
 }
 
-// Validate rejects probabilities outside [0, 1).
+// Validate rejects probabilities outside [0, 1), NaN included.
 func (p *ChaosProfile) Validate() error {
 	if p == nil {
 		return nil
 	}
-	if p.Loss < 0 || p.Loss >= 1 {
+	if !(p.Loss >= 0 && p.Loss < 1) {
 		return fmt.Errorf("bus: chaos loss %v outside [0, 1)", p.Loss)
 	}
-	if p.Dup < 0 || p.Dup >= 1 {
+	if !(p.Dup >= 0 && p.Dup < 1) {
 		return fmt.Errorf("bus: chaos dup %v outside [0, 1)", p.Dup)
 	}
 	return nil
 }
 
-// linkKey identifies one directed physical hop.
-type linkKey struct {
-	from, to string
-}
-
-// SetChaos installs (or, with nil, clears) the fabric-wide default
-// profile. It applies to every hop without a per-link override.
+// SetChaos installs (or, with nil, clears) the fabric-wide profile.
 func (b *Sim) SetChaos(p *ChaosProfile) {
 	if !p.active() {
 		p = nil
 	}
-	b.chaosDefault = p
+	b.chaos = p
 }
 
-// SetLinkChaos overrides the profile for one directed hop (from → to).
-// The broker leg of a routed message uses the sender→broker and
-// broker→destination hops. A nil profile pins the hop clean even when a
-// fabric-wide default is installed.
-func (b *Sim) SetLinkChaos(from, to string, p *ChaosProfile) {
-	if b.chaosLinks == nil {
-		b.chaosLinks = make(map[linkKey]*ChaosProfile)
-	}
-	b.chaosLinks[linkKey{from, to}] = p
-}
-
-// chaosFor resolves the profile governing one hop. Must not allocate:
-// it sits on the zero-alloc Send fast path.
-func (b *Sim) chaosFor(from, to string) *ChaosProfile {
-	if b.chaosLinks != nil {
-		if p, ok := b.chaosLinks[linkKey{from, to}]; ok {
-			return p
-		}
-	}
-	return b.chaosDefault
-}
-
-// sendHop schedules one physical hop of a message, applying the link's
+// sendHop schedules one physical hop of a message, applying the fabric's
 // chaos profile. With no profile the hop is the historical clean path:
 // one pooled delivery event after Latency, no RNG draws.
-func (b *Sim) sendHop(m *xmlcmd.Message, hop int, from, to string) {
-	p := b.chaosFor(from, to)
-	if !p.active() {
+func (b *Sim) sendHop(m *xmlcmd.Message, hop int) {
+	p := b.chaos
+	if p == nil {
 		// Clean hops ride the FIFO hop queue (one kernel event total);
 		// a pooled per-hop event is the fallback if the queue's sort
 		// invariant would break (or no kernel clock is attached).
@@ -121,7 +93,6 @@ func (b *Sim) sendHop(m *xmlcmd.Message, hop int, from, to string) {
 		if p.Loss > 0 && rng.Float64() < p.Loss {
 			b.stats.DroppedChaos++
 			b.m.dropChaos.Inc()
-			b.chaosDrops[linkKey{from, to}]++
 			continue
 		}
 		d := b.Latency

@@ -140,13 +140,3 @@ func newSimCounters() simCounters {
 		crossSent:  M.SimCrossSent.Shard(i),
 	}
 }
-
-// LinkDiscards reports the chaos layer's per-link frame discards for this
-// fabric as "from->to" keys. Dispatch-context only, like Stats.
-func (b *Sim) LinkDiscards() map[string]uint64 {
-	out := make(map[string]uint64, len(b.chaosDrops))
-	for k, n := range b.chaosDrops {
-		out[k.from+"->"+k.to] = n
-	}
-	return out
-}

@@ -51,7 +51,7 @@ func TestSimMetricsMirrorStats(t *testing.T) {
 
 	// Chaos loss on a direct link.
 	r.bus.AddDirectLink("fd", "rec")
-	r.bus.SetLinkChaos("fd", "rec", &ChaosProfile{Loss: 0.999999999})
+	r.bus.SetChaos(&ChaosProfile{Loss: 0.999999999})
 	r.bus.Send(new(xmlcmd.Pool).Event("fd", "rec", 3, "doomed", ""))
 	_ = r.k.RunFor(time.Second)
 
@@ -71,24 +71,6 @@ func TestSimMetricsMirrorStats(t *testing.T) {
 	}
 	if st.DroppedBroker == 0 || st.DroppedChaos == 0 {
 		t.Errorf("test did not exercise both drop paths: %+v", st)
-	}
-}
-
-// TestLinkDiscards pins the per-hop chaos discard ledger.
-func TestLinkDiscards(t *testing.T) {
-	r := newRig(t)
-	r.addEcho(t, "fd")
-	r.addEcho(t, "rec")
-	r.bus.AddDirectLink("fd", "rec")
-	r.startAll(t)
-	r.bus.SetLinkChaos("fd", "rec", &ChaosProfile{Loss: 0.999999999})
-	for i := 0; i < 5; i++ {
-		r.bus.Send(new(xmlcmd.Pool).Event("fd", "rec", uint64(i), "doomed", ""))
-	}
-	_ = r.k.RunFor(time.Second)
-	d := r.bus.LinkDiscards()
-	if d["fd->rec"] != 5 {
-		t.Fatalf("LinkDiscards = %v, want fd->rec: 5", d)
 	}
 }
 

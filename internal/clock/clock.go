@@ -1,7 +1,7 @@
 // Package clock abstracts time so that the ground-station components, the
 // failure detector and the recoverer run identically under the
 // discrete-event simulator (virtual time, deterministic) and under the
-// real-time runtime (wall-clock time).
+// live runtimes (compressed wall-clock time, rt.Clock).
 package clock
 
 import (
@@ -59,60 +59,6 @@ func (s Sim) AfterFunc(d time.Duration, fn func()) Timer {
 
 // Schedule forwards to the kernel's zero-allocation fast path.
 func (s Sim) Schedule(d time.Duration, ev Event) { s.K.Schedule(d, ev) }
-
-// Real is a Clock backed by the machine clock. Callbacks fire on their own
-// goroutines via time.AfterFunc; callers serialise via their own dispatch.
-type Real struct{}
-
-var _ Clock = Real{}
-
-// Now returns time.Now.
-func (Real) Now() time.Time { return time.Now() }
-
-// AfterFunc wraps time.AfterFunc.
-func (Real) AfterFunc(d time.Duration, fn func()) Timer {
-	return realTimer{t: time.AfterFunc(d, fn)}
-}
-
-// Schedule emulates the fast path with time.AfterFunc; wall-clock runs do
-// not need the allocation guarantee.
-func (Real) Schedule(d time.Duration, ev Event) { time.AfterFunc(d, ev.Fire) }
-
-type realTimer struct{ t *time.Timer }
-
-func (rt realTimer) Stop() bool { return rt.t.Stop() }
-
-// Scaled is a real-time clock that compresses durations by Factor, so that
-// a simulation calibrated in "paper seconds" can be demonstrated live in a
-// fraction of the time (e.g. Factor 10 makes a 21 s pbcom restart take
-// 2.1 s of wall time). Now still returns wall time.
-type Scaled struct {
-	Inner  Clock
-	Factor float64
-}
-
-var _ Clock = Scaled{}
-
-// Now returns the inner clock's time.
-func (s Scaled) Now() time.Time { return s.Inner.Now() }
-
-// AfterFunc schedules fn after d divided by Factor.
-func (s Scaled) AfterFunc(d time.Duration, fn func()) Timer {
-	return s.Inner.AfterFunc(s.compress(d), fn)
-}
-
-// Schedule forwards the fast path with the same compression.
-func (s Scaled) Schedule(d time.Duration, ev Event) {
-	s.Inner.Schedule(s.compress(d), ev)
-}
-
-func (s Scaled) compress(d time.Duration) time.Duration {
-	f := s.Factor
-	if f <= 0 {
-		f = 1
-	}
-	return time.Duration(float64(d) / f)
-}
 
 // Ticker repeatedly invokes fn every period until stopped. It is built on
 // Clock.AfterFunc so it works under both runtimes.

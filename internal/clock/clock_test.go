@@ -65,60 +65,17 @@ func TestTickerStopIdempotent(t *testing.T) {
 	tk.Stop() // must not panic
 }
 
-func TestScaledClockCompresses(t *testing.T) {
-	k := sim.New(1)
-	c := Scaled{Inner: Sim{K: k}, Factor: 10}
-	var firedAt time.Time
-	c.AfterFunc(10*time.Second, func() { firedAt = k.Now() })
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := firedAt.Sub(sim.Epoch); got != time.Second {
-		t.Fatalf("scaled delay = %v, want 1s", got)
-	}
-}
-
-func TestScaledClockZeroFactor(t *testing.T) {
-	k := sim.New(1)
-	c := Scaled{Inner: Sim{K: k}, Factor: 0}
-	var firedAt time.Time
-	c.AfterFunc(time.Second, func() { firedAt = k.Now() })
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := firedAt.Sub(sim.Epoch); got != time.Second {
-		t.Fatalf("factor 0 should behave as 1: got %v", got)
-	}
-}
-
-func TestRealClockAfterFunc(t *testing.T) {
-	c := Real{}
-	done := make(chan struct{})
-	c.AfterFunc(time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("real AfterFunc never fired")
-	}
-}
-
-// chanEvent is a minimal Event for exercising Schedule paths.
-type chanEvent struct {
+// countEvent is a minimal Event for exercising the Schedule path.
+type countEvent struct {
 	fired int
-	done  chan struct{}
 }
 
-func (e *chanEvent) Fire() {
-	e.fired++
-	if e.done != nil {
-		close(e.done)
-	}
-}
+func (e *countEvent) Fire() { e.fired++ }
 
 func TestSimSchedule(t *testing.T) {
 	k := sim.New(1)
 	c := Sim{K: k}
-	ev := &chanEvent{}
+	ev := &countEvent{}
 	c.Schedule(3*time.Second, ev)
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -128,30 +85,6 @@ func TestSimSchedule(t *testing.T) {
 	}
 	if got := k.Now().Sub(sim.Epoch); got != 3*time.Second {
 		t.Fatalf("fired at +%v, want +3s", got)
-	}
-}
-
-func TestScaledSchedule(t *testing.T) {
-	k := sim.New(1)
-	c := Scaled{Inner: Sim{K: k}, Factor: 10}
-	ev := &chanEvent{}
-	c.Schedule(10*time.Second, ev)
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := k.Now().Sub(sim.Epoch); got != time.Second {
-		t.Fatalf("scaled Schedule delay = %v, want 1s", got)
-	}
-}
-
-func TestRealSchedule(t *testing.T) {
-	c := Real{}
-	ev := &chanEvent{done: make(chan struct{})}
-	c.Schedule(time.Millisecond, ev)
-	select {
-	case <-ev.done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("real Schedule never fired")
 	}
 }
 

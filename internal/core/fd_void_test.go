@@ -71,7 +71,7 @@ func TestFDVoidsLateRound(t *testing.T) {
 	fdp := DefaultFDParams()
 	run := func(stall time.Duration) (reportedAfter time.Duration, voided uint64) {
 		var skew time.Duration
-		h := newHarnessClock(t, 5, treeII(t), &Policy{}, fdp, DefaultRECParams(), []string{"mbus", "a", "b"},
+		h := newHarnessClock(t, 5, treeII(t), fixed(&Policy{}), fdp, DefaultRECParams(), []string{"mbus", "a", "b"},
 			func(c clock.Sim) clock.Clock { return skewClock{c, &skew} })
 		voided0 := M.FDVoidedLate.Value()
 		if err := h.mgr.Kill("a", "test"); err != nil {
@@ -107,7 +107,7 @@ func TestFDVoidsLateRound(t *testing.T) {
 func voidHarness(t *testing.T) (*harness, FDParams) {
 	fdp := DefaultFDParams()
 	fdp.PingPeriod = 700 * time.Millisecond
-	return newHarnessClock(t, 9, treeII(t), &Policy{}, fdp, DefaultRECParams(), []string{"a", "b", "mbus"}, nil), fdp
+	return newHarnessClock(t, 9, treeII(t), fixed(&Policy{}), fdp, DefaultRECParams(), []string{"a", "b", "mbus"}, nil), fdp
 }
 
 // busOutage crashes mbus after the given delay, runs until REC has

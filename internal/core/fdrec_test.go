@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -48,6 +49,11 @@ type harness struct {
 	comps  []string
 }
 
+// fixed builds a policy that needs no part of the harness.
+func fixed(p *Policy) func(*fault.Board, *rand.Rand) *Policy {
+	return func(*fault.Board, *rand.Rand) *Policy { return p }
+}
+
 func newHarness(t *testing.T, seed int64, tree *Tree, policy *Policy) *harness {
 	t.Helper()
 	return newHarnessParams(t, seed, tree, policy, DefaultFDParams(), DefaultRECParams())
@@ -57,14 +63,15 @@ func newHarness(t *testing.T, seed int64, tree *Tree, policy *Policy) *harness {
 // hardened-knob tests (SuspectAfter, restart backoff).
 func newHarnessParams(t *testing.T, seed int64, tree *Tree, policy *Policy, fdp FDParams, recp RECParams) *harness {
 	t.Helper()
-	return newHarnessClock(t, seed, tree, policy, fdp, recp, []string{"mbus", "a", "b"}, nil)
+	return newHarnessClock(t, seed, tree, fixed(policy), fdp, recp, []string{"mbus", "a", "b"}, nil)
 }
 
 // newHarnessClock is newHarnessParams with FD probing its targets in the
 // given order, on a clock of the test's making (wrap, if any, gets the
 // kernel's) — for the tests that put a probe across a broker outage or make
-// the detector run late.
-func newHarnessClock(t *testing.T, seed int64, tree *Tree, policy *Policy, fdp FDParams, recp RECParams, targets []string, wrap func(clock.Sim) clock.Clock) *harness {
+// the detector run late — and with a policy built from the harness's fault
+// board and kernel RNG, for the oracles that consult them.
+func newHarnessClock(t *testing.T, seed int64, tree *Tree, policy func(*fault.Board, *rand.Rand) *Policy, fdp FDParams, recp RECParams, targets []string, wrap func(clock.Sim) clock.Clock) *harness {
 	t.Helper()
 	k := sim.New(seed)
 	log := trace.NewLog()
@@ -102,7 +109,7 @@ func newHarnessClock(t *testing.T, seed int64, tree *Tree, policy *Policy, fdp F
 			_ = mgr.Restart([]string{xmlcmd.AddrREC})
 		}
 	}
-	recFactory, handle := NewREC(recp, tree, policy, mgr, restartFD)
+	recFactory, handle := NewREC(recp, tree, policy(board, k.Rand()), mgr, restartFD)
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +219,8 @@ func TestEscalationCuresJointFault(t *testing.T) {
 }
 
 func TestPerfectOracleSkipsEscalation(t *testing.T) {
-	h := newHarness(t, 3, treeII(t), mustPolicy(t, "perfect", PolicyDeps{}))
-	h.handle.SetPolicy(h.handle.Tree(), mustPolicy(t, "perfect", PolicyDeps{Advisor: h.board}))
+	perfect := func(b *fault.Board, _ *rand.Rand) *Policy { return mustPolicy(t, "perfect", PolicyDeps{Advisor: b}) }
+	h := newHarnessClock(t, 3, treeII(t), perfect, DefaultFDParams(), DefaultRECParams(), []string{"mbus", "a", "b"}, nil)
 	if err := h.board.Inject(fault.Fault{Manifest: "a", Cure: []string{"a", "b"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +236,10 @@ func TestPerfectOracleSkipsEscalation(t *testing.T) {
 }
 
 func TestFaultyOracleAlwaysWrongEscalates(t *testing.T) {
-	h := newHarness(t, 4, treeII(t), &Policy{})
-	h.handle.SetPolicy(h.handle.Tree(), mustPolicy(t, "faulty", PolicyDeps{FaultyP: 1.0, Advisor: h.board, Rng: h.k.Rand()}))
+	faulty := func(b *fault.Board, rng *rand.Rand) *Policy {
+		return mustPolicy(t, "faulty", PolicyDeps{FaultyP: 1.0, Advisor: b, Rng: rng})
+	}
+	h := newHarnessClock(t, 4, treeII(t), faulty, DefaultFDParams(), DefaultRECParams(), []string{"mbus", "a", "b"}, nil)
 	if err := h.board.Inject(fault.Fault{Manifest: "a", Cure: []string{"a", "b"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -469,9 +478,8 @@ func (c *hwComp) Receive(ctx proc.Context, m *xmlcmd.Message) {
 }
 
 // newHWHarness builds a harness whose component "a" depends on wedgeable
-// hardware, optionally registering the §7 custom recovery procedure that
-// power-cycles the device before the restart.
-func newHWHarness(t *testing.T, seed int64, withProcedure bool) (*harness, *bool) {
+// hardware.
+func newHWHarness(t *testing.T, seed int64) (*harness, *bool) {
 	t.Helper()
 	wedged := new(bool)
 	k := sim.New(seed)
@@ -490,18 +498,6 @@ func newHWHarness(t *testing.T, seed int64, withProcedure bool) (*harness, *bool
 		t.Fatal(err)
 	}
 
-	params := DefaultRECParams()
-	if withProcedure {
-		params.Procedures = map[string]Recovery{
-			"a": FuncRecovery{
-				Label: "power-cycle+restart",
-				Fn: func(set []string) error {
-					*wedged = false // power-cycle the device
-					return mgr.Restart(set)
-				},
-			},
-		}
-	}
 	t1, err := TrivialTree("hw-I", comps)
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +506,7 @@ func newHWHarness(t *testing.T, seed int64, withProcedure bool) (*harness, *bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	recFactory, handle := NewREC(params, tree, &Policy{}, mgr, nil)
+	recFactory, handle := NewREC(DefaultRECParams(), tree, &Policy{}, mgr, nil)
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		t.Fatal(err)
 	}
@@ -535,11 +531,11 @@ func newHWHarness(t *testing.T, seed int64, withProcedure bool) (*harness, *bool
 	return h, wedged
 }
 
-// TestHardwareWedgeDefeatsPlainRestart: without a custom procedure, the
-// policy exhausts its budget and gives up — §7's point that restart cannot
-// recover from a hard hardware failure.
+// TestHardwareWedgeDefeatsPlainRestart: the policy exhausts its budget and
+// gives up — §7's point that restart cannot recover from a hard hardware
+// failure.
 func TestHardwareWedgeDefeatsPlainRestart(t *testing.T) {
-	h, wedged := newHWHarness(t, 13, false)
+	h, wedged := newHWHarness(t, 13)
 	*wedged = true
 	_ = h.mgr.Kill("a", "hardware wedge crash")
 	_ = h.k.RunFor(3 * time.Minute)
@@ -549,24 +545,5 @@ func TestHardwareWedgeDefeatsPlainRestart(t *testing.T) {
 	giveups := h.log.Filter(func(e trace.Event) bool { return e.Kind == trace.GiveUp })
 	if len(giveups) == 0 {
 		t.Fatal("policy never gave up on the hard failure")
-	}
-}
-
-// TestCustomRecoveryProcedureCuresHardFailure: the registered §7 procedure
-// power-cycles the device before the restart, curing what a plain restart
-// cannot.
-func TestCustomRecoveryProcedureCuresHardFailure(t *testing.T) {
-	h, wedged := newHWHarness(t, 14, true)
-	*wedged = true
-	_ = h.mgr.Kill("a", "hardware wedge crash")
-	h.runUntilRecovered(t, time.Minute)
-	reqs := h.log.Filter(func(e trace.Event) bool {
-		return e.Kind == trace.RestartRequested && strings.Contains(e.Detail, "power-cycle")
-	})
-	if len(reqs) == 0 {
-		t.Fatal("custom procedure never invoked")
-	}
-	if *wedged {
-		t.Fatal("device still wedged")
 	}
 }

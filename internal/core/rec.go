@@ -58,12 +58,6 @@ type RECParams struct {
 	// RejuvenateCooldown throttles proactive restarts per component.
 	RejuvenateCooldown time.Duration
 
-	// Procedures maps a component to its custom recovery procedure
-	// (paper §7 recursive recovery: restart is just one example). The
-	// procedure runs whenever a recovery action targets exactly that
-	// component; escalated multi-component restarts stay plain restarts.
-	Procedures map[string]Recovery
-
 	// CkptRestore restores the externalized state of the restart set from
 	// the latest checkpoint, returning the modeled restore latency the
 	// action must pay before the reboot fires. Nil disables the
@@ -142,21 +136,10 @@ type recShared struct {
 	current   *REC
 }
 
-// RECHandle lets the host swap the tree/policy between experiments and
-// reach the live handler.
+// RECHandle lets the host read the tree, the policy and the live
+// handler's give-up verdicts.
 type RECHandle struct {
 	shared *recShared
-}
-
-// SetPolicy swaps the restart tree and policy (takes effect for the
-// current and future incarnations).
-func (h *RECHandle) SetPolicy(t *Tree, o *Policy) {
-	h.shared.tree = t
-	h.shared.policy = o
-	if h.shared.current != nil {
-		h.shared.current.tree = t
-		h.shared.current.policy = o
-	}
 }
 
 // Tree returns the active restart tree.
@@ -173,8 +156,8 @@ func (h *RECHandle) Abandoned(component string) bool {
 	return h.shared.current.abandoned[component]
 }
 
-// NewREC returns a factory for REC handlers plus a handle for policy
-// swaps. Procedural state (episodes, budgets) is per-incarnation: a REC
+// NewREC returns a factory for REC handlers plus a handle on them.
+// Procedural state (episodes, budgets) is per-incarnation: a REC
 // restart loses it, exactly as a process restart would. The policy is this
 // REC's own (a Policy is not shareable between recoverers).
 func NewREC(p RECParams, tree *Tree, policy *Policy, mgr *proc.Manager, restartFD func()) (func() proc.Handler, *RECHandle) {
@@ -354,8 +337,9 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 
 // execute carries out the chosen action: a checkpoint-restore pays the
 // modeled restore latency before the reboot fires (degrading to the plain
-// microreboot when no checkpoint covers the set); everything else goes
-// through the restart set's recovery procedure.
+// microreboot when no checkpoint covers the set); everything else is a
+// plain restart (a microreboot when the action says so: the whole set is
+// subcomponents, the cheapest rung — no process is torn down).
 func (r *REC) execute(ctx proc.Context, component string, ep *episode, act Action) {
 	set := act.Node.Subtree()
 	if act.Kind == ActCkptRestore {
@@ -366,7 +350,7 @@ func (r *REC) execute(ctx proc.Context, component string, ep *episode, act Actio
 			lat, err := r.params.CkptRestore(set)
 			if err == nil {
 				M.RECCkptRestores.Inc()
-				r.push(ctx, component, ep, act.Node, set, lat, nil,
+				r.push(ctx, component, ep, act.Node, set, lat,
 					fmt.Sprintf("ckpt-restore (%v) then reboot [%s]", lat, strings.Join(set, " ")))
 				return
 			}
@@ -374,16 +358,20 @@ func (r *REC) execute(ctx proc.Context, component string, ep *episode, act Actio
 				"ckpt-restore unavailable, falling back to restart: "+err.Error())
 		}
 	}
-	proc, detail := r.procedureFor(act, set)
-	r.push(ctx, component, ep, act.Node, set, 0, proc, detail)
+	verb := "restarting ["
+	if act.Kind == ActMicroreboot {
+		M.RECMicroreboots.Inc()
+		verb = "microrebooting ["
+	}
+	r.push(ctx, component, ep, act.Node, set, 0, verb+strings.Join(set, " ")+"]")
 }
 
 // push is the one place a restart button gets pressed, for cures and
 // rejuvenations alike: it marks the restart set pending on the episode,
 // counts the action, logs its RestartRequested line and — after wait, the
-// checkpoint-restore latency — runs the procedure.
+// checkpoint-restore latency — presses it.
 func (r *REC) push(ctx proc.Context, component string, ep *episode, node *Node, set []string,
-	wait time.Duration, proc Recovery, detail string) {
+	wait time.Duration, detail string) {
 	ep.pendingReady = make(map[string]bool, len(set))
 	for _, c := range set {
 		ep.pendingReady[c] = true
@@ -392,23 +380,17 @@ func (r *REC) push(ctx proc.Context, component string, ep *episode, node *Node, 
 	M.RECRestartsByNode.With(node.Label()).Inc()
 	ctx.Log().Add(ctx.Now(), trace.RestartRequested, component, node.Label(), detail)
 	if wait > 0 {
-		ctx.After(wait, func() { r.press(ctx, component, node, set, proc) })
+		ctx.After(wait, func() { r.press(ctx, component, node, set) })
 		return
 	}
-	r.press(ctx, component, node, set, proc)
+	r.press(ctx, component, node, set)
 }
 
-// press runs a recovery procedure on the restart set; nil is the default,
-// the process manager's plain kill-and-respawn. A button that fails clears
-// the in-flight mark so the next failure report can act again.
-func (r *REC) press(ctx proc.Context, component string, node *Node, set []string, proc Recovery) {
-	var err error
-	if proc != nil {
-		err = proc.Execute(set)
-	} else {
-		err = r.mgr.Restart(set)
-	}
-	if err != nil {
+// press has the process manager kill and respawn the restart set. A
+// button that fails clears the in-flight mark so the next failure report
+// can act again.
+func (r *REC) press(ctx proc.Context, component string, node *Node, set []string) {
+	if err := r.mgr.Restart(set); err != nil {
 		ctx.Log().Add(ctx.Now(), trace.Note, component, node.Label(), "recovery failed: "+err.Error())
 		delete(r.inFlight, component)
 	}
@@ -434,24 +416,6 @@ func (r *REC) restartBackoff(recent int) time.Duration {
 		return lim
 	}
 	return bo
-}
-
-// procedureFor picks the recovery procedure for an action: a custom
-// per-component procedure when the restart set is that single component,
-// else nil, the plain restart (a microreboot when the action says so: the
-// whole set is subcomponents, the cheapest rung — no process is torn down).
-func (r *REC) procedureFor(act Action, set []string) (Recovery, string) {
-	if len(set) == 1 && r.params.Procedures != nil {
-		if p, ok := r.params.Procedures[set[0]]; ok {
-			return p, "recovering [" + set[0] + "] via procedure " + p.Name()
-		}
-	}
-	verb := "restarting ["
-	if act.Kind == ActMicroreboot {
-		M.RECMicroreboots.Inc()
-		verb = "microrebooting ["
-	}
-	return nil, verb + strings.Join(set, " ") + "]"
 }
 
 // onReady tracks restart-action completion for episode verdicts. It is
@@ -598,7 +562,7 @@ func (r *REC) onSuspect(ctx proc.Context, component string) {
 		set := node.Subtree()
 		ep := &episode{attempt: 1, prevAct: actionAt(node), proactive: true, startedAt: now}
 		r.episodes[component] = ep
-		r.push(ctx, component, ep, node, set, 0, nil,
+		r.push(ctx, component, ep, node, set, 0,
 			"rejuvenation restart of ["+strings.Join(set, " ")+"]")
 	})
 }

@@ -305,14 +305,17 @@ func TestLogNormalZeroCV(t *testing.T) {
 func TestUniformLaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	law := Uniform{Lo: time.Second, Hi: 3 * time.Second}
-	for i := 0; i < 1000; i++ {
+	var sum time.Duration
+	const n = 1000
+	for i := 0; i < n; i++ {
 		d := law.Sample(rng)
 		if d < time.Second || d > 3*time.Second {
 			t.Fatalf("uniform sample out of range: %v", d)
 		}
+		sum += d
 	}
-	if law.Mean() != 2*time.Second {
-		t.Fatalf("mean = %v", law.Mean())
+	if mean := sum / n; (mean - (law.Lo+law.Hi)/2).Abs() > 100*time.Millisecond {
+		t.Fatalf("mean = %v, want ~%v", mean, (law.Lo+law.Hi)/2)
 	}
 	deg := Uniform{Lo: time.Second, Hi: time.Second}
 	if deg.Sample(rng) != time.Second {
@@ -324,15 +327,6 @@ func TestNeverLaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	if (Never{}).Sample(rng) < 100*365*24*time.Hour {
 		t.Fatal("Never law fired too soon")
-	}
-}
-
-func TestLawString(t *testing.T) {
-	for _, l := range []Law{Exponential{M: time.Hour}, LogNormal{M: time.Second, CV: 0.1},
-		Deterministic{D: time.Second}, Uniform{Lo: 0, Hi: time.Second}, Never{}} {
-		if LawString(l) == "" {
-			t.Fatalf("empty LawString for %T", l)
-		}
 	}
 }
 
@@ -381,17 +375,14 @@ func TestWeibullLawMeanAndAging(t *testing.T) {
 			under5++
 		}
 	}
-	if mean := sum / n; math.Abs(mean-10) > 0.3 {
-		t.Fatalf("weibull mean = %v min, want ~10", mean)
+	if mean := sum / n; math.Abs(mean-law.M.Minutes()) > 0.3 {
+		t.Fatalf("weibull mean = %v min, want ~%v", mean, law.M.Minutes())
 	}
 	// Shape 3 concentrates mass near the mean: far fewer early failures
 	// than the exponential with the same mean (which has ~39% below 5 min).
 	frac := float64(under5) / n
 	if frac > 0.2 {
 		t.Fatalf("weibull(3) early-failure fraction = %.2f; aging shape lost", frac)
-	}
-	if law.Mean() != 10*time.Minute {
-		t.Fatal("Mean() mismatch")
 	}
 	// Shape <= 0 degrades to exponential-like, not a crash.
 	deg := Weibull{Shape: 0, M: time.Minute}

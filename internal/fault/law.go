@@ -12,7 +12,6 @@
 package fault
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -22,8 +21,6 @@ import (
 type Law interface {
 	// Sample draws one duration.
 	Sample(rng *rand.Rand) time.Duration
-	// Mean returns the law's expected value.
-	Mean() time.Duration
 }
 
 // Exponential is the classic memoryless failure law.
@@ -37,9 +34,6 @@ var _ Law = Exponential{}
 func (e Exponential) Sample(rng *rand.Rand) time.Duration {
 	return time.Duration(rng.ExpFloat64() * float64(e.M))
 }
-
-// Mean returns M.
-func (e Exponential) Mean() time.Duration { return e.M }
 
 // LogNormal is a failure law with controllable coefficient of variation.
 // The paper asserts its MTTF/MTTR distributions have small CVs; this law
@@ -63,9 +57,6 @@ func (l LogNormal) Sample(rng *rand.Rand) time.Duration {
 	return time.Duration(x * float64(time.Second))
 }
 
-// Mean returns M.
-func (l LogNormal) Mean() time.Duration { return l.M }
-
 // Deterministic always returns D.
 type Deterministic struct {
 	D time.Duration
@@ -75,9 +66,6 @@ var _ Law = Deterministic{}
 
 // Sample returns D.
 func (d Deterministic) Sample(*rand.Rand) time.Duration { return d.D }
-
-// Mean returns D.
-func (d Deterministic) Mean() time.Duration { return d.D }
 
 // Never is a law that effectively never fires (used to disable injection
 // for a component).
@@ -90,9 +78,6 @@ const aeon = 200 * 365 * 24 * time.Hour
 
 // Sample returns an effectively infinite duration.
 func (Never) Sample(*rand.Rand) time.Duration { return aeon }
-
-// Mean returns an effectively infinite duration.
-func (Never) Mean() time.Duration { return aeon }
 
 // Weibull is an aging failure law: with Shape > 1 the hazard rate rises
 // with uptime, so a component grows ever more likely to fail the longer it
@@ -122,9 +107,6 @@ func (w Weibull) Sample(rng *rand.Rand) time.Duration {
 	return time.Duration(x * float64(time.Second))
 }
 
-// Mean returns M.
-func (w Weibull) Mean() time.Duration { return w.M }
-
 // Uniform draws uniformly from [Lo, Hi].
 type Uniform struct {
 	Lo, Hi time.Duration
@@ -138,27 +120,4 @@ func (u Uniform) Sample(rng *rand.Rand) time.Duration {
 		return u.Lo
 	}
 	return u.Lo + time.Duration(rng.Int63n(int64(u.Hi-u.Lo)))
-}
-
-// Mean returns the midpoint.
-func (u Uniform) Mean() time.Duration { return (u.Lo + u.Hi) / 2 }
-
-// String helpers for experiment reports.
-func LawString(l Law) string {
-	switch v := l.(type) {
-	case Exponential:
-		return fmt.Sprintf("exp(mean=%v)", v.M)
-	case LogNormal:
-		return fmt.Sprintf("lognormal(mean=%v, cv=%.2f)", v.M, v.CV)
-	case Deterministic:
-		return fmt.Sprintf("const(%v)", v.D)
-	case Weibull:
-		return fmt.Sprintf("weibull(k=%.1f, mean=%v)", v.Shape, v.M)
-	case Uniform:
-		return fmt.Sprintf("uniform(%v..%v)", v.Lo, v.Hi)
-	case Never:
-		return "never"
-	default:
-		return fmt.Sprintf("%T", l)
-	}
 }

@@ -21,14 +21,12 @@ const (
 	PortClosed PortState = iota + 1
 	PortNegotiating
 	PortOpen
-	PortWedged
 )
 
 var portStateNames = map[PortState]string{
 	PortClosed:      "closed",
 	PortNegotiating: "negotiating",
 	PortOpen:        "open",
-	PortWedged:      "wedged",
 }
 
 // String names the state.
@@ -43,7 +41,6 @@ func (s PortState) String() string {
 var (
 	ErrPortNotOpen    = errors.New("radio: serial port not open")
 	ErrPortBusy       = errors.New("radio: serial port already negotiating or open")
-	ErrPortWedged     = errors.New("radio: serial port wedged; power-cycle required")
 	ErrOutOfBand      = errors.New("radio: frequency outside radio band")
 	ErrNotNegotiating = errors.New("radio: no negotiation in progress")
 )
@@ -72,10 +69,7 @@ func (p *SerialPort) State() PortState { return p.state }
 // BeginOpen starts the negotiation. The caller must invoke
 // FinishNegotiation after NegotiationTime (scaled by any startup stretch).
 func (p *SerialPort) BeginOpen() error {
-	switch p.state {
-	case PortWedged:
-		return ErrPortWedged
-	case PortNegotiating, PortOpen:
+	if p.state == PortNegotiating || p.state == PortOpen {
 		return ErrPortBusy
 	}
 	p.state = PortNegotiating
@@ -93,9 +87,6 @@ func (p *SerialPort) FinishNegotiation() error {
 
 // Write sends a frame to the radio.
 func (p *SerialPort) Write(frame []byte) error {
-	if p.state == PortWedged {
-		return ErrPortWedged
-	}
 	if p.state != PortOpen {
 		return ErrPortNotOpen
 	}
@@ -108,19 +99,9 @@ func (p *SerialPort) Writes() int { return p.writes }
 
 // Close returns the port to the closed state (kills any negotiation).
 func (p *SerialPort) Close() {
-	if p.state != PortWedged {
-		p.state = PortClosed
-	}
+	p.state = PortClosed
 	p.writes = 0
 }
-
-// Wedge simulates the hardware corner case where the port stops responding
-// and only a power cycle (Unwedge) recovers it. Restarting the software
-// component does not help — the kind of hard failure restart cannot cure.
-func (p *SerialPort) Wedge() { p.state = PortWedged }
-
-// Unwedge power-cycles the port back to closed.
-func (p *SerialPort) Unwedge() { p.state = PortClosed }
 
 // Band is a radio tuning range.
 type Band struct {

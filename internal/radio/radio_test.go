@@ -57,30 +57,6 @@ func TestFinishWithoutBegin(t *testing.T) {
 	}
 }
 
-func TestWedgedPort(t *testing.T) {
-	p := NewSerialPort(time.Second)
-	_ = p.BeginOpen()
-	_ = p.FinishNegotiation()
-	p.Wedge()
-	if err := p.Write([]byte("x")); !errors.Is(err, ErrPortWedged) {
-		t.Fatalf("Write on wedged = %v", err)
-	}
-	if err := p.BeginOpen(); !errors.Is(err, ErrPortWedged) {
-		t.Fatalf("BeginOpen on wedged = %v", err)
-	}
-	p.Close() // close cannot clear a wedge
-	if p.State() != PortWedged {
-		t.Fatal("Close cleared a wedge")
-	}
-	p.Unwedge()
-	if p.State() != PortClosed {
-		t.Fatal("Unwedge did not power-cycle")
-	}
-	if err := p.BeginOpen(); err != nil {
-		t.Fatalf("BeginOpen after unwedge: %v", err)
-	}
-}
-
 func openPort(t *testing.T) *SerialPort {
 	t.Helper()
 	p := NewSerialPort(time.Second)
@@ -147,7 +123,7 @@ func TestBandContains(t *testing.T) {
 }
 
 func TestPortStateString(t *testing.T) {
-	if PortOpen.String() != "open" || PortWedged.String() != "wedged" {
+	if PortOpen.String() != "open" || PortNegotiating.String() != "negotiating" {
 		t.Fatal("state names wrong")
 	}
 	if PortState(42).String() == "" {

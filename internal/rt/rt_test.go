@@ -10,6 +10,7 @@ import (
 
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/station"
+	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
@@ -311,6 +312,36 @@ func TestClockScaling(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("scaled timer never fired")
+	}
+}
+
+// TestLeaseExpiryScaled runs the store's lease contract on the clock a Host
+// gives its store: compressed wall time, the sweeper ticking on a live
+// dispatcher while the test goroutine reads, under the race detector.
+func TestLeaseExpiryScaled(t *testing.T) {
+	d := NewDispatcher()
+	defer d.Stop()
+	s := store.New(Clock{D: d, Scale: 100}, store.Options{SweepPeriod: 500 * time.Millisecond})
+	defer s.Close()
+	l, err := s.Acquire("session/epoch", "ses", 2*time.Second)
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	if _, err := l.Put([]byte("epoch")); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Len() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sweeper never reclaimed the expired lease")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, ok := s.Get("session/epoch"); ok {
+		t.Fatal("value survived lease expiry")
+	}
+	if _, err := s.Acquire("session/epoch", "other", time.Second); err != nil {
+		t.Fatalf("acquire after scaled expiry: %v", err)
 	}
 }
 

@@ -294,30 +294,13 @@ func (t *tuner) applyTune(ctx proc.Context, m *xmlcmd.Message) {
 
 // NewFedrcom returns a factory for the monolithic front end. Each
 // incarnation gets a fresh serial-port model (the process re-opens the
-// device); use NewFedrcomSharedPort to model the physical device whose
-// state survives process restarts.
+// device).
 func NewFedrcom(p Params) func() proc.Handler {
 	return func() proc.Handler {
 		c := &fedrcomComponent{}
 		c.params = p
 		c.port = radio.NewSerialPort(p.SerialNegotiation)
 		c.xcvr = radio.NewTransceiver(c.port, radio.UHFAmateur, p.TuneTime)
-		return c
-	}
-}
-
-// NewFedrcomSharedPort returns a fedrcom factory bound to an externally
-// owned serial port — the physical device. The caller must arrange for the
-// port to be released when the process dies (Manager.OnDown → port.Close),
-// since a killed process cannot clean up after itself. A wedged port makes
-// every restart fail: the class of hard hardware failure the paper's §7
-// notes restarting cannot cure.
-func NewFedrcomSharedPort(p Params, port *radio.SerialPort) func() proc.Handler {
-	return func() proc.Handler {
-		c := &fedrcomComponent{}
-		c.params = p
-		c.port = port
-		c.xcvr = radio.NewTransceiver(port, radio.UHFAmateur, p.TuneTime)
 		return c
 	}
 }

@@ -3,7 +3,6 @@ package station
 import (
 	"strings"
 
-	"github.com/recursive-restart/mercury/internal/radio"
 	"testing"
 	"time"
 
@@ -352,69 +351,5 @@ func (p *pingSink) Start(ctx proc.Context) { ctx.After(0, ctx.Ready) }
 func (p *pingSink) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	if m.Kind() == xmlcmd.KindPong {
 		p.pongs++
-	}
-}
-
-// TestSharedPortWedgeDefeatsRestart models the paper's §7 hard hardware
-// failure: a wedged serial port makes every fedrcom restart fail, no
-// matter how many times the recoverer pushes the button.
-func TestSharedPortWedgeDefeatsRestart(t *testing.T) {
-	k := sim.New(31)
-	log := trace.NewLog()
-	mgr := proc.NewManager(clock.Sim{K: k}, k.Rand(), log)
-	b := bus.NewSim(clock.Sim{K: k}, mgr, MBus)
-	mgr.SetTransport(b)
-	p := DefaultParams(k.Now())
-
-	port := radio.NewSerialPort(p.SerialNegotiation)
-	if err := mgr.Register(Fedrcom, NewFedrcomSharedPort(p, port)); err != nil {
-		t.Fatal(err)
-	}
-	// The physical port is released whenever the process dies.
-	mgr.OnDown(func(name, _ string) {
-		if name == Fedrcom {
-			port.Close()
-		}
-	})
-
-	if err := mgr.Start(Fedrcom); err != nil {
-		t.Fatal(err)
-	}
-	_ = k.RunFor(30 * time.Second)
-	if !mgr.Serving(Fedrcom) {
-		t.Fatal("fedrcom did not boot on the shared port")
-	}
-
-	// A normal kill+restart cycle works: the port is released on death.
-	_ = mgr.Kill(Fedrcom, "test")
-	_ = mgr.Restart([]string{Fedrcom})
-	_ = k.RunFor(30 * time.Second)
-	if !mgr.Serving(Fedrcom) {
-		t.Fatal("fedrcom did not recover after a clean kill")
-	}
-
-	// Wedge the hardware: every subsequent restart fails at port open.
-	_ = mgr.Kill(Fedrcom, "crash")
-	port.Wedge()
-	for i := 0; i < 3; i++ {
-		_ = mgr.Restart([]string{Fedrcom})
-		_ = k.RunFor(30 * time.Second)
-		if mgr.Serving(Fedrcom) {
-			t.Fatal("restart cured a wedged port")
-		}
-	}
-	downs := log.Filter(func(e trace.Event) bool {
-		return e.Kind == trace.ComponentDown && e.Component == Fedrcom &&
-			strings.Contains(e.Detail, "serial port")
-	})
-	if len(downs) < 3 {
-		t.Fatalf("expected repeated port-open failures, got %d", len(downs))
-	}
-	// Only the power cycle recovers it.
-	port.Unwedge()
-	_ = mgr.Restart([]string{Fedrcom})
-	_ = k.RunFor(30 * time.Second)
-	if !mgr.Serving(Fedrcom) {
-		t.Fatal("fedrcom did not recover after power-cycling the port")
 	}
 }

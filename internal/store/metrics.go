@@ -16,7 +16,6 @@ type StoreMetrics struct {
 	LeaseRenewals    obs.Counter // deadline extensions
 	LeaseExpirations obs.Counter // entries reclaimed after their lease died
 	Sweeps           obs.Counter // deterministic sweeper passes
-	Restores         obs.Counter // snapshot restores
 	Reverts          obs.Counter // checkpoint-restore value reverts
 
 	// ValueBytes is the size distribution of written values.
@@ -48,8 +47,6 @@ func RegisterMetrics(r *obs.Registry) {
 		"Entries reclaimed after their lease expired.", &M.LeaseExpirations)
 	r.RegisterCounter("mercury_store_sweeps_total",
 		"Deterministic expired-entry sweeper passes.", &M.Sweeps)
-	r.RegisterCounter("mercury_store_restores_total",
-		"Snapshot restores.", &M.Restores)
 	r.RegisterCounter("mercury_store_reverts_total",
 		"Checkpoint-restore value reverts.", &M.Reverts)
 	r.RegisterHistogram("mercury_store_value_bytes",

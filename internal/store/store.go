@@ -297,7 +297,7 @@ func (s *Store) Revert(key string, val []byte) (uint64, error) {
 	return e.version, nil
 }
 
-// --- snapshot / restore ---
+// --- snapshot ---
 
 // snapMagic versions the snapshot encoding.
 const snapMagic = "MSTO1"
@@ -330,62 +330,6 @@ func (s *Store) Snapshot() []byte {
 	return buf
 }
 
-// Restore replaces the store contents from a snapshot. Malformed input
-// returns an error and leaves the store unchanged.
-func (s *Store) Restore(snap []byte) error {
-	if len(snap) < len(snapMagic) || string(snap[:len(snapMagic)]) != snapMagic {
-		return errors.New("store: bad snapshot magic")
-	}
-	src := snap[len(snapMagic):]
-	n, src, err := takeUvarint(src)
-	if err != nil {
-		return err
-	}
-	if n > uint64(len(snap)) {
-		return errors.New("store: snapshot count exceeds input")
-	}
-	entries := make(map[string]*entry, n)
-	bytes := 0
-	for i := uint64(0); i < n; i++ {
-		var key, owner string
-		var val []byte
-		if key, src, err = takeString(src); err != nil {
-			return err
-		}
-		if owner, src, err = takeString(src); err != nil {
-			return err
-		}
-		if val, src, err = takeBytes(src); err != nil {
-			return err
-		}
-		e := &entry{val: val, owner: owner}
-		if e.version, src, err = takeUvarint(src); err != nil {
-			return err
-		}
-		var dl int64
-		if dl, src, err = takeVarint(src); err != nil {
-			return err
-		}
-		if dl != 0 {
-			e.deadline = time.Unix(0, dl)
-		}
-		if _, dup := entries[key]; dup {
-			return fmt.Errorf("store: duplicate snapshot key %q", key)
-		}
-		entries[key] = e
-		bytes += len(val)
-	}
-	if len(src) != 0 {
-		return errors.New("store: trailing bytes after snapshot")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.entries = entries
-	s.bytes = bytes
-	M.Restores.Inc()
-	return nil
-}
-
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
@@ -394,40 +338,6 @@ func appendString(dst []byte, s string) []byte {
 func appendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
-}
-
-func takeUvarint(src []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(src)
-	if n <= 0 {
-		return 0, nil, errors.New("store: truncated uvarint")
-	}
-	return v, src[n:], nil
-}
-
-func takeVarint(src []byte) (int64, []byte, error) {
-	v, n := binary.Varint(src)
-	if n <= 0 {
-		return 0, nil, errors.New("store: truncated varint")
-	}
-	return v, src[n:], nil
-}
-
-func takeString(src []byte) (string, []byte, error) {
-	b, rest, err := takeBytes(src)
-	return string(b), rest, err
-}
-
-func takeBytes(src []byte) ([]byte, []byte, error) {
-	n, src, err := takeUvarint(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(src)) {
-		return nil, nil, errors.New("store: truncated bytes")
-	}
-	out := make([]byte, n)
-	copy(out, src[:n])
-	return out, src[n:], nil
 }
 
 // --- typed cells ---

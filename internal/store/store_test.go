@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -100,34 +99,6 @@ func TestLeaseExpirySim(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryScaled runs the same contract on compressed wall time —
-// the rt path — under the race detector.
-func TestLeaseExpiryScaled(t *testing.T) {
-	clk := clock.Scaled{Inner: clock.Real{}, Factor: 100}
-	s := New(clk, Options{SweepPeriod: 500 * time.Millisecond})
-	defer s.Close()
-	l, err := s.Acquire("session/epoch", "ses", 2*time.Second)
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	if _, err := l.Put([]byte("epoch")); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, _, ok := s.Get("session/epoch"); !ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("lease never expired under scaled time")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := s.Acquire("session/epoch", "other", time.Second); err != nil {
-		t.Fatalf("acquire after scaled expiry: %v", err)
-	}
-}
-
 // TestLeaseSurvivesReattach pins the microreboot path: a new incarnation of
 // the same owner reacquires and sees the surviving state unchanged.
 func TestLeaseSurvivesReattach(t *testing.T) {
@@ -186,40 +157,6 @@ func TestZeroAllocHotPath(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("cell hot path allocates %.1f/op", n)
-	}
-}
-
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	s, _ := simStore(0)
-	for _, kv := range []struct{ k, o, v string }{
-		{"session/epoch", "ses+str", "1234"},
-		{"track/str", "str", "az=181.5 el=44.0"},
-		{"session/fedr", "fedr", "inc=3"},
-	} {
-		l, err := s.Acquire(kv.k, kv.o, time.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Put([]byte(kv.v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := s.Snapshot()
-	if !bytes.Equal(snap, s.Snapshot()) {
-		t.Fatal("snapshot not deterministic")
-	}
-	s2, _ := simStore(0)
-	if err := s2.Restore(snap); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if !bytes.Equal(snap, s2.Snapshot()) {
-		t.Fatal("snapshot changed across restore")
-	}
-	if got, _, ok := s2.Get("track/str"); !ok || string(got) != "az=181.5 el=44.0" {
-		t.Fatalf("restored value wrong: %q ok=%v", got, ok)
-	}
-	if err := s2.Restore([]byte("garbage")); err == nil {
-		t.Fatal("restore accepted garbage")
 	}
 }
 
