@@ -13,18 +13,19 @@ import (
 
 	"github.com/recursive-restart/mercury/internal/assemble"
 	"github.com/recursive-restart/mercury/internal/fault"
+	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/rt"
 	"github.com/recursive-restart/mercury/internal/station"
 )
 
 // bootObs starts an in-process station with the observability listener on
 // an ephemeral port and returns the view, the base URL, and a teardown.
-func bootObs(t *testing.T, scale float64) (served, string) {
+func bootObs(t *testing.T, tree string, scale float64) (served, string) {
 	t.Helper()
 	node, err := rt.StartNode(rt.NodeConfig{
 		ListenAddr: "127.0.0.1:0",
 		Scale:      scale,
-		TreeName:   "IV",
+		TreeName:   tree,
 		Seed:       7,
 	})
 	if err != nil {
@@ -64,7 +65,7 @@ func TestObsScrapeDuringRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live station test")
 	}
-	view, base := bootObs(t, 25)
+	view, base := bootObs(t, "IV", 25)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -148,42 +149,56 @@ func TestObsScrapeDuringRecovery(t *testing.T) {
 }
 
 // TestObsTreeReport checks the /tree body structure against the booted
-// station: tree name, policy, and per-component state under the cells.
+// station: tree name, policy, and per-component state under the cells. On
+// the m-variant tree the subcomponent rows carry the same lifecycle fields.
 func TestObsTreeReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live station test")
 	}
-	_, base := bootObs(t, 50)
-
-	var rep treeReportBody
-	if err := json.Unmarshal(get(t, base+"/tree"), &rep); err != nil {
-		t.Fatalf("tree decode: %v", err)
-	}
-	if rep.Tree != "IV" || rep.Policy != "escalating" || rep.Root == nil {
-		t.Fatalf("tree header = %q policy = %q root-nil=%v", rep.Tree, rep.Policy, rep.Root == nil)
-	}
-	// Every split-layout component must appear exactly once in the tree.
-	seen := map[string]int{}
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		for name, tc := range n.Components {
-			seen[name]++
-			if tc.State != "running" {
-				t.Errorf("component %s state = %q, want running", name, tc.State)
+	comps := []string{station.MBus, station.Fedr, station.Pbcom, station.RTU, station.SES, station.STR}
+	for _, tree := range []string{"IV", "IVm"} {
+		t.Run(tree, func(t *testing.T) {
+			_, base := bootObs(t, tree, 50)
+			var rep treeReportBody
+			if err := json.Unmarshal(get(t, base+"/tree"), &rep); err != nil {
+				t.Fatalf("tree decode: %v", err)
 			}
-			if tc.Incarnation < 1 || tc.LastStart == "" || tc.LastReady == "" {
-				t.Errorf("component %s missing lifecycle fields: %+v", name, tc)
+			if rep.Tree != tree || rep.Policy != "escalating" || rep.Root == nil {
+				t.Fatalf("tree header = %q policy = %q root-nil=%v", rep.Tree, rep.Policy, rep.Root == nil)
 			}
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(rep.Root)
-	for _, comp := range []string{station.MBus, station.Fedr, station.Pbcom, station.RTU, station.SES, station.STR} {
-		if seen[comp] != 1 {
-			t.Errorf("component %s appears %d times in /tree, want 1", comp, seen[comp])
-		}
+			// Every split-layout component (and, on IVm, every
+			// subcomponent) must appear exactly once in the tree.
+			want := append([]string(nil), comps...)
+			if tree == "IVm" {
+				for parent, shorts := range station.MicroSubs() {
+					for _, short := range shorts {
+						want = append(want, proc.SubName(parent, short))
+					}
+				}
+			}
+			seen := map[string]int{}
+			var walk func(n *treeNode)
+			walk = func(n *treeNode) {
+				for name, tc := range n.Components {
+					seen[name]++
+					if tc.State != "running" {
+						t.Errorf("component %s state = %q, want running", name, tc.State)
+					}
+					if tc.Incarnation < 1 || tc.LastStart == "" || tc.LastReady == "" {
+						t.Errorf("component %s missing lifecycle fields: %+v", name, tc)
+					}
+				}
+				for _, c := range n.Children {
+					walk(c)
+				}
+			}
+			walk(rep.Root)
+			for _, comp := range want {
+				if seen[comp] != 1 {
+					t.Errorf("component %s appears %d times in /tree, want 1", comp, seen[comp])
+				}
+			}
+		})
 	}
 }
 
@@ -193,7 +208,7 @@ func TestObsMetricsContentType(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live station test")
 	}
-	_, base := bootObs(t, 50)
+	_, base := bootObs(t, "IV", 50)
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)

@@ -103,14 +103,17 @@ type Station struct {
 type monitor struct {
 	mgr   *proc.Manager
 	board *fault.Board
-	comps []string
-	armed bool // something went down and SystemRecovered is not yet logged
+	names []string // components, then subcomponents
+	armed bool     // something went down and SystemRecovered is not yet logged
 }
 
 // watch hooks a monitor into the manager. It goes in last, so the board's
 // silencing listener and REC's bookkeeping have run when it looks.
 func watch(mgr *proc.Manager, board *fault.Board, comps []string) *monitor {
-	m := &monitor{mgr: mgr, board: board, comps: comps}
+	m := &monitor{mgr: mgr, board: board, names: comps}
+	if subs := mgr.SubNames(); len(subs) > 0 {
+		m.names = append(comps[:len(comps):len(comps)], subs...)
+	}
 	mgr.OnDown(func(string, string) { m.armed = true })
 	mgr.OnReady(func(string) {
 		if m.armed && m.whole() {
@@ -122,7 +125,7 @@ func watch(mgr *proc.Manager, board *fault.Board, comps []string) *monitor {
 }
 
 func (m *monitor) whole() bool {
-	return m.board.ActiveCount() == 0 && m.mgr.AllServing(m.comps...) && m.mgr.AllSubsServing()
+	return m.board.ActiveCount() == 0 && m.mgr.AllServing(m.names...)
 }
 
 // Whole reports whether the station is whole: no outage awaits its

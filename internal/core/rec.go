@@ -245,20 +245,18 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 	if r.inFlight[component] {
 		return
 	}
-	if r.mgr.IsSub(component) {
-		if par, err := r.mgr.SubParent(component); err == nil && !r.mgr.Accepting(par) {
-			// The hosting process itself is down: its own failure report
-			// governs, and any process-level repair reboots the sub anyway.
-			return
-		}
+	if par := r.mgr.Parent(component); par != "" && !r.mgr.Accepting(par) {
+		// The hosting process itself is down: its own failure report
+		// governs, and any process-level repair reboots the sub anyway.
+		return
 	}
-	if st, err := r.stateOf(component); err != nil || st == proc.Starting {
+	if st, err := r.mgr.State(component); err != nil || st == proc.Starting {
 		// Unknown component, or its restart is still under way: the report
 		// is stale.
 		return
 	}
 	now := ctx.Now()
-	if r.serving(component) && now.Sub(r.readyAt[component]) < r.params.ReadyGrace {
+	if r.mgr.Serving(component) && now.Sub(r.readyAt[component]) < r.params.ReadyGrace {
 		// The component recovered between FD's last probe and this report
 		// (detection lag right after a restart completes); acting on it
 		// would trigger a spurious second restart. A serving component
@@ -445,7 +443,7 @@ func (r *REC) onReady(name string) {
 // action, so the episode is closed as a persisting failure — the next
 // report escalates instead of deadlocking behind an in-flight action.
 func (r *REC) onDownEvent(name, reason string) {
-	if reason == "restart action" {
+	if reason == proc.ReasonRestart {
 		return // our own teardown preceding a respawn
 	}
 	for comp, ep := range r.episodes {
@@ -497,22 +495,6 @@ func (r *REC) resolveCured(comp string, ep *episode) {
 	}
 	r.history[comp] = kept
 	ep.charged = nil
-}
-
-// stateOf resolves a component or dotted subcomponent state.
-func (r *REC) stateOf(name string) (proc.State, error) {
-	if r.mgr.IsSub(name) {
-		return r.mgr.SubState(name)
-	}
-	return r.mgr.State(name)
-}
-
-// serving resolves component/subcomponent liveness.
-func (r *REC) serving(name string) bool {
-	if r.mgr.IsSub(name) {
-		return r.mgr.SubServing(name)
-	}
-	return r.mgr.Serving(name)
 }
 
 // observe reports the previous attempt's outcome to the policy, once per

@@ -1,14 +1,17 @@
 package mp
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"strconv"
 	"syscall"
 	"testing"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
+	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/rt"
 	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/trace"
@@ -125,10 +128,43 @@ func TestMultiProcessCrossProcessInducedFailure(t *testing.T) {
 	}
 }
 
+// TestMultiProcessBrokerOutage watches a few FD ping periods past the
+// broker's ready mark: the children's bus clients redial on their own
+// schedule, which the supervisor cannot see, so a cell they failed to
+// rejoin would only be restarted after the station looked recovered.
 func TestMultiProcessBrokerOutage(t *testing.T) {
 	sup := startSupervisor(t, "IV")
+	events := make(chan trace.Event, 256)
+	sup.Log.Subscribe(func(e trace.Event) {
+		switch e.Kind {
+		case trace.ComponentReady, trace.RestartRequested, trace.ComponentKilled:
+			select {
+			case events <- e:
+			default: // never block the dispatcher; the watch is over by then
+			}
+		}
+	})
 	if err := sup.Inject(fault.Fault{Manifest: station.MBus}); err != nil {
 		t.Fatal(err)
+	}
+	watch := 5 * rt.FDParamsForScale(mpScale).PingPeriod / mpScale
+	limit := time.After(30 * time.Second)
+	var done <-chan time.Time // armed by component-ready mbus
+watching:
+	for {
+		select {
+		case e := <-events:
+			switch {
+			case e.Component != station.MBus && e.Kind != trace.ComponentReady:
+				t.Fatalf("%v during a broker outage", e)
+			case e.Component == station.MBus && e.Kind == trace.ComponentReady:
+				done = time.After(watch)
+			}
+		case <-done:
+			break watching
+		case <-limit:
+			t.Fatal("mbus not ready again in 30 s")
+		}
 	}
 	if err := sup.WaitRecovered(30 * time.Second); err != nil {
 		t.Fatal(err)
@@ -276,4 +312,77 @@ func TestMultiProcessHardFaultGivesUp(t *testing.T) {
 	if after != before {
 		t.Fatalf("rtu still cycling after give-up: %d -> %d restarts", before, after)
 	}
+}
+
+// TestMultiProcessKillDuringSpawn kills a component in the same dispatcher
+// turn that restarted it, before the new child process exists. The spawn
+// that lands afterwards belongs to a dead incarnation and must kill itself:
+// the supervisor may never report a live child for a dead component, and
+// once the station has recovered the component runs exactly one child.
+func TestMultiProcessKillDuringSpawn(t *testing.T) {
+	sup := startSupervisor(t, "IV")
+	sup.Disp.Call(func() {
+		if err := sup.Mgr.Restart([]string{station.RTU}); err != nil {
+			t.Error(err)
+		}
+		if err := sup.Mgr.Kill(station.RTU, "killed during spawn"); err != nil {
+			t.Error(err)
+		}
+	})
+	for i := 0; i < 200; i++ {
+		var st proc.State
+		var pid int
+		sup.Disp.Call(func() {
+			st, _ = sup.Mgr.State(station.RTU)
+			pid = sup.ChildPID(station.RTU)
+		})
+		if st != proc.Dead {
+			break // REC has restarted it
+		}
+		if pid != 0 && syscall.Kill(pid, 0) == nil {
+			t.Fatalf("poll %d: rtu is dead but its child %d is alive", i, pid)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := sup.WaitRecovered(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if pids := liveChildren(t, station.RTU); len(pids) != 1 || pids[0] != sup.ChildPID(station.RTU) {
+		t.Fatalf("live rtu children %v, want only the current one %d", pids, sup.ChildPID(station.RTU))
+	}
+}
+
+// liveChildren lists this process's children, zombies excluded, that run
+// the named component, read from /proc.
+func liveChildren(t *testing.T, component string) []int {
+	t.Helper()
+	dirs, err := os.ReadDir("/proc")
+	if err != nil {
+		t.Skip("no /proc:", err)
+	}
+	var pids []int
+	for _, d := range dirs {
+		pid, err := strconv.Atoi(d.Name())
+		if err != nil {
+			continue
+		}
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+		if err != nil {
+			continue
+		}
+		// After "(comm)": state, then ppid.
+		var state string
+		var ppid int
+		rest := stat[bytes.LastIndexByte(stat, ')')+1:]
+		if _, err := fmt.Sscan(string(rest), &state, &ppid); err != nil || ppid != os.Getpid() || state == "Z" {
+			continue
+		}
+		env, _ := os.ReadFile(fmt.Sprintf("/proc/%d/environ", pid))
+		for _, kv := range bytes.Split(env, []byte{0}) {
+			if string(kv) == EnvComponent+"="+component {
+				pids = append(pids, pid)
+			}
+		}
+	}
+	return pids
 }

@@ -46,12 +46,6 @@ type SupervisorConfig struct {
 	RECParams *core.RECParams
 }
 
-// managedChild tracks one live child process.
-type managedChild struct {
-	cmd *exec.Cmd
-	gen int
-}
-
 // Supervisor is the parent process of a multi-process Mercury: an rt.Host
 // (bus broker, failure detector, recoverer) whose station components are
 // proxies for one OS process each. Restart-cell buttons SIGKILL the
@@ -63,9 +57,8 @@ type Supervisor struct {
 	seed int64
 	seq  uint64
 
-	mu       sync.Mutex
-	children map[string]*managedChild
-	stopped  bool
+	mu      sync.Mutex
+	current map[string]*proxyHandler // each component's latest incarnation
 }
 
 // ctlName is the supervisor's own bus client: it carries the hang command
@@ -73,13 +66,20 @@ type Supervisor struct {
 const ctlName = "supervisor"
 
 // proxyHandler is the parent-side stand-in for a component child: its
-// lifecycle IS the child process's lifecycle.
+// lifecycle IS the child process's lifecycle. One handler is one
+// incarnation, and it owns the child spawned for it: a spawn that lands
+// after its incarnation ended kills itself.
 type proxyHandler struct {
 	sup       *Supervisor
 	component string
+	cmd       *exec.Cmd // guarded by sup.mu; nil until the spawn lands
+	ended     bool      // guarded by sup.mu
 }
 
 func (h *proxyHandler) Start(ctx proc.Context) {
+	h.sup.mu.Lock()
+	h.sup.current[h.component] = h
+	h.sup.mu.Unlock()
 	spec := ChildConfig{
 		Component:   h.component,
 		BusAddr:     h.sup.BusAddr(),
@@ -91,15 +91,16 @@ func (h *proxyHandler) Start(ctx proc.Context) {
 	}
 	// Process I/O happens off the dispatcher; state changes come back via
 	// posts guarded by the incarnation-scoped context.
-	go h.sup.spawnChild(spec, ctx)
+	go h.spawnChild(spec, ctx)
 }
 
 func (h *proxyHandler) Receive(proc.Context, *xmlcmd.Message) {
 	// Children receive their own bus traffic; nothing arrives here.
 }
 
-// spawnChild launches a component process and watches it.
-func (s *Supervisor) spawnChild(spec ChildConfig, ctx proc.Context) {
+// spawnChild launches this incarnation's component process and watches it.
+func (h *proxyHandler) spawnChild(spec ChildConfig, ctx proc.Context) {
+	s := h.sup
 	cmd, err := spawn(spec)
 	if err != nil {
 		M.SpawnFailures.Inc()
@@ -120,65 +121,44 @@ func (s *Supervisor) spawnChild(spec ChildConfig, ctx proc.Context) {
 	}
 	M.ChildSpawns.Inc()
 
-	// Spawns run off the dispatcher, so two incarnations' spawns can land in
-	// either order, and the kill that ended the older one may have run
-	// before it was tracked: whichever lands second ends the older process.
 	s.mu.Lock()
-	old := s.children[spec.Component]
-	if s.stopped || (old != nil && old.gen > spec.Incarnation) {
-		s.mu.Unlock()
+	ended := h.ended
+	if !ended {
+		h.cmd = cmd
+	}
+	s.mu.Unlock()
+	if ended {
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
 		return
-	}
-	s.children[spec.Component] = &managedChild{cmd: cmd, gen: spec.Incarnation}
-	s.mu.Unlock()
-	if old != nil {
-		_ = old.cmd.Process.Kill()
 	}
 
 	// Scan the child's stdout for the readiness announcement.
 	go func() {
 		scanner := bufio.NewScanner(stdout)
 		for scanner.Scan() {
-			line := scanner.Text()
-			if strings.HasPrefix(line, readyPrefix) {
+			if strings.HasPrefix(scanner.Text(), readyPrefix) {
 				s.Disp.Post(ctx.Ready)
 			}
 		}
 	}()
 
-	// Reap the child; an unexpected exit is a component failure.
+	// Reap the child; an exit this incarnation did not ask for is its
+	// failure (the context ignores it once the incarnation has ended).
 	go func() {
 		_ = cmd.Wait()
 		M.ChildExits.Inc()
-		s.Disp.Post(func() {
-			s.mu.Lock()
-			cur := s.children[spec.Component]
-			if cur != nil && cur.cmd == cmd {
-				delete(s.children, spec.Component)
-			}
-			s.mu.Unlock()
-			// Only this incarnation's death matters; a restart already
-			// superseded older processes.
-			if inc, err := s.Mgr.Incarnation(spec.Component); err == nil && inc == spec.Incarnation {
-				if st, _ := s.Mgr.State(spec.Component); st == proc.Starting || st == proc.Running {
-					_ = s.Mgr.Kill(spec.Component, "child process exited")
-				}
-			}
-		})
+		s.Disp.Post(func() { ctx.Fail("child process exited") })
 	}()
 }
 
-// killChild SIGKILLs a component's current child process, if any.
-func (s *Supervisor) killChild(component string) {
-	s.mu.Lock()
-	c := s.children[component]
-	delete(s.children, component)
-	s.mu.Unlock()
-	if c != nil && c.cmd.Process != nil {
+// end closes an incarnation: it SIGKILLs the child, if one landed, and
+// keeps a spawn still in flight from running one. Called with sup.mu held.
+func (h *proxyHandler) end() {
+	h.ended = true
+	if h.cmd != nil {
 		M.ChildKills.Inc()
-		_ = c.cmd.Process.Kill()
+		_ = h.cmd.Process.Kill()
 	}
 }
 
@@ -186,8 +166,8 @@ func (s *Supervisor) killChild(component string) {
 func (s *Supervisor) ChildPID(component string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c := s.children[component]; c != nil && c.cmd.Process != nil {
-		return c.cmd.Process.Pid
+	if h := s.current[component]; h != nil && h.cmd != nil {
+		return h.cmd.Process.Pid
 	}
 	return 0
 }
@@ -200,8 +180,8 @@ func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		return nil, fmt.Errorf("mp: unknown tree %q", cfg.TreeName)
 	}
 	s := &Supervisor{
-		seed:     cfg.Seed,
-		children: make(map[string]*managedChild),
+		seed:    cfg.Seed,
+		current: make(map[string]*proxyHandler),
 	}
 	host, err := rt.NewHost(rt.HostConfig{
 		ListenAddr: cfg.ListenAddr,
@@ -226,11 +206,16 @@ func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	s.Mgr.OnDown(func(name, reason string) {
 		switch {
 		case name == station.MBus || name == xmlcmd.AddrFD || name == xmlcmd.AddrREC:
-		case reason == "silenced":
+		case reason == proc.ReasonSilenced:
 			s.seq++
 			s.Client(ctlName).Send(xmlcmd.NewCommand(ctlName, name, s.seq, hangCommand))
 		default:
-			s.killChild(name)
+			s.mu.Lock()
+			if h := s.current[name]; h != nil {
+				delete(s.current, name)
+				h.end()
+			}
+			s.mu.Unlock()
 		}
 	})
 
@@ -254,19 +239,15 @@ func nameSeed(name string) int64 {
 	return int64(h % 1000003)
 }
 
-// Stop tears everything down, SIGKILLing all children.
+// Stop tears everything down, SIGKILLing all children. The dispatcher
+// stops first, so no incarnation starts after its sweep; the per-child
+// reaper goroutines collect the exits.
 func (s *Supervisor) Stop() {
-	s.mu.Lock()
-	s.stopped = true
-	children := s.children
-	s.children = map[string]*managedChild{}
-	s.mu.Unlock()
-
 	s.Host.Stop()
-	for _, c := range children {
-		if c.cmd.Process != nil {
-			// The per-child reaper goroutines collect the exits.
-			_ = c.cmd.Process.Kill()
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, h := range s.current {
+		delete(s.current, name)
+		h.end()
 	}
 }

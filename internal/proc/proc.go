@@ -63,6 +63,14 @@ var (
 	ErrNotRunnable    = errors.New("proc: process already starting or running")
 )
 
+// The down-reasons OnDown listeners tell apart from a failure: the teardown
+// a restart action performs before it respawns, and a silencing (alive but
+// fail-silent).
+const (
+	ReasonRestart  = "restart action"
+	ReasonSilenced = "silenced"
+)
+
 // Handler is a component implementation. A fresh Handler is created for
 // every incarnation, so restart unequivocally returns the component to its
 // start state — restart property (a) in the paper.
@@ -125,7 +133,8 @@ type Context interface {
 	Log() *trace.Log
 }
 
-// Process is one managed component.
+// Process is one managed component, or one microrebootable subcomponent
+// of it (see micro.go): a sub has a parent and no handler of its own.
 type Process struct {
 	name        string
 	factory     func() Handler
@@ -140,7 +149,24 @@ type Process struct {
 	readyAt     time.Time
 	restarts    int
 	everStarted bool
+
+	parent *Process   // hosting process of a subcomponent; nil for a process
+	short  string     // a sub's name within its parent, e.g. "cache"
+	subs   []*Process // a process's subcomponents, in registration order
 }
+
+// live reports whether the current incarnation is Starting or Running.
+func (p *Process) live() bool { return p.state == Starting || p.state == Running }
+
+// serving reports Running and responsive; a sub also needs its parent to
+// be (spelled out, not recursive, so the per-message checks inline it).
+func (p *Process) serving() bool {
+	return p.state == Running && !p.silenced &&
+		(p.parent == nil || p.parent.state == Running && !p.parent.silenced)
+}
+
+// accepting reports whether a message for p reaches a handler.
+func (p *Process) accepting() bool { return p.parent == nil && p.live() && !p.silenced }
 
 // Manager hosts and controls a set of processes.
 type Manager struct {
@@ -149,13 +175,9 @@ type Manager struct {
 	log       *trace.Log
 	transport Transport
 
-	procs map[string]*Process
-	order []string
-
-	// Microrebootable subcomponents (see micro.go). nil maps until the
-	// first RegisterSub, so classic stations pay nothing.
-	subs     map[string]*subState
-	subOrder []string
+	procs    map[string]*Process // processes and subcomponents
+	order    []string            // process names
+	subOrder []string            // subcomponent names
 
 	// ContentionPerPeer is the per-extra-component startup stretch: a batch
 	// of k components starts with multiplier 1 + ContentionPerPeer*(k-1).
@@ -232,9 +254,7 @@ func (m *Manager) Ref(name string) Ref { return Ref{p: m.procs[name]} }
 func (r Ref) Valid() bool { return r.p != nil }
 
 // Serving mirrors Manager.Serving for the referenced process.
-func (r Ref) Serving() bool {
-	return r.p != nil && r.p.state == Running && !r.p.silenced
-}
+func (r Ref) Serving() bool { return r.p != nil && r.p.serving() }
 
 // Names returns registered process names in registration order.
 func (m *Manager) Names() []string {
@@ -255,12 +275,21 @@ func (m *Manager) OnDown(fn func(name, reason string)) { m.onDown = append(m.onD
 // this to decide whether a restart action covers a fault's minimal cure.
 func (m *Manager) OnBatch(fn func(names []string)) { m.onBatch = append(m.onBatch, fn) }
 
+// proc resolves a process or subcomponent record.
 func (m *Manager) proc(name string) (*Process, error) {
 	p, ok := m.procs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownProcess, name)
 	}
 	return p, nil
+}
+
+// top resolves a process; a subcomponent name is unknown here.
+func (m *Manager) top(name string) (*Process, error) {
+	if p := m.procs[name]; p != nil && p.parent == nil {
+		return p, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrUnknownProcess, name)
 }
 
 // Start launches a single process with no contention.
@@ -294,16 +323,24 @@ func (m *Manager) startAll(names []string, stretch float64) error {
 	// Validate first so a batch is all-or-nothing.
 	procs := make([]*Process, 0, len(names))
 	for _, name := range names {
-		p, err := m.proc(name)
+		p, err := m.top(name)
 		if err != nil {
 			return err
 		}
-		if p.state == Starting || p.state == Running {
+		if p.live() {
 			return fmt.Errorf("%w: %s is %s", ErrNotRunnable, name, p.state)
 		}
 		procs = append(procs, p)
 	}
-	batch := m.expandBatch(names)
+	// The listeners see the batch widened with the subcomponents of every
+	// process in it: restarting ses also repairs ses.cache and ses.est,
+	// and cure-coverage checks must see that.
+	batch := names[:len(names):len(names)]
+	for _, p := range procs {
+		for _, s := range p.subs {
+			batch = append(batch, s.name)
+		}
+	}
 	for _, fn := range m.onBatch {
 		fn(append([]string(nil), batch...))
 	}
@@ -325,9 +362,8 @@ func (m *Manager) Restart(names []string) error {
 		return err
 	}
 	for _, name := range procs {
-		p := m.procs[name]
-		if p.state == Starting || p.state == Running {
-			p.die(trace.ComponentKilled, "restart action")
+		if p := m.procs[name]; p.live() {
+			p.die(trace.ComponentKilled, ReasonRestart)
 		}
 	}
 	if len(procs) > 0 {
@@ -346,14 +382,14 @@ func (m *Manager) Restart(names []string) error {
 // Kill delivers a SIGKILL-equivalent: the process becomes fail-silent
 // immediately. Killing a Stopped or Dead process is a no-op.
 func (m *Manager) Kill(name, reason string) error {
-	if m.IsSub(name) {
-		return m.subKill(name, reason, trace.ComponentDown)
-	}
 	p, err := m.proc(name)
 	if err != nil {
 		return err
 	}
-	if p.state == Starting || p.state == Running {
+	if p.parent != nil {
+		return p.subKill(reason)
+	}
+	if p.live() {
 		p.die(trace.ComponentDown, reason)
 	}
 	return nil
@@ -362,19 +398,21 @@ func (m *Manager) Kill(name, reason string) error {
 // Silence makes a running process fail-silent without terminating it: it
 // stops receiving and replying but still counts as Running internally. The
 // fault board uses this to model failures that a restart did not cure.
+// A silenced subcomponent is a killed one.
 func (m *Manager) Silence(name string) error {
-	if m.IsSub(name) {
-		return m.subKill(name, "silenced (failure persists)", trace.ComponentDown)
-	}
+	const detail = "silenced (failure persists)"
 	p, err := m.proc(name)
 	if err != nil {
 		return err
 	}
-	if !p.silenced && (p.state == Running || p.state == Starting) {
+	if p.parent != nil {
+		return p.subKill(detail)
+	}
+	if !p.silenced && p.live() {
 		p.silenced = true
-		m.log.Add(m.clk.Now(), trace.ComponentDown, name, "", "silenced (failure persists)")
+		m.log.Add(m.clk.Now(), trace.ComponentDown, name, "", detail)
 		for _, fn := range m.onDown {
-			fn(name, "silenced")
+			fn(name, ReasonSilenced)
 		}
 	}
 	return nil
@@ -398,18 +436,20 @@ func (m *Manager) Incarnation(name string) (int, error) {
 	return p.gen, nil
 }
 
-// Serving reports whether the process is Running and responsive.
+// Serving reports whether the process is Running and responsive; a
+// subcomponent serves while it is attached inside a serving parent.
 func (m *Manager) Serving(name string) bool {
 	p, ok := m.procs[name]
-	return ok && p.state == Running && !p.silenced
+	return ok && p.serving()
 }
 
 // Accepting reports whether the process can receive messages (Starting or
 // Running, not silenced). Components exchange startup-protocol messages
-// before they are ready, so this is broader than Serving.
+// before they are ready, so this is broader than Serving. A subcomponent
+// has no handler and accepts nothing.
 func (m *Manager) Accepting(name string) bool {
 	p, ok := m.procs[name]
-	return ok && (p.state == Running || p.state == Starting) && !p.silenced
+	return ok && p.accepting()
 }
 
 // AllServing reports whether every process whose name is in names is
@@ -430,10 +470,10 @@ func (m *Manager) AllServing(names ...string) bool {
 // the message was consumed; dead or silenced destinations silently drop it
 // (fail-silent semantics).
 func (m *Manager) Deliver(msg *xmlcmd.Message) bool {
-	// Inlined Accepting: Deliver is the fabric's per-message hot path, and
+	// Accepting inlined: Deliver is the fabric's per-message hot path, and
 	// one map lookup is half the cost of two.
 	p, ok := m.procs[msg.To]
-	if !ok || (p.state != Running && p.state != Starting) || p.silenced {
+	if !ok || !p.accepting() {
 		return false
 	}
 	p.handler.Receive(p.ctx, msg)
@@ -441,7 +481,8 @@ func (m *Manager) Deliver(msg *xmlcmd.Message) bool {
 }
 
 // Restarts reports how many times the process has been (re)started beyond
-// its first launch.
+// its first launch. A subcomponent's restarts are its microreboots: when
+// it comes back with its parent, the restart is the parent's.
 func (m *Manager) Restarts(name string) (int, error) {
 	p, err := m.proc(name)
 	if err != nil {
@@ -484,7 +525,12 @@ func (p *Process) start(stretch float64) {
 	p.handler = p.factory()
 	p.mgr.log.Add(p.startedAt, trace.ComponentStarting, p.name, "",
 		fmt.Sprintf("incarnation=%d stretch=%.3f", p.gen, stretch))
-	p.mgr.subsOnParentStart(p.name)
+	// Subcomponents come up with their container.
+	for _, s := range p.subs {
+		s.gen++
+		s.state = Starting
+		s.startedAt = p.startedAt
+	}
 	p.ctx = &procCtx{p: p, gen: p.gen}
 	p.handler.Start(p.ctx)
 }
@@ -501,7 +547,15 @@ func (p *Process) die(kind trace.Kind, reason string) {
 	for _, fn := range p.mgr.onDown {
 		fn(p.name, reason)
 	}
-	p.mgr.subsOnParentDown(p.name, reason)
+	// Subcomponents die with their container, after it.
+	for _, s := range p.subs {
+		if s.live() {
+			s.state = Dead
+			for _, fn := range p.mgr.onDown {
+				fn(s.name, reason)
+			}
+		}
+	}
 }
 
 // procCtx is the incarnation-scoped Context implementation.
@@ -513,7 +567,7 @@ type procCtx struct {
 var _ Context = (*procCtx)(nil)
 
 func (c *procCtx) valid() bool {
-	return c.p.gen == c.gen && (c.p.state == Starting || c.p.state == Running)
+	return c.p.gen == c.gen && c.p.live()
 }
 
 func (c *procCtx) Name() string       { return c.p.name }
@@ -597,7 +651,15 @@ func (c *procCtx) Ready() {
 	for _, fn := range p.mgr.onReady {
 		fn(p.name)
 	}
-	p.mgr.subsOnParentReady(p.name)
+	// Subcomponents attach when their container is ready; OnReady fires
+	// for each dotted name, so recovery actions that named them complete.
+	for _, s := range p.subs {
+		s.state = Running
+		s.readyAt = now
+		for _, fn := range p.mgr.onReady {
+			fn(s.name)
+		}
+	}
 }
 
 func (c *procCtx) Fail(reason string) {

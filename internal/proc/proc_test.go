@@ -2,6 +2,7 @@ package proc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -481,5 +482,149 @@ func TestContextPoolIsPerManager(t *testing.T) {
 	m2.Pool().RecycleMessage(msg) // not its message: dropped
 	if got := m2.Pool().Ping("a", "b", 2, 2); got == msg {
 		t.Fatal("pool adopted a message another pool minted")
+	}
+}
+
+// microComp is a testComp hosting microrebootable subcomponents; it records
+// the subs whose logic was crashed.
+type microComp struct {
+	testComp
+	failed []string
+}
+
+func (mc *microComp) SubFail(sub string)                      { mc.failed = append(mc.failed, sub) }
+func (mc *microComp) SubMicroreboot(sub string) time.Duration { return 2 * time.Second }
+
+// TestSubcomponentLifecycle drives a process "p" hosting subs "p.a" and
+// "p.b" through each way a sub goes down or comes back, checking the
+// OnDown/OnReady events in order and the sub's record after.
+func TestSubcomponentLifecycle(t *testing.T) {
+	cases := []struct {
+		name  string
+		run   func(mgr *Manager) error
+		want  []string // "down name reason" / "ready name", in order
+		check func(t *testing.T, mgr *Manager, mc *microComp)
+	}{{
+		name: "sub kill inside a live parent",
+		run:  func(mgr *Manager) error { return mgr.Kill("p.a", "logic crash") },
+		want: []string{"down p.a logic crash"},
+		check: func(t *testing.T, mgr *Manager, mc *microComp) {
+			if st, _ := mgr.State("p.a"); st != Dead || mgr.Serving("p.a") {
+				t.Errorf("p.a = %v serving=%v, want dead", st, mgr.Serving("p.a"))
+			}
+			if !mgr.Serving("p") || !mgr.Serving("p.b") {
+				t.Error("the container or its other sub stopped serving")
+			}
+			if len(mc.failed) != 1 || mc.failed[0] != "a" {
+				t.Errorf("SubFail calls = %v, want [a]", mc.failed)
+			}
+		},
+	}, {
+		name: "parent kill cascades to every sub",
+		run:  func(mgr *Manager) error { return mgr.Kill("p", "crash") },
+		want: []string{"down p crash", "down p.a crash", "down p.b crash"},
+		check: func(t *testing.T, mgr *Manager, _ *microComp) {
+			for _, sub := range []string{"p.a", "p.b"} {
+				if st, _ := mgr.State(sub); st != Dead {
+					t.Errorf("%s = %v, want dead", sub, st)
+				}
+			}
+		},
+	}, {
+		name: "microreboot reattaches",
+		run:  func(mgr *Manager) error { return mgr.Microreboot("p.a") },
+		want: []string{"ready p.a"},
+		check: func(t *testing.T, mgr *Manager, _ *microComp) {
+			inc, _ := mgr.Incarnation("p.a")
+			n, _ := mgr.Restarts("p.a")
+			started, _ := mgr.StartedAt("p.a")
+			ready, _ := mgr.ReadyAt("p.a")
+			if !mgr.Serving("p.a") || inc != 2 || n != 1 || ready.Sub(started) != 2*time.Second {
+				t.Errorf("p.a serving=%v incarnation=%d restarts=%d startup=%v", mgr.Serving("p.a"), inc, n, ready.Sub(started))
+			}
+			if n, _ := mgr.Restarts("p"); n != 0 {
+				t.Errorf("p restarts = %d, want 0", n)
+			}
+		},
+	}, {
+		name: "microreboot superseded by a parent restart",
+		run: func(mgr *Manager) error {
+			if err := mgr.Microreboot("p.a"); err != nil {
+				return err
+			}
+			return mgr.Restart([]string{"p"})
+		},
+		// The parent is ready after 1 s; the microreboot's reattach, due
+		// at 2 s, must not fire a second ready.
+		want: []string{"down p restart action", "down p.a restart action", "down p.b restart action",
+			"ready p", "ready p.a", "ready p.b"},
+		check: func(t *testing.T, mgr *Manager, _ *microComp) {
+			inc, _ := mgr.Incarnation("p.a")
+			n, _ := mgr.Restarts("p.a")
+			if !mgr.Serving("p.a") || inc != 3 || n != 1 {
+				t.Errorf("p.a serving=%v incarnation=%d restarts=%d, want true 3 1", mgr.Serving("p.a"), inc, n)
+			}
+		},
+	}, {
+		name: "silenced parent",
+		run: func(mgr *Manager) error {
+			if err := mgr.Silence("p"); err != nil {
+				return err
+			}
+			return mgr.Kill("p.a", "logic crash")
+		},
+		want: []string{"down p silenced"},
+		check: func(t *testing.T, mgr *Manager, mc *microComp) {
+			if mgr.Serving("p.a") {
+				t.Error("sub of a silenced parent still serving")
+			}
+			if st, _ := mgr.State("p.a"); st != Running || len(mc.failed) != 0 {
+				t.Errorf("Kill(p.a) under a silenced parent acted: state %v, SubFail %v", st, mc.failed)
+			}
+		},
+	}, {
+		name: "a dotted name is no process",
+		run: func(mgr *Manager) error {
+			if err := mgr.Start("p.a"); !errors.Is(err, ErrUnknownProcess) {
+				return fmt.Errorf("Start(p.a) = %v, want ErrUnknownProcess", err)
+			}
+			if err := mgr.StartBatch([]string{"p.a"}); !errors.Is(err, ErrUnknownProcess) {
+				return fmt.Errorf("StartBatch(p.a) = %v, want ErrUnknownProcess", err)
+			}
+			if mgr.Deliver(xmlcmd.NewPing("fd", "p.a", 1, 1)) || mgr.Accepting("p.a") {
+				return errors.New("a message for p.a reached a handler")
+			}
+			return nil
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mgr, k := newTestManager(t)
+			mc := &microComp{testComp: testComp{startup: time.Second}}
+			_ = mgr.Register("p", func() Handler { return mc })
+			for _, sub := range []string{"a", "b"} {
+				if err := mgr.RegisterSub("p", sub); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_ = mgr.Start("p")
+			_ = k.RunFor(2 * time.Second)
+			if inc, _ := mgr.Incarnation("p.a"); !mgr.Serving("p.a") || inc != 1 || mgr.Parent("p.a") != "p" {
+				t.Fatalf("after boot p.a serving=%v incarnation=%d parent=%q", mgr.Serving("p.a"), inc, mgr.Parent("p.a"))
+			}
+			var got []string
+			mgr.OnDown(func(name, reason string) { got = append(got, "down "+name+" "+reason) })
+			mgr.OnReady(func(name string) { got = append(got, "ready "+name) })
+			if err := tc.run(mgr); err != nil {
+				t.Fatal(err)
+			}
+			_ = k.RunFor(5 * time.Second)
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("events = %q, want %q", got, tc.want)
+			}
+			if tc.check != nil {
+				tc.check(t, mgr, mc)
+			}
+		})
 	}
 }
