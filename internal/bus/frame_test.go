@@ -108,8 +108,10 @@ func TestFrameReaderOversized(t *testing.T) {
 // TestFrameSteadyStateAllocs pins the whole wire hot path: once the
 // writer's buffer and the reader's buffer, token cache and destination
 // message are warm, framing costs zero allocations on the write side and,
-// on the read side, one per parameter value — the only strings of a frame
-// nothing repeats. ReadFrame adds exactly the fresh Message it hands out.
+// on the read side, one per text parameter value — the only strings of a
+// frame nothing repeats (a value in the encoder's form of a number decodes
+// as that number and costs none; these two are text). ReadFrame adds
+// exactly the fresh Message it hands out.
 func TestFrameSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -35,9 +35,9 @@ type Clock interface {
 	AfterFunc(d time.Duration, fn func()) Timer
 	// Schedule runs ev.Fire after d on the same dispatch context. It is
 	// the allocation-lean path for high-volume fire-and-forget work (bus
-	// hops): no Timer handle, no closure. Under the simulation kernel a
-	// pooled Event costs zero allocations; real-time clocks emulate it
-	// with AfterFunc.
+	// hops, handler timers): no Timer handle, no closure. A pooled Event
+	// costs zero allocations under the simulation kernel, and under
+	// rt.Clock, which queues it on the dispatcher's timer heap.
 	Schedule(d time.Duration, ev Event)
 }
 

@@ -17,14 +17,20 @@ import (
 // envelope back, like the runtime's own clients.
 type testGate struct {
 	conn bus.Conn
-	mix  []*xmlcmd.Message
-	acks chan uint64 // OfSeq of every positive ack
+	mix  []*xmlcmd.Message // command seq goes out as mix[seq%len(mix)]
+	acks chan gateAck      // every positive ack
 	seq  uint64
+}
+
+// gateAck is what the gate copies out of an ack before handing it back.
+type gateAck struct {
+	of   uint64
+	from string
 }
 
 func dialGate(t *testing.T, node *Node) *testGate {
 	t.Helper()
-	g := &testGate{acks: make(chan uint64, 1024)} // above any window the tests use
+	g := &testGate{acks: make(chan gateAck, 1024)} // above any window the tests use
 	for i := 0; i < 8; i++ {
 		f := strconv.FormatFloat(437.1e6+float64(i)*1e3, 'g', -1, 64)
 		g.mix = append(g.mix,
@@ -34,7 +40,7 @@ func dialGate(t *testing.T, node *Node) *testGate {
 	}
 	conn, err := bus.DialAuto(node.BusAddr(), "gate", func(m *xmlcmd.Message) {
 		if m.Ack != nil && m.Ack.OK {
-			g.acks <- m.Ack.OfSeq
+			g.acks <- gateAck{m.Ack.OfSeq, m.From}
 		}
 		m.Owner.RecycleMessage(m)
 	})
@@ -47,7 +53,8 @@ func dialGate(t *testing.T, node *Node) *testGate {
 }
 
 // roundTrips runs n commands through the station, window in flight at a
-// time, and fails unless every one is acknowledged exactly once.
+// time, and fails unless every one is acknowledged exactly once, by the
+// component it was sent to.
 func (g *testGate) roundTrips(t *testing.T, n, window int) {
 	t.Helper()
 	if err := g.run(n, window, 10*time.Second); err != nil {
@@ -56,8 +63,9 @@ func (g *testGate) roundTrips(t *testing.T, n, window int) {
 }
 
 // settles retries batches of n commands until one is acknowledged in full:
-// while the station is still restarting cells after a bus fault, commands
-// and acks are lost (fail-silent fabric) and the gate does not resend.
+// while the station is restarting cells — after a bus fault, or after a
+// false suspicion on a busy host — commands and acks are lost (fail-silent
+// fabric) and the gate does not resend.
 func (g *testGate) settles(t *testing.T, n, window int) {
 	t.Helper()
 	var err error
@@ -88,12 +96,16 @@ func (g *testGate) run(n, window int, idle time.Duration) error {
 	defer timeout.Stop()
 	for acked := 0; acked < n; {
 		select {
-		case of := <-g.acks:
+		case a := <-g.acks:
+			of := a.of
 			if of < first {
 				continue
 			}
 			if of >= first+uint64(n) || seen[of-first] {
 				return fmt.Errorf("ack for command %d: never sent, or acknowledged twice", of)
+			}
+			if to := g.mix[of%uint64(len(g.mix))].To; a.from != to {
+				return fmt.Errorf("command %d went to %s, acknowledged by %q", of, to, a.from)
 			}
 			seen[of-first] = true
 			acked++
@@ -117,9 +129,10 @@ func (g *testGate) run(n, window int, idle time.Duration) error {
 // → pbcom for a tune) → broker → gate, about five frames. Every frame is
 // encoded from a pooled or prebuilt message into a reused buffer, copied by
 // the broker, and decoded once into a recycled envelope with cached tokens;
-// what is left is parameter values (immutable strings by contract) and a
-// runtime timer per radio tune. Measured 3.4; before envelopes were
-// recycled on the live path and the broker stopped decoding, 42.
+// the gate's numbers are in the encoder's own form and decode as numbers,
+// and a radio tune's completion timer waits on the dispatcher's timer heap.
+// Measured 0.01–0.09 on a 2-vCPU host: a few hundred allocations in all
+// over 20 000 commands.
 func TestLiveCommandAllocBudget(t *testing.T) {
 	node, err := StartNode(NodeConfig{ListenAddr: "127.0.0.1:0", Scale: 50, TreeName: "IV", Seed: 1, BusShards: 2})
 	if err != nil {
@@ -127,27 +140,34 @@ func TestLiveCommandAllocBudget(t *testing.T) {
 	}
 	t.Cleanup(node.Stop)
 	g := dialGate(t, node)
-	g.roundTrips(t, 2000, 64) // warm buffers, caches and free lists
-	const commands = 20000
-	// A slow host (the race detector) can make the failure detector miss a
-	// 25 ms pong and restart a component mid-batch, losing the commands in
-	// flight to it; only a batch acknowledged in full is a measurement.
-	for attempt := 0; attempt < 5; attempt++ {
+	// Warm buffers, caches and free lists. A slow host (the race detector)
+	// can make the failure detector miss a 25 ms pong and restart a
+	// component, losing the commands in flight to it, so the warm-up
+	// retries a lost batch like the measurement below does.
+	g.settles(t, 2000, 64)
+	// Only a batch acknowledged in full counts, and the batches are short,
+	// so that a restart on a busy host costs one batch, not the measurement.
+	const batch, batches = 2000, 10
+	var mallocs uint64
+	for done, attempt := 0, 0; done < batches; attempt++ {
+		if attempt == 3*batches {
+			t.Fatalf("%d of %d batches of %d commands acknowledged in full, last: %v", done, batches, batch, err)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err = g.run(commands, 64, 2*time.Second)
+		err = g.run(batch, 64, 2*time.Second)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Logf("attempt %d: %v", attempt, err)
 			g.settles(t, 300, 8)
 			continue
 		}
-		perCommand := float64(after.Mallocs-before.Mallocs) / commands
-		t.Logf("%.2f allocations per acknowledged command", perCommand)
-		if perCommand > 10 {
-			t.Errorf("an acknowledged command allocates %.2f, budget 10", perCommand)
-		}
-		return
+		mallocs += after.Mallocs - before.Mallocs
+		done++
 	}
-	t.Fatalf("no batch of %d commands acknowledged in full: %v", commands, err)
+	perCommand := float64(mallocs) / (batch * batches)
+	t.Logf("%.2f allocations per acknowledged command", perCommand)
+	if perCommand > 0.5 {
+		t.Errorf("an acknowledged command allocates %.2f, budget 0.5", perCommand)
+	}
 }

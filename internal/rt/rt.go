@@ -12,6 +12,7 @@ package rt
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/bus"
@@ -21,11 +22,19 @@ import (
 )
 
 // Dispatcher serialises all actor work onto one goroutine. Work arrives as
-// typed posts — a function, an inbound bus message, a fired clock event —
-// on one bounded queue the loop drains a batch at a time: it swaps the
-// whole queue out under the lock and runs it in arrival order, so a burst
-// of n posts costs the loop one lock round trip, not n, and a message or a
-// timer is posted without a closure.
+// typed posts — a function, an inbound bus message, a timer wake-up — on one
+// bounded queue the loop drains a batch at a time: it swaps the whole queue
+// out under the lock and runs it in arrival order, so a burst of n posts
+// costs the loop one lock round trip, not n, and a message is posted
+// without a closure.
+//
+// Clock timers share one runtime timer. They wait in a min-heap ordered by
+// (deadline, schedule order), and the runtime timer, armed for the heap's
+// head, posts a wake-up stamped with the instant it was enqueued. The loop
+// fires the timers due by that stamp, not by the time it gets round to the
+// wake-up: a message enqueued before a timer's instant — a pong queued
+// ahead of its ping timeout — is delivered before the timer fires, even
+// when the loop is running behind.
 type Dispatcher struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond // the loop waits here for work
@@ -34,19 +43,37 @@ type Dispatcher struct {
 	stopped  bool
 	deliver  func(*xmlcmd.Message) bool
 
+	// The timer queue. Deadlines are monotonic offsets from base; the
+	// runtime timer wake is armed for armedAt while armed is set.
+	base    time.Time
+	timers  []timerEntry
+	seq     uint64
+	wake    *time.Timer
+	armed   bool
+	armedAt time.Duration
+
 	quit chan struct{} // closed by Stop: releases Call
 	done chan struct{} // closed when the loop has exited
 }
 
-// post is one unit of dispatcher work; exactly one field is set.
+// post is one unit of dispatcher work: a message, a wake-up, or else fn.
 type post struct {
-	fn func()
-	m  *xmlcmd.Message
-	ev clock.Event
+	fn   func()
+	m    *xmlcmd.Message
+	wake bool
+	due  time.Duration // a wake-up's enqueue instant: the timers due by it fire
+}
+
+// timerEntry is one pending clock event; seq orders equal deadlines by
+// when they were scheduled.
+type timerEntry struct {
+	at  time.Duration
+	seq uint64
+	ev  clock.Event
 }
 
 // queueCap bounds the posts waiting for the loop. Producers — bus read
-// loops, runtime timers — block when it is full, which is the
+// loops, the timer wake-up — block when it is full, which is the
 // back-pressure that keeps a flooded node from buffering without bound.
 const queueCap = 1024
 
@@ -54,6 +81,7 @@ const queueCap = 1024
 func NewDispatcher() *Dispatcher {
 	d := &Dispatcher{
 		queue: make([]post, 0, queueCap),
+		base:  time.Now(),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -98,8 +126,8 @@ func (d *Dispatcher) loop() {
 				if p.m.Owner != nil {
 					p.m.Owner.RecycleMessage(p.m)
 				}
-			case p.ev != nil:
-				p.ev.Fire()
+			case p.wake:
+				d.fireDue(p.due)
 			default:
 				p.fn()
 			}
@@ -109,14 +137,18 @@ func (d *Dispatcher) loop() {
 	}
 }
 
-// enqueue appends one post, waiting for room while the queue is full.
-// Posts after Stop are silently dropped (late timers during shutdown).
+// enqueue appends one post, waiting for room while the queue is full, and
+// stamps a wake-up with the instant it joins the queue. Posts after Stop
+// are silently dropped.
 func (d *Dispatcher) enqueue(p post) {
 	d.mu.Lock()
 	for len(d.queue) >= queueCap && !d.stopped {
 		d.notFull.Wait()
 	}
 	if !d.stopped {
+		if p.wake {
+			p.due = d.since()
+		}
 		d.queue = append(d.queue, p)
 		if len(d.queue) == 1 {
 			d.notEmpty.Signal()
@@ -148,17 +180,135 @@ func (d *Dispatcher) Call(fn func()) {
 }
 
 // Stop terminates the dispatcher once the batch it is running is done and
-// releases blocked producers; posts still queued are dropped.
+// releases blocked producers; posts still queued and timers still pending
+// are dropped.
 func (d *Dispatcher) Stop() {
 	d.mu.Lock()
 	if !d.stopped {
 		d.stopped = true
+		if d.wake != nil {
+			d.wake.Stop()
+		}
+		d.timers = nil
 		close(d.quit)
 		d.notEmpty.Broadcast()
 		d.notFull.Broadcast()
 	}
 	d.mu.Unlock()
 	<-d.done
+}
+
+// since is the dispatcher's monotonic clock.
+func (d *Dispatcher) since() time.Duration { return time.Since(d.base) }
+
+// schedule queues ev to fire on the dispatch goroutine at instant at (a
+// since reading). Once the heap has grown to its working size it
+// allocates nothing.
+func (d *Dispatcher) schedule(at time.Duration, ev clock.Event) {
+	d.mu.Lock()
+	if !d.stopped {
+		d.seq++
+		d.push(timerEntry{at: at, seq: d.seq, ev: ev})
+		d.arm()
+	}
+	d.mu.Unlock()
+}
+
+// arm points the runtime timer at the heap's head unless it already goes
+// off no later. The caller holds mu.
+func (d *Dispatcher) arm() {
+	if d.stopped || len(d.timers) == 0 {
+		return
+	}
+	at := d.timers[0].at
+	if d.armed && d.armedAt <= at {
+		return
+	}
+	d.armed, d.armedAt = true, at
+	if d.wake == nil {
+		d.wake = time.AfterFunc(at-d.since(), d.onWake)
+	} else {
+		d.wake.Reset(at - d.since())
+	}
+}
+
+// onWake runs on the runtime timer's goroutine: it queues the wake-up
+// behind whatever is already waiting.
+func (d *Dispatcher) onWake() {
+	d.mu.Lock()
+	d.armed = false
+	d.mu.Unlock()
+	d.enqueue(post{wake: true})
+}
+
+// fireDue fires, in (deadline, schedule) order, every timer due by the
+// wake-up's stamp — including ones the fired events schedule — and
+// re-arms for the rest.
+func (d *Dispatcher) fireDue(due time.Duration) {
+	for {
+		d.mu.Lock()
+		if d.stopped || len(d.timers) == 0 || d.timers[0].at > due {
+			d.arm()
+			d.mu.Unlock()
+			return
+		}
+		ev := d.timers[0].ev
+		d.pop()
+		d.mu.Unlock()
+		ev.Fire()
+	}
+}
+
+func (a timerEntry) before(b timerEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// push adds e to the timer heap.
+func (d *Dispatcher) push(e timerEntry) {
+	h := append(d.timers, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	d.timers = h
+}
+
+// pop removes the heap's head.
+func (d *Dispatcher) pop() {
+	h := d.timers
+	n := len(h) - 1
+	e := h[n]
+	h[n] = timerEntry{}
+	h = h[:n]
+	d.timers = h
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
 
 // Clock is a wall clock whose callbacks run on the dispatcher, with
@@ -186,41 +336,50 @@ func (c Clock) Now() time.Time {
 	if epoch.IsZero() {
 		epoch = processEpoch
 	}
-	s := c.Scale
-	if s <= 0 {
-		s = 1
-	}
-	return epoch.Add(time.Duration(float64(time.Since(epoch)) * s))
+	return epoch.Add(time.Duration(float64(time.Since(epoch)) * c.scale()))
 }
 
-// AfterFunc schedules fn on the dispatcher after d/Scale.
+func (c Clock) scale() float64 {
+	if c.Scale <= 0 {
+		return 1
+	}
+	return c.Scale
+}
+
+// at is the dispatcher instant d/Scale from now.
+func (c Clock) at(d time.Duration) time.Duration {
+	return c.D.since() + time.Duration(float64(d)/c.scale())
+}
+
+// AfterFunc schedules fn on the dispatcher after d/Scale, on the same
+// timer queue as Schedule. The handle is the only allocation.
 func (c Clock) AfterFunc(d time.Duration, fn func()) clock.Timer {
-	s := c.Scale
-	if s <= 0 {
-		s = 1
-	}
-	t := time.AfterFunc(time.Duration(float64(d)/s), func() {
-		c.D.Post(fn) // dropped silently if the dispatcher has stopped
-	})
-	return rtTimer{t}
+	t := &afterTimer{fn: fn}
+	c.D.schedule(c.at(d), t)
+	return t
 }
 
-// Schedule emulates the kernel's fast path: ev itself is posted to the
-// dispatcher after d/Scale, so a handler timer costs the runtime timer and
-// one closure.
+// Schedule queues ev to fire on the dispatcher after d/Scale. It takes no
+// runtime timer and no closure: a pooled event costs nothing.
 func (c Clock) Schedule(d time.Duration, ev clock.Event) {
-	s := c.Scale
-	if s <= 0 {
-		s = 1
-	}
-	time.AfterFunc(time.Duration(float64(d)/s), func() {
-		c.D.enqueue(post{ev: ev})
-	})
+	c.D.schedule(c.at(d), ev)
 }
 
-type rtTimer struct{ t *time.Timer }
+// afterTimer is an AfterFunc callback and its own Stop handle: whichever of
+// Fire and Stop comes first claims it.
+type afterTimer struct {
+	fn   func()
+	done atomic.Bool
+}
 
-func (r rtTimer) Stop() bool { return r.t.Stop() }
+func (t *afterTimer) Fire() {
+	if t.done.CompareAndSwap(false, true) {
+		t.fn()
+	}
+}
+
+// Stop reports whether it prevented fn from running.
+func (t *afterTimer) Stop() bool { return t.done.CompareAndSwap(false, true) }
 
 // FDParamsForScale adapts the failure detector to time compression. The
 // calibrated 200 ms pong timeout becomes only a few milliseconds of wall

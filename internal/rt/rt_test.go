@@ -1,14 +1,18 @@
 package rt
 
 import (
+	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/recursive-restart/mercury/internal/assemble"
 	"github.com/recursive-restart/mercury/internal/fault"
+	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/trace"
@@ -62,6 +66,107 @@ func TestLiveNodeRecycledEnvelopesPoisoned(t *testing.T) {
 	defer xmlcmd.PoisonRecycledForTest()()
 	t.Run("boots", func(t *testing.T) { liveNodeBoots(t, true) })
 	t.Run("sharded", func(t *testing.T) { liveNodeShardedBus(t, true) })
+	t.Run("fan-out", liveCommandValuesLand)
+}
+
+// liveCommandValuesLand drives a tree-IV node with a few thousand tune and
+// point commands, each carrying values of its own: numbers in the
+// encoder's form, which decode as numbers, and numbers in other forms,
+// which stay text. rtu fans every tune out as a radio-tune to fedr and on
+// to pbcom, and ses keeps pointing and tuning on its own all along. Every
+// gate command must be acknowledged once, by the component it went to;
+// afterwards str must hold the last target it was sent, rtu the last
+// frequency, and the radio behind pbcom the frequency rtu holds. Each
+// wrapper copies the values out of a command while it is being delivered;
+// under the poison switch a number or string that outlived its envelope
+// would read as a sentinel or as an older command's value instead.
+func liveCommandValuesLand(t *testing.T) {
+	watched := map[string]*lastCommand{} // the dispatch goroutine's
+	h, err := NewHost(HostConfig{ListenAddr: "127.0.0.1:0", Scale: testScale, Seed: 1, BusShards: 2}, assemble.Config{
+		TreeName: "IV",
+		Handler: func(name string) func() proc.Handler {
+			cmd := map[string]string{station.STR: "point", station.RTU: "tune", station.Pbcom: "radio-tune"}[name]
+			if cmd == "" {
+				return nil
+			}
+			f, err := station.Factory(name, station.DefaultParams(time.Now()), station.Split)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() proc.Handler {
+				w := &lastCommand{Handler: f(), cmd: cmd}
+				watched[name] = w
+				return w
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewHost: %v", err)
+	}
+	t.Cleanup(h.Stop)
+	if err := h.Boot(append(h.Components(), xmlcmd.AddrFD), 5*time.Second); err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	g := dialGate(t, &Node{h})
+	g.mix = nil
+	for i := 0; i < 1500; i++ {
+		f := 437e6 + float64(i)
+		freq := strconv.FormatFloat(f, 'g', -1, 64) // "4.37000001e+08"
+		if i%2 == 1 {
+			freq = strconv.FormatFloat(f, 'f', -1, 64) // "437000001"
+		}
+		g.mix = append(g.mix,
+			xmlcmd.NewCommand("gate", station.RTU, 0, "tune", "freqHz", freq),
+			xmlcmd.NewCommand("gate", station.STR, 0, "point",
+				"azRad", strconv.FormatFloat(float64(i)/1000, 'g', -1, 64), "elRad", "0."+strconv.Itoa(100+i)))
+	}
+	g.settles(t, len(g.mix), 64)
+
+	type tracker interface {
+		Target() (az, el float64, ok bool)
+	}
+	type tuned interface{ FrequencyHz() float64 }
+	// A radio-tune is two hops behind rtu, and ses may be between the two.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var landed bool
+		var state string
+		h.Disp.Call(func() {
+			str, rtu, pbcom := watched[station.STR], watched[station.RTU], watched[station.Pbcom]
+			az, el, ok := str.Handler.(tracker).Target()
+			rtuHz := rtu.Handler.(tuned).FrequencyHz()
+			radioHz := pbcom.Handler.(tuned).FrequencyHz()
+			landed = ok && len(str.values) == 2 && len(rtu.values) == 1 && len(pbcom.values) == 1 &&
+				az == str.values[0] && el == str.values[1] && rtuHz == rtu.values[0] &&
+				radioHz == pbcom.values[0] && radioHz == rtuHz
+			state = fmt.Sprintf("str points at (%v, %v, %v) after point %v; rtu is at %v Hz after tune %v; the radio is at %v Hz after radio-tune %v",
+				az, el, ok, str.values, rtuHz, rtu.values, radioHz, pbcom.values)
+		})
+		if landed {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(state)
+		}
+	}
+}
+
+// lastCommand wraps a station handler and copies the numbers of the last
+// cmd delivered to it out of the envelope, before the handler sees it.
+type lastCommand struct {
+	proc.Handler
+	cmd    string
+	values []float64
+}
+
+func (w *lastCommand) Receive(ctx proc.Context, m *xmlcmd.Message) {
+	if m.Kind() == xmlcmd.KindCommand && m.Command.Name == w.cmd {
+		w.values = w.values[:0]
+		for _, p := range m.Command.Params {
+			f, _ := m.Command.FloatParam(p.Key)
+			w.values = append(w.values, f)
+		}
+	}
+	w.Handler.Receive(ctx, m)
 }
 
 func TestLiveRecoveryFromKill(t *testing.T) {
@@ -230,16 +335,8 @@ func TestDispatcherCallAndStop(t *testing.T) {
 	}
 }
 
-type seqEvent struct {
-	seq uint64
-	got *[]uint64
-}
-
-func (e seqEvent) Fire() { *e.got = append(*e.got, e.seq) }
-
-// TestDispatcherOrder: functions, messages and clock events share one
-// queue and run in the order they were posted, across batch boundaries and
-// a full queue.
+// TestDispatcherOrder: functions and messages share one queue and run in
+// the order they were posted, across batch boundaries and a full queue.
 func TestDispatcherOrder(t *testing.T) {
 	d := NewDispatcher()
 	defer d.Stop()
@@ -247,14 +344,11 @@ func TestDispatcherOrder(t *testing.T) {
 	d.DeliverTo(func(m *xmlcmd.Message) bool { got = append(got, m.Seq); return true })
 	const n = 5 * queueCap
 	for i := uint64(0); i < n; i++ {
-		switch i % 3 {
-		case 0:
+		if i%2 == 0 {
 			i := i
 			d.Post(func() { got = append(got, i) })
-		case 1:
+		} else {
 			d.PostMessage(xmlcmd.NewPing("a", "b", i, 0))
-		default:
-			d.enqueue(post{ev: seqEvent{i, &got}})
 		}
 	}
 	d.Call(func() {})

@@ -172,6 +172,12 @@ func (c *strComponent) scheduleTracking(ctx proc.Context) {
 	ctx.After(period, tick)
 }
 
+// Target reports the pointing target str holds, if it has one. Like every
+// handler method it runs on the dispatch context.
+func (c *strComponent) Target() (az, el float64, ok bool) {
+	return c.targetAz, c.targetEl, c.haveTgt
+}
+
 func (c *strComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	switch m.Kind() {
 	case xmlcmd.KindSync:
@@ -221,6 +227,9 @@ func (c *rtuComponent) Start(ctx proc.Context) {
 	d := c.startupDelay(ctx, c.params.RtuStartup)
 	ctx.After(d, func() { c.becomeReady(ctx) })
 }
+
+// FrequencyHz reports the frequency rtu last accepted a tune to.
+func (c *rtuComponent) FrequencyHz() float64 { return c.lastFreqHz }
 
 func (c *rtuComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	switch m.Kind() {
@@ -274,6 +283,9 @@ func (t *tuner) bindTuner(ctx proc.Context) {
 			locked, ctx.Now()))
 	}
 }
+
+// FrequencyHz reports the frequency the radio was last commanded to.
+func (t *tuner) FrequencyHz() float64 { return t.xcvr.FrequencyHz() }
 
 // applyTune starts a retune for a radio-tune command and acknowledges it;
 // the lock telemetry follows once the tune completes.

@@ -13,14 +13,16 @@ package xmlcmd
 //   - DecodeInto parses the known envelope/attribute grammar directly —
 //     no reflection, no xml.Decoder — reusing the destination message's
 //     body structs and, through a connection's Decoder, the strings every
-//     frame repeats, so a steady-state decode allocates only parameter
-//     values. DecodeHeader is the same parser stopped after the start
-//     tag: what the broker routes on.
+//     frame repeats, and keeps a parameter value written the way the
+//     encoder writes a number as that number, so a steady-state decode
+//     allocates only the other parameter values. DecodeHeader is the same
+//     parser stopped after the start tag: what the broker routes on.
 //
 // The decoder is deliberately *stricter* than encoding/xml: everything it
-// accepts, encoding/xml accepts with an identical result (the property
-// FuzzCodecDiff checks), but it rejects XML it will never see from the
-// encoder (comments, processing instructions, namespaces, unknown
+// accepts, encoding/xml accepts with an identical result — each parameter
+// with the same Key and the same Text() as encoding/xml's Value (the
+// property FuzzCodecDiff checks) — but it rejects XML it will never see
+// from the encoder (comments, processing instructions, namespaces, unknown
 // elements). Rejecting a frame tears down the connection exactly as a
 // corrupt frame always has, so strictness is safe; accepting something
 // encoding/xml would reject (or reading it differently) would be a silent
@@ -221,6 +223,17 @@ type decodeScratch struct {
 	health    Health
 }
 
+// newDecodeTarget returns a fresh envelope with its scratch bodies in the
+// same allocation: what Decode and an empty FreeList hand DecodeInto.
+func newDecodeTarget() *Message {
+	e := new(struct {
+		m Message
+		s decodeScratch
+	})
+	e.m.scratch = &e.s
+	return &e.m
+}
+
 // Decoder is one connection's decode state: a small cache of the short
 // tokens a peer repeats in every frame — bus addresses, command and event
 // names, parameter and telemetry keys — so a warm decode copies only
@@ -302,9 +315,13 @@ func (dc *Decoder) token(b []byte) string {
 // message (including its body pointer) is only valid until the next
 // DecodeInto on the same m — callers that hand messages to another
 // goroutine must decode into a fresh Message (Decode does) or a recycled
-// envelope (FreeList.Decode). Steady state allocates only the strings that
-// are not repeated tokens: nothing for ping, pong, ack-without-error and
-// telemetry, one per parameter value for a command.
+// envelope (FreeList.Decode). A parameter value that is a finite number's
+// shortest 'g' form — the encoder's rendering of a Num — decodes as that
+// number; any other value stays the text it arrived as, so Text() and a
+// re-encoded frame read the same either way. Steady state allocates only
+// the strings that are not repeated tokens: nothing for ping, pong,
+// ack-without-error and telemetry, one per text parameter value for a
+// command.
 func (dc *Decoder) DecodeInto(b []byte, m *Message) error {
 	if len(b) > MaxFrame {
 		return ErrFrameTooLarge
@@ -945,13 +962,41 @@ func (d *parser) params(dst *[]Param, parent string) error {
 			case "key":
 				p.Key = d.dec.token(d.val)
 			case "value":
-				p.Value = string(d.val)
+				// A value in the encoder's own rendering of a number is
+				// kept as that number, which costs no string; any other
+				// text is kept as it came.
+				if f, ok := canonicalNum(d.val); ok {
+					p.Value, p.num, p.numeric = "", f, true
+				} else {
+					p.Value, p.num, p.numeric = string(d.val), 0, false
+				}
 			}
 		}
 		if err := d.endSimple("param"); err != nil {
 			return err
 		}
 	}
+}
+
+// maxNumText is the longest text strconv's shortest 'g' form of a float64
+// takes: "-2.2250738585072014e-308".
+const maxNumText = 24
+
+// canonicalNum reports the finite number v spells when v is exactly the
+// text AppendEncode renders that number as — strconv's shortest 'g' form —
+// so keeping the number instead of the text changes neither Text() nor a
+// re-encoded frame. "007.50", "+1", "1E6", "0x1p-2", "NaN" and
+// "437100000" spell numbers in other forms and stay text.
+func canonicalNum(v []byte) (float64, bool) {
+	if len(v) == 0 || len(v) > maxNumText || v[0] != '-' && (v[0] < '0' || v[0] > '9') {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(v), 64)
+	if err != nil || !finite(f) {
+		return 0, false
+	}
+	var buf [maxNumText]byte
+	return f, string(strconv.AppendFloat(buf[:0], f, 'g', -1, 64)) == string(v)
 }
 
 func (d *parser) ack() error {

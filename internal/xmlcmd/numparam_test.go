@@ -184,3 +184,52 @@ func TestForwardedParamKeepsItsForm(t *testing.T) {
 		t.Fatal("Lookup found a parameter that is not there")
 	}
 }
+
+// TestDecodeKeepsCanonicalNumbers: a received value decodes as a number
+// exactly when it is the encoder's own rendering of a finite number, and
+// otherwise stays the text it came as. Either way Text(), the re-encoded
+// frame and FloatParam are what they are for the text: FloatParam accepts
+// and refuses what strconv.ParseFloat and the finiteness rule do.
+func TestDecodeKeepsCanonicalNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		text    string
+		numeric bool
+	}{
+		{"0", true}, {"-0", true}, {"1", true}, {"-1", true}, {"0.5", true}, {"437.5", true},
+		{"4.371e+08", true}, {"4.9807672363561", true}, {"-0.5433825307141718", true},
+		{"1e+21", true}, {"1e-07", true}, {"5e-324", true}, {"1.7976931348623157e+308", true},
+		{"-2.2250738585072014e-308", true}, {"123456", true},
+
+		{"437100000", false}, {"007.50", false}, {"+1", false}, {"1E6", false}, {"1e21", false},
+		{"1e6", false}, {"0x1p-2", false}, {".5", false}, {"5.", false}, {"0.50", false},
+		{"1e-400", false}, {"1e999", false}, {"NaN", false}, {"nan", false}, {"Inf", false},
+		{"-Inf", false}, {"+inf", false}, {"1_000", false}, {"12abc", false}, {"-", false},
+		{"", false}, {"fm-narrow", false}, {" 1", false}, {"1 ", false}, {"--1", false},
+	} {
+		frame, err := Encode(NewCommand("gate", AddrSTR, 1, "point", "azRad", tc.text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Message
+		var dec Decoder
+		if err := dec.DecodeInto(frame, &m); err != nil {
+			t.Fatalf("decode %q: %v", tc.text, err)
+		}
+		p := m.Command.Params[0]
+		if p.numeric != tc.numeric {
+			t.Errorf("%q decoded numeric=%v, want %v", tc.text, p.numeric, tc.numeric)
+		}
+		if p.Text() != tc.text {
+			t.Errorf("%q decoded to text %q", tc.text, p.Text())
+		}
+		if again, err := Encode(&m); err != nil || !bytes.Equal(again, frame) {
+			t.Errorf("%q re-encoded to %s, want %s (%v)", tc.text, again, frame, err)
+		}
+		want, perr := strconv.ParseFloat(tc.text, 64)
+		accept := perr == nil && finite(want)
+		got, err := m.Command.FloatParam("azRad")
+		if (err == nil) != accept || accept && math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("FloatParam(%q) = %v, %v; the text parses to %v, %v", tc.text, got, err, want, perr)
+		}
+	}
+}

@@ -211,9 +211,10 @@ var _ Recycler = (*FreeList)(nil)
 // around 100 KiB.
 const freeListCap = 256
 
-// Decode decodes one frame payload into a recycled envelope (a fresh one
-// when the list is empty) and stamps the list as its Owner. A frame that
-// does not decode takes its envelope with it.
+// Decode decodes one frame payload into a recycled envelope (a fresh one,
+// one allocation with its scratch bodies, when the list is empty) and
+// stamps the list as its Owner. A frame that does not decode takes its
+// envelope with it.
 func (l *FreeList) Decode(dc *Decoder, b []byte) (*Message, error) {
 	var m *Message
 	l.mu.Lock()
@@ -224,7 +225,7 @@ func (l *FreeList) Decode(dc *Decoder, b []byte) (*Message, error) {
 	}
 	l.mu.Unlock()
 	if m == nil {
-		m = new(Message)
+		m = newDecodeTarget()
 	}
 	if err := dc.DecodeInto(b, m); err != nil {
 		return nil, err

@@ -159,8 +159,9 @@ type Command struct {
 // text, so a producer that holds a float64 hands it over with Num, a reader
 // gets it back from Command.FloatParam without either side touching strconv,
 // and a forwarder copies the Param whole (Command.Lookup). The codec renders
-// a number when it encodes a frame; a decoded parameter keeps the text it
-// arrived as and is parsed when asked.
+// a number when it encodes a frame; the decoder keeps a value written in
+// exactly that form as the number, and any other as the text it arrived
+// as, parsed when asked.
 type Param struct {
 	Key string `xml:"key,attr"`
 	// Value is the text form; empty on a numeric parameter, whose text is
@@ -371,7 +372,7 @@ func Encode(m *Message) ([]byte, error) {
 // that consume the message before reading the next frame should reuse a
 // Message with DecodeInto.
 func Decode(b []byte) (*Message, error) {
-	m := new(Message)
+	m := newDecodeTarget()
 	if err := DecodeInto(b, m); err != nil {
 		return nil, err
 	}
