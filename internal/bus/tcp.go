@@ -368,7 +368,7 @@ func reconnectDelay(n int, outage time.Duration) time.Duration {
 	case n == 0:
 		return 0
 	case outage < reconnectFastFor:
-		return min(reconnectFastFirst<<min(n-1, 8), reconnectFastCap) // 8: the shift stays small whatever n is
+		return clock.Backoff(n, reconnectFastFirst, reconnectFastCap)
 	}
 	return min(max(outage-reconnectFastFor, reconnectSlowFirst), reconnectSlowCap)
 }

@@ -5,6 +5,7 @@
 package clock
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -122,4 +123,24 @@ func Jitter(rng *rand.Rand, d time.Duration, frac float64) time.Duration {
 	}
 	f := 1 + frac*(2*rng.Float64()-1)
 	return time.Duration(float64(d) * f)
+}
+
+// Backoff is the doubling wait before retry n: none for n <= 0 (or a
+// non-positive first), then first·2^(n-1), capped at limit when limit is
+// positive. However large n grows, it does not overflow.
+func Backoff(n int, first, limit time.Duration) time.Duration {
+	if n <= 0 || first <= 0 {
+		return 0
+	}
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	d := first
+	for ; n > 1; n-- {
+		if d > limit/2 {
+			return limit
+		}
+		d *= 2
+	}
+	return min(d, limit)
 }

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -99,5 +100,29 @@ func TestJitterBounds(t *testing.T) {
 	}
 	if Jitter(rng, base, 0) != base {
 		t.Fatal("zero-frac jitter changed duration")
+	}
+}
+
+func TestBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		n            int
+		first, limit time.Duration
+		want         time.Duration
+	}{
+		{0, 4 * ms, 16 * ms, 0},
+		{-3, 4 * ms, 16 * ms, 0},
+		{1, 4 * ms, 16 * ms, 4 * ms},
+		{3, 4 * ms, 16 * ms, 16 * ms},
+		{4, 4 * ms, 20 * ms, 20 * ms},
+		{1 << 30, 4 * ms, 16 * ms, 16 * ms},
+		{2, 0, 16 * ms, 0},
+		{1, 5 * ms, 3 * ms, 3 * ms},                    // a first step above the cap is capped
+		{11, ms, 0, 1024 * ms},                         // no cap
+		{1 << 30, ms, 0, time.Duration(math.MaxInt64)}, // no cap, no overflow
+	} {
+		if got := Backoff(tc.n, tc.first, tc.limit); got != tc.want {
+			t.Errorf("Backoff(%d, %v, %v) = %v, want %v", tc.n, tc.first, tc.limit, got, tc.want)
+		}
 	}
 }

@@ -102,32 +102,23 @@ type targetState struct {
 	firstMissAt  time.Time // send time of the miss streak's first probe
 }
 
-// fdShared tracks the live FD incarnation so a handle can reach it across
-// restarts (the same current-pointer pattern RECHandle uses).
-type fdShared struct {
-	targets []string
-	current *FD
-}
-
 // FDHandle exposes the live failure detector's view to the host (tests,
 // the ops endpoints). FD state belongs to the dispatch context: callers
 // off that context must wrap every accessor in rt.Dispatcher.Call.
 type FDHandle struct {
-	shared *fdShared
+	targets []string
+	current *FD // the latest incarnation
 }
 
 // Targets returns the monitored component names.
 func (h *FDHandle) Targets() []string {
-	return append([]string(nil), h.shared.targets...)
+	return append([]string(nil), h.targets...)
 }
 
 // Suspected reports the live incarnation's suspicion for a target; false
 // while FD is restarting.
 func (h *FDHandle) Suspected(target string) bool {
-	if h.shared.current == nil {
-		return false
-	}
-	return h.shared.current.Suspected(target)
+	return h.current != nil && h.current.Suspected(target)
 }
 
 // BusProven tells the live incarnation that at at, after a broker outage,
@@ -136,7 +127,7 @@ func (h *FDHandle) Suspected(target string) bool {
 // nothing (see voided). Only a fabric with connections has this to say;
 // nothing calls it on bus.Sim, which routes the instant mbus is ready.
 func (h *FDHandle) BusProven(at time.Time) {
-	if fd := h.shared.current; fd != nil {
+	if fd := h.current; fd != nil {
 		fd.busProvenAt = at
 	}
 }
@@ -146,24 +137,24 @@ func (h *FDHandle) BusProven(at time.Time) {
 // broker names the message bus; restartREC performs the special-case REC
 // recovery.
 func NewFD(p FDParams, targets []string, broker string, restartREC func()) (func() proc.Handler, *FDHandle) {
-	shared := &fdShared{targets: append([]string(nil), targets...)}
+	h := &FDHandle{targets: append([]string(nil), targets...)}
 	factory := func() proc.Handler {
 		fd := &FD{
 			params:           p,
-			targets:          append([]string(nil), shared.targets...),
+			targets:          append([]string(nil), h.targets...),
 			broker:           broker,
 			restartREC:       restartREC,
-			targetSt:         make(map[string]*targetState, len(shared.targets)),
+			targetSt:         make(map[string]*targetState, len(h.targets)),
 			lastSuspectRelay: make(map[string]time.Time),
 			lastSubReport:    make(map[string]time.Time),
 		}
-		for _, t := range shared.targets {
+		for _, t := range h.targets {
 			fd.targetSt[t] = &targetState{}
 		}
-		shared.current = fd
+		h.current = fd
 		return fd
 	}
-	return factory, &FDHandle{shared: shared}
+	return factory, h
 }
 
 // Start implements proc.Handler.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
@@ -110,6 +111,7 @@ type REC struct {
 	// restartFD performs FD's recovery.
 	restartFD func()
 
+	ctx       proc.Context // this incarnation's; its timers die with it
 	ready     bool
 	seq       uint64
 	nonce     uint64
@@ -126,34 +128,23 @@ type REC struct {
 	fdPing, fdVerify func()
 }
 
-// recShared carries the long-lived wiring a fresh REC incarnation needs.
-type recShared struct {
-	params    RECParams
-	tree      *Tree
-	policy    *Policy
-	mgr       *proc.Manager
-	restartFD func()
-	current   *REC
-}
-
 // RECHandle lets the host read the tree, the policy and the live
 // handler's give-up verdicts.
 type RECHandle struct {
-	shared *recShared
+	tree    *Tree
+	policy  *Policy
+	current *REC // the latest incarnation
 }
 
 // Tree returns the active restart tree.
-func (h *RECHandle) Tree() *Tree { return h.shared.tree }
+func (h *RECHandle) Tree() *Tree { return h.tree }
 
 // Oracle returns the active policy.
-func (h *RECHandle) Oracle() *Policy { return h.shared.policy }
+func (h *RECHandle) Oracle() *Policy { return h.policy }
 
 // Abandoned reports whether the policy has given up on a component.
 func (h *RECHandle) Abandoned(component string) bool {
-	if h.shared.current == nil {
-		return false
-	}
-	return h.shared.current.abandoned[component]
+	return h.current != nil && h.current.abandoned[component]
 }
 
 // NewREC returns a factory for REC handlers plus a handle on them.
@@ -161,32 +152,26 @@ func (h *RECHandle) Abandoned(component string) bool {
 // restart loses it, exactly as a process restart would. The policy is this
 // REC's own (a Policy is not shareable between recoverers).
 func NewREC(p RECParams, tree *Tree, policy *Policy, mgr *proc.Manager, restartFD func()) (func() proc.Handler, *RECHandle) {
-	shared := &recShared{
-		params:    p,
-		tree:      tree,
-		policy:    policy,
-		mgr:       mgr,
-		restartFD: restartFD,
-	}
+	h := &RECHandle{tree: tree, policy: policy}
 	// Restart-completion bookkeeping must survive handler churn, so the
 	// subscriptions forward to whichever incarnation is current.
 	mgr.OnReady(func(name string) {
-		if shared.current != nil {
-			shared.current.onReady(name)
+		if h.current != nil {
+			h.current.onReady(name)
 		}
 	})
 	mgr.OnDown(func(name, reason string) {
-		if shared.current != nil {
-			shared.current.onDownEvent(name, reason)
+		if h.current != nil {
+			h.current.onDownEvent(name, reason)
 		}
 	})
 	factory := func() proc.Handler {
-		r := &REC{
-			params:    shared.params,
-			tree:      shared.tree,
-			policy:    shared.policy,
-			mgr:       shared.mgr,
-			restartFD: shared.restartFD,
+		h.current = &REC{
+			params:    p,
+			tree:      tree,
+			policy:    policy,
+			mgr:       mgr,
+			restartFD: restartFD,
 			episodes:  make(map[string]*episode),
 			inFlight:  make(map[string]bool),
 			history:   make(map[string][]time.Time),
@@ -194,14 +179,14 @@ func NewREC(p RECParams, tree *Tree, policy *Policy, mgr *proc.Manager, restartF
 			lastRejuv: make(map[string]time.Time),
 			readyAt:   make(map[string]time.Time),
 		}
-		shared.current = r
-		return r
+		return h.current
 	}
-	return factory, &RECHandle{shared: shared}
+	return factory, h
 }
 
 // Start implements proc.Handler.
 func (r *REC) Start(ctx proc.Context) {
+	r.ctx = ctx
 	ctx.After(r.params.Startup, func() {
 		r.ready = true
 		ctx.Ready()
@@ -398,22 +383,7 @@ func (r *REC) press(ctx proc.Context, component string, node *Node, set []string
 // action, given how many restarts the component already has inside the
 // budget window. Deterministic (no RNG), so seeded trials stay exact.
 func (r *REC) restartBackoff(recent int) time.Duration {
-	base := r.params.RestartBackoff
-	if base <= 0 || recent <= 0 {
-		return 0
-	}
-	lim := r.params.RestartBackoffMax
-	bo := base
-	for i := 1; i < recent; i++ {
-		bo *= 2
-		if lim > 0 && bo >= lim {
-			return lim
-		}
-	}
-	if lim > 0 && bo > lim {
-		return lim
-	}
-	return bo
+	return clock.Backoff(recent, r.params.RestartBackoff, r.params.RestartBackoffMax)
 }
 
 // onReady tracks restart-action completion for episode verdicts. It is
@@ -459,9 +429,9 @@ func (r *REC) onDownEvent(name, reason string) {
 
 // scheduleVerdict settles the episode as cured once the persistence window
 // passes without the failure re-manifesting: the policy gets its verdict
-// and the restart budget is refunded.
+// and the restart budget is refunded. A killed REC settles nothing.
 func (r *REC) scheduleVerdict(comp string, ep *episode) {
-	r.mgr.Clock().AfterFunc(r.params.PersistWindow+100*time.Millisecond, func() {
+	r.ctx.After(r.params.PersistWindow+100*time.Millisecond, func() {
 		if r.episodes[comp] == ep && ep.awaitingVerdict {
 			r.resolveCured(comp, ep)
 		}

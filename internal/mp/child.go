@@ -86,37 +86,9 @@ func SpecFromEnv() (ChildConfig, bool) {
 // functionally ready; the supervisor scans for it.
 const readyPrefix = "MERCURY-READY"
 
-// hangCommand is the bus command the supervisor sends to make a child
-// unresponsive (injected hang faults).
+// hangCommand is the bus command the supervisor sends to silence a child
+// (injected hang faults).
 const hangCommand = "sys-hang"
-
-// clientTransport adapts a TCP bus client to proc.Transport.
-type clientTransport struct {
-	c bus.Conn
-}
-
-func (t clientTransport) Send(m *xmlcmd.Message) { t.c.Send(m) }
-
-// hangable wraps a component handler so the supervisor can inject hangs:
-// once hung, the component silently drops everything — alive at the OS
-// level, dead at the application level.
-type hangable struct {
-	inner proc.Handler
-	hung  bool
-}
-
-func (h *hangable) Start(ctx proc.Context) { h.inner.Start(ctx) }
-
-func (h *hangable) Receive(ctx proc.Context, m *xmlcmd.Message) {
-	if m.Kind() == xmlcmd.KindCommand && m.Command.Name == hangCommand {
-		h.hung = true
-		return
-	}
-	if h.hung {
-		return
-	}
-	h.inner.Receive(ctx, m)
-}
 
 // RunChild hosts one station component in this OS process. It connects to
 // the bus (retrying while the broker boots), starts the component with the
@@ -143,7 +115,14 @@ func RunChild(cfg ChildConfig) error {
 	log := trace.NewLog()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mgr := proc.NewManager(clk, rng, log)
-	disp.DeliverTo(mgr.Deliver)
+	// The supervisor's hang command silences the component: it stays up
+	// at the OS level and goes fail-silent, as a hang does in-process.
+	disp.DeliverTo(func(m *xmlcmd.Message) bool {
+		if m.Kind() == xmlcmd.KindCommand && m.Command.Name == hangCommand {
+			return mgr.Silence(cfg.Component) == nil
+		}
+		return mgr.Deliver(m)
+	})
 
 	layout := station.Split
 	if cfg.Layout == station.Monolithic.String() {
@@ -156,9 +135,7 @@ func RunChild(cfg ChildConfig) error {
 
 	// Registered before the first inbound message can reach Deliver: the
 	// dispatcher reads the process table the moment a client is dialled.
-	if err := mgr.Register(cfg.Component, func() proc.Handler {
-		return &hangable{inner: factory()}
-	}); err != nil {
+	if err := mgr.Register(cfg.Component, factory); err != nil {
 		return err
 	}
 
@@ -178,13 +155,16 @@ func RunChild(cfg ChildConfig) error {
 		time.Sleep(100 * time.Millisecond)
 	}
 	defer client.Close()
-	mgr.SetTransport(clientTransport{c: client})
+	mgr.SetTransport(client)
 
 	died := make(chan string, 1)
 	mgr.OnReady(func(name string) {
 		fmt.Printf("%s %s %d\n", readyPrefix, name, cfg.Incarnation)
 	})
 	mgr.OnDown(func(name, reason string) {
+		if st, _ := mgr.State(name); st != proc.Dead {
+			return // silenced: hung, not gone
+		}
 		select {
 		case died <- reason:
 		default:

@@ -85,7 +85,7 @@ func restartCounts(mgr *proc.Manager, comps []string) map[string]int {
 
 // onSim runs the script on the simulator — the reference the live runtimes
 // are held to.
-func onSim(t *testing.T, tree, manifest string, cure []string) outcome {
+func onSim(t *testing.T, tree, manifest string, hang bool, cure []string) outcome {
 	t.Helper()
 	sys, err := mercury.NewSystem(mercury.Config{Seed: 1, TreeName: tree})
 	if err != nil {
@@ -95,7 +95,7 @@ func onSim(t *testing.T, tree, manifest string, cure []string) outcome {
 		t.Fatal(err)
 	}
 	before := restartCounts(sys.Mgr, cure)
-	if _, err := sys.MeasureRecovery(mercury.Fault{Component: manifest}, 5*time.Minute); err != nil {
+	if _, err := sys.MeasureRecovery(mercury.Fault{Component: manifest, Hang: hang}, 5*time.Minute); err != nil {
 		t.Fatalf("sim: %v", err)
 	}
 	if !sys.Whole() {
@@ -106,11 +106,11 @@ func onSim(t *testing.T, tree, manifest string, cure []string) outcome {
 
 // onHost runs the script on a booted wall-clock host; the in-process node
 // and the supervisor are both one.
-func onHost(t *testing.T, name string, h *rt.Host, manifest string, cure []string) outcome {
+func onHost(t *testing.T, name string, h *rt.Host, manifest string, hang bool, cure []string) outcome {
 	t.Helper()
 	var before map[string]int
 	h.Disp.Call(func() { before = restartCounts(h.Mgr, cure) })
-	if err := h.Inject(fault.Fault{Manifest: manifest}); err != nil {
+	if err := h.Inject(fault.Fault{Manifest: manifest, Hang: hang}); err != nil {
 		t.Fatalf("%s: inject: %v", name, err)
 	}
 	if err := h.WaitRecovered(60 * time.Second); err != nil {
@@ -128,19 +128,23 @@ func onHost(t *testing.T, name string, h *rt.Host, manifest string, cure []strin
 // cure set is back — on the simulator, on the in-process node and across
 // real child processes. All three are wired by one
 // assemble.Assemble, so what this pins is that the runtimes differ in
-// clock and transport only.
+// clock and transport only; the hang script pins that a hang is a
+// silencing under each.
 func TestConformance(t *testing.T) {
 	const tree, scale = "IV", 50
 	for _, sc := range []struct {
+		name     string
 		manifest string
+		hang     bool
 		cure     []string // the cell restarted as one
 	}{
-		{station.RTU, []string{station.RTU}},
-		{station.SES, []string{station.SES, station.STR}}, // consolidated cell
+		{station.RTU, station.RTU, false, []string{station.RTU}},
+		{station.SES, station.SES, false, []string{station.SES, station.STR}}, // consolidated cell
+		{"rtu-hang", station.RTU, true, []string{station.RTU}},
 	} {
 		sc := sc
-		t.Run(sc.manifest, func(t *testing.T) {
-			want := onSim(t, tree, sc.manifest, sc.cure)
+		t.Run(sc.name, func(t *testing.T) {
+			want := onSim(t, tree, sc.manifest, sc.hang, sc.cure)
 			if len(want.nodes) == 0 {
 				t.Fatal("sim pushed no restart for the injected component")
 			}
@@ -166,7 +170,7 @@ func TestConformance(t *testing.T) {
 			defer sup.Stop()
 
 			for name, h := range map[string]*rt.Host{"rt": node.Host, "mp": sup.Host} {
-				got := onHost(t, name, h, sc.manifest, sc.cure)
+				got := onHost(t, name, h, sc.manifest, sc.hang, sc.cure)
 				if len(got.crossed) > 0 {
 					t.Logf("%s: unscripted %v crossed the episode (pushed %v, restarted %v); not compared",
 						name, got.crossed, got.nodes, got.restarts)

@@ -5,16 +5,19 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"github.com/recursive-restart/mercury/internal/bus"
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/rt"
 	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
 // TestMain doubles as the component-child entry point: when the supervisor
@@ -103,6 +106,57 @@ func TestMultiProcessHangRecovery(t *testing.T) {
 	}
 	if sup.ChildPID(station.RTU) == oldPID {
 		t.Fatal("hung rtu child was not replaced")
+	}
+}
+
+// TestMultiProcessHungChildSendsNothing: a hang silences the child's own
+// process, so a hung ses stops its telemetry and its commands to str and
+// rtu, not only its replies. REC's decision delay outlasts the test, so
+// the hung child stays up to be watched.
+func TestMultiProcessHungChildSendsNothing(t *testing.T) {
+	rec := rt.RECParamsForScale(mpScale)
+	rec.DecisionDelay = time.Hour
+	sup, err := StartSupervisor(SupervisorConfig{
+		ListenAddr: "127.0.0.1:0",
+		Scale:      mpScale,
+		TreeName:   "IV",
+		Seed:       1,
+		RECParams:  &rec,
+	})
+	if err != nil {
+		t.Fatalf("StartSupervisor: %v", err)
+	}
+	t.Cleanup(sup.Stop)
+
+	// Stand in for ops, the addressee of ses's telemetry.
+	var frames atomic.Int64
+	ops, err := bus.DialAuto(sup.BusAddr(), station.Ops, func(m *xmlcmd.Message) {
+		if m.From == station.SES {
+			frames.Add(1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ops.Close()
+	period := time.Duration(float64(station.DefaultParams(time.Now()).TelemetryPeriod) / mpScale)
+	for deadline := time.Now().Add(10 * time.Second); frames.Load() == 0; time.Sleep(period) {
+		if time.Now().After(deadline) {
+			t.Fatal("no telemetry from a serving ses")
+		}
+	}
+
+	if err := sup.Inject(fault.Fault{Manifest: station.SES, Hang: true}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * period) // the hang command's hop, and frames already on the wire
+	before := frames.Load()
+	time.Sleep(10 * period)
+	if n := frames.Load() - before; n > 0 {
+		t.Fatalf("hung ses sent %d frames in %d telemetry periods", n, 10)
+	}
+	if pid := sup.ChildPID(station.SES); pid == 0 || syscall.Kill(pid, 0) != nil {
+		t.Fatal("the hung child is gone; a hang must keep it up")
 	}
 }
 

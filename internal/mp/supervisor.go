@@ -98,6 +98,24 @@ func (h *proxyHandler) Receive(proc.Context, *xmlcmd.Message) {
 	// Children receive their own bus traffic; nothing arrives here.
 }
 
+// Down ends the child with its incarnation. A silencing is forwarded
+// instead: the child silences its own process, so a hang means in a child
+// what it means in-process.
+func (h *proxyHandler) Down(reason string) {
+	s := h.sup
+	if reason == proc.ReasonSilenced {
+		s.seq++
+		s.Client(ctlName).Send(xmlcmd.NewCommand(ctlName, h.component, s.seq, hangCommand))
+		return
+	}
+	s.mu.Lock()
+	if s.current[h.component] == h {
+		delete(s.current, h.component)
+	}
+	h.end()
+	s.mu.Unlock()
+}
+
 // spawnChild launches this incarnation's component process and watches it.
 func (h *proxyHandler) spawnChild(spec ChildConfig, ctx proc.Context) {
 	s := h.sup
@@ -199,25 +217,6 @@ func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		return nil, err
 	}
 	s.Host = host
-
-	// Component death ends the child process; an injected hang is
-	// forwarded to the child. mbus, FD and REC live in the parent and have
-	// nothing external to clean up here.
-	s.Mgr.OnDown(func(name, reason string) {
-		switch {
-		case name == station.MBus || name == xmlcmd.AddrFD || name == xmlcmd.AddrREC:
-		case reason == proc.ReasonSilenced:
-			s.seq++
-			s.Client(ctlName).Send(xmlcmd.NewCommand(ctlName, name, s.seq, hangCommand))
-		default:
-			s.mu.Lock()
-			if h := s.current[name]; h != nil {
-				delete(s.current, name)
-				h.end()
-			}
-			s.mu.Unlock()
-		}
-	})
 
 	// The parent sends for FD and for the mbus handler; the station batch
 	// spawns every child, which takes longer than an in-process start.

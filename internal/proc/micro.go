@@ -48,7 +48,7 @@ func (m *Manager) RegisterSub(parent, short string) error {
 	if _, ok := m.procs[full]; ok {
 		return fmt.Errorf("%w: %s", ErrAlreadyExists, full)
 	}
-	s := &Process{name: full, short: short, mgr: m, parent: p, state: Stopped}
+	s := &Process{name: full, short: short, mgr: m, parent: p}
 	m.procs[full] = s
 	p.subs = append(p.subs, s)
 	m.subOrder = append(m.subOrder, full)
@@ -94,29 +94,19 @@ func (m *Manager) Microreboot(name string) error {
 	for _, fn := range m.onBatch {
 		fn([]string{name})
 	}
-	s.gen++
-	s.restarts++
-	s.state = Starting
-	s.startedAt = m.clk.Now()
-	M.Microreboots.Inc()
 	d := h.SubMicroreboot(s.short)
-	m.log.Add(m.clk.Now(), trace.ComponentStarting, name, "",
-		fmt.Sprintf("microreboot=%d reinit=%.2fs", s.restarts, d.Seconds()))
-	gen, pgen := s.gen, p.gen
-	m.clk.AfterFunc(d, func() {
-		// A kill, a parent restart or a newer microreboot supersedes this one.
-		if s.gen != gen || s.state != Starting || p.gen != pgen || p.state != Running {
-			return
-		}
-		s.state = Running
-		s.readyAt = m.clk.Now()
-		m.log.Add(s.readyAt, trace.ComponentReady, name, "",
-			fmt.Sprintf("microreboot=%d reattached", s.restarts))
-		for _, fn := range m.onReady {
-			fn(name)
-		}
-	})
+	s.restarts++
+	M.Microreboots.Inc()
+	s.move(evBegin, trace.ComponentStarting, fmt.Sprintf("microreboot=%d reinit=%.2fs", s.restarts, d.Seconds()))
+	// A kill, a process restart or a newer microreboot ends this
+	// incarnation of the sub, and with it the reattach.
+	s.after(s.gen, d, s.reattach)
 	return nil
+}
+
+// reattach ends a microreboot: the sub's logic is functional again.
+func (s *Process) reattach() {
+	s.move(evReady, trace.ComponentReady, fmt.Sprintf("microreboot=%d reattached", s.restarts))
 }
 
 // subKill crashes a subcomponent's logic inside a live container. With the
@@ -131,12 +121,8 @@ func (s *Process) subKill(reason string) error {
 	if !ok {
 		return fmt.Errorf("proc: %s does not host microrebootable subcomponents", p.name)
 	}
-	s.state = Dead
 	h.SubFail(s.short)
-	s.mgr.log.Add(s.mgr.clk.Now(), trace.ComponentDown, s.name, "", reason)
-	for _, fn := range s.mgr.onDown {
-		fn(s.name, reason)
-	}
+	s.move(evDown, trace.ComponentDown, reason)
 	return nil
 }
 

@@ -30,8 +30,8 @@ type State int
 
 // Process states.
 const (
-	// Stopped means never started or gracefully stopped.
-	Stopped State = iota + 1
+	// Stopped means never started: a record's zero state.
+	Stopped State = iota
 	// Starting means the startup sequence is running; the component may
 	// exchange protocol messages (e.g. ses/str resync) but is not ready.
 	Starting
@@ -81,6 +81,17 @@ type Handler interface {
 	// Receive handles a message delivered from the bus. It is called only
 	// while the process is Starting or Running.
 	Receive(ctx Context, m *xmlcmd.Message)
+}
+
+// Downer is implemented by a handler that holds something outside the
+// manager — a listener, a child process — that must not outlive its
+// incarnation. Down runs when the incarnation goes down, after the OnDown
+// listeners, with the same reason they get: ReasonSilenced when it is
+// silenced, the death's reason when it dies. A silenced incarnation that
+// later dies hears both.
+type Downer interface {
+	Handler
+	Down(reason string)
 }
 
 // Transport sends a message into the message fabric. It is implemented by
@@ -235,7 +246,6 @@ func (m *Manager) Register(name string, factory func() Handler) error {
 		name:    name,
 		factory: factory,
 		mgr:     m,
-		state:   Stopped,
 	}
 	m.order = append(m.order, name)
 	return nil
@@ -267,7 +277,9 @@ func (m *Manager) Names() []string {
 // Listeners run synchronously in registration order.
 func (m *Manager) OnReady(fn func(name string)) { m.onReady = append(m.onReady, fn) }
 
-// OnDown registers fn to run whenever a process dies (kill or crash).
+// OnDown registers fn to run whenever a process or subcomponent goes
+// down: with the death's reason when it dies (kill, crash, restart
+// teardown), with ReasonSilenced when it is silenced.
 func (m *Manager) OnDown(fn func(name, reason string)) { m.onDown = append(m.onDown, fn) }
 
 // OnBatch registers fn to run at the start of every restart batch with the
@@ -362,9 +374,7 @@ func (m *Manager) Restart(names []string) error {
 		return err
 	}
 	for _, name := range procs {
-		if p := m.procs[name]; p.live() {
-			p.die(trace.ComponentKilled, ReasonRestart)
-		}
+		m.procs[name].move(evDown, trace.ComponentKilled, ReasonRestart)
 	}
 	if len(procs) > 0 {
 		if err := m.StartBatch(procs); err != nil {
@@ -389,9 +399,7 @@ func (m *Manager) Kill(name, reason string) error {
 	if p.parent != nil {
 		return p.subKill(reason)
 	}
-	if p.live() {
-		p.die(trace.ComponentDown, reason)
-	}
+	p.move(evDown, trace.ComponentDown, reason)
 	return nil
 }
 
@@ -408,13 +416,7 @@ func (m *Manager) Silence(name string) error {
 	if p.parent != nil {
 		return p.subKill(detail)
 	}
-	if !p.silenced && p.live() {
-		p.silenced = true
-		m.log.Add(m.clk.Now(), trace.ComponentDown, name, "", detail)
-		for _, fn := range m.onDown {
-			fn(name, ReasonSilenced)
-		}
-	}
+	p.move(evSilence, trace.ComponentDown, detail)
 	return nil
 }
 
@@ -513,50 +515,101 @@ func (m *Manager) ReadyAt(name string) (time.Time, error) {
 
 // start launches a fresh incarnation.
 func (p *Process) start(stretch float64) {
-	p.gen++
 	if p.everStarted {
 		p.restarts++
 	}
 	M.Starts.Inc()
-	p.state = Starting
-	p.silenced = false
 	p.stretch = stretch
-	p.startedAt = p.mgr.clk.Now()
+	p.move(evBegin, trace.ComponentStarting, fmt.Sprintf("incarnation=%d stretch=%.3f", p.gen+1, stretch))
 	p.handler = p.factory()
-	p.mgr.log.Add(p.startedAt, trace.ComponentStarting, p.name, "",
-		fmt.Sprintf("incarnation=%d stretch=%.3f", p.gen, stretch))
-	// Subcomponents come up with their container.
-	for _, s := range p.subs {
-		s.gen++
-		s.state = Starting
-		s.startedAt = p.startedAt
-	}
 	p.ctx = &procCtx{p: p, gen: p.gen}
 	p.handler.Start(p.ctx)
 }
 
-// die terminates the current incarnation. OnDown listeners fire for every
-// death — failures and restart-action teardowns alike — so supervisors of
-// external resources (a real TCP listener, a child OS process) always get
-// to release them; the reason string distinguishes the cases.
-func (p *Process) die(kind trace.Kind, reason string) {
-	p.state = Dead
-	M.Deaths.Inc()
-	p.handler = nil
-	p.mgr.log.Add(p.mgr.clk.Now(), kind, p.name, "", reason)
-	for _, fn := range p.mgr.onDown {
-		fn(p.name, reason)
+// event is one row of the lifecycle table; see move.
+type event int
+
+const (
+	evBegin   event = iota + 1 // a new incarnation: any state → Starting
+	evReady                    // Starting → Running
+	evDown                     // Starting or Running → Dead
+	evSilence                  // live and responsive → silenced, state kept
+)
+
+// move is the lifecycle's one transition function and the only writer of
+// state and silenced. Within an incarnation a process only moves forward:
+//
+//	evBegin    any                  → Starting, incarnation+1, silenced cleared
+//	evReady    Starting             → Running
+//	evDown     Starting, Running    → Dead
+//	evSilence  live, not silenced   → silenced
+//
+// Any other move is a no-op and reports false. An applied move writes its
+// trace line (kind 0 writes none: a sub carried along by its process),
+// tells the OnReady or OnDown listeners — a silencing's reason is
+// ReasonSilenced, a death's is detail — and then a Downer handler. A
+// process's subcomponents follow it through begin, ready and down, after
+// it; a sub killed while its process starts stays Dead at the ready mark.
+func (p *Process) move(ev event, kind trace.Kind, detail string) bool {
+	now := p.mgr.clk.Now()
+	h := p.handler
+	switch ev {
+	case evBegin:
+		p.gen++
+		p.state, p.silenced = Starting, false
+		p.startedAt = now
+	case evReady:
+		if p.state != Starting {
+			return false
+		}
+		p.state = Running
+		p.readyAt = now
+	case evDown:
+		if !p.live() {
+			return false
+		}
+		p.state = Dead
+		p.handler = nil
+		if p.parent == nil {
+			M.Deaths.Inc()
+		}
+	case evSilence:
+		if !p.live() || p.silenced {
+			return false
+		}
+		p.silenced = true
 	}
-	// Subcomponents die with their container, after it.
-	for _, s := range p.subs {
-		if s.live() {
-			s.state = Dead
-			for _, fn := range p.mgr.onDown {
-				fn(s.name, reason)
-			}
+	if kind != 0 {
+		p.mgr.log.Add(now, kind, p.name, "", detail)
+	}
+	switch ev {
+	case evReady:
+		for _, fn := range p.mgr.onReady {
+			fn(p.name)
+		}
+	case evDown, evSilence:
+		reason := detail
+		if ev == evSilence {
+			reason = ReasonSilenced
+		}
+		for _, fn := range p.mgr.onDown {
+			fn(p.name, reason)
+		}
+		if d, ok := h.(Downer); ok {
+			d.Down(reason)
+		}
+		if ev == evSilence {
+			return true // a sub of a silenced process stays as it is
 		}
 	}
+	for _, s := range p.subs {
+		s.move(ev, 0, detail)
+	}
+	return true
 }
+
+// current reports whether incarnation gen is p's, and live.
+func (p *Process) current(gen int) bool { return p.gen == gen && p.live() }
 
 // procCtx is the incarnation-scoped Context implementation.
 type procCtx struct {
@@ -566,9 +619,7 @@ type procCtx struct {
 
 var _ Context = (*procCtx)(nil)
 
-func (c *procCtx) valid() bool {
-	return c.p.gen == c.gen && c.p.live()
-}
+func (c *procCtx) valid() bool { return c.p.current(c.gen) }
 
 func (c *procCtx) Name() string       { return c.p.name }
 func (c *procCtx) Incarnation() int   { return c.gen }
@@ -578,14 +629,16 @@ func (c *procCtx) Stretch() float64   { return c.p.stretch }
 func (c *procCtx) Log() *trace.Log    { return c.p.mgr.log }
 func (c *procCtx) Pool() *xmlcmd.Pool { return &c.p.mgr.msgs }
 
-// timerNode is one pending Context.After callback: a clock.Event carrying
-// the incarnation it was armed by, recycled through the manager's free list
-// so arming costs no allocation. The incarnation check runs when it fires;
-// a node armed by an incarnation that has since ended still fires — and
-// still counts as an executed kernel event — but runs nothing.
+// timerNode is one pending callback of an incarnation — a Context.After, or
+// the end of a microreboot — as a clock.Event carrying the incarnation it
+// was armed by, recycled through the manager's free list so arming costs
+// no allocation. The incarnation check runs when it fires; a node armed
+// by an incarnation that has since ended still fires — and still counts
+// as an executed kernel event — but runs nothing.
 type timerNode struct {
 	mgr *Manager
-	ctx *procCtx
+	p   *Process
+	gen int
 	fn  func()
 }
 
@@ -594,10 +647,10 @@ var _ clock.Event = (*timerNode)(nil)
 // Fire implements clock.Event. The node is back on the free list before fn
 // runs, so fn re-arming itself reuses it.
 func (n *timerNode) Fire() {
-	ctx, fn := n.ctx, n.fn
-	n.ctx, n.fn = nil, nil
+	p, gen, fn := n.p, n.gen, n.fn
+	n.p, n.fn = nil, nil
 	n.mgr.timers = append(n.mgr.timers, n)
-	if ctx.valid() {
+	if p.current(gen) {
 		fn()
 	}
 }
@@ -606,8 +659,9 @@ func (n *timerNode) Fire() {
 // 15 to 25 pending, so it pays for one or two chunks instead of a node each.
 const timerChunk = 16
 
-func (c *procCtx) After(d time.Duration, fn func()) {
-	m := c.p.mgr
+// after runs fn after d if incarnation gen of p is still current then.
+func (p *Process) after(gen int, d time.Duration, fn func()) {
+	m := p.mgr
 	if len(m.timers) == 0 {
 		chunk := make([]timerNode, timerChunk)
 		if m.timers == nil {
@@ -622,9 +676,11 @@ func (c *procCtx) After(d time.Duration, fn func()) {
 	k := len(m.timers) - 1
 	n := m.timers[k]
 	m.timers = m.timers[:k]
-	n.ctx, n.fn = c, fn
+	n.p, n.gen, n.fn = p, gen, fn
 	m.clk.Schedule(d, n)
 }
+
+func (c *procCtx) After(d time.Duration, fn func()) { c.p.after(c.gen, d, fn) }
 
 func (c *procCtx) Send(m *xmlcmd.Message) {
 	if !c.valid() || c.p.silenced {
@@ -637,34 +693,19 @@ func (c *procCtx) Send(m *xmlcmd.Message) {
 }
 
 func (c *procCtx) Ready() {
-	if !c.valid() || c.p.state == Running {
+	if !c.valid() {
 		return
 	}
 	p := c.p
-	p.state = Running
-	now := p.mgr.clk.Now()
-	p.readyAt = now
 	p.everStarted = true
-	M.Startup.Observe(now.Sub(p.startedAt))
-	p.mgr.log.Add(now, trace.ComponentReady, p.name, "",
-		fmt.Sprintf("incarnation=%d startup=%.2fs", p.gen, now.Sub(p.startedAt).Seconds()))
-	for _, fn := range p.mgr.onReady {
-		fn(p.name)
-	}
-	// Subcomponents attach when their container is ready; OnReady fires
-	// for each dotted name, so recovery actions that named them complete.
-	for _, s := range p.subs {
-		s.state = Running
-		s.readyAt = now
-		for _, fn := range p.mgr.onReady {
-			fn(s.name)
-		}
+	startup := p.mgr.clk.Now().Sub(p.startedAt)
+	if p.move(evReady, trace.ComponentReady, fmt.Sprintf("incarnation=%d startup=%.2fs", p.gen, startup.Seconds())) {
+		M.Startup.Observe(startup)
 	}
 }
 
 func (c *procCtx) Fail(reason string) {
-	if !c.valid() {
-		return
+	if c.valid() {
+		c.p.move(evDown, trace.ComponentDown, reason)
 	}
-	c.p.die(trace.ComponentDown, reason)
 }

@@ -566,6 +566,21 @@ func TestSubcomponentLifecycle(t *testing.T) {
 			}
 		},
 	}, {
+		name: "sub killed while its process starts stays dead",
+		run: func(mgr *Manager) error {
+			if err := mgr.Restart([]string{"p"}); err != nil {
+				return err
+			}
+			return mgr.Kill("p.a", "logic crash")
+		},
+		want: []string{"down p restart action", "down p.a restart action", "down p.b restart action",
+			"down p.a logic crash", "ready p", "ready p.b"},
+		check: func(t *testing.T, mgr *Manager, _ *microComp) {
+			if st, _ := mgr.State("p.a"); st != Dead || mgr.Serving("p.a") {
+				t.Errorf("p.a = %v serving=%v, want dead until a microreboot", st, mgr.Serving("p.a"))
+			}
+		},
+	}, {
 		name: "silenced parent",
 		run: func(mgr *Manager) error {
 			if err := mgr.Silence("p"); err != nil {

@@ -96,17 +96,12 @@ func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
 		h.Stop()
 		return nil, err
 	}
-	// The broker process's death must close the real listeners.
-	h.Mgr.OnDown(func(name, _ string) {
-		if name == station.MBus {
-			h.broker.CloseBroker()
-		}
-	})
 	return h, nil
 }
 
 // rtBrokerHandler is the mbus component in real-time mode: its startup
-// opens the TCP listeners, its death closes them (the host's OnDown hook).
+// opens the TCP listeners, and its incarnation going down, by death or
+// silencing, closes them.
 // Ready means the bus routes: the listeners are open and every client this
 // host runs has registered with them again. A client that stays away does
 // not hold the cell down for more than patience, one FD pong timeout.
@@ -148,6 +143,9 @@ func (h *rtBrokerHandler) awaitClients(ctx proc.Context, polls int) {
 		fd.BusProven(ctx.Now())
 	}
 }
+
+// Down closes the listeners this incarnation opened.
+func (h *rtBrokerHandler) Down(string) { h.host.broker.CloseBroker() }
 
 func (h *rtBrokerHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	if m.Kind() == xmlcmd.KindPing && h.ready {
