@@ -2,6 +2,7 @@ package bus
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -149,12 +150,13 @@ func TestTCPClientReconnectsAfterBrokerRestart(t *testing.T) {
 	defer send.Close()
 	waitFor(t, "initial registration", func() bool { return len(b.ClientNames()) == 2 })
 
-	// Broker outage: frames vanish, clients survive.
+	// Broker outage: the clients survive, and a frame sent once the
+	// sender knows it is disconnected is parked.
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	send.Send(xmlcmd.NewPing("fd", "ses", 1, 1)) // lost
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "disconnection", send.Disconnected)
+	send.Send(xmlcmd.NewPing("fd", "ses", 1, 1))
 
 	// Broker returns on the same address.
 	b2, err := listenBroker(addr)
@@ -164,10 +166,21 @@ func TestTCPClientReconnectsAfterBrokerRestart(t *testing.T) {
 	defer b2.Close()
 	waitFor(t, "reconnection", func() bool { return len(b2.ClientNames()) == 2 })
 
+	// The parked frame is flushed ahead of new traffic; it may still be
+	// lost if the receiver had not re-registered when it arrived.
 	send.Send(xmlcmd.NewPing("fd", "ses", 2, 2))
-	waitFor(t, "post-restart delivery", func() bool { return got.count() >= 1 })
-	if m := got.last(); m.Ping.Nonce != 2 {
-		t.Fatalf("got nonce %d", m.Ping.Nonce)
+	nonces := func() []uint64 {
+		got.mu.Lock()
+		defer got.mu.Unlock()
+		var out []uint64
+		for _, m := range got.msgs {
+			out = append(out, m.Ping.Nonce)
+		}
+		return out
+	}
+	waitFor(t, "post-restart delivery", func() bool { return slices.Contains(nonces(), 2) })
+	if n := nonces(); !slices.Equal(n, []uint64{2}) && !slices.Equal(n, []uint64{1, 2}) {
+		t.Fatalf("delivered nonces %v, want [1 2] or [2]", n)
 	}
 }
 

@@ -52,6 +52,8 @@ func DefaultFDParams() FDParams {
 // FD also monitors REC over the dedicated link and, as the paper's special
 // case requires, initiates REC's recovery itself when REC dies (the
 // procedural knowledge for everything else lives in REC).
+// The components' health beacons (paper §7) are addressed to FD, which
+// drops them: nothing reads them.
 type FD struct {
 	params  FDParams
 	targets []string
@@ -61,16 +63,15 @@ type FD struct {
 	// on the dispatch context.
 	restartREC func()
 
-	ready            bool
-	seq              uint64
-	nonce            uint64
-	targetSt         map[string]*targetState
-	lastBrokerPong   time.Time
-	busProvenAt      time.Time // FDHandle.BusProven: when the host last saw the bus route again
-	lastSuspectRelay map[string]time.Time
-	lastSubReport    map[string]time.Time
-	recMissed        int
-	recNonce         uint64 // nonce of the REC ping awaiting its pong, 0 = none
+	ready          bool
+	seq            uint64
+	nonce          uint64
+	targetSt       map[string]*targetState
+	lastBrokerPong time.Time
+	busProvenAt    time.Time // FDHandle.BusProven: when the host last saw the bus route again
+	lastSubReport  map[string]time.Time
+	recMissed      int
+	recNonce       uint64 // nonce of the REC ping awaiting its pong, 0 = none
 
 	// The REC monitoring loop, bound once at Start.
 	recPing, recVerify func()
@@ -140,13 +141,12 @@ func NewFD(p FDParams, targets []string, broker string, restartREC func()) (func
 	h := &FDHandle{targets: append([]string(nil), targets...)}
 	factory := func() proc.Handler {
 		fd := &FD{
-			params:           p,
-			targets:          append([]string(nil), h.targets...),
-			broker:           broker,
-			restartREC:       restartREC,
-			targetSt:         make(map[string]*targetState, len(h.targets)),
-			lastSuspectRelay: make(map[string]time.Time),
-			lastSubReport:    make(map[string]time.Time),
+			params:        p,
+			targets:       append([]string(nil), h.targets...),
+			broker:        broker,
+			restartREC:    restartREC,
+			targetSt:      make(map[string]*targetState, len(h.targets)),
+			lastSubReport: make(map[string]time.Time),
 		}
 		for _, t := range h.targets {
 			fd.targetSt[t] = &targetState{}
@@ -420,18 +420,6 @@ func (fd *FD) Receive(ctx proc.Context, m *xmlcmd.Message) {
 			ctx.Log().Add(now, trace.FailureDetected, sub, "", "subfault reported to rec")
 			fd.seq++
 			ctx.Send(ctx.Pool().Event(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "failure", sub))
-		}
-	case xmlcmd.KindHealth:
-		// Health-summary beacons (paper §7): warnings of suspect behaviour
-		// that has not yet caused a failure are relayed to REC, whose
-		// rejuvenation policy may act on them.
-		if m.Health.Suspect && fd.ready {
-			now := ctx.Now()
-			if last, ok := fd.lastSuspectRelay[m.From]; !ok || now.Sub(last) >= fd.params.ReReportInterval {
-				fd.lastSuspectRelay[m.From] = now
-				fd.seq++
-				ctx.Send(ctx.Pool().Event(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "suspect", m.From))
-			}
 		}
 	}
 }

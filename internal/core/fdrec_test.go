@@ -412,7 +412,7 @@ func TestEscalationStopsAtRoot(t *testing.T) {
 // manager's view can lag reality, e.g. a hung child process).
 func TestReadyGraceIgnoresStaleReports(t *testing.T) {
 	h := newHarness(t, 11, treeII(t), &Policy{})
-	// Recover once so REC has a readyAt record for a.
+	// Recover once, so a has just become ready again.
 	if err := h.board.Inject(fault.Fault{Manifest: "a"}); err != nil {
 		t.Fatal(err)
 	}

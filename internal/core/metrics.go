@@ -34,7 +34,6 @@ type CoreMetrics struct {
 	RECMicroreboots   obs.Counter     // recovery actions resolved as pure microreboots
 	RECBackoffWaits   obs.Counter     // restart actions damped by exponential backoff
 	RECGiveUps        obs.Counter     // components abandoned on budget exhaustion
-	RECRejuvenations  obs.Counter     // proactive rejuvenation restarts
 	RECFDRecoveries   obs.Counter     // special-case FD recoveries initiated by REC
 
 	// RECRecovery is failure report → restart set fully ready: the
@@ -105,8 +104,6 @@ func RegisterMetrics(r *obs.Registry) {
 		"Restart actions damped by exponential backoff.", &M.RECBackoffWaits)
 	r.RegisterCounter("mercury_rec_give_ups_total",
 		"Components abandoned on restart-budget exhaustion.", &M.RECGiveUps)
-	r.RegisterCounter("mercury_rec_rejuvenations_total",
-		"Proactive rejuvenation restarts.", &M.RECRejuvenations)
 	r.RegisterCounter("mercury_rec_fd_recoveries_total",
 		"Special-case FD recoveries initiated by the recoverer.", &M.RECFDRecoveries)
 	r.RegisterHistogram("mercury_rec_recovery_seconds",

@@ -19,8 +19,8 @@ import (
 var ErrNoComponents = errors.New("core: optimizer needs components")
 
 // GroupCells creates a joint inner node over two components' cells (they
-// must be siblings): the structural move behind tree III's [fedr pbcom]
-// node.
+// must be siblings, and not the only content of their parent): the
+// structural move behind tree III's [fedr pbcom] node.
 func GroupCells(t *Tree, name, a, b string) (*Tree, error) {
 	if a == b {
 		return nil, fmt.Errorf("core: cannot group %q with itself", a)
@@ -44,6 +44,11 @@ func GroupCells(t *Tree, name, a, b string) (*Tree, error) {
 		return nil, fmt.Errorf("core: %q and %q are not sibling cells", a, b)
 	}
 	parent := ca.Parent()
+	if len(parent.Components) == 0 && len(parent.Children) == 2 {
+		// The joint cell would duplicate parent, and LowestCovering
+		// would find the copy instead of parent.
+		return nil, fmt.Errorf("core: %q and %q are already all of their parent cell", a, b)
+	}
 	joint := &Node{Children: []*Node{ca, cb}}
 	kept := parent.Children[:0]
 	for _, c := range parent.Children {

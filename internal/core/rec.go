@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,18 +48,6 @@ type RECParams struct {
 	// would trigger a spurious second restart.
 	ReadyGrace time.Duration
 
-	// Rejuvenate enables proactive restarts (paper §7 health-summary
-	// beacons + [9]'s software rejuvenation): when FD relays a component's
-	// "suspect" health beacon, REC restarts that component's cell before
-	// the aging turns into a failure — provided IdleCheck (if set) says
-	// the downtime is cheap right now (§5.2: not during a pass).
-	Rejuvenate bool
-	// IdleCheck reports whether proactive downtime is acceptable now;
-	// nil means always.
-	IdleCheck func() bool
-	// RejuvenateCooldown throttles proactive restarts per component.
-	RejuvenateCooldown time.Duration
-
 	// CkptRestore restores the externalized state of the restart set from
 	// the latest checkpoint, returning the modeled restore latency the
 	// action must pay before the reboot fires. Nil disables the
@@ -77,23 +66,32 @@ func DefaultRECParams() RECParams {
 		FDPingPeriod:  time.Second,
 		FDTimeout:     200 * time.Millisecond,
 		FDFailAfter:   3,
-
-		ReadyGrace:         1500 * time.Millisecond,
-		RejuvenateCooldown: 30 * time.Second,
+		ReadyGrace:    1500 * time.Millisecond,
 	}
 }
 
-// episode tracks one failure's recovery across escalation attempts.
+// phase is where an episode's current attempt stands (DESIGN.md §15).
+// An attempt only moves forward, and each gets one verdict: cured or
+// persisted. Escalation starts the next attempt at deciding.
+type phase uint8
+
+const (
+	deciding   phase = iota // action chosen, button not pushed yet
+	restarting              // button pushed, restart set not yet all ready
+	verdict                 // set ready, PersistWindow not yet passed
+	cured                   // the window passed quietly; the episode ends
+	persisted               // the failure came back in the window, or the set died before it was ready
+)
+
+// episode is one failure's recovery across escalation attempts.
 type episode struct {
-	attempt         int
-	prevAct         Action    // last action taken; Node nil before the first
-	proactive       bool      // prevAct was a rejuvenation restart, not a cure attempt
-	awaitingVerdict bool      // restart completed; watching for persistence
-	lastReadyAt     time.Time // when the restart action finished
-	pendingReady    map[string]bool
-	observed        bool        // cured verdict already reported to the policy
-	startedAt       time.Time   // when the current attempt's report arrived
-	charged         []time.Time // budget charges accrued by this episode, refunded on cure
+	phase     phase
+	attempt   int
+	act       Action          // the current attempt's action
+	startedAt time.Time       // when the current attempt's report arrived
+	settledAt time.Time       // verdict: when the set was ready; persisted: when it was known
+	waiting   map[string]bool // restarting: set members not yet ready since the press
+	charged   []time.Time     // budget charges of this episode, refunded on cure
 }
 
 // REC is the recoverer: it owns the restart tree and the policy, receives
@@ -112,15 +110,12 @@ type REC struct {
 	restartFD func()
 
 	ctx       proc.Context // this incarnation's; its timers die with it
-	ready     bool
+	ready     bool         // past its startup and not down
 	seq       uint64
 	nonce     uint64
 	episodes  map[string]*episode
-	inFlight  map[string]bool // component has a decision or restart running
 	history   map[string][]time.Time
 	abandoned map[string]bool
-	lastRejuv map[string]time.Time
-	readyAt   map[string]time.Time
 	fdNonce   uint64 // nonce of the FD ping awaiting its pong, 0 = none
 	fdMissed  int
 
@@ -154,15 +149,16 @@ func (h *RECHandle) Abandoned(component string) bool {
 func NewREC(p RECParams, tree *Tree, policy *Policy, mgr *proc.Manager, restartFD func()) (func() proc.Handler, *RECHandle) {
 	h := &RECHandle{tree: tree, policy: policy}
 	// Restart-completion bookkeeping must survive handler churn, so the
-	// subscriptions forward to whichever incarnation is current.
+	// subscriptions forward to whichever incarnation is current, while it
+	// is up: a dead or hung recoverer settles nothing.
 	mgr.OnReady(func(name string) {
-		if h.current != nil {
-			h.current.onReady(name)
+		if r := h.current; r != nil && r.ready {
+			r.onReady(name)
 		}
 	})
 	mgr.OnDown(func(name, reason string) {
-		if h.current != nil {
-			h.current.onDownEvent(name, reason)
+		if r := h.current; r != nil && r.ready {
+			r.onDownEvent(name, reason)
 		}
 	})
 	factory := func() proc.Handler {
@@ -173,11 +169,8 @@ func NewREC(p RECParams, tree *Tree, policy *Policy, mgr *proc.Manager, restartF
 			mgr:       mgr,
 			restartFD: restartFD,
 			episodes:  make(map[string]*episode),
-			inFlight:  make(map[string]bool),
 			history:   make(map[string][]time.Time),
 			abandoned: make(map[string]bool),
-			lastRejuv: make(map[string]time.Time),
-			readyAt:   make(map[string]time.Time),
 		}
 		return h.current
 	}
@@ -196,18 +189,29 @@ func (r *REC) Start(ctx proc.Context) {
 	})
 }
 
+// Down implements proc.Downer: the incarnation is dead or hung. A
+// recoverer that is down pushes no button, gives no verdict and stops
+// monitoring FD.
+func (r *REC) Down(string) { r.ready = false }
+
+// after runs fn after d if this incarnation is still up then. proc drops
+// a dead incarnation's timers, but a hung one's still fire (a silenced
+// process must still be able to finish starting), so REC's own gate is
+// here, once, for every episode timer.
+func (r *REC) after(d time.Duration, fn func()) {
+	r.ctx.After(d, func() {
+		if r.ready {
+			fn()
+		}
+	})
+}
+
 // Receive implements proc.Handler.
 func (r *REC) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	switch m.Kind() {
 	case xmlcmd.KindEvent:
-		if m.From != xmlcmd.AddrFD || !r.ready {
-			return
-		}
-		switch m.Event.Name {
-		case "failure":
+		if m.From == xmlcmd.AddrFD && r.ready && m.Event.Name == "failure" {
 			r.onFailureReport(ctx, m.Event.Detail)
-		case "suspect":
-			r.onSuspect(ctx, m.Event.Detail)
 		}
 	case xmlcmd.KindPing:
 		if r.ready {
@@ -222,13 +226,61 @@ func (r *REC) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	}
 }
 
+// move is the one writer of an episode's phase. It takes the current
+// attempt one step forward along the table in DESIGN.md §15 and does what
+// arriving there entails: a verdict is given exactly once, when the
+// attempt reaches cured or persisted. Any other move is a no-op and
+// returns false, and so is a cure before the set has been ready for a
+// whole PersistWindow.
+func (r *REC) move(comp string, ep *episode, to phase) bool {
+	now := r.mgr.Clock().Now()
+	from := ep.phase
+	switch {
+	case from == deciding && to == restarting,
+		from == restarting && (to == verdict || to == persisted),
+		from == verdict && to == persisted,
+		from == verdict && to == cured && now.Sub(ep.settledAt) > r.params.PersistWindow,
+		from == persisted && to == deciding:
+	default:
+		return false
+	}
+	ep.phase = to
+	switch to {
+	case deciding: // escalation: the next attempt
+		ep.attempt++
+		M.RECEscalations.Inc()
+	case verdict:
+		ep.settledAt = now
+		M.RECRecovery.Observe(now.Sub(ep.startedAt))
+		r.after(r.params.PersistWindow+100*time.Millisecond, func() { r.move(comp, ep, cured) })
+	case cured:
+		r.policy.ObserveAction(comp, ep.act, ep.settledAt.Sub(ep.startedAt), true)
+		r.refund(comp, ep)
+	case persisted:
+		// Only an attempt whose whole set came up measured a repair time:
+		// one that reached its verdict, or one whose last awaited member
+		// came up and went down at once (onDownEvent).
+		var elapsed time.Duration
+		switch {
+		case from == verdict:
+			elapsed = ep.settledAt.Sub(ep.startedAt)
+		case len(ep.waiting) == 0:
+			elapsed = now.Sub(ep.startedAt)
+		}
+		ep.settledAt = now
+		r.policy.ObserveAction(comp, ep.act, elapsed, false)
+	}
+	return true
+}
+
 // onFailureReport is the heart of the recovery loop.
 func (r *REC) onFailureReport(ctx proc.Context, component string) {
 	if r.abandoned[component] {
 		return
 	}
-	if r.inFlight[component] {
-		return
+	ep := r.episodes[component]
+	if ep != nil && ep.phase < verdict {
+		return // the current attempt is still deciding or restarting
 	}
 	if par := r.mgr.Parent(component); par != "" && !r.mgr.Accepting(par) {
 		// The hosting process itself is down: its own failure report
@@ -241,7 +293,7 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 		return
 	}
 	now := ctx.Now()
-	if r.mgr.Serving(component) && now.Sub(r.readyAt[component]) < r.params.ReadyGrace {
+	if readyAt, _ := r.mgr.ReadyAt(component); r.mgr.Serving(component) && now.Sub(readyAt) < r.params.ReadyGrace {
 		// The component recovered between FD's last probe and this report
 		// (detection lag right after a restart completes); acting on it
 		// would trigger a spurious second restart. A serving component
@@ -251,23 +303,17 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 		return
 	}
 
-	// A previous episode whose persistence window passed quietly is cured:
-	// settle it (verdict + budget refund) before judging the budget, so a
-	// recovery that already succeeded never counts against the component.
-	ep := r.episodes[component]
-	if ep != nil && ep.awaitingVerdict && now.Sub(ep.lastReadyAt) > r.params.PersistWindow {
-		r.resolveCured(component, ep)
+	// The report settles an attempt under watch: cured if its window
+	// passed quietly (refunded before the budget is judged, so a recovery
+	// that already succeeded never counts against the component),
+	// persisted if the failure is back inside it.
+	if ep != nil && ep.phase == verdict && !r.move(component, ep, cured) {
+		r.move(component, ep, persisted)
 	}
 
 	// Budget: a component that keeps needing restarts has a hard failure.
-	hist := r.history[component]
 	cutoff := now.Add(-r.params.BudgetWindow)
-	kept := hist[:0]
-	for _, at := range hist {
-		if at.After(cutoff) {
-			kept = append(kept, at)
-		}
-	}
+	kept := slices.DeleteFunc(r.history[component], func(at time.Time) bool { return !at.After(cutoff) })
 	r.history[component] = kept
 	if len(kept) >= r.params.MaxRestarts {
 		r.abandoned[component] = true
@@ -277,13 +323,10 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 		return
 	}
 
-	// Episode continuation: if we just finished restarting for this
-	// component and the failure is back immediately, escalate.
-	if ep != nil && ep.awaitingVerdict && now.Sub(ep.lastReadyAt) <= r.params.PersistWindow {
-		ep.attempt++
-		ep.awaitingVerdict = false
-		M.RECEscalations.Inc()
-		r.observe(component, ep, false)
+	// A failure back within the window of a persisted attempt escalates
+	// the episode; anything else opens a new one.
+	if ep != nil && ep.phase == persisted && now.Sub(ep.settledAt) <= r.params.PersistWindow {
+		r.move(component, ep, deciding)
 	} else {
 		ep = &episode{attempt: 1}
 		r.episodes[component] = ep
@@ -293,15 +336,16 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 
 	var prev *Action
 	if ep.attempt > 1 {
-		prev = &ep.prevAct
+		prev = &ep.act
 	}
 	act, err := r.policy.ChooseAction(r.tree, component, prev, ep.attempt)
 	if err != nil {
 		ctx.Log().Add(now, trace.Note, component, "", "oracle error: "+err.Error())
+		delete(r.episodes, component) // nothing was tried: the episode ends here
 		return
 	}
 	node := act.Node
-	ep.prevAct = act
+	ep.act = act
 	ctx.Log().Add(now, trace.OracleGuess, component, node.Label(),
 		fmt.Sprintf("policy=%s attempt=%d action=%s", r.policy.Name(), ep.attempt, act.Kind))
 
@@ -312,10 +356,9 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 		ctx.Log().Add(now, trace.Note, component, node.Label(),
 			fmt.Sprintf("restart backoff %v (%d recent restarts)", bo, len(kept)))
 	}
-	r.inFlight[component] = true
 	r.history[component] = append(r.history[component], now)
 	ep.charged = append(ep.charged, now)
-	ctx.After(delay, func() { r.execute(ctx, component, ep, act) })
+	r.after(delay, func() { r.execute(ctx, component, ep, act) })
 }
 
 // execute carries out the chosen action: a checkpoint-restore pays the
@@ -349,33 +392,38 @@ func (r *REC) execute(ctx proc.Context, component string, ep *episode, act Actio
 	r.push(ctx, component, ep, act.Node, set, 0, verb+strings.Join(set, " ")+"]")
 }
 
-// push is the one place a restart button gets pressed, for cures and
-// rejuvenations alike: it marks the restart set pending on the episode,
-// counts the action, logs its RestartRequested line and — after wait, the
-// checkpoint-restore latency — presses it.
+// push is the one place a restart button gets pressed: it moves the
+// attempt to restarting, counts the action, logs its RestartRequested
+// line and — after wait, the checkpoint-restore latency — presses it.
 func (r *REC) push(ctx proc.Context, component string, ep *episode, node *Node, set []string,
 	wait time.Duration, detail string) {
-	ep.pendingReady = make(map[string]bool, len(set))
-	for _, c := range set {
-		ep.pendingReady[c] = true
-	}
+	ep.waiting = nil // an earlier attempt's; the press fills it
+	r.move(component, ep, restarting)
 	M.RECRestarts.Inc()
 	M.RECRestartsByNode.With(node.Label()).Inc()
 	ctx.Log().Add(ctx.Now(), trace.RestartRequested, component, node.Label(), detail)
 	if wait > 0 {
-		ctx.After(wait, func() { r.press(ctx, component, node, set) })
+		r.after(wait, func() { r.press(ctx, component, ep, node, set) })
 		return
 	}
-	r.press(ctx, component, node, set)
+	r.press(ctx, component, ep, node, set)
 }
 
-// press has the process manager kill and respawn the restart set. A
-// button that fails clears the in-flight mark so the next failure report
-// can act again.
-func (r *REC) press(ctx proc.Context, component string, node *Node, set []string) {
+// press has the process manager kill and respawn the restart set, whose
+// members the attempt then awaits: every incarnation it watches began at
+// the press. A button that fails restarted nothing to judge: an attempt
+// still waiting on it ends its episode without a verdict, keeping its
+// charge, so the next failure report opens a new one.
+func (r *REC) press(ctx proc.Context, component string, ep *episode, node *Node, set []string) {
+	ep.waiting = make(map[string]bool, len(set))
+	for _, c := range set {
+		ep.waiting[c] = true
+	}
 	if err := r.mgr.Restart(set); err != nil {
 		ctx.Log().Add(ctx.Now(), trace.Note, component, node.Label(), "recovery failed: "+err.Error())
-		delete(r.inFlight, component)
+		if r.episodes[component] == ep && ep.phase == restarting {
+			delete(r.episodes, component)
+		}
 	}
 }
 
@@ -386,137 +434,56 @@ func (r *REC) restartBackoff(recent int) time.Duration {
 	return clock.Backoff(recent, r.params.RestartBackoff, r.params.RestartBackoffMax)
 }
 
-// onReady tracks restart-action completion for episode verdicts. It is
-// called for every component ready event in the system.
+// onReady is called for every component ready event in the system: an
+// attempt whose whole restart set is ready goes to its verdict.
 func (r *REC) onReady(name string) {
-	r.readyAt[name] = r.mgr.Clock().Now()
 	for comp, ep := range r.episodes {
-		if ep.pendingReady == nil || !ep.pendingReady[name] {
+		if ep.phase != restarting || !ep.waiting[name] {
 			continue
 		}
-		delete(ep.pendingReady, name)
-		if len(ep.pendingReady) == 0 {
-			ep.pendingReady = nil
-			ep.awaitingVerdict = true
-			ep.lastReadyAt = r.mgr.Clock().Now()
-			if !ep.startedAt.IsZero() {
-				M.RECRecovery.Observe(ep.lastReadyAt.Sub(ep.startedAt))
-			}
-			delete(r.inFlight, comp)
-			r.scheduleVerdict(comp, ep)
+		delete(ep.waiting, name)
+		if len(ep.waiting) == 0 {
+			r.move(comp, ep, verdict)
 		}
 	}
 }
 
-// onDownEvent watches for a restart action failing outright: a component
-// that dies while the action still awaits its ready never completes the
-// action, so the episode is closed as a persisting failure — the next
-// report escalates instead of deadlocking behind an in-flight action.
+// onDownEvent catches a restart cut short: when a set member goes down
+// while the attempt still awaits it — a second fault, not REC's own
+// teardown — the attempt persisted, there and then, however late FD
+// reports the component again. A member whose incarnation did come up
+// was ready, though REC has not heard it yet: a fault still active
+// silences it inside the same ready fan-out. Its ready counts, so an
+// attempt whose whole set came up keeps its duration sample.
 func (r *REC) onDownEvent(name, reason string) {
 	if reason == proc.ReasonRestart {
-		return // our own teardown preceding a respawn
+		return
 	}
+	startedAt, _ := r.mgr.StartedAt(name)
+	readyAt, _ := r.mgr.ReadyAt(name)
 	for comp, ep := range r.episodes {
-		if ep.pendingReady == nil || !ep.pendingReady[name] {
+		if ep.phase != restarting || !ep.waiting[name] {
 			continue
 		}
-		ep.pendingReady = nil
-		ep.awaitingVerdict = true
-		ep.lastReadyAt = r.mgr.Clock().Now()
-		delete(r.inFlight, comp)
+		if readyAt.After(startedAt) {
+			delete(ep.waiting, name)
+		}
+		r.move(comp, ep, persisted)
 	}
 }
 
-// scheduleVerdict settles the episode as cured once the persistence window
-// passes without the failure re-manifesting: the policy gets its verdict
-// and the restart budget is refunded. A killed REC settles nothing.
-func (r *REC) scheduleVerdict(comp string, ep *episode) {
-	r.ctx.After(r.params.PersistWindow+100*time.Millisecond, func() {
-		if r.episodes[comp] == ep && ep.awaitingVerdict {
-			r.resolveCured(comp, ep)
-		}
+// refund returns a cured episode's restart charges to the component's
+// budget. A recovery that succeeded — at any level of the ladder, a
+// microreboot included — must leave the process-level restart budget
+// untouched; without the refund, a string of independently cured cheap
+// failures would eventually trip the give-up threshold that is meant for
+// hard failures restarting cannot cure. A charge already aged out of the
+// window is simply not found.
+func (r *REC) refund(comp string, ep *episode) {
+	r.history[comp] = slices.DeleteFunc(r.history[comp], func(at time.Time) bool {
+		return slices.ContainsFunc(ep.charged, at.Equal)
 	})
-}
-
-// resolveCured closes an episode whose recovery held: beyond the oracle
-// verdict, the restart charges the episode accrued are refunded from the
-// component's budget. A recovery that succeeded — at any level of the
-// ladder, a microreboot included — must leave the process-level restart
-// budget untouched; without the refund, a string of independently cured
-// cheap failures would eventually trip the give-up threshold that is meant
-// for hard failures restarting cannot cure. Idempotent: settling the same
-// episode twice (verdict timer + quiet-resolution path) is harmless.
-func (r *REC) resolveCured(comp string, ep *episode) {
-	if !ep.observed {
-		r.observe(comp, ep, true)
-	}
-	if len(ep.charged) == 0 {
-		return
-	}
-	hist := r.history[comp]
-	kept := hist[:0]
-	ci := 0
-	for _, at := range hist {
-		if ci < len(ep.charged) && at.Equal(ep.charged[ci]) {
-			ci++
-			continue
-		}
-		kept = append(kept, at)
-	}
-	r.history[comp] = kept
 	ep.charged = nil
-}
-
-// observe reports the previous attempt's outcome to the policy, once per
-// attempt, with the action taken and its measured report→ready duration —
-// the estimator's MTTR feed. A rejuvenation restart was not a cure attempt
-// and feeds nothing; if the failure follows it anyway, the episode carries
-// on as an ordinary one.
-func (r *REC) observe(comp string, ep *episode, cured bool) {
-	if !ep.proactive {
-		var elapsed time.Duration
-		if ep.lastReadyAt.After(ep.startedAt) {
-			elapsed = ep.lastReadyAt.Sub(ep.startedAt)
-		}
-		r.policy.ObserveAction(comp, ep.prevAct, elapsed, cured)
-	}
-	ep.proactive = false
-	ep.observed = cured // a persisted failure re-opens observation
-}
-
-// onSuspect handles a relayed health-beacon warning: the component is
-// aging but has not failed yet. If rejuvenation is enabled and downtime is
-// currently cheap, restart the component's cell proactively — bounded
-// software rejuvenation, the MTTF-raising half of recursive restartability.
-func (r *REC) onSuspect(ctx proc.Context, component string) {
-	if !r.params.Rejuvenate || r.inFlight[component] || r.abandoned[component] {
-		return
-	}
-	if r.params.IdleCheck != nil && !r.params.IdleCheck() {
-		return
-	}
-	now := ctx.Now()
-	if last, ok := r.lastRejuv[component]; ok && now.Sub(last) < r.params.RejuvenateCooldown {
-		return
-	}
-	if !r.mgr.Serving(component) {
-		return // a real failure is (about to be) handled by the main path
-	}
-	node, err := r.tree.CellOf(component)
-	if err != nil {
-		return
-	}
-	r.lastRejuv[component] = now
-	r.inFlight[component] = true
-	M.RECRejuvenations.Inc()
-	ctx.Log().Add(now, trace.Note, component, node.Label(), "proactive rejuvenation restart")
-	ctx.After(r.params.DecisionDelay, func() {
-		set := node.Subtree()
-		ep := &episode{attempt: 1, prevAct: actionAt(node), proactive: true, startedAt: now}
-		r.episodes[component] = ep
-		r.push(ctx, component, ep, node, set, 0,
-			"rejuvenation restart of ["+strings.Join(set, " ")+"]")
-	})
 }
 
 // sendFDPing monitors FD over the dedicated link; REC performs FD's
@@ -532,6 +499,9 @@ func (r *REC) sendFDPing(ctx proc.Context) {
 
 // verifyFDPing: fdNonce is still set only if the pong never arrived.
 func (r *REC) verifyFDPing(ctx proc.Context) {
+	if !r.ready {
+		return // a hung recoverer's pings never left: it blames no one
+	}
 	if r.fdNonce != 0 {
 		r.fdMissed++
 		if r.fdMissed >= r.params.FDFailAfter {

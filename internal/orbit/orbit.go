@@ -353,12 +353,18 @@ func (o *Observer) lookInstant(t time.Time) (Look, error) {
 	up := o.clat*o.clon*rho.X + o.clat*o.slon*rho.Y + o.slat*rho.Z
 
 	rng := rho.Norm()
-	az := math.Atan2(east, north)
-	if az < 0 {
-		az += 2 * math.Pi
-	}
+	az := wrapAzimuth(math.Atan2(east, north))
 	elv := math.Asin(up / rng)
 	return Look{AzimuthRad: az, ElevationRad: elv, RangeKm: rng}, nil
+}
+
+// wrapAzimuth maps an atan2 angle onto [0, 2π): a negative angle too
+// small to survive adding 2π would round up to 2π, which is north.
+func wrapAzimuth(az float64) float64 {
+	if az < 0 {
+		return math.Mod(az+2*math.Pi, 2*math.Pi)
+	}
+	return az
 }
 
 // Pass is one visibility window of the satellite over the station.

@@ -459,3 +459,19 @@ func BenchmarkPassPrediction(b *testing.B) {
 		}
 	}
 }
+
+// Azimuths stay in [0, 2π): str refuses a pointing outside it, and a
+// negative atan2 result too small to survive the wrap is north.
+func TestWrapAzimuthHalfOpen(t *testing.T) {
+	for _, c := range []struct{ in, want float64 }{
+		{0, 0},
+		{-1e-17, 0},
+		{-math.Pi, math.Pi},
+		{math.Pi, math.Pi},
+		{-1, 2*math.Pi - 1},
+	} {
+		if got := wrapAzimuth(c.in); got != c.want || got >= 2*math.Pi {
+			t.Errorf("wrapAzimuth(%g) = %g, want %g", c.in, got, c.want)
+		}
+	}
+}

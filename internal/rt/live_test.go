@@ -35,7 +35,7 @@ func dialGate(t *testing.T, node *Node) *testGate {
 		f := strconv.FormatFloat(437.1e6+float64(i)*1e3, 'g', -1, 64)
 		g.mix = append(g.mix,
 			xmlcmd.NewCommand("gate", "rtu", 0, "tune", "freqHz", f),
-			xmlcmd.NewCommand("gate", "str", 0, "point", "azRad", strconv.Itoa(i), "elRad", "0.5"),
+			xmlcmd.NewCommand("gate", "str", 0, "point", "azRad", strconv.FormatFloat(0.75*float64(i), 'g', -1, 64), "elRad", "0.5"),
 			xmlcmd.NewCommand("gate", "fedr", 0, "radio-tune", "freqHz", f))
 	}
 	conn, err := bus.DialAuto(node.BusAddr(), "gate", func(m *xmlcmd.Message) {

@@ -2,6 +2,7 @@ package station
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -192,6 +193,13 @@ func (c *strComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 		el, errE := m.Command.FloatParam("elRad")
 		if errA != nil || errE != nil {
 			c.warnings++
+			return
+		}
+		if !(az >= 0 && az < 2*math.Pi && el >= -math.Pi/2 && el <= math.Pi/2) {
+			// A look angle no antenna can take is refused like a bad tune:
+			// it is neither tracked nor saved.
+			c.warnings++
+			ctx.Send(ctx.Pool().Ack(STR, m.From, c.nextSeq(), m.Seq, false, "pointing out of range"))
 			return
 		}
 		c.targetAz, c.targetEl, c.haveTgt = az, el, true

@@ -60,3 +60,95 @@ func TestKilledRECRecordsNoVerdict(t *testing.T) {
 		t.Fatalf("a dead recoverer recorded a verdict:\n%s", est)
 	}
 }
+
+// A restart that a second fault cuts short did not cure anything. Here rtu
+// fails, and while its restart is still starting both rtu and the broker
+// are killed. The attempt is persisted at that death, with no duration
+// sample. FD blames only the broker until mbus is back, so it reports rtu
+// again well after the persistence window; that report opens a new
+// episode and must not score the interrupted attempt cured. (It used to,
+// with the 0.05 s from report to death as its duration.)
+func TestInterruptedRestartIsNotCured(t *testing.T) {
+	sys := bootSystem(t, Config{Seed: 7, TreeName: "IV", Policy: PolicyLearning})
+	if err := sys.Inject(Fault{Component: station.RTU}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := sys.Now().Add(time.Minute); ; {
+		if st, _ := sys.Mgr.State(station.RTU); st == proc.Starting {
+			break
+		}
+		if sys.Now().After(deadline) || !sys.Kernel.Step() {
+			t.Fatal("rtu's restart never began")
+		}
+	}
+	for _, name := range []string{station.RTU, station.MBus} {
+		if err := sys.Mgr.Kill(name, "second fault"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	est := sys.Oracle.Estimator()
+	const key = "restart|[rtu]"
+	if d, _ := est.Duration(station.RTU, key); est.PSuccess(station.RTU, key) != 1.0/3 || d != 0 {
+		t.Fatalf("after the second fault %s should read one persisted try with no duration:\n%s", key, est.Render())
+	}
+	if err := sys.RunFor(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.Whole() {
+		t.Fatalf("the station did not recover: %s", sys.describe())
+	}
+	// At most one later try on rtu alone can have cured it, and rtu is
+	// never ready sooner than its startup after a report.
+	if p := est.PSuccess(station.RTU, key); p > 0.5 {
+		t.Errorf("%s p=%.2f: the interrupted attempt was scored cured:\n%s", key, p, est.Render())
+	}
+	if d, ok := est.Duration(station.RTU, key); ok && d < station.DefaultParams(sys.Now()).RtuStartup {
+		t.Errorf("%s duration %v: a restart that never came up gave a sample:\n%s", key, d, est.Render())
+	}
+}
+
+// A restart that came up but did not cure is persisted with its duration.
+// The fault board silences pbcom in the same ready fan-out that tells REC
+// it is up, and the board hears the ready first; the attempt still counts
+// as one whose set was ready, so the estimator learns how long the failing
+// rung took instead of falling back to its prior.
+func TestUncuredRestartKeepsItsDuration(t *testing.T) {
+	sys := bootSystem(t, Config{Seed: 7, TreeName: "IV", Policy: PolicyLearning})
+	f := Fault{Component: station.Pbcom, Cure: []string{station.Fedr, station.Pbcom}}
+	if _, err := sys.MeasureRecovery(f, 3*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	est := sys.Oracle.Estimator()
+	const key = "restart|[pbcom]"
+	sp := station.DefaultParams(sys.Now())
+	least := time.Duration(float64(sp.PbcomStartup) * (1 - sp.StartupJitterFrac))
+	if d, ok := est.Duration(station.Pbcom, key); est.PSuccess(station.Pbcom, key) != 1.0/3 || !ok || d < least {
+		t.Fatalf("%s should read one uncured try timed at least pbcom's shortest startup (%v):\n%s", key, least, est.Render())
+	}
+}
+
+// A component that hangs while it is still starting finishes starting: a
+// silenced process's timers still fire, so it reaches Running, FD's
+// reports on it are no longer stale, and REC restarts it. Were its
+// timers dropped, it would stay Starting for good and never recover.
+// This is why REC gates its own timers (REC.after) instead of proc
+// skipping every silenced incarnation's.
+func TestHungWhileStartingStillRecovers(t *testing.T) {
+	sys := bootSystem(t, Config{Seed: 7, TreeName: "IV"})
+	if err := sys.Mgr.Restart([]string{station.RTU}); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := sys.Mgr.State(station.RTU); st != proc.Starting {
+		t.Fatalf("rtu is %v right after its restart, want starting", st)
+	}
+	if err := sys.Inject(Fault{Component: station.RTU, Hang: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunFor(3 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.Whole() {
+		st, _ := sys.Mgr.State(station.RTU)
+		t.Fatalf("the station did not recover: rtu is %v, serving=%v", st, sys.Mgr.Serving(station.RTU))
+	}
+}
