@@ -226,20 +226,12 @@ func Assemble(cfg Config) (Station, error) {
 	if s.Ckpt != nil && cfg.RECParams.CkptRestore == nil {
 		cfg.RECParams.CkptRestore = s.Ckpt.RestoreSet
 	}
-	// FD and REC recover each other: each restarts its peer unless a
-	// restart is already under way.
-	restart := func(name string) func() {
-		return func() {
-			if st, _ := mgr.State(name); st != proc.Starting {
-				_ = mgr.Restart([]string{name})
-			}
-		}
-	}
-	recFactory, rec := core.NewREC(cfg.RECParams, s.Tree, s.Oracle, mgr, restart(xmlcmd.AddrFD))
+	// FD and REC recover each other (DESIGN.md §16).
+	recFactory, rec := core.NewREC(cfg.RECParams, cfg.FDParams, s.Tree, s.Oracle, mgr)
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		return Station{}, err
 	}
-	fdFactory, fd := core.NewFD(cfg.FDParams, s.Comps, station.MBus, restart(xmlcmd.AddrREC))
+	fdFactory, fd := core.NewFD(cfg.FDParams, s.Comps, station.MBus, mgr)
 	if err := mgr.Register(xmlcmd.AddrFD, fdFactory); err != nil {
 		return Station{}, err
 	}

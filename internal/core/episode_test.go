@@ -13,11 +13,11 @@ import (
 
 // TestRecoveryEpisodeProperties drives random runs, board faults (crash,
 // hang, joint cure), raw kills — also of a component whose restart is
-// still starting — and FD or REC kills and REC hangs through the FD/REC
-// harness. After
-// every kernel event it checks REC's episodes against a ledger the test
-// keeps from what it sees and from the process manager's ready and down
-// events (DESIGN.md §15):
+// still starting — and FD or REC kills and hangs through the FD/REC
+// harness. A dead or hung FD or REC incarnation must write no trace line
+// and cause no restart (DESIGN.md §16). After every kernel event the test
+// checks REC's episodes against a ledger it keeps from what it sees and
+// from the process manager's ready and down events (DESIGN.md §15):
 //   - an attempt only moves forward, an episode's attempts only count
 //     up, and nothing moves under a dead or hung recoverer;
 //   - each attempt gets at most one verdict: the estimator holds exactly
@@ -81,6 +81,7 @@ func runEpisodes(t *testing.T, seed int64, steps int) {
 		ep *episode
 		n  int
 	}
+	h.gated(fail)
 	ledger := map[key]*attemptRec{}
 	var order []*attemptRec // creation order, for deterministic failure messages
 	awaiting := func(a *attemptRec) bool { return a.set != nil && a.seen == restarting }
@@ -139,7 +140,7 @@ func runEpisodes(t *testing.T, seed int64, steps int) {
 			if ph < a.seen {
 				fail("%s attempt %d moved back from %v to %v", a.comp, a.n, a.seen, ph)
 			}
-			if ph != a.seen && !a.rec.ready {
+			if ph != a.seen && !a.rec.up {
 				fail("%s attempt %d moved from %v to %v under a dead or hung recoverer", a.comp, a.n, a.seen, ph)
 			}
 			if ph >= restarting && a.set == nil {
@@ -164,7 +165,7 @@ func runEpisodes(t *testing.T, seed int64, steps int) {
 					fail("%s attempt %d cured %v after its set was ready", a.comp, a.n, now.Sub(last))
 				}
 			}
-			if a.diedEarly && ph != persisted && a.rec.ready {
+			if a.diedEarly && ph != persisted && a.rec.up {
 				fail("%s attempt %d: a set member died before it was ready, and the attempt is %v", a.comp, a.n, ph)
 			}
 			if (ph == cured || ph == persisted) && a.seen != ph && len(a.ready) == len(a.set) {
@@ -245,11 +246,13 @@ func runEpisodes(t *testing.T, seed int64, steps int) {
 		case 4:
 			// One of the pair at a time: each recovers the other.
 			if h.mgr.AllServing(xmlcmd.AddrFD, xmlcmd.AddrREC) {
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 0:
 					_ = h.mgr.Kill(xmlcmd.AddrFD, "test kill")
 				case 1:
 					_ = h.mgr.Kill(xmlcmd.AddrREC, "test kill")
+				case 2:
+					_ = h.mgr.Silence(xmlcmd.AddrFD)
 				default:
 					_ = h.mgr.Silence(xmlcmd.AddrREC)
 				}

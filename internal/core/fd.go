@@ -17,11 +17,6 @@ type FDParams struct {
 	PingTimeout time.Duration
 	// ReReportInterval throttles repeat reports for a still-failed target.
 	ReReportInterval time.Duration
-	// Startup is FD's own startup time when (re)started by REC.
-	Startup time.Duration
-	// RECFailAfter is how many consecutive missed REC pongs trigger FD's
-	// special-case recovery of REC.
-	RECFailAfter int
 	// SuspectAfter is how many consecutive missed pongs a target accrues
 	// before FD suspects it. The paper's detector — and the default, 1 —
 	// suspects on the first miss, which melts down into restart storms on
@@ -36,8 +31,6 @@ func DefaultFDParams() FDParams {
 		PingPeriod:       time.Second,
 		PingTimeout:      200 * time.Millisecond,
 		ReReportInterval: 2 * time.Second,
-		Startup:          500 * time.Millisecond,
-		RECFailAfter:     3,
 		SuspectAfter:     1,
 	}
 }
@@ -49,32 +42,22 @@ func DefaultFDParams() FDParams {
 // suspected, only the broker is reported; and a missed pong counts only
 // if FD was running to see it and the bus was up to carry it (see voided).
 //
-// FD also monitors REC over the dedicated link and, as the paper's special
-// case requires, initiates REC's recovery itself when REC dies (the
-// procedural knowledge for everything else lives in REC).
+// FD also watches REC over the dedicated link and, as the paper's special
+// case requires, restarts REC itself when REC dies or hangs (the
+// procedural knowledge for everything else lives in REC). A dead or hung
+// FD does nothing at all: every loop below checks the watcher's gate.
 // The components' health beacons (paper §7) are addressed to FD, which
 // drops them: nothing reads them.
 type FD struct {
+	watcher
 	params  FDParams
 	targets []string
 	broker  string
 
-	// restartREC performs REC's recovery (typically mgr.Restart). It runs
-	// on the dispatch context.
-	restartREC func()
-
-	ready          bool
-	seq            uint64
-	nonce          uint64
 	targetSt       map[string]*targetState
 	lastBrokerPong time.Time
-	busProvenAt    time.Time // FDHandle.BusProven: when the host last saw the bus route again
-	lastSubReport  map[string]time.Time
-	recMissed      int
-	recNonce       uint64 // nonce of the REC ping awaiting its pong, 0 = none
-
-	// The REC monitoring loop, bound once at Start.
-	recPing, recVerify func()
+	busProvenAt    time.Time            // FDHandle.BusProven: when the host last saw the bus route again
+	lastReport     map[string]time.Time // the re-report throttle, by the name reported
 }
 
 // targetState is FD's per-component suspicion bookkeeping and, once FD is
@@ -94,13 +77,11 @@ type targetState struct {
 	brokerProbeAt time.Time // when the verification's current broker probe was sent
 	brokerAttempt int       // which attempt that probe is, from 1
 
-	outstanding  uint64 // nonce awaiting pong, 0 = none
-	missed       int    // consecutive missed pongs (reset by any pong)
-	suspected    bool
-	lastReportAt time.Time
-	everReported bool
-	sentAt       time.Time // when the outstanding probe was sent
-	firstMissAt  time.Time // send time of the miss streak's first probe
+	outstanding uint64 // nonce awaiting pong, 0 = none
+	missed      int    // consecutive missed pongs (reset by any pong)
+	suspected   bool
+	sentAt      time.Time // when the outstanding probe was sent
+	firstMissAt time.Time // send time of the miss streak's first probe
 }
 
 // FDHandle exposes the live failure detector's view to the host (tests,
@@ -135,18 +116,17 @@ func (h *FDHandle) BusProven(at time.Time) {
 
 // NewFD returns a factory for FD handlers plus a handle onto the live
 // incarnation. targets are the monitored components (including the broker);
-// broker names the message bus; restartREC performs the special-case REC
-// recovery.
-func NewFD(p FDParams, targets []string, broker string, restartREC func()) (func() proc.Handler, *FDHandle) {
+// broker names the message bus; mgr hosts FD and REC, and restarts REC.
+func NewFD(p FDParams, targets []string, broker string, mgr *proc.Manager) (func() proc.Handler, *FDHandle) {
 	h := &FDHandle{targets: append([]string(nil), targets...)}
 	factory := func() proc.Handler {
 		fd := &FD{
-			params:        p,
-			targets:       append([]string(nil), h.targets...),
-			broker:        broker,
-			restartREC:    restartREC,
-			targetSt:      make(map[string]*targetState, len(h.targets)),
-			lastSubReport: make(map[string]time.Time),
+			watcher:    newWatcher(xmlcmd.AddrFD, xmlcmd.AddrREC, mgr, p, &fdWatch),
+			params:     p,
+			targets:    append([]string(nil), h.targets...),
+			broker:     broker,
+			targetSt:   make(map[string]*targetState, len(h.targets)),
+			lastReport: make(map[string]time.Time),
 		}
 		for _, t := range h.targets {
 			fd.targetSt[t] = &targetState{}
@@ -159,9 +139,7 @@ func NewFD(p FDParams, targets []string, broker string, restartREC func()) (func
 
 // Start implements proc.Handler.
 func (fd *FD) Start(ctx proc.Context) {
-	ctx.After(fd.params.Startup, func() {
-		fd.ready = true
-		ctx.Ready()
+	fd.start(ctx, fd.params.PingPeriod/2, func() {
 		// Stagger the ping loops so the bus sees a smooth ping stream.
 		for i, target := range fd.targets {
 			target, st := target, fd.targetSt[target]
@@ -171,7 +149,7 @@ func (fd *FD) Start(ctx proc.Context) {
 				st.brokerCheck = func() { fd.checkBroker(ctx, target, st) }
 				if fd.suspectAfter() > 1 { // the only way to a retry
 					st.brokerRetry = func() {
-						if st.suspected {
+						if fd.up && st.suspected {
 							fd.verifyBroker(ctx, st, st.brokerAttempt+1)
 						}
 					}
@@ -180,9 +158,6 @@ func (fd *FD) Start(ctx proc.Context) {
 			offset := time.Duration(i) * fd.params.PingPeriod / time.Duration(len(fd.targets)+1)
 			ctx.After(offset, st.ping)
 		}
-		fd.recPing = func() { fd.sendRECPing(ctx) }
-		fd.recVerify = func() { fd.verifyRECPing(ctx) }
-		ctx.After(fd.params.PingPeriod/2, fd.recPing)
 	})
 }
 
@@ -190,6 +165,9 @@ func (fd *FD) Start(ctx proc.Context) {
 // verification schedules the next ping, so exactly one probe per target is
 // in flight.
 func (fd *FD) sendPing(ctx proc.Context, target string, st *targetState) {
+	if !fd.up {
+		return
+	}
 	fd.nonce++
 	st.outstanding = fd.nonce
 	st.sentAt = ctx.Now()
@@ -202,6 +180,9 @@ func (fd *FD) sendPing(ctx proc.Context, target string, st *targetState) {
 // verifyPing runs PingTimeout after sendPing. With one probe in flight,
 // outstanding is either that probe's nonce or 0 (its pong arrived).
 func (fd *FD) verifyPing(ctx proc.Context, target string, st *targetState) {
+	if !fd.up {
+		return
+	}
 	if st.outstanding != 0 && !fd.voided(ctx, st.sentAt) {
 		// No pong: the target is fail-silent, unreachable, or the bus
 		// lost a frame.
@@ -270,7 +251,7 @@ func (fd *FD) suspect(ctx proc.Context, target string) {
 		st.firstMissAt = time.Time{}
 	}
 	if target == fd.broker {
-		fd.report(ctx, target)
+		fd.report(ctx, target, "reported to rec")
 		return
 	}
 	if b, ok := fd.targetSt[fd.broker]; ok && b.suspected {
@@ -300,11 +281,11 @@ func (fd *FD) verifyBroker(ctx proc.Context, st *targetState, attempt int) {
 // blame: the target's if the broker answered the probe, the broker's once
 // the attempts are used up.
 func (fd *FD) checkBroker(ctx proc.Context, target string, st *targetState) {
-	if !st.suspected {
-		return // target answered a later ping meanwhile
+	if !fd.up || !st.suspected {
+		return // down, or the target answered a later ping meanwhile
 	}
 	if fd.lastBrokerPong.After(st.brokerProbeAt) {
-		fd.report(ctx, target)
+		fd.report(ctx, target, "reported to rec")
 		return
 	}
 	if fd.voided(ctx, st.brokerProbeAt) {
@@ -316,67 +297,31 @@ func (fd *FD) checkBroker(ctx proc.Context, target string, st *targetState) {
 	}
 	if b, ok := fd.targetSt[fd.broker]; ok {
 		b.suspected = true
-		fd.report(ctx, fd.broker)
+		fd.report(ctx, fd.broker, "reported to rec")
 	}
 }
 
-// report delivers a failure report over the dedicated link, throttled per
-// target.
-func (fd *FD) report(ctx proc.Context, target string) {
-	st := fd.targetSt[target]
+// report delivers a failure report on name over the dedicated link,
+// throttled per name; detail is its trace line's.
+func (fd *FD) report(ctx proc.Context, name, detail string) {
 	now := ctx.Now()
-	if st.everReported && now.Sub(st.lastReportAt) < fd.params.ReReportInterval {
+	if last, ok := fd.lastReport[name]; ok && now.Sub(last) < fd.params.ReReportInterval {
 		return
 	}
-	st.lastReportAt = now
-	st.everReported = true
+	fd.lastReport[name] = now
 	M.FDReports.Inc()
-	ctx.Log().Add(now, trace.FailureDetected, target, "", "reported to rec")
+	ctx.Log().Add(now, trace.FailureDetected, name, "", detail)
 	fd.seq++
-	ctx.Send(ctx.Pool().Event(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "failure", target))
-}
-
-// sendRECPing monitors REC over the dedicated link: one ping, verified
-// PingTimeout later, the verification scheduling the next.
-func (fd *FD) sendRECPing(ctx proc.Context) {
-	fd.nonce++
-	fd.recNonce = fd.nonce
-	fd.seq++
-	M.FDPingsSent.Inc()
-	ctx.Send(ctx.Pool().Ping(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, fd.nonce))
-	ctx.After(fd.params.PingTimeout, fd.recVerify)
-}
-
-// verifyRECPing: recNonce is still set only if the pong never arrived.
-func (fd *FD) verifyRECPing(ctx proc.Context) {
-	if fd.recNonce != 0 {
-		fd.recMissed++
-		M.FDPongsMissed.Inc()
-		if fd.recMissed >= fd.params.RECFailAfter {
-			fd.recMissed = 0
-			M.FDRECRecoveries.Inc()
-			ctx.Log().Add(ctx.Now(), trace.FailureDetected, xmlcmd.AddrREC, "",
-				"fd initiating rec recovery")
-			if fd.restartREC != nil {
-				fd.restartREC()
-			}
-		}
-	}
-	ctx.After(fd.params.PingPeriod-fd.params.PingTimeout, fd.recPing)
+	ctx.Send(ctx.Pool().Event(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "failure", name))
 }
 
 // Receive implements proc.Handler.
 func (fd *FD) Receive(ctx proc.Context, m *xmlcmd.Message) {
+	if fd.answer(ctx, m) {
+		return
+	}
 	switch m.Kind() {
 	case xmlcmd.KindPong:
-		if m.From == xmlcmd.AddrREC {
-			if m.Pong.Nonce == fd.recNonce {
-				fd.recNonce = 0
-				fd.recMissed = 0
-				M.FDPongs.Inc()
-			}
-			return
-		}
 		st, ok := fd.targetSt[m.From]
 		if !ok {
 			return
@@ -396,12 +341,6 @@ func (fd *FD) Receive(ctx proc.Context, m *xmlcmd.Message) {
 			M.FDPongs.Inc()
 			M.FDRTT.Observe(ctx.Now().Sub(st.sentAt))
 		}
-	case xmlcmd.KindPing:
-		// REC liveness-pings FD over the dedicated link.
-		if fd.ready {
-			fd.seq++
-			ctx.Send(ctx.Pool().Pong(xmlcmd.AddrFD, m, ctx.Incarnation()))
-		}
 	case xmlcmd.KindEvent:
 		// Subcomponent failures are self-reported by the hosting process:
 		// the container's intact shell catches the crashed subcomponent and
@@ -409,17 +348,8 @@ func (fd *FD) Receive(ctx proc.Context, m *xmlcmd.Message) {
 		// relays it to REC like any other failure, with the usual re-report
 		// throttle — in-process assertion beats ping timeouts by an order of
 		// magnitude, which is most of the microreboot MTTR win.
-		if m.Event.Name == "subfault" && fd.ready {
-			sub := m.Event.Detail
-			now := ctx.Now()
-			if last, ok := fd.lastSubReport[sub]; ok && now.Sub(last) < fd.params.ReReportInterval {
-				return
-			}
-			fd.lastSubReport[sub] = now
-			M.FDReports.Inc()
-			ctx.Log().Add(now, trace.FailureDetected, sub, "", "subfault reported to rec")
-			fd.seq++
-			ctx.Send(ctx.Pool().Event(xmlcmd.AddrFD, xmlcmd.AddrREC, fd.seq, "failure", sub))
+		if m.Event.Name == "subfault" && fd.up {
+			fd.report(ctx, m.Event.Detail, "subfault reported to rec")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -99,21 +100,11 @@ func newHarnessClock(t *testing.T, seed int64, tree *Tree, policy func(*fault.Bo
 		}
 	}
 
-	restartFD := func() {
-		if st, _ := mgr.State(xmlcmd.AddrFD); st != proc.Starting {
-			_ = mgr.Restart([]string{xmlcmd.AddrFD})
-		}
-	}
-	restartREC := func() {
-		if st, _ := mgr.State(xmlcmd.AddrREC); st != proc.Starting {
-			_ = mgr.Restart([]string{xmlcmd.AddrREC})
-		}
-	}
-	recFactory, handle := NewREC(recp, tree, policy(board, k.Rand()), mgr, restartFD)
+	recFactory, handle := NewREC(recp, fdp, tree, policy(board, k.Rand()), mgr)
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		t.Fatal(err)
 	}
-	fdFactory, fd := NewFD(fdp, targets, "mbus", restartREC)
+	fdFactory, fd := NewFD(fdp, targets, "mbus", mgr)
 	if err := mgr.Register(xmlcmd.AddrFD, fdFactory); err != nil {
 		t.Fatal(err)
 	}
@@ -290,35 +281,99 @@ func TestGiveUpOnHardFault(t *testing.T) {
 	}
 }
 
-func TestFDKilledRECRecoversIt(t *testing.T) {
-	h := newHarness(t, 7, treeII(t), &Policy{})
-	if err := h.mgr.Kill(xmlcmd.AddrFD, "test kill of fd"); err != nil {
-		t.Fatal(err)
+// TestWatchersRecoverEachOther: FD and REC each restart the other when it
+// dies or hangs, also when it hangs while still starting (the gate must
+// not keep it from finishing its start, or it would stay Starting and its
+// peer would never restart it). In every row the peer restarts the downed
+// watcher once, nobody restarts the healthy one, the downed incarnation
+// writes no trace line and restarts nothing, and a component fault
+// injected afterwards heals.
+func TestWatchersRecoverEachOther(t *testing.T) {
+	for i, w := range []struct {
+		name, watcher  string
+		starting, hang bool
+	}{
+		{"kill-fd", xmlcmd.AddrFD, false, false},
+		{"kill-rec", xmlcmd.AddrREC, false, false},
+		{"hang-fd", xmlcmd.AddrFD, false, true},
+		{"hang-rec", xmlcmd.AddrREC, false, true},
+		{"hang-starting-fd", xmlcmd.AddrFD, true, true},
+		{"hang-starting-rec", xmlcmd.AddrREC, true, true},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			h := newHarness(t, int64(7+i), treeII(t), &Policy{})
+			peer := xmlcmd.AddrREC
+			if w.watcher == xmlcmd.AddrREC {
+				peer = xmlcmd.AddrFD
+			}
+			if w.starting {
+				if err := h.mgr.Restart([]string{w.watcher}); err != nil {
+					t.Fatal(err)
+				}
+				if st, _ := h.mgr.State(w.watcher); st != proc.Starting {
+					t.Fatalf("%s is %v right after its restart, want starting", w.watcher, st)
+				}
+			}
+			h.gated(t.Fatalf)
+			before, _ := h.mgr.Restarts(w.watcher)
+			peerBefore, _ := h.mgr.Restarts(peer)
+			var err error
+			if w.hang {
+				err = h.mgr.Silence(w.watcher)
+			} else {
+				err = h.mgr.Kill(w.watcher, "test kill of "+w.watcher)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = h.k.RunFor(15 * time.Second)
+			if n, _ := h.mgr.Restarts(w.watcher); n != before+1 || !h.mgr.Serving(w.watcher) {
+				t.Fatalf("%s restarted %d times, serving=%v; want its peer to restart it once", w.watcher, n-before, h.mgr.Serving(w.watcher))
+			}
+			if n, _ := h.mgr.Restarts(peer); n != peerBefore {
+				t.Fatalf("the healthy %s was restarted %d times", peer, n-peerBefore)
+			}
+			if err := h.board.Inject(fault.Fault{Manifest: "b"}); err != nil {
+				t.Fatal(err)
+			}
+			h.runUntilRecovered(t, 30*time.Second)
+		})
 	}
-	_ = h.k.RunFor(15 * time.Second)
-	if !h.mgr.Serving(xmlcmd.AddrFD) {
-		t.Fatal("REC did not recover FD")
-	}
-	// The system still heals afterwards.
-	if err := h.board.Inject(fault.Fault{Manifest: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	h.runUntilRecovered(t, 30*time.Second)
 }
 
-func TestRECKilledFDRecoversIt(t *testing.T) {
-	h := newHarness(t, 8, treeII(t), &Policy{})
-	if err := h.mgr.Kill(xmlcmd.AddrREC, "test kill of rec"); err != nil {
-		t.Fatal(err)
+// gated calls fail when FD or REC writes a trace line or restarts
+// anything while it is not serving: a dead or hung watcher does nothing.
+// A restart of REC alone is FD's; every other is REC's.
+func (h *harness) gated(fail func(format string, args ...any)) {
+	h.log.Subscribe(func(e trace.Event) {
+		if who := writtenBy(e); who != "" && !h.mgr.Serving(who) {
+			fail("the dead or hung %s wrote %v", who, e)
+		}
+	})
+	h.mgr.OnBatch(func(names []string) {
+		who := xmlcmd.AddrREC
+		if slices.Equal(names, []string{xmlcmd.AddrREC}) {
+			who = xmlcmd.AddrFD
+		}
+		if !h.mgr.Serving(who) {
+			fail("the dead or hung %s restarted %v", who, names)
+		}
+	})
+}
+
+// writtenBy names the one of FD and REC that writes a trace line of e's
+// kind and detail, or "" for a line neither writes.
+func writtenBy(e trace.Event) string {
+	switch e.Kind {
+	case trace.FailureDetected:
+		if e.Detail == "rec initiating fd recovery" {
+			return xmlcmd.AddrREC
+		}
+		return xmlcmd.AddrFD
+	case trace.OracleGuess, trace.RestartRequested, trace.GiveUp:
+		return xmlcmd.AddrREC
 	}
-	_ = h.k.RunFor(15 * time.Second)
-	if !h.mgr.Serving(xmlcmd.AddrREC) {
-		t.Fatal("FD did not recover REC")
-	}
-	if err := h.board.Inject(fault.Fault{Manifest: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	h.runUntilRecovered(t, 30*time.Second)
+	return ""
 }
 
 func TestNoSpuriousRestartsWhenHealthy(t *testing.T) {
@@ -506,11 +561,11 @@ func newHWHarness(t *testing.T, seed int64) (*harness, *bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recFactory, handle := NewREC(DefaultRECParams(), tree, &Policy{}, mgr, nil)
+	recFactory, handle := NewREC(DefaultRECParams(), DefaultFDParams(), tree, &Policy{}, mgr)
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		t.Fatal(err)
 	}
-	fdFactory, _ := NewFD(DefaultFDParams(), comps, "mbus", nil)
+	fdFactory, _ := NewFD(DefaultFDParams(), comps, "mbus", mgr)
 	if err := mgr.Register(xmlcmd.AddrFD, fdFactory); err != nil {
 		t.Fatal(err)
 	}

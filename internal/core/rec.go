@@ -14,8 +14,6 @@ import (
 
 // RECParams configures the recoverer.
 type RECParams struct {
-	// Startup is REC's own startup time when (re)started by FD.
-	Startup time.Duration
 	// DecisionDelay models the oracle-consultation and process-control
 	// overhead before pushing a restart button.
 	DecisionDelay time.Duration
@@ -37,10 +35,6 @@ type RECParams struct {
 	// restarts.
 	RestartBackoff    time.Duration
 	RestartBackoffMax time.Duration
-	// FDPingPeriod / FDFailAfter drive REC's monitoring of FD.
-	FDPingPeriod time.Duration
-	FDTimeout    time.Duration
-	FDFailAfter  int
 
 	// ReadyGrace ignores failure reports for a component that is serving
 	// and became ready this recently: such reports raced with the
@@ -58,14 +52,10 @@ type RECParams struct {
 // DefaultRECParams returns the calibrated recoverer configuration.
 func DefaultRECParams() RECParams {
 	return RECParams{
-		Startup:       500 * time.Millisecond,
 		DecisionDelay: 50 * time.Millisecond,
 		PersistWindow: 5 * time.Second,
 		MaxRestarts:   6,
 		BudgetWindow:  2 * time.Minute,
-		FDPingPeriod:  time.Second,
-		FDTimeout:     200 * time.Millisecond,
-		FDFailAfter:   3,
 		ReadyGrace:    1500 * time.Millisecond,
 	}
 }
@@ -98,29 +88,19 @@ type episode struct {
 // failure reports from FD over the dedicated link, and pushes restart-cell
 // buttons via the process manager. It never decides *which* node to
 // restart — that is the oracle's job; REC executes, escalates persisting
-// episodes, enforces the restart budget, and (special case) monitors and
-// recovers FD.
+// episodes, enforces the restart budget, and (special case) watches and
+// recovers FD. A dead or hung recoverer does nothing: it settles no
+// episode, pushes no button and blames FD for nothing.
 type REC struct {
-	params RECParams
-	tree   *Tree
-	policy *Policy
-	mgr    *proc.Manager
-
-	// restartFD performs FD's recovery.
-	restartFD func()
+	watcher // its mgr hosts the station
+	params  RECParams
+	tree    *Tree
+	policy  *Policy
 
 	ctx       proc.Context // this incarnation's; its timers die with it
-	ready     bool         // past its startup and not down
-	seq       uint64
-	nonce     uint64
 	episodes  map[string]*episode
 	history   map[string][]time.Time
 	abandoned map[string]bool
-	fdNonce   uint64 // nonce of the FD ping awaiting its pong, 0 = none
-	fdMissed  int
-
-	// The FD monitoring loop, bound once at Start.
-	fdPing, fdVerify func()
 }
 
 // RECHandle lets the host read the tree, the policy and the live
@@ -145,29 +125,29 @@ func (h *RECHandle) Abandoned(component string) bool {
 // NewREC returns a factory for REC handlers plus a handle on them.
 // Procedural state (episodes, budgets) is per-incarnation: a REC
 // restart loses it, exactly as a process restart would. The policy is this
-// REC's own (a Policy is not shareable between recoverers).
-func NewREC(p RECParams, tree *Tree, policy *Policy, mgr *proc.Manager, restartFD func()) (func() proc.Handler, *RECHandle) {
+// REC's own (a Policy is not shareable between recoverers). REC watches FD
+// on fd's ping timings.
+func NewREC(p RECParams, fd FDParams, tree *Tree, policy *Policy, mgr *proc.Manager) (func() proc.Handler, *RECHandle) {
 	h := &RECHandle{tree: tree, policy: policy}
 	// Restart-completion bookkeeping must survive handler churn, so the
 	// subscriptions forward to whichever incarnation is current, while it
 	// is up: a dead or hung recoverer settles nothing.
 	mgr.OnReady(func(name string) {
-		if r := h.current; r != nil && r.ready {
+		if r := h.current; r != nil && r.up {
 			r.onReady(name)
 		}
 	})
 	mgr.OnDown(func(name, reason string) {
-		if r := h.current; r != nil && r.ready {
+		if r := h.current; r != nil && r.up {
 			r.onDownEvent(name, reason)
 		}
 	})
 	factory := func() proc.Handler {
 		h.current = &REC{
+			watcher:   newWatcher(xmlcmd.AddrREC, xmlcmd.AddrFD, mgr, fd, &recWatch),
 			params:    p,
 			tree:      tree,
 			policy:    policy,
-			mgr:       mgr,
-			restartFD: restartFD,
 			episodes:  make(map[string]*episode),
 			history:   make(map[string][]time.Time),
 			abandoned: make(map[string]bool),
@@ -180,19 +160,8 @@ func NewREC(p RECParams, tree *Tree, policy *Policy, mgr *proc.Manager, restartF
 // Start implements proc.Handler.
 func (r *REC) Start(ctx proc.Context) {
 	r.ctx = ctx
-	ctx.After(r.params.Startup, func() {
-		r.ready = true
-		ctx.Ready()
-		r.fdPing = func() { r.sendFDPing(ctx) }
-		r.fdVerify = func() { r.verifyFDPing(ctx) }
-		ctx.After(r.params.FDPingPeriod/3, r.fdPing)
-	})
+	r.start(ctx, r.period/3, nil)
 }
-
-// Down implements proc.Downer: the incarnation is dead or hung. A
-// recoverer that is down pushes no button, gives no verdict and stops
-// monitoring FD.
-func (r *REC) Down(string) { r.ready = false }
 
 // after runs fn after d if this incarnation is still up then. proc drops
 // a dead incarnation's timers, but a hung one's still fire (a silenced
@@ -200,7 +169,7 @@ func (r *REC) Down(string) { r.ready = false }
 // here, once, for every episode timer.
 func (r *REC) after(d time.Duration, fn func()) {
 	r.ctx.After(d, func() {
-		if r.ready {
+		if r.up {
 			fn()
 		}
 	})
@@ -208,21 +177,9 @@ func (r *REC) after(d time.Duration, fn func()) {
 
 // Receive implements proc.Handler.
 func (r *REC) Receive(ctx proc.Context, m *xmlcmd.Message) {
-	switch m.Kind() {
-	case xmlcmd.KindEvent:
-		if m.From == xmlcmd.AddrFD && r.ready && m.Event.Name == "failure" {
-			r.onFailureReport(ctx, m.Event.Detail)
-		}
-	case xmlcmd.KindPing:
-		if r.ready {
-			r.seq++
-			ctx.Send(ctx.Pool().Pong(xmlcmd.AddrREC, m, ctx.Incarnation()))
-		}
-	case xmlcmd.KindPong:
-		if m.From == xmlcmd.AddrFD && m.Pong.Nonce == r.fdNonce {
-			r.fdNonce = 0
-			r.fdMissed = 0
-		}
+	if !r.answer(ctx, m) && m.Kind() == xmlcmd.KindEvent &&
+		m.From == xmlcmd.AddrFD && r.up && m.Event.Name == "failure" {
+		r.onFailureReport(ctx, m.Event.Detail)
 	}
 }
 
@@ -484,35 +441,4 @@ func (r *REC) refund(comp string, ep *episode) {
 		return slices.ContainsFunc(ep.charged, at.Equal)
 	})
 	ep.charged = nil
-}
-
-// sendFDPing monitors FD over the dedicated link; REC performs FD's
-// recovery (the paper's other special case). One ping is in flight at a
-// time: its verification schedules the next.
-func (r *REC) sendFDPing(ctx proc.Context) {
-	r.nonce++
-	r.fdNonce = r.nonce
-	r.seq++
-	ctx.Send(ctx.Pool().Ping(xmlcmd.AddrREC, xmlcmd.AddrFD, r.seq, r.nonce))
-	ctx.After(r.params.FDTimeout, r.fdVerify)
-}
-
-// verifyFDPing: fdNonce is still set only if the pong never arrived.
-func (r *REC) verifyFDPing(ctx proc.Context) {
-	if !r.ready {
-		return // a hung recoverer's pings never left: it blames no one
-	}
-	if r.fdNonce != 0 {
-		r.fdMissed++
-		if r.fdMissed >= r.params.FDFailAfter {
-			r.fdMissed = 0
-			M.RECFDRecoveries.Inc()
-			ctx.Log().Add(ctx.Now(), trace.FailureDetected, xmlcmd.AddrFD, "",
-				"rec initiating fd recovery")
-			if r.restartFD != nil {
-				r.restartFD()
-			}
-		}
-	}
-	ctx.After(r.params.FDPingPeriod-r.params.FDTimeout, r.fdPing)
 }

@@ -17,7 +17,8 @@ import (
 
 // outcome is what one runtime did about one scripted fault: the restart
 // tree nodes REC pushed for the injected component, in order, and how often
-// each component of the cure set was restarted.
+// each component the script names was restarted. A recovery of FD or REC
+// by its peer pushes no node; its FailureDetected line stands in for one.
 type outcome struct {
 	nodes    []string
 	restarts map[string]int
@@ -28,7 +29,7 @@ type outcome struct {
 	// the scripted cell or above it rewrites the episode under test.
 	crossed []string
 	// recovered counts the SystemRecovered events after the injection, and
-	// lateReady lists the cure-set components that logged a ComponentReady
+	// lateReady lists the script's components that logged a ComponentReady
 	// after the last of them: the outage must end once, when the whole cell
 	// is back. strays counts every unscripted push after the injection — a
 	// spurious restart anywhere in the tree opens or stretches an outage.
@@ -38,7 +39,8 @@ type outcome struct {
 }
 
 // observe reads an outcome off a station's trace and manager. before holds
-// the cure set's restart counts taken ahead of the injection.
+// the restart counts of the script's components taken ahead of the
+// injection.
 func observe(log *trace.Log, mgr *proc.Manager, tree *core.Tree, manifest string, before map[string]int) outcome {
 	out := outcome{restarts: make(map[string]int, len(before))}
 	covering := map[string]bool{}
@@ -52,6 +54,9 @@ func observe(log *trace.Log, mgr *proc.Manager, tree *core.Tree, manifest string
 			injected = true
 		case e.Kind == trace.RestartRequested && e.Component == manifest:
 			out.nodes = append(out.nodes, e.Node)
+		case e.Kind == trace.FailureDetected && e.Component == manifest &&
+			(manifest == mercury.FDName || manifest == mercury.RECName):
+			out.nodes = append(out.nodes, e.Detail)
 		case e.Kind == trace.RestartRequested:
 			if covering[e.Node] {
 				out.crossed = append(out.crossed, e.Component+"@"+e.Node)
@@ -75,9 +80,9 @@ func observe(log *trace.Log, mgr *proc.Manager, tree *core.Tree, manifest string
 	return out
 }
 
-func restartCounts(mgr *proc.Manager, comps []string) map[string]int {
+func restartCounts(mgr *proc.Manager, comps map[string]int) map[string]int {
 	counts := make(map[string]int, len(comps))
-	for _, c := range comps {
+	for c := range comps {
 		counts[c], _ = mgr.Restarts(c)
 	}
 	return counts
@@ -85,7 +90,7 @@ func restartCounts(mgr *proc.Manager, comps []string) map[string]int {
 
 // onSim runs the script on the simulator — the reference the live runtimes
 // are held to.
-func onSim(t *testing.T, tree, manifest string, hang bool, cure []string) outcome {
+func onSim(t *testing.T, tree, manifest string, hang bool, comps map[string]int) outcome {
 	t.Helper()
 	sys, err := mercury.NewSystem(mercury.Config{Seed: 1, TreeName: tree})
 	if err != nil {
@@ -94,7 +99,7 @@ func onSim(t *testing.T, tree, manifest string, hang bool, cure []string) outcom
 	if err := sys.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	before := restartCounts(sys.Mgr, cure)
+	before := restartCounts(sys.Mgr, comps)
 	if _, err := sys.MeasureRecovery(mercury.Fault{Component: manifest, Hang: hang}, 5*time.Minute); err != nil {
 		t.Fatalf("sim: %v", err)
 	}
@@ -106,10 +111,10 @@ func onSim(t *testing.T, tree, manifest string, hang bool, cure []string) outcom
 
 // onHost runs the script on a booted wall-clock host; the in-process node
 // and the supervisor are both one.
-func onHost(t *testing.T, name string, h *rt.Host, manifest string, hang bool, cure []string) outcome {
+func onHost(t *testing.T, name string, h *rt.Host, manifest string, hang bool, comps map[string]int) outcome {
 	t.Helper()
 	var before map[string]int
-	h.Disp.Call(func() { before = restartCounts(h.Mgr, cure) })
+	h.Disp.Call(func() { before = restartCounts(h.Mgr, comps) })
 	if err := h.Inject(fault.Fault{Manifest: manifest, Hang: hang}); err != nil {
 		t.Fatalf("%s: inject: %v", name, err)
 	}
@@ -129,24 +134,30 @@ func onHost(t *testing.T, name string, h *rt.Host, manifest string, hang bool, c
 // real child processes. All three are wired by one
 // assemble.Assemble, so what this pins is that the runtimes differ in
 // clock and transport only; the hang script pins that a hang is a
-// silencing under each.
+// silencing under each, and the fd-hang script that a hung FD is restarted
+// by REC, once, while nobody restarts REC (under mp both run in the
+// supervisor).
 func TestConformance(t *testing.T) {
 	const tree, scale = "IV", 50
 	for _, sc := range []struct {
 		name     string
 		manifest string
 		hang     bool
-		cure     []string // the cell restarted as one
+		restarts map[string]int // how often each component is restarted
 	}{
-		{station.RTU, station.RTU, false, []string{station.RTU}},
-		{station.SES, station.SES, false, []string{station.SES, station.STR}}, // consolidated cell
-		{"rtu-hang", station.RTU, true, []string{station.RTU}},
+		{station.RTU, station.RTU, false, map[string]int{station.RTU: 1}},
+		{station.SES, station.SES, false, map[string]int{station.SES: 1, station.STR: 1}}, // consolidated cell
+		{"rtu-hang", station.RTU, true, map[string]int{station.RTU: 1}},
+		{"fd-hang", mercury.FDName, true, map[string]int{mercury.FDName: 1, mercury.RECName: 0}},
 	} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			want := onSim(t, tree, sc.manifest, sc.hang, sc.cure)
+			want := onSim(t, tree, sc.manifest, sc.hang, sc.restarts)
 			if len(want.nodes) == 0 {
 				t.Fatal("sim pushed no restart for the injected component")
+			}
+			if !reflect.DeepEqual(want.restarts, sc.restarts) {
+				t.Errorf("sim restarted %v, want %v", want.restarts, sc.restarts)
 			}
 			// One definition of "recovered" under every runtime: the
 			// assembled station's monitor logs the end of the outage.
@@ -170,7 +181,7 @@ func TestConformance(t *testing.T) {
 			defer sup.Stop()
 
 			for name, h := range map[string]*rt.Host{"rt": node.Host, "mp": sup.Host} {
-				got := onHost(t, name, h, sc.manifest, sc.hang, sc.cure)
+				got := onHost(t, name, h, sc.manifest, sc.hang, sc.restarts)
 				if len(got.crossed) > 0 {
 					t.Logf("%s: unscripted %v crossed the episode (pushed %v, restarted %v); not compared",
 						name, got.crossed, got.nodes, got.restarts)

@@ -404,19 +404,15 @@ func FDParamsForScale(scale float64) core.FDParams {
 	return p
 }
 
-// RECParamsForScale applies the same wall-time floors to the recoverer's
-// FD-monitoring link and widens the persistence/grace windows to cover the
-// slower detection.
+// RECParamsForScale widens the recoverer's persistence and grace windows
+// to cover the slower detection of FDParamsForScale. REC watches FD on
+// FD's own ping timings.
 func RECParamsForScale(scale float64) core.RECParams {
 	p := core.DefaultRECParams()
 	if scale <= 1 {
 		return p
 	}
 	fd := FDParamsForScale(scale)
-	p.FDTimeout = fd.PingTimeout
-	if p.FDPingPeriod < 2*p.FDTimeout {
-		p.FDPingPeriod = 2 * p.FDTimeout
-	}
 	if p.PersistWindow < 2*fd.ReReportInterval {
 		p.PersistWindow = 2 * fd.ReReportInterval
 	}

@@ -1,12 +1,15 @@
 package mercury
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/station"
+	"github.com/recursive-restart/mercury/internal/trace"
 )
 
 // A subcomponent killed while its process restarts stays dead when the
@@ -150,5 +153,60 @@ func TestHungWhileStartingStillRecovers(t *testing.T) {
 	if !sys.Whole() {
 		st, _ := sys.Mgr.State(station.RTU)
 		t.Fatalf("the station did not recover: rtu is %v, serving=%v", st, sys.Mgr.Serving(station.RTU))
+	}
+}
+
+// A hung failure detector is restarted by REC, once, and nobody restarts
+// the healthy REC. The hung FD's timers still fire. Were its loops not
+// gated, its dropped pings would have it blame the broker for pongs it
+// never got and restart REC every few seconds, each time before REC could
+// count its third missed pong of FD, so the hang would never be cured.
+func TestHungFDIsRecovered(t *testing.T) {
+	period := core.DefaultFDParams().PingPeriod
+	for _, tree := range []string{"IV", "V", "IVm"} {
+		t.Run(tree, func(t *testing.T) {
+			sys := bootSystem(t, Config{Seed: 2002, TreeName: tree})
+			injectedAt := sys.Now()
+			var fdRestarts []time.Time
+			sys.Mgr.OnBatch(func(names []string) {
+				if slices.Contains(names, FDName) {
+					fdRestarts = append(fdRestarts, sys.Now())
+				}
+			})
+			var recovered int
+			var hungWrote []trace.Event
+			sys.Log.Subscribe(func(e trace.Event) {
+				switch {
+				case e.Kind == trace.SystemRecovered:
+					recovered++
+				case e.Kind == trace.FailureDetected && len(fdRestarts) == 0 && e.Detail != "rec initiating fd recovery":
+					hungWrote = append(hungWrote, e)
+				}
+			})
+			recBefore, _ := sys.Mgr.Restarts(RECName)
+			if err := sys.Inject(Fault{Component: FDName, Hang: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.RunFor(2 * time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			recRestarts, _ := sys.Mgr.Restarts(RECName)
+			if len(fdRestarts) != 1 || recRestarts != recBefore {
+				t.Fatalf("fd restarted %d times, rec %d times; want REC to restart FD once and nobody REC",
+					len(fdRestarts), recRestarts-recBefore)
+			}
+			if d := fdRestarts[0].Sub(injectedAt); d > 5*period {
+				t.Errorf("fd restarted %v after its hang, want within %v", d, 5*period)
+			}
+			if sys.Board.ActiveCount() != 0 || !sys.Whole() {
+				t.Errorf("the hang was not cured: %d faults active, %s", sys.Board.ActiveCount(), sys.describe())
+			}
+			if recovered != 1 {
+				t.Errorf("%d SystemRecovered lines, want 1", recovered)
+			}
+			if len(hungWrote) > 0 {
+				t.Errorf("the hung fd wrote %v", hungWrote)
+			}
+		})
 	}
 }
