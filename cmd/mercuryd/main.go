@@ -173,7 +173,7 @@ func run(opts options) error {
 		return err
 	}
 	defer node.Stop()
-	return serve(served{Host: node.Host}, opts)
+	return serve(served{Host: node}, opts)
 }
 
 // serve is the common post-boot path: trace stream, banner, observability

@@ -31,7 +31,7 @@ func bootObs(t *testing.T, tree string, scale float64) (served, string) {
 	if err != nil {
 		t.Fatalf("StartNode: %v", err)
 	}
-	view := served{Host: node.Host}
+	view := served{Host: node}
 	t.Cleanup(view.Stop)
 	srv, err := startObs("127.0.0.1:0", view)
 	if err != nil {

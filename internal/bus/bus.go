@@ -35,7 +35,8 @@ type Stats struct {
 
 // Sim is the simulated message fabric. Messages between ordinary
 // components take two hops (to the broker, then to the destination), each
-// costing Latency; dedicated-link messages take one hop.
+// costing Latency; messages on the dedicated link (xmlcmd.Dedicated)
+// take one hop.
 //
 // Like the proc.Manager it delivers into, Sim is not internally
 // synchronised: Send and the scheduled hops must run on one dispatch
@@ -53,12 +54,6 @@ type Sim struct {
 
 	// Latency is the one-hop propagation + processing delay.
 	Latency time.Duration
-
-	// direct holds addresses joined by dedicated links; any message whose
-	// From and To are both direct bypasses the broker. A short slice, not
-	// a map: the membership test sits on the per-Send hot path and the set
-	// is two entries (fd, rec), where a linear compare beats a string hash.
-	direct []string
 
 	// brokerRef caches a stable handle for the broker's serving check,
 	// resolved lazily once the broker registers.
@@ -120,25 +115,6 @@ func NewSim(clk clock.Clock, mgr *proc.Manager, broker string) *Sim {
 	return b
 }
 
-// AddDirectLink marks two addresses as joined by a dedicated connection
-// that does not transit the broker (the paper's FD↔REC TCP link).
-func (b *Sim) AddDirectLink(a, c string) {
-	for _, n := range []string{a, c} {
-		if !b.isDirect(n) {
-			b.direct = append(b.direct, n)
-		}
-	}
-}
-
-func (b *Sim) isDirect(name string) bool {
-	for _, d := range b.direct {
-		if d == name {
-			return true
-		}
-	}
-	return false
-}
-
 // brokerServing tests the broker's serving state through the cached
 // process handle, falling back to resolution until the broker registers.
 func (b *Sim) brokerServing() bool {
@@ -173,7 +149,7 @@ func (b *Sim) Send(m *xmlcmd.Message) {
 		}
 		m.Owner = owner
 	}
-	if b.isDirect(m.From) && b.isDirect(m.To) {
+	if xmlcmd.Dedicated(m.From, m.To) {
 		b.stats.DirectSent++
 		b.sendHop(m, hopDeliver)
 		return

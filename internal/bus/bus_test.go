@@ -153,7 +153,6 @@ func TestDirectLinkBypassesBroker(t *testing.T) {
 	r := newRig(t)
 	fd := r.addEcho(t, "fd")
 	r.addEcho(t, "rec")
-	r.bus.AddDirectLink("fd", "rec")
 	r.startAll(t)
 	_ = r.mgr.Kill("mbus", "broker down")
 	r.bus.Send(new(xmlcmd.Pool).Event("rec", "fd", 1, "report", ""))
@@ -248,7 +247,6 @@ func TestSendAllocsDirect(t *testing.T) {
 	if err := mgr.Register("rec", func() proc.Handler { return quietComp{} }); err != nil {
 		t.Fatal(err)
 	}
-	b.AddDirectLink("fd", "rec")
 	if err := mgr.StartBatch(mgr.Names()); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +338,6 @@ func BenchmarkSendDirect(b *testing.B) {
 	if err := mgr.Register("rec", func() proc.Handler { return quietComp{} }); err != nil {
 		b.Fatal(err)
 	}
-	bus.AddDirectLink("fd", "rec")
 	if err := mgr.StartBatch(mgr.Names()); err != nil {
 		b.Fatal(err)
 	}

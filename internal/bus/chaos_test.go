@@ -38,7 +38,6 @@ func TestChaosDuplicationDeliversTwice(t *testing.T) {
 	fd := r.addEcho(t, "fd")
 	rec := r.addEcho(t, "rec")
 	_ = fd
-	r.bus.AddDirectLink("fd", "rec")
 	r.startAll(t)
 	// Dup ~1 on a single-hop dedicated link: exactly two copies arrive.
 	r.bus.SetChaos(&ChaosProfile{Dup: 0.999999999})
@@ -57,7 +56,6 @@ func TestChaosJitterReordersFrames(t *testing.T) {
 	fd := r.addEcho(t, "fd")
 	rec := r.addEcho(t, "rec")
 	_ = fd
-	r.bus.AddDirectLink("fd", "rec")
 	r.startAll(t)
 	r.bus.SetChaos(&ChaosProfile{Jitter: fault.Uniform{Lo: 0, Hi: 200 * time.Millisecond}})
 	for i := 0; i < 32; i++ {

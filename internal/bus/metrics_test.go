@@ -50,7 +50,6 @@ func TestSimMetricsMirrorStats(t *testing.T) {
 	_ = r.k.RunFor(time.Second)
 
 	// Chaos loss on a direct link.
-	r.bus.AddDirectLink("fd", "rec")
 	r.bus.SetChaos(&ChaosProfile{Loss: 0.999999999})
 	r.bus.Send(new(xmlcmd.Pool).Event("fd", "rec", 3, "doomed", ""))
 	_ = r.k.RunFor(time.Second)

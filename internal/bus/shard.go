@@ -111,27 +111,6 @@ func ListenSharded(addr string, n int, _ BrokerConfig) (*ShardedBroker, error) {
 	return sb, nil
 }
 
-// ListenShardedAddrs starts one shard per explicit address (a fabric
-// reopening on known ports, e.g. after a supervisor restart).
-func ListenShardedAddrs(addrs []string) (*ShardedBroker, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("bus: sharded fabric needs >= 1 address")
-	}
-	sb := &ShardedBroker{
-		addrs:  append([]string(nil), addrs...),
-		shards: make([]*TCPBroker, len(addrs)),
-	}
-	for i, addr := range sb.addrs {
-		b, err := ListenBrokerConfig(addr, BrokerConfig{Shard: i})
-		if err != nil {
-			_ = sb.Close()
-			return nil, err
-		}
-		sb.shards[i] = b
-	}
-	return sb, nil
-}
-
 // Addrs returns every shard's pinned address, in shard order.
 func (sb *ShardedBroker) Addrs() []string {
 	return append([]string(nil), sb.addrs...)

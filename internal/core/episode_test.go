@@ -24,7 +24,7 @@ import (
 //     one try per attempt that reached cured or persisted, and one cure
 //     per cured attempt;
 //   - an attempt is cured only after its whole restart set was ready and
-//     PersistWindow passed;
+//     the persist window passed;
 //   - an attempt with a set member that died before it was ready is
 //     persisted, and one whose whole set was ready gives its action a
 //     duration;
@@ -70,7 +70,7 @@ func runEpisodes(t *testing.T, seed int64, steps int) {
 	t.Helper()
 	learning := func(*fault.Board, *rand.Rand) *Policy { return mustPolicy(t, "learning", PolicyDeps{}) }
 	h := newHarnessClock(t, seed, treeII(t), learning, DefaultFDParams(), DefaultRECParams(), []string{"mbus", "a", "b"}, nil)
-	params := DefaultRECParams()
+	params, persist := DefaultRECParams(), DefaultFDParams().PersistWindow()
 	rng := rand.New(rand.NewSource(seed))
 	fail := func(format string, args ...any) {
 		t.Helper()
@@ -161,7 +161,7 @@ func runEpisodes(t *testing.T, seed int64, steps int) {
 						last = at
 					}
 				}
-				if now.Sub(last) <= params.PersistWindow {
+				if now.Sub(last) <= persist {
 					fail("%s attempt %d cured %v after its set was ready", a.comp, a.n, now.Sub(last))
 				}
 			}

@@ -15,8 +15,6 @@ type FDParams struct {
 	PingPeriod time.Duration
 	// PingTimeout is how long FD waits for the application-level pong.
 	PingTimeout time.Duration
-	// ReReportInterval throttles repeat reports for a still-failed target.
-	ReReportInterval time.Duration
 	// SuspectAfter is how many consecutive missed pongs a target accrues
 	// before FD suspects it. The paper's detector — and the default, 1 —
 	// suspects on the first miss, which melts down into restart storms on
@@ -28,11 +26,34 @@ type FDParams struct {
 // DefaultFDParams returns the paper's detector configuration.
 func DefaultFDParams() FDParams {
 	return FDParams{
-		PingPeriod:       time.Second,
-		PingTimeout:      200 * time.Millisecond,
-		ReReportInterval: 2 * time.Second,
-		SuspectAfter:     1,
+		PingPeriod:   time.Second,
+		PingTimeout:  200 * time.Millisecond,
+		SuspectAfter: 1,
 	}
+}
+
+// The windows below follow from the ping timings (DESIGN.md §16), so a
+// slower detector widens them and nothing restates them by hand.
+
+// ReReportInterval throttles FD's repeat reports for a still-failed
+// target: two ping periods.
+func (p FDParams) ReReportInterval() time.Duration { return 2 * p.PingPeriod }
+
+// PersistWindow is how soon after a restarted component's ready a new
+// failure report for it counts as "the failure persists" (REC escalates
+// the same episode) rather than a fresh failure: two re-reports, and at
+// least 5 s.
+func (p FDParams) PersistWindow() time.Duration {
+	return max(5*time.Second, 2*p.ReReportInterval())
+}
+
+// ReadyGrace is how long REC ignores failure reports for a component that
+// is serving and became ready this recently: such reports raced with the
+// recovery's completion (FD had a probe in flight), and acting on them
+// would trigger a spurious second restart. One probe cycle, and at least
+// 1.5 s.
+func (p FDParams) ReadyGrace() time.Duration {
+	return max(1500*time.Millisecond, p.PingPeriod+p.PingTimeout)
 }
 
 // FD is the failure detector: it liveness-pings every monitored component
@@ -305,7 +326,7 @@ func (fd *FD) checkBroker(ctx proc.Context, target string, st *targetState) {
 // throttled per name; detail is its trace line's.
 func (fd *FD) report(ctx proc.Context, name, detail string) {
 	now := ctx.Now()
-	if last, ok := fd.lastReport[name]; ok && now.Sub(last) < fd.params.ReReportInterval {
+	if last, ok := fd.lastReport[name]; ok && now.Sub(last) < fd.params.ReReportInterval() {
 		return
 	}
 	fd.lastReport[name] = now

@@ -108,7 +108,6 @@ func newHarnessClock(t *testing.T, seed int64, tree *Tree, policy func(*fault.Bo
 	if err := mgr.Register(xmlcmd.AddrFD, fdFactory); err != nil {
 		t.Fatal(err)
 	}
-	b.AddDirectLink(xmlcmd.AddrFD, xmlcmd.AddrREC)
 
 	h := &harness{k: k, mgr: mgr, bus: b, board: board, log: log, handle: handle, fd: fd, comps: comps}
 	if err := mgr.StartBatch(comps); err != nil {
@@ -569,7 +568,6 @@ func newHWHarness(t *testing.T, seed int64) (*harness, *bool) {
 	if err := mgr.Register(xmlcmd.AddrFD, fdFactory); err != nil {
 		t.Fatal(err)
 	}
-	b.AddDirectLink(xmlcmd.AddrFD, xmlcmd.AddrREC)
 
 	h := &harness{k: k, mgr: mgr, bus: b, board: board, log: log, handle: handle, comps: comps}
 	if err := mgr.StartBatch(comps); err != nil {

@@ -17,10 +17,6 @@ type RECParams struct {
 	// DecisionDelay models the oracle-consultation and process-control
 	// overhead before pushing a restart button.
 	DecisionDelay time.Duration
-	// PersistWindow is how soon after a restarted component's ready a new
-	// failure report for it counts as "the failure persists" (escalate the
-	// same episode) rather than a fresh failure.
-	PersistWindow time.Duration
 	// MaxRestarts and BudgetWindow bound restarts per component: more than
 	// MaxRestarts within BudgetWindow means a hard failure that restarting
 	// cannot cure, and the policy gives up (paper §2.2: "the policy also
@@ -36,12 +32,6 @@ type RECParams struct {
 	RestartBackoff    time.Duration
 	RestartBackoffMax time.Duration
 
-	// ReadyGrace ignores failure reports for a component that is serving
-	// and became ready this recently: such reports raced with the
-	// recovery's completion (FD had a probe in flight) and acting on them
-	// would trigger a spurious second restart.
-	ReadyGrace time.Duration
-
 	// CkptRestore restores the externalized state of the restart set from
 	// the latest checkpoint, returning the modeled restore latency the
 	// action must pay before the reboot fires. Nil disables the
@@ -53,10 +43,8 @@ type RECParams struct {
 func DefaultRECParams() RECParams {
 	return RECParams{
 		DecisionDelay: 50 * time.Millisecond,
-		PersistWindow: 5 * time.Second,
 		MaxRestarts:   6,
 		BudgetWindow:  2 * time.Minute,
-		ReadyGrace:    1500 * time.Millisecond,
 	}
 }
 
@@ -92,10 +80,11 @@ type episode struct {
 // recovers FD. A dead or hung recoverer does nothing: it settles no
 // episode, pushes no button and blames FD for nothing.
 type REC struct {
-	watcher // its mgr hosts the station
-	params  RECParams
-	tree    *Tree
-	policy  *Policy
+	watcher        // its mgr hosts the station
+	params         RECParams
+	persist, grace time.Duration // FDParams.PersistWindow and ReadyGrace
+	tree           *Tree
+	policy         *Policy
 
 	ctx       proc.Context // this incarnation's; its timers die with it
 	episodes  map[string]*episode
@@ -126,7 +115,8 @@ func (h *RECHandle) Abandoned(component string) bool {
 // Procedural state (episodes, budgets) is per-incarnation: a REC
 // restart loses it, exactly as a process restart would. The policy is this
 // REC's own (a Policy is not shareable between recoverers). REC watches FD
-// on fd's ping timings.
+// on fd's ping timings, and its persist window and ready grace follow
+// them.
 func NewREC(p RECParams, fd FDParams, tree *Tree, policy *Policy, mgr *proc.Manager) (func() proc.Handler, *RECHandle) {
 	h := &RECHandle{tree: tree, policy: policy}
 	// Restart-completion bookkeeping must survive handler churn, so the
@@ -146,6 +136,8 @@ func NewREC(p RECParams, fd FDParams, tree *Tree, policy *Policy, mgr *proc.Mana
 		h.current = &REC{
 			watcher:   newWatcher(xmlcmd.AddrREC, xmlcmd.AddrFD, mgr, fd, &recWatch),
 			params:    p,
+			persist:   fd.PersistWindow(),
+			grace:     fd.ReadyGrace(),
 			tree:      tree,
 			policy:    policy,
 			episodes:  make(map[string]*episode),
@@ -196,7 +188,7 @@ func (r *REC) move(comp string, ep *episode, to phase) bool {
 	case from == deciding && to == restarting,
 		from == restarting && (to == verdict || to == persisted),
 		from == verdict && to == persisted,
-		from == verdict && to == cured && now.Sub(ep.settledAt) > r.params.PersistWindow,
+		from == verdict && to == cured && now.Sub(ep.settledAt) > r.persist,
 		from == persisted && to == deciding:
 	default:
 		return false
@@ -209,7 +201,7 @@ func (r *REC) move(comp string, ep *episode, to phase) bool {
 	case verdict:
 		ep.settledAt = now
 		M.RECRecovery.Observe(now.Sub(ep.startedAt))
-		r.after(r.params.PersistWindow+100*time.Millisecond, func() { r.move(comp, ep, cured) })
+		r.after(r.persist+100*time.Millisecond, func() { r.move(comp, ep, cured) })
 	case cured:
 		r.policy.ObserveAction(comp, ep.act, ep.settledAt.Sub(ep.startedAt), true)
 		r.refund(comp, ep)
@@ -250,7 +242,7 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 		return
 	}
 	now := ctx.Now()
-	if readyAt, _ := r.mgr.ReadyAt(component); r.mgr.Serving(component) && now.Sub(readyAt) < r.params.ReadyGrace {
+	if readyAt, _ := r.mgr.ReadyAt(component); r.mgr.Serving(component) && now.Sub(readyAt) < r.grace {
 		// The component recovered between FD's last probe and this report
 		// (detection lag right after a restart completes); acting on it
 		// would trigger a spurious second restart. A serving component
@@ -282,7 +274,7 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 
 	// A failure back within the window of a persisted attempt escalates
 	// the episode; anything else opens a new one.
-	if ep != nil && ep.phase == persisted && now.Sub(ep.settledAt) <= r.params.PersistWindow {
+	if ep != nil && ep.phase == persisted && now.Sub(ep.settledAt) <= r.persist {
 		r.move(component, ep, deciding)
 	} else {
 		ep = &episode{attempt: 1}

@@ -117,7 +117,7 @@ func TestMicrorebootBudgetRefund(t *testing.T) {
 			t.Fatalf("microreboot %d: %v", i, err)
 		}
 		// Let the cure verdict settle so the episode resolves and refunds.
-		if err := sys.RunFor(recp.PersistWindow + time.Second); err != nil {
+		if err := sys.RunFor(core.DefaultFDParams().PersistWindow() + time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -359,34 +359,31 @@ type OnlineConfig struct {
 	Tree string
 	// Horizon is the simulated soak duration.
 	Horizon time.Duration
-	// MTTFs sets each component's exponential failure law.
-	MTTFs map[string]time.Duration
-	// Correlated maps a component to the true cure set of its organic
-	// faults (the injection plane's knowledge; nil entries mean the
-	// component cures alone).
-	Correlated map[string][]string
 
 	Seed int64
 }
 
-// DefaultOnlineConfig is the EXPERIMENTS.md online-proposal setup: tree
-// II′ soaked under an aggressive correlated ses↔str failure regime plus
-// the usual buggy translator.
-func DefaultOnlineConfig() OnlineConfig {
-	return OnlineConfig{
-		Tree:    "IIp",
-		Horizon: 4 * time.Hour,
-		MTTFs: map[string]time.Duration{
-			"ses":  20 * time.Minute,
-			"str":  20 * time.Minute,
-			"fedr": 30 * time.Minute,
-		},
-		Correlated: map[string][]string{
-			"ses": {"ses", "str"},
-			"str": {"ses", "str"},
-		},
-		Seed: 2002,
+// The online soak's failure regime: an aggressive correlated ses↔str
+// pair plus the usual buggy translator. onlineMTTFs sets each component's
+// exponential failure law; onlineCureSets maps a component to the true
+// cure set of its organic faults (the injection plane's knowledge; a
+// component not listed cures alone).
+var (
+	onlineMTTFs = map[string]time.Duration{
+		"ses":  20 * time.Minute,
+		"str":  20 * time.Minute,
+		"fedr": 30 * time.Minute,
 	}
+	onlineCureSets = map[string][]string{
+		"ses": {"ses", "str"},
+		"str": {"ses", "str"},
+	}
+)
+
+// DefaultOnlineConfig is the EXPERIMENTS.md online-proposal setup: tree
+// II′ soaked for four hours under the online failure regime.
+func DefaultOnlineConfig() OnlineConfig {
+	return OnlineConfig{Tree: "IIp", Horizon: 4 * time.Hour, Seed: 2002}
 }
 
 // OnlineProposal is the soak outcome: the mined mix and the optimizer's
@@ -417,11 +414,9 @@ func RunOnlineProposal(_ context.Context, cfg OnlineConfig) (*OnlineProposal, er
 			Recovery: ev.CuredAt.Sub(ev.InjectedAt),
 		})
 	})
-	if cfg.Correlated != nil {
-		sys.Injector.CureFor = func(c string) []string { return cfg.Correlated[c] }
-	}
-	laws := make(map[string]fault.Law, len(cfg.MTTFs))
-	for c, m := range cfg.MTTFs {
+	sys.Injector.CureFor = func(c string) []string { return onlineCureSets[c] }
+	laws := make(map[string]fault.Law, len(onlineMTTFs))
+	for c, m := range onlineMTTFs {
 		laws[c] = fault.Exponential{M: m}
 	}
 	sys.Injector.Arm(laws)

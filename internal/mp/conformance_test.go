@@ -180,7 +180,7 @@ func TestConformance(t *testing.T) {
 			}
 			defer sup.Stop()
 
-			for name, h := range map[string]*rt.Host{"rt": node.Host, "mp": sup.Host} {
+			for name, h := range map[string]*rt.Host{"rt": node, "mp": sup.Host} {
 				got := onHost(t, name, h, sc.manifest, sc.hang, sc.restarts)
 				if len(got.crossed) > 0 {
 					t.Logf("%s: unscripted %v crossed the episode (pushed %v, restarted %v); not compared",

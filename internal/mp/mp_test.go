@@ -22,7 +22,9 @@ import (
 
 // TestMain doubles as the component-child entry point: when the supervisor
 // re-executes the test binary with the child spec in the environment, run
-// the component instead of the test suite.
+// the component instead of the test suite. A binary re-executed with
+// envSupervisor set runs a supervisor instead (runTestSupervisor); its own
+// children carry the child spec, so they still run components.
 func TestMain(m *testing.M) {
 	if cfg, ok := SpecFromEnv(); ok {
 		if err := RunChild(cfg); err != nil {
@@ -31,7 +33,32 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	}
+	if addr := os.Getenv(envSupervisor); addr != "" {
+		runTestSupervisor(addr)
+	}
 	os.Exit(m.Run())
+}
+
+// envSupervisor carries the broker address a re-executed test binary runs
+// a tree-IV supervisor on.
+const envSupervisor = "MERCURY_MP_TEST_SUPERVISOR"
+
+// runTestSupervisor boots a supervisor on addr, prints one "child <pid>"
+// line per component process and then "booted", and runs until it is
+// killed.
+func runTestSupervisor(addr string) {
+	sup, err := StartSupervisor(SupervisorConfig{ListenAddr: addr, Scale: mpScale, TreeName: "IV", Seed: 1})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "supervisor:", err)
+		os.Exit(3)
+	}
+	for _, comp := range sup.Components() {
+		if pid := sup.ChildPID(comp); pid != 0 {
+			fmt.Println("child", pid)
+		}
+	}
+	fmt.Println("booted")
+	select {}
 }
 
 // mpScale compresses the calibrated seconds for the live children.
@@ -114,7 +141,7 @@ func TestMultiProcessHangRecovery(t *testing.T) {
 // rtu, not only its replies. REC's decision delay outlasts the test, so
 // the hung child stays up to be watched.
 func TestMultiProcessHungChildSendsNothing(t *testing.T) {
-	rec := rt.RECParamsForScale(mpScale)
+	rec := core.DefaultRECParams()
 	rec.DecisionDelay = time.Hour
 	sup, err := StartSupervisor(SupervisorConfig{
 		ListenAddr: "127.0.0.1:0",
@@ -330,7 +357,7 @@ func TestMultiProcessHardFaultGivesUp(t *testing.T) {
 	// default 2-minute budget window can prune history faster than six
 	// restarts accrue; widen it so the budget logic itself is what ends
 	// the storm.
-	recp := rt.RECParamsForScale(mpScale)
+	recp := core.DefaultRECParams()
 	recp.BudgetWindow = 30 * time.Minute
 	sup, err := StartSupervisor(SupervisorConfig{
 		ListenAddr: "127.0.0.1:0",
@@ -420,15 +447,8 @@ func liveChildren(t *testing.T, component string) []int {
 		if err != nil {
 			continue
 		}
-		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
-		if err != nil {
-			continue
-		}
-		// After "(comm)": state, then ppid.
-		var state string
-		var ppid int
-		rest := stat[bytes.LastIndexByte(stat, ')')+1:]
-		if _, err := fmt.Sscan(string(rest), &state, &ppid); err != nil || ppid != os.Getpid() || state == "Z" {
+		state, ppid, ok := procStat(pid)
+		if !ok || ppid != os.Getpid() || state == "Z" {
 			continue
 		}
 		env, _ := os.ReadFile(fmt.Sprintf("/proc/%d/environ", pid))
@@ -439,4 +459,17 @@ func liveChildren(t *testing.T, component string) []int {
 		}
 	}
 	return pids
+}
+
+// procStat reads a process's state letter and parent pid from /proc; ok is
+// false if there is no such process.
+func procStat(pid int) (state string, ppid int, ok bool) {
+	stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+	if err != nil {
+		return "", 0, false
+	}
+	// After "(comm)": state, then ppid.
+	rest := stat[bytes.LastIndexByte(stat, ')')+1:]
+	_, err = fmt.Sscan(string(rest), &state, &ppid)
+	return state, ppid, err == nil
 }

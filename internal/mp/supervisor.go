@@ -18,7 +18,8 @@ import (
 )
 
 // spawn prepares one component child process: the running binary,
-// re-executed with the spec in its environment (see SpecFromEnv).
+// re-executed with the spec in its environment (see SpecFromEnv). On Linux
+// the child dies with the supervisor (dieWithParent).
 func spawn(spec ChildConfig) (*exec.Cmd, error) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -26,6 +27,7 @@ func spawn(spec ChildConfig) (*exec.Cmd, error) {
 	}
 	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(), spec.Env()...)
+	dieWithParent(cmd)
 	return cmd, nil
 }
 
@@ -41,8 +43,8 @@ type SupervisorConfig struct {
 	Seed int64
 	// Policy is the oracle; nil = escalating.
 	Policy *core.Policy
-	// RECParams overrides the recoverer configuration (already adjusted
-	// for Scale); nil uses rt.RECParamsForScale.
+	// RECParams overrides the recoverer configuration; nil uses
+	// core.DefaultRECParams. Its windows follow FD's timings for Scale.
 	RECParams *core.RECParams
 }
 

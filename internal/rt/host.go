@@ -27,15 +27,16 @@ type HostConfig struct {
 	Seed int64
 	// BusShards is the broker-shard count; 0 or 1 is the single broker.
 	BusShards int
-	// REC overrides the recoverer parameters (already adjusted for Scale);
-	// nil uses RECParamsForScale.
+	// REC overrides the recoverer parameters; nil uses
+	// core.DefaultRECParams. Its windows follow FD's timings for Scale.
 	REC *core.RECParams
 }
 
 // Host is the wall-clock half the two live runtimes share: a dispatcher, a
 // scaled clock, a process manager on the TCP fabric with the FD↔REC link
 // delivered in-process, the assembled station, and its lifecycle — boot,
-// inject, wait for recovery, tear down. rt.Node and mp.Supervisor embed it.
+// inject, wait for recovery, tear down. rt.Node is a Host, and
+// mp.Supervisor embeds one.
 type Host struct {
 	Disp *Dispatcher
 	Mgr  *proc.Manager
@@ -46,7 +47,9 @@ type Host struct {
 	// dispatcher-owned state: wrap every use in Disp.Call.
 	assemble.Station
 
-	broker   *BrokerControl
+	listen   string
+	shards   int
+	fabric   *bus.ShardedBroker  // opened once by Boot; the mbus cell closes and reopens it
 	clients  map[string]bus.Conn // complete before the first handler runs
 	stopOnce sync.Once
 }
@@ -67,7 +70,8 @@ func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
 		Disp:    NewDispatcher(),
 		Log:     trace.NewLog(),
 		Scale:   cfg.Scale,
-		broker:  NewBrokerControl(cfg.ListenAddr, cfg.BusShards),
+		listen:  cfg.ListenAddr,
+		shards:  max(cfg.BusShards, 1),
 		clients: make(map[string]bus.Conn),
 	}
 	h.Mgr = proc.NewManager(Clock{D: h.Disp, Scale: cfg.Scale}, rand.New(rand.NewSource(cfg.Seed)), h.Log)
@@ -76,7 +80,7 @@ func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
 
 	st.Mgr = h.Mgr
 	st.FDParams = FDParamsForScale(cfg.Scale)
-	st.RECParams = RECParamsForScale(cfg.Scale)
+	st.RECParams = core.DefaultRECParams()
 	if cfg.REC != nil {
 		st.RECParams = *cfg.REC
 	}
@@ -99,9 +103,10 @@ func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
 	return h, nil
 }
 
-// rtBrokerHandler is the mbus component in real-time mode: its startup
-// opens the TCP listeners, and its incarnation going down, by death or
-// silencing, closes them.
+// rtBrokerHandler is the mbus component in real-time mode: it owns the
+// fabric Boot opened. Its startup reopens every shard on its pinned
+// address, and its incarnation going down, by death or silencing, closes
+// them all.
 // Ready means the bus routes: the listeners are open and every client this
 // host runs has registered with them again. A client that stays away does
 // not hold the cell down for more than patience, one FD pong timeout.
@@ -118,9 +123,12 @@ const readyPolls = 8
 func (h *rtBrokerHandler) Start(ctx proc.Context) {
 	d := time.Duration(float64(h.startup) * ctx.Stretch())
 	ctx.After(d, func() {
-		if err := h.host.broker.Open(); err != nil {
-			ctx.Fail("broker listen: " + err.Error())
-			return
+		fabric := h.host.fabric
+		for i := range fabric.Addrs() {
+			if err := fabric.RestartShard(i); err != nil {
+				ctx.Fail("broker listen: " + err.Error())
+				return
+			}
 		}
 		h.awaitClients(ctx, readyPolls)
 	})
@@ -144,8 +152,8 @@ func (h *rtBrokerHandler) awaitClients(ctx proc.Context, polls int) {
 	}
 }
 
-// Down closes the listeners this incarnation opened.
-func (h *rtBrokerHandler) Down(string) { h.host.broker.CloseBroker() }
+// Down closes every shard; the next incarnation's Start reopens them.
+func (h *rtBrokerHandler) Down(string) { _ = h.host.fabric.Close() }
 
 func (h *rtBrokerHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	if m.Kind() == xmlcmd.KindPing && h.ready {
@@ -164,9 +172,7 @@ type transport struct {
 }
 
 func (t transport) Send(m *xmlcmd.Message) {
-	if (m.From == xmlcmd.AddrFD || m.From == xmlcmd.AddrREC) &&
-		(m.To == xmlcmd.AddrFD || m.To == xmlcmd.AddrREC) {
-		// Dedicated link: does not transit mbus.
+	if xmlcmd.Dedicated(m.From, m.To) {
 		t.h.Mgr.Deliver(m)
 	} else if c := t.h.clients[m.From]; c != nil {
 		// clients is never written once Boot has dialled it, so the
@@ -189,11 +195,11 @@ func (h *Host) Boot(clients []string, slack time.Duration) (err error) {
 			h.Stop()
 		}
 	}()
-	if err := h.broker.Open(); err != nil {
+	if h.fabric, err = bus.ListenSharded(h.listen, h.shards, bus.BrokerConfig{}); err != nil {
 		return err
 	}
 	for _, name := range clients {
-		c, err := bus.DialAuto(h.broker.Address(), name, h.Disp.PostMessage)
+		c, err := bus.DialAuto(h.fabric.AddrList(), name, h.Disp.PostMessage)
 		if err != nil {
 			return err
 		}
@@ -250,8 +256,9 @@ func (h *Host) WaitRecovered(limit time.Duration) error {
 }
 
 // BusAddr returns the live broker address spec (for faultgen and external
-// clients).
-func (h *Host) BusAddr() string { return h.broker.Address() }
+// clients): a single "host:port" for one shard, a comma-separated list for
+// a sharded fabric. bus.DialAuto accepts either.
+func (h *Host) BusAddr() string { return h.fabric.AddrList() }
 
 // Stop tears the host down; safe to call more than once.
 func (h *Host) Stop() {
@@ -265,15 +272,15 @@ func (h *Host) Stop() {
 		for _, c := range h.clients {
 			c.Close()
 		}
-		h.broker.CloseBroker()
+		if h.fabric != nil {
+			_ = h.fabric.Close()
+		}
 	})
 }
 
 // Node is the in-process live runtime: a Host whose station components all
 // run on its one dispatcher, each behind its own bus client.
-type Node struct {
-	*Host
-}
+type Node = Host
 
 // StartNode builds and boots a live station.
 func StartNode(cfg NodeConfig) (*Node, error) {
@@ -296,5 +303,5 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if err := h.Boot(append(h.Components(), xmlcmd.AddrFD), 5*time.Second); err != nil {
 		return nil, err
 	}
-	return &Node{h}, nil
+	return h, nil
 }

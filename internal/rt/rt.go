@@ -10,12 +10,10 @@
 package rt
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/recursive-restart/mercury/internal/bus"
 	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
@@ -385,7 +383,8 @@ func (t *afterTimer) Stop() bool { return t.done.CompareAndSwap(false, true) }
 // calibrated 200 ms pong timeout becomes only a few milliseconds of wall
 // time at high scale — too tight for real TCP and scheduling jitter — so
 // the timeout is floored at ~25 ms of wall time and the ping period is
-// stretched to keep at least half the cycle free.
+// stretched to keep at least half the cycle free. FD's re-report throttle
+// and REC's windows follow the stretched timings (core.FDParams).
 func FDParamsForScale(scale float64) core.FDParams {
 	p := core.DefaultFDParams()
 	if scale <= 1 {
@@ -397,27 +396,6 @@ func FDParamsForScale(scale float64) core.FDParams {
 	}
 	if p.PingPeriod < 2*p.PingTimeout {
 		p.PingPeriod = 2 * p.PingTimeout
-	}
-	if p.ReReportInterval < 2*p.PingPeriod {
-		p.ReReportInterval = 2 * p.PingPeriod
-	}
-	return p
-}
-
-// RECParamsForScale widens the recoverer's persistence and grace windows
-// to cover the slower detection of FDParamsForScale. REC watches FD on
-// FD's own ping timings.
-func RECParamsForScale(scale float64) core.RECParams {
-	p := core.DefaultRECParams()
-	if scale <= 1 {
-		return p
-	}
-	fd := FDParamsForScale(scale)
-	if p.PersistWindow < 2*fd.ReReportInterval {
-		p.PersistWindow = 2 * fd.ReReportInterval
-	}
-	if p.ReadyGrace < fd.PingPeriod+fd.PingTimeout {
-		p.ReadyGrace = fd.PingPeriod + fd.PingTimeout
 	}
 	return p
 }
@@ -448,108 +426,4 @@ type NodeConfig struct {
 	// package default. A non-zero value forces the checkpoint plane on
 	// (micro mode only).
 	CkptInterval time.Duration
-}
-
-// BrokerControl ties the mbus process lifecycle to the real TCP fabric:
-// while the process is down every shard's listener is closed and frames
-// are lost. It is shared by the in-process runtime (Node) and the
-// multi-process supervisor (internal/mp). With shards > 1 the mbus cell
-// owns a sharded fabric; its death still takes the whole fabric down
-// (mbus is one cell in the restart tree). Killing one shard is the
-// bus.ShardedBroker API's business, which rrbench shardchaos drives on a
-// fabric of its own.
-type BrokerControl struct {
-	addr   string
-	shards int
-	mu     sync.Mutex
-	fabric *bus.ShardedBroker
-	addrs  []string // pinned after the first Open, stable across restarts
-}
-
-func (bc *BrokerControl) Open() error {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.fabric != nil {
-		return nil
-	}
-	n := bc.shards
-	if n < 1 {
-		n = 1
-	}
-	var (
-		sb  *bus.ShardedBroker
-		err error
-	)
-	if bc.addrs != nil {
-		sb, err = bus.ListenShardedAddrs(bc.addrs)
-	} else {
-		sb, err = bus.ListenSharded(bc.addr, n, bus.BrokerConfig{})
-	}
-	if err != nil {
-		return err
-	}
-	bc.addrs = sb.Addrs() // pin ephemeral ports for restarts
-	bc.fabric = sb
-	return nil
-}
-
-func (bc *BrokerControl) CloseBroker() {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.fabric != nil {
-		_ = bc.fabric.Close()
-		bc.fabric = nil
-	}
-}
-
-// Address returns the fabric's address spec: a single "host:port" for one
-// shard, a comma-separated list for a sharded fabric. bus.DialAuto
-// accepts either, so the spec flows through -bus flags unchanged.
-func (bc *BrokerControl) Address() string {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.addrs != nil {
-		return strings.Join(bc.addrs, ",")
-	}
-	return bc.addr
-}
-
-// NumShards returns the fabric width the controller manages.
-func (bc *BrokerControl) NumShards() int {
-	n := bc.shards
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// KillShard stops one broker shard of the live fabric. A no-op while the
-// whole mbus cell is down. Serialised with Open/CloseBroker so a shard
-// fault cannot race the mbus cell's own restart (which rebinds every
-// pinned shard port).
-func (bc *BrokerControl) KillShard(i int) error {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.fabric == nil {
-		return nil
-	}
-	return bc.fabric.KillShard(i)
-}
-
-// RestartShard revives one broker shard on its pinned address. A no-op
-// while the whole mbus cell is down — the cell's next Open rebinds every
-// shard anyway.
-func (bc *BrokerControl) RestartShard(i int) error {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.fabric == nil {
-		return nil
-	}
-	return bc.fabric.RestartShard(i)
-}
-
-// NewBrokerControl returns a controller for an n-shard fabric listening
-// at addr (each shard on its own port); n < 2 is the classic single broker.
-func NewBrokerControl(addr string, n int) *BrokerControl {
-	return &BrokerControl{addr: addr, shards: n}
 }

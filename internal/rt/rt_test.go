@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/assemble"
+	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/station"
@@ -107,7 +108,7 @@ func liveCommandValuesLand(t *testing.T) {
 	if err := h.Boot(append(h.Components(), xmlcmd.AddrFD), 5*time.Second); err != nil {
 		t.Fatalf("Boot: %v", err)
 	}
-	g := dialGate(t, &Node{h})
+	g := dialGate(t, h)
 	g.mix = nil
 	for i := 0; i < 1500; i++ {
 		f := 437e6 + float64(i)
@@ -439,6 +440,28 @@ func TestLeaseExpiryScaled(t *testing.T) {
 	}
 }
 
+// TestDerivedWindows pins FD's re-report throttle and REC's persist
+// window and ready grace, which follow the ping timings, at the
+// simulator's defaults and at the live runtimes' time-compressed detector
+// (DESIGN.md §16).
+func TestDerivedWindows(t *testing.T) {
+	for _, c := range []struct {
+		name                     string
+		fd                       core.FDParams
+		reReport, persist, grace time.Duration
+	}{
+		{"simulator", core.DefaultFDParams(), 2 * time.Second, 5 * time.Second, 1500 * time.Millisecond},
+		{"scale 1", FDParamsForScale(1), 2 * time.Second, 5 * time.Second, 1500 * time.Millisecond},
+		{"scale 10", FDParamsForScale(10), 2 * time.Second, 5 * time.Second, 1500 * time.Millisecond},
+		{"scale 50", FDParamsForScale(50), 5 * time.Second, 10 * time.Second, 3750 * time.Millisecond},
+		{"scale 100", FDParamsForScale(100), 10 * time.Second, 20 * time.Second, 7500 * time.Millisecond},
+	} {
+		if r, p, g := c.fd.ReReportInterval(), c.fd.PersistWindow(), c.fd.ReadyGrace(); r != c.reReport || p != c.persist || g != c.grace {
+			t.Errorf("%s: re-report/persist/grace %v/%v/%v, want %v/%v/%v", c.name, r, p, g, c.reReport, c.persist, c.grace)
+		}
+	}
+}
+
 // TestLiveNodeShardedBus boots a station over a two-shard mbus fabric,
 // kills one broker shard mid-run, and verifies the station rides out the
 // partial-bus outage: the dead shard's traffic parks and recovers once
@@ -465,25 +488,25 @@ func liveNodeShardedBus(t *testing.T, traffic bool) {
 	}
 
 	// Kill one broker shard (a bus-fabric fault, not a component fault):
-	// only the addresses hashing to it go dark. The kill/restart goes
-	// through BrokerControl so it serialises with any mbus-cell restart
-	// the FD/REC machinery decides on during the outage.
-	if node.broker.NumShards() != 2 {
-		t.Fatal("no two-shard fabric")
+	// only the addresses hashing to it go dark. The kill and restart act
+	// on the fabric directly; nothing serialises them with an mbus-cell
+	// restart, which reopens every shard anyway.
+	if n := len(node.fabric.Addrs()); n != 2 {
+		t.Fatalf("%d-shard fabric, want 2", n)
 	}
 	var g *testGate
 	if traffic {
 		g = dialGate(t, node)
 		g.roundTrips(t, 300, 8)
 	}
-	if err := node.broker.KillShard(0); err != nil {
+	if err := node.fabric.KillShard(0); err != nil {
 		t.Fatal(err)
 	}
 	if traffic {
 		_ = g.run(100, 8, 20*time.Millisecond) // commands in flight into the dead shard; most are lost
 	}
 	time.Sleep(100 * time.Millisecond)
-	if err := node.broker.RestartShard(0); err != nil {
+	if err := node.fabric.RestartShard(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := node.WaitRecovered(30 * time.Second); err != nil {

@@ -31,6 +31,13 @@ const (
 	AddrREC     = "rec"
 )
 
+// Dedicated reports whether a message from one address to another rides
+// the FD↔REC dedicated link, which does not transit mbus (the paper's
+// separate TCP connection). Every runtime routes by this one rule.
+func Dedicated(from, to string) bool {
+	return (from == AddrFD || from == AddrREC) && (to == AddrFD || to == AddrREC)
+}
+
 // Kind identifies the body carried by a Message.
 type Kind int
 

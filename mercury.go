@@ -209,9 +209,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := mgr.Register(station.Ops, coll.Handler()); err != nil {
 		return nil, err
 	}
-	if !cfg.DisableRecovery {
-		b.AddDirectLink(FDName, RECName)
-	}
 	sys := &System{
 		Kernel:    k,
 		Clock:     clk,
