@@ -14,6 +14,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/mp"
 	"github.com/recursive-restart/mercury/internal/obs"
 	"github.com/recursive-restart/mercury/internal/proc"
+	"github.com/recursive-restart/mercury/internal/rt"
 	"github.com/recursive-restart/mercury/internal/sim"
 	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
@@ -64,6 +65,7 @@ func buildRegistry(view served) *obs.Registry {
 	core.RegisterMetrics(reg)
 	load.RegisterMetrics(reg)
 	proc.RegisterMetrics(reg)
+	rt.RegisterMetrics(reg)
 	mp.RegisterMetrics(reg)
 	sim.RegisterMetrics(reg)
 	if view.Store != nil {

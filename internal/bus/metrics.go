@@ -41,7 +41,7 @@ type BusMetrics struct {
 	TCPQueueBytes        obs.Gauge       // bytes pending across bounded send queues
 	TCPBackpressureDrops obs.Counter     // frames rejected by a full send queue (DropNewest)
 	TCPReconnectQueued   obs.Counter     // client frames parked while disconnected
-	TCPReconnectDrops    obs.Counter     // client frames lost to a full reconnect queue
+	TCPReconnectDrops    obs.Counter     // client frames shed, oldest first, from a full reconnect queue
 }
 
 // M is the process-wide bus metrics instance. Hot call sites hold a

@@ -334,10 +334,13 @@ func (b *TCPBroker) ClientNames() []string {
 // Client defaults.
 const (
 	// reconnectQueue bounds the bytes of encoded frames a client parks
-	// while its broker is away, flushed in order on reconnect. 64 KiB ≈ 800
-	// typical frames: enough to ride out a broker restart, small enough
-	// that a dead shard cannot balloon every sender. Overflow is dropped
-	// against mercury_bus_tcp_reconnect_queue_total{outcome="dropped"}.
+	// while its broker is away, flushed in order on reconnect. A station
+	// command encodes to ~140–190 bytes, so 64 KiB is ~400 of them — ~200 ms
+	// of a 2,000-command-a-second console — and small enough that a dead
+	// shard cannot balloon every sender. Past the bound the oldest frames
+	// are shed, counted in
+	// mercury_bus_tcp_reconnect_queue_total{outcome="dropped"}: the newest
+	// are the ones a waiting sender can still use.
 	reconnectQueue = 64 << 10
 
 	// The reconnect schedule (reconnectDelay): redial at once, then after 4,
@@ -381,7 +384,8 @@ type ClientConfig struct{}
 // TCPClient is one component's connection to the broker. It redials when
 // the broker goes away (reconnectDelay); frames sent meanwhile are parked
 // in a bounded queue and flushed, in order, ahead of new traffic once the
-// broker returns — only queue overflow is lost (counted, not silent).
+// broker returns — only the oldest frames past the bound are lost
+// (counted, not silent).
 type TCPClient struct {
 	name  string
 	addr  string
@@ -391,9 +395,10 @@ type TCPClient struct {
 	mu          sync.Mutex
 	conn        net.Conn
 	bw          *BatchWriter // live connection's send queue; nil while disconnected
-	queue       []byte       // encoded frames parked for the next reconnect
+	queue       []byte       // encoded frames parked for the next reconnect, from queueHead on
+	queueHead   int          // where the oldest frame not yet shed starts
 	queueFrames int
-	queueCap    int // bound on len(queue): reconnectQueue, raised only by tests
+	queueCap    int // bound on the parked bytes: reconnectQueue, raised only by tests
 	closed      bool
 	done        chan struct{} // closed by Close; unblocks the backoff wait
 	wg          sync.WaitGroup
@@ -461,16 +466,15 @@ func (c *TCPClient) connect(atOnce bool) error {
 		return ErrClientClosed
 	}
 	err = c.fw.WriteFrame(conn, reg)
-	if err == nil && len(c.queue) > 0 {
+	if backlog := c.queue[c.queueHead:]; err == nil && len(backlog) > 0 {
 		// The parked queue is already a valid frame stream; one Write
 		// delivers the whole backlog as a single batch.
-		_, err = conn.Write(c.queue)
+		_, err = conn.Write(backlog)
 		if err == nil {
 			M.TCPFramesOut.Add(uint64(c.queueFrames))
-			M.TCPBytesOut.Add(uint64(len(c.queue)))
+			M.TCPBytesOut.Add(uint64(len(backlog)))
 			M.TCPBatchFrames.ObserveValue(uint64(c.queueFrames))
-			c.queue = c.queue[:0]
-			c.queueFrames = 0
+			c.queue, c.queueHead, c.queueFrames = c.queue[:0], 0, 0
 		}
 	}
 	if err != nil {
@@ -487,7 +491,8 @@ func (c *TCPClient) connect(atOnce bool) error {
 
 // Send queues a frame. Delivery stays fail-silent (the bus contract), but
 // failure is no longer silent *loss* at the first hop: while disconnected
-// the frame is parked in the bounded reconnect queue (overflow counted in
+// the frame is parked in the bounded reconnect queue, which sheds its
+// oldest frames to make room (counted in
 // mercury_bus_tcp_reconnect_queue_total{outcome="dropped"}), and on a live
 // connection it joins the batched send queue, whose Block policy throttles
 // the caller instead of dropping.
@@ -497,11 +502,6 @@ func (c *TCPClient) Send(m *xmlcmd.Message) {
 	if bw == nil {
 		defer c.mu.Unlock()
 		if c.closed {
-			M.TCPSendDrops.Inc()
-			return
-		}
-		if len(c.queue) >= c.queueCap {
-			M.TCPReconnectDrops.Inc()
 			M.TCPSendDrops.Inc()
 			return
 		}
@@ -516,6 +516,7 @@ func (c *TCPClient) Send(m *xmlcmd.Message) {
 		c.queue = buf
 		c.queueFrames++
 		M.TCPReconnectQueued.Inc()
+		c.shedOldest()
 		return
 	}
 	c.mu.Unlock()
@@ -529,6 +530,24 @@ func (c *TCPClient) Send(m *xmlcmd.Message) {
 		if conn != nil {
 			_ = conn.Close()
 		}
+	}
+}
+
+// shedOldest drops the oldest parked frames until the rest fit the bound,
+// always keeping the newest. The shed prefix is cut off once it is over
+// half the buffer, so a cut never moves more bytes than were shed before
+// it. The caller holds mu.
+func (c *TCPClient) shedOldest() {
+	for len(c.queue)-c.queueHead > c.queueCap && c.queueFrames > 1 {
+		n := binary.BigEndian.Uint32(c.queue[c.queueHead:])
+		c.queueHead += frameHeader + int(n)
+		c.queueFrames--
+		M.TCPReconnectDrops.Inc()
+		M.TCPSendDrops.Inc()
+	}
+	if c.queueHead > len(c.queue)/2 {
+		c.queue = c.queue[:copy(c.queue, c.queue[c.queueHead:])]
+		c.queueHead = 0
 	}
 }
 

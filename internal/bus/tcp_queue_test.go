@@ -77,43 +77,63 @@ func TestTCPReconnectQueueFlush(t *testing.T) {
 	}
 }
 
-// TestTCPReconnectQueueBound: the parked queue is bounded; overflow is
-// dropped against the dropped-outcome counter rather than growing the
-// queue without limit.
+// TestTCPReconnectQueueBound: the parked queue is bounded, and past the
+// bound it keeps the newest frames. Overflow sheds the oldest against the
+// dropped-outcome counter, and once the broker is back the survivors — the
+// last frame sent among them — are flushed in send order. (The client
+// sends to itself, as in TestTCPReconnectQueueFlush, so every flushed frame
+// is routable.)
 func TestTCPReconnectQueueBound(t *testing.T) {
 	b, err := listenBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	send, err := DialBus(b.Addr(), "fd", nil)
+	addr := b.Addr()
+	var got collector
+	send, err := DialBus(addr, "fd", got.on)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer send.Close()
+	waitFor(t, "registration", func() bool { return len(b.ClientNames()) == 1 })
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "client to notice outage", func() bool {
-		send.mu.Lock()
-		defer send.mu.Unlock()
-		return send.bw == nil
-	})
+	waitFor(t, "client to notice outage", send.Disconnected)
 
 	// Every frame is at least its length header, so this many pings
 	// overflow the bound whatever a ping encodes to.
 	const pings = reconnectQueue/frameHeader + 1
 	drops0 := M.TCPReconnectDrops.Value()
 	for i := uint64(0); i < pings; i++ {
-		send.Send(xmlcmd.NewPing("fd", "ses", i, i))
+		send.Send(xmlcmd.NewPing("fd", "fd", i, i))
 	}
-	if M.TCPReconnectDrops.Value() == drops0 {
+	shed := M.TCPReconnectDrops.Value() - drops0
+	if shed == 0 {
 		t.Fatalf("%d parked pings never overflowed a %d-byte reconnect queue", pings, reconnectQueue)
 	}
 	send.mu.Lock()
-	qlen := len(send.queue)
+	parked, frames := len(send.queue)-send.queueHead, send.queueFrames
 	send.mu.Unlock()
-	if qlen > reconnectQueue+xmlcmd.MaxFrame {
-		t.Fatalf("parked queue grew to %d bytes past its %d-byte bound", qlen, reconnectQueue)
+	if parked > reconnectQueue {
+		t.Fatalf("%d bytes parked past the %d-byte bound", parked, reconnectQueue)
+	}
+	if uint64(frames)+shed != pings {
+		t.Fatalf("%d frames parked and %d shed, want %d in all", frames, shed, pings)
+	}
+
+	b2, err := listenBroker(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	waitFor(t, "the parked frames", func() bool { return got.count() == frames })
+	got.mu.Lock()
+	defer got.mu.Unlock()
+	for i, m := range got.msgs {
+		if want := shed + uint64(i); m.Ping.Nonce != want {
+			t.Fatalf("flushed frame %d carries nonce %d, want %d: the queue must keep the newest, in order", i, m.Ping.Nonce, want)
+		}
 	}
 }
 

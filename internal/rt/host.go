@@ -34,9 +34,10 @@ type HostConfig struct {
 
 // Host is the wall-clock half the two live runtimes share: a dispatcher, a
 // scaled clock, a process manager on the TCP fabric with the FD↔REC link
-// delivered in-process, the assembled station, and its lifecycle — boot,
-// inject, wait for recovery, tear down. rt.Node is a Host, and
-// mp.Supervisor embeds one.
+// delivered in-process, the hold that parks outside commands through a
+// restart or microreboot (hold.go), the assembled station, and its
+// lifecycle — boot, inject, wait for recovery, tear down. rt.Node is a
+// Host, and mp.Supervisor embeds one.
 type Host struct {
 	Disp *Dispatcher
 	Mgr  *proc.Manager
@@ -51,6 +52,7 @@ type Host struct {
 	shards   int
 	fabric   *bus.ShardedBroker  // opened once by Boot; the mbus cell closes and reopens it
 	clients  map[string]bus.Conn // complete before the first handler runs
+	hold     hold                // outside commands waiting out a restart (hold.go)
 	stopOnce sync.Once
 }
 
@@ -75,7 +77,6 @@ func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
 		clients: make(map[string]bus.Conn),
 	}
 	h.Mgr = proc.NewManager(Clock{D: h.Disp, Scale: cfg.Scale}, rand.New(rand.NewSource(cfg.Seed)), h.Log)
-	h.Disp.DeliverTo(h.Mgr.Deliver)
 	h.Mgr.SetTransport(transport{h})
 
 	st.Mgr = h.Mgr
@@ -100,6 +101,8 @@ func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
 		h.Stop()
 		return nil, err
 	}
+	h.hold.init(h.Mgr, h.Disp.Post)
+	h.Disp.DeliverTo(h.hold.deliver)
 	return h, nil
 }
 
