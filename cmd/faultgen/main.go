@@ -1,10 +1,11 @@
 // Command faultgen injects failures into a running mercuryd over the
 // message bus — the operator-side half of the paper's SIGKILL experiments.
 //
-// Targets are component names or, when mercuryd runs with -micro, dotted
-// subcomponent names: killing "ses.cache" crashes only the session-cache
-// logic inside the ses container, which self-reports the fault and is
-// cured by a microreboot instead of a process restart.
+// Targets are component names or, when mercuryd runs an m-variant tree
+// (-tree IIIm or IVm), dotted subcomponent names: killing "ses.cache"
+// crashes only the session-cache logic inside the ses container, which
+// self-reports the fault and is cured by a microreboot instead of a
+// process restart.
 //
 //	faultgen -bus 127.0.0.1:7707 -kill rtu
 //	faultgen -bus 127.0.0.1:7707 -kill pbcom -cure fedr,pbcom
@@ -54,7 +55,7 @@ func printTargets() {
 	for _, c := range comps {
 		fmt.Println("  " + c)
 	}
-	fmt.Println("subcomponents (mercuryd -micro only):")
+	fmt.Println("subcomponents (m-variant trees only):")
 	subs := station.MicroSubs()
 	parents := make([]string, 0, len(subs))
 	for p := range subs {

@@ -36,7 +36,9 @@ func TestDocsMercurydFlags(t *testing.T) {
 	}
 }
 
-// definedFlags returns the name of every flag.X("name", …) call in main.go.
+// definedFlags returns the name of every flag main.go defines: the first
+// argument of a flag.X("name", …) call, the second of a flag.XVar(&v,
+// "name", …) one.
 func definedFlags(t *testing.T) map[string]bool {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
@@ -56,7 +58,14 @@ func definedFlags(t *testing.T) map[string]bool {
 		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
 			return true
 		}
-		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+		arg := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg = 1
+		}
+		if arg >= len(call.Args) {
+			return true
+		}
+		if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 			if name, err := strconv.Unquote(lit.Value); err == nil {
 				names[name] = true
 			}

@@ -11,7 +11,7 @@
 // component liveness view as JSON) and GET /tree (the active restart
 // tree with per-node state as JSON). See OPERATIONS.md for a guide.
 //
-// With -bus-shards N (in-process runtime) mbus becomes an N-shard fabric:
+// With -bus-shards N mbus becomes an N-shard fabric:
 // the printed bus address is a comma-separated shard list that faultgen
 // and other clients accept as-is.
 //
@@ -49,65 +49,42 @@ func main() {
 		}
 		return
 	}
-	var (
-		listen    = flag.String("listen", "127.0.0.1:7707", "TCP address for the mbus broker")
-		tree      = flag.String("tree", "IV", "restart tree (I, II, IIp, III, IV, V; IIIm/IVm imply -micro)")
-		scale     = flag.Float64("scale", 10, "time compression (10 = ten times faster than calibrated)")
-		seed      = flag.Int64("seed", 2002, "deterministic seed for jitter and epochs")
-		duration  = flag.Duration("duration", 0, "run time (0 = until SIGINT)")
-		kill      = flag.String("kill", "", "self-driven demo: component to kill after -kill-after")
-		killAt    = flag.Duration("kill-after", 5*time.Second, "wall-time delay before -kill")
-		quiet     = flag.Bool("quiet", false, "suppress the live trace stream")
-		multiproc = flag.Bool("multiproc", false, "run every component as its own OS process (per-JVM fidelity)")
-		busShards = flag.Int("bus-shards", 1, "broker shards for the mbus fabric (in-process runtime only)")
-		micro     = flag.Bool("micro", false, "microrebootable components on the crash-only store (in-process runtime only)")
-		oracle    = flag.String("oracle", "", "recovery policy (v2 = costaware), one of:\n"+core.PolicyHelp())
-		ckptIv    = flag.Duration("ckpt-interval", 0, "checkpoint snapshot period (micro mode; 0 = default 10s when the checkpoint plane is on)")
-		obsAddr   = flag.String("obs", "", "HTTP address for the observability endpoints (/metrics, /healthz, /tree); empty = disabled")
-		version   = flag.Bool("version", false, "print version and exit")
-	)
+	// The station flags parse straight into the config both runtimes boot
+	// from; the rest say what the daemon does around the station.
+	var cfg rt.NodeConfig
+	flag.StringVar(&cfg.ListenAddr, "listen", "127.0.0.1:7707", "TCP address for the mbus broker")
+	flag.StringVar(&cfg.TreeName, "tree", "IV", "restart tree (I, II, IIp, III, IV, V; the m-variants IIIm/IVm run in micro mode)")
+	flag.Float64Var(&cfg.Scale, "scale", 10, "time compression (10 = ten times faster than calibrated)")
+	flag.Int64Var(&cfg.Seed, "seed", 2002, "deterministic seed for jitter and epochs")
+	flag.IntVar(&cfg.BusShards, "bus-shards", 1, "broker shards for the mbus fabric")
+	flag.StringVar(&cfg.OracleName, "oracle", "", "recovery policy (v2 = costaware), one of:\n"+core.PolicyHelp())
+	flag.DurationVar(&cfg.CkptInterval, "ckpt-interval", 0, "checkpoint snapshot period (m-variant trees only; 0 = default 10s when the checkpoint plane is on)")
+	var d daemon
+	flag.DurationVar(&d.duration, "duration", 0, "run time (0 = until SIGINT)")
+	flag.StringVar(&d.kill, "kill", "", "self-driven demo: component to kill after -kill-after")
+	flag.DurationVar(&d.killAt, "kill-after", 5*time.Second, "wall-time delay before -kill")
+	flag.BoolVar(&d.quiet, "quiet", false, "suppress the live trace stream")
+	flag.StringVar(&d.obsAddr, "obs", "", "HTTP address for the observability endpoints (/metrics, /healthz, /tree); empty = disabled")
+	multiproc := flag.Bool("multiproc", false, "run every component as its own OS process (per-JVM fidelity)")
+	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
 		fmt.Println("mercuryd", buildVersion())
 		return
 	}
-	opts := options{
-		listen:    *listen,
-		tree:      *tree,
-		scale:     *scale,
-		seed:      *seed,
-		duration:  *duration,
-		kill:      *kill,
-		killAt:    *killAt,
-		quiet:     *quiet,
-		multiproc: *multiproc,
-		busShards: *busShards,
-		micro:     *micro,
-		oracle:    *oracle,
-		ckptIv:    *ckptIv,
-		obsAddr:   *obsAddr,
-	}
-	if err := run(opts); err != nil {
+	if err := run(cfg, *multiproc, d); err != nil {
 		fmt.Fprintln(os.Stderr, "mercuryd:", err)
 		os.Exit(1)
 	}
 }
 
-// options is the parsed command line.
-type options struct {
-	listen, tree string
-	scale        float64
-	seed         int64
-	duration     time.Duration
-	kill         string
-	killAt       time.Duration
-	quiet        bool
-	multiproc    bool
-	busShards    int
-	micro        bool
-	oracle       string
-	ckptIv       time.Duration
-	obsAddr      string
+// daemon is what mercuryd does around the station it boots.
+type daemon struct {
+	duration time.Duration
+	kill     string
+	killAt   time.Duration
+	quiet    bool
+	obsAddr  string
 }
 
 // served is a booted station as the command's common tail — trace stream,
@@ -128,59 +105,37 @@ func (s served) mode() string {
 	return "in-process"
 }
 
-// run boots the selected runtime and drives the common station lifecycle.
-func run(opts options) error {
+// run boots cfg on the runtime -multiproc picks and drives the common
+// station lifecycle.
+func run(cfg rt.NodeConfig, multiproc bool, d daemon) error {
 	mode := "in-process"
-	if opts.multiproc {
+	if multiproc {
 		mode = "multi-process"
 	}
 	fmt.Printf("mercuryd: booting %s (tree %s, scale %.0fx, bus %s)...\n",
-		mode, opts.tree, opts.scale, opts.listen)
+		mode, cfg.TreeName, cfg.Scale, cfg.ListenAddr)
 
-	if opts.multiproc {
-		if opts.busShards > 1 {
-			return fmt.Errorf("-bus-shards requires the in-process runtime; drop -multiproc")
-		}
-		if opts.micro || strings.HasSuffix(opts.tree, "m") {
-			return fmt.Errorf("-micro requires the in-process runtime; drop -multiproc")
-		}
-		if opts.oracle != "" || opts.ckptIv > 0 {
-			return fmt.Errorf("-oracle/-ckpt-interval require the in-process runtime; drop -multiproc")
-		}
-		sup, err := mp.StartSupervisor(mp.SupervisorConfig{
-			ListenAddr: opts.listen,
-			Scale:      opts.scale,
-			TreeName:   opts.tree,
-			Seed:       opts.seed,
-		})
+	if multiproc {
+		sup, err := mp.StartSupervisor(cfg)
 		if err != nil {
 			return err
 		}
 		defer sup.Stop()
-		return serve(served{Host: sup.Host, pid: sup.ChildPID}, opts)
+		return serve(served{Host: sup.Host, pid: sup.ChildPID}, d)
 	}
-	node, err := rt.StartNode(rt.NodeConfig{
-		ListenAddr:   opts.listen,
-		Scale:        opts.scale,
-		TreeName:     opts.tree,
-		Seed:         opts.seed,
-		BusShards:    opts.busShards,
-		Micro:        opts.micro,
-		OracleName:   opts.oracle,
-		CkptInterval: opts.ckptIv,
-	})
+	node, err := rt.StartNode(cfg)
 	if err != nil {
 		return err
 	}
 	defer node.Stop()
-	return serve(served{Host: node}, opts)
+	return serve(served{Host: node}, d)
 }
 
 // serve is the common post-boot path: trace stream, banner, observability
 // listener, control client, optional demo kill, then wait for the end of
 // the run and print the shutdown summary.
-func serve(view served, opts options) error {
-	if !opts.quiet {
+func serve(view served, d daemon) error {
+	if !d.quiet {
 		view.Log.Subscribe(func(e trace.Event) {
 			switch e.Kind {
 			case trace.FaultInjected, trace.FailureDetected, trace.OracleGuess,
@@ -202,8 +157,8 @@ func serve(view served, opts options) error {
 	}
 	fmt.Println(view.Tree.Render())
 
-	if opts.obsAddr != "" {
-		srv, err := startObs(opts.obsAddr, view)
+	if d.obsAddr != "" {
+		srv, err := startObs(d.obsAddr, view)
 		if err != nil {
 			return fmt.Errorf("obs listener: %w", err)
 		}
@@ -234,10 +189,10 @@ func serve(view served, opts options) error {
 	}
 	defer ctl.Close()
 
-	if opts.kill != "" {
-		time.AfterFunc(opts.killAt, func() {
-			fmt.Printf("mercuryd: demo kill of %s\n", opts.kill)
-			if err := view.Inject(fault.Fault{Manifest: opts.kill}); err != nil {
+	if d.kill != "" {
+		time.AfterFunc(d.killAt, func() {
+			fmt.Printf("mercuryd: demo kill of %s\n", d.kill)
+			if err := view.Inject(fault.Fault{Manifest: d.kill}); err != nil {
 				fmt.Println("mercuryd: demo kill failed:", err)
 			}
 		})
@@ -245,9 +200,9 @@ func serve(view served, opts options) error {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if opts.duration > 0 {
+	if d.duration > 0 {
 		select {
-		case <-time.After(opts.duration):
+		case <-time.After(d.duration):
 		case <-sig:
 		}
 	} else {

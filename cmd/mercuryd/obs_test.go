@@ -242,7 +242,7 @@ var docFamily = regexp.MustCompile("`(mercury_[a-z0-9_]+|_[a-z0-9_]+)")
 // TestDocsMetricFamilies only greps the source for the name, so a family
 // that is defined but never registered gets past it.)
 func TestDocsMetricFamiliesServed(t *testing.T) {
-	h, err := rt.NewHost(rt.HostConfig{ListenAddr: "127.0.0.1:0"}, assemble.Config{TreeName: "IVm"})
+	h, err := rt.NewHost(rt.NodeConfig{TreeName: "IVm"}, assemble.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,30 +29,33 @@ var ErrUnknownTree = errors.New("mercury: unknown tree name")
 
 // Config is what one station's wiring depends on. The manager carries the
 // runtime (its clock, rng and trace log are the station's); the rest are
-// the choices mercury.Config, rt.NodeConfig and mp.SupervisorConfig make.
+// the choices mercury.Config and rt.NodeConfig make, plus what a runtime or
+// a test overrides (handlers, a policy, REC parameters).
 type Config struct {
 	// Mgr hosts the station. Its transport must already be set.
 	Mgr *proc.Manager
 	// Handler, when non-nil, overrides a component's handler factory; it
 	// answers nil for the components it leaves to station.Factory.
 	Handler func(component string) func() proc.Handler
-	// FDParams and RECParams configure the detector and the recoverer.
+	// FDParams configures the detector. RECParams configures the
+	// recoverer; nil means core.DefaultRECParams.
 	FDParams  core.FDParams
-	RECParams core.RECParams
+	RECParams *core.RECParams
 	// Params are the station parameters. In micro mode a nil Params.Micro
 	// (or one without a store) is completed with the station's own store.
 	Params station.Params
 
-	// TreeName picks the restart tree: "I", "II", "IIp", "III", "IV", "V",
-	// and in micro mode "IIIm", "IVm"; "" means "IV". Trees I and II imply
-	// the monolithic layout.
+	// TreeName picks the restart tree and with it the layout: "I", "II",
+	// "IIp", "III", "IV", "V", "IIIm", "IVm"; "" means "IV". Trees I and II
+	// imply the monolithic layout, and an m-variant name — one ending in
+	// "m" — micro mode: the microrebootable decomposition on a crash-only
+	// store.
 	TreeName string
-	// CustomTree, when non-nil, overrides TreeName with an arbitrary tree
-	// over the split layout. Micro mode still follows TreeName/Micro.
+	// CustomTree, when non-nil, overrides TreeName's tree with an arbitrary
+	// one over the split layout. It must hold every process the station
+	// registers, so it names its subcomponents when TreeName is an
+	// m-variant.
 	CustomTree *core.Tree
-	// Micro turns the microrebootable decomposition on; an m-variant
-	// TreeName implies it.
-	Micro bool
 	// Policy, when non-nil, is the recoverer's policy as built by the
 	// caller; otherwise PolicyName is resolved through core.PolicyByName
 	// with FaultyP and HarmRates as its knobs.
@@ -62,7 +65,8 @@ type Config struct {
 	HarmRates  map[string]float64
 	// CkptInterval is the checkpoint period. The checkpoint plane exists
 	// only in micro mode, and only when a checkpoint-backed policy name or
-	// a positive interval asks for it.
+	// a positive interval asks for it; a positive interval without micro
+	// mode is an error.
 	CkptInterval time.Duration
 	// DisableRecovery leaves out the policy, FD and REC.
 	DisableRecovery bool
@@ -107,13 +111,11 @@ type monitor struct {
 	armed bool     // something went down and SystemRecovered is not yet logged
 }
 
-// watch hooks a monitor into the manager. It goes in last, so the board's
+// watch hooks a monitor over the station's processes (components, then
+// subcomponents) into the manager. It goes in last, so the board's
 // silencing listener and REC's bookkeeping have run when it looks.
-func watch(mgr *proc.Manager, board *fault.Board, comps []string) *monitor {
-	m := &monitor{mgr: mgr, board: board, names: comps}
-	if subs := mgr.SubNames(); len(subs) > 0 {
-		m.names = append(comps[:len(comps):len(comps)], subs...)
-	}
+func watch(mgr *proc.Manager, board *fault.Board, procs []string) *monitor {
+	m := &monitor{mgr: mgr, board: board, names: procs}
 	mgr.OnDown(func(string, string) { m.armed = true })
 	mgr.OnReady(func(string) {
 		if m.armed && m.whole() {
@@ -165,7 +167,10 @@ func Assemble(cfg Config) (Station, error) {
 
 	// Micro mode: session/track state moves into a crash-only store and the
 	// split trees gain the sub-process restart level.
-	micro := cfg.Micro || strings.HasSuffix(cfg.TreeName, "m")
+	micro := strings.HasSuffix(cfg.TreeName, "m")
+	if cfg.CkptInterval > 0 && !micro {
+		return Station{}, fmt.Errorf("mercury: a checkpoint interval needs micro mode (an m-variant tree), not tree %s", cfg.TreeName)
+	}
 	if micro {
 		s.Store = store.New(clk, store.Options{SweepPeriod: 5 * time.Second})
 		if s.Params.Micro == nil {
@@ -205,8 +210,19 @@ func Assemble(cfg Config) (Station, error) {
 	if s.Comps, err = station.Register(mgr, s.Params, s.Layout, cfg.Handler); err != nil {
 		return Station{}, err
 	}
+	// Every process the station runs is a node of its tree, or REC could
+	// never restart it.
+	procs := s.Comps
+	if subs := mgr.SubNames(); len(subs) > 0 {
+		procs = append(procs[:len(procs):len(procs)], subs...)
+	}
+	for _, name := range procs {
+		if _, err := s.Tree.CellOf(name); err != nil {
+			return Station{}, fmt.Errorf("mercury: tree %s: %w", s.Tree.Name, err)
+		}
+	}
 	if cfg.DisableRecovery {
-		s.mon = watch(mgr, s.Board, s.Comps)
+		s.mon = watch(mgr, s.Board, procs)
 		return s, nil
 	}
 
@@ -223,11 +239,15 @@ func Assemble(cfg Config) (Station, error) {
 			return Station{}, fmt.Errorf("mercury: %w", err)
 		}
 	}
-	if s.Ckpt != nil && cfg.RECParams.CkptRestore == nil {
-		cfg.RECParams.CkptRestore = s.Ckpt.RestoreSet
+	recParams := core.DefaultRECParams()
+	if cfg.RECParams != nil {
+		recParams = *cfg.RECParams
+	}
+	if s.Ckpt != nil && recParams.CkptRestore == nil {
+		recParams.CkptRestore = s.Ckpt.RestoreSet
 	}
 	// FD and REC recover each other (DESIGN.md §16).
-	recFactory, rec := core.NewREC(cfg.RECParams, cfg.FDParams, s.Tree, s.Oracle, mgr)
+	recFactory, rec := core.NewREC(recParams, cfg.FDParams, s.Tree, s.Oracle, mgr)
 	if err := mgr.Register(xmlcmd.AddrREC, recFactory); err != nil {
 		return Station{}, err
 	}
@@ -236,7 +256,7 @@ func Assemble(cfg Config) (Station, error) {
 		return Station{}, err
 	}
 	s.REC, s.FD = rec, fd
-	s.mon = watch(mgr, s.Board, s.Comps)
+	s.mon = watch(mgr, s.Board, procs)
 	return s, nil
 }
 

@@ -3,6 +3,7 @@ package assemble
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/recursive-restart/mercury/internal/bus"
 	"github.com/recursive-restart/mercury/internal/clock"
@@ -10,6 +11,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/sim"
 	"github.com/recursive-restart/mercury/internal/station"
+	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
@@ -21,10 +23,9 @@ func base() Config {
 	mgr := proc.NewManager(clk, k.Rand(), trace.NewLog())
 	mgr.SetTransport(bus.NewSim(clk, mgr, station.MBus))
 	return Config{
-		Mgr:       mgr,
-		FDParams:  core.DefaultFDParams(),
-		RECParams: core.DefaultRECParams(),
-		Params:    station.DefaultParams(k.Now()),
+		Mgr:      mgr,
+		FDParams: core.DefaultFDParams(),
+		Params:   station.DefaultParams(k.Now()),
 	}
 }
 
@@ -45,7 +46,29 @@ func TestAssemble(t *testing.T) {
 					t.Fatalf("IVm did not imply micro mode: store=%v tree=%s", s.Store, s.Tree.Name)
 				}
 			}},
-		{name: "micro on the monolithic layout", edit: func(c *Config) { c.TreeName, c.Micro = "II", true }},
+		{name: "micro on the monolithic layout",
+			edit: func(c *Config) {
+				c.TreeName = "II"
+				c.Params.Micro = station.DefaultMicroParams(store.New(clock.Sim{K: sim.New(1)}, store.Options{}))
+			}},
+		{name: "m-variant of a monolithic tree", edit: func(c *Config) { c.TreeName = "IIm" }, isErr: ErrUnknownTree},
+		// A tree that leaves a registered process out wedges recovery: REC
+		// can find no cell for its failure and asks the oracle forever.
+		{name: "custom tree without the subcomponents",
+			edit: func(c *Config) {
+				split, err := core.MercuryTrees(station.MonolithicComponents(), station.SplitComponents())
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.TreeName, c.CustomTree = "IVm", split["IV"]
+			},
+			isErr: core.ErrUnknownComponent},
+		{name: "micro components on a classic tree",
+			edit: func(c *Config) {
+				c.Params.Micro = station.DefaultMicroParams(store.New(clock.Sim{K: sim.New(1)}, store.Options{}))
+			},
+			isErr: core.ErrUnknownComponent},
+		{name: "ckpt interval without micro", edit: func(c *Config) { c.CkptInterval = time.Second }},
 		{name: "micro without a store",
 			edit: func(c *Config) { c.Params.Micro = &station.MicroParams{} }},
 		{name: "ckpt-backed policy without micro",
@@ -59,7 +82,7 @@ func TestAssemble(t *testing.T) {
 				}
 			}},
 		{name: "ckpt-backed policy with micro",
-			edit: func(c *Config) { c.PolicyName, c.Micro = "fixed-ckpt", true },
+			edit: func(c *Config) { c.PolicyName, c.TreeName = "fixed-ckpt", "IVm" },
 			ok: func(t *testing.T, _ Config, s Station) {
 				if s.Ckpt == nil {
 					t.Fatal("no checkpoint plane for a checkpoint-backed policy in micro mode")

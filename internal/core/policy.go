@@ -205,8 +205,8 @@ type policyRow struct {
 }
 
 // policies is the one name → policy table: mercury.Config.Policy,
-// rt.NodeConfig.OracleName, mp's default, mercuryd -oracle and the docs
-// check all resolve through it.
+// rt.NodeConfig.OracleName (under both live runtimes), mercuryd -oracle
+// and the docs check all resolve through it.
 var policies = []policyRow{
 	{name: "escalating",
 		doc: "restart the failed component's cell, then walk up the tree while the failure persists (default)"},

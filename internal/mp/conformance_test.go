@@ -3,6 +3,7 @@ package mp
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,7 +175,7 @@ func TestConformance(t *testing.T) {
 				t.Fatalf("StartNode: %v", err)
 			}
 			defer node.Stop()
-			sup, err := StartSupervisor(SupervisorConfig{ListenAddr: "127.0.0.1:0", Scale: scale, TreeName: tree, Seed: 1})
+			sup, err := StartSupervisor(rt.NodeConfig{ListenAddr: "127.0.0.1:0", Scale: scale, TreeName: tree, Seed: 1})
 			if err != nil {
 				t.Fatalf("StartSupervisor: %v", err)
 			}
@@ -212,18 +213,28 @@ func TestConformance(t *testing.T) {
 
 // TestFailedStartLeavesNoGoroutines pins the start-up tear-down: a
 // supervisor that fails after its dispatcher exists stops it (and closes
-// what it opened) before returning the error.
+// what it opened) before returning the error; an m-variant tree is
+// refused with an error that says why.
 func TestFailedStartLeavesNoGoroutines(t *testing.T) {
-	bad := []SupervisorConfig{
-		{TreeName: "bogus"}, // fails in the assembly
-		{TreeName: "IV", ListenAddr: "127.0.0.1:99999999"}, // fails opening the fabric
+	bad := []struct {
+		cfg  rt.NodeConfig
+		want string // in the error
+	}{
+		{rt.NodeConfig{TreeName: "bogus"}, "unknown tree"},                                      // fails in the assembly
+		{rt.NodeConfig{TreeName: "IV", CkptInterval: time.Second}, "micro mode"},                // fails in the assembly
+		{rt.NodeConfig{TreeName: "IV", ListenAddr: "127.0.0.1:99999999"}, "99999999"},           // fails opening the fabric
+		{rt.NodeConfig{TreeName: "IVm"}, `tree "IVm": micro mode needs the in-process runtime`}, // assembled, then refused
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		cfg := bad[i%len(bad)]
-		cfg.Scale = mpScale
-		if _, err := StartSupervisor(cfg); err == nil {
-			t.Fatalf("%+v accepted", cfg)
+		b := bad[i%len(bad)]
+		b.cfg.Scale = mpScale
+		_, err := StartSupervisor(b.cfg)
+		if err == nil {
+			t.Fatalf("%+v accepted", b.cfg)
+		}
+		if !strings.Contains(err.Error(), b.want) {
+			t.Fatalf("%+v: error %q does not say %q", b.cfg, err, b.want)
 		}
 	}
 	// Stop waits for the dispatcher; only already-exiting goroutines of

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"github.com/recursive-restart/mercury/internal/assemble"
 	"github.com/recursive-restart/mercury/internal/bus"
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
@@ -47,7 +49,7 @@ const envSupervisor = "MERCURY_MP_TEST_SUPERVISOR"
 // line per component process and then "booted", and runs until it is
 // killed.
 func runTestSupervisor(addr string) {
-	sup, err := StartSupervisor(SupervisorConfig{ListenAddr: addr, Scale: mpScale, TreeName: "IV", Seed: 1})
+	sup, err := StartSupervisor(rt.NodeConfig{ListenAddr: addr, Scale: mpScale, TreeName: "IV", Seed: 1})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "supervisor:", err)
 		os.Exit(3)
@@ -66,7 +68,7 @@ const mpScale = 100
 
 func startSupervisor(t *testing.T, tree string) *Supervisor {
 	t.Helper()
-	sup, err := StartSupervisor(SupervisorConfig{
+	sup, err := StartSupervisor(rt.NodeConfig{
 		ListenAddr: "127.0.0.1:0",
 		Scale:      mpScale,
 		TreeName:   tree,
@@ -143,13 +145,12 @@ func TestMultiProcessHangRecovery(t *testing.T) {
 func TestMultiProcessHungChildSendsNothing(t *testing.T) {
 	rec := core.DefaultRECParams()
 	rec.DecisionDelay = time.Hour
-	sup, err := StartSupervisor(SupervisorConfig{
+	sup, err := startSupervisorWith(rt.NodeConfig{
 		ListenAddr: "127.0.0.1:0",
 		Scale:      mpScale,
 		TreeName:   "IV",
 		Seed:       1,
-		RECParams:  &rec,
-	})
+	}, assemble.Config{RECParams: &rec})
 	if err != nil {
 		t.Fatalf("StartSupervisor: %v", err)
 	}
@@ -263,8 +264,40 @@ watching:
 	}
 }
 
+// TestMultiProcessShardedBus boots the supervisor on a 2-shard fabric, the
+// same config the in-process node takes: the children dial the shard list,
+// an rtu kill is cured by replacing the child, and an mbus kill by closing
+// and reopening both shards, after which every child is registered again.
+func TestMultiProcessShardedBus(t *testing.T) {
+	sup, err := StartSupervisor(rt.NodeConfig{ListenAddr: "127.0.0.1:0", Scale: mpScale, TreeName: "IV", Seed: 1, BusShards: 2})
+	if err != nil {
+		t.Fatalf("StartSupervisor: %v", err)
+	}
+	t.Cleanup(sup.Stop)
+	if n := len(strings.Split(sup.BusAddr(), ",")); n != 2 {
+		t.Fatalf("bus address %q lists %d shards, want 2", sup.BusAddr(), n)
+	}
+	oldPID := sup.ChildPID(station.RTU)
+	for _, victim := range []string{station.RTU, station.MBus} {
+		if err := sup.Inject(fault.Fault{Manifest: victim}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sup.WaitRecovered(30 * time.Second); err != nil {
+			t.Fatalf("after a %s kill: %v", victim, err)
+		}
+	}
+	if pid := sup.ChildPID(station.RTU); pid == 0 || pid == oldPID {
+		t.Fatalf("rtu child not replaced: %d -> %d", oldPID, pid)
+	}
+	var restarts int
+	sup.Disp.Call(func() { restarts, _ = sup.Mgr.Restarts(station.MBus) })
+	if restarts == 0 {
+		t.Fatal("the mbus kill was cured without restarting mbus")
+	}
+}
+
 func TestUnknownTreeRejectedMP(t *testing.T) {
-	if _, err := StartSupervisor(SupervisorConfig{TreeName: "bogus", Scale: mpScale}); err == nil {
+	if _, err := StartSupervisor(rt.NodeConfig{TreeName: "bogus", Scale: mpScale}); err == nil {
 		t.Fatal("unknown tree accepted")
 	}
 }
@@ -359,14 +392,12 @@ func TestMultiProcessHardFaultGivesUp(t *testing.T) {
 	// the storm.
 	recp := core.DefaultRECParams()
 	recp.BudgetWindow = 30 * time.Minute
-	sup, err := StartSupervisor(SupervisorConfig{
+	sup, err := startSupervisorWith(rt.NodeConfig{
 		ListenAddr: "127.0.0.1:0",
 		Scale:      mpScale,
 		TreeName:   "IV",
 		Seed:       1,
-		Policy:     cellOracle(),
-		RECParams:  &recp,
-	})
+	}, assemble.Config{Policy: cellOracle(), RECParams: &recp})
 	if err != nil {
 		t.Fatalf("StartSupervisor: %v", err)
 	}

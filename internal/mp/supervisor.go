@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/assemble"
-	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/rt"
 	"github.com/recursive-restart/mercury/internal/station"
@@ -29,23 +28,6 @@ func spawn(spec ChildConfig) (*exec.Cmd, error) {
 	cmd.Env = append(os.Environ(), spec.Env()...)
 	dieWithParent(cmd)
 	return cmd, nil
-}
-
-// SupervisorConfig parameterises the parent process.
-type SupervisorConfig struct {
-	// ListenAddr is the broker address ("127.0.0.1:0" for ephemeral).
-	ListenAddr string
-	// Scale compresses calibrated durations.
-	Scale float64
-	// TreeName selects the restart tree ("I" … "V").
-	TreeName string
-	// Seed drives the deterministic pieces.
-	Seed int64
-	// Policy is the oracle; nil = escalating.
-	Policy *core.Policy
-	// RECParams overrides the recoverer configuration; nil uses
-	// core.DefaultRECParams. Its windows follow FD's timings for Scale.
-	RECParams *core.RECParams
 }
 
 // Supervisor is the parent process of a multi-process Mercury: an rt.Host
@@ -192,31 +174,31 @@ func (s *Supervisor) ChildPID(component string) int {
 	return 0
 }
 
-// StartSupervisor boots a multi-process Mercury.
-func StartSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
-	if strings.HasSuffix(cfg.TreeName, "m") {
-		// A child process hosts a whole component; the microrebootable
-		// subcomponents need the in-process runtime.
-		return nil, fmt.Errorf("mp: unknown tree %q", cfg.TreeName)
-	}
+// StartSupervisor boots a multi-process Mercury from the same config as
+// rt.StartNode. A child process hosts a whole component, so the m-variant
+// trees, whose subcomponents share the store living in the host, are
+// refused.
+func StartSupervisor(cfg rt.NodeConfig) (*Supervisor, error) {
+	return startSupervisorWith(cfg, assemble.Config{})
+}
+
+// startSupervisorWith is StartSupervisor with the assembly overrides (a
+// policy, REC parameters) the package's tests reach in with.
+func startSupervisorWith(cfg rt.NodeConfig, st assemble.Config) (*Supervisor, error) {
 	s := &Supervisor{
 		seed:    cfg.Seed,
 		current: make(map[string]*proxyHandler),
 	}
-	host, err := rt.NewHost(rt.HostConfig{
-		ListenAddr: cfg.ListenAddr,
-		Scale:      cfg.Scale,
-		Seed:       cfg.Seed,
-		REC:        cfg.RECParams,
-	}, assemble.Config{
-		TreeName: cfg.TreeName,
-		Policy:   cfg.Policy,
-		Handler: func(component string) func() proc.Handler {
-			return func() proc.Handler { return &proxyHandler{sup: s, component: component} }
-		},
-	})
+	st.Handler = func(component string) func() proc.Handler {
+		return func() proc.Handler { return &proxyHandler{sup: s, component: component} }
+	}
+	host, err := rt.NewHost(cfg, st)
 	if err != nil {
 		return nil, err
+	}
+	if host.Store != nil {
+		host.Stop()
+		return nil, fmt.Errorf("mp: tree %q: micro mode needs the in-process runtime", cfg.TreeName)
 	}
 	s.Host = host
 

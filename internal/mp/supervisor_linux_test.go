@@ -101,7 +101,7 @@ func TestSupervisorKillLeavesNoOrphans(t *testing.T) {
 	t.Logf("%d old children dead %v after their supervisor's SIGKILL", len(old), time.Since(killed))
 
 	before := bus.M.TCPRegistrations.Value()
-	sup, err := StartSupervisor(SupervisorConfig{ListenAddr: addr, Scale: mpScale, TreeName: "IV", Seed: 1})
+	sup, err := StartSupervisor(rt.NodeConfig{ListenAddr: addr, Scale: mpScale, TreeName: "IV", Seed: 1})
 	if err != nil {
 		t.Fatalf("second supervisor on %s: %v", addr, err)
 	}

@@ -8,29 +8,12 @@ import (
 
 	"github.com/recursive-restart/mercury/internal/assemble"
 	"github.com/recursive-restart/mercury/internal/bus"
-	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
-
-// HostConfig is what a wall-clock runtime decides about its host; the
-// station's own choices travel in the assemble.Config beside it.
-type HostConfig struct {
-	// ListenAddr is the broker's TCP address; "" means "127.0.0.1:0".
-	ListenAddr string
-	// Scale compresses calibrated durations; values ≤ 0 mean 1.
-	Scale float64
-	// Seed drives the deterministic parts (jitter, epochs).
-	Seed int64
-	// BusShards is the broker-shard count; 0 or 1 is the single broker.
-	BusShards int
-	// REC overrides the recoverer parameters; nil uses
-	// core.DefaultRECParams. Its windows follow FD's timings for Scale.
-	REC *core.RECParams
-}
 
 // Host is the wall-clock half the two live runtimes share: a dispatcher, a
 // scaled clock, a process manager on the TCP fabric with the FD↔REC link
@@ -56,12 +39,14 @@ type Host struct {
 	stopOnce sync.Once
 }
 
-// NewHost starts a dispatcher and assembles a station on it. st carries the
-// station's choices; its Mgr, FDParams, RECParams and Params are the host's
-// to fill, and the mbus handler is always the live one that owns the TCP
-// listeners (st.Handler is asked about every other component). Nothing runs
-// until Boot. On error nothing is left behind.
-func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
+// NewHost starts a dispatcher and assembles the station cfg describes on
+// it. st carries what a runtime or a test overrides — component handlers,
+// a policy, REC parameters; its Mgr, FDParams, Params, TreeName,
+// PolicyName and CkptInterval are the host's to fill from cfg, and the
+// mbus handler is always the live one that owns the TCP listeners
+// (st.Handler is asked about every other component). Nothing runs until
+// Boot. On error nothing is left behind.
+func NewHost(cfg NodeConfig, st assemble.Config) (*Host, error) {
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
 	}
@@ -81,11 +66,8 @@ func NewHost(cfg HostConfig, st assemble.Config) (*Host, error) {
 
 	st.Mgr = h.Mgr
 	st.FDParams = FDParamsForScale(cfg.Scale)
-	st.RECParams = core.DefaultRECParams()
-	if cfg.REC != nil {
-		st.RECParams = *cfg.REC
-	}
 	st.Params = station.DefaultParams(time.Now())
+	st.TreeName, st.PolicyName, st.CkptInterval = cfg.TreeName, cfg.OracleName, cfg.CkptInterval
 	startup, patience, others := st.Params.MBusStartup, st.FDParams.PingTimeout, st.Handler
 	st.Handler = func(name string) func() proc.Handler {
 		if name == station.MBus {
@@ -287,17 +269,7 @@ type Node = Host
 
 // StartNode builds and boots a live station.
 func StartNode(cfg NodeConfig) (*Node, error) {
-	h, err := NewHost(HostConfig{
-		ListenAddr: cfg.ListenAddr,
-		Scale:      cfg.Scale,
-		Seed:       cfg.Seed,
-		BusShards:  cfg.BusShards,
-	}, assemble.Config{
-		TreeName:     cfg.TreeName,
-		Micro:        cfg.Micro,
-		PolicyName:   cfg.OracleName,
-		CkptInterval: cfg.CkptInterval,
-	})
+	h, err := NewHost(cfg, assemble.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -311,30 +311,24 @@ func (d *Dispatcher) pop() {
 
 // Clock is a wall clock whose callbacks run on the dispatcher, with
 // durations compressed by Scale. Now reports *calibrated* time (wall time
-// elapsed since Epoch, stretched back up by Scale): handlers compare
-// Now() deltas against calibrated durations (re-report throttles, budget
-// windows, grace periods), so timestamps must live in the same timebase
-// the durations do — wall-clock Now would silently stretch every such
-// window by Scale.
+// elapsed since process start, stretched back up by Scale): handlers
+// compare Now() deltas against calibrated durations (re-report throttles,
+// budget windows, grace periods), so timestamps must live in the same
+// timebase the durations do — wall-clock Now would silently stretch every
+// such window by Scale.
 type Clock struct {
 	D     *Dispatcher
 	Scale float64
-	// Epoch anchors calibrated time; zero means "process start".
-	Epoch time.Time
 }
 
 var _ clock.Clock = Clock{}
 
-// processEpoch anchors Clocks constructed without an explicit Epoch.
+// processEpoch anchors calibrated time.
 var processEpoch = time.Now()
 
-// Now returns calibrated time: Epoch + Scale × elapsed wall time.
+// Now returns calibrated time: process start + Scale × elapsed wall time.
 func (c Clock) Now() time.Time {
-	epoch := c.Epoch
-	if epoch.IsZero() {
-		epoch = processEpoch
-	}
-	return epoch.Add(time.Duration(float64(time.Since(epoch)) * c.scale()))
+	return processEpoch.Add(time.Duration(float64(time.Since(processEpoch)) * c.scale()))
 }
 
 func (c Clock) scale() float64 {
@@ -400,30 +394,29 @@ func FDParamsForScale(scale float64) core.FDParams {
 	return p
 }
 
-// NodeConfig parameterises a live node.
+// NodeConfig parameterises a live station under either wall-clock runtime:
+// rt.StartNode and mp.StartSupervisor both boot from it.
 type NodeConfig struct {
-	// ListenAddr is the broker's TCP address ("127.0.0.1:0" for ephemeral).
+	// ListenAddr is the broker's TCP address; "" means "127.0.0.1:0".
 	ListenAddr string
-	// Scale compresses calibrated durations (10 = ten times faster).
+	// Scale compresses calibrated durations (10 = ten times faster);
+	// values ≤ 0 mean 1.
 	Scale float64
-	// TreeName selects the restart tree (same names as the simulation).
+	// TreeName selects the restart tree (same names as the simulation); an
+	// m-variant name ("IIIm", "IVm") turns micro mode on.
 	TreeName string
 	// Seed drives the deterministic parts (jitter, epochs).
 	Seed int64
 	// BusShards is the broker-shard count for the mbus fabric; 0 or 1
 	// runs the classic single broker.
 	BusShards int
-	// Micro enables the microrebootable decomposition on a crash-only
-	// store (implied by the m-variant tree names "IIIm"/"IVm"); requires a
-	// split-layout tree.
-	Micro bool
 	// OracleName selects the restart policy by its core.PolicyByName
 	// name: "" or "escalating", "costaware" (alias "v2"), "fixed-micro",
 	// "fixed-process", "fixed-ckpt", … The checkpoint-backed policies
 	// need micro mode.
 	OracleName string
 	// CkptInterval is the checkpoint snapshot period; zero = the ckpt
-	// package default. A non-zero value forces the checkpoint plane on
-	// (micro mode only).
+	// package default. A non-zero value forces the checkpoint plane on,
+	// and needs micro mode.
 	CkptInterval time.Duration
 }

@@ -83,8 +83,7 @@ func TestLiveNodeRecycledEnvelopesPoisoned(t *testing.T) {
 // would read as a sentinel or as an older command's value instead.
 func liveCommandValuesLand(t *testing.T) {
 	watched := map[string]*lastCommand{} // the dispatch goroutine's
-	h, err := NewHost(HostConfig{ListenAddr: "127.0.0.1:0", Scale: testScale, Seed: 1, BusShards: 2}, assemble.Config{
-		TreeName: "IV",
+	h, err := NewHost(NodeConfig{ListenAddr: "127.0.0.1:0", Scale: testScale, TreeName: "IV", Seed: 1, BusShards: 2}, assemble.Config{
 		Handler: func(name string) func() proc.Handler {
 			cmd := map[string]string{station.STR: "point", station.RTU: "tune", station.Pbcom: "radio-tune"}[name]
 			if cmd == "" {
@@ -273,13 +272,14 @@ func TestUnknownTreeRejected(t *testing.T) {
 }
 
 // TestFailedStartLeavesNoGoroutines pins the start-up tear-down: whatever
-// fails after the dispatcher exists — the assembly (unknown tree, micro on
-// the monolithic layout, unknown policy) or opening the fabric — the host
-// stops it, and closes what it opened, before returning the error.
+// fails after the dispatcher exists — the assembly (unknown tree, a
+// checkpoint interval without micro mode, unknown policy) or opening the
+// fabric — the host stops it, and closes what it opened, before returning
+// the error.
 func TestFailedStartLeavesNoGoroutines(t *testing.T) {
 	bad := []NodeConfig{
 		{TreeName: "nope"},
-		{TreeName: "II", Micro: true},
+		{TreeName: "IV", CkptInterval: time.Second},
 		{TreeName: "IV", OracleName: "ghost"},
 		{TreeName: "IV", ListenAddr: "127.0.0.1:99999999"},
 	}

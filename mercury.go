@@ -81,9 +81,12 @@ type Config struct {
 	// use this to co-locate several stations on one shard kernel; such
 	// systems must be booted together with BootAll, not System.Boot.
 	Kernel *sim.Kernel
-	// TreeName picks the restart tree: "I", "II", "IIp", "III", "IV", "V".
-	// Trees I and II imply the monolithic fedrcom layout; the rest use the
-	// split layout. Default "IV".
+	// TreeName picks the restart tree: "I", "II", "IIp", "III", "IV", "V",
+	// "IIIm", "IVm". Trees I and II imply the monolithic fedrcom layout;
+	// the rest use the split layout. The m-variants turn micro mode on:
+	// session/track state moves into a crash-only store and the fat
+	// components gain individually restartable subcomponents (ses.cache,
+	// str.track, ...), each a cell of the tree. Default "IV".
 	TreeName string
 	// Policy picks the oracle; default PolicyEscalating.
 	Policy Policy
@@ -92,23 +95,18 @@ type Config struct {
 	// FDParams / RECParams override detector and recoverer settings.
 	FDParams  *core.FDParams
 	RECParams *core.RECParams
-	// Micro enables the microrebootable decomposition: session/track state
-	// moves into a crash-only store and the fat components gain
-	// individually restartable subcomponents (ses.cache, str.track, ...).
-	// Implied by the m-variant tree names ("IIIm", "IVm"); requires the
-	// split layout.
-	Micro bool
 	// DisableRecovery builds the station without FD/REC (for baselines
 	// that model the pre-RR, operator-driven Mercury).
 	DisableRecovery bool
 	// CustomTree, when non-nil, overrides TreeName with an arbitrary
 	// restart tree over the split component layout (the treeopt
 	// validation campaigns boot thousands of these). Micro mode still
-	// follows TreeName/Micro.
+	// follows TreeName, and the tree must then hold the subcomponents.
 	CustomTree *core.Tree
 	// CkptInterval sets the checkpoint period; 0 means the 10s default.
 	// The checkpoint manager only exists in micro mode and only when a
-	// checkpoint-aware policy or a positive interval asks for it.
+	// checkpoint-aware policy or a positive interval asks for it; a
+	// positive interval on a classic tree is an error.
 	CkptInterval time.Duration
 	// HarmRates maps a component (or dotted sub, falling back to its
 	// hosting process) to the user-harm rate an outage of it causes —
@@ -184,18 +182,13 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.FDParams != nil {
 		fdParams = *cfg.FDParams
 	}
-	recParams := core.DefaultRECParams()
-	if cfg.RECParams != nil {
-		recParams = *cfg.RECParams
-	}
 	st, err := assemble.Assemble(assemble.Config{
 		Mgr:             mgr,
 		FDParams:        fdParams,
-		RECParams:       recParams,
+		RECParams:       cfg.RECParams,
 		Params:          station.DefaultParams(k.Now()),
 		TreeName:        cfg.TreeName,
 		CustomTree:      cfg.CustomTree,
-		Micro:           cfg.Micro,
 		PolicyName:      string(cfg.Policy),
 		FaultyP:         cfg.FaultyP,
 		HarmRates:       cfg.HarmRates,
