@@ -30,7 +30,6 @@ type Stats struct {
 	DirectSent    int // messages on dedicated links
 	DroppedChaos  int // lost to the chaos layer's per-hop loss
 	Duplicated    int // hops duplicated by the chaos layer
-	CrossSent     int // messages handed to the cross-shard link
 }
 
 // Sim is the simulated message fabric. Messages between ordinary
@@ -82,11 +81,6 @@ type Sim struct {
 	// what keeps message recycling free on the request plane's hot path.
 	extraRefs map[*xmlcmd.Message]int
 
-	// xlink, when installed, intercepts messages addressed to other
-	// stations and queues them for the fleet's epoch exchange (see
-	// crosslink.go). Nil for a standalone station.
-	xlink *CrossLink
-
 	// chaos models a degraded fabric (see chaos.go); nil means the
 	// historical perfect fabric.
 	chaos *ChaosProfile
@@ -136,19 +130,6 @@ func (b *Sim) Stats() Stats { return b.stats }
 func (b *Sim) Send(m *xmlcmd.Message) {
 	b.stats.Sent++
 	b.m.sent.Inc()
-	if b.xlink != nil {
-		// A message crossing shards is delivered on another fabric's
-		// dispatch context; recycling it back into a sender-side pool from
-		// there would race. The pool forfeits the envelope instead.
-		owner := m.Owner
-		m.Owner = nil
-		if b.xlink.offer(m) {
-			b.stats.CrossSent++
-			b.m.crossSent.Inc()
-			return
-		}
-		m.Owner = owner
-	}
 	if xmlcmd.Dedicated(m.From, m.To) {
 		b.stats.DirectSent++
 		b.sendHop(m, hopDeliver)

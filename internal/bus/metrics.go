@@ -20,7 +20,6 @@ type BusMetrics struct {
 	SimDroppedDest     obs.Counter // lost because the destination was dead
 	SimDroppedChaos    obs.Counter // lost to the chaos layer's per-hop loss
 	SimDuplicated      obs.Counter // hops duplicated by the chaos layer
-	SimCrossSent       obs.Counter // messages handed to the cross-shard link
 
 	// TCP wire path (FrameReader/FrameWriter, broker, client).
 	TCPFramesIn      obs.Counter    // frames read off connections
@@ -78,8 +77,6 @@ func RegisterMetrics(r *obs.Registry) {
 		"Messages lost in the simulated fabric, by cause.", &M.SimDroppedChaos, "cause", "chaos-loss")
 	r.RegisterCounter("mercury_bus_sim_duplicated_total",
 		"Hops duplicated by the chaos layer.", &M.SimDuplicated)
-	r.RegisterCounter("mercury_bus_sim_cross_sent_total",
-		"Messages intercepted for cross-shard (inter-station) delivery.", &M.SimCrossSent)
 
 	r.RegisterCounter("mercury_bus_tcp_frames_total",
 		"Wire frames moved over TCP, by direction.", &M.TCPFramesIn, "dir", "in")
@@ -124,7 +121,7 @@ func RegisterMetrics(r *obs.Registry) {
 // increments through these pointers so parallel trials (one Sim per
 // worker) never share a counter cache line.
 type simCounters struct {
-	sent, delivered, dropBroker, dropDest, dropChaos, dup, crossSent *obs.CounterShard
+	sent, delivered, dropBroker, dropDest, dropChaos, dup *obs.CounterShard
 }
 
 // newSimCounters picks one shard index for a fabric instance.
@@ -137,6 +134,5 @@ func newSimCounters() simCounters {
 		dropDest:   M.SimDroppedDest.Shard(i),
 		dropChaos:  M.SimDroppedChaos.Shard(i),
 		dup:        M.SimDuplicated.Shard(i),
-		crossSent:  M.SimCrossSent.Shard(i),
 	}
 }

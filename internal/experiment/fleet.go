@@ -10,8 +10,6 @@ import (
 	"time"
 
 	mercury "github.com/recursive-restart/mercury"
-	"github.com/recursive-restart/mercury/internal/bus"
-	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/orbit"
 	"github.com/recursive-restart/mercury/internal/proc"
@@ -120,28 +118,13 @@ func stationAddr(station int, local string) string {
 	return "s" + strconv.Itoa(station) + ":" + local
 }
 
-// parseStationAddr inverts stationAddr; ok is false for local addresses.
-func parseStationAddr(addr string) (station int, local string, ok bool) {
-	if len(addr) < 4 || addr[0] != 's' {
-		return 0, "", false
-	}
-	colon := strings.IndexByte(addr, ':')
-	if colon <= 1 {
-		return 0, "", false
-	}
-	n, err := strconv.Atoi(addr[1:colon])
-	if err != nil || n < 0 {
-		return 0, "", false
-	}
-	return n, addr[colon+1:], true
-}
-
-// fleetStation is one station's campaign state: the wired system plus the
-// deterministic counters folded into the campaign result.
+// fleetStation is one station's campaign state: the wired system, the
+// beacons it sent since the last epoch barrier, and the deterministic
+// counters folded into the campaign result.
 type fleetStation struct {
-	idx   int
-	sys   *mercury.System
-	xlink *bus.CrossLink
+	idx    int
+	sys    *mercury.System
+	outbox []sim.Parcel // in send order; drained by the fleet's collect
 
 	beaconSeq   uint64
 	beaconsSent uint64
@@ -162,58 +145,26 @@ func (h *xlinkHandler) Receive(_ proc.Context, m *xmlcmd.Message) {
 	}
 }
 
-// inbound is a cross-shard parcel payload: a beacon bound for one station.
-type inbound struct {
-	station int
-	msg     *xmlcmd.Message
-}
-
 // fleetShard is one shard: a kernel hosting a contiguous slice of
-// stations, adapting their cross-links to the sim.FleetShard exchange
-// hooks.
+// stations.
 type fleetShard struct {
-	*sim.Kernel
-	idx      int
-	first    int // global index of stations[0]
-	group    int // cfg.Group, for destination shard mapping
+	k        *sim.Kernel
 	stations []*fleetStation
-	seq      uint64
-	hand     []bus.Handoff // drain scratch
 }
 
-// CollectOutbound drains every station's cross-link in station order and
-// converts hand-offs to parcels due one link latency after their send.
-func (s *fleetShard) CollectOutbound(dst []sim.Parcel) []sim.Parcel {
-	for _, st := range s.stations {
-		if st.xlink.Pending() == 0 {
-			continue
-		}
-		s.hand = st.xlink.Drain(s.hand[:0])
-		for _, h := range s.hand {
-			s.seq++
-			dst = append(dst, sim.Parcel{
-				To:      h.Station / s.group,
-				At:      h.SentAt.Add(DefaultLinkLatency),
-				Seq:     s.seq,
-				Payload: inbound{station: h.Station, msg: h.Msg},
-			})
-		}
+// collect drains the shard's outboxes into dst, in station order and then
+// send order: the fleet's collect function for this shard.
+func (sh *fleetShard) collect(dst []sim.Parcel) []sim.Parcel {
+	for _, st := range sh.stations {
+		dst = append(dst, st.outbox...)
+		st.outbox = st.outbox[:0]
 	}
 	return dst
 }
 
-// Inject schedules an inbound beacon for local delivery at its due time.
-func (s *fleetShard) Inject(p sim.Parcel) {
-	in := p.Payload.(inbound)
-	st := s.stations[in.station-s.first]
-	s.AfterFunc(p.At.Sub(s.Now()), func() {
-		st.sys.Bus.DeliverLocal(in.msg)
-	})
-}
-
 // buildShard constructs and boots shard idx: its kernel (seed sub-derived
-// from the campaign seed), its stations, their cross-links and beacon
-// terminals, and the organic-failure laws.
+// from the campaign seed), its stations and their beacon terminals, and
+// the organic-failure laws.
 func buildShard(cfg FleetConfig, idx int) (*fleetShard, error) {
 	k := sim.New(runner.SubSeed(cfg.BaseSeed, uint64(idx)))
 	first := idx * cfg.Group
@@ -221,12 +172,7 @@ func buildShard(cfg FleetConfig, idx int) (*fleetShard, error) {
 	if first+count > cfg.Stations {
 		count = cfg.Stations - first
 	}
-	sh := &fleetShard{
-		Kernel: k,
-		idx:    idx,
-		first:  first,
-		group:  cfg.Group,
-	}
+	sh := &fleetShard{k: k}
 	systems := make([]*mercury.System, 0, count)
 	for j := 0; j < count; j++ {
 		g := first + j
@@ -235,14 +181,6 @@ func buildShard(cfg FleetConfig, idx int) (*fleetShard, error) {
 			return nil, fmt.Errorf("station %d: %w", g, err)
 		}
 		st := &fleetStation{idx: g, sys: sys}
-		st.xlink = bus.NewCrossLink(clock.Sim{K: k}, func(addr string) (int, string, bool) {
-			n, local, ok := parseStationAddr(addr)
-			if !ok || n == g {
-				return 0, "", false
-			}
-			return n, local, true
-		})
-		sys.Bus.SetCrossLink(st.xlink)
 		if err := sys.Mgr.Register(xlinkName, func() proc.Handler { return &xlinkHandler{st: st} }); err != nil {
 			return nil, fmt.Errorf("station %d: %w", g, err)
 		}
@@ -271,34 +209,53 @@ func buildShard(cfg FleetConfig, idx int) (*fleetShard, error) {
 	return sh, nil
 }
 
+// beaconOffset is how long after the campaign start station idx sends its
+// first beacon: a deterministic stagger across the period.
+func beaconOffset(idx int, period time.Duration) time.Duration {
+	return time.Duration(idx%97+1) * period / 100
+}
+
 // scheduleBeacons arms every station's beacon ticker, aligned to the
 // fleet-wide start instant so no cross-shard traffic predates the first
-// epoch. Stations beacon their ring successor; the offset staggers
-// senders across the period deterministically by station index.
+// epoch. Stations beacon their ring successor.
+//
+// A beacon skips both stations' buses: the inter-station link is its own
+// transport, not a hop through either broker. The sender stamps it due one
+// link latency after the send and puts it in its outbox; at the next
+// barrier the fleet schedules its delivery on the peer's kernel, even when
+// the peer shares the sender's shard.
 func scheduleBeacons(cfg FleetConfig, shards []*fleetShard, start, end time.Time) {
+	var stations []*fleetStation
 	for _, sh := range shards {
-		k := sh.Kernel
+		stations = append(stations, sh.stations...)
+	}
+	for _, sh := range shards {
+		k := sh.k
 		for _, st := range sh.stations {
 			st := st
-			peer := (st.idx + 1) % cfg.Stations
-			if peer == st.idx {
+			peer := stations[(st.idx+1)%cfg.Stations]
+			if peer == st {
 				continue // single-station fleet: no one to beacon
 			}
 			from := stationAddr(st.idx, xlinkName)
-			to := stationAddr(peer, xlinkName)
+			to := peer.idx / cfg.Group
 			var tick func()
 			tick = func() {
-				if !k.Now().Before(end) {
+				now := k.Now()
+				if !now.Before(end) {
 					return
 				}
 				st.beaconSeq++
 				st.beaconsSent++
-				st.sys.Bus.Send(xmlcmd.NewTelemetry(from, to, st.beaconSeq,
-					"fleet_beacon", float64(st.idx), k.Now()))
+				m := xmlcmd.NewTelemetry(from, xlinkName, st.beaconSeq, "fleet_beacon", float64(st.idx), now)
+				st.outbox = append(st.outbox, sim.Parcel{
+					To:      to,
+					At:      now.Add(DefaultLinkLatency),
+					Deliver: func() { peer.sys.Mgr.Deliver(m) },
+				})
 				k.AfterFunc(cfg.BeaconPeriod, tick)
 			}
-			offset := time.Duration(st.idx%97+1) * cfg.BeaconPeriod / 100
-			k.AfterFunc(start.Sub(k.Now())+offset, tick)
+			k.AfterFunc(start.Sub(k.Now())+beaconOffset(st.idx, cfg.BeaconPeriod), tick)
 		}
 	}
 }
@@ -372,11 +329,12 @@ func RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fleetShards := make([]sim.FleetShard, nShards)
+	kernels := make([]*sim.Kernel, nShards)
 	for i, sh := range shards {
-		fleetShards[i] = sh
+		kernels[i] = sh.k
 	}
-	fl := sim.NewFleet(sim.FleetConfig{Epoch: DefaultLinkLatency, Workers: cfg.Workers}, fleetShards)
+	fl := sim.NewFleet(sim.FleetConfig{Epoch: DefaultLinkLatency, Workers: cfg.Workers}, kernels,
+		func(i int, dst []sim.Parcel) []sim.Parcel { return shards[i].collect(dst) })
 
 	// Align the campaign to the most advanced shard clock: beacons (the
 	// only cross-shard traffic) start strictly after every shard has

@@ -19,15 +19,6 @@ import (
 // from the driver's stopping instant), and it is pinned by
 // TestFleetBridgeTable2Golden / TestFleetBridgeTable4Golden.
 
-// soloShard adapts a standalone station's kernel to the fleet's shard
-// surface: no cross-shard traffic exists, so the exchange hooks are no-ops.
-type soloShard struct {
-	*sim.Kernel
-}
-
-func (soloShard) CollectOutbound(dst []sim.Parcel) []sim.Parcel { return dst }
-func (soloShard) Inject(sim.Parcel)                             {}
-
 // bridgeEpoch is the bridge's synchronization quantum. Any positive value
 // yields identical traces (the station's events are all local); 50 ms
 // keeps the recovery poll fine-grained without burning epochs.
@@ -40,8 +31,7 @@ func measureViaFleet(c Cell, seed int64) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	fl := sim.NewFleet(sim.FleetConfig{Epoch: bridgeEpoch, Workers: 1},
-		[]sim.FleetShard{soloShard{sys.Kernel}})
+	fl := sim.NewFleet(sim.FleetConfig{Epoch: bridgeEpoch, Workers: 1}, []*sim.Kernel{sys.Kernel}, nil)
 	if err := sys.Inject(c.fault()); err != nil {
 		return 0, err
 	}

@@ -17,6 +17,24 @@ import (
 // would no longer be deterministic; the fleet refuses to continue.
 var ErrLookahead = errors.New("sim: parcel due before epoch edge (link latency < epoch)")
 
+// Parcel is one cross-shard hand-off: work produced on one shard during an
+// epoch and due on another shard at a later virtual instant. Parcels are
+// the only way state crosses shard boundaries, and they cross only at
+// epoch barriers, in (source shard, collection) order — which is what
+// makes a multi-core fleet run byte-identical to a single-core one.
+type Parcel struct {
+	// To is the destination shard index in the fleet.
+	To int
+	// At is the delivery instant. The conservative-lookahead protocol
+	// requires At to be at or after the end of the epoch in which the
+	// parcel was produced (link latency >= epoch length); the fleet rejects
+	// violations with ErrLookahead rather than silently losing determinism.
+	At time.Time
+	// Deliver runs on kernel To's event loop at At. It is the only code
+	// of the parcel that touches the destination's state.
+	Deliver func()
+}
+
 // FleetConfig configures a Fleet.
 type FleetConfig struct {
 	// Epoch is the synchronization quantum. Every shard runs Epoch of
@@ -35,24 +53,26 @@ type FleetConfig struct {
 // Fleet drives many shard kernels in lock-step epochs with conservative
 // lookahead: within an epoch every shard executes independently (in
 // parallel when Workers > 1); at the epoch edge all shards reach a barrier
-// and the coordinator exchanges cross-shard parcels serially in (shard
-// index, send seq) order before the next epoch begins.
+// and the coordinator exchanges cross-shard parcels serially in (source
+// shard, collection) order before the next epoch begins.
 //
 // Determinism: each shard's kernel is single-threaded and seeded; within an
-// epoch a shard can only see messages injected at an earlier barrier, and
+// epoch a shard can only see parcels scheduled at an earlier barrier, and
 // the lookahead bound guarantees nothing sent in the current epoch lands in
-// it; the exchange order is fixed by shard index and per-shard send order.
+// it; the exchange order is fixed by source shard index and the order
+// collect returns each shard's parcels in.
 // So the event sequence each kernel executes is independent of worker
 // count and of wall-clock interleaving, and per-seed output folds
 // byte-identically on 1 core and on 16.
 //
 // Memory model: shard kernels are confined to exactly one goroutine per
 // epoch; the WaitGroup barrier provides a happens-before edge between a
-// shard's epoch run and the coordinator's CollectOutbound/Inject calls, and
-// between those calls and the shard's next epoch run.
+// shard's epoch run and the coordinator's collect calls and scheduling of
+// parcels, and between those and the shard's next epoch run.
 type Fleet struct {
-	cfg    FleetConfig
-	shards []FleetShard
+	cfg     FleetConfig
+	shards  []*Kernel
+	collect func(shard int, dst []Parcel) []Parcel
 
 	// epochs and parcels are fleet-local deterministic totals (distinct
 	// from the process-global wall-clock-flavored metrics in M), safe to
@@ -66,10 +86,14 @@ type Fleet struct {
 	prevExec []uint64       // per-shard Executed at the previous barrier
 }
 
-// NewFleet builds a fleet over shards. It panics on an invalid
-// configuration (no shards, non-positive epoch): fleet construction is
-// programmer-controlled setup, not runtime input.
-func NewFleet(cfg FleetConfig, shards []FleetShard) *Fleet {
+// NewFleet builds a fleet over shard kernels. At every barrier collect is
+// called once per shard, in shard order, on the coordinator goroutine: it
+// appends the parcels that shard produced since the previous barrier to
+// dst and returns it. A nil collect means the shards never exchange
+// anything. NewFleet panics on an invalid configuration (no shards,
+// non-positive epoch): fleet construction is programmer-controlled setup,
+// not runtime input.
+func NewFleet(cfg FleetConfig, shards []*Kernel, collect func(shard int, dst []Parcel) []Parcel) *Fleet {
 	if len(shards) == 0 {
 		panic("sim: fleet needs at least one shard")
 	}
@@ -82,6 +106,7 @@ func NewFleet(cfg FleetConfig, shards []FleetShard) *Fleet {
 	f := &Fleet{
 		cfg:      cfg,
 		shards:   shards,
+		collect:  collect,
 		stalls:   make([]int64, len(shards)),
 		shardCtr: make([]*obs.Counter, len(shards)),
 		prevExec: make([]uint64, len(shards)),
@@ -93,12 +118,6 @@ func NewFleet(cfg FleetConfig, shards []FleetShard) *Fleet {
 	M.Shards.Set(int64(len(shards)))
 	return f
 }
-
-// Shards reports the shard count.
-func (f *Fleet) Shards() int { return len(f.shards) }
-
-// Shard returns the i-th shard.
-func (f *Fleet) Shard(i int) FleetShard { return f.shards[i] }
 
 // Epochs reports the number of completed epoch barriers (deterministic).
 func (f *Fleet) Epochs() uint64 { return f.epochs }
@@ -146,11 +165,6 @@ func (f *Fleet) RunUntil(target time.Time) error {
 		}
 	}
 	return nil
-}
-
-// RunFor advances the fleet by d of synchronized virtual time.
-func (f *Fleet) RunFor(d time.Duration) error {
-	return f.RunUntil(f.Now().Add(d))
 }
 
 // runEpoch runs every shard to edge, waits at the barrier, then exchanges
@@ -216,10 +230,15 @@ func (f *Fleet) runEpoch(edge time.Time) error {
 		}
 	}
 
-	// Exchange: serial, on the coordinator goroutine, in (shard index,
-	// send seq) order — the deterministic heart of the protocol.
-	for i, s := range f.shards {
-		f.scratch = s.CollectOutbound(f.scratch[:0])
+	// Exchange: serial, on the coordinator goroutine, in (source shard,
+	// collection) order — the deterministic heart of the protocol. A
+	// parcel is scheduled on its destination kernel like any local event,
+	// so parcels due at one instant run in the order they were scheduled.
+	if f.collect == nil {
+		return nil
+	}
+	for i := range f.shards {
+		f.scratch = f.collect(i, f.scratch[:0])
 		for _, p := range f.scratch {
 			if p.To < 0 || p.To >= len(f.shards) {
 				return fmt.Errorf("sim: shard %d emitted parcel for unknown shard %d", i, p.To)
@@ -229,8 +248,8 @@ func (f *Fleet) runEpoch(edge time.Time) error {
 				return fmt.Errorf("sim: shard %d parcel due %s before edge %s: %w",
 					i, p.At.Format(time.RFC3339Nano), edge.Format(time.RFC3339Nano), ErrLookahead)
 			}
-			p.From = i
-			f.shards[p.To].Inject(p)
+			dst := f.shards[p.To]
+			dst.AfterFunc(p.At.Sub(dst.Now()), p.Deliver)
 			f.parcels++
 			M.Parcels.Inc()
 		}
