@@ -78,7 +78,7 @@ func run(modelName string, faultyP float64) error {
 	}
 
 	mix := core.MercuryFaultMix()
-	ap := core.MercuryAnalyticParams()
+	ap := station.AnalyticParams()
 	fmt.Printf("failure mix (the paper's f formalism):\n%s\n", core.RenderMix(mix))
 
 	trees, err := core.MercuryTrees(station.MonolithicComponents(), station.SplitComponents())

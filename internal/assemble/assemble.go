@@ -41,9 +41,6 @@ type Config struct {
 	// recoverer; nil means core.DefaultRECParams.
 	FDParams  core.FDParams
 	RECParams *core.RECParams
-	// Params are the station parameters. In micro mode a nil Params.Micro
-	// (or one without a store) is completed with the station's own store.
-	Params station.Params
 
 	// TreeName picks the restart tree and with it the layout: "I", "II",
 	// "IIp", "III", "IV", "V", "IIIm", "IVm"; "" means "IV". Trees I and II
@@ -84,8 +81,9 @@ type Station struct {
 	// Comps lists the station components (no FD, REC or ops); shared, not
 	// to be modified — Components returns a copy.
 	Comps []string
-	// Params are the station parameters as registered (Micro completed).
-	Params station.Params
+	// Epoch anchors the workload satellite's elements (station.Workload):
+	// the manager clock's Now at Assemble.
+	Epoch time.Time
 	// Store is the crash-only state store; nil unless micro mode is on.
 	Store *store.Store
 	// Ckpt is the checkpoint manager; nil unless something asked for it.
@@ -156,7 +154,7 @@ func Assemble(cfg Config) (Station, error) {
 	}
 	mgr := cfg.Mgr
 	clk := mgr.Clock()
-	s := Station{Params: cfg.Params}
+	s := Station{Epoch: clk.Now()}
 	s.Board = fault.NewBoard(clk, mgr, mgr.Log())
 
 	var err error
@@ -173,11 +171,6 @@ func Assemble(cfg Config) (Station, error) {
 	}
 	if micro {
 		s.Store = store.New(clk, store.Options{SweepPeriod: 5 * time.Second})
-		if s.Params.Micro == nil {
-			s.Params.Micro = station.DefaultMicroParams(s.Store)
-		} else if s.Params.Micro.Store == nil {
-			s.Params.Micro.Store = s.Store
-		}
 		if err := core.AddMicroTrees(s.Trees, station.MicroSubs()); err != nil {
 			return Station{}, err
 		}
@@ -207,7 +200,7 @@ func Assemble(cfg Config) (Station, error) {
 		}
 	}
 
-	if s.Comps, err = station.Register(mgr, s.Params, s.Layout, cfg.Handler); err != nil {
+	if s.Comps, err = station.Register(mgr, s.Epoch, s.Store, s.Layout, cfg.Handler); err != nil {
 		return Station{}, err
 	}
 	// Every process the station runs is a node of its tree, or REC could

@@ -11,7 +11,6 @@ import (
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/sim"
 	"github.com/recursive-restart/mercury/internal/station"
-	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
@@ -25,7 +24,6 @@ func base() Config {
 	return Config{
 		Mgr:      mgr,
 		FDParams: core.DefaultFDParams(),
-		Params:   station.DefaultParams(k.Now()),
 	}
 }
 
@@ -41,15 +39,10 @@ func TestAssemble(t *testing.T) {
 		{name: "unknown tree", edit: func(c *Config) { c.TreeName = "VII" }, isErr: ErrUnknownTree},
 		{name: "m-variant tree implies micro",
 			edit: func(c *Config) { c.TreeName = "IVm" },
-			ok: func(t *testing.T, _ Config, s Station) {
-				if s.Store == nil || s.Tree.Name != "IVm" || s.Params.Micro == nil || s.Params.Micro.Store != s.Store {
+			ok: func(t *testing.T, c Config, s Station) {
+				if s.Store == nil || s.Tree.Name != "IVm" || len(c.Mgr.SubNames()) == 0 {
 					t.Fatalf("IVm did not imply micro mode: store=%v tree=%s", s.Store, s.Tree.Name)
 				}
-			}},
-		{name: "micro on the monolithic layout",
-			edit: func(c *Config) {
-				c.TreeName = "II"
-				c.Params.Micro = station.DefaultMicroParams(store.New(clock.Sim{K: sim.New(1)}, store.Options{}))
 			}},
 		{name: "m-variant of a monolithic tree", edit: func(c *Config) { c.TreeName = "IIm" }, isErr: ErrUnknownTree},
 		// A tree that leaves a registered process out wedges recovery: REC
@@ -63,14 +56,7 @@ func TestAssemble(t *testing.T) {
 				c.TreeName, c.CustomTree = "IVm", split["IV"]
 			},
 			isErr: core.ErrUnknownComponent},
-		{name: "micro components on a classic tree",
-			edit: func(c *Config) {
-				c.Params.Micro = station.DefaultMicroParams(store.New(clock.Sim{K: sim.New(1)}, store.Options{}))
-			},
-			isErr: core.ErrUnknownComponent},
 		{name: "ckpt interval without micro", edit: func(c *Config) { c.CkptInterval = time.Second }},
-		{name: "micro without a store",
-			edit: func(c *Config) { c.Params.Micro = &station.MicroParams{} }},
 		{name: "ckpt-backed policy without micro",
 			edit: func(c *Config) { c.PolicyName = "costaware" },
 			ok: func(t *testing.T, _ Config, s Station) {

@@ -192,27 +192,6 @@ func MercuryFaultMix() []FaultClass {
 	}
 }
 
-// MercuryAnalyticParams returns the calibrated cost constants matching
-// station.DefaultParams.
-func MercuryAnalyticParams() AnalyticParams {
-	return AnalyticParams{
-		RestartSeconds: map[string]float64{
-			"mbus": 5.0, "fedr": 5.05, "pbcom": 20.5,
-			"ses": 4.7, "str": 4.95, // startup + resync settle
-			"rtu": 4.9, "fedrcom": 20.2,
-			// Microreboot rungs (micro-augmented trees only): reboot +
-			// reattach settle. Absent from classic trees, so classic
-			// scores are untouched.
-			"ses.cache": 0.6, "ses.est": 0.6,
-			"str.cache": 0.6, "str.track": 0.6,
-			"fedr.session": 0.6,
-		},
-		DetectSeconds:     0.75,
-		DecisionSeconds:   0.05,
-		ContentionPerPeer: 0.048,
-	}
-}
-
 // RenderMix pretty-prints a fault mix.
 func RenderMix(mix []FaultClass) string {
 	out := ""

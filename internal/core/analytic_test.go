@@ -1,14 +1,17 @@
-package core
+package core_test
 
 import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/recursive-restart/mercury/internal/core"
+	"github.com/recursive-restart/mercury/internal/station"
 )
 
-func mercuryTreesForAnalysis(t *testing.T) map[string]*Tree {
+func mercuryTreesForAnalysis(t *testing.T) map[string]*core.Tree {
 	t.Helper()
-	trees, err := MercuryTrees(
+	trees, err := core.MercuryTrees(
 		[]string{"mbus", "fedrcom", "ses", "str", "rtu"},
 		[]string{"mbus", "fedr", "pbcom", "ses", "str", "rtu"})
 	if err != nil {
@@ -19,11 +22,11 @@ func mercuryTreesForAnalysis(t *testing.T) map[string]*Tree {
 
 func TestAnalyticMatchesSimulationShape(t *testing.T) {
 	trees := mercuryTreesForAnalysis(t)
-	ap := MercuryAnalyticParams()
+	ap := station.AnalyticParams()
 
 	// Single rtu fault under tree II: analytic ≈ 5.7 s (paper 5.59).
-	mix := []FaultClass{{Manifest: "rtu", Weight: 1}}
-	got, err := ExpectedMTTR(trees["II"], mix, ap, ModelPerfect, 0)
+	mix := []core.FaultClass{{Manifest: "rtu", Weight: 1}}
+	got, err := core.ExpectedMTTR(trees["II"], mix, ap, core.ModelPerfect, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,7 @@ func TestAnalyticMatchesSimulationShape(t *testing.T) {
 	}
 
 	// Same fault under tree I: whole-system restart ≈ 24.75.
-	got, err = ExpectedMTTR(trees["I"], mix, ap, ModelPerfect, 0)
+	got, err = core.ExpectedMTTR(trees["I"], mix, ap, core.ModelPerfect, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,22 +46,22 @@ func TestAnalyticMatchesSimulationShape(t *testing.T) {
 
 func TestAnalyticFaultyOracleOrdering(t *testing.T) {
 	trees := mercuryTreesForAnalysis(t)
-	ap := MercuryAnalyticParams()
-	mix := []FaultClass{{Manifest: "pbcom", Cure: []string{"fedr", "pbcom"}, Weight: 1}}
+	ap := station.AnalyticParams()
+	mix := []core.FaultClass{{Manifest: "pbcom", Cure: []string{"fedr", "pbcom"}, Weight: 1}}
 
-	iv, err := ExpectedMTTR(trees["IV"], mix, ap, ModelFaulty, 0.30)
+	iv, err := core.ExpectedMTTR(trees["IV"], mix, ap, core.ModelFaulty, 0.30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := ExpectedMTTR(trees["V"], mix, ap, ModelFaulty, 0.30)
+	v, err := core.ExpectedMTTR(trees["V"], mix, ap, core.ModelFaulty, 0.30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivPerfect, err := ExpectedMTTR(trees["IV"], mix, ap, ModelPerfect, 0)
+	ivPerfect, err := core.ExpectedMTTR(trees["IV"], mix, ap, core.ModelPerfect, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vPerfect, err := ExpectedMTTR(trees["V"], mix, ap, ModelPerfect, 0)
+	vPerfect, err := core.ExpectedMTTR(trees["V"], mix, ap, core.ModelPerfect, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +81,13 @@ func TestAnalyticFaultyOracleOrdering(t *testing.T) {
 
 func TestAnalyticEscalatingCorrelatedPair(t *testing.T) {
 	trees := mercuryTreesForAnalysis(t)
-	ap := MercuryAnalyticParams()
-	mix := []FaultClass{{Manifest: "ses", Cure: []string{"ses", "str"}, Weight: 1}}
-	iii, err := ExpectedMTTR(trees["III"], mix, ap, ModelEscalating, 0)
+	ap := station.AnalyticParams()
+	mix := []core.FaultClass{{Manifest: "ses", Cure: []string{"ses", "str"}, Weight: 1}}
+	iii, err := core.ExpectedMTTR(trees["III"], mix, ap, core.ModelEscalating, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err := ExpectedMTTR(trees["IV"], mix, ap, ModelEscalating, 0)
+	iv, err := core.ExpectedMTTR(trees["IV"], mix, ap, core.ModelEscalating, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,20 +98,20 @@ func TestAnalyticEscalatingCorrelatedPair(t *testing.T) {
 
 func TestAnalyticValidation(t *testing.T) {
 	trees := mercuryTreesForAnalysis(t)
-	ap := MercuryAnalyticParams()
-	if _, err := ExpectedMTTR(trees["II"], nil, ap, ModelPerfect, 0); err != ErrNoFaultClasses {
+	ap := station.AnalyticParams()
+	if _, err := core.ExpectedMTTR(trees["II"], nil, ap, core.ModelPerfect, 0); err != core.ErrNoFaultClasses {
 		t.Fatalf("err = %v", err)
 	}
-	zero := []FaultClass{{Manifest: "rtu", Weight: 0}}
-	if _, err := ExpectedMTTR(trees["II"], zero, ap, ModelPerfect, 0); err != ErrNoFaultClasses {
+	zero := []core.FaultClass{{Manifest: "rtu", Weight: 0}}
+	if _, err := core.ExpectedMTTR(trees["II"], zero, ap, core.ModelPerfect, 0); err != core.ErrNoFaultClasses {
 		t.Fatalf("zero-weight err = %v", err)
 	}
-	bad := AnalyticParams{RestartSeconds: map[string]float64{}}
-	mix := []FaultClass{{Manifest: "rtu", Weight: 1}}
-	if _, err := ExpectedMTTR(trees["II"], mix, bad, ModelPerfect, 0); err == nil {
+	bad := core.AnalyticParams{RestartSeconds: map[string]float64{}}
+	mix := []core.FaultClass{{Manifest: "rtu", Weight: 1}}
+	if _, err := core.ExpectedMTTR(trees["II"], mix, bad, core.ModelPerfect, 0); err == nil {
 		t.Fatal("missing restart time accepted")
 	}
-	if _, err := ExpectedMTTR(trees["II"], mix, MercuryAnalyticParams(), OracleModel(99), 0); err == nil {
+	if _, err := core.ExpectedMTTR(trees["II"], mix, station.AnalyticParams(), core.OracleModel(99), 0); err == nil {
 		t.Fatal("unknown model accepted")
 	}
 }
@@ -116,9 +119,9 @@ func TestAnalyticValidation(t *testing.T) {
 func TestGroupCells(t *testing.T) {
 	trees := mercuryTreesForAnalysis(t)
 	t2 := trees["IIp"]
-	grouped, err := GroupCells(t2, "g", "fedr", "pbcom")
+	grouped, err := core.GroupCells(t2, "g", "fedr", "pbcom")
 	if err != nil {
-		t.Fatalf("GroupCells: %v", err)
+		t.Fatalf("core.GroupCells: %v", err)
 	}
 	cover, err := grouped.LowestCovering([]string{"fedr", "pbcom"})
 	if err != nil {
@@ -128,13 +131,13 @@ func TestGroupCells(t *testing.T) {
 		t.Fatal("grouping did not create a joint node")
 	}
 	// Errors.
-	if _, err := GroupCells(t2, "g", "fedr", "fedr"); err == nil {
+	if _, err := core.GroupCells(t2, "g", "fedr", "fedr"); err == nil {
 		t.Fatal("self-group accepted")
 	}
-	if _, err := GroupCells(trees["IV"], "g", "ses", "str"); err == nil {
+	if _, err := core.GroupCells(trees["IV"], "g", "ses", "str"); err == nil {
 		t.Fatal("grouping a shared cell accepted")
 	}
-	if _, err := GroupCells(trees["V"], "g", "fedr", "mbus"); err == nil {
+	if _, err := core.GroupCells(trees["V"], "g", "fedr", "mbus"); err == nil {
 		t.Fatal("non-sibling group accepted")
 	}
 }
@@ -142,25 +145,25 @@ func TestGroupCells(t *testing.T) {
 func TestIsolate(t *testing.T) {
 	trees := mercuryTreesForAnalysis(t)
 	t4 := trees["IV"]
-	iso, err := Isolate(t4, "iso", "str")
+	iso, err := core.Isolate(t4, "iso", "str")
 	if err != nil {
-		t.Fatalf("Isolate: %v", err)
+		t.Fatalf("core.Isolate: %v", err)
 	}
 	sesCell, _ := iso.CellOf("ses")
 	strCell, _ := iso.CellOf("str")
 	if sesCell == strCell {
 		t.Fatal("isolation did not split the cell")
 	}
-	if _, err := Isolate(iso, "x", "str"); err == nil {
+	if _, err := core.Isolate(iso, "x", "str"); err == nil {
 		t.Fatal("isolating a singleton accepted")
 	}
 }
 
 func TestOptimizerRediscoversConsolidation(t *testing.T) {
 	comps := []string{"mbus", "fedr", "pbcom", "ses", "str", "rtu"}
-	res, err := Optimize(comps, MercuryFaultMix(), MercuryAnalyticParams(), ModelEscalating, 0)
+	res, err := core.Optimize(comps, core.MercuryFaultMix(), station.AnalyticParams(), core.ModelEscalating, 0)
 	if err != nil {
-		t.Fatalf("Optimize: %v", err)
+		t.Fatalf("core.Optimize: %v", err)
 	}
 	if res.Expected >= res.Start {
 		t.Fatalf("optimizer found no improvement: %.2f -> %.2f", res.Start, res.Expected)
@@ -181,9 +184,9 @@ func TestOptimizerRediscoversConsolidation(t *testing.T) {
 
 func TestOptimizerPromotesUnderFaultyOracle(t *testing.T) {
 	comps := []string{"mbus", "fedr", "pbcom", "ses", "str", "rtu"}
-	res, err := Optimize(comps, MercuryFaultMix(), MercuryAnalyticParams(), ModelFaulty, 0.30)
+	res, err := core.Optimize(comps, core.MercuryFaultMix(), station.AnalyticParams(), core.ModelFaulty, 0.30)
 	if err != nil {
-		t.Fatalf("Optimize: %v", err)
+		t.Fatalf("core.Optimize: %v", err)
 	}
 	// Under a faulty oracle the pbcom cell must cover fedr too (promotion
 	// or joint grouping), eliminating guess-too-low double restarts.
@@ -207,20 +210,20 @@ func TestOptimizerPromotesUnderFaultyOracle(t *testing.T) {
 }
 
 func TestOptimizeValidation(t *testing.T) {
-	if _, err := Optimize(nil, MercuryFaultMix(), MercuryAnalyticParams(), ModelPerfect, 0); err != ErrNoComponents {
+	if _, err := core.Optimize(nil, core.MercuryFaultMix(), station.AnalyticParams(), core.ModelPerfect, 0); err != core.ErrNoComponents {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestRenderMixAndModelString(t *testing.T) {
-	out := RenderMix(MercuryFaultMix())
+	out := core.RenderMix(core.MercuryFaultMix())
 	if !strings.Contains(out, "fedr") || !strings.Contains(out, "cure=") {
 		t.Fatalf("mix render:\n%s", out)
 	}
-	if ModelPerfect.String() != "perfect" || ModelEscalating.String() != "escalating" {
+	if core.ModelPerfect.String() != "perfect" || core.ModelEscalating.String() != "escalating" {
 		t.Fatal("model names wrong")
 	}
-	if !strings.Contains(OracleModel(42).String(), "42") {
+	if !strings.Contains(core.OracleModel(42).String(), "42") {
 		t.Fatal("unknown model string")
 	}
 }
@@ -230,22 +233,22 @@ func TestRenderMixAndModelString(t *testing.T) {
 func TestPropertyOptimizerDominatesPaperTrees(t *testing.T) {
 	trees := mercuryTreesForAnalysis(t)
 	comps := []string{"mbus", "fedr", "pbcom", "ses", "str", "rtu"}
-	mix := MercuryFaultMix()
-	ap := MercuryAnalyticParams()
+	mix := core.MercuryFaultMix()
+	ap := station.AnalyticParams()
 	for _, tc := range []struct {
-		model  OracleModel
+		model  core.OracleModel
 		faulty float64
 	}{
-		{ModelPerfect, 0},
-		{ModelEscalating, 0},
-		{ModelFaulty, 0.30},
+		{core.ModelPerfect, 0},
+		{core.ModelEscalating, 0},
+		{core.ModelFaulty, 0.30},
 	} {
-		res, err := Optimize(comps, mix, ap, tc.model, tc.faulty)
+		res, err := core.Optimize(comps, mix, ap, tc.model, tc.faulty)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.model, err)
 		}
 		for _, name := range []string{"IIp", "III", "IV", "V"} {
-			e, err := ExpectedMTTR(trees[name], mix, ap, tc.model, tc.faulty)
+			e, err := core.ExpectedMTTR(trees[name], mix, ap, tc.model, tc.faulty)
 			if err != nil {
 				t.Fatal(err)
 			}

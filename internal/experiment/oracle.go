@@ -237,7 +237,7 @@ func runTreeScore(i int, seed int64) (TreeScore, error) {
 		return TreeScore{}, err
 	}
 	mix := core.MercuryFaultMix()
-	ap := core.MercuryAnalyticParams()
+	ap := station.AnalyticParams()
 	predicted, err := core.ExpectedMTTR(tree, mix, ap, core.ModelEscalating, 0)
 	if err != nil {
 		return TreeScore{}, fmt.Errorf("predict %s: %w", name, err)
@@ -427,7 +427,7 @@ func RunOnlineProposal(_ context.Context, cfg OnlineConfig) (*OnlineProposal, er
 	if err := sys.RunFor(2 * time.Minute); err != nil {
 		return nil, err
 	}
-	res, err := miner.Propose(sys.REC.Tree(), core.MercuryAnalyticParams(),
+	res, err := miner.Propose(sys.REC.Tree(), station.AnalyticParams(),
 		core.ModelEscalating, 0, cfg.Horizon, nil)
 	if err != nil {
 		return nil, err

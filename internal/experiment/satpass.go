@@ -7,6 +7,7 @@ import (
 
 	mercury "github.com/recursive-restart/mercury"
 	"github.com/recursive-restart/mercury/internal/orbit"
+	"github.com/recursive-restart/mercury/internal/station"
 )
 
 // This file reproduces the paper's §5.2 argument — "not all downtime is
@@ -49,8 +50,8 @@ func SatPass(ctx context.Context, trees []string, seed int64, workers int) ([]*P
 			return nil, err
 		}
 
-		passes, err := orbit.PredictPasses(sys.Params.Elements, sys.Params.Ground,
-			sys.Now(), 24*time.Hour, 10*3.14159/180)
+		sat, ground := station.Workload(sys.Epoch)
+		passes, err := orbit.PredictPasses(sat, ground, sys.Now(), 24*time.Hour, 10*3.14159/180)
 		if err != nil {
 			return nil, err
 		}

@@ -102,6 +102,15 @@ func RunChild(cfg ChildConfig) error {
 	if cfg.Component == station.MBus {
 		return errors.New("mp: the broker lives in the supervisor, not in a child")
 	}
+	var layout station.Layout
+	switch cfg.Layout {
+	case station.Split.String():
+		layout = station.Split
+	case station.Monolithic.String():
+		layout = station.Monolithic
+	default:
+		return fmt.Errorf("mp: unknown station layout %q", cfg.Layout)
+	}
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}
@@ -124,11 +133,7 @@ func RunChild(cfg ChildConfig) error {
 		return mgr.Deliver(m)
 	})
 
-	layout := station.Split
-	if cfg.Layout == station.Monolithic.String() {
-		layout = station.Monolithic
-	}
-	factory, err := station.Factory(cfg.Component, station.DefaultParams(time.Now()), layout)
+	factory, err := station.Factory(cfg.Component, clk.Now(), nil, layout)
 	if err != nil {
 		return err
 	}

@@ -167,7 +167,7 @@ func TestMultiProcessHungChildSendsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ops.Close()
-	period := time.Duration(float64(station.DefaultParams(time.Now()).TelemetryPeriod) / mpScale)
+	period := time.Duration(float64(station.TelemetryPeriod) / mpScale)
 	for deadline := time.Now().Add(10 * time.Second); frames.Load() == 0; time.Sleep(period) {
 		if time.Now().After(deadline) {
 			t.Fatal("no telemetry from a serving ses")
@@ -337,6 +337,13 @@ func TestRunChildValidation(t *testing.T) {
 	}
 	if err := RunChild(ChildConfig{Component: "mbus", BusAddr: "x", Scale: 1}); err == nil {
 		t.Fatal("mbus child accepted (broker lives in the supervisor)")
+	}
+	// Any layout but the two would boot rtu against a front end that does
+	// not exist.
+	for _, layout := range []string{"", "Split", "micro"} {
+		if err := RunChild(ChildConfig{Component: station.RTU, BusAddr: "x", Scale: 1, Layout: layout}); err == nil {
+			t.Fatalf("layout %q accepted", layout)
+		}
 	}
 }
 

@@ -192,8 +192,7 @@ type Manager struct {
 
 	// ContentionPerPeer is the per-extra-component startup stretch: a batch
 	// of k components starts with multiplier 1 + ContentionPerPeer*(k-1).
-	// Calibrated so a 5-component whole-system restart shows the paper's
-	// tree-I slowdown.
+	// NewManager sets DefaultContentionPerPeer.
 	ContentionPerPeer float64
 
 	onReady []func(name string)
@@ -208,6 +207,11 @@ type Manager struct {
 	msgs   xmlcmd.Pool
 }
 
+// DefaultContentionPerPeer is the startup stretch each extra component of
+// a batch adds, calibrated so a 5-component whole-system restart shows the
+// paper's tree-I slowdown.
+const DefaultContentionPerPeer = 0.048
+
 // NewManager returns an empty manager.
 func NewManager(clk clock.Clock, rng *rand.Rand, log *trace.Log) *Manager {
 	return &Manager{
@@ -215,7 +219,7 @@ func NewManager(clk clock.Clock, rng *rand.Rand, log *trace.Log) *Manager {
 		rng:               rng,
 		log:               log,
 		procs:             make(map[string]*Process),
-		ContentionPerPeer: 0.048,
+		ContentionPerPeer: DefaultContentionPerPeer,
 	}
 }
 

@@ -10,7 +10,6 @@ package radio
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Serial port states.
@@ -46,28 +45,25 @@ var (
 )
 
 // SerialPort emulates the ground station's radio serial link. Opening it
-// requires a parameter negotiation with the radio hardware; the caller
-// schedules FinishNegotiation after NegotiationTime.
+// requires a parameter negotiation with the radio hardware — the dominant
+// cost of a pbcom/fedrcom restart; the caller schedules FinishNegotiation
+// when its startup time has passed.
 type SerialPort struct {
-	// NegotiationTime is how long the open handshake takes — the dominant
-	// cost of a pbcom/fedrcom restart.
-	NegotiationTime time.Duration
-
 	state PortState
 	// writes counts frames written since open, for health beacons.
 	writes int
 }
 
-// NewSerialPort returns a closed port with the given negotiation time.
-func NewSerialPort(negotiation time.Duration) *SerialPort {
-	return &SerialPort{NegotiationTime: negotiation, state: PortClosed}
+// NewSerialPort returns a closed port.
+func NewSerialPort() *SerialPort {
+	return &SerialPort{state: PortClosed}
 }
 
 // State reports the port state.
 func (p *SerialPort) State() PortState { return p.state }
 
 // BeginOpen starts the negotiation. The caller must invoke
-// FinishNegotiation after NegotiationTime (scaled by any startup stretch).
+// FinishNegotiation once the negotiation is done.
 func (p *SerialPort) BeginOpen() error {
 	if p.state == PortNegotiating || p.state == PortOpen {
 		return ErrPortBusy
@@ -118,8 +114,6 @@ var UHFAmateur = Band{LoHz: 420e6, HiHz: 450e6}
 type Transceiver struct {
 	// Band constrains tuning.
 	Band Band
-	// TuneTime is how long a retune takes to settle.
-	TuneTime time.Duration
 
 	port    *SerialPort
 	freqHz  float64
@@ -128,12 +122,13 @@ type Transceiver struct {
 }
 
 // NewTransceiver builds a radio attached to the port.
-func NewTransceiver(port *SerialPort, band Band, tuneTime time.Duration) *Transceiver {
-	return &Transceiver{Band: band, TuneTime: tuneTime, port: port}
+func NewTransceiver(port *SerialPort, band Band) *Transceiver {
+	return &Transceiver{Band: band, port: port}
 }
 
 // BeginTune starts a retune to freqHz; the caller schedules FinishTune
-// after TuneTime. Tuning requires the serial link to be open.
+// once the synthesizer has settled. Tuning requires the serial link to be
+// open.
 func (t *Transceiver) BeginTune(freqHz float64) error {
 	if !t.Band.Contains(freqHz) {
 		return fmt.Errorf("%w: %.3f MHz", ErrOutOfBand, freqHz/1e6)

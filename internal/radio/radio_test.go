@@ -3,11 +3,10 @@ package radio
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestPortLifecycle(t *testing.T) {
-	p := NewSerialPort(15 * time.Second)
+	p := NewSerialPort()
 	if p.State() != PortClosed {
 		t.Fatalf("initial state = %v", p.State())
 	}
@@ -39,7 +38,7 @@ func TestPortLifecycle(t *testing.T) {
 }
 
 func TestPortDoubleOpenRejected(t *testing.T) {
-	p := NewSerialPort(time.Second)
+	p := NewSerialPort()
 	_ = p.BeginOpen()
 	if err := p.BeginOpen(); !errors.Is(err, ErrPortBusy) {
 		t.Fatalf("double BeginOpen = %v", err)
@@ -51,7 +50,7 @@ func TestPortDoubleOpenRejected(t *testing.T) {
 }
 
 func TestFinishWithoutBegin(t *testing.T) {
-	p := NewSerialPort(time.Second)
+	p := NewSerialPort()
 	if err := p.FinishNegotiation(); !errors.Is(err, ErrNotNegotiating) {
 		t.Fatalf("err = %v", err)
 	}
@@ -59,7 +58,7 @@ func TestFinishWithoutBegin(t *testing.T) {
 
 func openPort(t *testing.T) *SerialPort {
 	t.Helper()
-	p := NewSerialPort(time.Second)
+	p := NewSerialPort()
 	if err := p.BeginOpen(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func openPort(t *testing.T) *SerialPort {
 
 func TestTransceiverTune(t *testing.T) {
 	p := openPort(t)
-	tr := NewTransceiver(p, UHFAmateur, 200*time.Millisecond)
+	tr := NewTransceiver(p, UHFAmateur)
 	if err := tr.BeginTune(437.1e6); err != nil {
 		t.Fatalf("BeginTune: %v", err)
 	}
@@ -88,15 +87,15 @@ func TestTransceiverTune(t *testing.T) {
 }
 
 func TestTuneOutOfBand(t *testing.T) {
-	tr := NewTransceiver(openPort(t), UHFAmateur, time.Millisecond)
+	tr := NewTransceiver(openPort(t), UHFAmateur)
 	if err := tr.BeginTune(100e6); !errors.Is(err, ErrOutOfBand) {
 		t.Fatalf("out-of-band tune = %v", err)
 	}
 }
 
 func TestTuneRequiresOpenPort(t *testing.T) {
-	p := NewSerialPort(time.Second)
-	tr := NewTransceiver(p, UHFAmateur, time.Millisecond)
+	p := NewSerialPort()
+	tr := NewTransceiver(p, UHFAmateur)
 	if err := tr.BeginTune(437.1e6); !errors.Is(err, ErrPortNotOpen) {
 		t.Fatalf("tune on closed port = %v", err)
 	}
@@ -104,7 +103,7 @@ func TestTuneRequiresOpenPort(t *testing.T) {
 
 func TestLockedDropsWhenPortCloses(t *testing.T) {
 	p := openPort(t)
-	tr := NewTransceiver(p, UHFAmateur, time.Millisecond)
+	tr := NewTransceiver(p, UHFAmateur)
 	_ = tr.BeginTune(437.1e6)
 	tr.FinishTune()
 	p.Close()

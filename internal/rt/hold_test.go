@@ -189,8 +189,7 @@ func TestHoldAcrossRestart(t *testing.T) {
 
 	// The lone restart took rtu's own startup: 4.9 station-s ±2 % jitter,
 	// plus a little dispatcher lag.
-	p := station.DefaultParams(time.Now())
-	limit := p.RtuStartup.Seconds()*(1+p.StartupJitterFrac) + 1
+	limit := station.RtuStartup.Seconds()*(1+station.StartupJitterFrac) + 1
 	for _, e := range node.Log.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.ComponentReady && e.Component == station.RTU
 	}) {

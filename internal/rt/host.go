@@ -66,12 +66,11 @@ func NewHost(cfg NodeConfig, st assemble.Config) (*Host, error) {
 
 	st.Mgr = h.Mgr
 	st.FDParams = FDParamsForScale(cfg.Scale)
-	st.Params = station.DefaultParams(time.Now())
 	st.TreeName, st.PolicyName, st.CkptInterval = cfg.TreeName, cfg.OracleName, cfg.CkptInterval
-	startup, patience, others := st.Params.MBusStartup, st.FDParams.PingTimeout, st.Handler
+	patience, others := st.FDParams.PingTimeout, st.Handler
 	st.Handler = func(name string) func() proc.Handler {
 		if name == station.MBus {
-			return func() proc.Handler { return &rtBrokerHandler{host: h, startup: startup, patience: patience} }
+			return func() proc.Handler { return &rtBrokerHandler{host: h, patience: patience} }
 		}
 		if others != nil {
 			return others(name)
@@ -97,7 +96,6 @@ func NewHost(cfg NodeConfig, st assemble.Config) (*Host, error) {
 // not hold the cell down for more than patience, one FD pong timeout.
 type rtBrokerHandler struct {
 	host     *Host
-	startup  time.Duration
 	patience time.Duration
 	ready    bool
 }
@@ -106,7 +104,7 @@ type rtBrokerHandler struct {
 const readyPolls = 8
 
 func (h *rtBrokerHandler) Start(ctx proc.Context) {
-	d := time.Duration(float64(h.startup) * ctx.Stretch())
+	d := time.Duration(float64(station.MBusStartup) * ctx.Stretch())
 	ctx.After(d, func() {
 		fabric := h.host.fabric
 		for i := range fabric.Addrs() {

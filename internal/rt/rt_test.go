@@ -89,7 +89,7 @@ func liveCommandValuesLand(t *testing.T) {
 			if cmd == "" {
 				return nil
 			}
-			f, err := station.Factory(name, station.DefaultParams(time.Now()), station.Split)
+			f, err := station.Factory(name, time.Now(), nil, station.Split)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/proc"
+	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -14,9 +15,11 @@ import (
 // from ctx.Pool(), so steady-state traffic allocates nothing under the
 // simulated fabric.
 type base struct {
-	params Params
-	ready  bool
-	seq    uint64
+	// store is the crash-only state store micro mode externalizes state
+	// into; nil in classic mode.
+	store *store.Store
+	ready bool
+	seq   uint64
 
 	warnings   int
 	ageScore   float64
@@ -37,7 +40,7 @@ func (b *base) nextSeq() uint64 {
 // stretched by restart contention, with a small jitter.
 func (b *base) startupDelay(ctx proc.Context, baseDur time.Duration) time.Duration {
 	d := time.Duration(float64(baseDur) * ctx.Stretch())
-	return clock.Jitter(ctx.Rand(), d, b.params.StartupJitterFrac)
+	return clock.Jitter(ctx.Rand(), d, StartupJitterFrac)
 }
 
 // handleCommon services the protocol traffic shared by all components. It
@@ -67,23 +70,21 @@ func (b *base) becomeReady(ctx proc.Context) {
 		return
 	}
 	b.ready = true
-	if period := b.params.HealthPeriod; period > 0 {
-		// The beacon loop is bound once and re-arms itself; like every
-		// ctx.After callback it dies with the incarnation.
-		startedAt := ctx.Now()
-		var beacon func()
-		beacon = func() {
-			ctx.After(period, beacon)
-			ctx.Send(ctx.Pool().Health(ctx.Name(), xmlcmd.AddrFD, b.nextSeq(), xmlcmd.Health{
-				Incarnation: ctx.Incarnation(),
-				UptimeMs:    ctx.Now().Sub(startedAt).Milliseconds(),
-				QueueDepth:  b.queueDepth,
-				AgeScore:    b.ageScore,
-				Warnings:    b.warnings,
-				Suspect:     b.ageScore >= 0.8,
-			}))
-		}
-		ctx.After(period, beacon)
+	// The beacon loop is bound once and re-arms itself; like every
+	// ctx.After callback it dies with the incarnation.
+	startedAt := ctx.Now()
+	var beacon func()
+	beacon = func() {
+		ctx.After(healthPeriod, beacon)
+		ctx.Send(ctx.Pool().Health(ctx.Name(), xmlcmd.AddrFD, b.nextSeq(), xmlcmd.Health{
+			Incarnation: ctx.Incarnation(),
+			UptimeMs:    ctx.Now().Sub(startedAt).Milliseconds(),
+			QueueDepth:  b.queueDepth,
+			AgeScore:    b.ageScore,
+			Warnings:    b.warnings,
+			Suspect:     b.ageScore >= 0.8,
+		}))
 	}
+	ctx.After(healthPeriod, beacon)
 	ctx.Ready()
 }

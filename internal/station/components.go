@@ -22,25 +22,13 @@ const Ops = "ops"
 // commands str and rtu accordingly. It resynchronises with str at startup.
 type sesComponent struct {
 	syncCore
-	front    string          // rtu's downstream front end, for context only
 	observer *orbit.Observer // fixed satellite/station geometry, shared by all incarnations
-}
-
-// NewSES returns a factory for the ses handler.
-func NewSES(p Params) func() proc.Handler {
-	observer := orbit.NewObserver(p.Elements, p.Ground)
-	return func() proc.Handler {
-		c := &sesComponent{observer: observer}
-		c.params = p
-		c.peer = STR
-		return c
-	}
 }
 
 func (c *sesComponent) Start(ctx proc.Context) {
 	c.microArm(ctx)
 	c.microHook(SubCache, c.reloadEpoch)
-	d := c.startupDelay(ctx, c.params.SesStartup)
+	d := c.startupDelay(ctx, SesStartup)
 	ctx.After(d, func() { c.enterWaitSync(ctx) })
 	c.scheduleEstimation(ctx)
 }
@@ -56,9 +44,9 @@ func (c *sesComponent) scheduleEstimation(ctx proc.Context) {
 		if c.ready && c.subOK(SubEst) && c.subOK(SubCache) {
 			c.estimate(ctx)
 		}
-		ctx.After(c.params.TelemetryPeriod, tick)
+		ctx.After(TelemetryPeriod, tick)
 	}
-	ctx.After(c.params.TelemetryPeriod, tick)
+	ctx.After(TelemetryPeriod, tick)
 }
 
 func (c *sesComponent) estimate(ctx proc.Context) {
@@ -69,7 +57,7 @@ func (c *sesComponent) estimate(ctx proc.Context) {
 	}
 	az, errA := xmlcmd.Num("azRad", look.AzimuthRad)
 	el, errE := xmlcmd.Num("elRad", look.ElevationRad)
-	freq, errF := xmlcmd.Num("freqHz", c.params.CarrierHz+look.DopplerHz(c.params.CarrierHz))
+	freq, errF := xmlcmd.Num("freqHz", carrierHz+look.DopplerHz(carrierHz))
 	if errA != nil || errE != nil || errF != nil {
 		c.warnings++
 		return
@@ -106,29 +94,12 @@ type strComponent struct {
 	track *store.Cell[trackTarget]
 }
 
-// NewSTR returns a factory for the str handler.
-func NewSTR(p Params) func() proc.Handler {
-	return func() proc.Handler {
-		c := &strComponent{}
-		c.params = p
-		c.peer = SES
-		ant, err := antenna.New(p.AntennaSlewRateRad, p.AntennaBeamwidthRad)
-		if err != nil {
-			// Parameters are validated at registration; reaching this
-			// means a programming error in the caller.
-			panic(fmt.Sprintf("station: bad antenna params: %v", err))
-		}
-		c.ant = ant
-		return c
-	}
-}
-
 func (c *strComponent) Start(ctx proc.Context) {
 	c.microArm(ctx)
 	c.microHook(SubCache, c.reloadEpoch)
 	c.microHook(SubTrack, func() { c.reloadTrack() })
-	if mp := c.params.Micro; mp != nil {
-		if l, err := mp.Store.Acquire(KeyTrackTarget, STR, mp.SessionTTL); err == nil {
+	if c.store != nil {
+		if l, err := c.store.Acquire(KeyTrackTarget, STR, sessionTTL); err == nil {
 			c.microLease(ctx, l)
 			c.track = store.NewCell(l, trackCodec())
 			// A target surviving a process restart resumes tracking
@@ -136,7 +107,7 @@ func (c *strComponent) Start(ctx proc.Context) {
 			c.reloadTrack()
 		}
 	}
-	d := c.startupDelay(ctx, c.params.StrStartup)
+	d := c.startupDelay(ctx, StrStartup)
 	ctx.After(d, func() { c.enterWaitSync(ctx) })
 	c.scheduleTracking(ctx)
 }
@@ -217,22 +188,12 @@ func (c *strComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {
 // split, fedr after).
 type rtuComponent struct {
 	base
-	front      string
+	front      string // the component that owns the radio: Fedrcom or Fedr
 	lastFreqHz float64
 }
 
-// NewRTU returns a factory for the rtu handler. front names the component
-// that owns the radio (Fedrcom or Fedr).
-func NewRTU(p Params, front string) func() proc.Handler {
-	return func() proc.Handler {
-		c := &rtuComponent{front: front}
-		c.params = p
-		return c
-	}
-}
-
 func (c *rtuComponent) Start(ctx proc.Context) {
-	d := c.startupDelay(ctx, c.params.RtuStartup)
+	d := c.startupDelay(ctx, RtuStartup)
 	ctx.After(d, func() { c.becomeReady(ctx) })
 }
 
@@ -269,7 +230,7 @@ type fedrcomComponent struct {
 }
 
 // tuner is the radio-owning core shared by fedrcom and pbcom: the serial
-// port, the transceiver, and the completion of a tune TuneTime after it
+// port, the transceiver, and the completion of a tune tuneTime after it
 // began. finishTune is bound once per incarnation (several tunes may be in
 // flight; the callback carries no per-tune state).
 type tuner struct {
@@ -308,21 +269,15 @@ func (t *tuner) applyTune(ctx proc.Context, m *xmlcmd.Message) {
 		ctx.Send(ctx.Pool().Ack(ctx.Name(), m.From, t.nextSeq(), m.Seq, false, err.Error()))
 		return
 	}
-	ctx.After(t.params.TuneTime, t.finishTune)
+	ctx.After(tuneTime, t.finishTune)
 	ctx.Send(ctx.Pool().Ack(ctx.Name(), m.From, t.nextSeq(), m.Seq, true, ""))
 }
 
-// NewFedrcom returns a factory for the monolithic front end. Each
-// incarnation gets a fresh serial-port model (the process re-opens the
-// device).
-func NewFedrcom(p Params) func() proc.Handler {
-	return func() proc.Handler {
-		c := &fedrcomComponent{}
-		c.params = p
-		c.port = radio.NewSerialPort(p.SerialNegotiation)
-		c.xcvr = radio.NewTransceiver(c.port, radio.UHFAmateur, p.TuneTime)
-		return c
-	}
+// newTuner returns the radio core of a fresh incarnation: the process
+// re-opens the device, so each gets a new serial-port model.
+func newTuner(b base) tuner {
+	port := radio.NewSerialPort()
+	return tuner{base: b, port: port, xcvr: radio.NewTransceiver(port, radio.UHFAmateur)}
 }
 
 func (c *fedrcomComponent) Start(ctx proc.Context) {
@@ -332,7 +287,7 @@ func (c *fedrcomComponent) Start(ctx proc.Context) {
 		return
 	}
 	// The negotiation plus translator init is the calibrated startup time.
-	d := c.startupDelay(ctx, c.params.FedrcomStartup)
+	d := c.startupDelay(ctx, FedrcomStartup)
 	ctx.After(d, func() {
 		if err := c.port.FinishNegotiation(); err != nil {
 			ctx.Fail("serial negotiation: " + err.Error())
@@ -358,18 +313,6 @@ type pbcomComponent struct {
 	tuner
 	fedrInc  int // last connected fedr incarnation
 	ageCount int
-	ageLimit int
-}
-
-// NewPbcom returns a factory for the serial-port proxy.
-func NewPbcom(p Params) func() proc.Handler {
-	return func() proc.Handler {
-		c := &pbcomComponent{ageLimit: p.PbcomAgeLimit}
-		c.params = p
-		c.port = radio.NewSerialPort(p.SerialNegotiation)
-		c.xcvr = radio.NewTransceiver(c.port, radio.UHFAmateur, p.TuneTime)
-		return c
-	}
 }
 
 func (c *pbcomComponent) Start(ctx proc.Context) {
@@ -378,7 +321,7 @@ func (c *pbcomComponent) Start(ctx proc.Context) {
 		ctx.Fail("serial port open: " + err.Error())
 		return
 	}
-	d := c.startupDelay(ctx, c.params.PbcomStartup)
+	d := c.startupDelay(ctx, PbcomStartup)
 	ctx.After(d, func() {
 		if err := c.port.FinishNegotiation(); err != nil {
 			ctx.Fail("serial negotiation: " + err.Error())
@@ -414,9 +357,9 @@ func (c *pbcomComponent) handleConnect(ctx proc.Context, m *xmlcmd.Message) {
 	}
 	if c.fedrInc != 0 && inc != c.fedrInc {
 		c.ageCount++
-		c.ageScore = float64(c.ageCount) / float64(c.ageLimit)
+		c.ageScore = float64(c.ageCount) / pbcomAgeLimit
 		c.warnings++
-		if c.ageCount >= c.ageLimit {
+		if c.ageCount >= pbcomAgeLimit {
 			ctx.Fail(fmt.Sprintf("aged out after %d severed fedr connections", c.ageCount))
 			return
 		}
@@ -439,22 +382,13 @@ type fedrComponent struct {
 	session *store.Cell[int64]
 }
 
-// NewFedr returns a factory for the split front-end driver.
-func NewFedr(p Params) func() proc.Handler {
-	return func() proc.Handler {
-		c := &fedrComponent{}
-		c.params = p
-		return c
-	}
-}
-
 func (c *fedrComponent) Start(ctx proc.Context) {
 	c.microArm(ctx)
 	c.reconnect = func() { c.connectLoop(ctx) }
-	d := c.startupDelay(ctx, c.params.FedrStartup)
+	d := c.startupDelay(ctx, FedrStartup)
 	ctx.After(d, func() {
-		if mp := c.params.Micro; mp != nil {
-			if l, err := mp.Store.Acquire(KeyFedrSession, Fedr, mp.SessionTTL); err == nil {
+		if c.store != nil {
+			if l, err := c.store.Acquire(KeyFedrSession, Fedr, sessionTTL); err == nil {
 				c.microLease(ctx, l)
 				c.session = store.NewCell(l, store.Int64Codec())
 				if _, ok := c.session.Load(); ok {
@@ -479,7 +413,7 @@ func (c *fedrComponent) connectLoop(ctx proc.Context) {
 	c.connectSeq = c.nextSeq()
 	ctx.Send(ctx.Pool().Command(Fedr, Pbcom, c.connectSeq, "connect",
 		xmlcmd.Param{Key: "incarnation", Value: strconv.Itoa(ctx.Incarnation())}))
-	ctx.After(c.params.ConnectRetransmit, c.reconnect)
+	ctx.After(connectRetransmit, c.reconnect)
 }
 
 func (c *fedrComponent) Receive(ctx proc.Context, m *xmlcmd.Message) {

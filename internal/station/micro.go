@@ -22,7 +22,7 @@ import (
 //
 // A microreboot is "drop the logic, reattach to the state": the sub's
 // reattach hook re-reads its state from the store and the sub is
-// functional again after MicrorebootTime — no process teardown, no resync
+// functional again after microrebootTime — no process teardown, no resync
 // handshake, no induced peer failure.
 
 // Subcomponent short names.
@@ -39,45 +39,6 @@ const (
 	KeyTrackTarget  = "track/target"  // str's current antenna target
 	KeyFedrSession  = "session/fedr"  // fedr's pbcom connection session
 )
-
-// MicroParams configures the microrebootable decomposition. A nil pointer
-// in Params means the classic monolithic-state components — byte-identical
-// to the seed behaviour.
-type MicroParams struct {
-	// Store is the crash-only state store (required).
-	Store *store.Store
-	// MicrorebootTime is the subcomponent re-init time: drop logic,
-	// reattach to store state. The paper's successors measure this at
-	// orders of magnitude below process restart.
-	MicrorebootTime time.Duration
-	// ReattachSettle replaces SyncSettle when a restarted component adopts
-	// the surviving session epoch from the store instead of handshaking
-	// with its peer.
-	ReattachSettle time.Duration
-	// SubFaultDetect is the in-process assertion latency: how quickly the
-	// hosting container catches a crashed subcomponent and reports it.
-	SubFaultDetect time.Duration
-	// SubReReport is the re-report period while a subcomponent stays
-	// broken (covers report loss and REC restarts).
-	SubReReport time.Duration
-	// SessionTTL is the store lease TTL on externalized state; components
-	// renew at a third of it. Once every holder is dead for a full TTL the
-	// state dies with them — the crash-only contract.
-	SessionTTL time.Duration
-}
-
-// DefaultMicroParams returns the calibrated micro-mode configuration on
-// the given store.
-func DefaultMicroParams(st *store.Store) *MicroParams {
-	return &MicroParams{
-		Store:           st,
-		MicrorebootTime: 250 * time.Millisecond,
-		ReattachSettle:  300 * time.Millisecond,
-		SubFaultDetect:  200 * time.Millisecond,
-		SubReReport:     2 * time.Second,
-		SessionTTL:      30 * time.Second,
-	}
-}
 
 // MicroSubs maps each fat component to its subcomponent short names; this
 // is both the proc registration set and the SubAugment input for the
@@ -135,7 +96,7 @@ type microState struct {
 // microArm initialises the container for this incarnation. Components call
 // it at Start; it is a no-op in classic mode.
 func (b *base) microArm(ctx proc.Context) {
-	if b.params.Micro == nil {
+	if b.store == nil {
 		return
 	}
 	b.micro = &microState{
@@ -160,14 +121,13 @@ func (b *base) microLease(ctx proc.Context, l *store.Lease) {
 	m := b.micro
 	m.leases = append(m.leases, l)
 	if m.renew == nil {
-		ttl := b.params.Micro.SessionTTL
 		m.renew = func() {
-			ctx.After(ttl/3, m.renew)
+			ctx.After(sessionTTL/3, m.renew)
 			for _, l := range m.leases {
-				_ = l.Renew(ttl) // a lost lease re-arms via the next reattach
+				_ = l.Renew(sessionTTL) // a lost lease re-arms via the next reattach
 			}
 		}
-		ctx.After(ttl/3, m.renew)
+		ctx.After(sessionTTL/3, m.renew)
 	}
 }
 
@@ -186,7 +146,7 @@ func (b *base) SubFail(sub string) {
 		return
 	}
 	b.micro.broken[sub] = true
-	b.scheduleSubReport(sub, b.params.Micro.SubFaultDetect)
+	b.scheduleSubReport(sub, subFaultDetect)
 }
 
 func (b *base) scheduleSubReport(sub string, after time.Duration) {
@@ -197,7 +157,7 @@ func (b *base) scheduleSubReport(sub string, after time.Duration) {
 		}
 		ctx.Send(ctx.Pool().Event(ctx.Name(), xmlcmd.AddrFD, b.nextSeq(),
 			"subfault", proc.SubName(ctx.Name(), sub)))
-		b.scheduleSubReport(sub, b.params.Micro.SubReReport)
+		b.scheduleSubReport(sub, subReReport)
 	})
 }
 
@@ -212,7 +172,7 @@ func (b *base) SubMicroreboot(sub string) time.Duration {
 	if fn := b.micro.reattach[sub]; fn != nil {
 		fn()
 	}
-	return b.params.Micro.MicrorebootTime
+	return microrebootTime
 }
 
 // trackTarget is str's externalized antenna target.
@@ -248,8 +208,7 @@ type sessionCell = store.Cell[int64]
 // use the same co-ownership token: either can reattach while the other
 // lives, and the epoch dies only when both stay dead for a full TTL.
 func acquireSessionCell(ctx proc.Context, b *base) (*sessionCell, bool) {
-	mp := b.params.Micro
-	l, err := mp.Store.Acquire(KeySessionEpoch, "ses+str", mp.SessionTTL)
+	l, err := b.store.Acquire(KeySessionEpoch, "ses+str", sessionTTL)
 	if err != nil {
 		return nil, false
 	}

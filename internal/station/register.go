@@ -2,9 +2,24 @@ package station
 
 import (
 	"fmt"
+	"time"
 
+	"github.com/recursive-restart/mercury/internal/antenna"
 	"github.com/recursive-restart/mercury/internal/bus"
+	"github.com/recursive-restart/mercury/internal/orbit"
 	"github.com/recursive-restart/mercury/internal/proc"
+	"github.com/recursive-restart/mercury/internal/store"
+)
+
+// Component bus addresses re-exported for convenience.
+const (
+	MBus    = "mbus"
+	Fedrcom = "fedrcom"
+	Fedr    = "fedr"
+	Pbcom   = "pbcom"
+	SES     = "ses"
+	STR     = "str"
+	RTU     = "rtu"
 )
 
 // Layout selects which component decomposition to build.
@@ -44,54 +59,68 @@ func (l Layout) Components() ([]string, error) {
 	}
 }
 
+// MonolithicComponents lists the tree-I/II component set.
+func MonolithicComponents() []string {
+	return []string{MBus, Fedrcom, SES, STR, RTU}
+}
+
+// SplitComponents lists the component set after the fedrcom split
+// (trees III, IV, V).
+func SplitComponents() []string {
+	return []string{MBus, Fedr, Pbcom, SES, STR, RTU}
+}
+
 // Factory is the one name → handler-factory table for station components:
 // the simulator, the live node and a multi-process child all resolve a
-// component through it. The layout decides which front end rtu talks to.
-func Factory(name string, p Params, layout Layout) (func() proc.Handler, error) {
+// component through it. epoch anchors the workload satellite's elements;
+// st is the crash-only store micro mode externalizes state into, nil in
+// classic mode. The layout decides which front end rtu talks to.
+func Factory(name string, epoch time.Time, st *store.Store, layout Layout) (func() proc.Handler, error) {
+	b := base{store: st}
 	switch name {
 	case MBus:
-		return bus.BrokerHandler(p.MBusStartup), nil
+		return bus.BrokerHandler(MBusStartup), nil
 	case SES:
-		return NewSES(p), nil
+		observer := orbit.NewObserver(Workload(epoch))
+		return func() proc.Handler {
+			return &sesComponent{syncCore: syncCore{base: b, peer: STR}, observer: observer}
+		}, nil
 	case STR:
-		return NewSTR(p), nil
+		return func() proc.Handler {
+			ant := &antenna.Model{SlewRateRad: antennaSlewRateRad, BeamwidthRad: antennaBeamwidthRad}
+			return &strComponent{syncCore: syncCore{base: b, peer: SES}, ant: ant}
+		}, nil
 	case RTU:
+		front := Fedr
 		if layout == Monolithic {
-			return NewRTU(p, Fedrcom), nil
+			front = Fedrcom
 		}
-		return NewRTU(p, Fedr), nil
+		return func() proc.Handler { return &rtuComponent{base: b, front: front} }, nil
 	case Fedr:
-		return NewFedr(p), nil
+		return func() proc.Handler { return &fedrComponent{base: b} }, nil
 	case Pbcom:
-		return NewPbcom(p), nil
+		return func() proc.Handler { return &pbcomComponent{tuner: newTuner(b)} }, nil
 	case Fedrcom:
-		return NewFedrcom(p), nil
+		return func() proc.Handler { return &fedrcomComponent{tuner: newTuner(b)} }, nil
 	default:
 		return nil, fmt.Errorf("station: no handler for component %q", name)
 	}
 }
 
 // Register registers the layout's components with the manager and returns
-// their names. The caller starts them (typically with StartBatch, which is
+// their names; a non-nil st turns micro mode on, which needs the split
+// layout. The caller starts them (typically with StartBatch, which is
 // itself the initial whole-system boot). override, when non-nil, is asked
 // for each component's factory first and the table serves the ones it
 // answers nil for: a live runtime swaps in the broker handler that owns a
 // real listener, a supervisor its child-process proxies.
-func Register(mgr *proc.Manager, p Params, layout Layout, override func(name string) func() proc.Handler) ([]string, error) {
-	if p.AntennaSlewRateRad <= 0 {
-		return nil, fmt.Errorf("station: antenna slew rate must be positive")
-	}
+func Register(mgr *proc.Manager, epoch time.Time, st *store.Store, layout Layout, override func(name string) func() proc.Handler) ([]string, error) {
 	names, err := layout.Components()
 	if err != nil {
 		return nil, err
 	}
-	if p.Micro != nil {
-		if layout != Split {
-			return nil, fmt.Errorf("station: micro mode requires the split layout, got %s", layout)
-		}
-		if p.Micro.Store == nil {
-			return nil, fmt.Errorf("station: micro mode requires a store")
-		}
+	if st != nil && layout != Split {
+		return nil, fmt.Errorf("station: micro mode requires the split layout, got %s", layout)
 	}
 	for _, name := range names {
 		var factory func() proc.Handler
@@ -99,7 +128,7 @@ func Register(mgr *proc.Manager, p Params, layout Layout, override func(name str
 			factory = override(name)
 		}
 		if factory == nil {
-			if factory, err = Factory(name, p, layout); err != nil {
+			if factory, err = Factory(name, epoch, st, layout); err != nil {
 				return nil, err
 			}
 		}
@@ -107,7 +136,7 @@ func Register(mgr *proc.Manager, p Params, layout Layout, override func(name str
 			return nil, err
 		}
 	}
-	if p.Micro != nil {
+	if st != nil {
 		if err := RegisterSubs(mgr); err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/sim"
+	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
@@ -30,8 +31,7 @@ func newRig(t *testing.T, layout Layout, seed int64) *rig {
 	mgr := proc.NewManager(clock.Sim{K: k}, k.Rand(), log)
 	b := bus.NewSim(clock.Sim{K: k}, mgr, MBus)
 	mgr.SetTransport(b)
-	p := DefaultParams(k.Now())
-	comps, err := Register(mgr, p, layout, nil)
+	comps, err := Register(mgr, k.Now(), nil, layout, nil)
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -91,34 +91,35 @@ func TestLayoutComponents(t *testing.T) {
 
 func TestRegisterValidation(t *testing.T) {
 	r := newRig(t, Split, 1) // occupies names
-	if _, err := Register(r.mgr, DefaultParams(r.k.Now()), Split, nil); err == nil {
+	if _, err := Register(r.mgr, r.k.Now(), nil, Split, nil); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 	k := sim.New(1)
-	mgr := proc.NewManager(clock.Sim{K: k}, k.Rand(), trace.NewLog())
-	p := DefaultParams(k.Now())
-	p.AntennaSlewRateRad = 0
-	if _, err := Register(mgr, p, Split, nil); err == nil {
-		t.Fatal("zero slew rate accepted")
-	}
-	if _, err := Register(mgr, DefaultParams(k.Now()), Layout(42), nil); err == nil {
+	clk := clock.Sim{K: k}
+	mgr := proc.NewManager(clk, k.Rand(), trace.NewLog())
+	if _, err := Register(mgr, k.Now(), nil, Layout(42), nil); err == nil {
 		t.Fatal("bad layout accepted")
+	}
+	if _, err := Register(mgr, k.Now(), store.New(clk, store.Options{}), Monolithic, nil); err == nil {
+		t.Fatal("micro mode accepted on the monolithic layout")
+	}
+	if len(mgr.Names()) != 0 {
+		t.Fatalf("a refused registration left %v registered", mgr.Names())
 	}
 }
 
 // TestFactory pins the one name → handler table: every component of both
 // layouts resolves, and an unknown name does not.
 func TestFactory(t *testing.T) {
-	p := DefaultParams(time.Now())
 	for _, layout := range []Layout{Monolithic, Split} {
 		comps, _ := layout.Components()
 		for _, comp := range comps {
-			if f, err := Factory(comp, p, layout); err != nil || f == nil {
+			if f, err := Factory(comp, time.Now(), nil, layout); err != nil || f == nil {
 				t.Fatalf("Factory(%s, %s): %v", comp, layout, err)
 			}
 		}
 	}
-	if _, err := Factory("nope", p, Split); err == nil {
+	if _, err := Factory("nope", time.Now(), nil, Split); err == nil {
 		t.Fatal("unknown component accepted")
 	}
 }
@@ -220,7 +221,7 @@ func TestJointSesStrRestartAvoidsInducedFailure(t *testing.T) {
 func TestPbcomAging(t *testing.T) {
 	r := newRig(t, Split, 6)
 	r.boot(t)
-	limit := DefaultParams(r.k.Now()).PbcomAgeLimit
+	limit := pbcomAgeLimit
 	for i := 0; i < limit; i++ {
 		if st, _ := r.mgr.State(Pbcom); st == proc.Dead {
 			break

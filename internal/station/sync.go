@@ -45,7 +45,7 @@ type syncCore struct {
 // runs when no epoch survives (both peers dead past the lease TTL), and
 // its agreed epoch is persisted for the next restart.
 func (s *syncCore) enterWaitSync(ctx proc.Context) {
-	if s.params.Micro != nil && s.session == nil {
+	if s.store != nil && s.session == nil {
 		if cell, ok := acquireSessionCell(ctx, &s.base); ok {
 			s.session = cell
 		}
@@ -54,7 +54,7 @@ func (s *syncCore) enterWaitSync(ctx proc.Context) {
 		if epoch, ok := s.session.Load(); ok {
 			s.myEpoch = epoch
 			s.synced = true
-			ctx.After(s.params.Micro.ReattachSettle, func() { s.becomeReady(ctx) })
+			ctx.After(reattachSettle, func() { s.becomeReady(ctx) })
 			return
 		}
 	}
@@ -84,9 +84,9 @@ func (s *syncCore) retransmitLoop(ctx proc.Context) {
 			return
 		}
 		s.sendSync(ctx)
-		ctx.After(s.params.SyncRetransmit, again)
+		ctx.After(syncRetransmit, again)
 	}
-	ctx.After(s.params.SyncRetransmit, again)
+	ctx.After(syncRetransmit, again)
 }
 
 // agree adopts the winning epoch and schedules readiness after the settle
@@ -98,7 +98,7 @@ func (s *syncCore) agree(ctx proc.Context, epoch int64) {
 	if s.session != nil {
 		_ = s.session.Save(epoch)
 	}
-	ctx.After(s.params.SyncSettle, func() { s.becomeReady(ctx) })
+	ctx.After(SyncSettle, func() { s.becomeReady(ctx) })
 }
 
 // reloadEpoch is the cache subcomponent's reattach hook: re-read the

@@ -105,7 +105,7 @@ func TestInterruptedRestartIsNotCured(t *testing.T) {
 	if p := est.PSuccess(station.RTU, key); p > 0.5 {
 		t.Errorf("%s p=%.2f: the interrupted attempt was scored cured:\n%s", key, p, est.Render())
 	}
-	if d, ok := est.Duration(station.RTU, key); ok && d < station.DefaultParams(sys.Now()).RtuStartup {
+	if d, ok := est.Duration(station.RTU, key); ok && d < station.RtuStartup {
 		t.Errorf("%s duration %v: a restart that never came up gave a sample:\n%s", key, d, est.Render())
 	}
 }
@@ -123,8 +123,7 @@ func TestUncuredRestartKeepsItsDuration(t *testing.T) {
 	}
 	est := sys.Oracle.Estimator()
 	const key = "restart|[pbcom]"
-	sp := station.DefaultParams(sys.Now())
-	least := time.Duration(float64(sp.PbcomStartup) * (1 - sp.StartupJitterFrac))
+	least := time.Duration(float64(station.PbcomStartup) * (1 - station.StartupJitterFrac))
 	if d, ok := est.Duration(station.Pbcom, key); est.PSuccess(station.Pbcom, key) != 1.0/3 || !ok || d < least {
 		t.Fatalf("%s should read one uncured try timed at least pbcom's shortest startup (%v):\n%s", key, least, est.Render())
 	}

@@ -186,7 +186,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Mgr:             mgr,
 		FDParams:        fdParams,
 		RECParams:       cfg.RECParams,
-		Params:          station.DefaultParams(k.Now()),
 		TreeName:        cfg.TreeName,
 		CustomTree:      cfg.CustomTree,
 		PolicyName:      string(cfg.Policy),
