@@ -1,51 +1,115 @@
 package mercury
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
 
 // Allocation budgets for the simulated station. The Table-4 campaign is
 // tens of thousands of "build a station, break one thing, time the cure"
-// trials, so what a trial allocates is what the campaign costs; these
+// trials, each only ~800 kernel events long, so what a trial allocates to
+// construct, boot and cure its station is what the campaign costs; these
 // ceilings keep the timer nodes, the message pool, the prebound loops, the
 // shared trees and the typed command parameters from quietly regressing.
-// The per-trial ceilings are pinned ~15 % above the measured value (fmt's
-// sync.Pool is lossy under the race detector); the healthy station's is
-// exact.
+// The per-trial ceilings are pinned ~10 % above the measured value; the
+// healthy station's is exact.
 
-// TestTrialAllocBudget pins NewSystem → Boot → MeasureRecovery.
+// runTrial runs one Table-4 trial of a cell on seed — NewSystem, Boot, a
+// fault and its cure — calling mark after each of the three phases, and
+// returns the kernel events it executed.
+func runTrial(tb testing.TB, seed int64, tree, component string, mark func(phase int)) uint64 {
+	sys, err := NewSystem(Config{Seed: seed, TreeName: tree})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mark(0)
+	if err := sys.Boot(); err != nil {
+		tb.Fatal(err)
+	}
+	mark(1)
+	if _, err := sys.MeasureRecovery(Fault{Component: component}, 5*time.Minute); err != nil {
+		tb.Fatal(err)
+	}
+	mark(2)
+	return sys.Kernel.Executed()
+}
+
+// trialAllocs runs runs+1 trials of one cell (the first is a warm-up) on
+// seeds 1, 2, … and returns the mean allocations of each phase —
+// NewSystem, Boot, MeasureRecovery — and the mean kernel events of a
+// trial. Like testing.AllocsPerRun it counts on one P.
+func trialAllocs(tb testing.TB, tree, component string, runs int) (phases [3]float64, events float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	var total [3]uint64
+	var executed uint64
+	for seed := int64(0); seed <= int64(runs); seed++ {
+		runtime.ReadMemStats(&ms)
+		last := ms.Mallocs
+		n := runTrial(tb, seed+1, tree, component, func(phase int) {
+			runtime.ReadMemStats(&ms)
+			if seed > 0 {
+				total[phase] += ms.Mallocs - last
+			}
+			last = ms.Mallocs
+		})
+		if seed > 0 {
+			executed += n
+		}
+	}
+	for i, n := range total {
+		phases[i] = float64(n) / float64(runs)
+	}
+	return phases, float64(executed) / float64(runs)
+}
+
+// TestTrialAllocBudget pins NewSystem → Boot → MeasureRecovery, and logs
+// each phase. Measured per trial (seeds 1–10, no -race), as NewSystem +
+// Boot + MeasureRecovery:
+//
+//	IV/rtu         1 715 before the pools; 301 = 68 + 186 + 47; 198 = 56 + 108 + 34
+//	II/fedrcom     2 915 before the pools; 284 = 62 + 172 + 50; 189 = 52 + 100 + 37
+//	IVm/ses.cache  384 = 106 + 232 + 46; 279 = 88 + 153 + 38 (a microreboot)
+//
+// The middle figures are before the one-piece message mint, the first
+// capacities inside the kernel and the fabric, the fmt-free trace
+// details, the shared batch slice, the chunked process records and
+// contexts, FD's slab and the indexed tree labels; the last are after.
+// Under -race the counts read up to 5 higher.
 func TestTrialAllocBudget(t *testing.T) {
 	cases := []struct {
 		tree, component string
 		ceiling         float64 // allocations per trial
 	}{
-		{"IV", "rtu", 360},     // measured 313, 334 under -race (before the pools: 1 715)
-		{"II", "fedrcom", 340}, // measured 295, 314 under -race (before the pools: 2 915)
+		{"IV", "rtu", 218},
+		{"II", "fedrcom", 208},
+		{"IVm", "ses.cache", 307},
 	}
 	for _, c := range cases {
-		seed := int64(0)
-		var events uint64
-		const runs = 10
-		avg := testing.AllocsPerRun(runs, func() {
-			seed++
-			sys, err := NewSystem(Config{Seed: seed, TreeName: c.tree})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Boot(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.MeasureRecovery(Fault{Component: c.component}, 5*time.Minute); err != nil {
-				t.Fatal(err)
-			}
-			events += sys.Kernel.Executed()
-		})
-		perTrial := float64(events) / (runs + 1) // AllocsPerRun adds a warm-up call
-		t.Logf("%s/%s: %.0f allocs and %.0f events per trial: %.2f allocs/event", c.tree, c.component, avg, perTrial, avg/perTrial)
-		if avg > c.ceiling {
-			t.Errorf("%s/%s: %.0f allocs/trial, budget %.0f", c.tree, c.component, avg, c.ceiling)
+		phases, events := trialAllocs(t, c.tree, c.component, 10)
+		total := phases[0] + phases[1] + phases[2]
+		t.Logf("%s/%s: %.0f allocs per trial (NewSystem %.1f, Boot %.1f, MeasureRecovery %.1f) and %.0f events: %.3f allocs/event",
+			c.tree, c.component, total, phases[0], phases[1], phases[2], events, total/events)
+		if total > c.ceiling {
+			t.Errorf("%s/%s: %.0f allocs/trial, budget %.0f", c.tree, c.component, total, c.ceiling)
 		}
+	}
+}
+
+// BenchmarkTable4Trial is one Table-4 trial — NewSystem, Boot, a fault and
+// its cure — per op, reporting allocs/op and kernel events/op: the cost
+// the sim-recovery campaign multiplies, without running the campaign.
+func BenchmarkTable4Trial(b *testing.B) {
+	for _, c := range []struct{ tree, component string }{{"IV", "rtu"}, {"II", "fedrcom"}} {
+		b.Run(c.tree+"/"+c.component, func(b *testing.B) {
+			b.ReportAllocs()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				events += runTrial(b, int64(i+1), c.tree, c.component, func(int) {})
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		})
 	}
 }
 

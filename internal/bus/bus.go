@@ -74,6 +74,10 @@ type Sim struct {
 	hopHead int
 	pumpOn  bool
 	pump    hopPump
+	// firstHops is where hopQ starts, in the fabric's own allocation: a
+	// station has at most 28 clean hops in flight (Table-4 grid, every
+	// trial), so its queue never grows.
+	firstHops [32]hopEntry
 
 	// extraRefs counts in-flight copies of a message beyond the structural
 	// one, minted by chaos duplication. It is consulted only when non-empty,
@@ -106,6 +110,7 @@ func NewSim(clk clock.Clock, mgr *proc.Manager, broker string) *Sim {
 	if ks, ok := clk.(clock.Sim); ok {
 		b.kern = ks.K
 	}
+	b.hopQ = b.firstHops[:0]
 	return b
 }
 

@@ -72,10 +72,11 @@ func (p FDParams) ReadyGrace() time.Duration {
 type FD struct {
 	watcher
 	params  FDParams
-	targets []string
+	targets []string // the handle's: shared by every incarnation, never modified
 	broker  string
 
-	targetSt       map[string]*targetState
+	targetSt       []targetState // by index in targets, one slab per incarnation
+	brokerSt       *targetState  // the broker's, if it is a target
 	lastBrokerPong time.Time
 	busProvenAt    time.Time            // FDHandle.BusProven: when the host last saw the bus route again
 	lastReport     map[string]time.Time // the re-report throttle, by the name reported
@@ -144,14 +145,12 @@ func NewFD(p FDParams, targets []string, broker string, mgr *proc.Manager) (func
 		fd := &FD{
 			watcher:    newWatcher(xmlcmd.AddrFD, xmlcmd.AddrREC, mgr, p, &fdWatch),
 			params:     p,
-			targets:    append([]string(nil), h.targets...),
+			targets:    h.targets,
 			broker:     broker,
-			targetSt:   make(map[string]*targetState, len(h.targets)),
+			targetSt:   make([]targetState, len(h.targets)),
 			lastReport: make(map[string]time.Time),
 		}
-		for _, t := range h.targets {
-			fd.targetSt[t] = &targetState{}
-		}
+		fd.brokerSt = fd.state(broker)
 		h.current = fd
 		return fd
 	}
@@ -163,7 +162,7 @@ func (fd *FD) Start(ctx proc.Context) {
 	fd.start(ctx, fd.params.PingPeriod/2, func() {
 		// Stagger the ping loops so the bus sees a smooth ping stream.
 		for i, target := range fd.targets {
-			target, st := target, fd.targetSt[target]
+			st := &fd.targetSt[i]
 			st.ping = func() { fd.sendPing(ctx, target, st) }
 			st.verify = func() { fd.verifyPing(ctx, target, st) }
 			if target != fd.broker {
@@ -180,6 +179,17 @@ func (fd *FD) Start(ctx proc.Context) {
 			ctx.After(offset, st.ping)
 		}
 	})
+}
+
+// state returns a target's suspicion bookkeeping, nil for a name FD does
+// not monitor. A station has half a dozen targets, so a scan beats a map.
+func (fd *FD) state(target string) *targetState {
+	for i, t := range fd.targets {
+		if t == target {
+			return &fd.targetSt[i]
+		}
+	}
+	return nil
 }
 
 // sendPing sends one liveness ping and schedules its verification; the
@@ -264,7 +274,7 @@ func (fd *FD) suspectAfter() int {
 // really down; if not, the broker is the diagnosis (paper: "mbus itself is
 // monitored as well").
 func (fd *FD) suspect(ctx proc.Context, target string) {
-	st := fd.targetSt[target]
+	st := fd.state(target)
 	st.suspected = true
 	M.FDSuspicions.Inc()
 	if !st.firstMissAt.IsZero() {
@@ -275,7 +285,7 @@ func (fd *FD) suspect(ctx proc.Context, target string) {
 		fd.report(ctx, target, "reported to rec")
 		return
 	}
-	if b, ok := fd.targetSt[fd.broker]; ok && b.suspected {
+	if b := fd.brokerSt; b != nil && b.suspected {
 		// The bus is already the diagnosis; re-reporting will catch real
 		// casualties once it recovers.
 		return
@@ -316,7 +326,7 @@ func (fd *FD) checkBroker(ctx proc.Context, target string, st *targetState) {
 		ctx.After(0, st.brokerRetry)
 		return
 	}
-	if b, ok := fd.targetSt[fd.broker]; ok {
+	if b := fd.brokerSt; b != nil {
 		b.suspected = true
 		fd.report(ctx, fd.broker, "reported to rec")
 	}
@@ -343,8 +353,8 @@ func (fd *FD) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	}
 	switch m.Kind() {
 	case xmlcmd.KindPong:
-		st, ok := fd.targetSt[m.From]
-		if !ok {
+		st := fd.state(m.From)
+		if st == nil {
 			return
 		}
 		if m.From == fd.broker {
@@ -378,6 +388,6 @@ func (fd *FD) Receive(ctx proc.Context, m *xmlcmd.Message) {
 // Suspected reports FD's current suspicion for a target (for tests and the
 // ops console).
 func (fd *FD) Suspected(target string) bool {
-	st, ok := fd.targetSt[target]
-	return ok && st.suspected
+	st := fd.state(target)
+	return st != nil && st.suspected
 }

@@ -52,7 +52,7 @@ func (h *harness) reports(component string) []trace.Event {
 func (h *harness) probeOutstanding(t *testing.T, target string) {
 	t.Helper()
 	for i := 0; i < 2000; i++ {
-		if fd := h.fd.current; fd != nil && fd.targetSt[target].outstanding != 0 {
+		if fd := h.fd.current; fd != nil && fd.state(target).outstanding != 0 {
 			return
 		}
 		if err := h.k.RunFor(time.Millisecond); err != nil {

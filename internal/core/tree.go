@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -35,6 +36,11 @@ type Node struct {
 	Children []*Node
 
 	parent *Node
+	// label and members are Label and Subtree as NewTree found them, so a
+	// recoverer deciding on a shared tree reads them without allocating;
+	// members is nil on a node no tree has indexed.
+	label   string
+	members []string
 }
 
 // Label returns the node's display name.
@@ -42,21 +48,53 @@ func (n *Node) Label() string {
 	if n.Name != "" {
 		return n.Name
 	}
-	all := n.Subtree()
-	return "[" + strings.Join(all, " ") + "]"
+	if n.members != nil {
+		return n.label
+	}
+	return bracketLabel(n.collect())
 }
+
+func bracketLabel(members []string) string { return "[" + strings.Join(members, " ") + "]" }
 
 // Parent returns the node's parent, or nil at the root.
 func (n *Node) Parent() *Node { return n.parent }
 
 // Subtree returns every component restarted by this cell's button, sorted.
 func (n *Node) Subtree() []string {
+	if n.members != nil {
+		return slices.Clone(n.members)
+	}
+	return n.collect()
+}
+
+// subtree is Subtree without the copy, for readers inside the package: the
+// caller must not modify it.
+func (n *Node) subtree() []string {
+	if n.members != nil {
+		return n.members
+	}
+	return n.collect()
+}
+
+// collect gathers the subtree's components afresh, sorted.
+func (n *Node) collect() []string {
 	var out []string
 	n.walk(func(m *Node) {
 		out = append(out, m.Components...)
 	})
 	sort.Strings(out)
 	return out
+}
+
+// index records every node's members and label, children first.
+func index(n *Node) []string {
+	all := append(make([]string, 0, len(n.Components)), n.Components...)
+	for _, c := range n.Children {
+		all = append(all, index(c)...)
+	}
+	sort.Strings(all)
+	n.members, n.label = all, bracketLabel(all)
+	return all
 }
 
 // walk visits the subtree pre-order.
@@ -100,6 +138,7 @@ func NewTree(name string, root *Node) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	index(root)
 	if len(t.byComp) == 0 {
 		return nil, ErrEmptyTree
 	}
@@ -154,12 +193,9 @@ func (t *Tree) LowestCovering(set []string) (*Node, error) {
 
 // covers reports whether the node's subtree includes every component.
 func covers(n *Node, set []string) bool {
-	have := make(map[string]bool)
-	for _, c := range n.Subtree() {
-		have[c] = true
-	}
+	members := n.subtree()
 	for _, c := range set {
-		if !have[c] {
+		if _, ok := slices.BinarySearch(members, c); !ok {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -151,34 +152,37 @@ func (b *Board) Inject(f Fault) error {
 	return b.mgr.Kill(f.Manifest, "fault "+f.ID)
 }
 
+// coveredBy reports whether a batch restarting names covers the cure set.
+func (f Fault) coveredBy(names []string) bool {
+	if len(f.Cure) == 0 {
+		return slices.Contains(names, f.Manifest)
+	}
+	for _, c := range f.Cure {
+		if !slices.Contains(names, c) {
+			return false
+		}
+	}
+	return true
+}
+
 // onBatch applies cure semantics when a restart action begins. A fault is
 // cured when the batch covers its cure set, or — for state faults whose
 // pre-injection checkpoint has been restored — when the batch merely
-// restarts the manifesting component over the now-clean state.
+// restarts the manifesting component over the now-clean state. names is
+// the manager's (see proc.Manager.OnBatch): a cure event gets a copy.
 func (b *Board) onBatch(names []string) {
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
 	for id, f := range b.active {
 		if f.Hard {
 			continue
 		}
-		covered := true
-		for c := range f.cureSet() {
-			if !set[c] {
-				covered = false
-				break
-			}
-		}
-		if !covered && !(f.restored && set[f.Manifest]) {
+		if !f.coveredBy(names) && !(f.restored && slices.Contains(names, f.Manifest)) {
 			continue
 		}
 		delete(b.active, id)
 		b.cured++
 		b.log.Add(b.clk.Now(), trace.FaultCured, f.Manifest, "", "id="+id)
 		for _, fn := range b.cureSubs {
-			fn(CureEvent{Fault: f.Fault, Batch: names, InjectedAt: f.injectedAt, CuredAt: b.clk.Now()})
+			fn(CureEvent{Fault: f.Fault, Batch: slices.Clone(names), InjectedAt: f.injectedAt, CuredAt: b.clk.Now()})
 		}
 	}
 }

@@ -48,7 +48,8 @@ func (m *Manager) RegisterSub(parent, short string) error {
 	if _, ok := m.procs[full]; ok {
 		return fmt.Errorf("%w: %s", ErrAlreadyExists, full)
 	}
-	s := &Process{name: full, short: short, mgr: m, parent: p}
+	s := m.record()
+	s.name, s.short, s.parent = full, short, p
 	m.procs[full] = s
 	p.subs = append(p.subs, s)
 	m.subOrder = append(m.subOrder, full)

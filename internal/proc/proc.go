@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/clock"
@@ -190,6 +191,11 @@ type Manager struct {
 	order    []string            // process names
 	subOrder []string            // subcomponent names
 
+	// records and ctxs are what is left of the current chunks that
+	// Register's process records and each start's context come from.
+	records []Process
+	ctxs    []procCtx
+
 	// ContentionPerPeer is the per-extra-component startup stretch: a batch
 	// of k components starts with multiplier 1 + ContentionPerPeer*(k-1).
 	// NewManager sets DefaultContentionPerPeer.
@@ -207,6 +213,20 @@ type Manager struct {
 	msgs   xmlcmd.Pool
 }
 
+// The manager is sized by a station's shape, never beyond it: a fleet
+// holds thousands of managers. maxProcs covers the processes one station
+// registers (nine on a split station, which would grow order to 16
+// anyway), the batch a restart starts, and the starts of a Table-4 trial
+// (about 11) that one chunk of contexts serves; recordChunk is how many
+// process records are minted at once — ten fill the 2 KiB size class that
+// a split station's nine (six components, ops, FD, REC) take anyway, so a
+// classic station pays one allocation for its records and no extra
+// memory, and a micro station (14 with its subcomponents) two.
+const (
+	maxProcs    = 16
+	recordChunk = 10
+)
+
 // DefaultContentionPerPeer is the startup stretch each extra component of
 // a batch adds, calibrated so a 5-component whole-system restart shows the
 // paper's tree-I slowdown.
@@ -219,6 +239,7 @@ func NewManager(clk clock.Clock, rng *rand.Rand, log *trace.Log) *Manager {
 		rng:               rng,
 		log:               log,
 		procs:             make(map[string]*Process),
+		order:             make([]string, 0, maxProcs),
 		ContentionPerPeer: DefaultContentionPerPeer,
 	}
 }
@@ -246,13 +267,37 @@ func (m *Manager) Register(name string, factory func() Handler) error {
 	if _, ok := m.procs[name]; ok {
 		return fmt.Errorf("%w: %s", ErrAlreadyExists, name)
 	}
-	m.procs[name] = &Process{
-		name:    name,
-		factory: factory,
-		mgr:     m,
-	}
+	p := m.record()
+	p.name, p.factory = name, factory
+	m.procs[name] = p
 	m.order = append(m.order, name)
 	return nil
+}
+
+// record hands out a fresh process record from the manager's current
+// chunk. Records are never freed (a Ref may hold one for the manager's
+// life), so a chunk is simply used up.
+func (m *Manager) record() *Process {
+	if len(m.records) == 0 {
+		m.records = make([]Process, recordChunk)
+	}
+	p := &m.records[0]
+	m.records = m.records[1:]
+	p.mgr = m
+	return p
+}
+
+// newCtx hands out the context of a fresh incarnation of p, from a chunk
+// like record's: an old incarnation's handler may keep its context, so
+// one is never reused.
+func (m *Manager) newCtx(p *Process) *procCtx {
+	if len(m.ctxs) == 0 {
+		m.ctxs = make([]procCtx, maxProcs)
+	}
+	c := &m.ctxs[0]
+	m.ctxs = m.ctxs[1:]
+	c.p, c.gen = p, p.gen
+	return c
 }
 
 // Ref is a stable handle to one registered process. Process records are
@@ -287,8 +332,10 @@ func (m *Manager) OnReady(fn func(name string)) { m.onReady = append(m.onReady, 
 func (m *Manager) OnDown(fn func(name, reason string)) { m.onDown = append(m.onDown, fn) }
 
 // OnBatch registers fn to run at the start of every restart batch with the
-// set of component names being restarted together. The fault board uses
-// this to decide whether a restart action covers a fault's minimal cure.
+// set of component names being restarted together, subcomponents included.
+// The fault board uses this to decide whether a restart action covers a
+// fault's minimal cure. names is lent for the call only: every listener
+// sees the same slice, so fn must neither keep nor modify it.
 func (m *Manager) OnBatch(fn func(names []string)) { m.onBatch = append(m.onBatch, fn) }
 
 // proc resolves a process or subcomponent record.
@@ -337,7 +384,8 @@ func (m *Manager) StartBatch(names []string) error {
 // startAll validates and launches processes at the given stretch.
 func (m *Manager) startAll(names []string, stretch float64) error {
 	// Validate first so a batch is all-or-nothing.
-	procs := make([]*Process, 0, len(names))
+	var room [maxProcs]*Process
+	procs := room[:0]
 	for _, name := range names {
 		p, err := m.top(name)
 		if err != nil {
@@ -358,7 +406,7 @@ func (m *Manager) startAll(names []string, stretch float64) error {
 		}
 	}
 	for _, fn := range m.onBatch {
-		fn(append([]string(nil), batch...))
+		fn(batch)
 	}
 	for _, p := range procs {
 		p.start(stretch)
@@ -524,10 +572,22 @@ func (p *Process) start(stretch float64) {
 	}
 	M.Starts.Inc()
 	p.stretch = stretch
-	p.move(evBegin, trace.ComponentStarting, fmt.Sprintf("incarnation=%d stretch=%.3f", p.gen+1, stretch))
+	p.move(evBegin, trace.ComponentStarting, incarnationDetail(p.gen+1, " stretch=", stretch, 3, ""))
 	p.handler = p.factory()
-	p.ctx = &procCtx{p: p, gen: p.gen}
+	p.ctx = p.mgr.newCtx(p)
 	p.handler.Start(p.ctx)
+}
+
+// incarnationDetail renders a lifecycle trace line's detail,
+// "incarnation=<gen><key><v><unit>" with v to prec decimals — the text
+// fmt's "%d" and "%.<prec>f" write, without fmt's allocations.
+func incarnationDetail(gen int, key string, v float64, prec int, unit string) string {
+	var buf [48]byte
+	b := append(buf[:0], "incarnation="...)
+	b = strconv.AppendInt(b, int64(gen), 10)
+	b = append(b, key...)
+	b = strconv.AppendFloat(b, v, 'f', prec, 64)
+	return string(append(b, unit...))
 }
 
 // event is one row of the lifecycle table; see move.
@@ -703,7 +763,7 @@ func (c *procCtx) Ready() {
 	p := c.p
 	p.everStarted = true
 	startup := p.mgr.clk.Now().Sub(p.startedAt)
-	if p.move(evReady, trace.ComponentReady, fmt.Sprintf("incarnation=%d startup=%.2fs", p.gen, startup.Seconds())) {
+	if p.move(evReady, trace.ComponentReady, incarnationDetail(p.gen, " startup=", startup.Seconds(), 2, "s")) {
 		M.Startup.Observe(startup)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -258,7 +259,7 @@ func TestOnReadyAndOnBatchCallbacks(t *testing.T) {
 	var ready []string
 	var batches [][]string
 	mgr.OnReady(func(name string) { ready = append(ready, name) })
-	mgr.OnBatch(func(names []string) { batches = append(batches, names) })
+	mgr.OnBatch(func(names []string) { batches = append(batches, slices.Clone(names)) })
 	_ = mgr.StartBatch([]string{"a", "b"})
 	_ = k.RunFor(3 * time.Second)
 	if len(ready) != 2 {
@@ -266,6 +267,35 @@ func TestOnReadyAndOnBatchCallbacks(t *testing.T) {
 	}
 	if len(batches) != 1 || len(batches[0]) != 2 {
 		t.Fatalf("batches = %v", batches)
+	}
+}
+
+// TestOnBatchLeavesCallersNames: the listeners see the batch widened with
+// the subcomponents of its processes, and the caller's names — spare
+// capacity included, where a careless append would write — stay as they
+// were.
+func TestOnBatchLeavesCallersNames(t *testing.T) {
+	mgr, _ := newTestManager(t)
+	_ = mgr.Register("a", func() Handler { return &testComp{startup: time.Second} })
+	_ = mgr.Register("b", func() Handler { return &testComp{startup: time.Second} })
+	if err := mgr.RegisterSub("a", "x"); err != nil {
+		t.Fatal(err)
+	}
+	var seen [][]string
+	for i := 0; i < 2; i++ {
+		mgr.OnBatch(func(names []string) { seen = append(seen, slices.Clone(names)) })
+	}
+	room := []string{"a", "b", "spare", "spare"}
+	names := room[:2]
+	if err := mgr.StartBatch(names); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a", "b", "a.x"}
+	if len(seen) != 2 || !slices.Equal(seen[0], want) || !slices.Equal(seen[1], want) {
+		t.Fatalf("listeners saw %v, want %v twice", seen, want)
+	}
+	if !slices.Equal(room, []string{"a", "b", "spare", "spare"}) {
+		t.Fatalf("the caller's names were modified: %v", room)
 	}
 }
 
@@ -641,5 +671,23 @@ func TestSubcomponentLifecycle(t *testing.T) {
 				tc.check(t, mgr, mc)
 			}
 		})
+	}
+}
+
+// TestIncarnationDetailMatchesFmt: the lifecycle trace details are the
+// bytes fmt wrote before — the goldens and rt's hold test parse them.
+func TestIncarnationDetailMatchesFmt(t *testing.T) {
+	for _, gen := range []int{1, 2, 17, 1 << 40} {
+		for _, v := range []float64{0, 1, 1.048, 1.0005, 1.0015, 2.675, 5.125, 123.456789, 1e9} {
+			if got, want := incarnationDetail(gen, " stretch=", v, 3, ""), fmt.Sprintf("incarnation=%d stretch=%.3f", gen, v); got != want {
+				t.Errorf("start detail %q, fmt wrote %q", got, want)
+			}
+			if got, want := incarnationDetail(gen, " startup=", v, 2, "s"), fmt.Sprintf("incarnation=%d startup=%.2fs", gen, v); got != want {
+				t.Errorf("ready detail %q, fmt wrote %q", got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = incarnationDetail(3, " stretch=", 1.048, 3, "") }); n != 1 {
+		t.Errorf("a detail costs %.0f allocations, want 1 (the string)", n)
 	}
 }

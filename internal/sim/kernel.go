@@ -98,7 +98,21 @@ type Kernel struct {
 	executed uint64
 	// maxEvents aborts Run loops that exceed this many events (0 = no cap).
 	maxEvents uint64
+
+	// first is where heap, slots and free start, in the kernel's own
+	// allocation: one simulated station keeps at most 23 events pending
+	// (Table-4 grid, every trial), so a kernel running one never grows
+	// them. Busier kernels grow past it as before.
+	first struct {
+		heap  [firstEvents]entry
+		slots [firstEvents]slot
+		free  [firstEvents]int32
+	}
 }
+
+// firstEvents is how many pending events a kernel holds before its queue
+// leaves the kernel's own allocation.
+const firstEvents = 32
 
 // New returns a kernel starting at Epoch whose random source is seeded with
 // seed. The same seed yields an identical simulation.
@@ -108,10 +122,12 @@ func New(seed int64) *Kernel {
 
 // NewAt returns a kernel starting at the given instant.
 func NewAt(seed int64, start time.Time) *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		base: start,
 		rng:  rand.New(rand.NewSource(seed)),
 	}
+	k.heap, k.slots, k.free = k.first.heap[:0], k.first.slots[:0], k.first.free[:0]
+	return k
 }
 
 // Now returns the current virtual time.

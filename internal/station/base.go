@@ -25,6 +25,11 @@ type base struct {
 	ageScore   float64
 	queueDepth int
 
+	// beacon is the health-beacon loop, bound at readiness; readyAt is
+	// when that was, which the beacon's uptime counts from.
+	beacon  func()
+	readyAt time.Time
+
 	// micro is the microrebootable-container state; nil in classic mode
 	// (see micro.go).
 	micro *microState
@@ -70,21 +75,21 @@ func (b *base) becomeReady(ctx proc.Context) {
 		return
 	}
 	b.ready = true
-	// The beacon loop is bound once and re-arms itself; like every
-	// ctx.After callback it dies with the incarnation.
-	startedAt := ctx.Now()
-	var beacon func()
-	beacon = func() {
-		ctx.After(healthPeriod, beacon)
+	// The beacon loop is bound once, as one closure kept here, and
+	// re-arms itself; like every ctx.After callback it dies with the
+	// incarnation.
+	b.readyAt = ctx.Now()
+	b.beacon = func() {
+		ctx.After(healthPeriod, b.beacon)
 		ctx.Send(ctx.Pool().Health(ctx.Name(), xmlcmd.AddrFD, b.nextSeq(), xmlcmd.Health{
 			Incarnation: ctx.Incarnation(),
-			UptimeMs:    ctx.Now().Sub(startedAt).Milliseconds(),
+			UptimeMs:    ctx.Now().Sub(b.readyAt).Milliseconds(),
 			QueueDepth:  b.queueDepth,
 			AgeScore:    b.ageScore,
 			Warnings:    b.warnings,
 			Suspect:     b.ageScore >= 0.8,
 		}))
 	}
-	ctx.After(healthPeriod, beacon)
+	ctx.After(healthPeriod, b.beacon)
 	ctx.Ready()
 }

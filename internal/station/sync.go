@@ -32,6 +32,7 @@ type syncCore struct {
 	peerEpoch  int64 // proposal buffered while still initialising
 	inWaitSync bool
 	synced     bool
+	again      func() // the retransmit loop, bound once
 
 	// session is the externalized epoch cell in micro mode; nil classic.
 	session *sessionCell
@@ -78,15 +79,14 @@ func (s *syncCore) sendSync(ctx proc.Context) {
 // retransmitLoop re-proposes until synced; the timer dies with the
 // incarnation automatically.
 func (s *syncCore) retransmitLoop(ctx proc.Context) {
-	var again func()
-	again = func() {
+	s.again = func() {
 		if s.synced {
 			return
 		}
 		s.sendSync(ctx)
-		ctx.After(syncRetransmit, again)
+		ctx.After(syncRetransmit, s.again)
 	}
-	ctx.After(syncRetransmit, again)
+	ctx.After(syncRetransmit, s.again)
 }
 
 // agree adopts the winning epoch and schedules readiness after the settle

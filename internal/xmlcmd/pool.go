@@ -72,6 +72,22 @@ func (p *Pool) RecycleMessage(m *Message) {
 	p.free[k] = append(p.free[k], m)
 }
 
+// envelope is a fresh mint: the message and its body in one allocation,
+// so a mint costs one allocation and a recycled one none. The body stays
+// where it is for the envelope's whole life (poison leaves the pointer), so
+// the layout is invisible to a holder of the *Message.
+type envelope[B any] struct {
+	m    Message
+	body B
+}
+
+// commandBody is a command with room for two parameters inline — every
+// command the station sends has at most two.
+type commandBody struct {
+	Command
+	params [2]Param
+}
+
 // get pops a free envelope of the kind, or reports nil.
 func (p *Pool) get(k Kind) *Message {
 	l := p.free[k]
@@ -89,7 +105,9 @@ func (p *Pool) get(k Kind) *Message {
 func (p *Pool) Ping(from, to string, seq, nonce uint64) *Message {
 	m := p.get(KindPing)
 	if m == nil {
-		m = &Message{Ping: new(Ping), Owner: p}
+		e := &envelope[Ping]{m: Message{Owner: p}}
+		e.m.Ping = &e.body
+		m = &e.m
 	}
 	m.From, m.To, m.Seq = from, to, seq
 	m.Ping.Nonce = nonce
@@ -101,7 +119,9 @@ func (p *Pool) Ping(from, to string, seq, nonce uint64) *Message {
 func (p *Pool) Pong(from string, ping *Message, incarnation int) *Message {
 	m := p.get(KindPong)
 	if m == nil {
-		m = &Message{Pong: new(Pong), Owner: p}
+		e := &envelope[Pong]{m: Message{Owner: p}}
+		e.m.Pong = &e.body
+		m = &e.m
 	}
 	m.From, m.To, m.Seq = from, ping.From, ping.Seq
 	*m.Pong = Pong{Nonce: ping.Ping.Nonce, Incarnation: incarnation}
@@ -114,7 +134,10 @@ func (p *Pool) Pong(from string, ping *Message, incarnation int) *Message {
 func (p *Pool) Command(from, to string, seq uint64, name string, params ...Param) *Message {
 	m := p.get(KindCommand)
 	if m == nil {
-		m = &Message{Command: &Command{Params: make([]Param, 0, 2)}, Owner: p}
+		e := &envelope[commandBody]{m: Message{Owner: p}}
+		e.body.Params = e.body.params[:0]
+		e.m.Command = &e.body.Command
+		m = &e.m
 	}
 	m.From, m.To, m.Seq = from, to, seq
 	c := m.Command
@@ -127,7 +150,9 @@ func (p *Pool) Command(from, to string, seq uint64, name string, params ...Param
 func (p *Pool) Ack(from, to string, seq, ofSeq uint64, ok bool, errStr string) *Message {
 	m := p.get(KindAck)
 	if m == nil {
-		m = &Message{Ack: new(Ack), Owner: p}
+		e := &envelope[Ack]{m: Message{Owner: p}}
+		e.m.Ack = &e.body
+		m = &e.m
 	}
 	m.From, m.To, m.Seq = from, to, seq
 	*m.Ack = Ack{OfSeq: ofSeq, OK: ok, Error: errStr}
@@ -138,7 +163,9 @@ func (p *Pool) Ack(from, to string, seq, ofSeq uint64, ok bool, errStr string) *
 func (p *Pool) Telemetry(from, to string, seq uint64, key string, value float64, at time.Time) *Message {
 	m := p.get(KindTelemetry)
 	if m == nil {
-		m = &Message{Telemetry: new(Telemetry), Owner: p}
+		e := &envelope[Telemetry]{m: Message{Owner: p}}
+		e.m.Telemetry = &e.body
+		m = &e.m
 	}
 	m.From, m.To, m.Seq = from, to, seq
 	*m.Telemetry = Telemetry{Key: key, Value: value, AtUnixMilli: at.UnixMilli()}
@@ -149,7 +176,9 @@ func (p *Pool) Telemetry(from, to string, seq uint64, key string, value float64,
 func (p *Pool) Event(from, to string, seq uint64, name, detail string) *Message {
 	m := p.get(KindEvent)
 	if m == nil {
-		m = &Message{Event: new(Event), Owner: p}
+		e := &envelope[Event]{m: Message{Owner: p}}
+		e.m.Event = &e.body
+		m = &e.m
 	}
 	m.From, m.To, m.Seq = from, to, seq
 	*m.Event = Event{Name: name, Detail: detail}
@@ -160,7 +189,9 @@ func (p *Pool) Event(from, to string, seq uint64, name, detail string) *Message 
 func (p *Pool) Sync(from, to string, seq uint64, epoch int64) *Message {
 	m := p.get(KindSync)
 	if m == nil {
-		m = &Message{Sync: new(Sync), Owner: p}
+		e := &envelope[Sync]{m: Message{Owner: p}}
+		e.m.Sync = &e.body
+		m = &e.m
 	}
 	m.From, m.To, m.Seq = from, to, seq
 	m.Sync.Epoch = epoch
@@ -171,7 +202,9 @@ func (p *Pool) Sync(from, to string, seq uint64, epoch int64) *Message {
 func (p *Pool) SyncAck(from, to string, seq uint64, epoch int64) *Message {
 	m := p.get(KindSyncAck)
 	if m == nil {
-		m = &Message{SyncAck: new(SyncAck), Owner: p}
+		e := &envelope[SyncAck]{m: Message{Owner: p}}
+		e.m.SyncAck = &e.body
+		m = &e.m
 	}
 	m.From, m.To, m.Seq = from, to, seq
 	m.SyncAck.Epoch = epoch
@@ -182,7 +215,9 @@ func (p *Pool) SyncAck(from, to string, seq uint64, epoch int64) *Message {
 func (p *Pool) Health(from, to string, seq uint64, h Health) *Message {
 	m := p.get(KindHealth)
 	if m == nil {
-		m = &Message{Health: new(Health), Owner: p}
+		e := &envelope[Health]{m: Message{Owner: p}}
+		e.m.Health = &e.body
+		m = &e.m
 	}
 	m.From, m.To, m.Seq = from, to, seq
 	*m.Health = h

@@ -230,3 +230,74 @@ func TestFreeListPoisons(t *testing.T) {
 		t.Fatalf("inbound envelope not poisoned: %+v %+v", m, m.Command)
 	}
 }
+
+// mintKinds mints one message of every body kind from p, each beside a
+// check that a holder of the message reads the poison once it is recycled.
+func mintKinds(p *Pool) []struct {
+	kind     Kind
+	mint     func() *Message
+	poisoned func(*Message) bool
+} {
+	ping := NewPing(AddrFD, AddrSES, 1, 1)
+	at := time.UnixMilli(1)
+	return []struct {
+		kind     Kind
+		mint     func() *Message
+		poisoned func(*Message) bool
+	}{
+		{KindPing, func() *Message { return p.Ping(AddrFD, AddrSES, 1, 1) },
+			func(m *Message) bool { return m.Ping.Nonce == poisonUint }},
+		{KindPong, func() *Message { return p.Pong(AddrSES, ping, 1) },
+			func(m *Message) bool { return m.Pong.Incarnation == -1 }},
+		{KindCommand, func() *Message {
+			return p.Command(AddrSES, AddrSTR, 1, "point", Param{Key: "azRad", Value: "1"}, Param{Key: "elRad", Value: "2"})
+		}, func(m *Message) bool {
+			return m.Command.Name == PoisonString && m.Command.Params[0].Key == PoisonString && m.Command.Params[1].Value == PoisonString
+		}},
+		{KindAck, func() *Message { return p.Ack(AddrSTR, AddrSES, 1, 1, true, "") },
+			func(m *Message) bool { return m.Ack.Error == PoisonString }},
+		{KindTelemetry, func() *Message { return p.Telemetry(AddrSTR, "ops", 1, "k", 1, at) },
+			func(m *Message) bool { return m.Telemetry.Key == PoisonString }},
+		{KindEvent, func() *Message { return p.Event(AddrFD, AddrREC, 1, "failure", AddrRTU) },
+			func(m *Message) bool { return m.Event.Detail == PoisonString }},
+		{KindSync, func() *Message { return p.Sync(AddrSES, AddrSTR, 1, 7) },
+			func(m *Message) bool { return m.Sync.Epoch == math.MinInt64 }},
+		{KindSyncAck, func() *Message { return p.SyncAck(AddrSTR, AddrSES, 1, 7) },
+			func(m *Message) bool { return m.SyncAck.Epoch == math.MinInt64 }},
+		{KindHealth, func() *Message { return p.Health(AddrRTU, AddrFD, 1, Health{}) },
+			func(m *Message) bool { return m.Health.Incarnation == -1 }},
+	}
+}
+
+// TestPoolMintAllocs: a fresh mint of every body kind — a command with
+// its two parameters included — is exactly one allocation, a recycled
+// one none; and in poison mode a holder that kept the envelope reads the
+// poison through its body pointer, which points into that one piece.
+func TestPoolMintAllocs(t *testing.T) {
+	var p Pool
+	kinds := mintKinds(&p)
+	if len(kinds) != int(KindHealth) {
+		t.Fatalf("%d kinds minted, want every one of %d", len(kinds), KindHealth)
+	}
+	for _, k := range kinds {
+		if m := k.mint(); m.Kind() != k.kind || m.Owner != &p {
+			t.Fatalf("%v: minted kind %v, owner %v", k.kind, m.Kind(), m.Owner)
+		}
+		if n := testing.AllocsPerRun(50, func() { k.mint() }); n != 1 {
+			t.Errorf("%v: fresh mint is %.1f allocations, want 1", k.kind, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { p.RecycleMessage(k.mint()) }); n != 0 {
+			t.Errorf("%v: recycled mint is %.1f allocations, want 0", k.kind, n)
+		}
+	}
+
+	defer PoisonRecycledForTest()()
+	var q Pool
+	for _, k := range mintKinds(&q) {
+		m := k.mint() // fresh: q's free lists are empty
+		q.RecycleMessage(m)
+		if m.From != PoisonString || !k.poisoned(m) {
+			t.Errorf("%v: a kept envelope does not read the poison: %v", k.kind, m)
+		}
+	}
+}
