@@ -34,7 +34,7 @@ type Stats struct {
 
 // Sim is the simulated message fabric. Messages between ordinary
 // components take two hops (to the broker, then to the destination), each
-// costing Latency; messages on the dedicated link (xmlcmd.Dedicated)
+// costing hopLatency; messages on the dedicated link (xmlcmd.Dedicated)
 // take one hop.
 //
 // Like the proc.Manager it delivers into, Sim is not internally
@@ -42,17 +42,9 @@ type Stats struct {
 // context (the event kernel), which also makes the delivery-event pool
 // safe.
 type Sim struct {
-	clk    clock.Clock
+	kern   *sim.Kernel
 	mgr    *proc.Manager
 	broker string
-
-	// kern is the underlying event kernel when clk is the simulation
-	// clock; it unlocks the int64-nanosecond fast paths (hop queue). Nil
-	// under other clocks, where the bus falls back to per-hop events.
-	kern *sim.Kernel
-
-	// Latency is the one-hop propagation + processing delay.
-	Latency time.Duration
 
 	// brokerRef caches a stable handle for the broker's serving check,
 	// resolved lazily once the broker registers.
@@ -64,7 +56,7 @@ type Sim struct {
 	pool []*deliveryEvent
 
 	// hopQ is the clean-path hop queue. Every clean hop is due exactly
-	// Latency after it is sent, so due times are non-decreasing in send
+	// hopLatency after it is sent, so due times are non-decreasing in send
 	// order and the queue is FIFO by construction. One self-rescheduling
 	// pump event drains it, which keeps the kernel heap at a handful of
 	// entries no matter how many messages are in flight — at a million
@@ -98,17 +90,22 @@ type Sim struct {
 
 var _ proc.Transport = (*Sim)(nil)
 
+// hopLatency is the one-hop propagation + processing delay.
+const hopLatency = 5 * time.Millisecond
+
 // NewSim builds a simulated bus routed through the named broker component.
+// The fabric runs on the simulation kernel behind clk; any other clock is
+// a programming error and panics.
 func NewSim(clk clock.Clock, mgr *proc.Manager, broker string) *Sim {
-	b := &Sim{
-		clk:     clk,
-		mgr:     mgr,
-		broker:  broker,
-		Latency: 5 * time.Millisecond,
-		m:       newSimCounters(),
+	ks, ok := clk.(clock.Sim)
+	if !ok {
+		panic("bus: NewSim needs a clock.Sim")
 	}
-	if ks, ok := clk.(clock.Sim); ok {
-		b.kern = ks.K
+	b := &Sim{
+		kern:   ks.K,
+		mgr:    mgr,
+		broker: broker,
+		m:      newSimCounters(),
 	}
 	b.hopQ = b.firstHops[:0]
 	return b
@@ -210,19 +207,9 @@ type hopEntry struct {
 	hop int32
 }
 
-// queueHop appends a clean hop to the FIFO queue and arms the pump. It
-// refuses (returning false) when no kernel clock is attached, or if the
-// new due time would break the queue's sort order — only possible if
-// Latency is lowered mid-run — so the caller can fall back to a
-// kernel-scheduled event.
-func (b *Sim) queueHop(m *xmlcmd.Message, hop int) bool {
-	if b.kern == nil {
-		return false
-	}
-	due := b.kern.NowNs() + int64(b.Latency)
-	if n := len(b.hopQ); n > b.hopHead && due < b.hopQ[n-1].due {
-		return false
-	}
+// queueHop appends a clean hop to the FIFO queue and arms the pump.
+func (b *Sim) queueHop(m *xmlcmd.Message, hop int) {
+	due := b.kern.NowNs() + int64(hopLatency)
 	// Reclaim the drained prefix once it dominates the slice, amortised
 	// O(1) per hop, so a queue that never empties does not grow forever.
 	if b.hopHead > 1024 && b.hopHead*2 >= len(b.hopQ) {
@@ -234,9 +221,8 @@ func (b *Sim) queueHop(m *xmlcmd.Message, hop int) bool {
 	if !b.pumpOn {
 		b.pumpOn = true
 		b.pump.b = b
-		b.kern.Schedule(b.Latency, &b.pump)
+		b.kern.Schedule(hopLatency, &b.pump)
 	}
-	return true
 }
 
 // hopPump is the queue's single self-rescheduling kernel event: it drains

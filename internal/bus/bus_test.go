@@ -82,12 +82,11 @@ func TestRoutingLatencyIsTwoHops(t *testing.T) {
 	a := r.addEcho(t, "a")
 	r.addEcho(t, "b")
 	r.startAll(t)
-	r.bus.Latency = 50 * time.Millisecond
 	start := r.k.Now()
 	r.bus.Send(new(xmlcmd.Pool).Event("b", "a", 1, "x", ""))
 	_ = r.k.RunWhile(func() bool { return len(a.received) == 0 })
-	if got := r.k.Now().Sub(start); got != 100*time.Millisecond {
-		t.Fatalf("delivery took %v, want 100ms (two hops)", got)
+	if got := r.k.Now().Sub(start); got != 2*hopLatency {
+		t.Fatalf("delivery took %v, want %v (two hops)", got, 2*hopLatency)
 	}
 }
 

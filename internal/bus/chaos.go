@@ -35,7 +35,7 @@ type ChaosProfile struct {
 	// then subject to Loss and Jitter independently.
 	Dup float64
 	// Jitter, when non-nil, adds a sampled extra delay to the hop's base
-	// Latency. Because each frame samples independently, a large jitter
+	// latency. Because each frame samples independently, a large jitter
 	// reorders frames — the bus makes no FIFO promise under chaos.
 	Jitter fault.Law
 }
@@ -68,17 +68,12 @@ func (b *Sim) SetChaos(p *ChaosProfile) {
 }
 
 // sendHop schedules one physical hop of a message, applying the fabric's
-// chaos profile. With no profile the hop is the historical clean path:
-// one pooled delivery event after Latency, no RNG draws.
+// chaos profile. With no profile the hop is the historical clean path: it
+// rides the FIFO hop queue, with no RNG draws.
 func (b *Sim) sendHop(m *xmlcmd.Message, hop int) {
 	p := b.chaos
 	if p == nil {
-		// Clean hops ride the FIFO hop queue (one kernel event total);
-		// a pooled per-hop event is the fallback if the queue's sort
-		// invariant would break (or no kernel clock is attached).
-		if !b.queueHop(m, hop) {
-			b.clk.Schedule(b.Latency, b.acquire(m, hop))
-		}
+		b.queueHop(m, hop)
 		return
 	}
 	rng := b.mgr.Rand()
@@ -95,11 +90,11 @@ func (b *Sim) sendHop(m *xmlcmd.Message, hop int) {
 			b.m.dropChaos.Inc()
 			continue
 		}
-		d := b.Latency
+		d := hopLatency
 		if p.Jitter != nil {
 			d += p.Jitter.Sample(rng)
 		}
-		b.clk.Schedule(d, b.acquire(m, hop))
+		b.kern.Schedule(d, b.acquire(m, hop))
 		scheduled++
 	}
 	// Message-recycling bookkeeping: sendHop was handed one in-flight

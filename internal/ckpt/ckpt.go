@@ -67,12 +67,12 @@ type Manager struct {
 	mu        sync.Mutex
 	snaps     map[string]snapshot
 	onRestore []func(keys []string, takenAt time.Time)
-	ticker    *clock.Ticker
 	closed    bool
+	tick      snapTick
 }
 
 // New builds a manager, takes an immediate first snapshot, and starts the
-// periodic ticker on the injected clock.
+// periodic snapshots on the injected clock.
 func New(clk clock.Clock, st *store.Store, opt Options) *Manager {
 	if opt.Interval <= 0 {
 		opt.Interval = 10 * time.Second
@@ -83,9 +83,28 @@ func New(clk clock.Clock, st *store.Store, opt Options) *Manager {
 		opt:   opt,
 		snaps: make(map[string]snapshot),
 	}
+	m.tick.m = m
 	m.Take()
-	m.ticker = clock.NewTicker(clk, opt.Interval, func() { m.Take() })
+	clk.Schedule(opt.Interval, &m.tick)
 	return m
+}
+
+// snapTick is the periodic snapshot: an event that re-arms itself every
+// Interval until the manager is closed.
+type snapTick struct{ m *Manager }
+
+// Fire re-arms before it snapshots, so the next tick is queued ahead of
+// anything the snapshot schedules.
+func (t *snapTick) Fire() {
+	m := t.m
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	m.clk.Schedule(m.opt.Interval, t)
+	m.mu.Unlock()
+	m.Take()
 }
 
 // OnRestore registers a callback fired after every successful Restore with
@@ -223,15 +242,10 @@ func (m *Manager) RestoreSet(set []string) (time.Duration, error) {
 	return total, nil
 }
 
-// Close stops the periodic ticker.
+// Close stops the periodic snapshots: a tick already queued fires and
+// takes nothing.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return
-	}
 	m.closed = true
-	if m.ticker != nil {
-		m.ticker.Stop()
-	}
+	m.mu.Unlock()
 }

@@ -97,6 +97,33 @@ func TestPeriodicSnapshotTracksWrites(t *testing.T) {
 	}
 }
 
+// TestPeriodicSnapshotsStopAtClose: one snapshot per interval, and the
+// tick already queued when the manager closes runs nothing: no snapshot,
+// no re-arm.
+func TestPeriodicSnapshotsStopAtClose(t *testing.T) {
+	m, _, k := rig(t)
+	before := M.Snapshots.Value()
+	if err := k.RunFor(35 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := M.Snapshots.Value() - before; n != 3 {
+		t.Fatalf("snapshots = %d in 3.5 intervals, want 3", n)
+	}
+	m.Close()
+	if k.Pending() != 1 {
+		t.Fatalf("pending = %d at Close, want the one queued tick", k.Pending())
+	}
+	if err := k.RunFor(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := M.Snapshots.Value() - before; n != 3 {
+		t.Fatalf("%d snapshots after Close", n-3)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("the closed manager's tick re-armed: %d pending", k.Pending())
+	}
+}
+
 func TestRestoreCostGrowsWithStaleness(t *testing.T) {
 	m, _, k := rig(t)
 	c0, ok := m.RestoreCost("str.track")

@@ -13,58 +13,23 @@ func TestSimClock(t *testing.T) {
 	k := sim.New(1)
 	c := Sim{K: k}
 	start := c.Now()
-	var firedAt time.Time
-	c.AfterFunc(5*time.Second, func() { firedAt = c.Now() })
+	ev := &nowEvent{c: c}
+	c.Schedule(5*time.Second, ev)
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if firedAt.Sub(start) != 5*time.Second {
-		t.Fatalf("fired at +%v, want +5s", firedAt.Sub(start))
+	if ev.at.Sub(start) != 5*time.Second {
+		t.Fatalf("fired at +%v, want +5s", ev.at.Sub(start))
 	}
 }
 
-func TestSimTimerStop(t *testing.T) {
-	k := sim.New(1)
-	c := Sim{K: k}
-	fired := false
-	tm := c.AfterFunc(time.Second, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop returned false")
-	}
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fired {
-		t.Fatal("stopped timer fired")
-	}
+// nowEvent records the clock's reading when it fires.
+type nowEvent struct {
+	c  Clock
+	at time.Time
 }
 
-func TestTickerFiresRepeatedly(t *testing.T) {
-	k := sim.New(1)
-	c := Sim{K: k}
-	n := 0
-	tk := NewTicker(c, time.Second, func() { n++ })
-	if err := k.RunFor(10*time.Second + 500*time.Millisecond); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
-	if n != 10 {
-		t.Fatalf("ticks = %d, want 10", n)
-	}
-	tk.Stop()
-	if err := k.RunFor(5 * time.Second); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
-	if n != 10 {
-		t.Fatalf("ticker fired after Stop: %d", n)
-	}
-}
-
-func TestTickerStopIdempotent(t *testing.T) {
-	k := sim.New(1)
-	tk := NewTicker(Sim{K: k}, time.Second, func() {})
-	tk.Stop()
-	tk.Stop() // must not panic
-}
+func (e *nowEvent) Fire() { e.at = e.c.Now() }
 
 // countEvent is a minimal Event for exercising the Schedule path.
 type countEvent struct {

@@ -69,9 +69,10 @@ func newHarnessParams(t *testing.T, seed int64, tree *Tree, policy *Policy, fdp 
 
 // newHarnessClock is newHarnessParams with FD probing its targets in the
 // given order, on a clock of the test's making (wrap, if any, gets the
-// kernel's) — for the tests that put a probe across a broker outage or make
-// the detector run late — and with a policy built from the harness's fault
-// board and kernel RNG, for the oracles that consult them.
+// kernel's; the bus runs on the kernel's own) — for the tests that put a
+// probe across a broker outage or make the detector run late — and with a
+// policy built from the harness's fault board and kernel RNG, for the
+// oracles that consult them.
 func newHarnessClock(t *testing.T, seed int64, tree *Tree, policy func(*fault.Board, *rand.Rand) *Policy, fdp FDParams, recp RECParams, targets []string, wrap func(clock.Sim) clock.Clock) *harness {
 	t.Helper()
 	k := sim.New(seed)
@@ -81,7 +82,7 @@ func newHarnessClock(t *testing.T, seed int64, tree *Tree, policy func(*fault.Bo
 		clk = wrap(clock.Sim{K: k})
 	}
 	mgr := proc.NewManager(clk, k.Rand(), log)
-	b := bus.NewSim(clk, mgr, "mbus")
+	b := bus.NewSim(clock.Sim{K: k}, mgr, "mbus")
 	mgr.SetTransport(b)
 	board := fault.NewBoard(clk, mgr, log)
 

@@ -74,8 +74,10 @@ type Board struct {
 	mgr *proc.Manager
 	log *trace.Log
 
-	seq    int
-	active map[string]*activeFault // by ID
+	seq int
+	// active holds the uncured faults in injection order, the order in
+	// which one restart batch cures them and the oracle consults them.
+	active []*activeFault
 
 	// counters
 	injected int
@@ -110,12 +112,7 @@ type activeFault struct {
 // notifications. Create the board before the recoverer so its listeners
 // run first.
 func NewBoard(clk clock.Clock, mgr *proc.Manager, log *trace.Log) *Board {
-	b := &Board{
-		clk:    clk,
-		mgr:    mgr,
-		log:    log,
-		active: make(map[string]*activeFault),
-	}
+	b := &Board{clk: clk, mgr: mgr, log: log}
 	mgr.OnBatch(b.onBatch)
 	mgr.OnReady(b.onReady)
 	return b
@@ -132,10 +129,12 @@ func (b *Board) Inject(f Fault) error {
 		b.seq++
 		f.ID = fmt.Sprintf("f%d", b.seq)
 	}
-	if _, dup := b.active[f.ID]; dup {
-		return fmt.Errorf("fault: duplicate fault id %q", f.ID)
+	for _, a := range b.active {
+		if a.ID == f.ID {
+			return fmt.Errorf("fault: duplicate fault id %q", f.ID)
+		}
 	}
-	b.active[f.ID] = &activeFault{Fault: f, injectedAt: b.clk.Now()}
+	b.active = append(b.active, &activeFault{Fault: f, injectedAt: b.clk.Now()})
 	b.injected++
 	mode := "crash"
 	if f.Hang {
@@ -168,19 +167,19 @@ func (f Fault) coveredBy(names []string) bool {
 // onBatch applies cure semantics when a restart action begins. A fault is
 // cured when the batch covers its cure set, or — for state faults whose
 // pre-injection checkpoint has been restored — when the batch merely
-// restarts the manifesting component over the now-clean state. names is
-// the manager's (see proc.Manager.OnBatch): a cure event gets a copy.
+// restarts the manifesting component over the now-clean state. Faults one
+// batch cures are cured in injection order. names is the manager's (see
+// proc.Manager.OnBatch): a cure event gets a copy.
 func (b *Board) onBatch(names []string) {
-	for id, f := range b.active {
-		if f.Hard {
+	for i := 0; i < len(b.active); {
+		f := b.active[i]
+		if f.Hard || !f.coveredBy(names) && !(f.restored && slices.Contains(names, f.Manifest)) {
+			i++
 			continue
 		}
-		if !f.coveredBy(names) && !(f.restored && slices.Contains(names, f.Manifest)) {
-			continue
-		}
-		delete(b.active, id)
+		b.active = slices.Delete(b.active, i, i+1)
 		b.cured++
-		b.log.Add(b.clk.Now(), trace.FaultCured, f.Manifest, "", "id="+id)
+		b.log.Add(b.clk.Now(), trace.FaultCured, f.Manifest, "", "id="+f.ID)
 		for _, fn := range b.cureSubs {
 			fn(CureEvent{Fault: f.Fault, Batch: slices.Clone(names), InjectedAt: f.injectedAt, CuredAt: b.clk.Now()})
 		}
@@ -230,9 +229,9 @@ func (b *Board) Injected() int { return b.injected }
 // Cured reports the total number of cured faults.
 func (b *Board) Cured() int { return b.cured }
 
-// MinimalCure returns the cure set of the active fault manifesting at the
-// component, if any. The perfect oracle consults this — the experimental
-// device the paper uses in §4.4.
+// MinimalCure returns the cure set of the earliest active fault
+// manifesting at the component, if any. The perfect oracle consults this —
+// the experimental device the paper uses in §4.4.
 func (b *Board) MinimalCure(component string) ([]string, bool) {
 	for _, f := range b.active {
 		if f.Manifest == component {
@@ -245,7 +244,7 @@ func (b *Board) MinimalCure(component string) ([]string, bool) {
 // Clear drops all active faults without curing them (between experiment
 // trials).
 func (b *Board) Clear() {
-	b.active = make(map[string]*activeFault)
+	b.active = nil
 }
 
 // Injector drives organic failures: for each component with a configured
@@ -306,22 +305,35 @@ func (inj *Injector) onReady(name string) {
 		return
 	}
 	ttf := law.Sample(inj.mgr.Rand())
-	inj.clk.AfterFunc(ttf, func() {
-		if !inj.enabled {
-			return
-		}
-		// Only fire if this incarnation is still the serving one.
-		g, err := inj.mgr.Incarnation(name)
-		if err != nil || g != gen || !inj.mgr.Serving(name) {
-			return
-		}
-		inj.ttf[name] = append(inj.ttf[name], ttf)
-		var cure []string
-		if inj.CureFor != nil {
-			cure = inj.CureFor(name)
-		}
-		_ = inj.board.Inject(Fault{Manifest: name, Cure: cure})
-	})
+	inj.clk.Schedule(ttf, &organicFault{inj: inj, name: name, gen: gen, ttf: ttf})
+}
+
+// organicFault is one sampled failure of one incarnation, due ttf after
+// that incarnation became ready.
+type organicFault struct {
+	inj  *Injector
+	name string
+	gen  int
+	ttf  time.Duration
+}
+
+// Fire injects the fault if the injector is still enabled and the
+// incarnation it was drawn for is still the serving one.
+func (e *organicFault) Fire() {
+	inj := e.inj
+	if !inj.enabled {
+		return
+	}
+	g, err := inj.mgr.Incarnation(e.name)
+	if err != nil || g != e.gen || !inj.mgr.Serving(e.name) {
+		return
+	}
+	inj.ttf[e.name] = append(inj.ttf[e.name], e.ttf)
+	var cure []string
+	if inj.CureFor != nil {
+		cure = inj.CureFor(e.name)
+	}
+	_ = inj.board.Inject(Fault{Manifest: e.name, Cure: cure})
 }
 
 // Arm sets each component's law, enables the injector, and schedules the

@@ -143,6 +143,48 @@ func TestMinimalCure(t *testing.T) {
 	}
 }
 
+// TestMinimalCureEarliest: with two faults on one component, the oracle is
+// given the cure set of the one injected first.
+func TestMinimalCureEarliest(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		r := newRig(t, "a", "b")
+		_ = r.board.Inject(Fault{Manifest: "a", Cure: []string{"a", "b"}})
+		_ = r.board.Inject(Fault{Manifest: "a"})
+		if cure, ok := r.board.MinimalCure("a"); !ok || !reflect.DeepEqual(cure, []string{"a", "b"}) {
+			t.Fatalf("run %d: MinimalCure = %v, %v, want the first fault's [a b]", run, cure, ok)
+		}
+	}
+}
+
+// TestBoardCuresInInjectionOrder: faults one restart batch cures are cured,
+// logged and announced in the order they were injected, run after run.
+func TestBoardCuresInInjectionOrder(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		r := newRig(t, "a", "b", "c")
+		var announced []string
+		r.board.OnCure(func(ev CureEvent) { announced = append(announced, ev.Fault.ID) })
+		for _, c := range []string{"c", "a", "b"} {
+			if err := r.board.Inject(Fault{Manifest: c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.mgr.Restart([]string{"a", "b", "c"}); err != nil {
+			t.Fatal(err)
+		}
+		var logged []string
+		for _, e := range r.log.Filter(func(e trace.Event) bool { return e.Kind == trace.FaultCured }) {
+			logged = append(logged, e.Detail)
+		}
+		want := []string{"f1", "f2", "f3"}
+		if !reflect.DeepEqual(announced, want) {
+			t.Fatalf("run %d: OnCure order %v, want %v", run, announced, want)
+		}
+		if !reflect.DeepEqual(logged, []string{"id=f1", "id=f2", "id=f3"}) {
+			t.Fatalf("run %d: FaultCured order %v, want id=f1 id=f2 id=f3", run, logged)
+		}
+	}
+}
+
 func TestInjectValidation(t *testing.T) {
 	r := newRig(t, "a")
 	if err := r.board.Inject(Fault{}); err == nil {

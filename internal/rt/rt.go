@@ -11,7 +11,6 @@ package rt
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/clock"
@@ -343,35 +342,11 @@ func (c Clock) at(d time.Duration) time.Duration {
 	return c.D.since() + time.Duration(float64(d)/c.scale())
 }
 
-// AfterFunc schedules fn on the dispatcher after d/Scale, on the same
-// timer queue as Schedule. The handle is the only allocation.
-func (c Clock) AfterFunc(d time.Duration, fn func()) clock.Timer {
-	t := &afterTimer{fn: fn}
-	c.D.schedule(c.at(d), t)
-	return t
-}
-
 // Schedule queues ev to fire on the dispatcher after d/Scale. It takes no
 // runtime timer and no closure: a pooled event costs nothing.
 func (c Clock) Schedule(d time.Duration, ev clock.Event) {
 	c.D.schedule(c.at(d), ev)
 }
-
-// afterTimer is an AfterFunc callback and its own Stop handle: whichever of
-// Fire and Stop comes first claims it.
-type afterTimer struct {
-	fn   func()
-	done atomic.Bool
-}
-
-func (t *afterTimer) Fire() {
-	if t.done.CompareAndSwap(false, true) {
-		t.fn()
-	}
-}
-
-// Stop reports whether it prevented fn from running.
-func (t *afterTimer) Stop() bool { return t.done.CompareAndSwap(false, true) }
 
 // FDParamsForScale adapts the failure detector to time compression. The
 // calibrated 200 ms pong timeout becomes only a few milliseconds of wall

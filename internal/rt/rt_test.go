@@ -399,7 +399,7 @@ func TestClockScaling(t *testing.T) {
 	c := Clock{D: d, Scale: 100}
 	done := make(chan time.Time, 1)
 	start := time.Now()
-	c.AfterFunc(2*time.Second, func() { done <- time.Now() })
+	c.Schedule(2*time.Second, fnEvent(func() { done <- time.Now() }))
 	select {
 	case at := <-done:
 		if el := at.Sub(start); el > 500*time.Millisecond {

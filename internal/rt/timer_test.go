@@ -35,6 +35,11 @@ func (e *logEvent) Fire() {
 	e.fireHits.Add(1)
 }
 
+// fnEvent runs a func literal as a scheduled event.
+type fnEvent func()
+
+func (f fnEvent) Fire() { f() }
+
 // blockLoop parks the dispatch goroutine until the returned function is
 // called: posts and wake-ups queue up behind it, as on a loop running
 // behind.
@@ -114,8 +119,8 @@ func TestTimerAfterEarlierMessage(t *testing.T) {
 	d.DeliverTo(func(m *xmlcmd.Message) bool { order = append(order, "message"); return true })
 	release := blockLoop(d)
 	c := Clock{D: d}
-	c.AfterFunc(5*time.Millisecond, func() { order = append(order, "A") })
-	c.AfterFunc(50*time.Millisecond, func() { order = append(order, "B") })
+	c.Schedule(5*time.Millisecond, fnEvent(func() { order = append(order, "A") }))
+	c.Schedule(50*time.Millisecond, fnEvent(func() { order = append(order, "B") }))
 	time.Sleep(10 * time.Millisecond)
 	d.PostMessage(xmlcmd.NewPing("a", "b", 1, 1))
 	time.Sleep(70 * time.Millisecond)
@@ -140,53 +145,16 @@ func TestTimerNothingFiresAfterStop(t *testing.T) {
 	c := Clock{D: d}
 	for i := 0; i < 50; i++ {
 		c.Schedule(time.Duration(i)*time.Millisecond, &logEvent{i, &ids, &firedOn, &hits})
-		c.AfterFunc(time.Duration(i)*time.Millisecond, func() { hits.Add(1) })
+		c.Schedule(time.Duration(i)*time.Millisecond, fnEvent(func() { hits.Add(1) }))
 	}
 	time.Sleep(10 * time.Millisecond)
 	d.Stop()
 	after := hits.Load()
 	c.Schedule(0, &logEvent{-1, &ids, &firedOn, &hits})
-	c.AfterFunc(0, func() { hits.Add(1) })
+	c.Schedule(0, fnEvent(func() { hits.Add(1) }))
 	time.Sleep(80 * time.Millisecond)
 	if n := hits.Load(); n != after {
 		t.Fatalf("%d timers fired after Stop", n-after)
-	}
-}
-
-// TestAfterFuncStop: Stop reports true exactly when it kept fn from running
-// — before the deadline, and after it while the loop has not yet got to the
-// wake-up — and false once fn has run or a Stop already won.
-func TestAfterFuncStop(t *testing.T) {
-	d := NewDispatcher()
-	defer d.Stop()
-	c := Clock{D: d}
-	var ran atomic.Int64
-
-	early := c.AfterFunc(time.Hour, func() { ran.Add(1) })
-	if !early.Stop() {
-		t.Fatal("Stop before the deadline reported false")
-	}
-	if early.Stop() {
-		t.Fatal("a second Stop reported true")
-	}
-
-	release := blockLoop(d)
-	late := c.AfterFunc(time.Millisecond, func() { ran.Add(1) })
-	time.Sleep(20 * time.Millisecond) // due, and its wake-up queued behind the blocked post
-	if !late.Stop() {
-		t.Fatal("Stop after the deadline but before the fire reported false")
-	}
-	release()
-
-	fired := make(chan struct{})
-	done := c.AfterFunc(time.Millisecond, func() { ran.Add(1); close(fired) })
-	<-fired
-	if done.Stop() {
-		t.Fatal("Stop after the fire reported true")
-	}
-	d.Call(func() {}) // the late timer's wake-up has been handled
-	if n := ran.Load(); n != 1 {
-		t.Fatalf("%d callbacks ran, want only the one not stopped", n)
 	}
 }
 

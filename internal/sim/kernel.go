@@ -18,11 +18,11 @@
 // inline entries (no container/heap boxing), and fired or stopped events
 // recycle their slots through a kernel-owned free list, so the kernel's own
 // steady-state stepping performs no heap allocation at all: Schedule with a
-// pooled Event costs nothing, and AfterFunc returns its Timer by value. What
-// a caller adds on top is the caller's: a func literal passed to AfterFunc is
-// a closure allocation, and clock.Sim.AfterFunc boxes the Timer into the
-// clock.Timer interface (one more). Per-event work therefore goes through
-// Schedule; AfterFunc is for the rare timer somebody needs to Stop.
+// pooled Event costs nothing, and AfterFunc returns its Timer by value (a
+// func literal passed to it is the caller's closure allocation). Schedule
+// is the only form clock.Clock exposes, so everything a station runs goes
+// through it; AfterFunc and Timer.Stop serve the fleet code that drives
+// kernels directly.
 package sim
 
 import (

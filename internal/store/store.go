@@ -62,8 +62,9 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	bytes   int // total live value bytes
-	sweeper *clock.Ticker
+	bytes   int  // total live value bytes
+	closed  bool // Close ran: the sweeper stops at its next tick
+	sweeper sweepTick
 }
 
 // New builds a store on the given clock and, if opts.SweepPeriod > 0,
@@ -71,17 +72,39 @@ type Store struct {
 func New(clk clock.Clock, opts Options) *Store {
 	s := &Store{clk: clk, entries: make(map[string]*entry)}
 	if opts.SweepPeriod > 0 {
-		s.sweeper = clock.NewTicker(clk, opts.SweepPeriod, func() { s.Sweep() })
+		s.sweeper = sweepTick{s: s, period: opts.SweepPeriod}
+		clk.Schedule(opts.SweepPeriod, &s.sweeper)
 	}
 	return s
 }
 
-// Close stops the background sweeper. The store itself needs no shutdown —
-// that is the point.
-func (s *Store) Close() {
-	if s.sweeper != nil {
-		s.sweeper.Stop()
+// sweepTick is the sweeper: an event that re-arms itself every period
+// until the store is closed.
+type sweepTick struct {
+	s      *Store
+	period time.Duration
+}
+
+// Fire re-arms before it sweeps, so the next tick is queued ahead of
+// anything the sweep schedules.
+func (t *sweepTick) Fire() {
+	s := t.s
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
 	}
+	s.clk.Schedule(t.period, t)
+	s.mu.Unlock()
+	s.Sweep()
+}
+
+// Close stops the background sweeper: a tick already queued fires and
+// does nothing. The store itself needs no shutdown — that is the point.
+func (s *Store) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 }
 
 // live reports whether e holds an unexpired lease at time now.

@@ -99,6 +99,29 @@ func TestLeaseExpirySim(t *testing.T) {
 	}
 }
 
+// TestSweeperTicksUntilClose: the sweeper sweeps once per period, and a
+// closed store's queued tick sweeps nothing and does not re-arm.
+func TestSweeperTicksUntilClose(t *testing.T) {
+	s, k := simStore(time.Second)
+	before := M.Sweeps.Value()
+	if err := k.RunFor(10*time.Second + 500*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if n := M.Sweeps.Value() - before; n != 10 {
+		t.Fatalf("sweeps = %d in 10.5 periods, want 10", n)
+	}
+	s.Close()
+	if err := k.RunFor(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := M.Sweeps.Value() - before; n != 10 {
+		t.Fatalf("swept %d times after Close", n-10)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("%d events pending after the closed store's last tick", k.Pending())
+	}
+}
+
 // TestLeaseSurvivesReattach pins the microreboot path: a new incarnation of
 // the same owner reacquires and sees the surviving state unchanged.
 func TestLeaseSurvivesReattach(t *testing.T) {
