@@ -25,10 +25,10 @@ func ageOutPbcom(t *testing.T, sys *System, rounds int) {
 // Repeated fedr failures age pbcom until it fails on its own, and FD/REC
 // recover that organic failure like any other.
 func TestWithoutRejuvenationPbcomAgesOut(t *testing.T) {
-	sys := bootSystem(t, Config{Seed: 21, TreeName: "IV", Policy: PolicyEscalating})
+	sys, rec := bootRecorded(t, Config{Seed: 21, TreeName: "IV", Policy: PolicyEscalating})
 	ageOutPbcom(t, sys, 6)
 	_ = sys.RunFor(2 * time.Minute)
-	aged := sys.Log.Filter(func(e trace.Event) bool {
+	aged := rec.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.ComponentDown && e.Component == "pbcom" &&
 			strings.Contains(e.Detail, "aged out")
 	})

@@ -10,7 +10,6 @@ import (
 	"github.com/recursive-restart/mercury/internal/bus"
 	"github.com/recursive-restart/mercury/internal/ckpt"
 	"github.com/recursive-restart/mercury/internal/core"
-	"github.com/recursive-restart/mercury/internal/load"
 	"github.com/recursive-restart/mercury/internal/mp"
 	"github.com/recursive-restart/mercury/internal/obs"
 	"github.com/recursive-restart/mercury/internal/proc"
@@ -63,7 +62,6 @@ func buildRegistry(view served) *obs.Registry {
 	reg := obs.NewRegistry()
 	bus.RegisterMetrics(reg)
 	core.RegisterMetrics(reg)
-	load.RegisterMetrics(reg)
 	proc.RegisterMetrics(reg)
 	rt.RegisterMetrics(reg)
 	mp.RegisterMetrics(reg)

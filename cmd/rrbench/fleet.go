@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/recursive-restart/mercury/internal/bus"
 	"github.com/recursive-restart/mercury/internal/experiment"
 	"github.com/recursive-restart/mercury/internal/obs"
 	"github.com/recursive-restart/mercury/internal/proc"
@@ -136,12 +135,12 @@ func verifyFleet(ctx context.Context, cfg experiment.FleetConfig) (string, error
 	return text.String(), nil
 }
 
-// serveFleetObs mounts /metrics with the fleet-relevant families (fleet
-// scheduler, bus fabric, process manager) for the run's duration.
+// serveFleetObs mounts /metrics with the families a fleet moves (fleet
+// scheduler, process manager) for the run's duration. The bus families are
+// the TCP wire path's, which a simulated fleet never touches.
 func serveFleetObs(addr string) (stop func(), err error) {
 	reg := obs.NewRegistry()
 	sim.RegisterMetrics(reg)
-	bus.RegisterMetrics(reg)
 	proc.RegisterMetrics(reg)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -21,7 +21,8 @@ import (
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
-// Stats counts bus activity for tests and health beacons.
+// Stats counts a simulated fabric's traffic. Tests and the benchmark read
+// it; it is the fabric's only count.
 type Stats struct {
 	Sent          int
 	Delivered     int
@@ -82,10 +83,6 @@ type Sim struct {
 	chaos *ChaosProfile
 
 	stats Stats
-
-	// m mirrors stats into the process-wide obs counters through this
-	// fabric's private shards (see metrics.go).
-	m simCounters
 }
 
 var _ proc.Transport = (*Sim)(nil)
@@ -105,7 +102,6 @@ func NewSim(clk clock.Clock, mgr *proc.Manager, broker string) *Sim {
 		kern:   ks.K,
 		mgr:    mgr,
 		broker: broker,
-		m:      newSimCounters(),
 	}
 	b.hopQ = b.firstHops[:0]
 	return b
@@ -131,7 +127,6 @@ func (b *Sim) Stats() Stats { return b.stats }
 // resend it in between.
 func (b *Sim) Send(m *xmlcmd.Message) {
 	b.stats.Sent++
-	b.m.sent.Inc()
 	if xmlcmd.Dedicated(m.From, m.To) {
 		b.stats.DirectSent++
 		b.sendHop(m, hopDeliver)
@@ -181,7 +176,6 @@ func (b *Sim) hop(m *xmlcmd.Message, hop int) {
 		// starting up or dead loses the message.
 		if !b.brokerServing() {
 			b.stats.DroppedBroker++
-			b.m.dropBroker.Inc()
 			b.finish(m)
 			return
 		}
@@ -191,10 +185,8 @@ func (b *Sim) hop(m *xmlcmd.Message, hop int) {
 	}
 	if b.mgr.Deliver(m) {
 		b.stats.Delivered++
-		b.m.delivered.Inc()
 	} else {
 		b.stats.DroppedDest++
-		b.m.dropDest.Inc()
 	}
 	b.finish(m)
 }
@@ -284,16 +276,10 @@ func (b *Sim) release(e *deliveryEvent) {
 	b.pool = append(b.pool, e)
 }
 
-// Broker is the mbus broker component itself: the process that, when
-// serving, carries traffic. Its handler only needs to answer liveness
-// pings; the routing fast path lives in the fabric (Sim or the TCP
-// broker), gated on this process's serving state.
-type Broker struct {
-	// StartupTime is the base time for the broker to come up.
-	StartupTime time.Duration
-}
-
-// BrokerHandler returns a proc.Handler factory for the broker process.
+// BrokerHandler returns a proc.Handler factory for the mbus broker process:
+// the component that, when serving, carries traffic. Its handler only
+// answers liveness pings; the routing fast path lives in the fabric (Sim or
+// the TCP broker), gated on this process's serving state.
 func BrokerHandler(startup time.Duration) func() proc.Handler {
 	return func() proc.Handler { return &brokerHandler{startup: startup} }
 }

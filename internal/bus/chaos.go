@@ -81,13 +81,11 @@ func (b *Sim) sendHop(m *xmlcmd.Message, hop int) {
 	if p.Dup > 0 && rng.Float64() < p.Dup {
 		copies = 2
 		b.stats.Duplicated++
-		b.m.dup.Inc()
 	}
 	scheduled := 0
 	for i := 0; i < copies; i++ {
 		if p.Loss > 0 && rng.Float64() < p.Loss {
 			b.stats.DroppedChaos++
-			b.m.dropChaos.Inc()
 			continue
 		}
 		d := hopLatency

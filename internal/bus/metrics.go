@@ -6,21 +6,12 @@ import (
 	"github.com/recursive-restart/mercury/internal/obs"
 )
 
-// BusMetrics aggregates the process-wide runtime counters for both bus
-// implementations: the simulated fabric (Sim* families) and the real TCP
-// broker/client (TCP* families). Counters are incremented unconditionally
-// — an increment is a single atomic add, cheaper than a configuration
-// branch — and only read when an obs registry renders them, so campaigns
-// and goldens are unaffected.
+// BusMetrics aggregates the process-wide runtime counters of the TCP
+// broker and client; a simulated fabric counts its traffic only in its own
+// Stats. Counters are incremented unconditionally — an increment is a
+// single atomic add, cheaper than a configuration branch — and only read
+// when an obs registry renders them.
 type BusMetrics struct {
-	// Simulated fabric (bus.Sim).
-	SimFramesSent      obs.Counter // messages entering the fabric
-	SimFramesDelivered obs.Counter // messages handed to a live destination
-	SimDroppedBroker   obs.Counter // lost because mbus was not serving
-	SimDroppedDest     obs.Counter // lost because the destination was dead
-	SimDroppedChaos    obs.Counter // lost to the chaos layer's per-hop loss
-	SimDuplicated      obs.Counter // hops duplicated by the chaos layer
-
 	// TCP wire path (FrameReader/FrameWriter, broker, client).
 	TCPFramesIn      obs.Counter    // frames read off connections
 	TCPFramesOut     obs.Counter    // frames written to connections
@@ -44,8 +35,8 @@ type BusMetrics struct {
 }
 
 // M is the process-wide bus metrics instance. Hot call sites hold a
-// per-instance obs.CounterShard into these counters (one shard per Sim
-// fabric, per frame reader/writer) so concurrent writers do not contend.
+// per-instance obs.CounterShard into these counters (one shard per frame
+// reader/writer) so concurrent writers do not contend.
 var M = BusMetrics{
 	TCPReconnectTime: obs.NewHistogram(obs.DefBuckets()...),
 	TCPShardFrames:   obs.NewCounterVec(),
@@ -54,8 +45,8 @@ var M = BusMetrics{
 	TCPBatchFrames: obs.NewValueHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
 }
 
-// shardSeq hands out shard indices to long-lived writers (fabrics,
-// connections) round-robin, spreading them across each counter's padded
+// shardSeq hands out shard indices to long-lived writers (frame readers
+// and writers, broker shards) round-robin, spreading them across each counter's padded
 // cells.
 var shardSeq atomic.Uint64
 
@@ -65,19 +56,6 @@ func nextShard() uint64 { return shardSeq.Add(1) }
 // RegisterMetrics registers the bus counter families with an obs
 // registry under the mercury_bus_* namespace.
 func RegisterMetrics(r *obs.Registry) {
-	r.RegisterCounter("mercury_bus_sim_frames_sent_total",
-		"Messages entering the simulated fabric.", &M.SimFramesSent)
-	r.RegisterCounter("mercury_bus_sim_frames_delivered_total",
-		"Messages delivered to a live destination by the simulated fabric.", &M.SimFramesDelivered)
-	r.RegisterCounter("mercury_bus_sim_dropped_total",
-		"Messages lost in the simulated fabric, by cause.", &M.SimDroppedBroker, "cause", "broker-down")
-	r.RegisterCounter("mercury_bus_sim_dropped_total",
-		"Messages lost in the simulated fabric, by cause.", &M.SimDroppedDest, "cause", "dest-dead")
-	r.RegisterCounter("mercury_bus_sim_dropped_total",
-		"Messages lost in the simulated fabric, by cause.", &M.SimDroppedChaos, "cause", "chaos-loss")
-	r.RegisterCounter("mercury_bus_sim_duplicated_total",
-		"Hops duplicated by the chaos layer.", &M.SimDuplicated)
-
 	r.RegisterCounter("mercury_bus_tcp_frames_total",
 		"Wire frames moved over TCP, by direction.", &M.TCPFramesIn, "dir", "in")
 	r.RegisterCounter("mercury_bus_tcp_frames_total",
@@ -115,24 +93,4 @@ func RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("mercury_bus_tcp_reconnect_queue_total",
 		"Client frames handled by the bounded reconnect queue, by outcome.",
 		&M.TCPReconnectDrops, "outcome", "dropped")
-}
-
-// simCounters is one Sim instance's pre-resolved shard set: the fabric
-// increments through these pointers so parallel trials (one Sim per
-// worker) never share a counter cache line.
-type simCounters struct {
-	sent, delivered, dropBroker, dropDest, dropChaos, dup *obs.CounterShard
-}
-
-// newSimCounters picks one shard index for a fabric instance.
-func newSimCounters() simCounters {
-	i := nextShard()
-	return simCounters{
-		sent:       M.SimFramesSent.Shard(i),
-		delivered:  M.SimFramesDelivered.Shard(i),
-		dropBroker: M.SimDroppedBroker.Shard(i),
-		dropDest:   M.SimDroppedDest.Shard(i),
-		dropChaos:  M.SimDroppedChaos.Shard(i),
-		dup:        M.SimDuplicated.Shard(i),
-	}
 }

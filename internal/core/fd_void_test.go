@@ -42,7 +42,7 @@ func (h *harness) firstReport(t *testing.T, component string, limit time.Duratio
 }
 
 func (h *harness) reports(component string) []trace.Event {
-	return h.log.Filter(func(e trace.Event) bool {
+	return h.rec.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.FailureDetected && e.Component == component
 	})
 }

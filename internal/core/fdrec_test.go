@@ -13,6 +13,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/sim"
 	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -45,6 +46,7 @@ type harness struct {
 	bus    *bus.Sim
 	board  *fault.Board
 	log    *trace.Log
+	rec    *tracetest.Recorder // every event since the harness was built
 	handle *RECHandle
 	fd     *FDHandle
 	comps  []string
@@ -110,7 +112,7 @@ func newHarnessClock(t *testing.T, seed int64, tree *Tree, policy func(*fault.Bo
 		t.Fatal(err)
 	}
 
-	h := &harness{k: k, mgr: mgr, bus: b, board: board, log: log, handle: handle, fd: fd, comps: comps}
+	h := &harness{k: k, mgr: mgr, bus: b, board: board, log: log, rec: tracetest.Record(log), handle: handle, fd: fd, comps: comps}
 	if err := mgr.StartBatch(comps); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,7 @@ func TestEscalationCuresJointFault(t *testing.T) {
 	if d < 5*time.Second {
 		t.Fatalf("recovery suspiciously fast (%v) for an escalation", d)
 	}
-	guesses := h.log.Filter(func(e trace.Event) bool { return e.Kind == trace.OracleGuess })
+	guesses := h.rec.Filter(func(e trace.Event) bool { return e.Kind == trace.OracleGuess })
 	if len(guesses) < 2 {
 		t.Fatalf("expected at least 2 oracle guesses, got %d", len(guesses))
 	}
@@ -216,7 +218,7 @@ func TestPerfectOracleSkipsEscalation(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.runUntilRecovered(t, 60*time.Second)
-	guesses := h.log.Filter(func(e trace.Event) bool { return e.Kind == trace.OracleGuess })
+	guesses := h.rec.Filter(func(e trace.Event) bool { return e.Kind == trace.OracleGuess })
 	if len(guesses) != 1 {
 		t.Fatalf("perfect oracle used %d guesses, want 1: %v", len(guesses), guesses)
 	}
@@ -235,7 +237,7 @@ func TestFaultyOracleAlwaysWrongEscalates(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.runUntilRecovered(t, 60*time.Second)
-	guesses := h.log.Filter(func(e trace.Event) bool { return e.Kind == trace.OracleGuess })
+	guesses := h.rec.Filter(func(e trace.Event) bool { return e.Kind == trace.OracleGuess })
 	if len(guesses) < 2 {
 		t.Fatalf("always-wrong oracle cured in %d guesses", len(guesses))
 	}
@@ -265,7 +267,7 @@ func TestGiveUpOnHardFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = h.k.RunFor(3 * time.Minute)
-	giveups := h.log.Filter(func(e trace.Event) bool { return e.Kind == trace.GiveUp })
+	giveups := h.rec.Filter(func(e trace.Event) bool { return e.Kind == trace.GiveUp })
 	if len(giveups) == 0 {
 		t.Fatal("policy never gave up on a hard failure")
 	}
@@ -570,7 +572,7 @@ func newHWHarness(t *testing.T, seed int64) (*harness, *bool) {
 		t.Fatal(err)
 	}
 
-	h := &harness{k: k, mgr: mgr, bus: b, board: board, log: log, handle: handle, comps: comps}
+	h := &harness{k: k, mgr: mgr, bus: b, board: board, log: log, rec: tracetest.Record(log), handle: handle, comps: comps}
 	if err := mgr.StartBatch(comps); err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +598,7 @@ func TestHardwareWedgeDefeatsPlainRestart(t *testing.T) {
 	if h.mgr.Serving("a") {
 		t.Fatal("wedged hardware recovered by plain restart")
 	}
-	giveups := h.log.Filter(func(e trace.Event) bool { return e.Kind == trace.GiveUp })
+	giveups := h.rec.Filter(func(e trace.Event) bool { return e.Kind == trace.GiveUp })
 	if len(giveups) == 0 {
 		t.Fatal("policy never gave up on the hard failure")
 	}

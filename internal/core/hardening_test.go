@@ -62,7 +62,7 @@ func TestSuspectAfterDetectionStillFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.runUntilRecovered(t, 30*time.Second)
-	detections := h.log.Filter(func(e trace.Event) bool {
+	detections := h.rec.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.FailureDetected && e.Component == "a" && e.At.After(injectAt)
 	})
 	if len(detections) == 0 {
@@ -109,17 +109,17 @@ func TestRestartBackoffDampsStorm(t *testing.T) {
 		if err := h.k.RunFor(4 * time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		giveups := h.log.Filter(func(e trace.Event) bool { return e.Kind == trace.GiveUp })
+		giveups := h.rec.Filter(func(e trace.Event) bool { return e.Kind == trace.GiveUp })
 		if len(giveups) == 0 {
 			t.Fatalf("withBackoff=%v: policy never gave up", withBackoff)
 		}
-		requests := h.log.Filter(func(e trace.Event) bool { return e.Kind == trace.RestartRequested })
+		requests := h.rec.Filter(func(e trace.Event) bool { return e.Kind == trace.RestartRequested })
 		if len(requests) < 2 {
 			t.Fatalf("withBackoff=%v: only %d restart requests", withBackoff, len(requests))
 		}
 		span[withBackoff] = requests[len(requests)-1].At.Sub(requests[0].At)
 
-		notes := h.log.Filter(func(e trace.Event) bool {
+		notes := h.rec.Filter(func(e trace.Event) bool {
 			return e.Kind == trace.Note && strings.Contains(e.Detail, "restart backoff")
 		})
 		if withBackoff && len(notes) == 0 {

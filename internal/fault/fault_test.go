@@ -11,6 +11,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/sim"
 	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -24,13 +25,14 @@ type rig struct {
 	k     *sim.Kernel
 	mgr   *proc.Manager
 	board *Board
-	log   *trace.Log
+	rec   *tracetest.Recorder // every event since the rig was built
 }
 
 func newRig(t *testing.T, comps ...string) *rig {
 	t.Helper()
 	k := sim.New(21)
 	log := trace.NewLog()
+	rec := tracetest.Record(log)
 	mgr := proc.NewManager(clock.Sim{K: k}, rand.New(rand.NewSource(3)), log)
 	board := NewBoard(clock.Sim{K: k}, mgr, log)
 	for _, c := range comps {
@@ -44,7 +46,7 @@ func newRig(t *testing.T, comps ...string) *rig {
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	return &rig{k: k, mgr: mgr, board: board, log: log}
+	return &rig{k: k, mgr: mgr, board: board, rec: rec}
 }
 
 func TestInjectKillsManifest(t *testing.T) {
@@ -172,7 +174,7 @@ func TestBoardCuresInInjectionOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		var logged []string
-		for _, e := range r.log.Filter(func(e trace.Event) bool { return e.Kind == trace.FaultCured }) {
+		for _, e := range r.rec.Filter(func(e trace.Event) bool { return e.Kind == trace.FaultCured }) {
 			logged = append(logged, e.Detail)
 		}
 		want := []string{"f1", "f2", "f3"}

@@ -202,8 +202,6 @@ type Engine struct {
 	// session bookkeeping: broken-user integration over virtual time
 	// (kernel ns).
 	lastIntegrate int64
-
-	m reqCounters
 }
 
 // cohortState is one cohort's runtime: RNG stream, arrival event and
@@ -259,7 +257,6 @@ func NewEngine(clk clock.Clock, b *bus.Sim, mgr *proc.Manager, cfg Config) (*Eng
 		kern: ks.K,
 		bus:  b,
 		mgr:  mgr,
-		m:    newReqCounters(),
 	}
 	var inflight float64
 	for i := range cfg.Cohorts {
@@ -424,14 +421,11 @@ func seqFor(slot int32, gen uint32) uint64 {
 // never builds a time.Time.
 func (e *Engine) issue(c *cohortState) {
 	e.stats.Issued++
-	e.m.issued.Inc()
 	n := len(e.freeRec)
 	if n == 0 {
 		// Arena full: shed at the client edge, before the bus.
 		e.stats.Failed++
 		e.stats.Shed++
-		e.m.failed.Inc()
-		e.m.shed.Inc()
 		user := int32(c.rng.Intn(c.cfg.Users))
 		e.breakSession(c, user)
 		return
@@ -445,7 +439,6 @@ func (e *Engine) issue(c *cohortState) {
 	rec.user = int32(c.rng.Intn(c.cfg.Users))
 	now := e.kern.NowNs()
 	rec.intended = now
-	e.m.inflight.Inc()
 	e.stats.Attempts++
 	v := c.vals[c.vi]
 	c.vi++
@@ -525,7 +518,6 @@ func (e *Engine) expire(c *cohortState, slot int32, rec *record, now int64) {
 	// experienced them.
 	e.hist.Record(time.Duration(now - rec.intended))
 	e.stats.Failed++
-	e.m.failed.Inc()
 	e.breakSession(c, rec.user)
 	e.retire(slot, rec)
 }
@@ -537,7 +529,6 @@ func (e *Engine) onAck(m *xmlcmd.Message) {
 	gen := uint32(of >> 32)
 	if slot < 0 || int(slot) >= len(e.records) {
 		e.stats.StaleAcks++
-		e.m.stale.Inc()
 		return
 	}
 	rec := &e.records[slot]
@@ -546,7 +537,6 @@ func (e *Engine) onAck(m *xmlcmd.Message) {
 		// earlier duplicate ack won). Late acks are the receipts of work
 		// the service did after the user gave up.
 		e.stats.StaleAcks++
-		e.m.stale.Inc()
 		return
 	}
 	c := e.cohorts[rec.cohort]
@@ -554,15 +544,12 @@ func (e *Engine) onAck(m *xmlcmd.Message) {
 	e.hist.Record(lat)
 	if m.Ack.OK {
 		e.stats.OK++
-		e.m.ok.Inc()
 		if lat > SlowAfter {
 			e.stats.Slow++
-			e.m.slow.Inc()
 		}
 		e.restoreSession(c, rec.user)
 	} else {
 		e.stats.Failed++
-		e.m.failed.Inc()
 		e.breakSession(c, rec.user)
 	}
 	e.retire(slot, rec)
@@ -571,7 +558,6 @@ func (e *Engine) onAck(m *xmlcmd.Message) {
 func (e *Engine) retire(slot int32, rec *record) {
 	rec.active = false
 	e.freeRec = append(e.freeRec, slot)
-	e.m.inflight.Dec()
 }
 
 // breakSession marks a user's session broken, starting their downtime
@@ -584,7 +570,6 @@ func (e *Engine) breakSession(c *cohortState, user int32) {
 	e.integrate()
 	c.sessionDown[w] |= b
 	e.stats.BrokenUsers++
-	e.m.broken.Inc()
 }
 
 // restoreSession repairs a user's session on a successful request.
@@ -596,7 +581,6 @@ func (e *Engine) restoreSession(c *cohortState, user int32) {
 	e.integrate()
 	c.sessionDown[w] &^= b
 	e.stats.BrokenUsers--
-	e.m.broken.Dec()
 }
 
 // gateHandler terminates the client side on the bus: instantly ready,

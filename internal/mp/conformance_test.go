@@ -14,6 +14,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/rt"
 	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 )
 
 // outcome is what one runtime did about one scripted fault: the restart
@@ -39,17 +40,17 @@ type outcome struct {
 	strays    int
 }
 
-// observe reads an outcome off a station's trace and manager. before holds
-// the restart counts of the script's components taken ahead of the
-// injection.
-func observe(log *trace.Log, mgr *proc.Manager, tree *core.Tree, manifest string, before map[string]int) outcome {
+// observe reads an outcome off a station's recorded trace and its manager.
+// before holds the restart counts of the script's components taken ahead
+// of the injection.
+func observe(rec *tracetest.Recorder, mgr *proc.Manager, tree *core.Tree, manifest string, before map[string]int) outcome {
 	out := outcome{restarts: make(map[string]int, len(before))}
 	covering := map[string]bool{}
 	for n, _ := tree.CellOf(manifest); n != nil; n = n.Parent() {
 		covering[n.Label()] = true
 	}
 	injected := false
-	for _, e := range log.Events() {
+	for _, e := range rec.Events() {
 		switch {
 		case e.Kind == trace.FaultInjected && e.Component == manifest:
 			injected = true
@@ -97,6 +98,7 @@ func onSim(t *testing.T, tree, manifest string, hang bool, comps map[string]int)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := tracetest.Record(sys.Log)
 	if err := sys.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +109,13 @@ func onSim(t *testing.T, tree, manifest string, hang bool, comps map[string]int)
 	if !sys.Whole() {
 		t.Fatal("sim: not recovered")
 	}
-	return observe(sys.Log, sys.Mgr, sys.Tree, manifest, before)
+	return observe(rec, sys.Mgr, sys.Tree, manifest, before)
 }
 
-// onHost runs the script on a booted wall-clock host; the in-process node
-// and the supervisor are both one.
-func onHost(t *testing.T, name string, h *rt.Host, manifest string, hang bool, comps map[string]int) outcome {
+// onHost runs the script on a booted wall-clock host, whose trace rec has
+// recorded since the host started; the in-process node and the supervisor
+// are both one.
+func onHost(t *testing.T, name string, h *rt.Host, rec *tracetest.Recorder, manifest string, hang bool, comps map[string]int) outcome {
 	t.Helper()
 	var before map[string]int
 	h.Disp.Call(func() { before = restartCounts(h.Mgr, comps) })
@@ -123,7 +126,7 @@ func onHost(t *testing.T, name string, h *rt.Host, manifest string, hang bool, c
 		t.Fatalf("%s: %v", name, err)
 	}
 	var out outcome
-	h.Disp.Call(func() { out = observe(h.Log, h.Mgr, h.Tree, manifest, before) })
+	h.Disp.Call(func() { out = observe(rec, h.Mgr, h.Tree, manifest, before) })
 	return out
 }
 
@@ -175,14 +178,21 @@ func TestConformance(t *testing.T) {
 				t.Fatalf("StartNode: %v", err)
 			}
 			defer node.Stop()
+			nodeRec := tracetest.Record(node.Log)
 			sup, err := StartSupervisor(rt.NodeConfig{ListenAddr: "127.0.0.1:0", Scale: scale, TreeName: tree, Seed: 1})
 			if err != nil {
 				t.Fatalf("StartSupervisor: %v", err)
 			}
 			defer sup.Stop()
+			supRec := tracetest.Record(sup.Log)
 
-			for name, h := range map[string]*rt.Host{"rt": node, "mp": sup.Host} {
-				got := onHost(t, name, h, sc.manifest, sc.hang, sc.restarts)
+			for _, r := range []struct {
+				name string
+				h    *rt.Host
+				rec  *tracetest.Recorder
+			}{{"rt", node, nodeRec}, {"mp", sup.Host, supRec}} {
+				name, rec := r.name, r.rec
+				got := onHost(t, name, r.h, rec, sc.manifest, sc.hang, sc.restarts)
 				if len(got.crossed) > 0 {
 					t.Logf("%s: unscripted %v crossed the episode (pushed %v, restarted %v); not compared",
 						name, got.crossed, got.nodes, got.restarts)
@@ -200,7 +210,7 @@ func TestConformance(t *testing.T) {
 					oneRecovery(name, got)
 				}
 				if t.Failed() {
-					for _, e := range h.Log.Filter(func(e trace.Event) bool {
+					for _, e := range rec.Filter(func(e trace.Event) bool {
 						return e.Kind == trace.FailureDetected || e.Kind == trace.RestartRequested
 					}) {
 						t.Log(name, e)

@@ -19,6 +19,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/rt"
 	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -409,11 +410,12 @@ func TestMultiProcessHardFaultGivesUp(t *testing.T) {
 		t.Fatalf("StartSupervisor: %v", err)
 	}
 	t.Cleanup(sup.Stop)
+	rec := tracetest.Record(sup.Log)
 	if err := sup.Inject(fault.Fault{Manifest: station.RTU, Hard: true}); err != nil {
 		t.Fatal(err)
 	}
 	gaveUp := func() bool {
-		return len(sup.Log.Filter(func(e trace.Event) bool { return e.Kind == trace.GiveUp })) > 0
+		return len(rec.Filter(func(e trace.Event) bool { return e.Kind == trace.GiveUp })) > 0
 	}
 	deadline := time.Now().Add(90 * time.Second)
 	for !gaveUp() {

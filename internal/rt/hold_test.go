@@ -9,6 +9,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -32,6 +33,7 @@ func TestHoldAcrossRestart(t *testing.T) {
 		t.Fatalf("StartNode: %v", err)
 	}
 	t.Cleanup(node.Stop)
+	rec := tracetest.Record(node.Log)
 	g := dialGate(t, node)
 	g.settles(t, 30, 8) // the gate is registered and every component answers
 
@@ -64,7 +66,7 @@ func TestHoldAcrossRestart(t *testing.T) {
 				return
 			}
 			if time.Now().After(limit) {
-				for _, e := range node.Log.Events() {
+				for _, e := range rec.Events() {
 					t.Log(e)
 				}
 				t.Fatalf("no %s within 10 s", what)
@@ -190,7 +192,7 @@ func TestHoldAcrossRestart(t *testing.T) {
 	// The lone restart took rtu's own startup: 4.9 station-s ±2 % jitter,
 	// plus a little dispatcher lag.
 	limit := station.RtuStartup.Seconds()*(1+station.StartupJitterFrac) + 1
-	for _, e := range node.Log.Filter(func(e trace.Event) bool {
+	for _, e := range rec.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.ComponentReady && e.Component == station.RTU
 	}) {
 		var inc int

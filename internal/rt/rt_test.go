@@ -17,6 +17,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -171,6 +172,7 @@ func (w *lastCommand) Receive(ctx proc.Context, m *xmlcmd.Message) {
 
 func TestLiveRecoveryFromKill(t *testing.T) {
 	node := startNode(t, "IV")
+	rec := tracetest.Record(node.Log)
 	if err := node.Inject(fault.Fault{Manifest: station.RTU}); err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +184,11 @@ func TestLiveRecoveryFromKill(t *testing.T) {
 	if restarts != 1 {
 		t.Fatalf("rtu restarted %d times", restarts)
 	}
-	recovered := node.Log.Filter(func(e trace.Event) bool {
+	recovered := rec.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.ComponentReady && e.Component == station.RTU
 	})
-	if len(recovered) < 2 { // initial boot + recovery
-		t.Fatalf("rtu ready events = %d", len(recovered))
+	if len(recovered) == 0 || !strings.HasPrefix(recovered[0].Detail, "incarnation=2 ") {
+		t.Fatalf("rtu ready events after the kill = %v, want incarnation 2 first", recovered)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/sim"
 	"github.com/recursive-restart/mercury/internal/store"
 	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -19,7 +20,7 @@ type rig struct {
 	k     *sim.Kernel
 	mgr   *proc.Manager
 	bus   *bus.Sim
-	log   *trace.Log
+	rec   *tracetest.Recorder // every event since the rig was built
 	comps []string
 	coll  *Collector
 }
@@ -28,6 +29,7 @@ func newRig(t *testing.T, layout Layout, seed int64) *rig {
 	t.Helper()
 	k := sim.New(seed)
 	log := trace.NewLog()
+	rec := tracetest.Record(log)
 	mgr := proc.NewManager(clock.Sim{K: k}, k.Rand(), log)
 	b := bus.NewSim(clock.Sim{K: k}, mgr, MBus)
 	mgr.SetTransport(b)
@@ -42,7 +44,7 @@ func newRig(t *testing.T, layout Layout, seed int64) *rig {
 	if err := mgr.Start(Ops); err != nil {
 		t.Fatal(err)
 	}
-	return &rig{k: k, mgr: mgr, bus: b, log: log, comps: comps, coll: coll}
+	return &rig{k: k, mgr: mgr, bus: b, rec: rec, comps: comps, coll: coll}
 }
 
 func (r *rig) boot(t *testing.T) {
@@ -169,7 +171,7 @@ func TestLoneSesRestartInducesStrFailure(t *testing.T) {
 	if st != proc.Dead {
 		t.Fatalf("str state = %v, want Dead (induced failure)", st)
 	}
-	downs := r.log.Filter(func(e trace.Event) bool {
+	downs := r.rec.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.ComponentDown && e.Component == STR
 	})
 	if len(downs) == 0 || !strings.Contains(downs[len(downs)-1].Detail, "resynchronization") {
@@ -207,7 +209,7 @@ func TestJointSesStrRestartAvoidsInducedFailure(t *testing.T) {
 		t.Fatalf("joint restart took %v, want ~max startup + settle", elapsed)
 	}
 	// No component crashed during the joint restart.
-	downs := r.log.Filter(func(e trace.Event) bool {
+	downs := r.rec.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.ComponentDown && e.At.After(start) &&
 			strings.Contains(e.Detail, "resynchronization")
 	})
@@ -233,7 +235,7 @@ func TestPbcomAging(t *testing.T) {
 	if st != proc.Dead {
 		t.Fatalf("pbcom state = %v after %d fedr restarts, want Dead (aging)", st, limit)
 	}
-	downs := r.log.Filter(func(e trace.Event) bool {
+	downs := r.rec.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.ComponentDown && e.Component == Pbcom
 	})
 	if len(downs) == 0 || !strings.Contains(downs[len(downs)-1].Detail, "aged out") {
@@ -325,7 +327,7 @@ func TestDeterministicBoot(t *testing.T) {
 	run := func() []string {
 		r := newRig(t, Split, 42)
 		r.boot(t)
-		evs := r.log.Events()
+		evs := r.rec.Events()
 		out := make([]string, len(evs))
 		for i, e := range evs {
 			out[i] = e.String()

@@ -63,7 +63,7 @@ func (s *syncCore) enterWaitSync(ctx proc.Context) {
 	s.myEpoch = ctx.Rand().Int63()
 	if s.peerEpoch != 0 {
 		// The peer proposed while we were initialising; agree now.
-		s.agree(ctx, maxInt64(s.myEpoch, s.peerEpoch))
+		s.agree(ctx, max(s.myEpoch, s.peerEpoch))
 		ctx.Send(ctx.Pool().SyncAck(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
 		return
 	}
@@ -127,7 +127,7 @@ func (s *syncCore) handleSync(ctx proc.Context, m *xmlcmd.Message) {
 		// Same epoch: duplicate proposal; re-acknowledge.
 		ctx.Send(ctx.Pool().SyncAck(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
 	case s.inWaitSync && !s.synced:
-		winner := maxInt64(s.myEpoch, e)
+		winner := max(s.myEpoch, e)
 		s.agree(ctx, winner)
 		ctx.Send(ctx.Pool().SyncAck(ctx.Name(), s.peer, s.nextSeq(), winner))
 	case s.inWaitSync && s.synced:
@@ -145,11 +145,4 @@ func (s *syncCore) handleSyncAck(ctx proc.Context, m *xmlcmd.Message) {
 		s.agree(ctx, m.SyncAck.Epoch)
 	}
 	// Duplicate or late acks are ignored.
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,9 +7,9 @@
 // The trace is the record of what happened: every runtime (simulator, live
 // node, multi-process supervisor) appends the same lifecycle events to a
 // Log and subscribers (experiments, the mercuryd live stream) see each one
-// as it is appended. Outages is how an outage is read from that record: the
-// one fold every availability, downtime and time-to-recover figure comes
-// from. internal/obs is the other half of observation — aggregate
+// as it is appended; the Log itself keeps none. Outages is how an outage
+// is read from that record: the one fold every availability, downtime and
+// time-to-recover figure comes from. internal/obs is the other half of observation — aggregate
 // instruments for scraping, which count and time but do not say what
 // happened.
 package trace
@@ -101,32 +101,22 @@ func (e Event) String() string {
 	return s
 }
 
-// Retain is how many events a Log keeps for Events, Filter and Len. Nothing
-// measures from them (subscribers see every event as it is appended), so a
-// long-running daemon or a 2000-station fleet holds a bounded tail.
-const Retain = 4096
-
-// Log is an event log, safe for concurrent use so it serves both the
-// single-threaded simulator and the real-time runtime.
+// Log is the event stream, safe for concurrent use so it serves both the
+// single-threaded simulator and the real-time runtime. It keeps no
+// history: every event goes to the subscribers as it is appended, and a
+// reader that wants past events (a test, say) subscribes before they
+// happen.
 type Log struct {
-	mu     sync.Mutex
-	events []Event // grows by append to Retain, then a ring: head is the oldest
-	head   int
-	subs   []func(Event)
+	mu   sync.Mutex
+	subs []func(Event)
 }
 
-// NewLog returns an empty log.
+// NewLog returns a log with no subscribers.
 func NewLog() *Log { return &Log{} }
 
-// Append records an event and fans it out to subscribers.
+// Append fans an event out to the subscribers.
 func (l *Log) Append(e Event) {
 	l.mu.Lock()
-	if len(l.events) < Retain {
-		l.events = append(l.events, e)
-	} else {
-		l.events[l.head] = e
-		l.head = (l.head + 1) % Retain
-	}
 	subs := l.subs
 	l.mu.Unlock()
 	for _, fn := range subs {
@@ -147,41 +137,9 @@ func (l *Log) Subscribe(fn func(Event)) {
 	l.subs = append(l.subs, fn)
 }
 
-// Events returns a copy of the retained events, oldest first.
-func (l *Log) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.events))
-	out = append(out, l.events[l.head:]...)
-	return append(out, l.events[:l.head]...)
-}
-
-// Len reports the number of retained events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
-// Reset discards the retained events but keeps subscribers.
-func (l *Log) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events, l.head = l.events[:0], 0
-}
-
-// Filter returns the retained events matching pred, oldest first.
-func (l *Log) Filter(pred func(Event) bool) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	for i := range l.events {
-		if e := l.events[(l.head+i)%len(l.events)]; pred(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+// Reset does nothing: the log keeps no events to discard. It remains
+// because the benchmark's append probe calls it.
+func (l *Log) Reset() {}
 
 // Outages folds a trace into the station's outage history under A_entire:
 // the station is down from the first ComponentDown or ComponentKilled until

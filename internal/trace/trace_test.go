@@ -9,24 +9,6 @@ import (
 
 var t0 = time.Date(2002, 6, 23, 10, 0, 0, 0, time.UTC)
 
-func TestAppendAndEvents(t *testing.T) {
-	l := NewLog()
-	l.Add(t0, FaultInjected, "rtu", "", "kill")
-	l.Add(t0.Add(time.Second), FailureDetected, "rtu", "", "")
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	evs := l.Events()
-	if evs[0].Kind != FaultInjected || evs[1].Component != "rtu" {
-		t.Fatalf("events = %+v", evs)
-	}
-	// Events must be a copy.
-	evs[0].Component = "mutated"
-	if l.Events()[0].Component != "rtu" {
-		t.Fatal("Events exposed internal state")
-	}
-}
-
 func TestSubscribe(t *testing.T) {
 	l := NewLog()
 	var got []Event
@@ -34,17 +16,6 @@ func TestSubscribe(t *testing.T) {
 	l.Add(t0, Note, "", "", "hello")
 	if len(got) != 1 || got[0].Detail != "hello" {
 		t.Fatalf("subscriber got %+v", got)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	l := NewLog()
-	l.Add(t0, FaultInjected, "a", "", "")
-	l.Add(t0, ComponentReady, "a", "", "")
-	l.Add(t0, ComponentReady, "b", "", "")
-	ready := l.Filter(func(e Event) bool { return e.Kind == ComponentReady })
-	if len(ready) != 2 {
-		t.Fatalf("filtered %d events, want 2", len(ready))
 	}
 }
 
@@ -127,56 +98,6 @@ func TestOutages(t *testing.T) {
 				t.Fatalf("fold = %+v, want %+v", got, tc.want)
 			}
 		})
-	}
-}
-
-// TestRetention pins the ring: past Retain events the log keeps the newest
-// in order, while a subscriber (and so a fold) still sees every one.
-func TestRetention(t *testing.T) {
-	l := NewLog()
-	seen := 0
-	l.Subscribe(func(Event) { seen++ })
-	const total = Retain + Retain/2 + 7
-	for i := 0; i < total; i++ {
-		l.Add(t0.Add(time.Duration(i)*time.Millisecond), Note, "", "", "")
-	}
-	if l.Len() != Retain {
-		t.Fatalf("Len = %d after %d appends, want %d", l.Len(), total, Retain)
-	}
-	if seen != total {
-		t.Fatalf("subscriber saw %d of %d events", seen, total)
-	}
-	evs := l.Events()
-	kept := l.Filter(func(Event) bool { return true })
-	if len(evs) != Retain || len(kept) != Retain {
-		t.Fatalf("Events returned %d, Filter %d, want %d", len(evs), len(kept), Retain)
-	}
-	for i, e := range evs {
-		if want := t0.Add(time.Duration(total-Retain+i) * time.Millisecond); !e.At.Equal(want) || !kept[i].At.Equal(want) {
-			t.Fatalf("event %d at %v (Filter %v), want %v", i, e.At, kept[i].At, want)
-		}
-	}
-	l.Reset()
-	l.Add(t0, Note, "", "", "after reset")
-	if evs := l.Events(); len(evs) != 1 || evs[0].Detail != "after reset" {
-		t.Fatalf("after Reset: %+v", evs)
-	}
-}
-
-func TestReset(t *testing.T) {
-	l := NewLog()
-	l.Add(t0, Note, "", "", "")
-	l.Reset()
-	if l.Len() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-	// Subscribers survive reset.
-	n := 0
-	l.Subscribe(func(Event) { n++ })
-	l.Reset()
-	l.Add(t0, Note, "", "", "")
-	if n != 1 {
-		t.Fatal("subscriber lost after Reset")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/trace"
+	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 )
 
 func bootSystem(t *testing.T, cfg Config) *System {
@@ -20,6 +21,20 @@ func bootSystem(t *testing.T, cfg Config) *System {
 		t.Fatalf("Boot: %v", err)
 	}
 	return sys
+}
+
+// bootRecorded is bootSystem with a recorder on the trace from before boot.
+func bootRecorded(t *testing.T, cfg Config) (*System, *tracetest.Recorder) {
+	t.Helper()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	rec := tracetest.Record(sys.Log)
+	if err := sys.Boot(); err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	return sys, rec
 }
 
 func TestBootAllTrees(t *testing.T) {
@@ -170,12 +185,12 @@ func TestDisableRecovery(t *testing.T) {
 }
 
 func TestSystemRecoveredLoggedOnce(t *testing.T) {
-	sys := bootSystem(t, Config{Seed: 9, TreeName: "II", Policy: PolicyPerfect})
+	sys, rec := bootRecorded(t, Config{Seed: 9, TreeName: "II", Policy: PolicyPerfect})
 	if _, err := sys.MeasureRecovery(Fault{Component: "rtu"}, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	_ = sys.RunFor(30 * time.Second)
-	recs := sys.Log.Filter(func(e trace.Event) bool { return e.Kind == trace.SystemRecovered })
+	recs := rec.Filter(func(e trace.Event) bool { return e.Kind == trace.SystemRecovered })
 	if len(recs) != 1 {
 		t.Fatalf("SystemRecovered logged %d times, want 1", len(recs))
 	}

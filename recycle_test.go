@@ -10,6 +10,7 @@ import (
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
 	"github.com/recursive-restart/mercury/internal/station"
+	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 	"github.com/recursive-restart/mercury/internal/xmlcmd"
 )
 
@@ -22,7 +23,7 @@ import (
 // recycled twice panics in the pool itself.
 
 // assertNoPoisonSeen checks the places stale reads would surface.
-func assertNoPoisonSeen(t *testing.T, sys *System) {
+func assertNoPoisonSeen(t *testing.T, sys *System, rec *tracetest.Recorder) {
 	t.Helper()
 	if n := sys.Collector.Count(xmlcmd.PoisonString); n != 0 {
 		t.Errorf("collector saw %d poisoned telemetry samples", n)
@@ -32,7 +33,7 @@ func assertNoPoisonSeen(t *testing.T, sys *System) {
 			t.Errorf("telemetry %q = %v, %v", key, v, ok)
 		}
 	}
-	for _, e := range sys.Log.Events() {
+	for _, e := range rec.Events() {
 		if strings.Contains(e.Component, xmlcmd.PoisonString) || strings.Contains(e.Detail, xmlcmd.PoisonString) {
 			t.Errorf("poison leaked into the trace: %+v", e)
 		}
@@ -45,7 +46,7 @@ func assertNoPoisonSeen(t *testing.T, sys *System) {
 // be suspected and no frame may miss its destination.
 func TestRecycleUnderDuplication(t *testing.T) {
 	defer xmlcmd.PoisonRecycledForTest()()
-	sys := bootSystem(t, Config{Seed: 11, TreeName: "IV"})
+	sys, rec := bootRecorded(t, Config{Seed: 11, TreeName: "IV"})
 	if err := sys.SetChaos(&bus.ChaosProfile{Dup: 0.5, Jitter: fault.Uniform{Lo: 0, Hi: 3 * time.Millisecond}}); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestRecycleUnderDuplication(t *testing.T) {
 			t.Errorf("%s restarted %d times on a lossless fabric", c, n)
 		}
 	}
-	assertNoPoisonSeen(t, sys)
+	assertNoPoisonSeen(t, sys, rec)
 }
 
 // TestKillWithFramesInFlight: components die at arbitrary phases of the
@@ -75,7 +76,7 @@ func TestRecycleUnderDuplication(t *testing.T) {
 // pool, and the station must come back whole every time.
 func TestKillWithFramesInFlight(t *testing.T) {
 	defer xmlcmd.PoisonRecycledForTest()()
-	sys := bootSystem(t, Config{Seed: 12, TreeName: "IV"})
+	sys, rec := bootRecorded(t, Config{Seed: 12, TreeName: "IV"})
 	dropped := sys.Bus.Stats().DroppedDest
 	for i, c := range []string{"rtu", "str", "fedr", "ses", "pbcom", "rtu", "mbus", "str"} {
 		// An odd offset walks the kill instant across the 1 s ping and
@@ -96,7 +97,7 @@ func TestKillWithFramesInFlight(t *testing.T) {
 	if !sys.Whole() || !sys.Mgr.AllServing(sys.Components()...) {
 		t.Fatal("station not whole after the kill sequence")
 	}
-	assertNoPoisonSeen(t, sys)
+	assertNoPoisonSeen(t, sys, rec)
 }
 
 // TestCustomTreeStaysPrivate: the paper's trees are shared between
