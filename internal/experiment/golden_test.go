@@ -10,9 +10,15 @@ package experiment
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	mercury "github.com/recursive-restart/mercury"
+	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -60,4 +66,40 @@ func TestTable4Golden(t *testing.T) {
 	}
 	goldenCompare(t, "table4.golden",
 		RenderRows(rows, "Table 4 — overall MTTRs (s); rows are tree/oracle, columns failed components"))
+}
+
+// TestTable4TraceGolden pins every Table-4 cell's whole trace, not just its
+// mean rounded to two decimals: for seeds 1 and 2 it records the trace from
+// before Boot and writes one line per trial with the recorder's digest, the
+// kernel's executed-event count and the MTTR to nanoseconds. A refactor of
+// the restart path that moves one event, or changes one byte of a detail,
+// shows here.
+func TestTable4TraceGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	var sb strings.Builder
+	for _, spec := range Table4Rows() {
+		for _, comp := range componentsForTree(spec.Tree) {
+			c := Cell{Tree: spec.Tree, Policy: spec.Policy, FaultyP: spec.FaultyP,
+				Component: comp, Cure: cureForCell(spec.Label, comp)}
+			for _, seed := range []int64{1, 2} {
+				sys, err := mercury.NewSystem(mercury.Config{Seed: seed, TreeName: c.Tree, Policy: c.Policy, FaultyP: c.FaultyP})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := tracetest.Record(sys.Log)
+				if err := sys.Boot(); err != nil {
+					t.Fatal(err)
+				}
+				d, err := sys.MeasureRecovery(c.fault(), 5*time.Minute)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&sb, "%-12s %-8s seed=%d digest=%016x events=%d mttr=%.9f\n",
+					spec.Label, comp, seed, rec.Digest(), sys.Kernel.Executed(), d.Seconds())
+			}
+		}
+	}
+	goldenCompare(t, "table4_trace.golden", sb.String())
 }
