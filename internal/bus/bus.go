@@ -287,14 +287,21 @@ func BrokerHandler(startup time.Duration) func() proc.Handler {
 type brokerHandler struct {
 	startup time.Duration
 	ready   bool
+	ctx     proc.Context
 }
 
 func (h *brokerHandler) Start(ctx proc.Context) {
-	d := time.Duration(float64(h.startup) * ctx.Stretch())
-	ctx.After(d, func() {
-		h.ready = true
-		ctx.Ready()
-	})
+	h.ctx = ctx
+	ctx.Schedule(time.Duration(float64(h.startup)*ctx.Stretch()), (*brokerUp)(h))
+}
+
+// brokerUp ends the broker's startup.
+type brokerUp brokerHandler
+
+func (e *brokerUp) Fire() {
+	h := (*brokerHandler)(e)
+	h.ready = true
+	h.ctx.Ready()
 }
 
 func (h *brokerHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {

@@ -82,19 +82,18 @@ type FD struct {
 	lastReport     map[string]time.Time // the re-report throttle, by the name reported
 }
 
-// targetState is FD's per-component suspicion bookkeeping and, once FD is
-// ready, the target's prebound probe: exactly one probe per target is in
-// flight, so ping and verify are bound once per incarnation and the ping
-// loop schedules the same two funcs forever without allocating. The same
-// holds for the broker verification a suspicion starts: its K attempts
-// (K = SuspectAfter) end K·PingTimeout after the suspicion, and the target
-// cannot be suspected again before a ping period plus K-1 timeouts have
-// passed — later by PingPeriod -
-// PingTimeout. So brokerCheck and brokerRetry are bound the same way, with
-// the one verification's state in brokerProbeAt and brokerAttempt.
+// targetState is FD's per-component suspicion bookkeeping, and its probe's
+// events are the record itself under other types (probePing, probeVerify,
+// brokerCheck, brokerRetry): exactly one probe per target is in flight, so
+// the ping loop schedules the same pointers forever without allocating.
+// The same holds for the broker verification a suspicion starts: its K
+// attempts (K = SuspectAfter) end K·PingTimeout after the suspicion, and
+// the target cannot be suspected again before a ping period plus K-1
+// timeouts have passed — later by PingPeriod - PingTimeout. So the one
+// verification's state lives here too, in brokerProbeAt and brokerAttempt.
 type targetState struct {
-	ping, verify             func()
-	brokerCheck, brokerRetry func()
+	fd     *FD
+	target string
 
 	brokerProbeAt time.Time // when the verification's current broker probe was sent
 	brokerAttempt int       // which attempt that probe is, from 1
@@ -104,6 +103,40 @@ type targetState struct {
 	suspected   bool
 	sentAt      time.Time // when the outstanding probe was sent
 	firstMissAt time.Time // send time of the miss streak's first probe
+}
+
+// A target's events: each converts the record it drives, so arming one
+// allocates nothing and grows nothing.
+type (
+	probePing   targetState // sends the target's ping
+	probeVerify targetState // judges it PingTimeout later
+	brokerCheck targetState // settles a suspicion's broker verification
+	brokerRetry targetState // sends that verification's next attempt
+)
+
+func (e *probePing) Fire()   { st := (*targetState)(e); st.fd.sendPing(st) }
+func (e *probeVerify) Fire() { st := (*targetState)(e); st.fd.verifyPing(st) }
+func (e *brokerCheck) Fire() { st := (*targetState)(e); st.fd.checkBroker(st) }
+
+func (e *brokerRetry) Fire() {
+	st := (*targetState)(e)
+	if st.fd.up && st.suspected {
+		st.fd.verifyBroker(st, st.brokerAttempt+1)
+	}
+}
+
+// fdUp ends FD's startup: it starts the ping loops, staggered so the bus
+// sees a smooth ping stream, then the watch of REC.
+type fdUp FD
+
+func (e *fdUp) Fire() {
+	fd := (*FD)(e)
+	fd.ready()
+	for i := range fd.targetSt {
+		offset := time.Duration(i) * fd.params.PingPeriod / time.Duration(len(fd.targets)+1)
+		fd.ctx.Schedule(offset, (*probePing)(&fd.targetSt[i]))
+	}
+	fd.watch(fd.params.PingPeriod / 2)
 }
 
 // FDHandle exposes the live failure detector's view to the host (tests,
@@ -150,6 +183,9 @@ func NewFD(p FDParams, targets []string, broker string, mgr *proc.Manager) (func
 			targetSt:   make([]targetState, len(h.targets)),
 			lastReport: make(map[string]time.Time),
 		}
+		for i, target := range h.targets {
+			fd.targetSt[i].fd, fd.targetSt[i].target = fd, target
+		}
 		fd.brokerSt = fd.state(broker)
 		h.current = fd
 		return fd
@@ -159,26 +195,7 @@ func NewFD(p FDParams, targets []string, broker string, mgr *proc.Manager) (func
 
 // Start implements proc.Handler.
 func (fd *FD) Start(ctx proc.Context) {
-	fd.start(ctx, fd.params.PingPeriod/2, func() {
-		// Stagger the ping loops so the bus sees a smooth ping stream.
-		for i, target := range fd.targets {
-			st := &fd.targetSt[i]
-			st.ping = func() { fd.sendPing(ctx, target, st) }
-			st.verify = func() { fd.verifyPing(ctx, target, st) }
-			if target != fd.broker {
-				st.brokerCheck = func() { fd.checkBroker(ctx, target, st) }
-				if fd.suspectAfter() > 1 { // the only way to a retry
-					st.brokerRetry = func() {
-						if fd.up && st.suspected {
-							fd.verifyBroker(ctx, st, st.brokerAttempt+1)
-						}
-					}
-				}
-			}
-			offset := time.Duration(i) * fd.params.PingPeriod / time.Duration(len(fd.targets)+1)
-			ctx.After(offset, st.ping)
-		}
-	})
+	fd.start(ctx, (*fdUp)(fd))
 }
 
 // state returns a target's suspicion bookkeeping, nil for a name FD does
@@ -195,26 +212,28 @@ func (fd *FD) state(target string) *targetState {
 // sendPing sends one liveness ping and schedules its verification; the
 // verification schedules the next ping, so exactly one probe per target is
 // in flight.
-func (fd *FD) sendPing(ctx proc.Context, target string, st *targetState) {
+func (fd *FD) sendPing(st *targetState) {
 	if !fd.up {
 		return
 	}
+	ctx := fd.ctx
 	fd.nonce++
 	st.outstanding = fd.nonce
 	st.sentAt = ctx.Now()
 	fd.seq++
 	M.FDPingsSent.Inc()
-	ctx.Send(ctx.Pool().Ping(xmlcmd.AddrFD, target, fd.seq, fd.nonce))
-	ctx.After(fd.params.PingTimeout, st.verify)
+	ctx.Send(ctx.Pool().Ping(xmlcmd.AddrFD, st.target, fd.seq, fd.nonce))
+	ctx.Schedule(fd.params.PingTimeout, (*probeVerify)(st))
 }
 
 // verifyPing runs PingTimeout after sendPing. With one probe in flight,
 // outstanding is either that probe's nonce or 0 (its pong arrived).
-func (fd *FD) verifyPing(ctx proc.Context, target string, st *targetState) {
+func (fd *FD) verifyPing(st *targetState) {
 	if !fd.up {
 		return
 	}
-	if st.outstanding != 0 && !fd.voided(ctx, st.sentAt) {
+	ctx := fd.ctx
+	if st.outstanding != 0 && !fd.voided(st.sentAt) {
 		// No pong: the target is fail-silent, unreachable, or the bus
 		// lost a frame.
 		st.outstanding = 0
@@ -230,13 +249,13 @@ func (fd *FD) verifyPing(ctx proc.Context, target string, st *targetState) {
 			// Inconclusive under the K-miss threshold: re-probe at once
 			// instead of waiting out the full period, so a real failure
 			// costs ~K·PingTimeout, not K periods.
-			ctx.After(0, st.ping)
+			ctx.Schedule(0, (*probePing)(st))
 			return
 		}
 		st.missed = 0
-		fd.suspect(ctx, target)
+		fd.suspect(st)
 	}
-	ctx.After(fd.params.PingPeriod-fd.params.PingTimeout, st.ping)
+	ctx.Schedule(fd.params.PingPeriod-fd.params.PingTimeout, (*probePing)(st))
 }
 
 // voided reports (and counts) that an unanswered probe sent at sentAt proves
@@ -247,9 +266,9 @@ func (fd *FD) verifyPing(ctx proc.Context, target string, st *targetState) {
 // is suspected within PingPeriod + PingTimeout of the bus's return, up to a
 // PingPeriod later than before. Neither happens on the deterministic
 // kernel: timers fire on time and nothing calls BusProven.
-func (fd *FD) voided(ctx proc.Context, sentAt time.Time) bool {
+func (fd *FD) voided(sentAt time.Time) bool {
 	switch {
-	case ctx.Now().Sub(sentAt) > 2*fd.params.PingTimeout:
+	case fd.ctx.Now().Sub(sentAt) > 2*fd.params.PingTimeout:
 		M.FDVoidedLate.Inc()
 	case sentAt.Before(fd.busProvenAt):
 		M.FDVoidedBus.Inc()
@@ -273,8 +292,8 @@ func (fd *FD) suspectAfter() int {
 // probes the broker out of band: if the broker answers, the component is
 // really down; if not, the broker is the diagnosis (paper: "mbus itself is
 // monitored as well").
-func (fd *FD) suspect(ctx proc.Context, target string) {
-	st := fd.state(target)
+func (fd *FD) suspect(st *targetState) {
+	ctx, target := fd.ctx, st.target
 	st.suspected = true
 	M.FDSuspicions.Inc()
 	if !st.firstMissAt.IsZero() {
@@ -290,7 +309,7 @@ func (fd *FD) suspect(ctx proc.Context, target string) {
 		// casualties once it recovers.
 		return
 	}
-	fd.verifyBroker(ctx, st, 1)
+	fd.verifyBroker(st, 1)
 }
 
 // verifyBroker probes the broker out of band before blaming target. Under
@@ -298,32 +317,34 @@ func (fd *FD) suspect(ctx proc.Context, target string) {
 // threshold — otherwise a lossy (but live) bus would get the broker
 // blamed on a single dropped frame, and a false mbus restart is the most
 // expensive mistake the detector can make.
-func (fd *FD) verifyBroker(ctx proc.Context, st *targetState, attempt int) {
+func (fd *FD) verifyBroker(st *targetState, attempt int) {
+	ctx := fd.ctx
 	st.brokerProbeAt, st.brokerAttempt = ctx.Now(), attempt
 	fd.nonce++
 	fd.seq++
 	M.FDPingsSent.Inc()
 	M.FDVerifications.Inc()
 	ctx.Send(ctx.Pool().Ping(xmlcmd.AddrFD, fd.broker, fd.seq, fd.nonce))
-	ctx.After(fd.params.PingTimeout, st.brokerCheck)
+	ctx.Schedule(fd.params.PingTimeout, (*brokerCheck)(st))
 }
 
 // checkBroker runs PingTimeout after verifyBroker's probe and settles the
 // blame: the target's if the broker answered the probe, the broker's once
 // the attempts are used up.
-func (fd *FD) checkBroker(ctx proc.Context, target string, st *targetState) {
+func (fd *FD) checkBroker(st *targetState) {
 	if !fd.up || !st.suspected {
 		return // down, or the target answered a later ping meanwhile
 	}
+	ctx := fd.ctx
 	if fd.lastBrokerPong.After(st.brokerProbeAt) {
-		fd.report(ctx, target, "reported to rec")
+		fd.report(ctx, st.target, "reported to rec")
 		return
 	}
-	if fd.voided(ctx, st.brokerProbeAt) {
+	if fd.voided(st.brokerProbeAt) {
 		return // nor is the broker blamed on such a round; the target's next miss asks again
 	}
 	if st.brokerAttempt < fd.suspectAfter() {
-		ctx.After(0, st.brokerRetry)
+		ctx.Schedule(0, (*brokerRetry)(st))
 		return
 	}
 	if b := fd.brokerSt; b != nil {

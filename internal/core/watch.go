@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"github.com/recursive-restart/mercury/internal/clock"
 	"github.com/recursive-restart/mercury/internal/obs"
 	"github.com/recursive-restart/mercury/internal/proc"
 	"github.com/recursive-restart/mercury/internal/trace"
@@ -20,22 +21,29 @@ const peerFailAfter = 3
 // link (DESIGN.md §16), embedded in each: the incarnation's up gate, its
 // envelope counters, and its watch of the peer. Each pings the other on
 // FD's PingPeriod and PingTimeout, one ping in flight, and restarts it
-// after peerFailAfter misses in a row. The watch's ping and verify funcs
-// are bound once per incarnation, so the loop schedules without
-// allocating, and each checks the gate: a watcher that is down pings,
-// blames and restarts nothing, and its loop ends there.
+// after peerFailAfter misses in a row. The watch's events are the watcher
+// itself under other types (watchPing, watchVerify), so the loop
+// schedules without allocating, and each checks the gate: a watcher that
+// is down pings, blames and restarts nothing, and its loop ends there.
 type watcher struct {
 	self, peer      string
 	mgr             *proc.Manager
 	period, timeout time.Duration
 	m               *watchMetrics
 
-	up, down     bool   // up: past startup and never down since
-	seq, nonce   uint64 // the incarnation's envelope counters
-	awaiting     uint64 // nonce of the peer ping awaiting its pong, 0 = none
-	missed       int
-	ping, verify func()
+	ctx proc.Context // this incarnation's; its timers die with it
+
+	up, down   bool   // up: past startup and never down since
+	seq, nonce uint64 // the incarnation's envelope counters
+	awaiting   uint64 // nonce of the peer ping awaiting its pong, 0 = none
+	missed     int
 }
+
+// The watcher's events, each the watcher under another type.
+type (
+	watchPing   watcher // pings the peer
+	watchVerify watcher // judges that ping a timeout later
+)
 
 // watchMetrics are the counters one watcher moves. FD counts its pings of
 // REC among its own probes; REC counts only the recoveries it starts.
@@ -59,45 +67,52 @@ func newWatcher(self, peer string, mgr *proc.Manager, fd FDParams, m *watchMetri
 	return watcher{self: self, peer: peer, mgr: mgr, period: fd.PingPeriod, timeout: fd.PingTimeout, m: m}
 }
 
-// start readies the incarnation pairStartup from now, runs the owner's
-// loops (bind binds and schedules them; nil for none), then starts the
-// watch, its first ping first from then. An incarnation that went down
-// while starting still finishes starting, so that its peer may restart
-// it, but is never up.
-func (w *watcher) start(ctx proc.Context, first time.Duration, bind func()) {
-	ctx.After(pairStartup, func() {
-		w.up = !w.down
-		ctx.Ready()
-		if bind != nil {
-			bind()
-		}
-		w.ping = func() { w.sendPing(ctx) }
-		w.verify = func() { w.verifyPing(ctx) }
-		ctx.After(first, w.ping)
-	})
+// start has up, the owner's event, fire pairStartup from now: the owner
+// then calls ready, starts its own loops and then the watch. An
+// incarnation that went down while starting still finishes starting, so
+// that its peer may restart it, but is never up.
+func (w *watcher) start(ctx proc.Context, up clock.Event) {
+	w.ctx = ctx
+	ctx.Schedule(pairStartup, up)
 }
+
+// ready ends the incarnation's startup.
+func (w *watcher) ready() {
+	w.up = !w.down
+	w.ctx.Ready()
+}
+
+// watch starts the watch of the peer, its first ping first from now.
+func (w *watcher) watch(first time.Duration) {
+	w.ctx.Schedule(first, (*watchPing)(w))
+}
+
+func (e *watchPing) Fire()   { (*watcher)(e).sendPing() }
+func (e *watchVerify) Fire() { (*watcher)(e).verifyPing() }
 
 // Down implements proc.Downer: the incarnation is dead or hung, for good.
 func (w *watcher) Down(string) { w.up, w.down = false, true }
 
-func (w *watcher) sendPing(ctx proc.Context) {
+func (w *watcher) sendPing() {
 	if !w.up {
 		return
 	}
+	ctx := w.ctx
 	w.nonce++
 	w.awaiting = w.nonce
 	w.seq++
 	count(w.m.sent)
 	ctx.Send(ctx.Pool().Ping(w.self, w.peer, w.seq, w.nonce))
-	ctx.After(w.timeout, w.verify)
+	ctx.Schedule(w.timeout, (*watchVerify)(w))
 }
 
 // verifyPing runs PingTimeout after sendPing: awaiting is still set only
 // if the pong never arrived.
-func (w *watcher) verifyPing(ctx proc.Context) {
+func (w *watcher) verifyPing() {
 	if !w.up {
 		return
 	}
+	ctx := w.ctx
 	if w.awaiting != 0 {
 		w.missed++
 		count(w.m.missed)
@@ -109,7 +124,7 @@ func (w *watcher) verifyPing(ctx proc.Context) {
 			w.restartPeer()
 		}
 	}
-	ctx.After(w.period-w.timeout, w.ping)
+	ctx.Schedule(w.period-w.timeout, (*watchPing)(w))
 }
 
 // restartPeer is the one peer-restart rule: restart it unless a restart

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/clock"
@@ -39,28 +39,19 @@ type Fault struct {
 	StateKey string
 }
 
-// cureSet normalises the cure set.
-func (f Fault) cureSet() map[string]bool {
-	set := make(map[string]bool, len(f.Cure)+1)
-	if len(f.Cure) == 0 {
-		set[f.Manifest] = true
-		return set
-	}
-	for _, c := range f.Cure {
-		set[c] = true
-	}
-	return set
-}
-
 // CureList returns the normalised cure set, sorted.
-func (f Fault) CureList() []string {
-	set := f.cureSet()
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
+func (f Fault) CureList() []string { return f.appendCure(nil) }
+
+// appendCure appends the normalised cure set to dst: Cure sorted and
+// without repeats, or Manifest alone when Cure is empty.
+func (f Fault) appendCure(dst []string) []string {
+	if len(f.Cure) == 0 {
+		return append(dst, f.Manifest)
 	}
-	sort.Strings(out)
-	return out
+	n := len(dst)
+	dst = append(dst, f.Cure...)
+	slices.Sort(dst[n:])
+	return slices.Compact(dst)
 }
 
 // Board tracks active faults and applies the cure semantics. It watches
@@ -77,7 +68,11 @@ type Board struct {
 	seq int
 	// active holds the uncured faults in injection order, the order in
 	// which one restart batch cures them and the oracle consults them.
+	// A cured entry goes to spare for the next Inject to reuse. Nothing
+	// but the board holds an entry, and nothing is scheduled on one, so a
+	// reused entry needs no generation.
 	active []*activeFault
+	spare  []*activeFault
 
 	// counters
 	injected int
@@ -99,11 +94,13 @@ type CureEvent struct {
 	CuredAt    time.Time
 }
 
-// activeFault is one live fault plus its board-side bookkeeping: when it
-// was injected and whether a pre-injection checkpoint has since been
-// restored over its StateKey.
+// activeFault is one live fault plus its board-side bookkeeping: its cure
+// list, its FaultCured detail, when it was injected and whether a
+// pre-injection checkpoint has since been restored over its StateKey.
 type activeFault struct {
 	Fault
+	cure       []string // Fault.CureList, in a backing the entry keeps
+	curedText  string   // "id=<ID>"
 	injectedAt time.Time
 	restored   bool
 }
@@ -125,30 +122,74 @@ func (b *Board) Inject(f Fault) error {
 	if f.Manifest == "" {
 		return fmt.Errorf("fault: fault with no manifest component")
 	}
+	var reason string // the kill's; an assigned ID is its tail
 	if f.ID == "" {
 		b.seq++
-		f.ID = fmt.Sprintf("f%d", b.seq)
+		reason = killReason("", b.seq)
+		f.ID = reason[len("fault "):]
 	}
 	for _, a := range b.active {
 		if a.ID == f.ID {
 			return fmt.Errorf("fault: duplicate fault id %q", f.ID)
 		}
 	}
-	b.active = append(b.active, &activeFault{Fault: f, injectedAt: b.clk.Now()})
+	var a *activeFault
+	if n := len(b.spare); n > 0 {
+		a, b.spare = b.spare[n-1], b.spare[:n-1]
+	} else {
+		a = &activeFault{}
+	}
+	*a = activeFault{Fault: f, cure: f.appendCure(a.cure[:0]), injectedAt: b.clk.Now()}
+	detail := injectedDetail(f, a.cure)
+	a.curedText = detail[:len("id=")+len(f.ID)]
+	b.active = append(b.active, a)
 	b.injected++
-	mode := "crash"
-	if f.Hang {
-		mode = "hang"
-	}
-	if f.StateKey != "" {
-		mode += " state=" + f.StateKey
-	}
-	b.log.Add(b.clk.Now(), trace.FaultInjected, f.Manifest, "",
-		fmt.Sprintf("id=%s mode=%s cure=[%s] hard=%v", f.ID, mode, strings.Join(f.CureList(), " "), f.Hard))
+	b.log.Add(b.clk.Now(), trace.FaultInjected, f.Manifest, "", detail)
 	if f.Hang {
 		return b.mgr.Silence(f.Manifest)
 	}
-	return b.mgr.Kill(f.Manifest, "fault "+f.ID)
+	if reason == "" {
+		reason = killReason(f.ID, 0)
+	}
+	return b.mgr.Kill(f.Manifest, reason)
+}
+
+// killReason is "fault " and the fault's ID: id, or "f<seq>" for an
+// assigned one. It and the two below are the text fmt writes, built in a
+// stack buffer: one allocation each.
+func killReason(id string, seq int) string {
+	var buf [32]byte
+	b := append(buf[:0], "fault "...)
+	if id == "" {
+		b = strconv.AppendInt(append(b, 'f'), int64(seq), 10)
+	}
+	return string(append(b, id...))
+}
+
+// injectedDetail is fmt's "id=%s mode=%s cure=[%s] hard=%v" of the fault,
+// its mode ("crash" or "hang", then " state=<key>" for a state fault) and
+// its cure list joined by spaces.
+func injectedDetail(f Fault, cure []string) string {
+	var buf [128]byte
+	b := append(buf[:0], "id="...)
+	b = append(b, f.ID...)
+	if f.Hang {
+		b = append(b, " mode=hang"...)
+	} else {
+		b = append(b, " mode=crash"...)
+	}
+	if f.StateKey != "" {
+		b = append(append(b, " state="...), f.StateKey...)
+	}
+	b = append(b, " cure=["...)
+	for i, c := range cure {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, c...)
+	}
+	b = strconv.AppendBool(append(b, "] hard="...), f.Hard)
+	return string(b)
 }
 
 // coveredBy reports whether a batch restarting names covers the cure set.
@@ -178,8 +219,9 @@ func (b *Board) onBatch(names []string) {
 			continue
 		}
 		b.active = slices.Delete(b.active, i, i+1)
+		b.spare = append(b.spare, f)
 		b.cured++
-		b.log.Add(b.clk.Now(), trace.FaultCured, f.Manifest, "", "id="+f.ID)
+		b.log.Add(b.clk.Now(), trace.FaultCured, f.Manifest, "", f.curedText)
 		for _, fn := range b.cureSubs {
 			fn(CureEvent{Fault: f.Fault, Batch: slices.Clone(names), InjectedAt: f.injectedAt, CuredAt: b.clk.Now()})
 		}
@@ -198,12 +240,8 @@ func (b *Board) OnCure(fn func(ev CureEvent)) {
 // injection is itself corrupt — restoring it changes nothing, which is the
 // staleness risk the oracle's success-probability estimate learns.
 func (b *Board) NoteRestore(keys []string, takenAt time.Time) {
-	reverted := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		reverted[k] = true
-	}
 	for _, f := range b.active {
-		if f.StateKey != "" && reverted[f.StateKey] && takenAt.Before(f.injectedAt) {
+		if f.StateKey != "" && slices.Contains(keys, f.StateKey) && takenAt.Before(f.injectedAt) {
 			f.restored = true
 		}
 	}
@@ -231,11 +269,13 @@ func (b *Board) Cured() int { return b.cured }
 
 // MinimalCure returns the cure set of the earliest active fault
 // manifesting at the component, if any. The perfect oracle consults this —
-// the experimental device the paper uses in §4.4.
+// the experimental device the paper uses in §4.4. The set is lent: the
+// board reuses it once the fault is cured, so a caller must neither keep
+// nor modify it.
 func (b *Board) MinimalCure(component string) ([]string, bool) {
 	for _, f := range b.active {
 		if f.Manifest == component {
-			return f.CureList(), true
+			return f.cure, true
 		}
 	}
 	return nil, false
@@ -244,7 +284,8 @@ func (b *Board) MinimalCure(component string) ([]string, bool) {
 // Clear drops all active faults without curing them (between experiment
 // trials).
 func (b *Board) Clear() {
-	b.active = nil
+	b.spare = append(b.spare, b.active...)
+	b.active = b.active[:0]
 }
 
 // Injector drives organic failures: for each component with a configured

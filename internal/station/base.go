@@ -13,21 +13,22 @@ import (
 // gating of liveness pings, per-incarnation sequence numbers, startup
 // jitter and health-summary beacons. Everything a component sends is minted
 // from ctx.Pool(), so steady-state traffic allocates nothing under the
-// simulated fabric.
+// simulated fabric, and every loop's event is its component under another
+// type, so arming one allocates nothing either.
 type base struct {
+	ctx proc.Context // this incarnation's, set at Start
+
 	// store is the crash-only state store micro mode externalizes state
 	// into; nil in classic mode.
 	store *store.Store
 	ready bool
 	seq   uint64
 
-	warnings   int
-	ageScore   float64
-	queueDepth int
+	warnings int
+	ageScore float64
 
-	// beacon is the health-beacon loop, bound at readiness; readyAt is
-	// when that was, which the beacon's uptime counts from.
-	beacon  func()
+	// readyAt is when the component became ready, which the beacon's
+	// uptime counts from.
 	readyAt time.Time
 
 	// micro is the microrebootable-container state; nil in classic mode
@@ -70,26 +71,34 @@ func (b *base) handleCommon(ctx proc.Context, m *xmlcmd.Message) bool {
 
 // becomeReady flips the component to ready, starts its health beacon and
 // reports readiness to the process manager.
-func (b *base) becomeReady(ctx proc.Context) {
+func (b *base) becomeReady() {
 	if b.ready {
 		return
 	}
 	b.ready = true
-	// The beacon loop is bound once, as one closure kept here, and
-	// re-arms itself; like every ctx.After callback it dies with the
-	// incarnation.
-	b.readyAt = ctx.Now()
-	b.beacon = func() {
-		ctx.After(healthPeriod, b.beacon)
-		ctx.Send(ctx.Pool().Health(ctx.Name(), xmlcmd.AddrFD, b.nextSeq(), xmlcmd.Health{
-			Incarnation: ctx.Incarnation(),
-			UptimeMs:    ctx.Now().Sub(b.readyAt).Milliseconds(),
-			QueueDepth:  b.queueDepth,
-			AgeScore:    b.ageScore,
-			Warnings:    b.warnings,
-			Suspect:     b.ageScore >= 0.8,
-		}))
-	}
-	ctx.After(healthPeriod, b.beacon)
-	ctx.Ready()
+	b.readyAt = b.ctx.Now()
+	b.ctx.Schedule(healthPeriod, (*beacon)(b))
+	b.ctx.Ready()
+}
+
+// readyEvent makes its component ready (a startup or a settle ends).
+type readyEvent base
+
+func (e *readyEvent) Fire() { (*base)(e).becomeReady() }
+
+// beacon is the health-beacon loop: it re-arms itself and, like every
+// scheduled event, dies with the incarnation.
+type beacon base
+
+func (e *beacon) Fire() {
+	b := (*base)(e)
+	ctx := b.ctx
+	ctx.Schedule(healthPeriod, e)
+	ctx.Send(ctx.Pool().Health(ctx.Name(), xmlcmd.AddrFD, b.nextSeq(), xmlcmd.Health{
+		Incarnation: ctx.Incarnation(),
+		UptimeMs:    ctx.Now().Sub(b.readyAt).Milliseconds(),
+		AgeScore:    b.ageScore,
+		Warnings:    b.warnings,
+		Suspect:     b.ageScore >= 0.8,
+	}))
 }

@@ -32,7 +32,6 @@ type syncCore struct {
 	peerEpoch  int64 // proposal buffered while still initialising
 	inWaitSync bool
 	synced     bool
-	again      func() // the retransmit loop, bound once
 
 	// session is the externalized epoch cell in micro mode; nil classic.
 	session *sessionCell
@@ -45,7 +44,8 @@ type syncCore struct {
 // failure (restart one, crash the other) disappears. The handshake only
 // runs when no epoch survives (both peers dead past the lease TTL), and
 // its agreed epoch is persisted for the next restart.
-func (s *syncCore) enterWaitSync(ctx proc.Context) {
+func (s *syncCore) enterWaitSync() {
+	ctx := s.ctx
 	if s.store != nil && s.session == nil {
 		if cell, ok := acquireSessionCell(ctx, &s.base); ok {
 			s.session = cell
@@ -55,7 +55,7 @@ func (s *syncCore) enterWaitSync(ctx proc.Context) {
 		if epoch, ok := s.session.Load(); ok {
 			s.myEpoch = epoch
 			s.synced = true
-			ctx.After(reattachSettle, func() { s.becomeReady(ctx) })
+			ctx.Schedule(reattachSettle, (*readyEvent)(&s.base))
 			return
 		}
 	}
@@ -68,25 +68,30 @@ func (s *syncCore) enterWaitSync(ctx proc.Context) {
 		return
 	}
 	s.sendSync(ctx)
-	s.retransmitLoop(ctx)
+	ctx.Schedule(syncRetransmit, (*resync)(s))
+}
+
+// waitSync ends base initialisation: enterWaitSync.
+type waitSync syncCore
+
+func (e *waitSync) Fire() { (*syncCore)(e).enterWaitSync() }
+
+// resync re-proposes until synced; the timer dies with the incarnation
+// automatically.
+type resync syncCore
+
+func (e *resync) Fire() {
+	s := (*syncCore)(e)
+	if s.synced {
+		return
+	}
+	s.sendSync(s.ctx)
+	s.ctx.Schedule(syncRetransmit, e)
 }
 
 // sendSync proposes the current epoch to the peer.
 func (s *syncCore) sendSync(ctx proc.Context) {
 	ctx.Send(ctx.Pool().Sync(ctx.Name(), s.peer, s.nextSeq(), s.myEpoch))
-}
-
-// retransmitLoop re-proposes until synced; the timer dies with the
-// incarnation automatically.
-func (s *syncCore) retransmitLoop(ctx proc.Context) {
-	s.again = func() {
-		if s.synced {
-			return
-		}
-		s.sendSync(ctx)
-		ctx.After(syncRetransmit, s.again)
-	}
-	ctx.After(syncRetransmit, s.again)
 }
 
 // agree adopts the winning epoch and schedules readiness after the settle
@@ -98,7 +103,7 @@ func (s *syncCore) agree(ctx proc.Context, epoch int64) {
 	if s.session != nil {
 		_ = s.session.Save(epoch)
 	}
-	ctx.After(SyncSettle, func() { s.becomeReady(ctx) })
+	ctx.Schedule(SyncSettle, (*readyEvent)(&s.base))
 }
 
 // reloadEpoch is the cache subcomponent's reattach hook: re-read the
