@@ -2,12 +2,15 @@ package mercury
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/bus"
 	"github.com/recursive-restart/mercury/internal/core"
 	"github.com/recursive-restart/mercury/internal/fault"
+	"github.com/recursive-restart/mercury/internal/station"
 	"github.com/recursive-restart/mercury/internal/trace"
 	"github.com/recursive-restart/mercury/internal/trace/tracetest"
 )
@@ -93,4 +96,69 @@ func firstDiff(a, b []trace.Event) string {
 		}
 	}
 	return fmt.Sprintf("none of the first %d; %d, then %d cures", min(len(a), len(b)), len(a), len(b))
+}
+
+// everyForm runs tree IVm under policy with REC's restart backoff on and
+// injects, three minutes apart, one fault of each shape a trace line
+// renders: a sub crash, a hang, a state fault with a two-member cure, a
+// hard fault the budget gives up on and a plain two-member cure. Under
+// fixed-ckpt and fixed-micro its trace holds every detail form: both
+// lifecycles, every injection mode, attempts past the first, backoff
+// notes and all three restart verbs. It returns the trace's digest.
+func everyForm(t *testing.T, policy Policy) uint64 {
+	t.Helper()
+	recp := core.DefaultRECParams()
+	recp.RestartBackoff, recp.RestartBackoffMax = 300*time.Millisecond, 2*time.Second
+	sys, err := NewSystem(Config{Seed: 7, TreeName: "IVm", Policy: policy, RECParams: &recp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := tracetest.Record(sys.Log)
+	if err := sys.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunFor(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Fault{
+		{Component: "ses.cache"},
+		{Component: "rtu", Hang: true},
+		{Component: "str.track", StateKey: station.KeyTrackTarget, Cure: []string{"str", "str.track"}},
+		{Component: "fedr", Hard: true},
+		{Component: "ses", Cure: []string{"ses", "str"}},
+	} {
+		if err := sys.Inject(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RunFor(3 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rec.Digest()
+}
+
+// TestTraceDigestGolden pins whole traces against testdata: replay's
+// digest for every tree and seed TestOneSeedOneTrace runs, and
+// everyForm's under the two policies that between them reach every
+// detail form. The golden was written before trace events carried typed
+// fields and is never regenerated: a change to how any line reads, or to
+// when any event happens, shows here.
+func TestTraceDigestGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, tree := range []string{"II", "IV", "V", "IVm"} {
+		for _, seed := range []int64{1, 2, 2002} {
+			d, _, _ := replay(t, tree, seed)
+			fmt.Fprintf(&sb, "replay    tree=%-3s seed=%-4d digest=%016x\n", tree, seed, d)
+		}
+	}
+	for _, p := range []Policy{PolicyFixedCkpt, PolicyFixedMicro} {
+		fmt.Fprintf(&sb, "everyForm policy=%-11s digest=%016x\n", p, everyForm(t, p))
+	}
+	want, err := os.ReadFile("testdata/trace_digests.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Fatalf("trace digests diverged from testdata/trace_digests.golden:\n--- golden\n%s--- got\n%s", want, got)
+	}
 }
