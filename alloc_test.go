@@ -68,9 +68,9 @@ func trialAllocs(tb testing.TB, tree, component string, runs int) (phases [3]flo
 // each phase. Measured per trial (seeds 1–10, no -race), as NewSystem +
 // Boot + MeasureRecovery:
 //
-//	IV/rtu         1 715 before the pools; 301 = 68 + 186 + 47; 197 = 55 + 108 + 34; 191 = 55 + 102 + 34; 129 = 55 + 54 + 20
-//	II/fedrcom     2 915 before the pools; 284 = 62 + 172 + 50; 188 = 51 + 100 + 37; 182 = 51 + 95 + 36; 125 = 51 + 53 + 21
-//	IVm/ses.cache  384 = 106 + 232 + 46; 269 = 83 + 148 + 38; 263 = 83 + 142 + 38; 200 = 83 + 94 + 23 (a microreboot)
+//	IV/rtu         1 715 before the pools; 301 = 68 + 186 + 47; 197 = 55 + 108 + 34; 191 = 55 + 102 + 34; 129 = 55 + 54 + 20; 103 = 51 + 37 + 15
+//	II/fedrcom     2 915 before the pools; 284 = 62 + 172 + 50; 188 = 51 + 100 + 37; 182 = 51 + 95 + 36; 125 = 51 + 53 + 21; 101 = 47 + 38 + 16
+//	IVm/ses.cache  384 = 106 + 232 + 46; 269 = 83 + 148 + 38; 263 = 83 + 142 + 38; 200 = 83 + 94 + 23; 165 = 79 + 72 + 14 (a microreboot)
 //
 // The second figures are before the one-piece message mint, the first
 // capacities inside the kernel and the fabric, the fmt-free trace
@@ -81,16 +81,19 @@ func trialAllocs(tb testing.TB, tree, component string, runs int) (phases [3]flo
 // timers: FD, REC and every station loop arm events embedded in the
 // state they drive instead of binding closures per incarnation, REC
 // reuses its episode records and timer nodes, the fault board its
-// entries, and the recovery path's details skip fmt. Under -race the
-// counts read up to 5 higher.
+// entries, and the recovery path's details skip fmt. The sixth are with
+// trace events that carry their numbers as fields instead of text (every
+// start and ready line of a boot was a string), a sub's self-report loop
+// prebound, and the injector's, the collector's and REC's maps made on
+// first write. Under -race the counts read up to 5 higher.
 func TestTrialAllocBudget(t *testing.T) {
 	cases := []struct {
 		tree, component string
 		ceiling         float64 // allocations per trial
 	}{
-		{"IV", "rtu", 142},
-		{"II", "fedrcom", 138},
-		{"IVm", "ses.cache", 220},
+		{"IV", "rtu", 113},
+		{"II", "fedrcom", 111},
+		{"IVm", "ses.cache", 182},
 	}
 	for _, c := range cases {
 		phases, events := trialAllocs(t, c.tree, c.component, 10)
@@ -147,22 +150,22 @@ func TestHealthyStationAllocsPerEvent(t *testing.T) {
 // TestWarmRestartAllocs prices one warm recovery — a fault, its detection,
 // the oracle's guess, the restart and the cure — plus 10 s of settling, on
 // a station already booted and warmed by three recoveries of the same
-// component. A crash-only restart needs fresh state, and its trace needs
-// the details that carry numbers; nothing else. Every recovery pays four
-// details — FaultInjected, the kill's reason, OracleGuess and
-// RestartRequested — and each restarted process its new handler and its
-// ComponentStarting and ComponentReady details; the ceilings are exact
-// (before prebound timers: 27, 45, 38, 30 and 30).
+// component. A crash-only restart needs fresh state and nothing else: its
+// trace lines carry their numbers as fields. Every recovery pays the
+// kill's reason ("fault f<n>", which OnDown listeners keep), and each
+// restarted process its new handler; the ceilings are exact (before
+// prebound timers: 27, 45, 38, 30 and 30; before typed trace fields: 7,
+// 11, 12, 9 and 9).
 func TestWarmRestartAllocs(t *testing.T) {
 	cases := []struct {
 		tree, component string
 		ceiling         float64 // allocations per warm recovery
 	}{
-		{"IV", "rtu", 7},        // 4 + rtu's 3
-		{"IV", "ses", 11},       // 4 + ses's 3 + str's 3 and its antenna model (the cell is [ses str])
-		{"V", "pbcom", 12},      // 4 + pbcom's 3 and its serial port and transceiver + fedr's 3, reconnecting
-		{"II", "fedrcom", 9},    // 4 + fedrcom's 3 and its serial port and transceiver
-		{"IVm", "ses.cache", 9}, // 4 + a microreboot's two details + the sub's two self-report closures and its event's name
+		{"IV", "rtu", 2},        // the reason + rtu's handler
+		{"IV", "ses", 4},        // the reason + ses's handler + str's and its antenna model (the cell is [ses str])
+		{"V", "pbcom", 5},       // the reason + pbcom's handler and its serial port and transceiver + fedr's, reconnecting
+		{"II", "fedrcom", 4},    // the reason + fedrcom's handler and its serial port and transceiver
+		{"IVm", "ses.cache", 1}, // the reason: a microreboot makes no handler, and the sub's self-report loop is prebound
 	}
 	for _, c := range cases {
 		t.Run(c.tree+"/"+c.component, func(t *testing.T) {

@@ -141,7 +141,8 @@ func serve(view served, d daemon) error {
 			case trace.FaultInjected, trace.FailureDetected, trace.OracleGuess,
 				trace.RestartRequested, trace.ComponentReady, trace.ComponentDown,
 				trace.GiveUp, trace.SystemRecovered:
-				fmt.Println("  ", e)
+				var buf [160]byte
+				os.Stdout.Write(append(e.AppendText(append(buf[:0], "   "...)), '\n'))
 			}
 		})
 	}

@@ -6,12 +6,14 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
 	mercury "github.com/recursive-restart/mercury"
 	"github.com/recursive-restart/mercury/internal/core"
+	"github.com/recursive-restart/mercury/internal/trace"
 )
 
 // mdLink matches inline markdown links and images: [text](target).
@@ -267,6 +269,27 @@ func TestDocsPolicies(t *testing.T) {
 	for _, p := range mercury.AllPolicies {
 		if _, err := core.PolicyByName(string(p), core.PolicyDeps{}); err != nil {
 			t.Errorf("mercury.Policy %q: %v", p, err)
+		}
+	}
+}
+
+// TestDocsTraceEventFields: DESIGN.md §7.3 names every exported field of
+// trace.Event, so a field added for a new kind of line is documented where
+// the trace's contract is.
+func TestDocsTraceEventFields(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "### 7.3 The trace event")
+	if !ok {
+		t.Fatal("DESIGN.md has no §7.3 The trace event")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	typ := reflect.TypeOf(trace.Event{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.IsExported() && !strings.Contains(section, "`"+f.Name+"`") {
+			t.Errorf("trace.Event.%s is not named in DESIGN.md §7.3", f.Name)
 		}
 	}
 }

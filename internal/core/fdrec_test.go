@@ -206,7 +206,7 @@ func TestEscalationCuresJointFault(t *testing.T) {
 	if len(guesses) < 2 {
 		t.Fatalf("expected at least 2 oracle guesses, got %d", len(guesses))
 	}
-	if !strings.Contains(guesses[len(guesses)-1].Detail, "attempt=2") {
+	if guesses[len(guesses)-1].Count != 2 {
 		t.Fatalf("no escalation recorded: %v", guesses)
 	}
 }

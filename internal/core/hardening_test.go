@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -120,7 +119,7 @@ func TestRestartBackoffDampsStorm(t *testing.T) {
 		span[withBackoff] = requests[len(requests)-1].At.Sub(requests[0].At)
 
 		notes := h.rec.Filter(func(e trace.Event) bool {
-			return e.Kind == trace.Note && strings.Contains(e.Detail, "restart backoff")
+			return e.Kind == trace.Note && e.Dur > 0
 		})
 		if withBackoff && len(notes) == 0 {
 			t.Fatal("no backoff delays recorded")

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"time"
+
+	"github.com/recursive-restart/mercury/internal/trace"
 )
 
 // The oracle is the restart policy (paper §3.3): given a failure reported
@@ -44,35 +46,23 @@ type CheckpointModel interface {
 // ErrNilTree guards policy calls.
 var ErrNilTree = errors.New("core: oracle called with nil tree")
 
-// ActionKind discriminates recovery actions.
-type ActionKind uint8
+// ActionKind discriminates recovery actions. It is the trace's action
+// vocabulary, which also names the kinds for metric labels, so an event
+// carries the kind REC chose as it is.
+type ActionKind = trace.Action
 
 // Action kinds, cheapest-first on a typical ladder.
 const (
 	// ActRestart is the classic kill-and-respawn of the node's subtree.
-	ActRestart ActionKind = iota + 1
+	ActRestart = trace.Restart
 	// ActMicroreboot drops only subcomponent logic and reattaches to the
 	// crash-only store — the node's subtree is all subcomponents.
-	ActMicroreboot
+	ActMicroreboot = trace.Microreboot
 	// ActCkptRestore restores the components' externalized state from the
 	// latest checkpoint and then reboots them: it can cure state
 	// corruption that a plain microreboot would faithfully reattach to.
-	ActCkptRestore
+	ActCkptRestore = trace.CkptRestore
 )
-
-// String names the kind for traces and metric labels.
-func (k ActionKind) String() string {
-	switch k {
-	case ActRestart:
-		return "restart"
-	case ActMicroreboot:
-		return "microreboot"
-	case ActCkptRestore:
-		return "ckpt-restore"
-	default:
-		return "unknown"
-	}
-}
 
 // Action is one recovery action: which node's subtree to recover and how.
 type Action struct {

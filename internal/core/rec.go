@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/clock"
@@ -181,15 +179,14 @@ func NewREC(p RECParams, fd FDParams, tree *Tree, policy *Policy, mgr *proc.Mana
 	})
 	factory := func() proc.Handler {
 		h.current = &REC{
-			watcher:   newWatcher(xmlcmd.AddrREC, xmlcmd.AddrFD, mgr, fd, &recWatch),
-			params:    p,
-			persist:   fd.PersistWindow(),
-			grace:     fd.ReadyGrace(),
-			tree:      tree,
-			policy:    policy,
-			episodes:  make(map[string]*episode),
-			history:   make(map[string][]time.Time),
-			abandoned: make(map[string]bool),
+			watcher:  newWatcher(xmlcmd.AddrREC, xmlcmd.AddrFD, mgr, fd, &recWatch),
+			params:   p,
+			persist:  fd.PersistWindow(),
+			grace:    fd.ReadyGrace(),
+			tree:     tree,
+			policy:   policy,
+			episodes: make(map[string]*episode),
+			history:  make(map[string][]time.Time),
 		}
 		return h.current
 	}
@@ -345,10 +342,13 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 	kept := slices.DeleteFunc(r.history[component], func(at time.Time) bool { return !at.After(cutoff) })
 	r.history[component] = kept
 	if len(kept) >= r.params.MaxRestarts {
+		if r.abandoned == nil {
+			r.abandoned = make(map[string]bool)
+		}
 		r.abandoned[component] = true
 		M.RECGiveUps.Inc()
-		ctx.Log().Add(now, trace.GiveUp, component, "",
-			fmt.Sprintf("restart budget exhausted (%d in %v)", len(kept), r.params.BudgetWindow))
+		ctx.Log().Append(trace.Event{At: now, Kind: trace.GiveUp, Component: component,
+			Count: int32(len(kept)), Dur: r.params.BudgetWindow})
 		return
 	}
 
@@ -374,14 +374,15 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 	}
 	node := act.Node
 	ep.act = act
-	ctx.Log().Add(now, trace.OracleGuess, component, node.Label(),
-		oracleGuessDetail(r.policy.Name(), ep.attempt, act.Kind))
+	ctx.Log().Append(trace.Event{At: now, Kind: trace.OracleGuess, Component: component, Node: node.Label(),
+		Detail: r.policy.Name(), Count: int32(ep.attempt), Action: act.Kind})
 
 	delay := r.params.DecisionDelay
 	if bo := r.restartBackoff(len(kept)); bo > 0 {
 		delay += bo
 		M.RECBackoffWaits.Inc()
-		ctx.Log().Add(now, trace.Note, component, node.Label(), backoffDetail(bo, len(kept)))
+		ctx.Log().Append(trace.Event{At: now, Kind: trace.Note, Component: component, Node: node.Label(),
+			Dur: bo, Count: int32(len(kept))})
 	}
 	r.history[component] = append(r.history[component], now)
 	ep.charged = append(ep.charged, now)
@@ -395,41 +396,41 @@ func (r *REC) onFailureReport(ctx proc.Context, component string) {
 // whole set is subcomponents, the cheapest rung — no process is torn
 // down).
 func (r *REC) execute(component string, ep *episode) {
-	act := ep.act
-	set := act.Node.subtree()
-	if act.Kind == ActCkptRestore {
+	kind := ep.act.Kind
+	if kind == ActCkptRestore {
 		// The rung only exists at an all-sub cell, so its fallback is
 		// that cell's microreboot.
-		act.Kind = ActMicroreboot
+		kind = ActMicroreboot
 		if r.params.CkptRestore != nil {
-			lat, err := r.params.CkptRestore(set)
+			lat, err := r.params.CkptRestore(ep.act.Node.subtree())
 			if err == nil {
 				M.RECCkptRestores.Inc()
-				r.push(component, ep, lat, ckptDetail(lat, set))
+				r.push(component, ep, ActCkptRestore, lat)
 				return
 			}
-			r.ctx.Log().Add(r.ctx.Now(), trace.Note, component, act.Node.Label(),
+			r.ctx.Log().Add(r.ctx.Now(), trace.Note, component, ep.act.Node.Label(),
 				"ckpt-restore unavailable, falling back to restart: "+err.Error())
 		}
 	}
-	verb := "restarting ["
-	if act.Kind == ActMicroreboot {
+	if kind == ActMicroreboot {
 		M.RECMicroreboots.Inc()
-		verb = "microrebooting ["
 	}
-	r.push(component, ep, 0, restartDetail(verb, set))
+	r.push(component, ep, kind, 0)
 }
 
 // push is the one place a restart button gets pressed: it moves the
 // attempt to restarting, counts the action, logs its RestartRequested
-// line and — after wait, the checkpoint-restore latency — presses it.
-func (r *REC) push(component string, ep *episode, wait time.Duration, detail string) {
-	label := ep.act.Node.Label()
+// line, which carries out kind, and — after wait, the checkpoint-restore
+// latency — presses it.
+func (r *REC) push(component string, ep *episode, kind ActionKind, wait time.Duration) {
+	node := ep.act.Node
+	label := node.Label()
 	ep.waiting = 0 // an earlier attempt's; the press fills it
 	r.move(component, ep, restarting)
 	M.RECRestarts.Inc()
 	M.RECRestartsByNode.With(label).Inc()
-	r.ctx.Log().Add(r.ctx.Now(), trace.RestartRequested, component, label, detail)
+	r.ctx.Log().Append(trace.Event{At: r.ctx.Now(), Kind: trace.RestartRequested, Component: component, Node: label,
+		Action: kind, Dur: wait, Set: node.set()})
 	if wait > 0 {
 		r.after(wait, component, ep, pressTimer)
 		return
@@ -525,55 +526,4 @@ func (r *REC) refund(comp string, ep *episode) {
 		return slices.ContainsFunc(ep.charged, at.Equal)
 	})
 	ep.charged = ep.charged[:0]
-}
-
-// The details below are the text fmt writes for their formats (pinned by
-// the ...MatchesFmt tests), built in a stack buffer: one allocation each.
-
-// oracleGuessDetail is fmt's "policy=%s attempt=%d action=%s".
-func oracleGuessDetail(policy string, attempt int, kind ActionKind) string {
-	var buf [64]byte
-	b := append(buf[:0], "policy="...)
-	b = append(b, policy...)
-	b = append(b, " attempt="...)
-	b = strconv.AppendInt(b, int64(attempt), 10)
-	b = append(b, " action="...)
-	return string(append(b, kind.String()...))
-}
-
-// backoffDetail is fmt's "restart backoff %v (%d recent restarts)".
-func backoffDetail(bo time.Duration, recent int) string {
-	var buf [64]byte
-	b := append(buf[:0], "restart backoff "...)
-	b = append(b, bo.String()...)
-	b = append(b, " ("...)
-	b = strconv.AppendInt(b, int64(recent), 10)
-	return string(append(b, " recent restarts)"...))
-}
-
-// restartDetail is verb, then set joined by spaces and a closing bracket.
-func restartDetail(verb string, set []string) string {
-	var buf [96]byte
-	return string(appendSet(append(buf[:0], verb...), set))
-}
-
-// ckptDetail is fmt's "ckpt-restore (%v) then reboot [%s]" of lat and the
-// joined set.
-func ckptDetail(lat time.Duration, set []string) string {
-	var buf [96]byte
-	b := append(buf[:0], "ckpt-restore ("...)
-	b = append(b, lat.String()...)
-	b = append(b, ") then reboot ["...)
-	return string(appendSet(b, set))
-}
-
-// appendSet appends set's names separated by spaces, then "]".
-func appendSet(b []byte, set []string) []byte {
-	for i, c := range set {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, c...)
-	}
-	return append(b, ']')
 }

@@ -56,6 +56,15 @@ func (n *Node) Label() string {
 
 func bracketLabel(members []string) string { return "[" + strings.Join(members, " ") + "]" }
 
+// set is the subtree's components joined by spaces: the indexed label,
+// unbracketed, which a trace line may keep.
+func (n *Node) set() string {
+	if n.members == nil {
+		return strings.Join(n.collect(), " ")
+	}
+	return n.label[1 : len(n.label)-1]
+}
+
 // Parent returns the node's parent, or nil at the root.
 func (n *Node) Parent() *Node { return n.parent }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/clock"
@@ -95,12 +96,11 @@ type CureEvent struct {
 }
 
 // activeFault is one live fault plus its board-side bookkeeping: its cure
-// list, its FaultCured detail, when it was injected and whether a
-// pre-injection checkpoint has since been restored over its StateKey.
+// list, when it was injected and whether a pre-injection checkpoint has
+// since been restored over its StateKey.
 type activeFault struct {
 	Fault
 	cure       []string // Fault.CureList, in a backing the entry keeps
-	curedText  string   // "id=<ID>"
 	injectedAt time.Time
 	restored   bool
 }
@@ -140,11 +140,16 @@ func (b *Board) Inject(f Fault) error {
 		a = &activeFault{}
 	}
 	*a = activeFault{Fault: f, cure: f.appendCure(a.cure[:0]), injectedAt: b.clk.Now()}
-	detail := injectedDetail(f, a.cure)
-	a.curedText = detail[:len("id=")+len(f.ID)]
 	b.active = append(b.active, a)
 	b.injected++
-	b.log.Add(b.clk.Now(), trace.FaultInjected, f.Manifest, "", detail)
+	// The line's cure set is its own string, never a.cure's backing,
+	// which the entry's next fault reuses.
+	set := a.cure[0]
+	if len(a.cure) > 1 {
+		set = strings.Join(a.cure, " ")
+	}
+	b.log.Append(trace.Event{At: a.injectedAt, Kind: trace.FaultInjected, Component: f.Manifest,
+		Fault: f.ID, Hang: f.Hang, Hard: f.Hard, Detail: f.StateKey, Set: set})
 	if f.Hang {
 		return b.mgr.Silence(f.Manifest)
 	}
@@ -155,8 +160,7 @@ func (b *Board) Inject(f Fault) error {
 }
 
 // killReason is "fault " and the fault's ID: id, or "f<seq>" for an
-// assigned one. It and the two below are the text fmt writes, built in a
-// stack buffer: one allocation each.
+// assigned one, built in a stack buffer: one allocation.
 func killReason(id string, seq int) string {
 	var buf [32]byte
 	b := append(buf[:0], "fault "...)
@@ -164,32 +168,6 @@ func killReason(id string, seq int) string {
 		b = strconv.AppendInt(append(b, 'f'), int64(seq), 10)
 	}
 	return string(append(b, id...))
-}
-
-// injectedDetail is fmt's "id=%s mode=%s cure=[%s] hard=%v" of the fault,
-// its mode ("crash" or "hang", then " state=<key>" for a state fault) and
-// its cure list joined by spaces.
-func injectedDetail(f Fault, cure []string) string {
-	var buf [128]byte
-	b := append(buf[:0], "id="...)
-	b = append(b, f.ID...)
-	if f.Hang {
-		b = append(b, " mode=hang"...)
-	} else {
-		b = append(b, " mode=crash"...)
-	}
-	if f.StateKey != "" {
-		b = append(append(b, " state="...), f.StateKey...)
-	}
-	b = append(b, " cure=["...)
-	for i, c := range cure {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, c...)
-	}
-	b = strconv.AppendBool(append(b, "] hard="...), f.Hard)
-	return string(b)
 }
 
 // coveredBy reports whether a batch restarting names covers the cure set.
@@ -221,7 +199,7 @@ func (b *Board) onBatch(names []string) {
 		b.active = slices.Delete(b.active, i, i+1)
 		b.spare = append(b.spare, f)
 		b.cured++
-		b.log.Add(b.clk.Now(), trace.FaultCured, f.Manifest, "", f.curedText)
+		b.log.Append(trace.Event{At: b.clk.Now(), Kind: trace.FaultCured, Component: f.Manifest, Fault: f.ID})
 		for _, fn := range b.cureSubs {
 			fn(CureEvent{Fault: f.Fault, Batch: slices.Clone(names), InjectedAt: f.injectedAt, CuredAt: b.clk.Now()})
 		}
@@ -308,19 +286,16 @@ type Injector struct {
 
 // NewInjector builds an injector over the board. Call Enable to arm it.
 func NewInjector(clk clock.Clock, mgr *proc.Manager, board *Board) *Injector {
-	inj := &Injector{
-		clk:   clk,
-		mgr:   mgr,
-		board: board,
-		laws:  make(map[string]Law),
-		ttf:   make(map[string][]time.Duration),
-	}
+	inj := &Injector{clk: clk, mgr: mgr, board: board} // its maps are made on first write
 	mgr.OnReady(inj.onReady)
 	return inj
 }
 
 // SetLaw configures the failure law for a component.
 func (inj *Injector) SetLaw(component string, law Law) {
+	if inj.laws == nil {
+		inj.laws = make(map[string]Law)
+	}
 	inj.laws[component] = law
 }
 
@@ -368,6 +343,9 @@ func (e *organicFault) Fire() {
 	g, err := inj.mgr.Incarnation(e.name)
 	if err != nil || g != e.gen || !inj.mgr.Serving(e.name) {
 		return
+	}
+	if inj.ttf == nil {
+		inj.ttf = make(map[string][]time.Duration)
 	}
 	inj.ttf[e.name] = append(inj.ttf[e.name], e.ttf)
 	var cure []string

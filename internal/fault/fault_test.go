@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -175,14 +176,14 @@ func TestBoardCuresInInjectionOrder(t *testing.T) {
 		}
 		var logged []string
 		for _, e := range r.rec.Filter(func(e trace.Event) bool { return e.Kind == trace.FaultCured }) {
-			logged = append(logged, e.Detail)
+			logged = append(logged, e.Fault)
 		}
 		want := []string{"f1", "f2", "f3"}
 		if !reflect.DeepEqual(announced, want) {
 			t.Fatalf("run %d: OnCure order %v, want %v", run, announced, want)
 		}
-		if !reflect.DeepEqual(logged, []string{"id=f1", "id=f2", "id=f3"}) {
-			t.Fatalf("run %d: FaultCured order %v, want id=f1 id=f2 id=f3", run, logged)
+		if !reflect.DeepEqual(logged, want) {
+			t.Fatalf("run %d: FaultCured order %v, want %v", run, logged, want)
 		}
 	}
 }
@@ -434,3 +435,47 @@ func TestWeibullLawMeanAndAging(t *testing.T) {
 		t.Fatal("degenerate weibull negative")
 	}
 }
+
+// TestInjectedLineKeepsItsCure: a cured fault's entry goes to the next
+// injection, cure list and all, and the first fault's FaultInjected line
+// still reads its own cure set afterwards.
+func TestInjectedLineKeepsItsCure(t *testing.T) {
+	r := newRig(t, "a", "b", "c")
+	if err := r.board.Inject(Fault{ID: "f1", Manifest: "a", Cure: []string{"b", "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.mgr.Restart([]string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.board.Inject(Fault{ID: "f2", Manifest: "c", Cure: []string{"c"}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.board.spare) != 0 {
+		t.Fatal("f2 did not reuse f1's entry")
+	}
+	var lines []string
+	for _, e := range r.rec.Filter(func(e trace.Event) bool { return e.Kind == trace.FaultInjected }) {
+		lines = append(lines, string(e.AppendDetail(nil)))
+	}
+	want := []string{"id=f1 mode=crash cure=[a b] hard=false", "id=f2 mode=crash cure=[c] hard=false"}
+	if !reflect.DeepEqual(lines, want) {
+		t.Fatalf("FaultInjected details %q, want %q", lines, want)
+	}
+}
+
+func TestKillReasonMatchesFmt(t *testing.T) {
+	for _, seq := range []int{1, 9, 10, 12345, 1 << 40} {
+		if got, want := killReason("", seq), "fault "+fmt.Sprintf("f%d", seq); got != want {
+			t.Errorf("kill reason %q, fmt wrote %q", got, want)
+		}
+	}
+	if got, want := killReason("burst-3", 0), "fault burst-3"; got != want {
+		t.Errorf("kill reason %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(20, func() { reasonSink = killReason("", 42) }); n != 1 {
+		t.Errorf("a kill reason costs %.0f allocations, want 1 (the string)", n)
+	}
+}
+
+// reasonSink keeps a measured reason alive, as a listener might.
+var reasonSink string

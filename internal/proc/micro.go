@@ -96,7 +96,7 @@ func (m *Manager) Microreboot(name string) error {
 	d := h.SubMicroreboot(s.short)
 	s.restarts++
 	M.Microreboots.Inc()
-	s.move(evBegin, trace.ComponentStarting, lifecycleDetail("microreboot=", s.restarts, " reinit=", d.Seconds(), 2, "s"))
+	s.move(evBegin, trace.Event{Kind: trace.ComponentStarting, Action: trace.Microreboot, Count: int32(s.restarts), Dur: d})
 	// A kill, a process restart or a newer microreboot ends this
 	// incarnation of the sub, and with it the reattach.
 	s.schedule(s.gen, d, (*reattachEvent)(s))
@@ -110,7 +110,7 @@ type reattachEvent Process
 
 func (e *reattachEvent) Fire() {
 	s := (*Process)(e)
-	s.move(evReady, trace.ComponentReady, lifecycleDetail("microreboot=", s.restarts, " reattached", 0, -1, ""))
+	s.move(evReady, trace.Event{Kind: trace.ComponentReady, Action: trace.Microreboot, Count: int32(s.restarts)})
 }
 
 // subKill crashes a subcomponent's logic inside a live container. With the
@@ -126,6 +126,6 @@ func (s *Process) subKill(reason string) error {
 		return fmt.Errorf("proc: %s does not host microrebootable subcomponents", p.name)
 	}
 	h.SubFail(s.short)
-	s.move(evDown, trace.ComponentDown, reason)
+	s.move(evDown, trace.Event{Kind: trace.ComponentDown, Detail: reason})
 	return nil
 }

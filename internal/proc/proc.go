@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strconv"
 	"time"
 
 	"github.com/recursive-restart/mercury/internal/clock"
@@ -447,7 +446,7 @@ func (m *Manager) Restart(names []string) error {
 		}
 	}
 	for _, name := range procs {
-		m.procs[name].move(evDown, trace.ComponentKilled, ReasonRestart)
+		m.procs[name].move(evDown, trace.Event{Kind: trace.ComponentKilled, Detail: ReasonRestart})
 	}
 	if len(procs) > 0 {
 		if err := m.StartBatch(procs); err != nil {
@@ -475,7 +474,7 @@ func (m *Manager) Kill(name, reason string) error {
 	if p.parent != nil {
 		return p.subKill(reason)
 	}
-	p.move(evDown, trace.ComponentDown, reason)
+	p.move(evDown, trace.Event{Kind: trace.ComponentDown, Detail: reason})
 	return nil
 }
 
@@ -492,7 +491,7 @@ func (m *Manager) Silence(name string) error {
 	if p.parent != nil {
 		return p.subKill(detail)
 	}
-	p.move(evSilence, trace.ComponentDown, detail)
+	p.move(evSilence, trace.Event{Kind: trace.ComponentDown, Detail: detail})
 	return nil
 }
 
@@ -596,25 +595,10 @@ func (p *Process) start(stretch float64) {
 	}
 	M.Starts.Inc()
 	p.stretch = stretch
-	p.move(evBegin, trace.ComponentStarting, lifecycleDetail("incarnation=", p.gen+1, " stretch=", stretch, 3, ""))
+	p.move(evBegin, trace.Event{Kind: trace.ComponentStarting, Count: int32(p.gen + 1), Stretch: stretch})
 	p.handler = p.factory()
 	p.ctx = p.mgr.newCtx(p)
 	p.handler.Start(p.ctx)
-}
-
-// lifecycleDetail renders a lifecycle trace line's detail,
-// "<counter><n><key><v><unit>" with v to prec decimals, or without v when
-// prec is negative — the text fmt's "%d" and "%.<prec>f" write, without
-// fmt's allocations.
-func lifecycleDetail(counter string, n int, key string, v float64, prec int, unit string) string {
-	var buf [48]byte
-	b := append(buf[:0], counter...)
-	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, key...)
-	if prec >= 0 {
-		b = strconv.AppendFloat(b, v, 'f', prec, 64)
-	}
-	return string(append(b, unit...))
 }
 
 // event is one row of the lifecycle table; see move.
@@ -636,12 +620,13 @@ const (
 //	evSilence  live, not silenced   → silenced
 //
 // Any other move is a no-op and reports false. An applied move writes its
-// trace line (kind 0 writes none: a sub carried along by its process),
-// tells the OnReady or OnDown listeners — a silencing's reason is
-// ReasonSilenced, a death's is detail — and then a Downer handler. A
-// process's subcomponents follow it through begin, ready and down, after
-// it; a sub killed while its process starts stays Dead at the ready mark.
-func (p *Process) move(ev event, kind trace.Kind, detail string) bool {
+// trace line, stamped with the instant and p's name (kind 0 writes none: a
+// sub carried along by its process), tells the OnReady or OnDown listeners
+// — a silencing's reason is ReasonSilenced, a death's is the line's Detail
+// — and then a Downer handler. A process's subcomponents follow it through
+// begin, ready and down, after it; a sub killed while its process starts
+// stays Dead at the ready mark.
+func (p *Process) move(ev event, line trace.Event) bool {
 	now := p.mgr.clk.Now()
 	h := p.handler
 	switch ev {
@@ -670,8 +655,9 @@ func (p *Process) move(ev event, kind trace.Kind, detail string) bool {
 		}
 		p.silenced = true
 	}
-	if kind != 0 {
-		p.mgr.log.Add(now, kind, p.name, "", detail)
+	if line.Kind != 0 {
+		line.At, line.Component = now, p.name
+		p.mgr.log.Append(line)
 	}
 	switch ev {
 	case evReady:
@@ -679,7 +665,7 @@ func (p *Process) move(ev event, kind trace.Kind, detail string) bool {
 			fn(p.name)
 		}
 	case evDown, evSilence:
-		reason := detail
+		reason := line.Detail
 		if ev == evSilence {
 			reason = ReasonSilenced
 		}
@@ -694,7 +680,7 @@ func (p *Process) move(ev event, kind trace.Kind, detail string) bool {
 		}
 	}
 	for _, s := range p.subs {
-		s.move(ev, 0, detail)
+		s.move(ev, trace.Event{Detail: line.Detail})
 	}
 	return true
 }
@@ -797,13 +783,13 @@ func (c *procCtx) Ready() {
 	p := c.p
 	p.everStarted = true
 	startup := p.mgr.clk.Now().Sub(p.startedAt)
-	if p.move(evReady, trace.ComponentReady, lifecycleDetail("incarnation=", p.gen, " startup=", startup.Seconds(), 2, "s")) {
+	if p.move(evReady, trace.Event{Kind: trace.ComponentReady, Count: int32(p.gen), Dur: startup}) {
 		M.Startup.Observe(startup)
 	}
 }
 
 func (c *procCtx) Fail(reason string) {
 	if c.valid() {
-		c.p.move(evDown, trace.ComponentDown, reason)
+		c.p.move(evDown, trace.Event{Kind: trace.ComponentDown, Detail: reason})
 	}
 }

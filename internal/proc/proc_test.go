@@ -673,27 +673,3 @@ func TestSubcomponentLifecycle(t *testing.T) {
 		})
 	}
 }
-
-// TestIncarnationDetailMatchesFmt: the lifecycle trace details are the
-// bytes fmt wrote before — the goldens and rt's hold test parse them.
-func TestIncarnationDetailMatchesFmt(t *testing.T) {
-	for _, gen := range []int{1, 2, 17, 1 << 40} {
-		for _, v := range []float64{0, 1, 1.048, 1.0005, 1.0015, 2.675, 5.125, 123.456789, 1e9} {
-			if got, want := lifecycleDetail("incarnation=", gen, " stretch=", v, 3, ""), fmt.Sprintf("incarnation=%d stretch=%.3f", gen, v); got != want {
-				t.Errorf("start detail %q, fmt wrote %q", got, want)
-			}
-			if got, want := lifecycleDetail("incarnation=", gen, " startup=", v, 2, "s"), fmt.Sprintf("incarnation=%d startup=%.2fs", gen, v); got != want {
-				t.Errorf("ready detail %q, fmt wrote %q", got, want)
-			}
-			if got, want := lifecycleDetail("microreboot=", gen, " reinit=", v, 2, "s"), fmt.Sprintf("microreboot=%d reinit=%.2fs", gen, v); got != want {
-				t.Errorf("microreboot detail %q, fmt wrote %q", got, want)
-			}
-		}
-		if got, want := lifecycleDetail("microreboot=", gen, " reattached", 0, -1, ""), fmt.Sprintf("microreboot=%d reattached", gen); got != want {
-			t.Errorf("reattach detail %q, fmt wrote %q", got, want)
-		}
-	}
-	if n := testing.AllocsPerRun(20, func() { _ = lifecycleDetail("incarnation=", 3, " stretch=", 1.048, 3, "") }); n != 1 {
-		t.Errorf("a detail costs %.0f allocations, want 1 (the string)", n)
-	}
-}

@@ -195,13 +195,11 @@ func TestHoldAcrossRestart(t *testing.T) {
 	for _, e := range rec.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.ComponentReady && e.Component == station.RTU
 	}) {
-		var inc int
-		var s float64
-		if _, err := fmt.Sscanf(e.Detail, "incarnation=%d startup=%fs", &inc, &s); err != nil {
-			t.Fatalf("ready detail %q: %v", e.Detail, err)
+		if e.Count == 0 {
+			t.Fatalf("ready line %v carries no incarnation", e)
 		}
-		if inc == 2 && s > limit {
-			t.Errorf("rtu incarnation %d took %.2f station-s to start, limit %.2f", inc, s, limit)
+		if s := e.Dur.Seconds(); e.Count == 2 && s > limit {
+			t.Errorf("rtu incarnation %d took %.2f station-s to start, limit %.2f", e.Count, s, limit)
 		}
 	}
 }

@@ -187,7 +187,7 @@ func TestLiveRecoveryFromKill(t *testing.T) {
 	recovered := rec.Filter(func(e trace.Event) bool {
 		return e.Kind == trace.ComponentReady && e.Component == station.RTU
 	})
-	if len(recovered) == 0 || !strings.HasPrefix(recovered[0].Detail, "incarnation=2 ") {
+	if len(recovered) == 0 || recovered[0].Count != 2 {
 		t.Fatalf("rtu ready events after the kill = %v, want incarnation 2 first", recovered)
 	}
 }

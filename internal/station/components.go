@@ -462,13 +462,9 @@ type Collector struct {
 }
 
 // NewCollector returns a factory producing a shared collector instance;
-// call it once and keep the pointer to query state.
-func NewCollector() *Collector {
-	return &Collector{
-		latest: make(map[string]float64),
-		counts: make(map[string]int),
-	}
-}
+// call it once and keep the pointer to query state. Its maps are made on
+// the first sample.
+func NewCollector() *Collector { return &Collector{} }
 
 // Handler adapts the collector to proc.Handler.
 func (c *Collector) Handler() func() proc.Handler {
@@ -493,6 +489,9 @@ func (h collectorHandler) Start(ctx proc.Context) { ctx.After(0, ctx.Ready) }
 func (h collectorHandler) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	switch m.Kind() {
 	case xmlcmd.KindTelemetry:
+		if h.c.latest == nil {
+			h.c.latest, h.c.counts = make(map[string]float64), make(map[string]int)
+		}
 		h.c.latest[m.Telemetry.Key] = m.Telemetry.Value
 		h.c.counts[m.Telemetry.Key]++
 	case xmlcmd.KindPing:

@@ -83,14 +83,43 @@ func RegisterSubs(mgr *proc.Manager) error {
 }
 
 // microState is the per-incarnation container bookkeeping base carries in
-// micro mode: which subcomponents are currently broken, and how to
-// reattach each one to its store state.
+// micro mode: the subcomponents, and the leases to renew.
 type microState struct {
-	ctx      proc.Context
-	broken   map[string]bool
-	reattach map[string]func()
-	leases   []*store.Lease
-	renewing bool // the renewal loop runs, from the first lease on
+	ctx    proc.Context
+	subs   []microSub
+	leases []*store.Lease // renewed from the first one on
+}
+
+// microSub is one subcomponent inside the container: whether its logic is
+// broken, how to reattach it to its store state, and, as an event, its
+// self-report loop.
+type microSub struct {
+	b           *base
+	short, name string // name is the dotted one FD and the tree know
+	broken      bool
+	reattach    func()
+}
+
+// subNames holds each fat component's subcomponents as a container names
+// them, short and dotted: built once, so an incarnation allocates no name.
+var subNames = func() map[string][]microSub {
+	out := make(map[string][]microSub)
+	for parent, shorts := range MicroSubs() {
+		for _, short := range shorts {
+			out[parent] = append(out[parent], microSub{short: short, name: proc.SubName(parent, short)})
+		}
+	}
+	return out
+}()
+
+// sub returns the subcomponent with the short name, or nil.
+func (m *microState) sub(short string) *microSub {
+	for i := range m.subs {
+		if m.subs[i].short == short {
+			return &m.subs[i]
+		}
+	}
+	return nil
 }
 
 // renewal is the lease-renewal loop.
@@ -112,18 +141,18 @@ func (b *base) microArm(ctx proc.Context) bool {
 	if b.store == nil {
 		return false
 	}
-	b.micro = &microState{
-		ctx:      ctx,
-		broken:   make(map[string]bool),
-		reattach: make(map[string]func()),
+	subs := append([]microSub(nil), subNames[ctx.Name()]...)
+	for i := range subs {
+		subs[i].b = b
 	}
+	b.micro = &microState{ctx: ctx, subs: subs}
 	return true
 }
 
 // microHook registers sub's reattach logic, run on every microreboot.
 func (b *base) microHook(sub string, fn func()) {
 	if b.micro != nil {
-		b.micro.reattach[sub] = fn
+		b.micro.sub(sub).reattach = fn
 	}
 }
 
@@ -133,18 +162,14 @@ func (b *base) microHook(sub string, fn func()) {
 // expire when nobody is left alive to claim it.
 func (b *base) microLease(ctx proc.Context, l *store.Lease) {
 	m := b.micro
-	m.leases = append(m.leases, l)
-	if !m.renewing {
-		m.renewing = true
+	if m.leases = append(m.leases, l); len(m.leases) == 1 {
 		ctx.Schedule(sessionTTL/3, (*renewal)(m))
 	}
 }
 
 // subOK reports whether a subcomponent's logic is functional. Classic-mode
 // components have no subs and are always whole.
-func (b *base) subOK(sub string) bool {
-	return b.micro == nil || !b.micro.broken[sub]
-}
+func (b *base) subOK(sub string) bool { return b.micro == nil || !b.micro.sub(sub).broken }
 
 // SubFail implements proc.Microrebootable: the named subcomponent's logic
 // crashed. The container shell keeps serving (pings, beacons, unrelated
@@ -154,20 +179,20 @@ func (b *base) SubFail(sub string) {
 	if b.micro == nil {
 		return
 	}
-	b.micro.broken[sub] = true
-	b.scheduleSubReport(sub, subFaultDetect)
+	s := b.micro.sub(sub)
+	s.broken = true
+	b.micro.ctx.Schedule(subFaultDetect, s)
 }
 
-func (b *base) scheduleSubReport(sub string, after time.Duration) {
-	ctx := b.micro.ctx
-	ctx.After(after, func() {
-		if b.micro == nil || !b.micro.broken[sub] {
-			return
-		}
-		ctx.Send(ctx.Pool().Event(ctx.Name(), xmlcmd.AddrFD, b.nextSeq(),
-			"subfault", proc.SubName(ctx.Name(), sub)))
-		b.scheduleSubReport(sub, subReReport)
-	})
+// Fire is the sub's self-report loop: while its logic stays broken, it
+// reports the sub to FD and re-arms.
+func (s *microSub) Fire() {
+	if !s.broken {
+		return
+	}
+	ctx := s.b.micro.ctx
+	ctx.Send(ctx.Pool().Event(ctx.Name(), xmlcmd.AddrFD, s.b.nextSeq(), "subfault", s.name))
+	ctx.Schedule(subReReport, s)
 }
 
 // SubMicroreboot implements proc.Microrebootable: discard the sub's logic
@@ -177,9 +202,10 @@ func (b *base) SubMicroreboot(sub string) time.Duration {
 	if b.micro == nil {
 		return 0
 	}
-	delete(b.micro.broken, sub)
-	if fn := b.micro.reattach[sub]; fn != nil {
-		fn()
+	s := b.micro.sub(sub)
+	s.broken = false
+	if s.reattach != nil {
+		s.reattach()
 	}
 	return microrebootTime
 }

@@ -5,6 +5,7 @@ import (
 
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/recursive-restart/mercury/internal/bus"
 	"github.com/recursive-restart/mercury/internal/clock"
@@ -354,5 +355,13 @@ func (p *pingSink) Start(ctx proc.Context) { ctx.After(0, ctx.Ready) }
 func (p *pingSink) Receive(ctx proc.Context, m *xmlcmd.Message) {
 	if m.Kind() == xmlcmd.KindPong {
 		p.pongs++
+	}
+}
+
+// TestMicroStateSize: a micro-mode container's bookkeeping stays in the
+// 64-byte size class; its subs' records live beside it.
+func TestMicroStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(microState{}); n > 64 {
+		t.Fatalf("microState is %d bytes, want at most 64", n)
 	}
 }

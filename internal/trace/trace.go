@@ -12,16 +12,39 @@
 // time-to-recover figure comes from. internal/obs is the other half of observation — aggregate
 // instruments for scraping, which count and time but do not say what
 // happened.
+//
+// An event carries its numbers as data, and AppendText is the one place a
+// line's text is made. The fields each kind sets, and how its detail (the
+// text after comp= and node=) reads:
+//
+//	FaultInjected      Fault, Hang, Hard, Set; Detail a state fault's key
+//	                   id=<Fault> mode=crash|hang[ state=<Detail>] cure=[<Set>] hard=<Hard>
+//	FaultCured         Fault: id=<Fault>
+//	ComponentStarting  Count, Stretch: incarnation=<Count> stretch=<Stretch to 3 places>
+//	                   Action Microreboot, Count, Dur: microreboot=<Count> reinit=<Dur>
+//	ComponentReady     Count, Dur: incarnation=<Count> startup=<Dur>
+//	                   Action Microreboot, Count: microreboot=<Count> reattached
+//	OracleGuess        Count, Action; Detail the policy's name
+//	                   policy=<Detail> attempt=<Count> action=<Action>
+//	RestartRequested   Action, Set; Dur a checkpoint restore's latency
+//	                   restarting|microrebooting [<Set>], ckpt-restore (<Dur>) then reboot [<Set>]
+//	GiveUp             Count, Dur: restart budget exhausted (<Count> in <Dur>)
+//	Note               Dur, Count: restart backoff <Dur> (<Count> recent restarts)
+//
+// A startup or re-init Dur reads in seconds to 2 places ("4.92s"), any
+// other as time.Duration prints it. A line without those fields (no Fault,
+// Count, Action or Dur where the table has one) and every other kind
+// render Detail as it is: a note, a reason.
 package trace
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 )
 
 // Kind classifies a trace event.
-type Kind int
+type Kind uint8
 
 // Trace event kinds.
 const (
@@ -54,7 +77,7 @@ const (
 	Note
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	FaultInjected:     "fault-injected",
 	ComponentDown:     "component-down",
 	FailureDetected:   "failure-detected",
@@ -69,36 +92,142 @@ var kindNames = map[Kind]string{
 	Note:              "note",
 }
 
-// String names the kind.
+// String names the kind; an unknown one is "kind(N)".
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
-	return fmt.Sprintf("kind(%d)", int(k))
+	return "kind(" + strconv.Itoa(int(k)) + ")"
 }
 
-// Event is one timestamped record.
+// Action is a recovery action: what an OracleGuess chose and a
+// RestartRequested carries out. Microreboot also marks a microreboot's
+// lifecycle lines. core names them ActRestart, ActMicroreboot and
+// ActCkptRestore.
+type Action uint8
+
+// Recovery actions, cheapest-first on a typical ladder.
+const (
+	Restart Action = iota + 1
+	Microreboot
+	CkptRestore
+)
+
+var actionNames = [...]string{Restart: "restart", Microreboot: "microreboot", CkptRestore: "ckpt-restore"}
+
+// String names the action for traces and metric labels.
+func (a Action) String() string {
+	if int(a) < len(actionNames) && actionNames[a] != "" {
+		return actionNames[a]
+	}
+	return "unknown"
+}
+
+// Event is one timestamped record. It is comparable, and small enough to
+// hand every subscriber by value, with its one-byte fields packed at the
+// end. The package doc's table says which fields each kind sets.
 type Event struct {
 	At        time.Time
-	Kind      Kind
 	Component string // affected component, if any
 	Node      string // restart-tree node, if any
-	Detail    string
+	// Detail is free text: a note or a reason, or the one name a line
+	// carries beyond its component and node.
+	Detail  string
+	Fault   string        // the fault's ID
+	Set     string        // a restart or cure set, its names joined by spaces
+	Dur     time.Duration // a startup, re-init, backoff or restore latency, or a budget window
+	Stretch float64       // the restart-contention factor a start is slowed by
+	Count   int32         // an incarnation, microreboot, attempt or (recent) restart count
+	Kind    Kind
+	Action  Action
+	Hang    bool // the fault is a hang, not a crash
+	Hard    bool // no restart cures the fault
 }
 
 // String renders one log line.
-func (e Event) String() string {
-	s := fmt.Sprintf("%s %-18s", e.At.Format("15:04:05.000"), e.Kind)
+func (e Event) String() string { return string(e.AppendText(nil)) }
+
+// AppendText appends the log line to dst: the time of day to the
+// millisecond, the kind padded to 18 columns, comp= and node= when set,
+// then the detail.
+func (e Event) AppendText(dst []byte) []byte {
+	dst = append(e.At.AppendFormat(dst, "15:04:05.000"), ' ')
+	n := len(dst)
+	dst = append(dst, e.Kind.String()...)
+	for len(dst)-n < 18 {
+		dst = append(dst, ' ')
+	}
 	if e.Component != "" {
-		s += " comp=" + e.Component
+		dst = append(append(dst, " comp="...), e.Component...)
 	}
 	if e.Node != "" {
-		s += " node=" + e.Node
+		dst = append(append(dst, " node="...), e.Node...)
 	}
-	if e.Detail != "" {
-		s += " " + e.Detail
+	n = len(dst)
+	if dst = e.AppendDetail(append(dst, ' ')); len(dst) == n+1 {
+		dst = dst[:n]
 	}
-	return s
+	return dst
+}
+
+// AppendDetail appends the line's detail, the text after comp= and node=,
+// to dst: the package doc's table.
+func (e *Event) AppendDetail(dst []byte) []byte {
+	switch {
+	case e.Kind == FaultInjected && e.Fault != "":
+		mode := " mode=crash"
+		if e.Hang {
+			mode = " mode=hang"
+		}
+		dst = append(append(append(dst, "id="...), e.Fault...), mode...)
+		if e.Detail != "" {
+			dst = append(append(dst, " state="...), e.Detail...)
+		}
+		dst = append(append(append(dst, " cure=["...), e.Set...), "] hard="...)
+		return strconv.AppendBool(dst, e.Hard)
+	case e.Kind == FaultCured && e.Fault != "":
+		return append(append(dst, "id="...), e.Fault...)
+	case (e.Kind == ComponentStarting || e.Kind == ComponentReady) && e.Count != 0:
+		if e.Action == Microreboot {
+			dst = strconv.AppendInt(append(dst, "microreboot="...), int64(e.Count), 10)
+			if e.Kind == ComponentReady {
+				return append(dst, " reattached"...)
+			}
+			return appendSeconds(append(dst, " reinit="...), e.Dur)
+		}
+		dst = strconv.AppendInt(append(dst, "incarnation="...), int64(e.Count), 10)
+		if e.Kind == ComponentReady {
+			return appendSeconds(append(dst, " startup="...), e.Dur)
+		}
+		return strconv.AppendFloat(append(dst, " stretch="...), e.Stretch, 'f', 3, 64)
+	case e.Kind == OracleGuess && e.Count != 0:
+		dst = append(append(dst, "policy="...), e.Detail...)
+		dst = strconv.AppendInt(append(dst, " attempt="...), int64(e.Count), 10)
+		return append(append(dst, " action="...), e.Action.String()...)
+	case e.Kind == RestartRequested && e.Action != 0:
+		switch e.Action {
+		case Microreboot:
+			dst = append(dst, "microrebooting "...)
+		case CkptRestore:
+			dst = append(append(append(dst, "ckpt-restore ("...), e.Dur.String()...), ") then reboot "...)
+		default:
+			dst = append(dst, "restarting "...)
+		}
+		return append(append(append(dst, '['), e.Set...), ']')
+	case e.Kind == GiveUp && e.Dur != 0:
+		dst = strconv.AppendInt(append(dst, "restart budget exhausted ("...), int64(e.Count), 10)
+		return append(append(append(dst, " in "...), e.Dur.String()...), ')')
+	case e.Kind == Note && e.Dur != 0:
+		dst = append(append(dst, "restart backoff "...), e.Dur.String()...)
+		dst = strconv.AppendInt(append(dst, " ("...), int64(e.Count), 10)
+		return append(dst, " recent restarts)"...)
+	}
+	return append(dst, e.Detail...)
+}
+
+// appendSeconds appends d in seconds to two places, then "s".
+func appendSeconds(dst []byte, d time.Duration) []byte {
+	return append(strconv.AppendFloat(dst, d.Seconds(), 'f', 2, 64), 's')
 }
 
 // Log is the event stream, safe for concurrent use so it serves both the

@@ -52,22 +52,24 @@ func (r *Recorder) Filter(pred func(trace.Event) bool) []trace.Event {
 }
 
 // Digest fingerprints the recorded events in order: FNV-1a over each
-// event's At (Unix nanoseconds), Kind, Component, Node and Detail, every
-// string followed by a zero byte so adjacent fields cannot run together.
+// event's At (Unix nanoseconds), Kind, Component, Node and rendered detail
+// (trace.Event.AppendDetail), every string followed by a zero byte so
+// adjacent fields cannot run together. A field reaches the digest through
+// the text it renders, so two streams that read the same digest the same.
 func (r *Recorder) Digest() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := fnv.New64a()
 	var b [8]byte
+	var buf []byte
 	for _, e := range r.events {
 		binary.LittleEndian.PutUint64(b[:], uint64(e.At.UnixNano()))
 		h.Write(b[:])
 		binary.LittleEndian.PutUint64(b[:], uint64(e.Kind))
 		h.Write(b[:])
-		for _, s := range [...]string{e.Component, e.Node, e.Detail} {
-			h.Write([]byte(s))
-			h.Write([]byte{0})
-		}
+		buf = append(append(buf[:0], e.Component...), 0)
+		buf = append(append(buf, e.Node...), 0)
+		h.Write(append(e.AppendDetail(buf), 0))
 	}
 	return h.Sum64()
 }

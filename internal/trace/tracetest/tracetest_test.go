@@ -12,9 +12,13 @@ var t0 = time.Date(2002, 6, 23, 10, 0, 0, 0, time.UTC)
 
 // TestDigestCoversEveryField: equal streams digest equal, and a change to
 // any one field of one event, or a field's text moving to its neighbour,
-// changes the digest.
+// changes the digest. Each row changes one field of an event whose line
+// renders that field.
 func TestDigestCoversEveryField(t *testing.T) {
-	base := trace.Event{At: t0, Kind: trace.ComponentReady, Component: "rtu", Node: "[rtu]", Detail: "incarnation=2"}
+	down := trace.Event{At: t0, Kind: trace.ComponentDown, Component: "rtu", Node: "[rtu]", Detail: "fault f1"}
+	start := trace.Event{At: t0, Kind: trace.ComponentStarting, Component: "rtu", Count: 2, Stretch: 1.048}
+	ready := trace.Event{At: t0, Kind: trace.ComponentReady, Component: "rtu", Count: 2, Dur: 4930 * time.Millisecond}
+	injected := trace.Event{At: t0, Kind: trace.FaultInjected, Component: "rtu", Fault: "f1", Set: "rtu", Detail: "track/target"}
 	digest := func(evs ...trace.Event) uint64 {
 		l := trace.NewLog()
 		r := Record(l)
@@ -23,22 +27,36 @@ func TestDigestCoversEveryField(t *testing.T) {
 		}
 		return r.Digest()
 	}
-	ref := digest(base, base)
-	if got := digest(base, base); got != ref {
-		t.Fatalf("equal streams digest %x and %x", ref, got)
+	for _, base := range []trace.Event{down, start, ready, injected} {
+		if a, b := digest(base, base), digest(base, base); a != b {
+			t.Fatalf("equal streams of %v digest %x and %x", base, a, b)
+		}
 	}
-	for name, change := range map[string]func(*trace.Event){
-		"At":        func(e *trace.Event) { e.At = e.At.Add(time.Nanosecond) },
-		"Kind":      func(e *trace.Event) { e.Kind = trace.ComponentStarting },
-		"Component": func(e *trace.Event) { e.Component = "str" },
-		"Node":      func(e *trace.Event) { e.Node = "[rtu str]" },
-		"Detail":    func(e *trace.Event) { e.Detail = "incarnation=3" },
-		"boundary":  func(e *trace.Event) { e.Component, e.Node = "rtu[rtu]", "" },
+	for _, row := range []struct {
+		field  string
+		base   trace.Event
+		change func(*trace.Event)
+	}{
+		{"At", down, func(e *trace.Event) { e.At = e.At.Add(time.Nanosecond) }},
+		{"Kind", down, func(e *trace.Event) { e.Kind = trace.ComponentKilled }},
+		{"Component", down, func(e *trace.Event) { e.Component = "str" }},
+		{"Node", down, func(e *trace.Event) { e.Node = "[rtu str]" }},
+		{"Detail", down, func(e *trace.Event) { e.Detail = "fault f2" }},
+		{"boundary", down, func(e *trace.Event) { e.Component, e.Node = "rtu[rtu]", "" }},
+		{"Count", ready, func(e *trace.Event) { e.Count = 3 }},
+		{"Dur", ready, func(e *trace.Event) { e.Dur += 10 * time.Millisecond }},
+		{"Action", ready, func(e *trace.Event) { e.Action = trace.Microreboot }},
+		{"Stretch", start, func(e *trace.Event) { e.Stretch = 1.049 }},
+		{"Fault", injected, func(e *trace.Event) { e.Fault = "f2" }},
+		{"Set", injected, func(e *trace.Event) { e.Set = "rtu str" }},
+		{"Hang", injected, func(e *trace.Event) { e.Hang = true }},
+		{"Hard", injected, func(e *trace.Event) { e.Hard = true }},
+		{"Detail as a state key", injected, func(e *trace.Event) { e.Detail = "session/epoch" }},
 	} {
-		e := base
-		change(&e)
-		if digest(base, e) == ref {
-			t.Errorf("changing %s left the digest at %x", name, ref)
+		e := row.base
+		row.change(&e)
+		if ref := digest(row.base, row.base); digest(row.base, e) == ref {
+			t.Errorf("changing %s left the digest at %x", row.field, ref)
 		}
 	}
 }
